@@ -487,6 +487,24 @@ func benchRecovery(b *testing.B, enabled bool) {
 	}
 }
 
+// BenchmarkUpDownITBTableDragonfly342 pins the host-pair route table
+// build behind the 342-host Dragonfly cells: the updown-itb engine's
+// BuildTable, 116 622 routes over 12 882 switch pairs, one in-transit
+// Dijkstra per source switch.
+func BenchmarkUpDownITBTableDragonfly342(b *testing.B) {
+	topo, err := topology.Dragonfly(topology.DefaultDragonflyConfig(342))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (routing.UpDownITBEngine{}).BuildTable(topo, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineTableBuild1024 pins the struct-of-arrays compact
 // table build at the scale the engine study runs at: a 1024-host
 // fat-tree, all-pairs routes for every registered engine, validated

@@ -35,7 +35,7 @@ type Config struct {
 	Routing routing.Algorithm
 	// Engine, when non-nil, overrides Routing, Root and DFSOrder: the
 	// cluster's link orientation and route table come from the
-	// pluggable routing engine instead of the legacy searches. This
+	// pluggable routing engine instead of the Routing algorithm. This
 	// is how the load study runs the same simulation stack under
 	// updown-itb, layered-ksp and minimal-escape.
 	Engine routing.Engine

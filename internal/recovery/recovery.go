@@ -298,6 +298,7 @@ type Manager struct {
 	ud     *topology.UpDown
 	alg    routing.Algorithm
 	table  *routing.Table
+	finder *routing.Finder // probe routes
 	hosts  []*gm.Host
 	mon    int
 	tracer *trace.Recorder
@@ -306,11 +307,11 @@ type Manager struct {
 	targets []*hostState // every host but the monitor, in index order
 	byNode  map[topology.NodeID]*hostState
 
-	nonce       uint32
-	outstanding map[uint32]probeInfo
-	epoch       uint32
+	nonce        uint32
+	outstanding  map[uint32]probeInfo
+	epoch        uint32
 	linkSuspects map[int]bool
-	started     bool
+	started      bool
 
 	stats Stats
 	gSkew *metrics.Gauge
@@ -330,6 +331,10 @@ func NewManager(cfg Config, tgt Target) (*Manager, error) {
 	if tgt.Monitor < 0 || tgt.Monitor >= len(tgt.Hosts) {
 		return nil, fmt.Errorf("recovery: monitor index %d out of range", tgt.Monitor)
 	}
+	finder, err := routing.NewFinder(tgt.Topo, tgt.UD)
+	if err != nil {
+		return nil, err
+	}
 	m := &Manager{
 		cfg:          cfg.withDefaults(),
 		eng:          tgt.Eng,
@@ -337,6 +342,7 @@ func NewManager(cfg Config, tgt Target) (*Manager, error) {
 		ud:           tgt.UD,
 		alg:          tgt.Alg,
 		table:        tgt.Base,
+		finder:       finder,
 		hosts:        tgt.Hosts,
 		mon:          tgt.Monitor,
 		tracer:       tgt.Tracer,
@@ -496,11 +502,11 @@ func (m *Manager) refreshProbeRoutes() {
 	}
 	for _, hs := range m.targets {
 		hs.fwd, hs.ret, hs.primLinks = nil, nil, nil
-		f, err := routing.FindRoute(m.topo, m.ud, routing.UpDownRouting, m.monNode(), hs.node, avoid)
+		f, err := m.finder.FindRoute(routing.UpDownRouting, m.monNode(), hs.node, avoid)
 		if err != nil {
 			continue
 		}
-		rr, err := routing.FindRoute(m.topo, m.ud, routing.UpDownRouting, hs.node, m.monNode(), avoid)
+		rr, err := m.finder.FindRoute(routing.UpDownRouting, hs.node, m.monNode(), avoid)
 		if err != nil {
 			continue
 		}
@@ -657,11 +663,11 @@ func (m *Manager) altProbeRoute(hs *hostState) (fwd, ret []byte) {
 	for _, id := range hs.primLinks {
 		avoid.Links[id] = true
 	}
-	f, err := routing.FindRoute(m.topo, m.ud, routing.UpDownRouting, m.monNode(), hs.node, avoid)
+	f, err := m.finder.FindRoute(routing.UpDownRouting, m.monNode(), hs.node, avoid)
 	if err != nil {
 		return nil, nil
 	}
-	rr, err := routing.FindRoute(m.topo, m.ud, routing.UpDownRouting, hs.node, m.monNode(), avoid)
+	rr, err := m.finder.FindRoute(routing.UpDownRouting, hs.node, m.monNode(), avoid)
 	if err != nil {
 		return nil, nil
 	}

@@ -46,6 +46,15 @@ func Analyze(t *topology.Topology, ud *topology.UpDown, tbl *Table) Analysis {
 	loads := make(map[Channel]int)
 	totalHops, totalITBs := 0, 0
 	minimalCount := 0
+	// Minimal hop counts come from one unrestricted BFS per source
+	// switch, rerun only when the host-major iteration changes source.
+	g := tbl.graph
+	if g == nil || g.t != t {
+		g = mustGraph(t, ud)
+	}
+	minHops := make([]int32, len(g.sws))
+	queue := make([]int32, 0, len(g.sws))
+	lastSrc := int32(-1)
 	for _, src := range hosts {
 		for _, dst := range hosts {
 			if src == dst {
@@ -82,7 +91,11 @@ func Analyze(t *topology.Topology, ud *topology.UpDown, tbl *Table) Analysis {
 			}
 			srcSw, _ := t.SwitchOf(src)
 			dstSw, _ := t.SwitchOf(dst)
-			if hops == len(MinimalSwitchPath(t, srcSw, dstSw)) {
+			if si := g.sidx[srcSw]; si != lastSrc {
+				g.plainBFS(si, nil, minHops, queue)
+				lastSrc = si
+			}
+			if hops == int(minHops[g.sidx[dstSw]]) {
 				minimalCount++
 			}
 		}

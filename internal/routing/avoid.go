@@ -83,29 +83,6 @@ func liveHostsAt(t *topology.Topology, sw topology.NodeID, avoid *Avoid) []topol
 //
 // A nil avoid makes it equivalent to BuildTable.
 func BuildTableAvoiding(t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid) (*Table, error) {
-	tbl := &Table{
-		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
-		avoid:     avoid,
-	}
-	hosts := t.Hosts()
-	for _, src := range hosts {
-		if avoid.hostDead(t, src) {
-			continue
-		}
-		for _, dst := range hosts {
-			if src == dst || avoid.hostDead(t, dst) {
-				continue
-			}
-			r, err := tbl.buildRoute(t, ud, src, dst)
-			if err != nil {
-				// Unreachable under the exclusion set: omit the pair.
-				continue
-			}
-			tbl.routes[[2]topology.NodeID{src, dst}] = r
-		}
-	}
-	return tbl, nil
+	tbl, _, err := RebuildAvoiding(nil, t, ud, alg, avoid)
+	return tbl, err
 }

@@ -1,0 +1,99 @@
+package routing
+
+import (
+	"testing"
+
+	"repro/internal/topology"
+)
+
+// Per-layer routing benchmarks: the host-pair Table build, and a route
+// read from each representation — a Table lookup against decoding the
+// switch-pair path from the CompactTable arena.
+
+func benchDragonfly(b *testing.B, hosts int) *topology.Topology {
+	b.Helper()
+	topo, err := topology.Dragonfly(topology.DefaultDragonflyConfig(hosts))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return topo
+}
+
+// BenchmarkBuildTable builds the all-pairs Table of dragonfly-72 with
+// each Algorithm.
+func BenchmarkBuildTable(b *testing.B) {
+	topo := benchDragonfly(b, 72)
+	ud := topology.BuildUpDown(topo)
+	for _, c := range []struct {
+		name string
+		alg  Algorithm
+	}{{"updown", UpDownRouting}, {"itb", ITBRouting}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildTable(topo, ud, c.alg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchPairs lists dragonfly-342's ordered host pairs in host-major
+// order.
+func benchPairs(topo *topology.Topology) [][2]topology.NodeID {
+	var pairs [][2]topology.NodeID
+	for _, s := range topo.Hosts() {
+		for _, d := range topo.Hosts() {
+			if s != d {
+				pairs = append(pairs, [2]topology.NodeID{s, d})
+			}
+		}
+	}
+	return pairs
+}
+
+// BenchmarkTableLookup is one Table.Lookup of the updown-itb
+// dragonfly-342 table per op, cycling over every host pair.
+func BenchmarkTableLookup(b *testing.B) {
+	topo := benchDragonfly(b, 342)
+	tbl, err := UpDownITBEngine{}.BuildTable(topo, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := benchPairs(topo)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		if _, ok := tbl.Lookup(p[0], p[1]); !ok {
+			b.Fatal("missing route")
+		}
+	}
+}
+
+// BenchmarkCompactDecode is the CompactTable counterpart of
+// BenchmarkTableLookup: one switch-pair path decoded from the
+// updown-itb dragonfly-342 arena per op, over the same host pairs.
+func BenchmarkCompactDecode(b *testing.B) {
+	topo := benchDragonfly(b, 342)
+	ct, err := UpDownITBEngine{}.BuildCompact(topo, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := benchPairs(topo)
+	sw := make(map[topology.NodeID]int, len(topo.Hosts()))
+	for _, h := range topo.Hosts() {
+		s, _ := topo.SwitchOf(h)
+		sw[h] = ct.SwitchIndex(s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		si, di := sw[p[0]], sw[p[1]]
+		if _, _, _, err := DecodePath(topo, ct.Switch(si), ct.PairSteps(si, di)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

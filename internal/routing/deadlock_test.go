@@ -47,7 +47,7 @@ func TestMinimalRoutingWithoutITBsDeadlocksOnRing(t *testing.T) {
 			dstSw, _ := tp.SwitchOf(dst)
 			r := &Route{Src: src, Dst: dst}
 			r.LinkPath = append(r.LinkPath, Traversal{Link: tp.LinkAt(src, 0), From: src})
-			min := MinimalSwitchPath(tp, srcSw, dstSw)
+			min := oracleMinimalSwitchPath(tp, srcSw, dstSw)
 			cur := srcSw
 			for _, tr := range min {
 				r.LinkPath = append(r.LinkPath, tr)

@@ -131,97 +131,50 @@ func engineCheckTopology(name string, t *topology.Topology) error {
 	return nil
 }
 
-// pathFunc computes the switch path for one switch pair; engines
-// install one into the Tables they build. Besides the traversals it
-// returns the in-transit reset positions (indices into the traversal
-// before which an ejection/re-injection happens) and, for lane-aware
-// engines, the virtual-channel lane of every traversal (nil means
-// everything rides lane 0).
+// pathFunc computes the switch path for one switch pair; every Table
+// holds one. Besides the traversals it returns the in-transit reset
+// positions (indices into the traversal before which an
+// ejection/re-injection happens) and, for lane-aware engines, the
+// virtual-channel lane of every traversal (nil means everything rides
+// lane 0).
 type pathFunc func(srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, error)
 
-// buildEngineTable runs the standard all-pairs table build with an
-// engine-specific path function (nil selects the legacy Algorithm
-// searches). With a nil avoid every pair must route; with an exclusion
-// set, pairs with dead endpoints or no surviving path are omitted,
-// matching BuildTableAvoiding.
-func buildEngineTable(t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid, engine string, fn pathFunc) (*Table, error) {
-	tbl := &Table{
-		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
-		avoid:     avoid,
-		engine:    engine,
-		pathFn:    fn,
+// rebuildEngineTable is the body of every engine's BuildTable (prev
+// nil) and RebuildAvoiding. The switch graph is prev's when the same
+// engine built prev on t (an engine's orientation is a function of
+// the topology), otherwise a new one over e.Orientation(t). pathFn
+// makes the engine's switch-pair search over that graph; nil selects
+// the Algorithm-selected searches. Surviving routes of a prev from the
+// same engine and algorithm are shared into the new table and only
+// the invalidated pairs are searched again; any other prev
+// degenerates to a full build. With a nil avoid every pair must
+// route; with an exclusion set, pairs with dead endpoints or no
+// surviving path are omitted, matching BuildTableAvoiding.
+func rebuildEngineTable(e Engine, prev *Table, t *topology.Topology, alg Algorithm, avoid *Avoid, pathFn func(*engineGraph) pathFunc) (*Table, int, error) {
+	name := e.Name()
+	if err := engineCheckTopology(name, t); err != nil {
+		return nil, 0, err
 	}
-	hosts := t.Hosts()
-	for _, src := range hosts {
-		if avoid.hostDead(t, src) {
-			continue
-		}
-		for _, dst := range hosts {
-			if src == dst || avoid.hostDead(t, dst) {
-				continue
-			}
-			r, err := tbl.buildRoute(t, ud, src, dst)
-			if err != nil {
-				if avoid != nil {
-					continue // unreachable under the exclusion set
-				}
-				return nil, fmt.Errorf("routing: engine %q: %w", engine, err)
-			}
-			tbl.routes[[2]topology.NodeID{src, dst}] = r
+	sameEngine := prev != nil && prev.engine == name
+	var g *engineGraph
+	if sameEngine && prev.graph != nil && prev.graph.t == t {
+		g = prev.graph
+	} else {
+		var err error
+		if g, err = newEngineGraph(t, e.Orientation(t)); err != nil {
+			return nil, 0, err
 		}
 	}
-	return tbl, nil
-}
-
-// rebuildEngineTable mirrors RebuildAvoiding for engine-built tables:
-// surviving routes of prev are shared into the new table and only the
-// invalidated pairs go through the engine's path function again.
-func rebuildEngineTable(prev *Table, t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid, engine string, fn pathFunc) (*Table, int, error) {
-	if prev == nil || prev.engine != engine || prev.Algorithm != alg {
-		tbl, err := buildEngineTable(t, ud, alg, avoid, engine, fn)
-		return tbl, 0, err
+	var fn pathFunc
+	if pathFn != nil {
+		fn = pathFn(g)
 	}
-	tbl := &Table{
-		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
-		avoid:     avoid,
-		engine:    engine,
-		pathFn:    fn,
-	}
-	hosts := t.Hosts()
-	reused := 0
-	type pair struct{ src, dst topology.NodeID }
-	var missing []pair
-	for _, src := range hosts {
-		if avoid.hostDead(t, src) {
-			continue
+	tbl := newTable(g, alg, avoid, name, fn)
+	if !sameEngine || prev.Algorithm != alg {
+		if err := tbl.routeAll(t, avoid == nil); err != nil {
+			return nil, 0, fmt.Errorf("routing: engine %q: %w", name, err)
 		}
-		for _, dst := range hosts {
-			if src == dst || avoid.hostDead(t, dst) {
-				continue
-			}
-			if r, ok := prev.Lookup(src, dst); ok && routeValid(t, r, avoid) {
-				tbl.routes[[2]topology.NodeID{src, dst}] = r
-				for _, h := range r.ITBHosts {
-					tbl.itbLoad[h]++
-				}
-				reused++
-				continue
-			}
-			missing = append(missing, pair{src, dst})
-		}
+		return tbl, 0, nil
 	}
-	for _, p := range missing {
-		r, err := tbl.buildRoute(t, ud, p.src, p.dst)
-		if err != nil {
-			continue // unreachable under the exclusion set: omit
-		}
-		tbl.routes[[2]topology.NodeID{p.src, p.dst}] = r
-	}
-	return tbl, reused, nil
+	return tbl, tbl.rebuildFrom(prev, t), nil
 }

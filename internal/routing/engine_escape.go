@@ -61,28 +61,15 @@ func (e MinimalEscapeEngine) escapePathFunc(g *engineGraph, avoid *Avoid) pathFu
 
 // BuildTable implements Engine.
 func (e MinimalEscapeEngine) BuildTable(t *topology.Topology, avoid *Avoid) (*Table, error) {
-	if err := engineCheckTopology(e.Name(), t); err != nil {
-		return nil, err
-	}
-	ud := e.Orientation(t)
-	g, err := newEngineGraph(t, ud)
-	if err != nil {
-		return nil, err
-	}
-	return buildEngineTable(t, ud, UpDownRouting, avoid, e.Name(), e.escapePathFunc(g, avoid))
+	tbl, _, err := e.RebuildAvoiding(nil, t, avoid)
+	return tbl, err
 }
 
 // RebuildAvoiding implements Engine.
 func (e MinimalEscapeEngine) RebuildAvoiding(prev *Table, t *topology.Topology, avoid *Avoid) (*Table, int, error) {
-	if err := engineCheckTopology(e.Name(), t); err != nil {
-		return nil, 0, err
-	}
-	ud := e.Orientation(t)
-	g, err := newEngineGraph(t, ud)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rebuildEngineTable(prev, t, ud, UpDownRouting, avoid, e.Name(), e.escapePathFunc(g, avoid))
+	return rebuildEngineTable(e, prev, t, UpDownRouting, avoid, func(g *engineGraph) pathFunc {
+		return e.escapePathFunc(g, avoid)
+	})
 }
 
 // CheckDeadlockFree implements Engine.

@@ -92,28 +92,15 @@ func (e LayeredEngine) layeredPathFunc(g *engineGraph, avoid *Avoid) pathFunc {
 // BuildTable implements Engine. Layered routes carry no in-transit
 // buffers, so the table's Algorithm is UpDownRouting.
 func (e LayeredEngine) BuildTable(t *topology.Topology, avoid *Avoid) (*Table, error) {
-	if err := engineCheckTopology(e.Name(), t); err != nil {
-		return nil, err
-	}
-	ud := e.Orientation(t)
-	g, err := newEngineGraph(t, ud)
-	if err != nil {
-		return nil, err
-	}
-	return buildEngineTable(t, ud, UpDownRouting, avoid, e.Name(), e.layeredPathFunc(g, avoid))
+	tbl, _, err := e.RebuildAvoiding(nil, t, avoid)
+	return tbl, err
 }
 
 // RebuildAvoiding implements Engine.
 func (e LayeredEngine) RebuildAvoiding(prev *Table, t *topology.Topology, avoid *Avoid) (*Table, int, error) {
-	if err := engineCheckTopology(e.Name(), t); err != nil {
-		return nil, 0, err
-	}
-	ud := e.Orientation(t)
-	g, err := newEngineGraph(t, ud)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rebuildEngineTable(prev, t, ud, UpDownRouting, avoid, e.Name(), e.layeredPathFunc(g, avoid))
+	return rebuildEngineTable(e, prev, t, UpDownRouting, avoid, func(g *engineGraph) pathFunc {
+		return e.layeredPathFunc(g, avoid)
+	})
 }
 
 // CheckDeadlockFree implements Engine.

@@ -238,28 +238,15 @@ func (e VCEscapeEngine) vcPathFunc(g *engineGraph, avoid *Avoid) pathFunc {
 
 // BuildTable implements Engine.
 func (e VCEscapeEngine) BuildTable(t *topology.Topology, avoid *Avoid) (*Table, error) {
-	if err := engineCheckTopology(e.Name(), t); err != nil {
-		return nil, err
-	}
-	ud := e.Orientation(t)
-	g, err := newEngineGraph(t, ud)
-	if err != nil {
-		return nil, err
-	}
-	return buildEngineTable(t, ud, e.algorithm(), avoid, e.Name(), e.vcPathFunc(g, avoid))
+	tbl, _, err := e.RebuildAvoiding(nil, t, avoid)
+	return tbl, err
 }
 
 // RebuildAvoiding implements Engine.
 func (e VCEscapeEngine) RebuildAvoiding(prev *Table, t *topology.Topology, avoid *Avoid) (*Table, int, error) {
-	if err := engineCheckTopology(e.Name(), t); err != nil {
-		return nil, 0, err
-	}
-	ud := e.Orientation(t)
-	g, err := newEngineGraph(t, ud)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rebuildEngineTable(prev, t, ud, e.algorithm(), avoid, e.Name(), e.vcPathFunc(g, avoid))
+	return rebuildEngineTable(e, prev, t, e.algorithm(), avoid, func(g *engineGraph) pathFunc {
+		return e.vcPathFunc(g, avoid)
+	})
 }
 
 // CheckDeadlockFree implements Engine: the lane-aware channel

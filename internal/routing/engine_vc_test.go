@@ -124,9 +124,9 @@ func TestVCSingleLaneIsPureUpDown(t *testing.T) {
 		if srcSw == dstSw {
 			continue
 		}
-		trav, _, err := searchPath(topo, ud, srcSw, dstSw, nil)
+		trav, err := oracleSearchPath(topo, ud, srcSw, dstSw, nil)
 		if err != nil {
-			t.Fatalf("legacy search %d->%d: %v", srcSw, dstSw, err)
+			t.Fatalf("per-pair search %d->%d: %v", srcSw, dstSw, err)
 		}
 		// LinkPath = hostUp + switch hops + delivery.
 		if got, want := len(r.LinkPath)-2, len(trav); got != want {

@@ -36,50 +36,54 @@ func routeValid(t *topology.Topology, r *Route, avoid *Avoid) bool {
 // A prev of nil (or with a different algorithm) degenerates to a full
 // BuildTableAvoiding.
 func RebuildAvoiding(prev *Table, t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid) (*Table, int, error) {
+	g, err := graphFor(prev, t, ud)
+	if err != nil {
+		return nil, 0, err
+	}
+	tbl := newTable(g, alg, avoid, "", nil)
 	if prev == nil || prev.Algorithm != alg {
-		tbl, err := BuildTableAvoiding(t, ud, alg, avoid)
-		return tbl, 0, err
+		// Pairs unreachable under the exclusion set are omitted.
+		_ = tbl.routeAll(t, false)
+		return tbl, 0, nil
 	}
-	tbl := &Table{
-		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
-		avoid:     avoid,
-	}
+	return tbl, tbl.rebuildFrom(prev, t), nil
+}
+
+// rebuildFrom fills tbl from prev: every live pair whose prev route
+// survives tbl's exclusion set is shared, seeding the in-transit load,
+// and the remaining pairs are searched afterwards in host-major order,
+// omitting those that no longer route. It returns the number of
+// routes reused.
+func (tbl *Table) rebuildFrom(prev *Table, t *topology.Topology) int {
 	hosts := t.Hosts()
 	reused := 0
-	type pair struct{ src, dst topology.NodeID }
-	var missing []pair
+	var missing [][2]topology.NodeID
 	for _, src := range hosts {
-		if avoid.hostDead(t, src) {
+		if tbl.avoid.hostDead(t, src) {
 			continue
 		}
 		for _, dst := range hosts {
-			if src == dst || avoid.hostDead(t, dst) {
+			if src == dst || tbl.avoid.hostDead(t, dst) {
 				continue
 			}
-			if r, ok := prev.Lookup(src, dst); ok && routeValid(t, r, avoid) {
-				tbl.routes[[2]topology.NodeID{src, dst}] = r
+			key := [2]topology.NodeID{src, dst}
+			if r, ok := prev.Lookup(src, dst); ok && routeValid(t, r, tbl.avoid) {
+				tbl.routes[key] = r
 				for _, h := range r.ITBHosts {
 					tbl.itbLoad[h]++
 				}
 				reused++
 				continue
 			}
-			missing = append(missing, pair{src, dst})
+			missing = append(missing, key)
 		}
 	}
-	for _, p := range missing {
-		r, err := tbl.buildRoute(t, ud, p.src, p.dst)
-		if err != nil {
-			// Unreachable under the exclusion set: omit the pair, as
-			// BuildTableAvoiding does.
-			continue
+	for _, key := range missing {
+		if r, err := tbl.buildRoute(t, key[0], key[1]); err == nil {
+			tbl.routes[key] = r
 		}
-		tbl.routes[[2]topology.NodeID{p.src, p.dst}] = r
 	}
-	return tbl, reused, nil
+	return reused
 }
 
 // lazyRebuild is the deferred-resolution state of a table returned by
@@ -87,7 +91,6 @@ func RebuildAvoiding(prev *Table, t *topology.Topology, ud *topology.UpDown, alg
 type lazyRebuild struct {
 	prev *Table
 	topo *topology.Topology
-	ud   *topology.UpDown
 	// failed memoizes pairs with no route under the exclusion set
 	// (dead endpoints, unreachable under the avoid set), so repeated
 	// sends to a dead peer don't re-search every time.
@@ -110,20 +113,22 @@ type lazyRebuild struct {
 // The returned table is for single-goroutine simulation use: Lookup
 // mutates it.
 func RebuildAvoidingLazy(prev *Table, t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid, reused *uint64) *Table {
-	tbl := &Table{
-		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
-		avoid:     avoid,
+	g, err := graphFor(prev, t, ud)
+	var fn pathFunc
+	if err != nil {
+		// The topology has no switch graph: every search fails, so
+		// every pair prev cannot supply resolves as unroutable.
+		fn = func(topology.NodeID, topology.NodeID) ([]Traversal, []int, []uint8, error) {
+			return nil, nil, nil, err
+		}
 	}
+	tbl := newTable(g, alg, avoid, "", fn)
 	if prev != nil && prev.Algorithm != alg {
 		prev = nil
 	}
 	tbl.lazyFill = &lazyRebuild{
 		prev:   prev,
 		topo:   t,
-		ud:     ud,
 		failed: make(map[[2]topology.NodeID]struct{}),
 		reused: reused,
 	}
@@ -156,7 +161,7 @@ func (tbl *Table) resolveLazy(src, dst topology.NodeID) (*Route, bool) {
 			return r, true
 		}
 	}
-	r, err := tbl.buildRoute(lz.topo, lz.ud, src, dst)
+	r, err := tbl.buildRoute(lz.topo, src, dst)
 	if err != nil {
 		lz.failed[key] = struct{}{}
 		return nil, false
@@ -165,20 +170,32 @@ func (tbl *Table) resolveLazy(src, dst topology.NodeID) (*Route, bool) {
 	return r, true
 }
 
-// FindRoute computes one route src->dst under an exclusion set
-// without building a table — the recovery manager's verification
-// probes use it to reach a suspect over an alternate path that avoids
-// the links the primary route crossed.
-func FindRoute(t *topology.Topology, ud *topology.UpDown, alg Algorithm, src, dst topology.NodeID, avoid *Avoid) (*Route, error) {
-	if avoid.hostDead(t, src) || avoid.hostDead(t, dst) {
+// Finder computes single routes under per-call exclusion sets, the
+// recovery planes' probe routes, without building tables. It builds
+// the topology's switch graph once, and the graph keeps the last
+// search, so consecutive queries from one source switch under one
+// exclusion set share one search.
+type Finder struct {
+	t *topology.Topology
+	g *engineGraph
+}
+
+// NewFinder returns a Finder over topology t and orientation ud.
+func NewFinder(t *topology.Topology, ud *topology.UpDown) (*Finder, error) {
+	g, err := newEngineGraph(t, ud)
+	if err != nil {
+		return nil, err
+	}
+	return &Finder{t: t, g: g}, nil
+}
+
+// FindRoute computes one route src->dst under an exclusion set — the
+// recovery manager's verification probes use it to reach a suspect
+// over an alternate path that avoids the links the primary route
+// crossed. An exclusion set must not change while queries pass it.
+func (f *Finder) FindRoute(alg Algorithm, src, dst topology.NodeID, avoid *Avoid) (*Route, error) {
+	if avoid.hostDead(f.t, src) || avoid.hostDead(f.t, dst) {
 		return nil, fmt.Errorf("routing: endpoint %d->%d dead under exclusion set", src, dst)
 	}
-	tbl := &Table{
-		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
-		avoid:     avoid,
-	}
-	return tbl.buildRoute(t, ud, src, dst)
+	return newTable(f.g, alg, avoid, "", nil).buildRoute(f.t, src, dst)
 }

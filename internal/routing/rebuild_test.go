@@ -101,7 +101,11 @@ func TestFindRouteAvoidsPrimaryPath(t *testing.T) {
 	tp, f := topology.Figure1()
 	ud := topology.BuildUpDown(tp)
 	src, dst := f.Hosts[4], f.Hosts[1]
-	primary, err := FindRoute(tp, ud, ITBRouting, src, dst, nil)
+	finder, err := NewFinder(tp, ud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, err := finder.FindRoute(ITBRouting, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestFindRouteAvoidsPrimaryPath(t *testing.T) {
 	if blocked < 0 {
 		t.Fatal("primary route has no inter-switch link")
 	}
-	alt, err := FindRoute(tp, ud, ITBRouting, src, dst, AvoidLinks(blocked))
+	alt, err := finder.FindRoute(ITBRouting, src, dst, AvoidLinks(blocked))
 	if err != nil {
 		t.Fatalf("no alternate route around link %d: %v", blocked, err)
 	}
@@ -128,7 +132,7 @@ func TestFindRouteAvoidsPrimaryPath(t *testing.T) {
 	}
 
 	// A dead endpoint cannot be routed to.
-	if _, err := FindRoute(tp, ud, UpDownRouting, src, dst, AvoidLinks().AddHost(dst)); err == nil {
+	if _, err := finder.FindRoute(UpDownRouting, src, dst, AvoidLinks().AddHost(dst)); err == nil {
 		t.Fatal("FindRoute to a dead endpoint succeeded")
 	}
 }

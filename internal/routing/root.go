@@ -9,43 +9,17 @@ import (
 // better). The root choice matters because a poorly placed root
 // lengthens many routes and funnels them through itself.
 func RootQuality(t *topology.Topology, ud *topology.UpDown) int {
-	sws := t.Switches()
+	g := mustGraph(t, ud)
+	tree := newSearchTree(2 * len(g.sws))
+	queue := make([]int32, 0, 2*len(g.sws))
 	total := 0
-	for _, src := range sws {
-		// One BFS over (switch, phase) states per source covers all
-		// destinations.
-		type st struct {
-			sw topology.NodeID
-			ph phase
-		}
-		dist := map[st]int{{sw: src, ph: phaseUpOK}: 0}
-		best := map[topology.NodeID]int{src: 0}
-		queue := []st{{sw: src, ph: phaseUpOK}}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			d := dist[cur]
-			for _, nb := range sortedSwitchNeighbors(t, cur.sw) {
-				dir := ud.DirectionOf(nb.Link, cur.sw)
-				if cur.ph == phaseDowned && dir == topology.Up {
-					continue
-				}
-				next := st{sw: nb.Node, ph: cur.ph}
-				if dir == topology.Down {
-					next.ph = phaseDowned
-				}
-				if _, seen := dist[next]; seen {
-					continue
-				}
-				dist[next] = d + 1
-				if b, ok := best[next.sw]; !ok || d+1 < b {
-					best[next.sw] = d + 1
-				}
-				queue = append(queue, next)
+	for si := range g.sws {
+		// One legal BFS per source covers all destinations.
+		g.legalBFS(int32(si), 0, nil, tree, queue)
+		for di := range g.sws {
+			if goal := tree.goal[di]; goal >= 0 {
+				total += int(tree.dist[goal])
 			}
-		}
-		for _, dst := range sws {
-			total += best[dst]
 		}
 	}
 	return total

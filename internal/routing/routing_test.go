@@ -7,11 +7,25 @@ import (
 	"repro/internal/topology"
 )
 
+// switchPath runs the Table's switch-pair search for one pair.
+func switchPath(tb testing.TB, tp *topology.Topology, ud *topology.UpDown, alg Algorithm, src, dst topology.NodeID) ([]Traversal, []int, error) {
+	tb.Helper()
+	g, err := newEngineGraph(tp, ud)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	trav, itbBefore, _, err := algPathFunc(g, alg, nil)(src, dst)
+	return trav, itbBefore, err
+}
+
 func TestUpDownPathLinear(t *testing.T) {
 	tp := topology.Linear(4, 1)
 	ud := topology.BuildUpDown(tp)
 	sws := tp.Switches()
-	trav := UpDownSwitchPath(tp, ud, sws[0], sws[3])
+	trav, _, err := switchPath(t, tp, ud, UpDownRouting, sws[0], sws[3])
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(trav) != 3 {
 		t.Fatalf("path length = %d, want 3", len(trav))
 	}
@@ -19,8 +33,8 @@ func TestUpDownPathLinear(t *testing.T) {
 		t.Error("path endpoints wrong")
 	}
 	// Same switch: empty path.
-	if got := UpDownSwitchPath(tp, ud, sws[1], sws[1]); len(got) != 0 {
-		t.Errorf("same-switch path = %v", got)
+	if got, _, err := switchPath(t, tp, ud, UpDownRouting, sws[1], sws[1]); err != nil || len(got) != 0 {
+		t.Errorf("same-switch path = %v (%v)", got, err)
 	}
 }
 
@@ -28,16 +42,25 @@ func TestMinimalVsUpDownOnFigure1(t *testing.T) {
 	tp, f := topology.Figure1()
 	ud := topology.BuildUpDownFrom(tp, f.Switches[0])
 	src, dst := f.Switches[4], f.Switches[1]
-	min := MinimalSwitchPath(tp, src, dst)
-	udp := UpDownSwitchPath(tp, ud, src, dst)
-	if len(min) != 2 {
-		t.Fatalf("minimal 4->1 length = %d, want 2 (via switch 6)", len(min))
+	g, err := newEngineGraph(tp, ud)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(udp) <= len(min) {
-		t.Fatalf("up*/down* path length %d should exceed minimal %d", len(udp), len(min))
+	minHops := make([]int32, len(g.sws))
+	g.plainBFS(g.sidx[src], nil, minHops, nil)
+	min := int(minHops[g.sidx[dst]])
+	udp, _, err := switchPath(t, tp, ud, UpDownRouting, src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if min != 2 {
+		t.Fatalf("minimal 4->1 length = %d, want 2 (via switch 6)", min)
+	}
+	if len(udp) <= min {
+		t.Fatalf("up*/down* path length %d should exceed minimal %d", len(udp), min)
 	}
 	// ITB path achieves the minimum using one in-transit reset.
-	trav, itbs, err := ITBSwitchPath(tp, ud, src, dst)
+	trav, itbs, err := switchPath(t, tp, ud, ITBRouting, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +83,7 @@ func TestITBPathNoResetWhenLegal(t *testing.T) {
 	tp := topology.Linear(3, 1)
 	ud := topology.BuildUpDown(tp)
 	sws := tp.Switches()
-	trav, itbs, err := ITBSwitchPath(tp, ud, sws[0], sws[2])
+	trav, itbs, err := switchPath(t, tp, ud, ITBRouting, sws[0], sws[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +99,14 @@ func TestPathEndpointErrors(t *testing.T) {
 	tp := topology.Linear(2, 1)
 	ud := topology.BuildUpDown(tp)
 	host := tp.Hosts()[0]
-	if _, _, err := searchPath(tp, ud, host, tp.Switches()[0], nil); err == nil {
+	if _, _, err := switchPath(t, tp, ud, UpDownRouting, host, tp.Switches()[0]); err == nil {
 		t.Error("host endpoint accepted")
 	}
-	if _, _, err := ITBSwitchPath(tp, ud, host, tp.Switches()[0]); err == nil {
+	if _, _, err := switchPath(t, tp, ud, ITBRouting, host, tp.Switches()[0]); err == nil {
 		t.Error("host endpoint accepted by ITB search")
+	}
+	if _, _, err := switchPath(t, tp, ud, Algorithm(7), tp.Switches()[0], tp.Switches()[1]); err == nil {
+		t.Error("unknown algorithm accepted")
 	}
 }
 
@@ -279,7 +305,7 @@ func TestRouteValidateCatchesIllegalPath(t *testing.T) {
 	// Hand-build the forbidden route host@4 -> host@1 without the ITB.
 	src, dst := f.Hosts[4], f.Hosts[1]
 	srcSw, _ := tp.SwitchOf(src)
-	min := MinimalSwitchPath(tp, srcSw, f.Switches[1])
+	min := oracleMinimalSwitchPath(tp, srcSw, f.Switches[1])
 	r := &Route{Src: src, Dst: dst}
 	r.LinkPath = append(r.LinkPath, Traversal{Link: tp.LinkAt(src, 0), From: src})
 	seg := []byte{}

@@ -41,11 +41,13 @@ type Table struct {
 	// avoid is the exclusion set the table was built around (nil when
 	// built fault-free by BuildTable).
 	avoid *Avoid
-	// engine names the Engine that built the table ("" for the legacy
-	// BuildTable/BuildTableAvoiding entry points), and pathFn is that
-	// engine's switch-pair search. With a nil pathFn buildRoute uses
-	// the Algorithm-selected legacy searches.
+	// engine names the Engine that built the table ("" for the
+	// Algorithm-selected entry points).
 	engine string
+	// graph is the switch graph the table's searches run on; tables
+	// rebuilt from this one share it. pathFn is the switch-pair search
+	// over it: the engine's, or algPathFunc's.
+	graph  *engineGraph
 	pathFn pathFunc
 	// lazyFill, when non-nil, resolves Lookup misses on demand (tables
 	// from RebuildAvoidingLazy); eager tables leave it nil.
@@ -53,7 +55,7 @@ type Table struct {
 }
 
 // Engine returns the name of the Engine that built the table, or ""
-// for tables from the legacy entry points.
+// for tables from the Algorithm-selected entry points.
 func (tbl *Table) Engine() string { return tbl.engine }
 
 type cachedPath struct {
@@ -64,28 +66,105 @@ type cachedPath struct {
 	lanes []uint8
 }
 
-// BuildTable computes routes for all ordered host pairs.
-func BuildTable(t *topology.Topology, ud *topology.UpDown, alg Algorithm) (*Table, error) {
-	tbl := &Table{
+// newTable returns an empty table over graph g whose switch paths
+// come from fn, or from the Algorithm-selected searches when fn is
+// nil.
+func newTable(g *engineGraph, alg Algorithm, avoid *Avoid, engine string, fn pathFunc) *Table {
+	if fn == nil {
+		fn = algPathFunc(g, alg, avoid)
+	}
+	return &Table{
 		Algorithm: alg,
 		routes:    make(map[[2]topology.NodeID]*Route),
 		itbLoad:   make(map[topology.NodeID]int),
 		pathCache: make(map[[2]topology.NodeID]cachedPath),
+		avoid:     avoid,
+		engine:    engine,
+		graph:     g,
+		pathFn:    fn,
 	}
+}
+
+// graphFor returns prev's switch graph when prev was built over the
+// same topology and orientation, and a new graph otherwise.
+func graphFor(prev *Table, t *topology.Topology, ud *topology.UpDown) (*engineGraph, error) {
+	if prev != nil && prev.graph != nil && prev.graph.t == t && prev.graph.ud == ud {
+		return prev.graph, nil
+	}
+	return newEngineGraph(t, ud)
+}
+
+// algPathFunc is the switch-pair search of the Algorithm-selected
+// tables over g. ITBRouting takes each destination's first settled
+// state of the in-transit Dijkstra, UpDownRouting the first discovered
+// state of the legal BFS. Those are exactly the states a search for
+// that one destination stops at, so the paths are the per-pair
+// searches'.
+//
+// ITBRouting needs no separate up*/down* fallback under an exclusion
+// set: the in-transit search's graph contains every legal path, so
+// where no live in-transit host repairs a minimal path it returns the
+// shortest route the live hosts and links still allow, which is a
+// legal route when no reset survives on it.
+func algPathFunc(g *engineGraph, alg Algorithm, avoid *Avoid) pathFunc {
+	return func(srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, error) {
+		si, di := g.sidx[srcSw], g.sidx[dstSw]
+		if si < 0 || di < 0 {
+			return nil, nil, nil, fmt.Errorf("routing: %d->%d is not a switch pair", srcSw, dstSw)
+		}
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		tree, err := g.searchFrom(alg, avoid, si)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		goal := tree.goal[di]
+		if goal < 0 {
+			return nil, nil, nil, fmt.Errorf("routing: no path from switch %d to %d", srcSw, dstSw)
+		}
+		trav, itbBefore := g.traversalsTo(tree, goal)
+		return trav, itbBefore, nil, nil
+	}
+}
+
+// BuildTable computes routes for all ordered host pairs.
+func BuildTable(t *topology.Topology, ud *topology.UpDown, alg Algorithm) (*Table, error) {
+	g, err := newEngineGraph(t, ud)
+	if err != nil {
+		return nil, err
+	}
+	tbl := newTable(g, alg, nil, "", nil)
+	if err := tbl.routeAll(t, true); err != nil {
+		return nil, err
+	}
+	return tbl, nil
+}
+
+// routeAll routes every ordered pair of live hosts in host-major
+// order, the order the in-transit load balance is defined by. A pair
+// that does not route fails the build when strict and is omitted
+// otherwise.
+func (tbl *Table) routeAll(t *topology.Topology, strict bool) error {
 	hosts := t.Hosts()
 	for _, src := range hosts {
+		if tbl.avoid.hostDead(t, src) {
+			continue
+		}
 		for _, dst := range hosts {
-			if src == dst {
+			if src == dst || tbl.avoid.hostDead(t, dst) {
 				continue
 			}
-			r, err := tbl.buildRoute(t, ud, src, dst)
+			r, err := tbl.buildRoute(t, src, dst)
 			if err != nil {
-				return nil, err
+				if strict {
+					return err
+				}
+				continue
 			}
 			tbl.routes[[2]topology.NodeID{src, dst}] = r
 		}
 	}
-	return tbl, nil
+	return nil
 }
 
 // Lookup returns the route from src to dst. On a lazily rebuilt
@@ -134,7 +213,7 @@ func (tbl *Table) Len() int {
 }
 
 // buildRoute assembles a host-to-host Route from a switch path.
-func (tbl *Table) buildRoute(t *topology.Topology, ud *topology.UpDown, src, dst topology.NodeID) (*Route, error) {
+func (tbl *Table) buildRoute(t *topology.Topology, src, dst topology.NodeID) (*Route, error) {
 	srcSw, ok := t.SwitchOf(src)
 	if !ok {
 		return nil, fmt.Errorf("routing: host %d not cabled", src)
@@ -145,38 +224,11 @@ func (tbl *Table) buildRoute(t *topology.Topology, ud *topology.UpDown, src, dst
 	}
 	key := [2]topology.NodeID{srcSw, dstSw}
 	cp, cached := tbl.pathCache[key]
-	switch {
-	case cached:
-	case tbl.pathFn != nil:
+	if !cached {
 		var err error
 		cp.trav, cp.itbBefore, cp.lanes, err = tbl.pathFn(srcSw, dstSw)
 		if err != nil {
 			return nil, err
-		}
-		tbl.pathCache[key] = cp
-	default:
-		switch tbl.Algorithm {
-		case UpDownRouting:
-			var err error
-			cp.trav, _, err = searchPath(t, ud, srcSw, dstSw, tbl.avoid)
-			if err != nil {
-				return nil, err
-			}
-		case ITBRouting:
-			var err error
-			cp.trav, cp.itbBefore, err = searchPathITB(t, ud, srcSw, dstSw, tbl.avoid)
-			if err != nil {
-				// No minimal path is ITB-repairable under the exclusion
-				// set (every candidate in-transit host is dead): fall
-				// back to a pure up*/down* route over the live links.
-				cp.trav, _, err = searchPath(t, ud, srcSw, dstSw, tbl.avoid)
-				cp.itbBefore = nil
-				if err != nil {
-					return nil, err
-				}
-			}
-		default:
-			return nil, fmt.Errorf("routing: unknown algorithm %d", tbl.Algorithm)
 		}
 		tbl.pathCache[key] = cp
 	}
