@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzArrivalProcess -fuzztime=10s ./internal/workload/
 	$(GO) test -fuzz=FuzzFlowSizeMix -fuzztime=10s ./internal/workload/
 	$(GO) test -fuzz=FuzzStaleHandleCancel -fuzztime=10s ./internal/sim/
+	$(GO) test -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
 
 # Run every Fuzz* target briefly, discovering them with `go test
 # -list` so new targets are picked up without editing this file or the

@@ -471,7 +471,7 @@ func TestWormholeDeadlockIsReal(t *testing.T) {
 	if delivered == 4 {
 		t.Skip("packets were short enough to slip through; no cycle formed")
 	}
-	if pending := eng.Pending(); pending != 0 {
+	if pending := eng.LiveCount(); pending != 0 {
 		t.Errorf("engine still has %d events; expected a quiescent deadlock", pending)
 	}
 	if delivered != 0 {

@@ -76,8 +76,8 @@ func TestAckCoalescingStillReliableUnderDrops(t *testing.T) {
 	if fromA != n {
 		t.Errorf("host1's messages delivered %d in order, want %d (order=%v)", fromA, n, order)
 	}
-	if r.eng.Pending() != 0 {
-		t.Errorf("%d events pending after quiesce (leaked ack timer?)", r.eng.Pending())
+	if r.eng.LiveCount() != 0 {
+		t.Errorf("%d live events after quiesce (leaked ack timer?)", r.eng.LiveCount())
 	}
 }
 

@@ -122,7 +122,7 @@ func TestReliabilityEventuallyQuiesces(t *testing.T) {
 	if got != 8 {
 		t.Fatalf("delivered %d, want 8", got)
 	}
-	if eng.Pending() != 0 {
-		t.Errorf("%d events still pending after quiesce", eng.Pending())
+	if eng.LiveCount() != 0 {
+		t.Errorf("%d live events still queued after quiesce", eng.LiveCount())
 	}
 }

@@ -17,9 +17,10 @@
 // destination engine — and therefore the entire simulation output — is
 // byte-identical for any lane count.
 //
-// Termination uses Engine.LiveCount (exact live events, excluding
-// cancelled-but-undrained heap residue): the system is quiescent when
-// every partition's live count is zero and no mail is staged.
+// Termination uses Engine.LiveCount (the queue length: Cancel removes
+// its event at once, so every queued event is live): the system is
+// quiescent when every partition's live count is zero and no mail is
+// staged.
 package sim
 
 import (
@@ -150,8 +151,8 @@ func (c *Coordinator) Lookahead() units.Time { return c.lookahead }
 func (c *Coordinator) Partition(i int) *Partition { return c.parts[i] }
 
 // Quiescent reports whether no live event exists anywhere: every
-// partition engine is drained (LiveCount, not Pending — cancelled
-// residue must not keep the simulation alive) and no mail is staged.
+// partition engine is drained (LiveCount is zero) and no mail is
+// staged.
 func (c *Coordinator) Quiescent() bool {
 	for _, p := range c.parts {
 		if p.eng.LiveCount() != 0 || len(p.out) != 0 {
@@ -231,7 +232,7 @@ func (c *Coordinator) Run(deadline units.Time) {
 		c.runWindow(end)
 	}
 	// Advance every clock to the deadline (no live events remain at or
-	// before it; cancelled residue is drained lazily).
+	// before it).
 	for _, p := range c.parts {
 		if p.eng.Now() < deadline {
 			p.eng.RunUntil(deadline)

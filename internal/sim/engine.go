@@ -8,12 +8,15 @@
 // reproducible byte-for-byte given the same inputs.
 //
 // The queue is an index-based binary heap over a slab of event slots
-// with a free-list: scheduling an event in steady state reuses a slot
-// and a heap cell that earlier events vacated, so the hot
-// Schedule/Step cycle performs no allocation (see alloc_test.go).
-// Callers that would otherwise allocate a capturing closure per event
-// can use ScheduleArg/ScheduleArgAt, which carry a single argument to
-// a shared callback.
+// with a free-list. Every queued slot records its own heap position,
+// so Cancel removes the entry at once (O(log n)) and recycles the slot:
+// the heap holds exactly the live events and nothing is drained later.
+// Scheduling an event in steady state reuses a slot and a heap cell
+// that earlier events vacated, so the hot Schedule/Step/Cancel cycle
+// performs no allocation (see allocs_test.go). Callers that would
+// otherwise allocate a capturing closure per event can use
+// ScheduleArg/ScheduleArgAt, which carry a single argument to a shared
+// callback.
 package sim
 
 import (
@@ -39,8 +42,8 @@ var NoEvent = Event{}
 func (ev Event) Valid() bool { return ev.gen != 0 }
 
 // slot is the slab entry behind one scheduled event. Exactly one of
-// fn/afn is set while the slot is queued and live; both are nil once
-// the event is cancelled or the slot is free.
+// fn/afn is set while the slot is queued; both are nil once the slot is
+// free. pos is the slot's index in the heap while it is queued.
 type slot struct {
 	at  units.Time
 	seq uint64
@@ -48,9 +51,13 @@ type slot struct {
 	afn func(any)
 	arg any
 	gen uint32
+	pos int32
 }
 
-func (s *slot) live() bool { return s.fn != nil || s.afn != nil }
+// queued reports whether the slot holds an event (free slots have no
+// callback). A handle's generation alone cannot tell: a forged handle
+// may carry a free slot's next generation.
+func (s *slot) queued() bool { return s.fn != nil || s.afn != nil }
 
 // Engine is a discrete-event simulation kernel.
 //
@@ -62,8 +69,7 @@ type Engine struct {
 	seq     uint64
 	slots   []slot
 	free    []int32 // free slot indexes (LIFO)
-	heap    []int32 // slot indexes ordered by (at, seq)
-	live    int     // queued, uncancelled events (heap minus cancelled residue)
+	heap    []int32 // queued slot indexes ordered by (at, seq)
 	stopped bool
 	fired   uint64
 }
@@ -76,17 +82,11 @@ func NewEngine() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() units.Time { return e.now }
 
-// Pending returns the number of events waiting to fire (including
-// cancelled events that have not yet been drained). It overcounts the
-// work remaining after cancellations; quiescence checks must use
-// LiveCount.
-func (e *Engine) Pending() int { return len(e.heap) }
-
-// LiveCount returns the exact number of queued, uncancelled events.
-// Unlike Pending it excludes cancelled-but-undrained heap entries, so
-// LiveCount() == 0 is a correct quiescence test (used by the PDES
-// coordinator for termination detection).
-func (e *Engine) LiveCount() int { return e.live }
+// LiveCount returns the number of queued, uncancelled events. Cancel
+// removes its event from the queue at once, so this is the queue
+// length and LiveCount() == 0 is an exact quiescence test (used by the
+// PDES coordinator for termination detection).
+func (e *Engine) LiveCount() int { return len(e.heap) }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -150,29 +150,24 @@ func (e *Engine) schedule(t units.Time, fn func(), afn func(any), arg any) Event
 	s.at, s.seq = t, e.seq
 	s.fn, s.afn, s.arg = fn, afn, arg
 	e.seq++
-	e.live++
 	e.heap = append(e.heap, idx)
-	e.siftUp(len(e.heap) - 1)
+	e.siftUp(len(e.heap)-1, idx)
 	return Event{idx: idx, gen: s.gen}
 }
 
-// Cancel prevents ev from firing. Cancelling NoEvent, an already-fired
-// or an already-cancelled event is a no-op.
+// Cancel prevents ev from firing and removes it from the queue.
+// Cancelling NoEvent, an already-fired or an already-cancelled event is
+// a no-op.
 func (e *Engine) Cancel(ev Event) {
 	if !ev.Valid() || int(ev.idx) >= len(e.slots) {
 		return
 	}
 	s := &e.slots[ev.idx]
-	if s.gen != ev.gen {
-		return // the event fired; its slot may already serve another
+	if s.gen != ev.gen || !s.queued() {
+		return // fired or cancelled; the slot may already serve another
 	}
-	// Leave the slot in the heap; it is recycled when popped. This
-	// keeps Cancel O(1), which matters for the GM layer's
-	// retransmission timers (almost all of which are cancelled).
-	if s.live() {
-		e.live--
-	}
-	s.fn, s.afn, s.arg = nil, nil, nil
+	e.remove(int(s.pos))
+	e.recycle(ev.idx)
 }
 
 // Live reports whether ev is still queued and uncancelled.
@@ -181,7 +176,7 @@ func (e *Engine) Live(ev Event) bool {
 		return false
 	}
 	s := &e.slots[ev.idx]
-	return s.gen == ev.gen && s.live()
+	return s.gen == ev.gen && s.queued()
 }
 
 // EventTime returns the instant ev is scheduled for, with ok=false if
@@ -193,8 +188,9 @@ func (e *Engine) EventTime(ev Event) (t units.Time, ok bool) {
 	return e.slots[ev.idx].at, true
 }
 
-// recycle returns a popped slot to the free-list and bumps its
-// generation so outstanding handles to the old event go stale.
+// recycle returns a slot that has left the heap to the free-list and
+// bumps its generation so outstanding handles to the old event go
+// stale.
 func (e *Engine) recycle(idx int32) {
 	s := &e.slots[idx]
 	s.fn, s.afn, s.arg = nil, nil, nil
@@ -206,32 +202,28 @@ func (e *Engine) recycle(idx int32) {
 }
 
 // Step fires the next pending event, if any, and reports whether an
-// event was fired. Cancelled events are drained silently.
+// event was fired.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		idx := e.heap[0]
-		e.popRoot()
-		s := &e.slots[idx]
-		at := s.at
-		fn, afn, arg := s.fn, s.afn, s.arg
-		e.recycle(idx)
-		if fn == nil && afn == nil {
-			continue // cancelled
-		}
-		if at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.live--
-		e.now = at
-		e.fired++
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
-		return true
+	if len(e.heap) == 0 {
+		return false
 	}
-	return false
+	idx := e.heap[0]
+	e.remove(0)
+	s := &e.slots[idx]
+	at := s.at
+	fn, afn, arg := s.fn, s.afn, s.arg
+	e.recycle(idx)
+	if at < e.now {
+		panic("sim: time went backwards")
+	}
+	e.now = at
+	e.fired++
+	if fn != nil {
+		fn()
+	} else {
+		afn(arg)
+	}
+	return true
 }
 
 // Run fires events until the queue is empty or Stop is called.
@@ -266,73 +258,88 @@ func (e *Engine) RunFor(d units.Time) {
 // Stop makes Run/RunUntil return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// NextEventAt returns the time of the next live event, or ok=false if
-// the queue is empty. Cancelled events at the front are drained.
+// NextEventAt returns the time of the next event, or ok=false if the
+// queue is empty.
 func (e *Engine) NextEventAt() (t units.Time, ok bool) {
-	for len(e.heap) > 0 {
-		s := &e.slots[e.heap[0]]
-		if s.live() {
-			return s.at, true
-		}
-		idx := e.heap[0]
-		e.popRoot()
-		e.recycle(idx)
+	if len(e.heap) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return e.slots[e.heap[0]].at, true
 }
 
 // ---------------------------------------------------------------
 // Index heap over (at, seq). Plain slice operations: no interface
-// boxing, no per-operation allocation once capacity is warm.
+// boxing, no per-operation allocation once capacity is warm. The sift
+// loops move a hole rather than swapping, and keep every moved slot's
+// pos current. Sequence numbers are unique, so (at, seq) is a strict
+// total order and the firing order does not depend on the heap's
+// internal layout.
 
 // before reports whether slot a fires before slot b.
-func (e *Engine) before(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
+func before(a, b *slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return sa.seq < sb.seq
+	return a.seq < b.seq
 }
 
-func (e *Engine) siftUp(i int) {
+// siftUp places slot idx, which belongs at heap position i or above.
+func (e *Engine) siftUp(i int, idx int32) {
 	h := e.heap
+	s := &e.slots[idx]
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.before(h[i], h[parent]) {
+		p := (i - 1) / 2
+		ps := &e.slots[h[p]]
+		if !before(s, ps) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+		h[i] = h[p]
+		ps.pos = int32(i)
+		i = p
 	}
+	h[i] = idx
+	s.pos = int32(i)
 }
 
-func (e *Engine) siftDown(i int) {
+// siftDown places slot idx, which belongs at heap position i or below.
+func (e *Engine) siftDown(i int, idx int32) {
 	h := e.heap
 	n := len(h)
+	s := &e.slots[idx]
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		least := l
-		if r := l + 1; r < n && e.before(h[r], h[l]) {
-			least = r
+		cs := &e.slots[h[c]]
+		if r := c + 1; r < n {
+			if rs := &e.slots[h[r]]; before(rs, cs) {
+				c, cs = r, rs
+			}
 		}
-		if !e.before(h[least], h[i]) {
+		if !before(cs, s) {
 			break
 		}
-		h[i], h[least] = h[least], h[i]
-		i = least
+		h[i] = h[c]
+		cs.pos = int32(i)
+		i = c
 	}
+	h[i] = idx
+	s.pos = int32(i)
 }
 
-// popRoot removes the heap's minimum element (the caller has already
-// read e.heap[0]).
-func (e *Engine) popRoot() {
+// remove deletes the entry at heap position i, refilling the hole with
+// the last entry.
+func (e *Engine) remove(i int) {
 	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
+	last := e.heap[n]
 	e.heap = e.heap[:n]
-	if n > 0 {
-		e.siftDown(0)
+	if i == n {
+		return
+	}
+	if i > 0 && before(&e.slots[last], &e.slots[e.heap[(i-1)/2]]) {
+		e.siftUp(i, last)
+	} else {
+		e.siftDown(i, last)
 	}
 }

@@ -153,8 +153,8 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 3*units.Microsecond {
 		t.Errorf("Now = %v, want 3us", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", e.Pending())
+	if e.LiveCount() != 2 {
+		t.Errorf("LiveCount = %d, want 2", e.LiveCount())
 	}
 	// Resume to the end.
 	e.Run()

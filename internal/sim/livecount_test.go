@@ -8,50 +8,59 @@ import (
 	"repro/internal/units"
 )
 
-// TestPendingVsLiveAfterCancelStorm pins the distinction the PDES
-// coordinator depends on: after a storm of cancellations Pending still
-// counts cancelled-but-undrained heap entries (it is a capacity
-// metric), while LiveCount is exact. Using Pending as a quiescence test
-// would deadlock termination detection; this is the regression test for
-// that bug.
-func TestPendingVsLiveAfterCancelStorm(t *testing.T) {
+// TestCancelStormLeavesOnlyLiveEvents pins eager cancellation: after a
+// storm of cancellations (double-cancels included) LiveCount is exact
+// and the queue holds exactly the uncancelled events — no cancelled
+// entry stays behind for a later drain. A cancelled-but-queued residue
+// is what once made a queue-length quiescence test deadlock the PDES
+// coordinator's termination detection.
+func TestCancelStormLeavesOnlyLiveEvents(t *testing.T) {
 	e := NewEngine()
 	const n = 1000
 	evs := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
 		evs = append(evs, e.Schedule(units.Time(i+1)*units.Nanosecond, func() {}))
 	}
-	if e.LiveCount() != n || e.Pending() != n {
-		t.Fatalf("after scheduling: Live=%d Pending=%d, want %d/%d", e.LiveCount(), e.Pending(), n, n)
+	if e.LiveCount() != n {
+		t.Fatalf("after scheduling: LiveCount=%d, want %d", e.LiveCount(), n)
 	}
 	// Cancel a deterministic 80% storm, including double-cancels.
 	rng := rand.New(rand.NewSource(7))
-	cancelled := 0
+	kept := make(map[int32]bool)
 	for i, ev := range evs {
 		if rng.Intn(5) != 0 {
 			e.Cancel(ev)
 			if i%3 == 0 {
-				e.Cancel(ev) // double cancel must not double-decrement
+				e.Cancel(ev) // double cancel must not double-remove
 			}
-			cancelled++
+			continue
+		}
+		kept[ev.idx] = true
+	}
+	if e.LiveCount() != len(kept) {
+		t.Fatalf("after storm: LiveCount=%d, want %d", e.LiveCount(), len(kept))
+	}
+	if err := e.checkHeap(); err != nil {
+		t.Fatalf("after storm: %v", err)
+	}
+	// The queue holds exactly the kept events: same count, each queued
+	// slot is one of them, and each kept handle is still live.
+	for _, idx := range e.heap {
+		if !kept[idx] {
+			t.Fatalf("slot %d is queued but its event was cancelled", idx)
 		}
 	}
-	live := n - cancelled
-	if e.LiveCount() != live {
-		t.Fatalf("after storm: LiveCount=%d, want %d", e.LiveCount(), live)
-	}
-	if e.Pending() != n {
-		t.Fatalf("after storm: Pending=%d, want %d (cancelled entries stay queued until drained)", e.Pending(), n)
-	}
-	if e.Pending() == e.LiveCount() {
-		t.Fatal("Pending == LiveCount after a cancel storm; the regression this test pins is back")
+	for _, ev := range evs {
+		if e.Live(ev) != kept[ev.idx] {
+			t.Fatalf("slot %d: Live=%v, want %v", ev.idx, e.Live(ev), kept[ev.idx])
+		}
 	}
 	e.Run()
-	if e.LiveCount() != 0 || e.Pending() != 0 {
-		t.Fatalf("after drain: Live=%d Pending=%d, want 0/0", e.LiveCount(), e.Pending())
+	if e.LiveCount() != 0 {
+		t.Fatalf("after drain: LiveCount=%d, want 0", e.LiveCount())
 	}
-	if int(e.Fired()) != live {
-		t.Fatalf("Fired=%d, want %d live events", e.Fired(), live)
+	if int(e.Fired()) != len(kept) {
+		t.Fatalf("Fired=%d, want %d live events", e.Fired(), len(kept))
 	}
 }
 
@@ -147,8 +156,8 @@ func TestGenerationReuseProperty(t *testing.T) {
 				t.Logf("seed %d step %d: LiveCount=%d, tracked live=%d", seed, step, e.LiveCount(), liveWant)
 				return false
 			}
-			if e.LiveCount() > e.Pending() {
-				t.Logf("seed %d step %d: LiveCount %d exceeds Pending %d", seed, step, e.LiveCount(), e.Pending())
+			if err := e.checkHeap(); err != nil {
+				t.Logf("seed %d step %d: %v", seed, step, err)
 				return false
 			}
 		}
@@ -163,7 +172,7 @@ func TestGenerationReuseProperty(t *testing.T) {
 				return false
 			}
 		}
-		return e.LiveCount() == 0 && e.Pending() == 0
+		return e.LiveCount() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -172,8 +181,9 @@ func TestGenerationReuseProperty(t *testing.T) {
 
 // FuzzStaleHandleCancel feeds arbitrary operation tapes into the engine
 // and checks that cancelling recycled handles can never fire the wrong
-// event or drive the live counter negative. Each input byte encodes one
-// operation; handles deliberately outlive their events.
+// event or leave the queue holding anything but the live events. Each
+// input byte encodes one operation; handles deliberately outlive their
+// events.
 func FuzzStaleHandleCancel(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 1, 0, 2, 1, 1})
 	f.Add([]byte{0, 1, 2, 0, 1, 2, 2, 2, 0})
@@ -211,13 +221,28 @@ func FuzzStaleHandleCancel(f *testing.F) {
 				}
 				h := handles[int(op/4)%len(handles)]
 				h.gen += 1 + uint32(op/4)
-				e.Cancel(h) // must be a no-op regardless of forged gen
+				if e.Live(h) {
+					// The forged generation is the slot's current one:
+					// the handle names a real event after all.
+					for id, real := range handles {
+						if real == h {
+							cancelled[id] = true
+						}
+					}
+				}
+				e.Cancel(h) // otherwise a no-op regardless of forged gen
 			}
-			if e.LiveCount() < 0 {
-				t.Fatalf("LiveCount went negative: %d", e.LiveCount())
+			live := 0
+			for id, fl := range firedBy {
+				if !cancelled[id] && !*fl {
+					live++
+				}
 			}
-			if e.LiveCount() > e.Pending() {
-				t.Fatalf("LiveCount %d > Pending %d", e.LiveCount(), e.Pending())
+			if e.LiveCount() != live {
+				t.Fatalf("LiveCount=%d, want %d scheduled, unfired, uncancelled events", e.LiveCount(), live)
+			}
+			if err := e.checkHeap(); err != nil {
+				t.Fatal(err)
 			}
 		}
 		e.Run()
