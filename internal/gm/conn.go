@@ -123,15 +123,23 @@ func (c *conn) transmit(pkt *packet.Packet) {
 	// retransmission. The copy comes from (and returns to) the packet
 	// pool: the receiving host's deliver path recycles it.
 	wire := pkt.ClonePooled()
-	seq := pkt.Seq
-	c.h.m.SubmitSend(wire, func(units.Time) {
-		delete(c.submitted, seq)
-		if c.h.par.DisableAcks {
-			// No ack will come; the tail leaving stands in for it.
-			c.fireAcked(seq)
-		}
-	})
+	rec := c.h.sentRecs.Get()
+	rec.c, rec.seq = c, pkt.Seq
+	c.h.m.SubmitSend(wire, sent, rec)
 	c.armTimer()
+}
+
+// sent is the MCP's completion for a transmitted packet: its tail has
+// left the NIC, so the packet may be re-sent.
+func sent(arg any, _ units.Time) {
+	rec := arg.(*sentRec)
+	c, seq := rec.c, rec.seq
+	c.h.sentRecs.Put(rec)
+	delete(c.submitted, seq)
+	if c.h.par.DisableAcks {
+		// No ack will come; the tail leaving stands in for it.
+		c.fireAcked(seq)
+	}
 }
 
 // fireAcked runs and clears the acknowledgement callback of one seq.
@@ -150,7 +158,7 @@ func (c *conn) armTimer() {
 	if c.curTimeout <= 0 {
 		c.curTimeout = c.h.par.AckTimeout
 	}
-	c.timer = c.h.eng.Schedule(c.curTimeout, c.timeout)
+	c.timer = c.h.eng.ScheduleArg(c.curTimeout, ackTimeout, c)
 }
 
 func (c *conn) disarmTimer() {
@@ -160,12 +168,15 @@ func (c *conn) disarmTimer() {
 	}
 }
 
-// timeout retransmits every unacknowledged packet (go-back-N). Each
-// barren timeout is a strike against the peer and backs the timeout
-// off; enough strikes (Params.DeadPeerTimeouts) and the peer is
-// declared dead, which is what bounds the retransmission process — and
-// hence the simulation — under a permanent fault.
-func (c *conn) timeout() {
+// ackTimeout is the retransmit timer of the conn it is scheduled with
+// (ScheduleArg, so arming it allocates nothing): it retransmits every
+// unacknowledged packet (go-back-N). Each barren timeout is a strike
+// against the peer and backs the timeout off; enough strikes
+// (Params.DeadPeerTimeouts) and the peer is declared dead, which is
+// what bounds the retransmission process — and hence the simulation —
+// under a permanent fault.
+func ackTimeout(arg any) {
+	c := arg.(*conn)
 	c.timer = sim.NoEvent
 	if len(c.inflight) == 0 {
 		return
@@ -260,10 +271,10 @@ func (c *conn) declareDead() {
 // declareDead already drained inflight/backlog and reported every
 // pending outcome, so only the sequence state needs resetting. Note
 // the submitted map is cleared even though a wire clone of the old
-// incarnation may still sit in the NIC's send queue with an onSent
-// closure that deletes a (now reused) seq entry — the worst case is
-// one premature retransmission, which the receiver's duplicate
-// handling absorbs.
+// incarnation may still sit in the NIC's send queue with a send
+// completion (sent) that deletes a (now reused) seq entry — the
+// worst case is one premature retransmission, which the receiver's
+// duplicate handling absorbs.
 func (c *conn) resurrect(epoch uint32) {
 	c.dead = false
 	c.incarnation = epoch
@@ -420,11 +431,16 @@ func (c *conn) scheduleAck() {
 		return
 	}
 	if !c.ackTimer.Valid() {
-		c.ackTimer = c.h.eng.Schedule(c.h.par.AckDelay, func() {
-			c.ackTimer = sim.NoEvent
-			c.flushAck()
-		})
+		c.ackTimer = c.h.eng.ScheduleArg(c.h.par.AckDelay, ackDelayed, c)
 	}
+}
+
+// ackDelayed emits the coalesced acknowledgement of the conn it is
+// scheduled with when the delay window closes.
+func ackDelayed(arg any) {
+	c := arg.(*conn)
+	c.ackTimer = sim.NoEvent
+	c.flushAck()
 }
 
 // flushAck emits the cumulative acknowledgement now.
@@ -448,15 +464,24 @@ func (c *conn) deliverFrag(pkt *packet.Packet, t units.Time) {
 	msg := c.assembly
 	c.assembly = nil
 	c.h.stats.MessagesReceived++
-	srcPort, dstPort := pkt.SrcPort, pkt.DstPort
+	op := c.h.recvOps.Get()
+	*op = recvOp{c: c, srcPort: pkt.SrcPort, dstPort: pkt.DstPort, msg: msg}
 	// The application sees the message after the host-side receive
 	// overhead.
-	c.h.eng.Schedule(c.h.par.HostRecvOverhead, func() {
-		if c.h.deliverToPort(c.peer, srcPort, dstPort, msg, c.h.eng.Now()) {
-			return
-		}
-		if c.h.OnMessage != nil {
-			c.h.OnMessage(c.peer, msg, c.h.eng.Now())
-		}
-	})
+	c.h.eng.ScheduleArg(c.h.par.HostRecvOverhead, message, op)
+}
+
+// message hands a reassembled message to its port, or to the legacy
+// OnMessage callback when nobody opened that port.
+func message(arg any) {
+	p := arg.(*recvOp)
+	op := *p
+	h := op.c.h
+	h.recvOps.Put(p)
+	if h.deliverToPort(op.c.peer, op.srcPort, op.dstPort, op.msg, h.eng.Now()) {
+		return
+	}
+	if h.OnMessage != nil {
+		h.OnMessage(op.c.peer, op.msg, h.eng.Now())
+	}
 }

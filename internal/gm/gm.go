@@ -137,6 +137,40 @@ type Host struct {
 
 	tracer *trace.Recorder
 	stats  Stats
+
+	// sentRecs pools the records that name the packet behind each
+	// SubmitSend completion (sent); sendOps and recvOps pool the
+	// per-message records that wait out the host send and receive
+	// overheads (segment, message). Passing a pooled record to a plain
+	// function allocates nothing.
+	sentRecs sim.FreeList[sentRec]
+	sendOps  sim.FreeList[sendOp]
+	recvOps  sim.FreeList[recvOp]
+}
+
+// sendOp is one gm_send call waiting out the host send overhead.
+type sendOp struct {
+	c                 *conn
+	payload, route    []byte
+	typ               packet.Type
+	srcPort, dstPort  uint8
+	id                uint32
+	onAcked, onFailed func()
+}
+
+// recvOp is one reassembled message waiting out the host receive
+// overhead.
+type recvOp struct {
+	c                *conn
+	srcPort, dstPort uint8
+	msg              []byte
+}
+
+// sentRec names one transmitted packet: the conn and sequence number
+// whose send-buffer state its tail leaving the NIC settles.
+type sentRec struct {
+	c   *conn
+	seq uint32
 }
 
 // SetTracer attaches an event recorder (nil to detach).
@@ -332,47 +366,53 @@ func (h *Host) SendVia(dst topology.NodeID, payload []byte, route []byte, typ pa
 // leaves the NIC, with acks disabled); onFailed (optional) fires
 // instead if the message is abandoned by the dead-peer verdict.
 func (h *Host) sendPort(dst topology.NodeID, payload []byte, route []byte, typ packet.Type, srcPort, dstPort uint8, onAcked, onFailed func()) {
-	c := h.connTo(dst)
 	h.msgID++
-	id := h.msgID
 	h.stats.MessagesSent++
-	// Segment at the MTU.
-	var frags [][]byte
-	if len(payload) == 0 {
-		frags = [][]byte{nil}
-	}
-	for off := 0; off < len(payload); off += h.par.MTU {
-		end := off + h.par.MTU
-		if end > len(payload) {
-			end = len(payload)
-		}
-		frags = append(frags, payload[off:end])
+	op := h.sendOps.Get()
+	*op = sendOp{
+		c: h.connTo(dst), payload: payload, route: route, typ: typ,
+		srcPort: srcPort, dstPort: dstPort, id: h.msgID,
+		onAcked: onAcked, onFailed: onFailed,
 	}
 	// The user-level send overhead is paid once per gm_send call.
-	h.eng.Schedule(h.par.HostSendOverhead, func() {
-		for i, fr := range frags {
-			pkt := packet.Get()
-			pkt.Route = append(pkt.Route, route...)
-			pkt.Type = typ
-			pkt.Payload = append(pkt.Payload, fr...)
-			pkt.Src = int(h.node)
-			pkt.Dst = int(dst)
-			pkt.SrcPort = srcPort
-			pkt.DstPort = dstPort
-			pkt.MsgID = id
-			pkt.FragIndex = i
-			pkt.LastFrag = i == len(frags)-1
-			pkt.Epoch = h.epoch
-			if h.GossipStamp != nil {
-				pkt.Gossip = h.GossipStamp()
-			}
-			var ackCb, failCb func()
-			if pkt.LastFrag {
-				ackCb, failCb = onAcked, onFailed
-			}
-			c.enqueue(pkt, ackCb, failCb)
+	h.eng.ScheduleArg(h.par.HostSendOverhead, segment, op)
+}
+
+// segment enqueues a message's packets once the send overhead is
+// paid, segmenting the payload at the MTU. An empty message is one
+// empty packet.
+func segment(arg any) {
+	p := arg.(*sendOp)
+	op := *p
+	h := op.c.h
+	h.sendOps.Put(p)
+	nfrags := (len(op.payload) + h.par.MTU - 1) / h.par.MTU
+	if nfrags == 0 {
+		nfrags = 1
+	}
+	for i := 0; i < nfrags; i++ {
+		fr := op.payload[i*h.par.MTU : min((i+1)*h.par.MTU, len(op.payload))]
+		pkt := packet.Get()
+		pkt.Route = append(pkt.Route, op.route...)
+		pkt.Type = op.typ
+		pkt.Payload = append(pkt.Payload, fr...)
+		pkt.Src = int(h.node)
+		pkt.Dst = int(op.c.peer)
+		pkt.SrcPort = op.srcPort
+		pkt.DstPort = op.dstPort
+		pkt.MsgID = op.id
+		pkt.FragIndex = i
+		pkt.LastFrag = i == nfrags-1
+		pkt.Epoch = h.epoch
+		if h.GossipStamp != nil {
+			pkt.Gossip = h.GossipStamp()
 		}
-	})
+		var ackCb, failCb func()
+		if pkt.LastFrag {
+			ackCb, failCb = op.onAcked, op.onFailed
+		}
+		op.c.enqueue(pkt, ackCb, failCb)
+	}
 }
 
 func (h *Host) connTo(peer topology.NodeID) *conn {
@@ -439,5 +479,5 @@ func (h *Host) sendAck(peer topology.NodeID, nextExpected uint32) {
 		ack.Payload = packet.AppendEpoch(ack.Payload, inc)
 	}
 	h.stats.AcksSent++
-	h.m.SubmitSend(ack, nil)
+	h.m.SubmitSend(ack, nil, nil)
 }

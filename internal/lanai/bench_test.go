@@ -1,0 +1,39 @@
+package lanai
+
+import (
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/units"
+)
+
+// BenchmarkHostDMAQueued runs two host DMA transfers per operation,
+// the second queued behind the first: a grant at once, a grant from
+// the completion path, two completions.
+func BenchmarkHostDMAQueued(b *testing.B) {
+	eng := sim.NewEngine()
+	nic := NewNIC(eng, DefaultParams())
+	done := func(any, units.Time) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nic.HostDMA(64, done, nil)
+		nic.HostDMA(4096, done, nil)
+		eng.Run()
+	}
+}
+
+// BenchmarkHostDMAChunkedQueued is BenchmarkHostDMAQueued for chained
+// (chunked) transfers, the SDMA pipeline of a chunking firmware.
+func BenchmarkHostDMAChunkedQueued(b *testing.B) {
+	eng := sim.NewEngine()
+	nic := NewNIC(eng, DefaultParams())
+	ready := func(any, units.Time, units.Time) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nic.HostDMAChunked(4096, 1024, ready, nil)
+		nic.HostDMAChunked(4096, 1024, ready, nil)
+		eng.Run()
+	}
+}

@@ -12,7 +12,7 @@ func TestHostDMAChunkedTiming(t *testing.T) {
 	par := DefaultParams()
 	nic := NewNIC(eng, par)
 	var first, done units.Time
-	nic.HostDMAChunked(4096, 1024, func(f, d units.Time) { first, done = f, d })
+	nic.HostDMAChunked(4096, 1024, func(_ any, f, d units.Time) { first, done = f, d }, nil)
 	eng.Run()
 	wantFirst := par.HostDMAStartup + units.TransferTime(1024, par.HostDMABandwidth)
 	if first != wantFirst {
@@ -38,7 +38,7 @@ func TestHostDMAChunkedDegenerate(t *testing.T) {
 	par := DefaultParams()
 	nic := NewNIC(eng, par)
 	var first, done units.Time
-	nic.HostDMAChunked(512, 4096, func(f, d units.Time) { first, done = f, d })
+	nic.HostDMAChunked(512, 4096, func(_ any, f, d units.Time) { first, done = f, d }, nil)
 	eng.Run()
 	if first != done {
 		t.Errorf("degenerate chunking split the transfer: %v vs %v", first, done)
@@ -56,8 +56,8 @@ func TestHostDMAChunkedSerialisesWithPlain(t *testing.T) {
 	par := DefaultParams()
 	nic := NewNIC(eng, par)
 	var chunkedDone, plainDone units.Time
-	nic.HostDMAChunked(8192, 1024, func(_, d units.Time) { chunkedDone = d })
-	nic.HostDMA(1024, func(tm units.Time) { plainDone = tm })
+	nic.HostDMAChunked(8192, 1024, func(_ any, _, d units.Time) { chunkedDone = d }, nil)
+	nic.HostDMA(1024, func(_ any, tm units.Time) { plainDone = tm }, nil)
 	eng.Run()
 	if plainDone <= chunkedDone {
 		t.Errorf("plain DMA (%v) overlapped chunked transfer (ends %v)", plainDone, chunkedDone)
@@ -81,7 +81,7 @@ func TestHostDMAChunkedExactMultiple(t *testing.T) {
 	par := DefaultParams()
 	nic := NewNIC(eng, par)
 	var done units.Time
-	nic.HostDMAChunked(2048, 512, func(_, d units.Time) { done = d })
+	nic.HostDMAChunked(2048, 512, func(_ any, _, d units.Time) { done = d }, nil)
 	eng.Run()
 	want := par.HostDMAStartup + units.TransferTime(2048, par.HostDMABandwidth) + 3*par.ChunkOverhead
 	if done != want {

@@ -24,15 +24,17 @@ const (
 	PrioSend = 10 // send setup
 )
 
+// task is one pending handler, fn(arg).
 type task struct {
 	prio   int
 	seq    uint64
 	cycles int
-	fn     func()
+	fn     func(any)
+	arg    any
 }
 
 // taskHeap is a binary heap of task values (highest priority first,
-// FIFO within a priority). Storing values in a plain slice keeps Post
+// FIFO within a priority). Storing values in a plain slice keeps PostArg
 // allocation-free in steady state: no per-task box, no interface
 // conversion through container/heap.
 type taskHeap []task
@@ -103,10 +105,10 @@ type CPU struct {
 	// Executed counts completed tasks.
 	Executed uint64
 
-	// curFn is the handler executing now; doneFn is the long-lived
+	// cur is the handler executing now; doneFn is the long-lived
 	// completion callback shared by every dispatch, so dispatching does
 	// not allocate a closure per task.
-	curFn  func()
+	cur    task
 	doneFn func()
 }
 
@@ -125,14 +127,16 @@ func NewCPU(eng *sim.Engine, freq units.Frequency, dispatchCycles int) *CPU {
 // Freq returns the CPU clock.
 func (c *CPU) Freq() units.Frequency { return c.freq }
 
-// Post queues fn to run after cycles of CPU work at the given
+// PostArg queues fn(arg) to run after cycles of CPU work at the given
 // priority. fn executes when the work completes (the handler's effect
-// becomes visible at its end).
-func (c *CPU) Post(prio, cycles int, fn func()) {
+// becomes visible at its end). As with sim.Engine.ScheduleArg, a
+// long-lived fn plus a per-task pointer arg posts a handler without
+// allocating a capturing closure.
+func (c *CPU) PostArg(prio, cycles int, fn func(any), arg any) {
 	if cycles < 0 {
 		panic("lanai: negative cycle cost")
 	}
-	c.pending.push(task{prio: prio, seq: c.seq, cycles: cycles, fn: fn})
+	c.pending.push(task{prio: prio, seq: c.seq, cycles: cycles, fn: fn, arg: arg})
 	c.seq++
 	c.dispatch()
 }
@@ -151,16 +155,16 @@ func (c *CPU) dispatch() {
 	t := c.pending.pop()
 	d := c.freq.Cycles(t.cycles + c.dispatchCycles)
 	c.BusyTime += d
-	c.curFn = t.fn
+	c.cur = t
 	c.eng.Schedule(d, c.doneFn)
 }
 
 // taskDone is the shared completion handler: it runs the current task
 // and dispatches the next.
 func (c *CPU) taskDone() {
-	fn := c.curFn
-	c.curFn = nil
-	fn()
+	t := c.cur
+	c.cur = task{}
+	t.fn(t.arg)
 	c.busy = false
 	c.Executed++
 	c.dispatch()

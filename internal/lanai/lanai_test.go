@@ -13,8 +13,8 @@ func TestCPUSerialExecution(t *testing.T) {
 	cpu := NewCPU(eng, 66*units.MHz, 0)
 	var order []int
 	var times []units.Time
-	cpu.Post(PrioRecv, 10, func() { order = append(order, 1); times = append(times, eng.Now()) })
-	cpu.Post(PrioRecv, 10, func() { order = append(order, 2); times = append(times, eng.Now()) })
+	cpu.PostArg(PrioRecv, 10, func(any) { order = append(order, 1); times = append(times, eng.Now()) }, nil)
+	cpu.PostArg(PrioRecv, 10, func(any) { order = append(order, 2); times = append(times, eng.Now()) }, nil)
 	eng.Run()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("order = %v", order)
@@ -40,9 +40,9 @@ func TestCPUPriorityDispatch(t *testing.T) {
 	var order []string
 	// While a long low-priority task runs, queue a high and a low
 	// task; the high one must be dispatched first.
-	cpu.Post(PrioSend, 100, func() { order = append(order, "first") })
-	cpu.Post(PrioSend, 10, func() { order = append(order, "low") })
-	cpu.Post(PrioITB, 10, func() { order = append(order, "itb") })
+	cpu.PostArg(PrioSend, 100, func(any) { order = append(order, "first") }, nil)
+	cpu.PostArg(PrioSend, 10, func(any) { order = append(order, "low") }, nil)
+	cpu.PostArg(PrioITB, 10, func(any) { order = append(order, "itb") }, nil)
 	eng.Run()
 	want := []string{"first", "itb", "low"}
 	for i := range want {
@@ -56,10 +56,10 @@ func TestCPUSamePriorityFIFO(t *testing.T) {
 	eng := sim.NewEngine()
 	cpu := NewCPU(eng, 66*units.MHz, 0)
 	var order []int
-	cpu.Post(PrioRecv, 50, func() {})
+	cpu.PostArg(PrioRecv, 50, func(any) {}, nil)
 	for i := 0; i < 10; i++ {
 		i := i
-		cpu.Post(PrioRecv, 1, func() { order = append(order, i) })
+		cpu.PostArg(PrioRecv, 1, func(any) { order = append(order, i) }, nil)
 	}
 	eng.Run()
 	for i, v := range order {
@@ -73,7 +73,7 @@ func TestCPUDispatchOverhead(t *testing.T) {
 	eng := sim.NewEngine()
 	cpu := NewCPU(eng, 66*units.MHz, 2)
 	var done units.Time
-	cpu.Post(PrioRecv, 8, func() { done = eng.Now() })
+	cpu.PostArg(PrioRecv, 8, func(any) { done = eng.Now() }, nil)
 	eng.Run()
 	want := (66 * units.MHz).Cycles(10) // 8 + 2 dispatch
 	if done != want {
@@ -87,8 +87,8 @@ func TestCPUBusyAndQueueLen(t *testing.T) {
 	if cpu.Busy() {
 		t.Error("new CPU busy")
 	}
-	cpu.Post(PrioRecv, 1000, func() {})
-	cpu.Post(PrioRecv, 1, func() {})
+	cpu.PostArg(PrioRecv, 1000, func(any) {}, nil)
+	cpu.PostArg(PrioRecv, 1, func(any) {}, nil)
 	if !cpu.Busy() {
 		t.Error("CPU idle with queued work")
 	}
@@ -119,15 +119,15 @@ func TestCPUNegativeCyclesPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	cpu.Post(PrioRecv, -1, func() {})
+	cpu.PostArg(PrioRecv, -1, func(any) {}, nil)
 }
 
 func TestHostDMASerialises(t *testing.T) {
 	eng := sim.NewEngine()
 	nic := NewNIC(eng, DefaultParams())
 	var t1, t2 units.Time
-	nic.HostDMA(4096, func(tm units.Time) { t1 = tm })
-	nic.HostDMA(4096, func(tm units.Time) { t2 = tm })
+	nic.HostDMA(4096, func(_ any, tm units.Time) { t1 = tm }, nil)
+	nic.HostDMA(4096, func(_ any, tm units.Time) { t2 = tm }, nil)
 	if nic.HostDMAQueued() != 1 {
 		t.Errorf("queued = %d, want 1", nic.HostDMAQueued())
 	}
@@ -151,7 +151,7 @@ func TestHostDMAZeroBytes(t *testing.T) {
 	eng := sim.NewEngine()
 	nic := NewNIC(eng, DefaultParams())
 	var done units.Time
-	nic.HostDMA(0, func(tm units.Time) { done = tm })
+	nic.HostDMA(0, func(_ any, tm units.Time) { done = tm }, nil)
 	eng.Run()
 	if done != DefaultParams().HostDMAStartup {
 		t.Errorf("zero-byte DMA took %v, want just startup", done)
@@ -168,7 +168,7 @@ func TestCPUThroughputProperty(t *testing.T) {
 		cpu := NewCPU(eng, 66*units.MHz, 2)
 		done := 0
 		for i := 0; i < n; i++ {
-			cpu.Post(PrioRecv, cyc, func() { done++ })
+			cpu.PostArg(PrioRecv, cyc, func(any) { done++ }, nil)
 		}
 		eng.Run()
 		want := units.Time(n) * (66 * units.MHz).Cycles(cyc+2)

@@ -49,22 +49,43 @@ type NIC struct {
 	par Params
 	// CPU is the LANai processor.
 	CPU *CPU
-	// hostDMA serialises host<->NIC transfers.
-	hostDMA *sim.Resource
+	// The host DMA engine serialises host<->NIC transfers: dmaCur is
+	// the transfer in progress while dmaBusy, dmaQ the requests waiting
+	// for it in grant (FIFO) order. dmaDoneFn is the long-lived
+	// completion callback shared by every transfer, so a transfer
+	// allocates nothing.
+	dmaBusy   bool
+	dmaCur    dmaReq
+	dmaQ      sim.FIFO[dmaReq]
+	dmaDoneFn func()
 	// HostDMABusy accumulates host DMA engine busy time.
 	HostDMABusy units.Time
 	// HostDMATransfers counts completed host DMA transactions.
 	HostDMATransfers uint64
 }
 
+// dmaReq is one host DMA request. A plain transfer (HostDMA) calls
+// done when its last byte lands. A chained transfer (HostDMAChunked
+// with chunkBytes > 0) calls ready at grant; a degenerate one, stored
+// with chunkBytes == 0, calls ready at completion with
+// firstAt == doneAt.
+type dmaReq struct {
+	nbytes     int
+	chunkBytes int
+	done       func(arg any, t units.Time)
+	ready      func(arg any, firstAt, doneAt units.Time)
+	arg        any
+}
+
 // NewNIC builds a NIC on the shared engine.
 func NewNIC(eng *sim.Engine, par Params) *NIC {
-	return &NIC{
-		eng:     eng,
-		par:     par,
-		CPU:     NewCPU(eng, par.Freq, par.DispatchCycles),
-		hostDMA: sim.NewResource("hostDMA"),
+	n := &NIC{
+		eng: eng,
+		par: par,
+		CPU: NewCPU(eng, par.Freq, par.DispatchCycles),
 	}
+	n.dmaDoneFn = n.dmaDone
+	return n
 }
 
 // Params returns the NIC's hardware constants.
@@ -72,49 +93,79 @@ func (n *NIC) Params() Params { return n.par }
 
 // HostDMA performs a host<->NIC transfer of n bytes: it queues on the
 // single host DMA engine, pays the startup latency plus the transfer
-// time, then runs done. Callers model SDMA (host to NIC send buffer)
-// and RDMA (NIC receive buffer to host) with it.
-func (n *NIC) HostDMA(nbytes int, done func(t units.Time)) {
-	tok := new(int)
-	n.hostDMA.Acquire(tok, func() {
-		d := n.par.HostDMAStartup + units.TransferTime(nbytes, n.par.HostDMABandwidth)
-		n.HostDMABusy += d
-		n.eng.Schedule(d, func() {
-			n.hostDMA.Release(tok)
-			n.HostDMATransfers++
-			done(n.eng.Now())
-		})
-	})
+// time, then runs done(arg, t). Callers model SDMA (host to NIC send
+// buffer) and RDMA (NIC receive buffer to host) with it; a long-lived
+// done plus a per-transfer arg keeps the transfer allocation-free.
+func (n *NIC) HostDMA(nbytes int, done func(arg any, t units.Time), arg any) {
+	n.request(dmaReq{nbytes: nbytes, done: done, arg: arg})
 }
 
 // HostDMAQueued reports whether transfers are waiting on the engine.
-func (n *NIC) HostDMAQueued() int { return n.hostDMA.QueueLen() }
+func (n *NIC) HostDMAQueued() int { return n.dmaQ.Len() }
 
 // HostDMAChunked performs a chained host DMA of nbytes in chunks: the
 // GM "SDMA chunks" pipeline of the MCP's Figure 4 structure. ready is
-// called when the engine grants, with the time the first chunk will be
-// in NIC memory (the wire may start then) and the time the last byte
-// lands. Every chunk after the first pays the descriptor-chaining
-// overhead; the engine stays busy until the final chunk.
-func (n *NIC) HostDMAChunked(nbytes, chunkBytes int, ready func(firstChunkAt, doneAt units.Time)) {
+// called when the engine grants, with arg, the time the first chunk
+// will be in NIC memory (the wire may start then) and the time the
+// last byte lands. Every chunk after the first pays the
+// descriptor-chaining overhead; the engine stays busy until the final
+// chunk. A chunk size of zero or at least nbytes degenerates to a
+// single transfer, and ready then runs when it completes.
+func (n *NIC) HostDMAChunked(nbytes, chunkBytes int, ready func(arg any, firstAt, doneAt units.Time), arg any) {
 	if chunkBytes <= 0 || chunkBytes >= nbytes {
-		// Degenerate: a single transfer.
-		n.HostDMA(nbytes, func(t units.Time) { ready(t, t) })
+		chunkBytes = 0
+	}
+	n.request(dmaReq{nbytes: nbytes, chunkBytes: chunkBytes, ready: ready, arg: arg})
+}
+
+// request grants the engine at once when it is idle and queues the
+// request otherwise.
+func (n *NIC) request(r dmaReq) {
+	if n.dmaBusy {
+		n.dmaQ.Push(r)
 		return
 	}
-	tok := new(int)
-	n.hostDMA.Acquire(tok, func() {
-		now := n.eng.Now()
-		chunks := (nbytes + chunkBytes - 1) / chunkBytes
-		first := now + n.par.HostDMAStartup + units.TransferTime(chunkBytes, n.par.HostDMABandwidth)
-		done := now + n.par.HostDMAStartup +
-			units.TransferTime(nbytes, n.par.HostDMABandwidth) +
-			units.Time(chunks-1)*n.par.ChunkOverhead
-		n.HostDMABusy += done - now
-		ready(first, done)
-		n.eng.ScheduleAt(done, func() {
-			n.hostDMA.Release(tok)
-			n.HostDMATransfers++
-		})
-	})
+	n.dmaBusy = true
+	n.grant(r)
+}
+
+// grant starts r on the engine and schedules its completion.
+func (n *NIC) grant(r dmaReq) {
+	n.dmaCur = r
+	if r.chunkBytes == 0 {
+		d := n.par.HostDMAStartup + units.TransferTime(r.nbytes, n.par.HostDMABandwidth)
+		n.HostDMABusy += d
+		n.eng.Schedule(d, n.dmaDoneFn)
+		return
+	}
+	now := n.eng.Now()
+	chunks := (r.nbytes + r.chunkBytes - 1) / r.chunkBytes
+	first := now + n.par.HostDMAStartup + units.TransferTime(r.chunkBytes, n.par.HostDMABandwidth)
+	done := now + n.par.HostDMAStartup +
+		units.TransferTime(r.nbytes, n.par.HostDMABandwidth) +
+		units.Time(chunks-1)*n.par.ChunkOverhead
+	n.HostDMABusy += done - now
+	r.ready(r.arg, first, done)
+	n.eng.ScheduleAt(done, n.dmaDoneFn)
+}
+
+// dmaDone completes the transfer in progress: it starts the next
+// queued request, counts the transfer, then runs the completion
+// callback.
+func (n *NIC) dmaDone() {
+	r := n.dmaCur
+	if n.dmaQ.Len() > 0 {
+		n.grant(n.dmaQ.Pop())
+	} else {
+		n.dmaBusy = false
+		n.dmaCur = dmaReq{}
+	}
+	n.HostDMATransfers++
+	switch {
+	case r.done != nil:
+		r.done(r.arg, n.eng.Now())
+	case r.chunkBytes == 0:
+		t := n.eng.Now()
+		r.ready(r.arg, t, t)
+	}
 }

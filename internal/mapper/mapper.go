@@ -158,7 +158,7 @@ func (mp *Mapper) probe(route, returnRoute []byte) probeResult {
 				ReturnRoute: returnRoute,
 			}),
 		}
-		mp.m.SubmitSend(scout, nil)
+		mp.m.SubmitSend(scout, nil, nil)
 		mp.eng.RunUntil(mp.eng.Now() + mp.cfg.Timeout)
 		mp.m.OnMapping = nil
 		if done {

@@ -19,7 +19,7 @@ func itbLatency(t *testing.T, size int, tweak func(*Config)) units.Time {
 	})
 	var gotAt units.Time
 	r.mcps[r.nodes.Host2].OnDeliver = func(p *packet.Packet, tm units.Time) { gotAt = tm }
-	r.mcps[r.nodes.Host1].SubmitSend(r.itbPacket(t, size), nil)
+	r.mcps[r.nodes.Host1].SubmitSend(r.itbPacket(t, size), nil, nil)
 	r.eng.Run()
 	if gotAt == 0 {
 		t.Fatal("not delivered")

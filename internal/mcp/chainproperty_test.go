@@ -72,7 +72,7 @@ func TestITBChainProperty(t *testing.T) {
 			delivered++
 			taken = p.ITBsTaken
 		}
-		mcps[src].SubmitSend(pkt, nil)
+		mcps[src].SubmitSend(pkt, nil, nil)
 		eng.Run()
 		if delivered != 1 || taken != splits {
 			return false

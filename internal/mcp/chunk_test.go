@@ -14,7 +14,7 @@ func sendLatency(t *testing.T, size int, tweak func(*Config)) units.Time {
 	r := newRigCfg(t, tweak)
 	var gotAt units.Time
 	r.mcps[r.nodes.Host2].OnDeliver = func(p *packet.Packet, tm units.Time) { gotAt = tm }
-	r.mcps[r.nodes.Host1].SubmitSend(r.udPacket(t, r.nodes.Host1, r.nodes.Host2, size), nil)
+	r.mcps[r.nodes.Host1].SubmitSend(r.udPacket(t, r.nodes.Host1, r.nodes.Host2, size), nil, nil)
 	r.eng.Run()
 	if gotAt == 0 {
 		t.Fatal("not delivered")
@@ -80,7 +80,7 @@ func TestChunkingWithITBForwarding(t *testing.T) {
 	r := newRigCfg(t, func(c *Config) { c.SendChunkBytes = 512 })
 	var gotAt units.Time
 	r.mcps[r.nodes.Host2].OnDeliver = func(p *packet.Packet, tm units.Time) { gotAt = tm }
-	r.mcps[r.nodes.Host1].SubmitSend(r.itbPacket(t, 4096), nil)
+	r.mcps[r.nodes.Host1].SubmitSend(r.itbPacket(t, 4096), nil, nil)
 	r.eng.Run()
 	if gotAt == 0 {
 		t.Fatal("ITB packet not delivered with chunked sends")

@@ -40,7 +40,7 @@ func TestMappingProbeAnsweredByMCP(t *testing.T) {
 			ReturnRoute: backHdr,
 		}),
 	}
-	r.mcps[r.nodes.Host1].SubmitSend(probe, nil)
+	r.mcps[r.nodes.Host1].SubmitSend(probe, nil, nil)
 	r.eng.Run()
 	if !answered {
 		t.Fatal("no reply reached the mapper")
@@ -61,7 +61,7 @@ func TestMappingMalformedFlushed(t *testing.T) {
 		Type:    packet.TypeMapping,
 		Payload: []byte{1, 2}, // too short to decode
 	}
-	r.mcps[r.nodes.Host1].SubmitSend(bad, nil)
+	r.mcps[r.nodes.Host1].SubmitSend(bad, nil, nil)
 	r.eng.Run()
 	if free := r.mcps[r.nodes.Host2].recvBufsFree; free != 2 {
 		t.Errorf("recv buffers leaked: %d free, want 2", free)
@@ -87,7 +87,7 @@ func TestMappingProbeWithoutReturnRouteDies(t *testing.T) {
 	}
 	got := false
 	r.mcps[r.nodes.Host1].OnMapping = func(packet.Mapping, units.Time) { got = true }
-	r.mcps[r.nodes.Host1].SubmitSend(probe, nil)
+	r.mcps[r.nodes.Host1].SubmitSend(probe, nil, nil)
 	r.eng.Run()
 	if got {
 		t.Error("route-less reply somehow reached the mapper")
@@ -107,12 +107,12 @@ func TestBlockedITBArrivalStillForwards(t *testing.T) {
 	toITB, _ := r.tbl.Lookup(r.nodes.Host2, r.nodes.InTransit)
 	hdr, _ := toITB.EncodeHeader()
 	big := &packet.Packet{Route: hdr, Type: packet.TypeGM, Payload: make([]byte, 16384)}
-	r.mcps[r.nodes.Host2].SubmitSend(big, nil)
+	r.mcps[r.nodes.Host2].SubmitSend(big, nil, nil)
 	// Let the reception get underway, then send the ITB packet.
 	r.eng.RunFor(80 * units.Microsecond)
 	delivered := false
 	r.mcps[r.nodes.Host2].OnDeliver = func(*packet.Packet, units.Time) { delivered = true }
-	r.mcps[r.nodes.Host1].SubmitSend(r.itbPacket(t, 128), nil)
+	r.mcps[r.nodes.Host1].SubmitSend(r.itbPacket(t, 128), nil, nil)
 	r.eng.Run()
 	if !delivered {
 		t.Fatal("blocked in-transit packet never forwarded")
@@ -135,7 +135,7 @@ func TestTracerAccessors(t *testing.T) {
 	if m.Engine() != r.eng {
 		t.Error("Engine() mismatch")
 	}
-	m.SubmitSend(r.udPacket(t, r.nodes.Host1, r.nodes.Host2, 64), nil)
+	m.SubmitSend(r.udPacket(t, r.nodes.Host1, r.nodes.Host2, 64), nil, nil)
 	r.eng.Run()
 	if len(rec.OfKind(trace.SendQueued)) != 1 {
 		t.Error("no send-queued event recorded")

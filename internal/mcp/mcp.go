@@ -84,33 +84,44 @@ func DefaultConfig(v Variant) Config {
 
 // Stats counts MCP-level activity.
 type Stats struct {
-	PacketsSent     uint64
-	PacketsReceived uint64 // delivered up to the host
-	ITBDetects      uint64 // in-transit markers recognised
-	ITBForwarded    uint64 // in-transit packets re-injected
-	ITBVCSegments   uint64 // re-injected segments that open with a VC lane pair
-	ITBPendingHits  uint64 // re-injections that found the send DMA busy
-	PoolDrops       uint64 // packets flushed by the buffer pool
-	BlockedArrivals uint64 // arrivals that waited for a receive buffer
-	CRCDrops        uint64 // packets flushed for failing the payload CRC
-	StallDrops      uint64 // arrivals flushed while the NIC was stalled
-	StaleEpochDrops uint64 // in-transit packets flushed by the stale-epoch policy
-	GossipDigests   uint64 // membership digests consumed from mapping payloads
+	PacketsSent      uint64
+	PacketsReceived  uint64 // delivered up to the host
+	ITBDetects       uint64 // in-transit markers recognised
+	ITBForwarded     uint64 // in-transit packets re-injected
+	ITBVCSegments    uint64 // re-injected segments that open with a VC lane pair
+	ITBPendingHits   uint64 // re-injections that found the send DMA busy
+	PoolDrops        uint64 // packets flushed by the buffer pool
+	BlockedArrivals  uint64 // arrivals that waited for a receive buffer
+	CRCDrops         uint64 // packets flushed for failing the payload CRC
+	StallDrops       uint64 // arrivals flushed while the NIC was stalled
+	StaleEpochDrops  uint64 // in-transit packets flushed by the stale-epoch policy
+	GossipDigests    uint64 // membership digests consumed from mapping payloads
 	GossipPiggybacks uint64 // membership digests consumed off in-transit data packets
 }
 
-// sendJob is a packet staged for transmission.
+// sendJob is a packet staged for transmission. Jobs are pooled per
+// MCP and travel the send pipeline by pointer: each per-packet handler
+// is a plain function of its job, posted with PostArg, ScheduleArg or
+// HostDMA, so handing a packet to the next stage allocates nothing.
 type sendJob struct {
-	pkt    *packet.Packet
-	onSent func(t units.Time) // tail left the NIC
+	m       *MCP
+	pkt     *packet.Packet
+	onSent  func(arg any, t units.Time) // tail left the NIC
+	sentArg any
 	// tailReady is when the packet's last byte will be in NIC memory;
 	// zero when the whole packet was staged before queueing.
 	tailReady units.Time
 }
 
-// itbJob is a deferred in-transit re-injection.
-type itbJob struct {
-	pkt       *packet.Packet
+// rxJob is a received packet on its way through the receive-side
+// handlers: receive completion and RDMA, or, for an in-transit packet,
+// the Early Recv check, ITB detection and re-injection. Pooled like
+// sendJob.
+type rxJob struct {
+	m   *MCP
+	pkt *packet.Packet
+	// tailReady is when the packet's last byte will be in NIC memory
+	// (in-transit packets only).
 	tailReady units.Time
 }
 
@@ -135,10 +146,19 @@ type MCP struct {
 	// single engine shared with ITB re-injections, which take
 	// priority via the ITB-packet-pending path.
 	sendBufsFree int
-	hostQ        sim.FIFO[sendJob] // waiting for a send buffer / SDMA
-	readyQ       sim.FIFO[sendJob] // in NIC SRAM, waiting for the wire
-	itbQ         sim.FIFO[itbJob]  // pending re-injections (highest priority)
+	hostQ        sim.FIFO[*sendJob] // waiting for a send buffer / SDMA
+	readyQ       sim.FIFO[*sendJob] // in NIC SRAM, waiting for the wire
+	itbQ         sim.FIFO[*rxJob]   // pending re-injections (highest priority)
 	wireBusy     bool
+	// The wire carries one packet at a time: wireSend or wireITB is the
+	// job whose tail the fabric will report out (at most one is set),
+	// to the tail-out callbacks bound once in New.
+	wireSend      *sendJob
+	wireITB       *rxJob
+	fnSendTailOut func(units.Time)
+	fnITBTailOut  func(units.Time)
+	sendJobs      sim.FreeList[sendJob]
+	rxJobs        sim.FreeList[rxJob]
 
 	// Receive side.
 	recvBufsFree int
@@ -216,6 +236,8 @@ func New(net *fabric.Network, host topology.NodeID, cfg Config) *MCP {
 		recvBufsFree: cfg.RecvBuffers,
 		inTransit:    make(map[*packet.Packet]bool),
 	}
+	m.fnSendTailOut = m.sendTailOut
+	m.fnITBTailOut = m.itbTailOut
 	net.Attach(host, m)
 	return m
 }
@@ -302,14 +324,15 @@ func (m *MCP) emit(k trace.Kind, pktID uint64, detail string) {
 // ---------------------------------------------------------------
 // Send path: host -> SDMA -> NIC buffer -> Send state machine -> wire.
 
-// SubmitSend queues a packet for transmission. onSent (optional) fires
-// when the packet's tail has left the NIC. The route bytes must
-// already be stamped in pkt.Route (GM stamps them from the mapper's
-// table when the send is enqueued).
-func (m *MCP) SubmitSend(pkt *packet.Packet, onSent func(t units.Time)) {
+// SubmitSend queues a packet for transmission. onSent (optional) runs
+// with arg when the packet's tail has left the NIC. The route bytes
+// must already be stamped in pkt.Route (GM stamps them from the
+// mapper's table when the send is enqueued).
+func (m *MCP) SubmitSend(pkt *packet.Packet, onSent func(arg any, t units.Time), arg any) {
 	m.net.TagPacket(pkt)
 	m.emit(trace.SendQueued, pkt.ID, pkt.Type.String())
-	job := sendJob{pkt: pkt, onSent: onSent}
+	job := m.sendJobs.Get()
+	job.m, job.pkt, job.onSent, job.sentArg = m, pkt, onSent, arg
 	if m.sendBufsFree == 0 {
 		m.hostQ.Push(job)
 		m.gHostQ.SetMax(float64(m.hostQ.Len()))
@@ -322,26 +345,39 @@ func (m *MCP) SubmitSend(pkt *packet.Packet, onSent func(t units.Time)) {
 // startSDMA moves the packet from host memory into a NIC send buffer.
 // With chunking the packet becomes wire-eligible after its first
 // chunk; the fabric paces the tail on the SDMA's completion.
-func (m *MCP) startSDMA(job sendJob) {
-	m.nic.CPU.Post(lanai.PrioDMA, m.cfg.Costs.SDMASetupCycles, func() {
-		if m.cfg.SendChunkBytes > 0 {
-			m.nic.HostDMAChunked(job.pkt.WireLen(), m.cfg.SendChunkBytes,
-				func(firstAt, doneAt units.Time) {
-					job.tailReady = doneAt
-					m.eng.ScheduleAt(firstAt, func() {
-						m.readyQ.Push(job)
-						m.gReadyQ.SetMax(float64(m.readyQ.Len()))
-						m.tryWire()
-					})
-				})
-			return
-		}
-		m.nic.HostDMA(job.pkt.WireLen(), func(units.Time) {
-			m.readyQ.Push(job)
-			m.gReadyQ.SetMax(float64(m.readyQ.Len()))
-			m.tryWire()
-		})
-	})
+func (m *MCP) startSDMA(job *sendJob) {
+	m.nic.CPU.PostArg(lanai.PrioDMA, m.cfg.Costs.SDMASetupCycles, sdma, job)
+}
+
+// sdma is the SDMA setup handler: it programs the host DMA.
+func sdma(arg any) {
+	job := arg.(*sendJob)
+	m := job.m
+	if m.cfg.SendChunkBytes > 0 {
+		m.nic.HostDMAChunked(job.pkt.WireLen(), m.cfg.SendChunkBytes, sdmaChunked, job)
+		return
+	}
+	m.nic.HostDMA(job.pkt.WireLen(), sdmaDone, job)
+}
+
+// sdmaChunked runs when a chunked SDMA is granted: the packet becomes
+// wire-eligible once its first chunk is in.
+func sdmaChunked(arg any, firstAt, doneAt units.Time) {
+	job := arg.(*sendJob)
+	job.tailReady = doneAt
+	job.m.eng.ScheduleArgAt(firstAt, staged, job)
+}
+
+// sdmaDone runs when a whole-packet SDMA completes.
+func sdmaDone(arg any, _ units.Time) { staged(arg) }
+
+// staged queues a packet in NIC SRAM for the wire.
+func staged(arg any) {
+	job := arg.(*sendJob)
+	m := job.m
+	m.readyQ.Push(job)
+	m.gReadyQ.SetMax(float64(m.readyQ.Len()))
+	m.tryWire()
 }
 
 // SetStalled wedges (or revives) the NIC: while stalled it flushes
@@ -411,27 +447,40 @@ func (m *MCP) tryWire() {
 	if m.readyQ.Len() == 0 {
 		return
 	}
-	job := m.readyQ.Pop()
 	m.wireBusy = true
-	m.nic.CPU.Post(lanai.PrioSend, m.cfg.Costs.SendSetupCycles, func() {
-		m.net.Inject(job.pkt, m.host, fabric.InjectOpts{
-			TailReadyAt: job.tailReady,
-			OnTailOut: func(t units.Time) {
-				m.stats.PacketsSent++
-				m.wireBusy = false
-				m.sendBufsFree++
-				// A queued host send can now claim the freed buffer.
-				if m.hostQ.Len() > 0 {
-					m.sendBufsFree--
-					m.startSDMA(m.hostQ.Pop())
-				}
-				if job.onSent != nil {
-					job.onSent(t)
-				}
-				m.tryWire()
-			},
-		})
+	m.nic.CPU.PostArg(lanai.PrioSend, m.cfg.Costs.SendSetupCycles, injectSend, m.readyQ.Pop())
+}
+
+// injectSend is the send setup handler: the packet goes on the wire.
+func injectSend(arg any) {
+	job := arg.(*sendJob)
+	m := job.m
+	m.wireSend = job
+	m.net.Inject(job.pkt, m.host, fabric.InjectOpts{
+		TailReadyAt: job.tailReady,
+		OnTailOut:   m.fnSendTailOut,
 	})
+}
+
+// sendTailOut runs when a sent packet's tail has left the NIC: the
+// send buffer and the wire are free again.
+func (m *MCP) sendTailOut(t units.Time) {
+	job := m.wireSend
+	m.wireSend = nil
+	onSent, arg := job.onSent, job.sentArg
+	m.sendJobs.Put(job)
+	m.stats.PacketsSent++
+	m.wireBusy = false
+	m.sendBufsFree++
+	// A queued host send can now claim the freed buffer.
+	if m.hostQ.Len() > 0 {
+		m.sendBufsFree--
+		m.startSDMA(m.hostQ.Pop())
+	}
+	if onSent != nil {
+		onSent(arg, t)
+	}
+	m.tryWire()
 }
 
 // ---------------------------------------------------------------
@@ -501,9 +550,7 @@ func (m *MCP) RelayArrived(pkt *packet.Packet, headerAt, tailedAt units.Time) {
 // its tail on "already in memory".
 func (m *MCP) relayAdmit(pkt *packet.Packet, headerAt, tailedAt units.Time) {
 	if m.cfg.Variant == ITB && !m.cfg.DisableEarlyRecv {
-		m.nic.CPU.Post(lanai.PrioITB, m.cfg.Costs.EarlyRecvCheckCycles, func() {
-			m.earlyRecv(pkt, tailedAt)
-		})
+		m.nic.CPU.PostArg(lanai.PrioITB, m.cfg.Costs.EarlyRecvCheckCycles, earlyRecv, m.newRxJob(pkt, tailedAt))
 	}
 	m.PacketReceived(pkt, headerAt, tailedAt)
 }
@@ -519,33 +566,45 @@ func (m *MCP) acceptFlight(f *fabric.Flight) {
 	if m.cfg.Variant != ITB || m.cfg.DisableEarlyRecv {
 		return
 	}
-	pkt, tailReady := f.Packet(), f.CompletionTime()
 	fourBytes := 4 * m.net.Params().ByteTime()
-	m.eng.Schedule(fourBytes, func() {
-		m.nic.CPU.Post(lanai.PrioITB, m.cfg.Costs.EarlyRecvCheckCycles, func() {
-			m.earlyRecv(pkt, tailReady)
-		})
-	})
+	m.eng.ScheduleArg(fourBytes, earlyArm, m.newRxJob(f.Packet(), f.CompletionTime()))
+}
+
+// newRxJob takes a pooled rxJob for pkt.
+func (m *MCP) newRxJob(pkt *packet.Packet, tailReady units.Time) *rxJob {
+	j := m.rxJobs.Get()
+	j.m, j.pkt, j.tailReady = m, pkt, tailReady
+	return j
+}
+
+// earlyArm raises the Early Recv event once the first four bytes are
+// in.
+func earlyArm(arg any) {
+	m := arg.(*rxJob).m
+	m.nic.CPU.PostArg(lanai.PrioITB, m.cfg.Costs.EarlyRecvCheckCycles, earlyRecv, arg)
 }
 
 // earlyRecv is the Early Recv Packet event handler: the first four
 // bytes of the packet are visible, enough to see the ITB marker.
-func (m *MCP) earlyRecv(pkt *packet.Packet, tailReady units.Time) {
-	if !pkt.AtITBBoundary() {
+func earlyRecv(arg any) {
+	j := arg.(*rxJob)
+	if !j.pkt.AtITBBoundary() {
 		// A normal packet (or an ITB-routed packet at its final
 		// destination): resume normal dispatching. The check's cost
 		// has already been charged — that is the Figure 7 overhead.
+		j.m.rxJobs.Put(j)
 		return
 	}
-	m.detectAndForward(pkt, tailReady)
+	j.m.detectAndForward(j)
 }
 
 // detectAndForward handles a detected in-transit packet: it pays the
 // detection cost, pops the ITB header and re-injects (or raises the
-// pending flag). tailReady is when the packet's last byte will be in
+// pending flag). j.tailReady is when the packet's last byte will be in
 // NIC memory — the re-injection may start earlier (cut-through) but
 // cannot stream faster than that.
-func (m *MCP) detectAndForward(pkt *packet.Packet, tailReady units.Time) {
+func (m *MCP) detectAndForward(j *rxJob) {
+	pkt := j.pkt
 	m.stats.ITBDetects++
 	m.emit(trace.ITBDetect, pkt.ID, "")
 	m.inTransit[pkt] = true
@@ -557,78 +616,103 @@ func (m *MCP) detectAndForward(pkt *packet.Packet, tailReady units.Time) {
 		prio = lanai.PrioSend
 		detect += m.cfg.NIC.DispatchCycles
 	}
-	m.nic.CPU.Post(prio, detect, func() {
-		if len(pkt.Gossip) > 0 && m.OnGossip != nil {
-			// A data packet crossing this host in transit carries a
-			// piggybacked membership digest: consume it (the header is
-			// already in SRAM at detection time) but leave it on the
-			// packet, so one stamped packet seeds every ITB host on its
-			// route.
-			if entries, _, err := packet.ParseGossipDigest(pkt.Gossip); err == nil {
-				m.stats.GossipPiggybacks++
-				m.OnGossip(entries, m.eng.Now())
-			}
+	m.nic.CPU.PostArg(prio, detect, detected, j)
+}
+
+// detected is the ITB detection handler: it pops the ITB header and
+// re-injects the packet, or raises ITB packet pending.
+func detected(arg any) {
+	j := arg.(*rxJob)
+	m, pkt := j.m, j.pkt
+	if len(pkt.Gossip) > 0 && m.OnGossip != nil {
+		// A data packet crossing this host in transit carries a
+		// piggybacked membership digest: consume it (the header is
+		// already in SRAM at detection time) but leave it on the
+		// packet, so one stamped packet seeds every ITB host on its
+		// route.
+		if entries, _, err := packet.ParseGossipDigest(pkt.Gossip); err == nil {
+			m.stats.GossipPiggybacks++
+			m.OnGossip(entries, m.eng.Now())
 		}
-		if m.cfg.DropStaleITB && pkt.Epoch > 0 && pkt.Epoch < m.epoch {
-			// Stale-epoch policy: the packet was stamped under an older
-			// table than this host runs; flush it instead of forwarding
-			// over sub-paths the remap may have routed around. Reception
-			// still completes into the buffer, which is freed there.
-			m.stats.StaleEpochDrops++
-			m.emit(trace.StaleEpochDrop, pkt.ID, fmt.Sprintf("epoch=%d<%d", pkt.Epoch, m.epoch))
-			m.inTransit[pkt] = false
-			return
-		}
-		if _, err := pkt.PopITBHeader(); err != nil {
-			// Corrupt in-transit header: flush the packet; reception
-			// still completes into the buffer, which is freed there.
-			m.inTransit[pkt] = false
-			return
-		}
-		if pkt.AtVCBoundary() {
-			// The re-injected segment selects a virtual lane at its
-			// first switch: the ITB and VC mechanisms composing on one
-			// route (the ablation's combined arm). The firmware itself
-			// needs no lane awareness — the pair rides in the route
-			// bytes it forwards untouched.
-			m.stats.ITBVCSegments++
-		}
-		job := itbJob{pkt: pkt, tailReady: tailReady}
-		if m.wireBusy {
-			// Send engine busy: raise ITB packet pending; the wire
-			// completion path drains itbQ first.
-			m.stats.ITBPendingHits++
-			m.emit(trace.ITBPending, pkt.ID, "")
-			m.itbQ.Push(job)
-			m.gITBQ.SetMax(float64(m.itbQ.Len()))
-			return
-		}
-		m.wireBusy = true
-		m.programReinjection(job)
-	})
+	}
+	if m.cfg.DropStaleITB && pkt.Epoch > 0 && pkt.Epoch < m.epoch {
+		// Stale-epoch policy: the packet was stamped under an older
+		// table than this host runs; flush it instead of forwarding
+		// over sub-paths the remap may have routed around. Reception
+		// still completes into the buffer, which is freed there.
+		m.stats.StaleEpochDrops++
+		m.emit(trace.StaleEpochDrop, pkt.ID, fmt.Sprintf("epoch=%d<%d", pkt.Epoch, m.epoch))
+		m.inTransit[pkt] = false
+		m.rxJobs.Put(j)
+		return
+	}
+	if _, err := pkt.PopITBHeader(); err != nil {
+		// Corrupt in-transit header: flush the packet; reception
+		// still completes into the buffer, which is freed there.
+		m.inTransit[pkt] = false
+		m.rxJobs.Put(j)
+		return
+	}
+	if pkt.AtVCBoundary() {
+		// The re-injected segment selects a virtual lane at its
+		// first switch: the ITB and VC mechanisms composing on one
+		// route (the ablation's combined arm). The firmware itself
+		// needs no lane awareness — the pair rides in the route
+		// bytes it forwards untouched.
+		m.stats.ITBVCSegments++
+	}
+	if m.wireBusy {
+		// Send engine busy: raise ITB packet pending; the wire
+		// completion path drains itbQ first.
+		m.stats.ITBPendingHits++
+		m.emit(trace.ITBPending, pkt.ID, "")
+		m.itbQ.Push(j)
+		m.gITBQ.SetMax(float64(m.itbQ.Len()))
+		return
+	}
+	m.wireBusy = true
+	m.programReinjection(j)
 }
 
 // programReinjection programs the send DMA with the in-transit packet
 // (possibly while it is still being received — virtual cut-through)
 // and injects it.
-func (m *MCP) programReinjection(job itbJob) {
-	m.emit(trace.ITBReinject, job.pkt.ID, "")
-	m.nic.CPU.Post(lanai.PrioITB, m.cfg.Costs.ProgramSendDMACycles, func() {
-		m.eng.Schedule(m.cfg.Costs.SendDMAStartup, func() {
-			m.net.Inject(job.pkt, m.host, fabric.InjectOpts{
-				TailReadyAt: job.tailReady,
-				OnTailOut: func(units.Time) {
-					m.stats.ITBForwarded++
-					m.wireBusy = false
-					// The in-transit packet has fully left: free its
-					// receive buffer and re-arm a reception.
-					delete(m.inTransit, job.pkt)
-					m.releaseRecvBuffer()
-					m.tryWire()
-				},
-			})
-		})
+func (m *MCP) programReinjection(j *rxJob) {
+	m.emit(trace.ITBReinject, j.pkt.ID, "")
+	m.nic.CPU.PostArg(lanai.PrioITB, m.cfg.Costs.ProgramSendDMACycles, programmed, j)
+}
+
+// programmed runs once the send DMA is programmed: the re-injection
+// starts after the DMA's startup latency.
+func programmed(arg any) {
+	m := arg.(*rxJob).m
+	m.eng.ScheduleArg(m.cfg.Costs.SendDMAStartup, injectITB, arg)
+}
+
+// injectITB puts the in-transit packet back on the wire.
+func injectITB(arg any) {
+	j := arg.(*rxJob)
+	m := j.m
+	m.wireITB = j
+	m.net.Inject(j.pkt, m.host, fabric.InjectOpts{
+		TailReadyAt: j.tailReady,
+		OnTailOut:   m.fnITBTailOut,
 	})
+}
+
+// itbTailOut runs when a re-injected packet's tail has left the NIC.
+func (m *MCP) itbTailOut(units.Time) {
+	j := m.wireITB
+	m.wireITB = nil
+	pkt := j.pkt
+	m.rxJobs.Put(j)
+	m.stats.ITBForwarded++
+	m.wireBusy = false
+	// The in-transit packet has fully left: free its receive buffer and
+	// re-arm a reception.
+	delete(m.inTransit, pkt)
+	m.releaseRecvBuffer()
+	m.tryWire()
 }
 
 // PacketReceived implements fabric.Endpoint: the packet tail is fully
@@ -650,7 +734,7 @@ func (m *MCP) PacketReceived(pkt *packet.Packet, headerAt, completedAt units.Tim
 		if !ok && m.cfg.Variant == ITB && m.cfg.DisableEarlyRecv {
 			// Ablation: store-and-forward detection happens only now,
 			// with the whole packet already in the buffer.
-			m.detectAndForward(pkt, completedAt)
+			m.detectAndForward(m.newRxJob(pkt, completedAt))
 		}
 		return
 	}
@@ -665,37 +749,66 @@ func (m *MCP) PacketReceived(pkt *packet.Packet, headerAt, completedAt units.Tim
 		// cut-through re-injects before the tail (and its CRC) is in,
 		// so corruption rides through ITB hops, exactly as on real
 		// hardware.
-		m.nic.CPU.Post(lanai.PrioRecv, cycles, func() {
-			m.stats.CRCDrops++
-			m.emit(trace.Dropped, pkt.ID, "crc")
-			m.releaseRecvBuffer()
-			// The flushed wire packet is dead; its sender retransmits
-			// from the retained original, never from this copy.
-			packet.Recycle(pkt)
-		})
+		m.nic.CPU.PostArg(lanai.PrioRecv, cycles, crcDrop, m.newRxJob(pkt, 0))
 		return
 	}
 	if pkt.Type == packet.TypeMapping {
 		// Mapping packets are handled inside the MCP, below GM.
-		m.nic.CPU.Post(lanai.PrioRecv, cycles, func() {
-			m.handleMapping(pkt)
-			m.releaseRecvBuffer()
-		})
+		m.nic.CPU.PostArg(lanai.PrioRecv, cycles, mappingRecv, m.newRxJob(pkt, 0))
 		return
 	}
-	m.nic.CPU.Post(lanai.PrioRecv, cycles, func() {
-		// RDMA the payload to host memory.
-		m.nic.CPU.Post(lanai.PrioDMA, m.cfg.Costs.RDMASetupCycles, func() {
-			m.nic.HostDMA(len(pkt.Payload), func(t units.Time) {
-				m.stats.PacketsReceived++
-				m.emit(trace.RecvToHost, pkt.ID, "")
-				if m.OnDeliver != nil {
-					m.OnDeliver(pkt, t)
-				}
-				m.releaseRecvBuffer()
-			})
-		})
-	})
+	m.nic.CPU.PostArg(lanai.PrioRecv, cycles, recvDone, m.newRxJob(pkt, 0))
+}
+
+// takeRx returns a receive-completion job's MCP and packet and
+// recycles the job.
+func takeRx(arg any) (*MCP, *packet.Packet) {
+	j := arg.(*rxJob)
+	m, pkt := j.m, j.pkt
+	m.rxJobs.Put(j)
+	return m, pkt
+}
+
+// crcDrop is the receive completion of a packet that fails its CRC.
+func crcDrop(arg any) {
+	m, pkt := takeRx(arg)
+	m.stats.CRCDrops++
+	m.emit(trace.Dropped, pkt.ID, "crc")
+	m.releaseRecvBuffer()
+	// The flushed wire packet is dead; its sender retransmits from the
+	// retained original, never from this copy.
+	packet.Recycle(pkt)
+}
+
+// mappingRecv is the receive completion of a mapping packet.
+func mappingRecv(arg any) {
+	m, pkt := takeRx(arg)
+	m.handleMapping(pkt)
+	m.releaseRecvBuffer()
+}
+
+// recvDone is the receive completion of a data packet: RDMA the
+// payload to host memory.
+func recvDone(arg any) {
+	m := arg.(*rxJob).m
+	m.nic.CPU.PostArg(lanai.PrioDMA, m.cfg.Costs.RDMASetupCycles, rdma, arg)
+}
+
+// rdma is the RDMA setup handler.
+func rdma(arg any) {
+	j := arg.(*rxJob)
+	j.m.nic.HostDMA(len(j.pkt.Payload), rdmaDone, j)
+}
+
+// rdmaDone delivers the packet to the host once the RDMA completes.
+func rdmaDone(arg any, t units.Time) {
+	m, pkt := takeRx(arg)
+	m.stats.PacketsReceived++
+	m.emit(trace.RecvToHost, pkt.ID, "")
+	if m.OnDeliver != nil {
+		m.OnDeliver(pkt, t)
+	}
+	m.releaseRecvBuffer()
 }
 
 // handleMapping implements the MCP side of the network-mapping
@@ -748,25 +861,29 @@ func (m *MCP) handleMapping(pkt *packet.Packet) {
 				Digest: digest,
 			}),
 		}
-		m.SubmitSend(reply, nil)
+		m.SubmitSend(reply, nil, nil)
 	}
 }
 
 // releaseRecvBuffer re-arms a reception and admits a blocked arrival
 // if one is waiting.
 func (m *MCP) releaseRecvBuffer() {
-	m.nic.CPU.Post(lanai.PrioRecv, m.cfg.Costs.ProgramRecvCycles, func() {
-		if !m.exhausted && m.waiting.Len() > 0 {
-			m.acceptFlight(m.waiting.Pop())
-			return
-		}
-		if !m.exhausted && m.relayQ.Len() > 0 {
-			j := m.relayQ.Pop()
-			m.relayAdmit(j.pkt, j.headerAt, j.tailedAt)
-			return
-		}
-		m.recvBufsFree++
-	})
+	m.nic.CPU.PostArg(lanai.PrioRecv, m.cfg.Costs.ProgramRecvCycles, programRecv, m)
+}
+
+// programRecv is the handler that re-arms a reception.
+func programRecv(arg any) {
+	m := arg.(*MCP)
+	if !m.exhausted && m.waiting.Len() > 0 {
+		m.acceptFlight(m.waiting.Pop())
+		return
+	}
+	if !m.exhausted && m.relayQ.Len() > 0 {
+		j := m.relayQ.Pop()
+		m.relayAdmit(j.pkt, j.headerAt, j.tailedAt)
+		return
+	}
+	m.recvBufsFree++
 }
 
 // String identifies the instance in traces.

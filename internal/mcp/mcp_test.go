@@ -20,7 +20,7 @@ type rig struct {
 	tbl   *routing.Table
 }
 
-func newRig(t *testing.T, v Variant) *rig {
+func newRig(t testing.TB, v Variant) *rig {
 	t.Helper()
 	if v == ITB {
 		return newRigCfg(t, nil)
@@ -30,7 +30,7 @@ func newRig(t *testing.T, v Variant) *rig {
 
 // newRigCfg builds the testbed with an ITB-variant config optionally
 // mutated by tweak.
-func newRigCfg(t *testing.T, tweak func(*Config)) *rig {
+func newRigCfg(t testing.TB, tweak func(*Config)) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	topo, nodes := topology.Testbed()
@@ -53,7 +53,7 @@ func newRigCfg(t *testing.T, tweak func(*Config)) *rig {
 }
 
 // udPacket builds a GM packet with the stock route between two hosts.
-func (r *rig) udPacket(t *testing.T, src, dst topology.NodeID, size int) *packet.Packet {
+func (r *rig) udPacket(t testing.TB, src, dst topology.NodeID, size int) *packet.Packet {
 	t.Helper()
 	route, ok := r.tbl.Lookup(src, dst)
 	if !ok {
@@ -72,7 +72,7 @@ func (r *rig) udPacket(t *testing.T, src, dst topology.NodeID, size int) *packet
 // itbPacket builds an in-transit packet h1 -> (ITB at in-transit
 // host) -> h2 on the testbed: segment 1 delivers into the in-transit
 // host via switch 1; segment 2 goes switch1 -> switch2 -> host2.
-func (r *rig) itbPacket(t *testing.T, size int) *packet.Packet {
+func (r *rig) itbPacket(t testing.TB, size int) *packet.Packet {
 	t.Helper()
 	topo := r.net.Topology()
 	itbPort := topo.LinkAt(r.nodes.InTransit, 0).PortAt(r.nodes.Switch1)
@@ -100,7 +100,7 @@ func TestSendReceiveThroughMCP(t *testing.T) {
 	}
 	var sentAt units.Time
 	pkt := r.udPacket(t, r.nodes.Host1, r.nodes.Host2, 256)
-	r.mcps[r.nodes.Host1].SubmitSend(pkt, func(tm units.Time) { sentAt = tm })
+	r.mcps[r.nodes.Host1].SubmitSend(pkt, func(_ any, tm units.Time) { sentAt = tm }, nil)
 	r.eng.Run()
 	if gotPkt == nil {
 		t.Fatal("packet not delivered")
@@ -132,7 +132,7 @@ func TestManyPacketsInOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		pkt := r.udPacket(t, r.nodes.Host1, r.nodes.Host2, 512)
 		pkt.Seq = uint32(i)
-		r.mcps[r.nodes.Host1].SubmitSend(pkt, nil)
+		r.mcps[r.nodes.Host1].SubmitSend(pkt, nil, nil)
 	}
 	r.eng.Run()
 	if len(got) != n {
@@ -150,7 +150,7 @@ func TestITBForwarding(t *testing.T) {
 	var gotAt units.Time
 	var got *packet.Packet
 	r.mcps[r.nodes.Host2].OnDeliver = func(p *packet.Packet, tm units.Time) { got, gotAt = p, tm }
-	r.mcps[r.nodes.Host1].SubmitSend(r.itbPacket(t, 512), nil)
+	r.mcps[r.nodes.Host1].SubmitSend(r.itbPacket(t, 512), nil, nil)
 	r.eng.Run()
 	if got == nil {
 		t.Fatal("ITB packet not delivered")
@@ -187,7 +187,7 @@ func TestITBCutThroughBeatsStoreAndForward(t *testing.T) {
 		r := newRig(t, ITB)
 		var gotAt units.Time
 		r.mcps[r.nodes.Host2].OnDeliver = func(p *packet.Packet, tm units.Time) { gotAt = tm }
-		r.mcps[r.nodes.Host1].SubmitSend(mk(r), nil)
+		r.mcps[r.nodes.Host1].SubmitSend(mk(r), nil, nil)
 		r.eng.Run()
 		if gotAt == 0 {
 			t.Fatal("not delivered")
@@ -211,14 +211,14 @@ func TestITBPendingWhenSendBusy(t *testing.T) {
 	// Make the in-transit host's send engine busy with a large local
 	// send just before the ITB packet arrives.
 	busy := r.udPacket(t, r.nodes.InTransit, r.nodes.Host2, 16384)
-	r.mcps[r.nodes.InTransit].SubmitSend(busy, nil)
+	r.mcps[r.nodes.InTransit].SubmitSend(busy, nil, nil)
 	delivered := 0
 	r.mcps[r.nodes.Host2].OnDeliver = func(p *packet.Packet, tm units.Time) { delivered++ }
 	// Give the local send a head start past its SDMA (~75us for 16KB
 	// at 220MB/s) so its wire transmission (~102us) is in progress
 	// when the in-transit packet shows up.
 	r.eng.RunFor(90 * units.Microsecond)
-	r.mcps[r.nodes.Host1].SubmitSend(r.itbPacket(t, 128), nil)
+	r.mcps[r.nodes.Host1].SubmitSend(r.itbPacket(t, 128), nil, nil)
 	r.eng.Run()
 	if delivered != 2 {
 		t.Fatalf("delivered %d packets, want 2", delivered)
@@ -240,7 +240,7 @@ func TestFig7OverheadOriginalVsITB(t *testing.T) {
 		r := newRig(t, v)
 		var gotAt units.Time
 		r.mcps[r.nodes.Host2].OnDeliver = func(p *packet.Packet, tm units.Time) { gotAt = tm }
-		r.mcps[r.nodes.Host1].SubmitSend(r.udPacket(t, r.nodes.Host1, r.nodes.Host2, 1024), nil)
+		r.mcps[r.nodes.Host1].SubmitSend(r.udPacket(t, r.nodes.Host1, r.nodes.Host2, 1024), nil, nil)
 		r.eng.Run()
 		if gotAt == 0 {
 			t.Fatal("not delivered")
@@ -266,7 +266,7 @@ func TestITBFirmwareCPUCost(t *testing.T) {
 	busy := func(v Variant) units.Time {
 		r := newRig(t, v)
 		for i := 0; i < 20; i++ {
-			r.mcps[r.nodes.Host1].SubmitSend(r.udPacket(t, r.nodes.Host1, r.nodes.Host2, 1024), nil)
+			r.mcps[r.nodes.Host1].SubmitSend(r.udPacket(t, r.nodes.Host1, r.nodes.Host2, 1024), nil, nil)
 		}
 		r.eng.Run()
 		return r.mcps[r.nodes.Host2].NIC().CPU.BusyTime
@@ -291,8 +291,8 @@ func TestBlockingModeQueuesArrivals(t *testing.T) {
 	r.mcps[r.nodes.Host2].OnDeliver = func(p *packet.Packet, tm units.Time) { delivered++ }
 	const n = 8
 	for i := 0; i < n; i++ {
-		r.mcps[r.nodes.Host1].SubmitSend(r.udPacket(t, r.nodes.Host1, r.nodes.Host2, 4096), nil)
-		r.mcps[r.nodes.InTransit].SubmitSend(r.udPacket(t, r.nodes.InTransit, r.nodes.Host2, 4096), nil)
+		r.mcps[r.nodes.Host1].SubmitSend(r.udPacket(t, r.nodes.Host1, r.nodes.Host2, 4096), nil, nil)
+		r.mcps[r.nodes.InTransit].SubmitSend(r.udPacket(t, r.nodes.InTransit, r.nodes.Host2, 4096), nil, nil)
 	}
 	r.eng.Run()
 	if delivered != 2*n {
@@ -327,8 +327,8 @@ func TestBufferPoolDropsWhenFull(t *testing.T) {
 		return &packet.Packet{Route: hdr, Type: packet.TypeGM, Payload: make([]byte, 8192)}
 	}
 	// Two senders, one receive buffer: at least one packet is flushed.
-	mcps[nodes.Host1].SubmitSend(mk(nodes.Host1), nil)
-	mcps[nodes.InTransit].SubmitSend(mk(nodes.InTransit), nil)
+	mcps[nodes.Host1].SubmitSend(mk(nodes.Host1), nil, nil)
+	mcps[nodes.InTransit].SubmitSend(mk(nodes.InTransit), nil, nil)
 	eng.Run()
 	drops := mcps[nodes.Host2].Stats().PoolDrops
 	if drops == 0 {
@@ -350,7 +350,7 @@ func TestCorruptITBHeaderFlushed(t *testing.T) {
 	for _, m := range r.mcps {
 		m.OnDeliver = func(p *packet.Packet, tm units.Time) { delivered++ }
 	}
-	r.mcps[r.nodes.Host1].SubmitSend(pkt, nil)
+	r.mcps[r.nodes.Host1].SubmitSend(pkt, nil, nil)
 	r.eng.Run()
 	if delivered != 0 {
 		t.Errorf("corrupt in-transit packet was delivered %d times", delivered)
@@ -362,7 +362,7 @@ func TestCorruptITBHeaderFlushed(t *testing.T) {
 	// And still forward a good packet afterwards.
 	got := false
 	r.mcps[r.nodes.Host2].OnDeliver = func(p *packet.Packet, tm units.Time) { got = true }
-	r.mcps[r.nodes.Host1].SubmitSend(r.itbPacket(t, 64), nil)
+	r.mcps[r.nodes.Host1].SubmitSend(r.itbPacket(t, 64), nil, nil)
 	r.eng.Run()
 	if !got {
 		t.Error("NIC did not recover after corrupt packet")

@@ -23,7 +23,7 @@ func staleRun(t *testing.T, dropStale bool, hostEpoch, pktEpoch uint32) (*rig, b
 	r.mcps[r.nodes.Host2].OnDeliver = func(p *packet.Packet, _ units.Time) { delivered = true }
 	pkt := r.itbPacket(t, 256)
 	pkt.Epoch = pktEpoch
-	r.mcps[r.nodes.Host1].SubmitSend(pkt, nil)
+	r.mcps[r.nodes.Host1].SubmitSend(pkt, nil, nil)
 	r.eng.Run()
 	return r, delivered
 }
@@ -74,7 +74,7 @@ func TestStaleEpochDropFreesBuffer(t *testing.T) {
 	r.mcps[r.nodes.Host2].OnDeliver = func(p *packet.Packet, _ units.Time) { delivered2 = true }
 	fresh := r.itbPacket(t, 256)
 	fresh.Epoch = 5
-	r.mcps[r.nodes.Host1].SubmitSend(fresh, nil)
+	r.mcps[r.nodes.Host1].SubmitSend(fresh, nil, nil)
 	r.eng.Run()
 	if !delivered2 {
 		t.Fatal("fresh packet not forwarded after a stale drop")

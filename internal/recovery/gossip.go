@@ -675,7 +675,7 @@ func (a *agent) probe(t int) {
 }
 
 func (a *agent) sendMapping(p *packet.Packet) {
-	a.host.MCP().SubmitSend(p, nil)
+	a.host.MCP().SubmitSend(p, nil, nil)
 }
 
 // directTimeout fires when the direct probe went unanswered: fan out

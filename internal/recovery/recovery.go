@@ -561,7 +561,7 @@ func (m *Manager) sendProbe(hs *hostState, verify bool, fwd, ret []byte) {
 			ReturnRoute: ret,
 		}),
 	}
-	m.hosts[m.mon].MCP().SubmitSend(probe, nil)
+	m.hosts[m.mon].MCP().SubmitSend(probe, nil, nil)
 	m.eng.Schedule(m.cfg.Timeout, func() {
 		if _, ok := m.outstanding[n]; !ok {
 			return // answered in time
