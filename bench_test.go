@@ -568,35 +568,6 @@ func BenchmarkLoadStudySmall(b *testing.B) {
 	b.ReportMetric(float64(rows), "cells")
 }
 
-// BenchmarkLoadStudyPartitioned runs the same trimmed study's open-loop
-// cell under the PDES model on 4 lanes: per-partition engines over the
-// fixed topology decomposition, conservative windows, cross-cut relay
-// mail. It is the bench-gate guard for the partitioned runner — window
-// barrier overhead, mail staging and the relay admission path all land
-// here. (On a single-core CI runner the lanes serialize; the guard
-// pins overhead, not speedup, which EXPERIMENTS.md reports separately.)
-func BenchmarkLoadStudyPartitioned(b *testing.B) {
-	cfg := core.DefaultLoadStudyConfig(5)
-	cfg.Presets = []string{"fattree-16"}
-	cfg.Engines = []string{"updown-itb", "minimal-escape"}
-	cfg.Patterns = []string{"uniform"}
-	cfg.Loads = []float64{0.3}
-	cfg.Window = 150 * units.Microsecond
-	cfg.Warmup = 30 * units.Microsecond
-	cfg.Partitions = 4
-	b.ReportAllocs()
-	b.ResetTimer()
-	var rows int
-	for i := 0; i < b.N; i++ {
-		res, err := core.RunLoadStudy(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = len(res.Rows)
-	}
-	b.ReportMetric(float64(rows), "cells")
-}
-
 // BenchmarkFig7Lanes1 / BenchmarkFig7Lanes2 price the virtual-channel
 // storage layer on the paper's Figure 7 ping-pong: the same testbed
 // allsize exchange with the fabric sized to one lane (the pre-VC

@@ -35,15 +35,6 @@
 // (default: all cores); output is byte-identical at any worker count.
 // -workers must be at least 1; anything lower is rejected.
 //
-// The load study's open-loop patterns additionally accept -partitions:
-// 0 (the default) runs each cell on the legacy serial engine, N >= 1
-// runs each cell as a conservative parallel simulation (PDES) on N
-// lanes over a fixed topology-derived decomposition. Output is
-// byte-identical for every N >= 1 (and differs from -partitions 0,
-// which is a different — serial — model). Setting -partitions for an
-// experiment that ignores it prints a warning; -strict upgrades that
-// warning to a non-zero exit.
-//
 // The faults and recovery studies accept -detector to choose the
 // failure-detection plane: "monitor" (the centralized default) or
 // "gossip" (decentralized SWIM-style probing with no monitor host).
@@ -84,12 +75,10 @@ func main() {
 	windowUs := flag.Int("window", 1000, "measurement window in microseconds (throughput/latload)")
 	csvOut := flag.Bool("csv", false, "emit CSV data series instead of tables (fig7, fig8, itbcount, recovery)")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines sharding independent simulation runs (output is identical at any value >= 1)")
-	partitions := flag.Int("partitions", 0, "PDES lanes for the load study's open-loop cells (0 = serial model; output is identical at any value >= 1)")
 	detectorName := flag.String("detector", "", "failure detector for the faults/recovery studies: monitor (centralized, the default) or gossip (decentralized SWIM)")
 	period := flag.Int("period", 0, "single heartbeat period in microseconds for the recovery study (0 = the default period axis)")
 	churn := flag.Int("churn", 0, "single churn-event count for the recovery study (0 = the default churn axis)")
 	campaigns := flag.Int("campaigns", 0, "campaigns averaged into each recovery-study cell (0 = the default)")
-	strict := flag.Bool("strict", false, "treat flag misuse warnings (e.g. -partitions on an experiment that ignores it) as errors")
 	metricsOut := flag.String("metrics", "", "write the merged metrics snapshot of the instrumented experiments as JSON to this file (byte-identical at any -workers value)")
 	traceOut := flag.String("trace", "", "write the packet-lifecycle trace of the instrumented experiments as JSON Lines to this file")
 	pprofOut := flag.String("pprof", "", "write a CPU profile of the whole invocation to this file")
@@ -103,10 +92,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "itbsim: -workers %d is invalid; need at least 1 worker goroutine\n", *workers)
 		os.Exit(1)
 	}
-	if *partitions < 0 {
-		fmt.Fprintf(os.Stderr, "itbsim: -partitions %d is invalid; 0 selects the serial model, N >= 1 selects N PDES lanes\n", *partitions)
-		os.Exit(1)
-	}
 	runner.SetWorkers(*workers)
 
 	// Reject unknown detectors the same way as unknown engines: name
@@ -117,23 +102,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *period < 0 || *churn < 0 || *campaigns < 0 {
-		fmt.Fprintf(os.Stderr, "itbsim: -period/-churn/-campaigns must be >= 0 (0 selects the study default)\n")
+	if *hosts < 0 || *period < 0 || *churn < 0 || *campaigns < 0 {
+		fmt.Fprintf(os.Stderr, "itbsim: -hosts/-period/-churn/-campaigns must be >= 0 (0 selects the study default)\n")
 		os.Exit(1)
-	}
-
-	// -partitions only reaches the load and vc studies; on any other
-	// single experiment it silently did nothing, which repeatedly made
-	// "why is -partitions 4 not faster" a debugging session. Warn, and
-	// under -strict make it an error.
-	partitionsUsed := map[string]bool{"all": true, "load": true, "vc": true}
-	if *partitions > 0 && !partitionsUsed[*exp] {
-		fmt.Fprintf(os.Stderr, "itbsim: warning: -partitions %d has no effect on -exp %s (only the load and vc studies consume it)\n",
-			*partitions, *exp)
-		if *strict {
-			fmt.Fprintln(os.Stderr, "itbsim: -strict: treating the -partitions warning as an error")
-			os.Exit(1)
-		}
 	}
 
 	// Reject unknown engines before anything runs, mirroring the
@@ -528,7 +499,6 @@ func main() {
 		if *pattern != "all" {
 			cfg.Patterns = []string{*pattern}
 		}
-		cfg.Partitions = *partitions
 		res, err := core.RunLoadStudy(cfg)
 		if err != nil {
 			return err
@@ -543,7 +513,6 @@ func main() {
 	run("vc", func() error {
 		cfg := core.DefaultVCStudyConfig(*seed)
 		cfg.Metrics = reg
-		cfg.Partitions = *partitions
 		res, err := core.RunVCStudy(cfg)
 		if err != nil {
 			return err

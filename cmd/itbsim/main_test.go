@@ -265,46 +265,31 @@ func TestUnknownDetectorRejected(t *testing.T) {
 	}
 }
 
-// TestPartitionsMisuseWarns pins the -partitions misuse diagnostics:
-// on an experiment that ignores the flag the run still succeeds but
-// warns, and -strict upgrades the warning to exit 1 before any
-// experiment output is produced.
-func TestPartitionsMisuseWarns(t *testing.T) {
+// TestWorkersFlagValidation locks the numeric argument checks: values
+// the runner or a study cannot honour must be rejected up front with a
+// usage message and a non-zero exit, not passed through.
+func TestWorkersFlagValidation(t *testing.T) {
 	bin := buildItbsim(t)
-
-	out, err := exec.Command(bin, "-exp", "costs", "-partitions", "4").CombinedOutput()
-	if err != nil {
-		t.Fatalf("itbsim -exp costs -partitions 4: %v\n%s", err, out)
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "load", "-workers", "0"}, "-workers 0 is invalid"},
+		{[]string{"-exp", "load", "-workers", "-3"}, "-workers -3 is invalid"},
+		{[]string{"-exp", "engines", "-hosts", "-3"}, "-hosts/-period/-churn/-campaigns must be >= 0"},
 	}
-	text := string(out)
-	if !strings.Contains(text, "warning") || !strings.Contains(text, "-partitions 4") {
-		t.Errorf("misused -partitions produced no warning:\n%s", text)
-	}
-	if !strings.Contains(text, "cost breakdown") {
-		t.Errorf("warning-only path suppressed the experiment output:\n%s", text)
-	}
-
-	out, err = exec.Command(bin, "-exp", "costs", "-partitions", "4", "-strict").CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
-		t.Fatalf("itbsim -strict with misused -partitions: err=%v (want exit error)\n%s", err, out)
-	}
-	if code := ee.ExitCode(); code != 1 {
-		t.Errorf("-strict exit code = %d, want 1", code)
-	}
-	if strings.Contains(string(out), "cost breakdown") {
-		t.Errorf("-strict still ran the experiment:\n%s", out)
-	}
-
-	// The studies that consume -partitions must stay warning-free; a
-	// false positive here would train users to ignore the diagnostic.
-	out, err = exec.Command(bin, "-exp", "load", "-partitions", "2",
-		"-engine", "updown-itb", "-pattern", "uniform", "-strict").CombinedOutput()
-	if err != nil {
-		t.Fatalf("itbsim -exp load -partitions 2 -strict: %v\n%s", err, out)
-	}
-	if strings.Contains(string(out), "warning") {
-		t.Errorf("-partitions warned on an experiment that consumes it:\n%s", out)
+	for _, c := range cases {
+		out, err := exec.Command(bin, c.args...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("%v exited 0; output:\n%s", c.args, out)
+		}
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 1 {
+			t.Fatalf("%v: want exit code 1, got %v", c.args, err)
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("%v: message %q missing from output:\n%s", c.args, c.want, out)
+		}
 	}
 }
 

@@ -82,54 +82,6 @@ func TestVCStudyGoldenDeterministic(t *testing.T) {
 	}
 }
 
-// TestVCStudyPartitionedGoldenDeterministic locks the PDES execution of
-// the ablation: `itbsim -exp vc -partitions N` must emit byte-identical
-// tables for every N >= 1 at any -workers value, and match its own
-// committed golden (the partition cut is a distinct deterministic
-// model; see internal/core/pdes.go). Regenerate with:
-//
-//	REGEN_GOLDEN=1 go test ./cmd/itbsim/ -run TestVCStudyPartitionedGolden
-func TestVCStudyPartitionedGoldenDeterministic(t *testing.T) {
-	bin := buildItbsim(t)
-	runWith := func(partitions, workers string) []byte {
-		t.Helper()
-		out, err := exec.Command(bin, "-exp", "vc", "-seed", "3",
-			"-partitions", partitions, "-workers", workers).CombinedOutput()
-		if err != nil {
-			t.Fatalf("itbsim -exp vc -partitions %s -workers %s: %v\n%s",
-				partitions, workers, err, out)
-		}
-		return out
-	}
-	ref := runWith("1", "1")
-	for _, combo := range [][2]string{{"4", "1"}, {"1", "4"}, {"4", "4"}} {
-		got := runWith(combo[0], combo[1])
-		if !bytes.Equal(ref, got) {
-			t.Fatalf("-exp vc output differs between -partitions 1 -workers 1 and -partitions %s -workers %s\n--- ref ---\n%s\n--- got ---\n%s",
-				combo[0], combo[1], ref, got)
-		}
-	}
-
-	path := filepath.Join("testdata", "vc_partitioned.golden")
-	if os.Getenv("REGEN_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, ref, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with REGEN_GOLDEN=1 to create): %v", err)
-	}
-	if !bytes.Equal(ref, want) {
-		t.Errorf("-exp vc -partitions drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s", ref, want)
-	}
-}
-
 // TestVCStudyCSV locks the CSV form of the ablation table.
 func TestVCStudyCSV(t *testing.T) {
 	bin := buildItbsim(t)

@@ -55,13 +55,6 @@ type LoadStudyConfig struct {
 	Fanout int
 	// Seed makes topologies and schedules reproducible.
 	Seed int64
-	// Partitions selects the execution model for the open-loop
-	// patterns: 0 (the default) is the legacy serial model; N >= 1 is
-	// the partitioned PDES model (fixed topology-derived decomposition,
-	// see pdes.go) executed on N parallel lanes. The partitioned
-	// model's output is byte-identical for every N >= 1. Closed-loop
-	// patterns (allreduce, rpc) always run serially.
-	Partitions int
 	// Metrics, when non-nil, receives each cell's merged counters
 	// under the "<preset>.<pattern>.<engine>.load<NNN>." prefix, in
 	// cell order.
@@ -180,9 +173,6 @@ func RunLoadStudy(cfg LoadStudyConfig) (LoadStudyResult, error) {
 	if cfg.Window <= 0 || cfg.Warmup < 0 {
 		return res, fmt.Errorf("core: load study needs a positive window and non-negative warmup")
 	}
-	if err := validatePartitions(cfg.Partitions); err != nil {
-		return res, err
-	}
 	mix, err := workload.NewSizeMix(cfg.Sizes)
 	if err != nil {
 		return res, err
@@ -261,9 +251,6 @@ func runLoadCell(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec) (loa
 	case "rpc":
 		return runLoadRPC(cfg, s, topo)
 	default:
-		if cfg.Partitions >= 1 {
-			return runLoadPlanPartitioned(cfg, mix, s, topo)
-		}
 		return runLoadPlan(cfg, mix, s, topo)
 	}
 }

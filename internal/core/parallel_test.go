@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/units"
@@ -169,6 +171,54 @@ func TestAppStudyDeterministicAcrossWorkers(t *testing.T) {
 		var sb strings.Builder
 		res.WriteTable(&sb)
 		return sb.String(), nil
+	})
+}
+
+// renderRowsAndSnapshot renders a study's rows and its merged metrics
+// snapshot: the tables and CLI goldens compare rendered text only, so
+// this also pins the unrounded row fields and every metric.
+func renderRowsAndSnapshot(rows any, reg *metrics.Registry) (string, error) {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%+v\n", rows)
+	if err := reg.Snapshot().WriteJSON(&sb); err != nil {
+		return "", err
+	}
+	return sb.String(), nil
+}
+
+func TestLoadStudyDeterministicAcrossWorkers(t *testing.T) {
+	assertDeterministic(t, func() (string, error) {
+		cfg := DefaultLoadStudyConfig(3)
+		cfg.Presets = []string{"fattree-16", "dragonfly-72"}
+		cfg.Engines = []string{"updown-itb", "minimal-escape"}
+		// The dragonfly allreduce alone costs seconds under -race;
+		// rpc keeps a closed-loop driver in the grid.
+		cfg.Patterns = []string{"uniform", "incast", "rpc"}
+		cfg.Loads = []float64{0.5}
+		cfg.Window = 50 * units.Microsecond
+		cfg.Warmup = 10 * units.Microsecond
+		cfg.Metrics = metrics.NewRegistry()
+		res, err := RunLoadStudy(cfg)
+		if err != nil {
+			return "", err
+		}
+		return renderRowsAndSnapshot(res.Rows, cfg.Metrics)
+	})
+}
+
+func TestVCStudyDeterministicAcrossWorkers(t *testing.T) {
+	assertDeterministic(t, func() (string, error) {
+		cfg := DefaultVCStudyConfig(3)
+		cfg.Presets = []string{"fattree-16", "dragonfly-72"}
+		cfg.LaneCounts = []int{1, 2}
+		cfg.Window = 50 * units.Microsecond
+		cfg.Warmup = 10 * units.Microsecond
+		cfg.Metrics = metrics.NewRegistry()
+		res, err := RunVCStudy(cfg)
+		if err != nil {
+			return "", err
+		}
+		return renderRowsAndSnapshot(res.Rows, cfg.Metrics)
 	})
 }
 

@@ -55,10 +55,6 @@ type VCStudyConfig struct {
 	Window, Warmup units.Time
 	// Seed makes topologies and schedules reproducible.
 	Seed int64
-	// Partitions selects the execution model exactly as in the load
-	// study: 0 = serial, N >= 1 = conservative PDES on N lanes with
-	// byte-identical output for every N.
-	Partitions int
 	// Metrics, when non-nil, receives each cell's merged counters
 	// under the "<preset>.<arm>.lanes<N>." prefix, in cell order.
 	Metrics *metrics.Registry
@@ -165,9 +161,6 @@ func RunVCStudy(cfg VCStudyConfig) (VCStudyResult, error) {
 	if cfg.Window <= 0 || cfg.Warmup < 0 {
 		return res, fmt.Errorf("core: VC study needs a positive window and non-negative warmup")
 	}
-	if err := validatePartitions(cfg.Partitions); err != nil {
-		return res, err
-	}
 	mix, err := workload.NewSizeMix(cfg.Sizes)
 	if err != nil {
 		return res, err
@@ -221,18 +214,6 @@ func tableITBs(tbl *routing.Table) int {
 	return n
 }
 
-// runVCCell dispatches one cell onto the serial or partitioned model.
-func runVCCell(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec) (vcCellOut, error) {
-	topo, err := topology.Read(bytes.NewReader(s.topoText))
-	if err != nil {
-		return vcCellOut{}, err
-	}
-	if cfg.Partitions >= 1 {
-		return runVCCellPartitioned(cfg, mix, s, topo)
-	}
-	return runVCCellSerial(cfg, mix, s, topo)
-}
-
 // vcPlanFlows compiles the cell's open-loop uniform schedule.
 func vcPlanFlows(cfg VCStudyConfig, mix workload.SizeMix, topo *topology.Topology, bw units.Bandwidth) ([]workload.Flow, error) {
 	scenario, err := workload.ScenarioByName("uniform")
@@ -250,9 +231,13 @@ func vcPlanFlows(cfg VCStudyConfig, mix workload.SizeMix, topo *topology.Topolog
 	})
 }
 
-// runVCCellSerial is the serial model: the runLoadPlan discipline with
-// the cell's constructed engine and pinned fabric lane count.
-func runVCCellSerial(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec, topo *topology.Topology) (vcCellOut, error) {
+// runVCCell runs one cell: the runLoadPlan discipline with the cell's
+// constructed engine and pinned fabric lane count.
+func runVCCell(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec) (vcCellOut, error) {
+	topo, err := topology.Read(bytes.NewReader(s.topoText))
+	if err != nil {
+		return vcCellOut{}, err
+	}
 	obs := newRunObs(cfg.Metrics != nil, false)
 	eng, err := vcArmEngine(s.arm, s.lanes)
 	if err != nil {
@@ -319,95 +304,6 @@ func runVCCellSerial(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec, topo
 	row.Delivered = float64(deliveredBytes) / cfg.Window.Seconds() /
 		float64(len(senders)) / float64(cl.Net.Params().LinkBandwidth)
 	obs.finish(cl)
-	return vcCellOut{row: row, obs: obs}, nil
-}
-
-// runVCCellPartitioned is the PDES counterpart, mirroring
-// runLoadPlanPartitioned over the shared partition worlds.
-func runVCCellPartitioned(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec, topo *topology.Topology) (vcCellOut, error) {
-	eng, err := vcArmEngine(s.arm, s.lanes)
-	if err != nil {
-		return vcCellOut{}, err
-	}
-	coord, worlds, hp, err := buildPartitionWorlds(partBuildSpec{
-		engine:      eng,
-		topoText:    s.topoText,
-		fabricLanes: s.lanes,
-		wantMetrics: cfg.Metrics != nil,
-	}, topo, cfg.Partitions)
-	if err != nil {
-		return vcCellOut{}, err
-	}
-	defer coord.Close()
-	if err := eng.CheckDeadlockFree(worlds[0].tbl); err != nil {
-		return vcCellOut{}, fmt.Errorf("core: %s/%s/lanes%d failed deadlock certification: %w", s.preset, s.arm, s.lanes, err)
-	}
-	endAt := cfg.Warmup + cfg.Window
-	flows, err := vcPlanFlows(cfg, mix, topo, worlds[0].net.Params().LinkBandwidth)
-	if err != nil {
-		return vcCellOut{}, err
-	}
-	row := VCRow{Preset: s.preset, Arm: s.arm, Lanes: s.lanes,
-		Hosts: len(topo.Hosts()), Offered: cfg.Load,
-		ITBs: tableITBs(worlds[0].tbl), DeadlockFree: true}
-	for i, w := range worlds {
-		w := w
-		for _, h := range hp.Hosts[i] {
-			w.hosts[h].OnMessage = func(_ topology.NodeID, payload []byte, t units.Time) {
-				sentAt := decodeStamp(payload)
-				if sentAt < cfg.Warmup || sentAt >= endAt {
-					return
-				}
-				if t <= endAt {
-					w.deliveredBytes += uint64(len(payload))
-				}
-				w.flowsDone++
-				w.lat.Add(float64(t - sentAt))
-			}
-		}
-	}
-	senders := map[topology.NodeID]bool{}
-	for _, f := range flows {
-		senders[f.Src] = true
-		if f.Start >= cfg.Warmup {
-			row.FlowsSent++
-		}
-		f := f
-		w := worlds[hp.PartitionOf(f.Src)]
-		w.part.Engine().ScheduleAt(f.Start, func() {
-			payload := make([]byte, f.Bytes)
-			encodeStamp(payload, w.part.Engine().Now())
-			if err := w.hosts[f.Src].Send(f.Dst, payload); err != nil {
-				panic(err)
-			}
-		})
-	}
-	coord.Run(endAt + cfg.Window/2)
-
-	var lat stats.Summary
-	var deliveredBytes uint64
-	obs := newRunObs(cfg.Metrics != nil, false)
-	for i, w := range worlds {
-		row.FlowsDone += w.flowsDone
-		deliveredBytes += w.deliveredBytes
-		for _, v := range w.lat.Values() {
-			lat.Add(v)
-		}
-		if obs.reg != nil {
-			w.net.PublishMetrics(w.obs.reg)
-			for _, h := range hp.Hosts[i] {
-				w.hosts[h].MCP().PublishMetrics(w.obs.reg)
-				w.hosts[h].PublishMetrics(w.obs.reg)
-			}
-			obs.reg.Merge(w.obs.reg)
-		}
-	}
-	if obs.reg != nil {
-		routing.Analyze(worlds[0].topo, worlds[0].ud, worlds[0].tbl).Publish(obs.reg)
-	}
-	vcFctRow(&row, &lat)
-	row.Delivered = float64(deliveredBytes) / cfg.Window.Seconds() /
-		float64(len(senders)) / float64(worlds[0].net.Params().LinkBandwidth)
 	return vcCellOut{row: row, obs: obs}, nil
 }
 

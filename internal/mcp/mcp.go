@@ -125,14 +125,6 @@ type rxJob struct {
 	tailReady units.Time
 }
 
-// relayJob is a PDES cross-partition arrival waiting for a receive
-// buffer (faithful two-buffer config only; a buffer pool drops
-// instead).
-type relayJob struct {
-	pkt                *packet.Packet
-	headerAt, tailedAt units.Time
-}
-
 // MCP is one NIC's firmware instance. It implements fabric.Endpoint.
 type MCP struct {
 	eng  *sim.Engine
@@ -163,7 +155,6 @@ type MCP struct {
 	// Receive side.
 	recvBufsFree int
 	waiting      sim.FIFO[*fabric.Flight] // blocked arrivals (no buffer pool)
-	relayQ       sim.FIFO[relayJob]       // blocked PDES relay arrivals (no buffer pool)
 	inTransit    map[*packet.Packet]bool
 
 	// epoch is the route-table version the recovery protocol last
@@ -417,18 +408,11 @@ func (m *MCP) SetPoolExhausted(exhausted bool) {
 }
 
 // admitWaiting drains blocked arrivals into freed buffers after an
-// exhaustion clears. Blocked fabric flights (which hold channels and
-// stall the network) win over queued relay arrivals (already buffered
-// at the cut).
+// exhaustion clears.
 func (m *MCP) admitWaiting() {
 	for m.recvBufsFree > 0 && m.waiting.Len() > 0 {
 		m.recvBufsFree--
 		m.acceptFlight(m.waiting.Pop())
-	}
-	for m.recvBufsFree > 0 && m.relayQ.Len() > 0 {
-		m.recvBufsFree--
-		j := m.relayQ.Pop()
-		m.relayAdmit(j.pkt, j.headerAt, j.tailedAt)
 	}
 }
 
@@ -511,48 +495,6 @@ func (m *MCP) HeaderArrived(f *fabric.Flight) {
 	}
 	m.recvBufsFree--
 	m.acceptFlight(f)
-}
-
-// RelayArrived is the PDES entry point: a packet whose wormhole
-// segment was simulated in another partition has crossed the cut and
-// is, as of now, fully in this NIC's receive path. It mirrors
-// HeaderArrived's admission decision (stall flush, buffer-pool drop,
-// blocked arrival) without a Flight — the fabric of the owning
-// partition never saw this segment. Packets flushed here die for good;
-// Recycle returns pool-backed ones.
-func (m *MCP) RelayArrived(pkt *packet.Packet, headerAt, tailedAt units.Time) {
-	if m.stalled {
-		m.stats.StallDrops++
-		m.emit(trace.Dropped, pkt.ID, "stall")
-		packet.Recycle(pkt)
-		return
-	}
-	if m.recvBufsFree == 0 || m.exhausted {
-		if m.cfg.BufferPool {
-			m.stats.PoolDrops++
-			m.emit(trace.Dropped, pkt.ID, "pool")
-			packet.Recycle(pkt)
-			return
-		}
-		m.stats.BlockedArrivals++
-		m.relayQ.Push(relayJob{pkt: pkt, headerAt: headerAt, tailedAt: tailedAt})
-		m.gWaitQ.SetMax(float64(m.waiting.Len() + m.relayQ.Len()))
-		return
-	}
-	m.recvBufsFree--
-	m.relayAdmit(pkt, headerAt, tailedAt)
-}
-
-// relayAdmit runs the receive pipeline for an admitted relay arrival.
-// The packet is store-and-forward at the cut: header and tail are both
-// here, so the ITB early-recv check (normally armed four byte-times
-// into reception) is charged immediately and any re-injection paces
-// its tail on "already in memory".
-func (m *MCP) relayAdmit(pkt *packet.Packet, headerAt, tailedAt units.Time) {
-	if m.cfg.Variant == ITB && !m.cfg.DisableEarlyRecv {
-		m.nic.CPU.PostArg(lanai.PrioITB, m.cfg.Costs.EarlyRecvCheckCycles, earlyRecv, m.newRxJob(pkt, tailedAt))
-	}
-	m.PacketReceived(pkt, headerAt, tailedAt)
 }
 
 // acceptFlight programs the receive DMA for the arriving packet and,
@@ -876,11 +818,6 @@ func programRecv(arg any) {
 	m := arg.(*MCP)
 	if !m.exhausted && m.waiting.Len() > 0 {
 		m.acceptFlight(m.waiting.Pop())
-		return
-	}
-	if !m.exhausted && m.relayQ.Len() > 0 {
-		j := m.relayQ.Pop()
-		m.relayAdmit(j.pkt, j.headerAt, j.tailedAt)
 		return
 	}
 	m.recvBufsFree++

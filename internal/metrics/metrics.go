@@ -181,17 +181,15 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Merge folds another registry into this one: counters sum, gauges
-// keep the maximum (peak semantics), histograms append bucket counts
-// and samples. Drivers call it in run input order, which pins the
-// merged sample order — and hence the snapshot bytes — independent of
-// the worker count. Merging a nil or into a nil registry no-ops.
-func (r *Registry) Merge(o *Registry) { r.MergePrefixed("", o) }
-
-// MergePrefixed is Merge with every source name prefixed, so drivers
-// that run several configurations (fig7's original/modified firmware,
-// fig8's UD/UD-ITB paths, a sweep's load points) keep each run's
-// instruments distinguishable in the combined snapshot.
+// MergePrefixed folds another registry into this one with every
+// source name prefixed: counters sum, gauges keep the maximum (peak
+// semantics), histograms append bucket counts and samples. Drivers
+// call it in run input order, which pins the merged sample order — and
+// hence the snapshot bytes — independent of the worker count. The
+// prefix keeps each run's instruments distinguishable when a driver
+// runs several configurations (fig7's original/modified firmware,
+// fig8's UD/UD-ITB paths, a sweep's load points). Merging a nil or
+// into a nil registry no-ops.
 func (r *Registry) MergePrefixed(prefix string, o *Registry) {
 	if r == nil || o == nil {
 		return

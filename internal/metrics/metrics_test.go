@@ -28,7 +28,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", s)
 	}
-	r.Merge(NewRegistry()) // must not panic
+	r.MergePrefixed("", NewRegistry()) // must not panic
 }
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -88,7 +88,7 @@ func TestMergeSumsCountersMaxesGauges(t *testing.T) {
 	b.Gauge("peak").Set(3)
 	a.Histogram("h", []float64{10}).Observe(1)
 	b.Histogram("h", []float64{10}).Observe(20)
-	a.Merge(b)
+	a.MergePrefixed("", b)
 	s := a.Snapshot()
 	if s.Counters["n"] != 5 || s.Counters["only_b"] != 1 {
 		t.Errorf("merged counters = %v", s.Counters)
@@ -146,9 +146,9 @@ func TestMergeOrderIndependentForCountersAndGauges(t *testing.T) {
 		return a, b
 	}
 	a1, b1 := mk()
-	a1.Merge(b1)
+	a1.MergePrefixed("", b1)
 	a2, b2 := mk()
-	b2.Merge(a2)
+	b2.MergePrefixed("", a2)
 	s1, s2 := a1.Snapshot(), b2.Snapshot()
 	if s1.Counters["n"] != s2.Counters["n"] || s1.Gauges["g"] != s2.Gauges["g"] {
 		t.Errorf("merge not commutative: %v/%v vs %v/%v",

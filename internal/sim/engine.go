@@ -84,8 +84,7 @@ func (e *Engine) Now() units.Time { return e.now }
 
 // LiveCount returns the number of queued, uncancelled events. Cancel
 // removes its event from the queue at once, so this is the queue
-// length and LiveCount() == 0 is an exact quiescence test (used by the
-// PDES coordinator for termination detection).
+// length and LiveCount() == 0 is an exact quiescence test.
 func (e *Engine) LiveCount() int { return len(e.heap) }
 
 // Fired returns the number of events executed so far.

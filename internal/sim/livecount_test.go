@@ -11,9 +11,8 @@ import (
 // TestCancelStormLeavesOnlyLiveEvents pins eager cancellation: after a
 // storm of cancellations (double-cancels included) LiveCount is exact
 // and the queue holds exactly the uncancelled events — no cancelled
-// entry stays behind for a later drain. A cancelled-but-queued residue
-// is what once made a queue-length quiescence test deadlock the PDES
-// coordinator's termination detection.
+// entry stays behind for a later drain, so a queue-length quiescence
+// test cannot wait forever on cancelled residue.
 func TestCancelStormLeavesOnlyLiveEvents(t *testing.T) {
 	e := NewEngine()
 	const n = 1000
@@ -84,9 +83,9 @@ func TestLiveCountNestedAndRequeue(t *testing.T) {
 }
 
 // TestStaleHandleCancelIsNoOp is the generation-reuse property: once an
-// event fires, its slot can be reused by a later schedule (in PDES,
-// typically in a later window). Cancelling the stale handle must
-// neither touch the new occupant nor corrupt the live counter.
+// event fires, its slot can be reused by a later schedule. Cancelling
+// the stale handle must neither touch the new occupant nor corrupt the
+// live counter.
 func TestStaleHandleCancelIsNoOp(t *testing.T) {
 	e := NewEngine()
 	fired := false
