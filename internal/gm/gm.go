@@ -6,6 +6,7 @@
 package gm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -114,6 +115,10 @@ type Host struct {
 	tbl  *routing.Table
 
 	conns map[topology.NodeID]*conn
+	// peers lists the conns in ascending peer order, the order
+	// InstallTable reconciles them in. Conns are never deleted, so
+	// connTo keeps it sorted by inserting each new conn in place.
+	peers []*conn
 	ports map[uint8]*Port
 	msgID uint32
 	// epoch is the version of the installed route table (0 until the
@@ -249,14 +254,8 @@ func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 	if epoch > h.epoch {
 		h.epoch = epoch
 	}
-	peers := make([]topology.NodeID, 0, len(h.conns))
-	for p := range h.conns {
-		peers = append(peers, p)
-	}
-	slices.Sort(peers)
-	for _, p := range peers {
-		c := h.conns[p]
-		r, ok := tbl.Lookup(h.node, p)
+	for _, c := range h.peers {
+		r, ok := tbl.Lookup(h.node, c.peer)
 		switch {
 		case !ok:
 			if !c.dead && (len(c.inflight) > 0 || c.backlog.Len() > 0) {
@@ -420,6 +419,10 @@ func (h *Host) connTo(peer topology.NodeID) *conn {
 	if c == nil {
 		c = newConn(h, peer)
 		h.conns[peer] = c
+		i, _ := slices.BinarySearchFunc(h.peers, peer, func(c *conn, p topology.NodeID) int {
+			return cmp.Compare(c.peer, p)
+		})
+		h.peers = slices.Insert(h.peers, i, c)
 	}
 	return c
 }

@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
 
 	"repro/internal/gm"
 	"repro/internal/metrics"
@@ -392,44 +391,53 @@ func (g *Gossip) route(from, to int) []byte {
 }
 
 // deadKey renders a sorted dead-index set into the reusable key
-// buffer. Installs hit tableFor once per epoch per agent, so the key
-// must be cheap: the fmt round-trip this replaces was ~a third of
-// churn-study CPU at the thousand-host point. Lookups compile to
-// alloc-free map probes via the string(...) conversion at the call
+// buffer as a bitset over host indexes (index i is bit i%8 of byte
+// i/8), ending at the byte of the highest index. Installs hit tableFor
+// once per epoch per agent, so the key must be cheap. Lookups compile
+// to alloc-free map probes via the string(...) conversion at the call
 // sites; only a cache insert pays for a copy.
 func (g *Gossip) deadKey(dead []int) []byte {
 	b := g.keyBuf[:0]
-	for _, d := range dead {
-		b = strconv.AppendInt(b, int64(d), 10)
-		b = append(b, ',')
+	if len(dead) > 0 {
+		b = append(b, make([]byte, dead[len(dead)-1]/8+1)...)
+		for _, d := range dead {
+			b[d/8] |= 1 << (d % 8)
+		}
 	}
 	g.keyBuf = b
 	return b
 }
 
 // tableFor returns the rebuilt table avoiding the given dead host
-// indexes, cached per avoid set — N agents converging on the same
-// dead set rebuild once, not N times.
+// indexes, cached per avoid set — agents converging on the same dead
+// set share one table.
 //
 // The rebuild is seeded from the closest cached ancestor rather than
 // the base table: local dead sets grow one confirm at a time, so a
 // leave-one-out subset is usually cached and its routes already
-// avoid every other member of the set. Only the newest dead host's
-// damage is re-searched, which is what keeps peer-to-peer installs
-// (every agent rebuilding around its own view, in its own order)
-// affordable at large host counts.
+// avoid every other member of the set. The subsets are probed highest
+// index dropped first. Only the newest dead host's damage is
+// re-searched, which is what keeps peer-to-peer installs (every agent
+// rebuilding around its own view, in its own order) affordable at
+// large host counts.
 func (g *Gossip) tableFor(dead []int) (*routing.Table, error) {
-	key := string(g.deadKey(dead))
-	if tbl, ok := g.tableCache[key]; ok {
+	key := g.deadKey(dead)
+	if tbl, ok := g.tableCache[string(key)]; ok {
 		return tbl, nil
 	}
 	prev := g.base
 	if len(dead) > 1 {
-		sub := make([]int, 0, len(dead)-1)
 		for skip := len(dead) - 1; skip >= 0; skip-- {
-			sub = append(sub[:0], dead[:skip]...)
-			sub = append(sub, dead[skip+1:]...)
-			if tbl, ok := g.tableCache[string(g.deadKey(sub))]; ok {
+			d := dead[skip]
+			key[d/8] &^= 1 << (d % 8)
+			// Dropping the highest index may empty the last byte.
+			sub := key
+			for sub[len(sub)-1] == 0 {
+				sub = sub[:len(sub)-1]
+			}
+			tbl, ok := g.tableCache[string(sub)]
+			key[d/8] |= 1 << (d % 8)
+			if ok {
 				prev = tbl
 				break
 			}
@@ -442,12 +450,12 @@ func (g *Gossip) tableFor(dead []int) (*routing.Table, error) {
 			avoid.AddHost(g.hosts[i].Node())
 		}
 	}
-	// Lazy: installs are O(1) and only the pairs traffic actually
-	// uses pay validation/search. Eager all-pairs rebuilds per
-	// distinct local dead set are what made per-agent installs the
-	// scale bottleneck.
+	// Lazy: an install only allocates the table, and only the pairs
+	// traffic actually uses pay validation/search. Eager all-pairs
+	// rebuilds per distinct local dead set are what made per-agent
+	// installs the scale bottleneck.
 	tbl := routing.RebuildAvoidingLazy(prev, g.topo, g.ud, g.alg, avoid, &g.stats.RoutesReused)
-	g.tableCache[key] = tbl
+	g.tableCache[string(key)] = tbl
 	return tbl, nil
 }
 

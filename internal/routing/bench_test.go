@@ -97,3 +97,30 @@ func BenchmarkCompactDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLazyInstallRow is one gossip table install on dragonfly-72:
+// RebuildAvoidingLazy from the updown-itb base under a 20-host dead
+// set, then the first host's row resolved against all 71 peers (the
+// dead ones resolve unroutable).
+func BenchmarkLazyInstallRow(b *testing.B) {
+	topo := benchDragonfly(b, 72)
+	base, err := UpDownITBEngine{}.BuildTable(topo, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ud := base.graph.ud
+	hosts := topo.Hosts()
+	src := hosts[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		avoid := &Avoid{}
+		for k := 1; k <= 20; k++ {
+			avoid.AddHost(hosts[k*3])
+		}
+		tbl := RebuildAvoidingLazy(base, topo, ud, base.Algorithm, avoid, nil)
+		for _, dst := range hosts[1:] {
+			tbl.Lookup(src, dst)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -81,8 +83,31 @@ func (g *CDG) NumEdges() int {
 	return n
 }
 
+// compareChannels orders channels by link, then direction, then lane.
+func compareChannels(a, b Channel) int {
+	if c := cmp.Compare(a.LinkID, b.LinkID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Lane, b.Lane)
+}
+
+// sortedChannels returns the keys of m in compareChannels order.
+func sortedChannels[V any](m map[Channel]V) []Channel {
+	out := make([]Channel, 0, len(m))
+	for c := range m {
+		out = append(out, c)
+	}
+	slices.SortFunc(out, compareChannels)
+	return out
+}
+
 // FindCycle returns a dependency cycle if one exists, as a sequence of
-// channels (first == last), or nil if the graph is acyclic.
+// channels (first == last), or nil if the graph is acyclic. The search
+// walks channels and their successors in compareChannels order, so a
+// cyclic graph reports the same cycle on every run.
 func (g *CDG) FindCycle() []Channel {
 	const (
 		white = 0
@@ -96,7 +121,7 @@ func (g *CDG) FindCycle() []Channel {
 	var dfs func(c Channel) bool
 	dfs = func(c Channel) bool {
 		color[c] = gray
-		for next := range g.edges[c] {
+		for _, next := range sortedChannels(g.edges[c]) {
 			switch color[next] {
 			case white:
 				parent[next] = c
@@ -120,7 +145,7 @@ func (g *CDG) FindCycle() []Channel {
 		color[c] = black
 		return false
 	}
-	for c := range g.edges {
+	for _, c := range sortedChannels(g.edges) {
 		if color[c] == white {
 			if dfs(c) {
 				return cycle

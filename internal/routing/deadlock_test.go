@@ -31,11 +31,9 @@ func TestITBDeadlockFreeOnRing(t *testing.T) {
 	}
 }
 
-func TestMinimalRoutingWithoutITBsDeadlocksOnRing(t *testing.T) {
-	// Pure minimal routing on a ring creates a channel cycle — the
-	// negative control showing the checker detects real cycles and
-	// that ITBs are doing necessary work.
-	tp := topology.Ring(6, 1)
+// minimalRingRoutes hand-builds pure minimal routes between every
+// host pair of tp without ITBs.
+func minimalRingRoutes(tp *topology.Topology) []*Route {
 	hosts := tp.Hosts()
 	var routes []*Route
 	for _, src := range hosts {
@@ -58,8 +56,36 @@ func TestMinimalRoutingWithoutITBsDeadlocksOnRing(t *testing.T) {
 			routes = append(routes, r)
 		}
 	}
-	if err := CheckDeadlockFree(routes); err == nil {
+	return routes
+}
+
+func TestMinimalRoutingWithoutITBsDeadlocksOnRing(t *testing.T) {
+	// Pure minimal routing on a ring creates a channel cycle — the
+	// negative control showing the checker detects real cycles and
+	// that ITBs are doing necessary work.
+	if err := CheckDeadlockFree(minimalRingRoutes(topology.Ring(6, 1))); err == nil {
 		t.Error("pure minimal routing on a ring reported deadlock free")
+	}
+}
+
+// TestCheckDeadlockFreeReportsOneCycle certifies a cyclic route set
+// 20 times, each time presented in a different order, and requires
+// one error string: the reported cycle is part of the mapper's output
+// and the VC study's certification error.
+func TestCheckDeadlockFreeReportsOneCycle(t *testing.T) {
+	routes := minimalRingRoutes(topology.Ring(6, 1))
+	var want string
+	for i := 0; i < 20; i++ {
+		rotated := append(append([]*Route(nil), routes[i:]...), routes[:i]...)
+		err := CheckDeadlockFree(rotated)
+		if err == nil {
+			t.Fatal("pure minimal routing on a ring reported deadlock free")
+		}
+		if i == 0 {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("certification %d reported %q, first reported %q", i, err, want)
+		}
 	}
 }
 

@@ -169,7 +169,7 @@ func rebuildEngineTable(e Engine, prev *Table, t *topology.Topology, alg Algorit
 	if pathFn != nil {
 		fn = pathFn(g)
 	}
-	tbl := newTable(g, alg, avoid, name, fn)
+	tbl := newTable(t, g, alg, avoid, name, fn)
 	if !sameEngine || prev.Algorithm != alg {
 		if err := tbl.routeAll(t, avoid == nil); err != nil {
 			return nil, 0, fmt.Errorf("routing: engine %q: %w", name, err)

@@ -90,7 +90,7 @@ func oracleTable(tb testing.TB, tp *topology.Topology, ud *topology.UpDown, alg 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tbl := newTable(g, alg, avoid, "", oraclePathFunc(tp, ud, alg, avoid))
+	tbl := newTable(tp, g, alg, avoid, "", oraclePathFunc(tp, ud, alg, avoid))
 	if err := tbl.routeAll(tp, avoid == nil); err != nil {
 		tb.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestTablesMatchPerPairSearches(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", ctx, err)
 					}
-					oInc := newTable(oBase.graph, alg, avoid, "", oraclePathFunc(tp, ud, alg, avoid))
+					oInc := newTable(tp, oBase.graph, alg, avoid, "", oraclePathFunc(tp, ud, alg, avoid))
 					if oReused := oInc.rebuildFrom(oBase, tp); reused != oReused {
 						t.Fatalf("%s: rebuild reused %d routes, oracle %d", ctx, reused, oReused)
 					}
@@ -222,7 +222,7 @@ func TestTablesMatchPerPairSearches(t *testing.T) {
 				if inc.graph != ebase.graph {
 					t.Fatalf("engine avoid %d: rebuild did not inherit the switch graph", ai)
 				}
-				oInc := newTable(oITB.graph, ITBRouting, avoid, "", oraclePathFunc(tp, ud, ITBRouting, avoid))
+				oInc := newTable(tp, oITB.graph, ITBRouting, avoid, "", oraclePathFunc(tp, ud, ITBRouting, avoid))
 				oInc.rebuildFrom(oITB, tp)
 				sameRoutes(t, tp, inc, oInc)
 			}

@@ -40,7 +40,7 @@ func RebuildAvoiding(prev *Table, t *topology.Topology, ud *topology.UpDown, alg
 	if err != nil {
 		return nil, 0, err
 	}
-	tbl := newTable(g, alg, avoid, "", nil)
+	tbl := newTable(t, g, alg, avoid, "", nil)
 	if prev == nil || prev.Algorithm != alg {
 		// Pairs unreachable under the exclusion set are omitted.
 		_ = tbl.routeAll(t, false)
@@ -66,21 +66,17 @@ func (tbl *Table) rebuildFrom(prev *Table, t *topology.Topology) int {
 			if src == dst || tbl.avoid.hostDead(t, dst) {
 				continue
 			}
-			key := [2]topology.NodeID{src, dst}
 			if r, ok := prev.Lookup(src, dst); ok && routeValid(t, r, tbl.avoid) {
-				tbl.routes[key] = r
-				for _, h := range r.ITBHosts {
-					tbl.itbLoad[h]++
-				}
+				tbl.adopt(src, dst, r)
 				reused++
 				continue
 			}
-			missing = append(missing, key)
+			missing = append(missing, [2]topology.NodeID{src, dst})
 		}
 	}
 	for _, key := range missing {
 		if r, err := tbl.buildRoute(t, key[0], key[1]); err == nil {
-			tbl.routes[key] = r
+			tbl.store(key[0], key[1], r)
 		}
 	}
 	return reused
@@ -88,13 +84,11 @@ func (tbl *Table) rebuildFrom(prev *Table, t *topology.Topology) int {
 
 // lazyRebuild is the deferred-resolution state of a table returned by
 // RebuildAvoidingLazy: Lookup misses resolve against it on demand.
+// Pairs with no route under the exclusion set (dead endpoints,
+// unreachable under the avoid set) are memoized as unroutable in the
+// row, so repeated sends to a dead peer don't re-search every time.
 type lazyRebuild struct {
 	prev *Table
-	topo *topology.Topology
-	// failed memoizes pairs with no route under the exclusion set
-	// (dead endpoints, unreachable under the avoid set), so repeated
-	// sends to a dead peer don't re-search every time.
-	failed map[[2]topology.NodeID]struct{}
 	// reused, when non-nil, is incremented for every route adopted
 	// from prev — the lazy analogue of RebuildAvoiding's return count.
 	reused *uint64
@@ -122,16 +116,11 @@ func RebuildAvoidingLazy(prev *Table, t *topology.Topology, ud *topology.UpDown,
 			return nil, nil, nil, err
 		}
 	}
-	tbl := newTable(g, alg, avoid, "", fn)
+	tbl := newTable(t, g, alg, avoid, "", fn)
 	if prev != nil && prev.Algorithm != alg {
 		prev = nil
 	}
-	tbl.lazyFill = &lazyRebuild{
-		prev:   prev,
-		topo:   t,
-		failed: make(map[[2]topology.NodeID]struct{}),
-		reused: reused,
-	}
+	tbl.lazyFill = &lazyRebuild{prev: prev, reused: reused}
 	return tbl
 }
 
@@ -140,33 +129,29 @@ func RebuildAvoidingLazy(prev *Table, t *topology.Topology, ud *topology.UpDown,
 // surviving prev routes are shared (routes are immutable once built),
 // and invalidated pairs are searched under the exclusion set.
 func (tbl *Table) resolveLazy(src, dst topology.NodeID) (*Route, bool) {
-	lz := tbl.lazyFill
-	key := [2]topology.NodeID{src, dst}
-	if _, bad := lz.failed[key]; bad {
+	lz, t := tbl.lazyFill, tbl.topo
+	if uint(src) >= uint(t.NumNodes()) || !tbl.isHost(dst) {
 		return nil, false
 	}
-	if src == dst || tbl.avoid.hostDead(lz.topo, src) || tbl.avoid.hostDead(lz.topo, dst) {
-		lz.failed[key] = struct{}{}
+	if src == dst || tbl.avoid.hostDead(t, src) || tbl.avoid.hostDead(t, dst) {
+		tbl.store(src, dst, unroutable)
 		return nil, false
 	}
 	if lz.prev != nil {
-		if r, ok := lz.prev.Lookup(src, dst); ok && routeValid(lz.topo, r, tbl.avoid) {
-			tbl.routes[key] = r
-			for _, h := range r.ITBHosts {
-				tbl.itbLoad[h]++
-			}
+		if r, ok := lz.prev.Lookup(src, dst); ok && routeValid(t, r, tbl.avoid) {
+			tbl.adopt(src, dst, r)
 			if lz.reused != nil {
 				*lz.reused++
 			}
 			return r, true
 		}
 	}
-	r, err := tbl.buildRoute(lz.topo, src, dst)
+	r, err := tbl.buildRoute(t, src, dst)
 	if err != nil {
-		lz.failed[key] = struct{}{}
+		tbl.store(src, dst, unroutable)
 		return nil, false
 	}
-	tbl.routes[key] = r
+	tbl.store(src, dst, r)
 	return r, true
 }
 
@@ -197,5 +182,5 @@ func (f *Finder) FindRoute(alg Algorithm, src, dst topology.NodeID, avoid *Avoid
 	if avoid.hostDead(f.t, src) || avoid.hostDead(f.t, dst) {
 		return nil, fmt.Errorf("routing: endpoint %d->%d dead under exclusion set", src, dst)
 	}
-	return newTable(f.g, alg, avoid, "", nil).buildRoute(f.t, src, dst)
+	return newTable(f.t, f.g, alg, avoid, "", nil).buildRoute(f.t, src, dst)
 }

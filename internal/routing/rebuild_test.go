@@ -167,9 +167,10 @@ func TestRebuildLazyMatchesEager(t *testing.T) {
 				t.Fatalf("pair %d->%d: lazy has route %v, eager %v", src, dst, okl, oke)
 			}
 			if !okl {
-				// The miss must be memoized: a second Lookup may not
-				// fall through to a fresh search.
-				if _, bad := lazy.lazyFill.failed[[2]topology.NodeID{src, dst}]; !bad && src != dst {
+				// The miss must be memoized as the row's unroutable
+				// marker, so a second Lookup may not fall through to a
+				// fresh resolution.
+				if row := lazy.row(src); row == nil || row[dst-lazy.hostLo] != unroutable {
 					t.Errorf("pair %d->%d: unroutable pair not memoized", src, dst)
 				}
 				continue
@@ -229,5 +230,33 @@ func TestRebuildLazyNilPrev(t *testing.T) {
 	}
 	if lazy2.Algorithm != ITBRouting {
 		t.Errorf("algorithm = %v, want ITBRouting", lazy2.Algorithm)
+	}
+}
+
+// TestRebuildLazyMemoizesUnreachable: a pair whose search fails (live
+// endpoints on the two sides of a partition) is searched once; the
+// second Lookup finds the unroutable marker in the row.
+func TestRebuildLazyMemoizesUnreachable(t *testing.T) {
+	topo, bridge := partitionedTopology(t)
+	ud := topology.BuildUpDown(topo)
+	base, err := BuildTable(topo, ud, ITBRouting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := RebuildAvoidingLazy(base, topo, ud, ITBRouting, AvoidLinks(bridge), nil)
+	searches := 0
+	search := lazy.pathFn
+	lazy.pathFn = func(s, d topology.NodeID) ([]Traversal, []int, []uint8, error) {
+		searches++
+		return search(s, d)
+	}
+	hosts := topo.Hosts()
+	for i := 0; i < 2; i++ {
+		if _, ok := lazy.Lookup(hosts[0], hosts[15]); ok {
+			t.Fatal("cross-partition pair routed")
+		}
+		if searches != 1 {
+			t.Fatalf("Lookup %d: %d searches in total, want 1", i+1, searches)
+		}
 	}
 }

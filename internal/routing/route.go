@@ -20,7 +20,8 @@ type Route struct {
 	Src, Dst topology.NodeID
 	// Segments holds the per-segment switch output port bytes, as
 	// stamped into the packet header. Segment i ends by delivering the
-	// packet into ITBHosts[i] (or Dst for the last segment).
+	// packet into ITBHosts[i] (or Dst for the last segment). On a
+	// table route they are capped sub-slices of the wire header.
 	Segments [][]byte
 	// ITBHosts lists the in-transit hosts, one per segment boundary.
 	ITBHosts []topology.NodeID
@@ -36,6 +37,9 @@ type Route struct {
 	// 0 (every lane-less engine); when non-nil its length must equal
 	// len(LinkPath).
 	Lanes []uint8
+	// hdr is the wire header a table wrote when it assembled the
+	// route (nil for hand-built routes and over-long headers).
+	hdr []byte
 }
 
 // Traversal is one directed use of a link.
@@ -71,7 +75,14 @@ func (r *Route) PortTypeMix() (san, lan int) {
 // EncodeHeader produces the wire route bytes for the packet header:
 // the first segment's port bytes, then for each further segment an
 // ITB tag, the remaining length, and the segment's bytes (Figure 3.b).
+//
+// For a table route it returns the header the table wrote, without
+// allocating. The header is shared by every caller and must be treated
+// as read-only: copy it into the packet (append(pkt.Route, hdr...)).
 func (r *Route) EncodeHeader() ([]byte, error) {
+	if r.hdr != nil {
+		return r.hdr, nil
+	}
 	return packet.BuildITBRoute(r.Segments)
 }
 

@@ -28,15 +28,36 @@ func (a Algorithm) String() string {
 
 // Table holds the source routes between every ordered host pair, as
 // the mapper would store them in each NIC's SRAM.
+//
+// Routes live in per-source rows: a row is a []*Route indexed by
+// destination NodeID, allocated when the first route out of that
+// source is stored. A row spans the host NodeIDs only (index
+// dst-hostLo), since only hosts are routed to. A NIC only ever reads
+// its own host's row, and a table that one host reads (a gossip
+// agent's lazily rebuilt table) holds that one row and nothing else,
+// so the directory from source to row is sparse: the first row sits
+// in src0/row0 and later rows go to a map allocated with the second.
 type Table struct {
 	Algorithm Algorithm
-	routes    map[[2]topology.NodeID]*Route
-	// itbLoad counts in-transit assignments per host, used to balance
-	// host selection at in-transit switches.
-	itbLoad map[topology.NodeID]int
+	topo      *topology.Topology
+	// hostLo and hostSpan bound the host NodeIDs: every host h has
+	// 0 <= h-hostLo < hostSpan.
+	hostLo   topology.NodeID
+	hostSpan int
+	src0     topology.NodeID
+	row0     []*Route
+	rows     map[topology.NodeID][]*Route
+	// n counts the routes stored (unroutable markers excluded).
+	n int
+	// itbLoad counts in-transit assignments per host (index
+	// h-hostLo), used to balance host selection at in-transit
+	// switches. It is the count of each host over the ITBHosts of the
+	// stored routes, so it stays nil until the first in-transit host
+	// choice needs it, and is then counted from the stored routes.
+	itbLoad []int32
 	// pathCache memoises switch-pair searches: all host pairs on the
 	// same switch pair share one search (ITB host choice still varies
-	// per route for balance).
+	// per route for balance). nil until the first search.
 	pathCache map[[2]topology.NodeID]cachedPath
 	// avoid is the exclusion set the table was built around (nil when
 	// built fault-free by BuildTable).
@@ -54,6 +75,10 @@ type Table struct {
 	lazyFill *lazyRebuild
 }
 
+// unroutable fills the row slot of a pair a lazy table resolved to no
+// route, so a second Lookup of that pair runs no search.
+var unroutable = new(Route)
+
 // Engine returns the name of the Engine that built the table, or ""
 // for tables from the Algorithm-selected entry points.
 func (tbl *Table) Engine() string { return tbl.engine }
@@ -66,23 +91,100 @@ type cachedPath struct {
 	lanes []uint8
 }
 
-// newTable returns an empty table over graph g whose switch paths
-// come from fn, or from the Algorithm-selected searches when fn is
-// nil.
-func newTable(g *engineGraph, alg Algorithm, avoid *Avoid, engine string, fn pathFunc) *Table {
+// newTable returns an empty table of topology t over graph g whose
+// switch paths come from fn, or from the Algorithm-selected searches
+// when fn is nil.
+func newTable(t *topology.Topology, g *engineGraph, alg Algorithm, avoid *Avoid, engine string, fn pathFunc) *Table {
 	if fn == nil {
 		fn = algPathFunc(g, alg, avoid)
 	}
+	lo, hi := 0, t.NumNodes()-1
+	for lo <= hi && t.Node(topology.NodeID(lo)).Kind != topology.KindHost {
+		lo++
+	}
+	for hi >= lo && t.Node(topology.NodeID(hi)).Kind != topology.KindHost {
+		hi--
+	}
 	return &Table{
 		Algorithm: alg,
-		routes:    make(map[[2]topology.NodeID]*Route),
-		itbLoad:   make(map[topology.NodeID]int),
-		pathCache: make(map[[2]topology.NodeID]cachedPath),
+		topo:      t,
+		hostLo:    topology.NodeID(lo),
+		hostSpan:  hi - lo + 1,
 		avoid:     avoid,
 		engine:    engine,
 		graph:     g,
 		pathFn:    fn,
 	}
+}
+
+// row returns src's row, or nil when no route out of src is stored.
+func (tbl *Table) row(src topology.NodeID) []*Route {
+	if src == tbl.src0 && tbl.row0 != nil {
+		return tbl.row0
+	}
+	return tbl.rows[src]
+}
+
+// isHost reports whether h lies in the table's host span.
+func (tbl *Table) isHost(h topology.NodeID) bool {
+	return uint(h-tbl.hostLo) < uint(tbl.hostSpan)
+}
+
+// store sets the route (or the unroutable marker) of src->dst for a
+// dst in the host span, allocating src's row on its first store.
+func (tbl *Table) store(src, dst topology.NodeID, r *Route) {
+	row := tbl.row(src)
+	if row == nil {
+		row = make([]*Route, tbl.hostSpan)
+		switch {
+		case tbl.row0 == nil:
+			tbl.src0, tbl.row0 = src, row
+		case tbl.rows == nil:
+			tbl.rows = map[topology.NodeID][]*Route{src: row}
+		default:
+			tbl.rows[src] = row
+		}
+	}
+	row[dst-tbl.hostLo] = r
+	if r != unroutable {
+		tbl.n++
+	}
+}
+
+// adopt stores a route shared from a previous table. Its in-transit
+// hosts join the load if the load is in use; otherwise loads counts
+// them when it is first needed. (assemble counts the hosts of the
+// routes it builds itself.)
+func (tbl *Table) adopt(src, dst topology.NodeID, r *Route) {
+	tbl.store(src, dst, r)
+	if tbl.itbLoad != nil {
+		for _, h := range r.ITBHosts {
+			tbl.itbLoad[h-tbl.hostLo]++
+		}
+	}
+}
+
+// loads returns the in-transit load per host, counting it from the
+// stored routes on first use.
+func (tbl *Table) loads() []int32 {
+	if tbl.itbLoad != nil {
+		return tbl.itbLoad
+	}
+	tbl.itbLoad = make([]int32, tbl.hostSpan)
+	count := func(row []*Route) {
+		for _, r := range row {
+			if r != nil && r != unroutable {
+				for _, h := range r.ITBHosts {
+					tbl.itbLoad[h-tbl.hostLo]++
+				}
+			}
+		}
+	}
+	count(tbl.row0)
+	for _, row := range tbl.rows {
+		count(row)
+	}
+	return tbl.itbLoad
 }
 
 // graphFor returns prev's switch graph when prev was built over the
@@ -133,7 +235,7 @@ func BuildTable(t *topology.Topology, ud *topology.UpDown, alg Algorithm) (*Tabl
 	if err != nil {
 		return nil, err
 	}
-	tbl := newTable(g, alg, nil, "", nil)
+	tbl := newTable(t, g, alg, nil, "", nil)
 	if err := tbl.routeAll(t, true); err != nil {
 		return nil, err
 	}
@@ -161,7 +263,7 @@ func (tbl *Table) routeAll(t *topology.Topology, strict bool) error {
 				}
 				continue
 			}
-			tbl.routes[[2]topology.NodeID{src, dst}] = r
+			tbl.store(src, dst, r)
 		}
 	}
 	return nil
@@ -170,9 +272,17 @@ func (tbl *Table) routeAll(t *topology.Topology, strict bool) error {
 // Lookup returns the route from src to dst. On a lazily rebuilt
 // table a miss resolves (and memoizes) the pair on demand.
 func (tbl *Table) Lookup(src, dst topology.NodeID) (*Route, bool) {
-	r, ok := tbl.routes[[2]topology.NodeID{src, dst}]
-	if ok || tbl.lazyFill == nil {
-		return r, ok
+	if row := tbl.row(src); row != nil && tbl.isHost(dst) {
+		switch r := row[dst-tbl.hostLo]; r {
+		case nil:
+		case unroutable:
+			return nil, false
+		default:
+			return r, true
+		}
+	}
+	if tbl.lazyFill == nil {
+		return nil, false
 	}
 	return tbl.resolveLazy(src, dst)
 }
@@ -184,7 +294,7 @@ func (tbl *Table) materialize() {
 	if tbl.lazyFill == nil {
 		return
 	}
-	hosts := tbl.lazyFill.topo.Hosts()
+	hosts := tbl.topo.Hosts()
 	for _, src := range hosts {
 		for _, dst := range hosts {
 			if src != dst {
@@ -195,13 +305,23 @@ func (tbl *Table) materialize() {
 	tbl.lazyFill = nil
 }
 
-// Routes returns every route in the table (iteration order is not
-// specified; callers that need determinism should iterate host pairs).
+// Routes returns every route in the table in host-major order: by
+// source, then by destination, both in ascending NodeID order (the
+// order of Topology.Hosts).
 func (tbl *Table) Routes() []*Route {
 	tbl.materialize()
-	out := make([]*Route, 0, len(tbl.routes))
-	for _, r := range tbl.routes {
-		out = append(out, r)
+	out := make([]*Route, 0, tbl.n)
+	hosts := tbl.topo.Hosts()
+	for _, src := range hosts {
+		row := tbl.row(src)
+		if row == nil {
+			continue
+		}
+		for _, r := range row {
+			if r != nil && r != unroutable {
+				out = append(out, r)
+			}
+		}
 	}
 	return out
 }
@@ -209,7 +329,7 @@ func (tbl *Table) Routes() []*Route {
 // Len returns the number of routes.
 func (tbl *Table) Len() int {
 	tbl.materialize()
-	return len(tbl.routes)
+	return tbl.n
 }
 
 // buildRoute assembles a host-to-host Route from a switch path.
@@ -230,6 +350,9 @@ func (tbl *Table) buildRoute(t *topology.Topology, src, dst topology.NodeID) (*R
 		if err != nil {
 			return nil, err
 		}
+		if tbl.pathCache == nil {
+			tbl.pathCache = make(map[[2]topology.NodeID]cachedPath)
+		}
 		tbl.pathCache[key] = cp
 	}
 	return tbl.assemble(t, src, dst, srcSw, cp.trav, cp.itbBefore, cp.lanes)
@@ -242,24 +365,47 @@ func (tbl *Table) buildRoute(t *topology.Topology, src, dst topology.NodeID) (*R
 // exactly where the wire lane (what the fabric infers while consuming
 // the route: lane 0 at every injection, then the last selected lane)
 // diverges from the lane the path wants for the next hop.
+//
+// The wire header is written once, into one exactly sized buffer, and
+// the Segments are capped sub-slices of it; every other slice of the
+// Route is allocated at its final length too.
 func (tbl *Table) assemble(t *topology.Topology, src, dst, srcSw topology.NodeID, trav []Traversal, itbBefore []int, lanes []uint8) (*Route, error) {
-	r := &Route{Src: src, Dst: dst}
+	nITB := len(itbBefore)
+	nLinks := len(trav) + 2 + 2*nITB
+	r := &Route{
+		Src:        src,
+		Dst:        dst,
+		Segments:   make([][]byte, 0, nITB+1),
+		SwitchPath: make([]topology.NodeID, 0, len(trav)+1+nITB),
+		LinkPath:   make([]Traversal, 0, nLinks),
+	}
+	if nITB > 0 {
+		r.ITBHosts = make([]topology.NodeID, 0, nITB)
+	}
 	hostUp := t.LinkAt(src, 0)   // src host -> its switch
 	hostDown := t.LinkAt(dst, 0) // last switch -> dst host
 	laned := lanes != nil
 	wireLane := uint8(0)
+	hdr := make([]byte, 0, headerLen(trav, itbBefore, lanes))
+	segStart := 0
 
 	r.LinkPath = append(r.LinkPath, Traversal{Link: hostUp, From: src})
 	if laned {
+		r.Lanes = make([]uint8, 0, nLinks)
 		// Injections always enter on lane 0.
 		r.Lanes = append(r.Lanes, 0)
 	}
 
 	// Split trav at the itbBefore indices.
 	nextITB := 0
-	cur := []byte{}
 	curSw := srcSw
 	r.SwitchPath = append(r.SwitchPath, curSw)
+	// endSegment closes the segment being written with its final port
+	// byte.
+	endSegment := func(port byte) {
+		hdr = append(hdr, port)
+		r.Segments = append(r.Segments, hdr[segStart:len(hdr):len(hdr)])
+	}
 	flushSegment := func(itbSwitch topology.NodeID) error {
 		// Eject into a live host of itbSwitch: pick the least-loaded
 		// host (deterministic tie-break by id).
@@ -267,18 +413,22 @@ func (tbl *Table) assemble(t *topology.Topology, src, dst, srcSw topology.NodeID
 		if len(hosts) == 0 {
 			return fmt.Errorf("routing: ITB needed at switch %d which has no live hosts", itbSwitch)
 		}
+		load := tbl.loads()
 		best := hosts[0]
 		for _, h := range hosts[1:] {
-			if tbl.itbLoad[h] < tbl.itbLoad[best] {
+			if load[h-tbl.hostLo] < load[best-tbl.hostLo] {
 				best = h
 			}
 		}
-		tbl.itbLoad[best]++
+		load[best-tbl.hostLo]++
 		hl := t.LinkAt(best, 0)
 		// Final port byte of this segment delivers into the ITB host.
-		cur = append(cur, byte(hl.PortAt(itbSwitch)))
+		endSegment(byte(hl.PortAt(itbSwitch)))
+		// The next segment follows its ITB tag and the length of
+		// everything after the length byte (Figure 3.b).
+		hdr = append(hdr, packet.ITBTag, byte(cap(hdr)-len(hdr)-2))
+		segStart = len(hdr)
 		r.LinkPath = append(r.LinkPath, Traversal{Link: hl, From: itbSwitch})
-		r.Segments = append(r.Segments, cur)
 		r.ITBHosts = append(r.ITBHosts, best)
 		// Re-injection back into the same switch.
 		r.LinkPath = append(r.LinkPath, Traversal{Link: hl, From: best})
@@ -290,7 +440,6 @@ func (tbl *Table) assemble(t *topology.Topology, src, dst, srcSw topology.NodeID
 			r.Lanes = append(r.Lanes, wireLane, 0)
 			wireLane = 0
 		}
-		cur = []byte{}
 		return nil
 	}
 	for i, tr := range trav {
@@ -301,10 +450,10 @@ func (tbl *Table) assemble(t *topology.Topology, src, dst, srcSw topology.NodeID
 			nextITB++
 		}
 		if laned && lanes[i] != wireLane {
-			cur = append(cur, packet.VCTag, lanes[i])
+			hdr = append(hdr, packet.VCTag, lanes[i])
 			wireLane = lanes[i]
 		}
-		cur = append(cur, byte(tr.Link.PortAt(tr.From)))
+		hdr = append(hdr, byte(tr.Link.PortAt(tr.From)))
 		r.LinkPath = append(r.LinkPath, tr)
 		if laned {
 			r.Lanes = append(r.Lanes, wireLane)
@@ -321,12 +470,38 @@ func (tbl *Table) assemble(t *topology.Topology, src, dst, srcSw topology.NodeID
 		nextITB++
 	}
 	// Deliver into dst.
-	cur = append(cur, byte(hostDown.PortAt(curSw)))
-	r.Segments = append(r.Segments, cur)
+	endSegment(byte(hostDown.PortAt(curSw)))
 	r.LinkPath = append(r.LinkPath, Traversal{Link: hostDown, From: curSw})
 	if laned {
 		// The delivery hop stays on the current lane.
 		r.Lanes = append(r.Lanes, wireLane)
 	}
+	if len(hdr) <= packet.MaxRouteLen {
+		// Longer headers stay unset: EncodeHeader reports them.
+		r.hdr = hdr
+	}
 	return r, nil
+}
+
+// headerLen is the wire header length assemble writes for a path: a
+// port byte per traversal and one for the delivery, an ejection port
+// byte plus an ITB tag and length byte per reset, and a VCTag/lane
+// pair wherever the wanted lane differs from the wire lane.
+func headerLen(trav []Traversal, itbBefore []int, lanes []uint8) int {
+	n := len(trav) + 1 + 3*len(itbBefore)
+	if lanes == nil {
+		return n
+	}
+	wireLane, nextITB := uint8(0), 0
+	for i := range trav {
+		for nextITB < len(itbBefore) && itbBefore[nextITB] == i {
+			wireLane = 0
+			nextITB++
+		}
+		if lanes[i] != wireLane {
+			n += 2
+			wireLane = lanes[i]
+		}
+	}
+	return n
 }
