@@ -2,8 +2,10 @@ GO ?= go
 
 # Benchmarks guarded by the bench-gate CI job (see cmd/benchdiff).
 GUARDED_BENCH = ^(BenchmarkFig7_CodeOverhead|BenchmarkFig8_ITBOverhead|BenchmarkAllsizePingPong|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkRecoveryOff|BenchmarkEngineTableBuild1024|BenchmarkLoadStudySmall|BenchmarkFig7Lanes1|BenchmarkFig7Lanes2|BenchmarkVCAblationSweep|BenchmarkUpDownITBTableDragonfly342)$$
-# Output file for bench-json; CI overrides this to BENCH_PR4.json.
-BENCH_JSON ?= BENCH_PR4.json
+# Output file for bench-json (ignored by git). A committed point of
+# the benchmark trajectory is written as BENCH_PR<n>.json with
+# `make bench-json BENCH_JSON=BENCH_PR<n>.json`.
+BENCH_JSON ?= bench.json
 
 .PHONY: all build test test-race vet lint vulncheck bench bench-json bench-gate fuzz fuzz-smoke cover experiments golden clean
 

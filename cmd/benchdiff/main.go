@@ -1,9 +1,9 @@
 // Command benchdiff turns `go test -bench` output into a compact JSON
 // summary and compares two such summaries for regressions. It is the
 // engine behind the bench-gate CI job: `make bench-json` pipes the
-// guarded benchmarks through `benchdiff -emit` to produce
-// BENCH_PR4.json, and the gate then runs `benchdiff -baseline
-// BENCH_baseline.json -current BENCH_PR4.json`, which exits non-zero
+// guarded benchmarks through `benchdiff -emit` to produce the
+// Makefile's $(BENCH_JSON), and the gate then runs `benchdiff
+// -baseline BENCH_baseline.json -current $(BENCH_JSON)`, which exits non-zero
 // on a >15% ns/op regression or on allocs/op growth beyond a 0.1%
 // noise floor. The floor exists because the end-to-end benchmarks
 // count allocations through sync.Pool, whose GC-driven evictions make

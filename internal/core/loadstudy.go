@@ -408,10 +408,15 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 				return
 			}
 			msg := gen.NextFrom(h)
-			// A failed send is an arrival shed by token exhaustion;
-			// the size draw stays consumed so the offered schedule is
+			// An arrival finding no free token is shed: a refused Send
+			// has no side effects, so the payload is built only for an
+			// arrival that can be admitted. The size draw stays
+			// consumed either way, so the offered schedule is
 			// identical whether or not admission succeeds.
-			_ = bp.Send(msg.Dst, bgPort, make([]byte, mix.Sample(rng)))
+			size := mix.Sample(rng)
+			if bp.FreeSendTokens() > 0 {
+				_ = bp.Send(msg.Dst, bgPort, make([]byte, size))
+			}
 			cl.Eng.Schedule(ap.Next(), tick)
 		}
 		cl.Eng.Schedule(ap.Next(), tick)

@@ -53,7 +53,7 @@ func peerRig(tb testing.TB, npeers int) (*Host, *routing.Table) {
 }
 
 // Re-installing a table whose routes to every peer are already
-// resolved walks the sorted peer list and re-reads each row slot and
+// resolved walks the dense conn table and re-reads each row slot and
 // header: nothing to allocate.
 func TestInstallResolvedTableDoesNotAllocate(t *testing.T) {
 	h, tbl := peerRig(t, 44)
@@ -65,15 +65,22 @@ func TestInstallResolvedTableDoesNotAllocate(t *testing.T) {
 }
 
 // TestConnToKeepsPeersSorted: conns created in any order are walked
-// in ascending peer order by InstallTable.
+// in ascending peer order by InstallTable (index order of the dense
+// conn table), and a repeated peer reuses its conn.
 func TestConnToKeepsPeersSorted(t *testing.T) {
 	h, _ := peerRig(t, 0)
-	for _, p := range []topology.NodeID{49, 43, 47, 43, 41, 52} {
+	first := h.connTo(49)
+	for _, p := range []topology.NodeID{43, 47, 43, 41, 52, 49} {
 		h.connTo(p)
 	}
+	if h.connTo(49) != first {
+		t.Error("connTo built a second conn for peer 49")
+	}
 	var got []topology.NodeID
-	for _, c := range h.peers {
-		got = append(got, c.peer)
+	for _, c := range h.conns {
+		if c != nil {
+			got = append(got, c.peer)
+		}
 	}
 	if want := []topology.NodeID{41, 43, 47, 49, 52}; !slices.Equal(got, want) {
 		t.Errorf("peers = %v, want %v", got, want)

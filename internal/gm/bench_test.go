@@ -1,6 +1,10 @@
 package gm
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/mcp"
+)
 
 // BenchmarkInstallTable is one table install on a host with 44 conns,
 // the peer count a churn-72 host reaches: a Lookup and a header read
@@ -11,5 +15,35 @@ func BenchmarkInstallTable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.InstallTable(tbl, 1)
+	}
+}
+
+// BenchmarkPortSendRefused is a Send on a port with no free send
+// token, the common case of an overloaded open-loop source.
+func BenchmarkPortSendRefused(b *testing.B) {
+	r := newRig(b, mcp.DefaultConfig(mcp.ITB), DefaultParams())
+	p, err := r.hosts[r.nodes.Host1].OpenPort(2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := pattern(64)
+	if err := p.Send(r.nodes.Host2, 2, payload); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = p.Send(r.nodes.Host2, 2, payload)
+	}
+}
+
+// BenchmarkSendAckCycle is one 64 B port message on the two-host rig,
+// from Send to its acknowledgement returning the send token.
+func BenchmarkSendAckCycle(b *testing.B) {
+	cycle, _ := sendAckRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }

@@ -19,15 +19,14 @@ type conn struct {
 	h    *Host
 	peer topology.NodeID
 
-	// Sender state. Sequence numbers count packets, not bytes.
-	nextSeq   uint32 // next sequence number to assign
-	ackedTo   uint32 // everything below this is acknowledged
-	inflight  []*packet.Packet
-	backlog   sim.FIFO[*packet.Packet] // waiting for window space
-	timer     sim.Event
-	submitted map[uint32]bool   // seqs handed to the MCP and not yet re-sendable
-	acked     map[uint32]func() // per-seq acknowledgement callbacks (send tokens)
-	failed    map[uint32]func() // per-seq failure callbacks (dead-peer verdict)
+	// Sender state. Sequence numbers count packets, not bytes. The
+	// window holds consecutive seqs, so a seq's entry is found by
+	// subtraction (entry).
+	nextSeq  uint32 // next sequence number to assign
+	ackedTo  uint32 // everything below this is acknowledged
+	inflight []winEntry
+	backlog  sim.FIFO[winEntry] // waiting for window space
+	timer    sim.Event
 
 	// Recovery state (Params.BackoffFactor / DeadPeerTimeouts).
 	curTimeout units.Time // current retransmit timeout (backed off)
@@ -54,27 +53,76 @@ type conn struct {
 	ackTimer    sim.Event
 }
 
-func newConn(h *Host, peer topology.NodeID) *conn {
-	return &conn{
-		h: h, peer: peer,
-		submitted: make(map[uint32]bool),
-		acked:     make(map[uint32]func()),
-		failed:    make(map[uint32]func()),
+// outcome is what a message's last fragment carries to its
+// completion: the port whose send token comes back on either outcome,
+// and the caller's callbacks. Exactly one of acked and failed runs.
+type outcome struct {
+	port              *Port
+	onAcked, onFailed func()
+}
+
+// acked returns the send token, then runs the caller's callback.
+func (o *outcome) acked() {
+	if o.port != nil {
+		o.port.sendTokens++
+	}
+	if o.onAcked != nil {
+		o.onAcked()
 	}
 }
 
+// failed returns the send token, then runs the caller's callback.
+func (o *outcome) failed() {
+	if o.port != nil {
+		o.port.sendTokens++
+	}
+	if o.onFailed != nil {
+		o.onFailed()
+	}
+}
+
+// winEntry is one packet of the send stream, in the backlog or the
+// window: the original (kept pristine for retransmission, never
+// injected itself) and its outcome (zero on all but a message's last
+// fragment).
+type winEntry struct {
+	pkt *packet.Packet
+	outcome
+	// submitted marks a transmission still in the MCP's send queue:
+	// its tail has not left the NIC, so re-sending would duplicate it.
+	submitted bool
+}
+
+func newConn(h *Host, peer topology.NodeID) *conn {
+	return &conn{h: h, peer: peer}
+}
+
+// entry returns the window entry of seq, or nil when seq is not in
+// the window.
+func (c *conn) entry(seq uint32) *winEntry {
+	if len(c.inflight) == 0 {
+		return nil
+	}
+	if i := seq - c.inflight[0].pkt.Seq; i < uint32(len(c.inflight)) {
+		return &c.inflight[i]
+	}
+	return nil
+}
+
 // enqueue assigns a sequence number and transmits when the window
-// allows. onAcked (optional) fires when this packet is acknowledged;
-// onFailed (optional) fires instead if the dead-peer verdict abandons
-// it. Enqueueing to an already-dead conn fails at once (from a fresh
-// event, so the caller's stack has unwound).
-func (c *conn) enqueue(pkt *packet.Packet, onAcked, onFailed func()) {
+// allows. o is settled when this packet is acknowledged or the
+// dead-peer verdict abandons it. Enqueueing to an already-dead conn
+// fails at once (from a fresh event, so the caller's stack has
+// unwound).
+func (c *conn) enqueue(pkt *packet.Packet, o outcome) {
 	if c.dead {
 		if pkt.LastFrag {
 			c.h.stats.MessagesFailed++
 		}
-		if onFailed != nil {
-			c.h.eng.Schedule(0, onFailed)
+		if o.port != nil || o.onFailed != nil {
+			// A copy, so that only this rare path moves it to the heap.
+			f := o
+			c.h.eng.Schedule(0, f.failed)
 		}
 		// The fragment never entered backlog or inflight; nothing else
 		// references it.
@@ -84,23 +132,17 @@ func (c *conn) enqueue(pkt *packet.Packet, onAcked, onFailed func()) {
 	pkt.Seq = c.nextSeq
 	pkt.Incarnation = c.incarnation
 	c.nextSeq++
-	if onAcked != nil {
-		c.acked[pkt.Seq] = onAcked
-	}
-	if onFailed != nil {
-		c.failed[pkt.Seq] = onFailed
-	}
-	c.backlog.Push(pkt)
+	c.backlog.Push(winEntry{pkt: pkt, outcome: o})
 	c.pump()
 }
 
 // pump moves backlog packets into the window.
 func (c *conn) pump() {
 	for c.backlog.Len() > 0 && (len(c.inflight) < c.h.par.Window || c.h.par.DisableAcks) {
-		pkt := c.backlog.Pop()
+		e := c.backlog.Pop()
 		if !c.h.par.DisableAcks {
-			c.inflight = append(c.inflight, pkt)
-			c.transmit(pkt)
+			c.inflight = append(c.inflight, e)
+			c.transmit(&c.inflight[len(c.inflight)-1])
 			continue
 		}
 		// Fire-and-forget mode: no retransmission will ever need the
@@ -108,46 +150,47 @@ func (c *conn) pump() {
 		// the original goes straight back to the pool. Keeping it
 		// (pre-fix behaviour) leaked one pool packet per send — in a
 		// long open-loop run, unbounded growth.
-		c.transmit(pkt)
-		packet.Put(pkt)
+		c.transmit(&e)
+		packet.Put(e.pkt)
 	}
 }
 
 // transmit hands one packet to the MCP. The MCP keeps its own queue,
 // so this never blocks.
-func (c *conn) transmit(pkt *packet.Packet) {
+func (c *conn) transmit(e *winEntry) {
 	c.h.stats.PacketsSent++
-	c.submitted[pkt.Seq] = true
+	rec := c.h.sentRecs.Get()
+	rec.c, rec.seq = c, e.pkt.Seq
+	if c.h.par.DisableAcks {
+		// No ack will come and the original is not kept: the tail
+		// leaving stands in for the ack, so the outcome rides on the
+		// completion record.
+		rec.outcome = e.outcome
+	} else {
+		e.submitted = true
+	}
 	// The MCP consumes the route bytes in flight, so each (re)send
 	// works on a fresh copy; the original stays pristine for
 	// retransmission. The copy comes from (and returns to) the packet
 	// pool: the receiving host's deliver path recycles it.
-	wire := pkt.ClonePooled()
-	rec := c.h.sentRecs.Get()
-	rec.c, rec.seq = c, pkt.Seq
+	wire := e.pkt.ClonePooled()
 	c.h.m.SubmitSend(wire, sent, rec)
 	c.armTimer()
 }
 
 // sent is the MCP's completion for a transmitted packet: its tail has
-// left the NIC, so the packet may be re-sent.
+// left the NIC, so the packet may be re-sent. It matches the window
+// entry by seq alone (see resurrect).
 func sent(arg any, _ units.Time) {
 	rec := arg.(*sentRec)
-	c, seq := rec.c, rec.seq
-	c.h.sentRecs.Put(rec)
-	delete(c.submitted, seq)
-	if c.h.par.DisableAcks {
-		// No ack will come; the tail leaving stands in for it.
-		c.fireAcked(seq)
+	r := *rec
+	r.c.h.sentRecs.Put(rec)
+	if r.c.h.par.DisableAcks {
+		r.acked()
+		return
 	}
-}
-
-// fireAcked runs and clears the acknowledgement callback of one seq.
-func (c *conn) fireAcked(seq uint32) {
-	delete(c.failed, seq)
-	if cb, ok := c.acked[seq]; ok {
-		delete(c.acked, seq)
-		cb()
+	if e := r.c.entry(r.seq); e != nil {
+		e.submitted = false
 	}
 }
 
@@ -201,19 +244,21 @@ func ackTimeout(arg any) {
 	// the exchange livelocks (the simulation replays the lock exactly,
 	// having no physical jitter to break it). A lone probe claims the
 	// buffer, advances the window, and the rest of the window resumes
-	// on the ack (handleAck).
-	for _, pkt := range c.inflight {
-		if c.submitted[pkt.Seq] {
-			// Still sitting in the NIC's send queue; re-sending would
-			// duplicate it.
-			break
-		}
-		c.h.stats.Retransmits++
-		c.h.emit(trace.Retransmit, pkt.ID, fmt.Sprintf("seq=%d", pkt.Seq))
-		c.transmit(pkt)
-		break
+	// on the ack (handleAck). A head still sitting in the NIC's send
+	// queue is not re-sent: that would duplicate it.
+	if e := &c.inflight[0]; !e.submitted {
+		c.retransmit(e)
 	}
 	c.armTimer()
+}
+
+// retransmit re-sends one window entry.
+func (c *conn) retransmit(e *winEntry) {
+	c.h.stats.Retransmits++
+	if c.h.tracer != nil {
+		c.h.emit(trace.Retransmit, e.pkt.ID, fmt.Sprintf("seq=%d", e.pkt.Seq))
+	}
+	c.transmit(e)
 }
 
 // declareDead issues the dead-peer verdict: every pending message is
@@ -225,39 +270,40 @@ func (c *conn) declareDead() {
 	c.dead = true
 	c.disarmTimer()
 	c.h.stats.PeersDeclaredDead++
-	c.h.emit(trace.PeerDead, 0, fmt.Sprintf("peer=%d strikes=%d", c.peer, c.strikes))
+	if c.h.tracer != nil {
+		c.h.emit(trace.PeerDead, 0, fmt.Sprintf("peer=%d strikes=%d", c.peer, c.strikes))
+	}
 	// Count abandoned messages: one per last-fragment still unacked
 	// (its ack is what would have completed the message).
-	for _, pkt := range c.inflight {
-		if pkt.LastFrag {
+	for i := range c.inflight {
+		if c.inflight[i].pkt.LastFrag {
 			c.h.stats.MessagesFailed++
 		}
 	}
 	for i := 0; i < c.backlog.Len(); i++ {
-		if c.backlog.At(i).LastFrag {
+		if c.backlog.At(i).pkt.LastFrag {
 			c.h.stats.MessagesFailed++
 		}
 	}
-	// Fire failure callbacks in ascending-seq (send) order so the
-	// outcome order is deterministic.
-	pending := len(c.failed)
-	for seq := c.ackedTo; seq < c.nextSeq && pending > 0; seq++ {
-		if cb, ok := c.failed[seq]; ok {
-			delete(c.failed, seq)
-			delete(c.acked, seq)
-			pending--
-			cb()
-		}
+	// Settle the outcomes in ascending-seq (send) order, the window
+	// before the backlog, so the outcome order is deterministic.
+	for i := range c.inflight {
+		c.inflight[i].failed()
+	}
+	for i := 0; i < c.backlog.Len(); i++ {
+		e := c.backlog.At(i)
+		e.failed()
 	}
 	// The abandoned originals have no live referent left (only their
 	// clones were ever injected): recycle them.
-	for _, pkt := range c.inflight {
-		packet.Put(pkt)
+	for i := range c.inflight {
+		packet.Put(c.inflight[i].pkt)
 	}
 	for i := 0; i < c.backlog.Len(); i++ {
-		packet.Put(c.backlog.At(i))
+		packet.Put(c.backlog.At(i).pkt)
 	}
-	c.inflight = nil
+	clear(c.inflight)
+	c.inflight = c.inflight[:0]
 	c.backlog.Clear()
 	if c.h.OnPeerDead != nil {
 		c.h.OnPeerDead(c.peer, c.h.eng.Now())
@@ -270,11 +316,11 @@ func (c *conn) declareDead() {
 // adopts it when the first sequence-zero packet arrives (handleData).
 // declareDead already drained inflight/backlog and reported every
 // pending outcome, so only the sequence state needs resetting. Note
-// the submitted map is cleared even though a wire clone of the old
-// incarnation may still sit in the NIC's send queue with a send
-// completion (sent) that deletes a (now reused) seq entry — the
-// worst case is one premature retransmission, which the receiver's
-// duplicate handling absorbs.
+// a wire clone of the old incarnation may still sit in the NIC's send
+// queue: its send completion (sent) matches the window by seq alone,
+// so it clears the submitted mark of the new stream's packet with the
+// same seq — the worst case is one premature retransmission, which
+// the receiver's duplicate handling absorbs.
 func (c *conn) resurrect(epoch uint32) {
 	c.dead = false
 	c.incarnation = epoch
@@ -282,11 +328,10 @@ func (c *conn) resurrect(epoch uint32) {
 	c.ackedTo = 0
 	c.strikes = 0
 	c.curTimeout = 0
-	clear(c.submitted)
-	clear(c.acked)
-	clear(c.failed)
 	c.h.stats.ConnsResurrected++
-	c.h.emit(trace.PeerResurrected, 0, fmt.Sprintf("peer=%d epoch=%d", c.peer, epoch))
+	if c.h.tracer != nil {
+		c.h.emit(trace.PeerResurrected, 0, fmt.Sprintf("peer=%d epoch=%d", c.peer, epoch))
+	}
 }
 
 // restampRoutes rewrites the stamped route bytes (and epoch) of every
@@ -299,11 +344,11 @@ func (c *conn) restampRoutes(hdr []byte, typ packet.Type, epoch uint32) {
 		pkt.Epoch = epoch
 		c.h.stats.PacketsRerouted++
 	}
-	for _, pkt := range c.inflight {
-		restamp(pkt)
+	for i := range c.inflight {
+		restamp(c.inflight[i].pkt)
 	}
 	for i := 0; i < c.backlog.Len(); i++ {
-		restamp(c.backlog.At(i))
+		restamp(c.backlog.At(i).pkt)
 	}
 }
 
@@ -322,7 +367,6 @@ func (c *conn) handleAck(nextExpected uint32, epoch uint32) {
 	if nextExpected <= c.ackedTo {
 		return // stale
 	}
-	old := c.ackedTo
 	c.ackedTo = nextExpected
 	// Acknowledgement progress clears the strike count and resets the
 	// backed-off timeout. Progress after a timeout means the receiver
@@ -330,32 +374,33 @@ func (c *conn) handleAck(nextExpected uint32, epoch uint32) {
 	recovering := c.strikes > 0
 	c.strikes = 0
 	c.curTimeout = c.h.par.AckTimeout
-	keep := c.inflight[:0]
-	for _, pkt := range c.inflight {
-		if pkt.Seq >= nextExpected {
-			keep = append(keep, pkt)
-		} else {
-			// Acknowledged: the original (never injected itself — every
-			// transmission was a clone) has no other referent left.
-			packet.Put(pkt)
-		}
+	// Trim the acknowledged prefix of the window, then settle its
+	// outcomes in ascending seq.
+	settle := c.h.settle
+	c.h.settle = nil // a nested handleAck from a callback gets its own
+	k := 0
+	for ; k < len(c.inflight) && c.inflight[k].pkt.Seq < nextExpected; k++ {
+		settle = append(settle, c.inflight[k].outcome)
+		// Acknowledged: the original (never injected itself — every
+		// transmission was a clone) has no other referent left.
+		packet.Put(c.inflight[k].pkt)
 	}
-	c.inflight = keep
-	clear(c.inflight[len(c.inflight):cap(c.inflight)])
-	for seq := old; seq < nextExpected; seq++ {
-		c.fireAcked(seq)
+	n := copy(c.inflight, c.inflight[k:])
+	clear(c.inflight[n:])
+	c.inflight = c.inflight[:n]
+	for i := range settle {
+		settle[i].acked()
 	}
+	clear(settle)
+	c.h.settle = settle[:0]
 	c.disarmTimer()
 	if recovering {
 		// Go-back-N resume: re-stream the unacknowledged remainder of
 		// the window from the position the receiver just confirmed.
-		for _, pkt := range c.inflight {
-			if c.submitted[pkt.Seq] {
-				continue
+		for i := range c.inflight {
+			if e := &c.inflight[i]; !e.submitted {
+				c.retransmit(e)
 			}
-			c.h.stats.Retransmits++
-			c.h.emit(trace.Retransmit, pkt.ID, fmt.Sprintf("seq=%d", pkt.Seq))
-			c.transmit(pkt)
 		}
 	}
 	if len(c.inflight) > 0 {

@@ -246,8 +246,8 @@ func TestInstallTableRestampsPendingRoutes(t *testing.T) {
 		t.Fatalf("inflight = %d, want 1", len(c.inflight))
 	}
 	h1.InstallTable(r.tbl, 5)
-	if c.inflight[0].Epoch != 5 {
-		t.Errorf("inflight packet epoch = %d after install, want 5", c.inflight[0].Epoch)
+	if c.inflight[0].pkt.Epoch != 5 {
+		t.Errorf("inflight packet epoch = %d after install, want 5", c.inflight[0].pkt.Epoch)
 	}
 	if got := h1.Stats().PacketsRerouted; got == 0 {
 		t.Error("PacketsRerouted = 0 after install with pending traffic")

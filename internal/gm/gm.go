@@ -6,9 +6,7 @@
 package gm
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/mcp"
 	"repro/internal/metrics"
@@ -114,11 +112,9 @@ type Host struct {
 	par  Params
 	tbl  *routing.Table
 
-	conns map[topology.NodeID]*conn
-	// peers lists the conns in ascending peer order, the order
-	// InstallTable reconciles them in. Conns are never deleted, so
-	// connTo keeps it sorted by inserting each new conn in place.
-	peers []*conn
+	// conns is indexed by peer NodeID (nil where no conn exists yet)
+	// and grown on first use; conns are never deleted.
+	conns []*conn
 	ports map[uint8]*Port
 	msgID uint32
 	// epoch is the version of the installed route table (0 until the
@@ -151,16 +147,18 @@ type Host struct {
 	sentRecs sim.FreeList[sentRec]
 	sendOps  sim.FreeList[sendOp]
 	recvOps  sim.FreeList[recvOp]
+	// settle is handleAck's reusable batch of outcomes to settle.
+	settle []outcome
 }
 
 // sendOp is one gm_send call waiting out the host send overhead.
 type sendOp struct {
-	c                 *conn
-	payload, route    []byte
-	typ               packet.Type
-	srcPort, dstPort  uint8
-	id                uint32
-	onAcked, onFailed func()
+	c                *conn
+	payload, route   []byte
+	typ              packet.Type
+	srcPort, dstPort uint8
+	id               uint32
+	o                outcome
 }
 
 // recvOp is one reassembled message waiting out the host receive
@@ -172,10 +170,13 @@ type recvOp struct {
 }
 
 // sentRec names one transmitted packet: the conn and sequence number
-// whose send-buffer state its tail leaving the NIC settles.
+// whose send-buffer state its tail leaving the NIC settles. With acks
+// disabled it also carries the packet's outcome, which the tail
+// leaving settles.
 type sentRec struct {
 	c   *conn
 	seq uint32
+	outcome
 }
 
 // SetTracer attaches an event recorder (nil to detach).
@@ -198,12 +199,11 @@ func NewHost(eng *sim.Engine, m *mcp.MCP, tbl *routing.Table, par Params) *Host 
 		panic("gm: non-positive window")
 	}
 	h := &Host{
-		eng:   eng,
-		m:     m,
-		node:  m.Host(),
-		par:   par,
-		tbl:   tbl,
-		conns: make(map[topology.NodeID]*conn),
+		eng:  eng,
+		m:    m,
+		node: m.Host(),
+		par:  par,
+		tbl:  tbl,
 	}
 	m.OnDeliver = h.deliver
 	return h
@@ -254,7 +254,10 @@ func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 	if epoch > h.epoch {
 		h.epoch = epoch
 	}
-	for _, c := range h.peers {
+	for _, c := range h.conns {
+		if c == nil {
+			continue
+		}
 		r, ok := tbl.Lookup(h.node, c.peer)
 		switch {
 		case !ok:
@@ -275,6 +278,9 @@ func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 
 // PeerDead reports whether the dead-peer verdict was issued for dst.
 func (h *Host) PeerDead(dst topology.NodeID) bool {
+	if uint(dst) >= uint(len(h.conns)) {
+		return false
+	}
 	c := h.conns[dst]
 	return c != nil && c.dead
 }
@@ -350,28 +356,27 @@ func (h *Host) SendTracked(dst topology.NodeID, payload []byte, onAcked, onFaile
 	if err != nil {
 		return err
 	}
-	h.sendPort(dst, payload, hdr, packetTypeFor(r), 0, 0, onAcked, onFailed)
+	h.sendPort(dst, payload, hdr, packetTypeFor(r), 0, 0, outcome{onAcked: onAcked, onFailed: onFailed})
 	return nil
 }
 
 // SendVia transmits payload to dst over an explicit wire route (used
 // by the evaluation harness to pin the exact paths of Figures 7/8).
 func (h *Host) SendVia(dst topology.NodeID, payload []byte, route []byte, typ packet.Type) {
-	h.sendPort(dst, payload, append([]byte(nil), route...), typ, 0, 0, nil, nil)
+	h.sendPort(dst, payload, append([]byte(nil), route...), typ, 0, 0, outcome{})
 }
 
-// sendPort segments and enqueues one message; onAcked (optional)
-// fires when GM has acknowledged the whole message (or when its tail
-// leaves the NIC, with acks disabled); onFailed (optional) fires
-// instead if the message is abandoned by the dead-peer verdict.
-func (h *Host) sendPort(dst topology.NodeID, payload []byte, route []byte, typ packet.Type, srcPort, dstPort uint8, onAcked, onFailed func()) {
+// sendPort segments and enqueues one message; o is settled as acked
+// when GM has acknowledged the whole message (or when its tail leaves
+// the NIC, with acks disabled), or as failed if the message is
+// abandoned by the dead-peer verdict.
+func (h *Host) sendPort(dst topology.NodeID, payload []byte, route []byte, typ packet.Type, srcPort, dstPort uint8, o outcome) {
 	h.msgID++
 	h.stats.MessagesSent++
 	op := h.sendOps.Get()
 	*op = sendOp{
 		c: h.connTo(dst), payload: payload, route: route, typ: typ,
-		srcPort: srcPort, dstPort: dstPort, id: h.msgID,
-		onAcked: onAcked, onFailed: onFailed,
+		srcPort: srcPort, dstPort: dstPort, id: h.msgID, o: o,
 	}
 	// The user-level send overhead is paid once per gm_send call.
 	h.eng.ScheduleArg(h.par.HostSendOverhead, segment, op)
@@ -406,23 +411,22 @@ func segment(arg any) {
 		if h.GossipStamp != nil {
 			pkt.Gossip = h.GossipStamp()
 		}
-		var ackCb, failCb func()
+		var o outcome
 		if pkt.LastFrag {
-			ackCb, failCb = op.onAcked, op.onFailed
+			o = op.o
 		}
-		op.c.enqueue(pkt, ackCb, failCb)
+		op.c.enqueue(pkt, o)
 	}
 }
 
 func (h *Host) connTo(peer topology.NodeID) *conn {
+	if n := int(peer) + 1; n > len(h.conns) {
+		h.conns = append(h.conns, make([]*conn, n-len(h.conns))...)
+	}
 	c := h.conns[peer]
 	if c == nil {
 		c = newConn(h, peer)
 		h.conns[peer] = c
-		i, _ := slices.BinarySearchFunc(h.peers, peer, func(c *conn, p topology.NodeID) int {
-			return cmp.Compare(c.peer, p)
-		})
-		h.peers = slices.Insert(h.peers, i, c)
 	}
 	return c
 }

@@ -21,7 +21,7 @@ type rig struct {
 	tbl   *routing.Table
 }
 
-func newRig(t *testing.T, mcpCfg mcp.Config, gmPar Params) *rig {
+func newRig(t testing.TB, mcpCfg mcp.Config, gmPar Params) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	topo, nodes := topology.Testbed()

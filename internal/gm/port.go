@@ -1,11 +1,19 @@
 package gm
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
+
+// ErrNoSendTokens is Port.Send's refusal when every send token is
+// spent: the caller must pace itself, as GM programs do. It is a
+// sentinel (test it with errors.Is) so that a refused send, the common
+// case of an overloaded open-loop source, costs no formatting.
+var ErrNoSendTokens = errors.New("gm: no free send tokens")
 
 // Port is GM's user-level communication endpoint. Real GM programs
 // open numbered ports, provide receive buffers (tokens) before
@@ -20,7 +28,7 @@ type Port struct {
 	id   uint8
 
 	recvTokens int
-	queued     []portMsg
+	queued     sim.FIFO[portMsg]
 
 	sendTokens int
 
@@ -66,7 +74,7 @@ func (p *Port) ID() uint8 { return p.id }
 func (p *Port) FreeSendTokens() int { return p.sendTokens }
 
 // QueuedMessages returns messages waiting for receive tokens.
-func (p *Port) QueuedMessages() int { return len(p.queued) }
+func (p *Port) QueuedMessages() int { return p.queued.Len() }
 
 // ProvideReceiveTokens adds n receive buffers, draining any queued
 // messages into OnReceive.
@@ -79,9 +87,8 @@ func (p *Port) ProvideReceiveTokens(n int) {
 }
 
 func (p *Port) drain() {
-	for p.recvTokens > 0 && len(p.queued) > 0 {
-		m := p.queued[0]
-		p.queued = p.queued[1:]
+	for p.recvTokens > 0 && p.queued.Len() > 0 {
+		m := p.queued.Pop()
 		p.recvTokens--
 		if p.OnReceive != nil {
 			p.OnReceive(m.src, m.srcPort, m.payload, p.host.eng.Now())
@@ -92,11 +99,11 @@ func (p *Port) drain() {
 // Send transmits payload to a port on another host, consuming one
 // send token. The token returns when GM has acknowledged the whole
 // message (or immediately after the tail leaves, with acks disabled).
-// It fails when no token is free — the caller must pace itself, as GM
-// programs do.
+// It fails with ErrNoSendTokens, and no other effect, when no token is
+// free.
 func (p *Port) Send(dst topology.NodeID, dstPort uint8, payload []byte) error {
 	if p.sendTokens == 0 {
-		return fmt.Errorf("gm: port %d of host %d has no free send tokens", p.id, p.host.node)
+		return ErrNoSendTokens
 	}
 	h := p.host
 	if h.tbl == nil {
@@ -117,12 +124,9 @@ func (p *Port) Send(dst topology.NodeID, dstPort uint8, payload []byte) error {
 	p.sendTokens--
 	// The send token comes back on either outcome: acknowledgement or
 	// dead-peer failure — otherwise a failed peer would strand the
-	// port's tokens forever.
-	h.sendPort(dst, payload, hdr, typ, p.id, dstPort, func() {
-		p.sendTokens++
-	}, func() {
-		p.sendTokens++
-	})
+	// port's tokens forever. The message's last fragment carries the
+	// port to that outcome.
+	h.sendPort(dst, payload, hdr, typ, p.id, dstPort, outcome{port: p})
 	return nil
 }
 
@@ -133,7 +137,7 @@ func (h *Host) deliverToPort(src topology.NodeID, srcPort, dstPort uint8, payloa
 	if p == nil {
 		return false
 	}
-	p.queued = append(p.queued, portMsg{src: src, srcPort: srcPort, payload: payload, at: t})
+	p.queued.Push(portMsg{src: src, srcPort: srcPort, payload: payload, at: t})
 	p.drain()
 	return true
 }

@@ -543,7 +543,9 @@ func (g *Gossip) confirmGlob(victim int) {
 	}
 	g.stats.HostsConfirmed++
 	g.stats.Detection.Add(float64(g.eng.Now() - trigger))
-	g.emit(trace.HostConfirmed, g.hosts[victim].Node(), fmt.Sprintf("after=%v", g.eng.Now()-trigger))
+	if g.tracer != nil {
+		g.emit(trace.HostConfirmed, g.hosts[victim].Node(), fmt.Sprintf("after=%v", g.eng.Now()-trigger))
+	}
 	ep := &episode{victim: victim, trigger: trigger, need: make([]bool, len(g.agents))}
 	for i := range g.agents {
 		// Agents that already hold the victim dead installed (or have
@@ -825,7 +827,9 @@ func (a *agent) installTable() {
 	g.epoch++
 	epoch := g.epoch
 	g.stats.EpochsPublished++
-	g.emit(trace.EpochPublish, a.node, fmt.Sprintf("epoch=%d gossip dead=%d", epoch, len(dead)))
+	if g.tracer != nil {
+		g.emit(trace.EpochPublish, a.node, fmt.Sprintf("epoch=%d gossip dead=%d", epoch, len(dead)))
+	}
 	host := a.host
 	g.eng.Schedule(g.cfg.InstallDelay, func() {
 		if host.Epoch() > epoch {
@@ -833,7 +837,9 @@ func (a *agent) installTable() {
 		}
 		host.InstallTable(tbl, epoch)
 		host.MCP().SetEpoch(epoch)
-		g.emit(trace.EpochInstall, host.Node(), fmt.Sprintf("epoch=%d", epoch))
+		if g.tracer != nil {
+			g.emit(trace.EpochInstall, host.Node(), fmt.Sprintf("epoch=%d", epoch))
+		}
 		g.noteInstall(a.idx, dead)
 	})
 }
@@ -1010,7 +1016,9 @@ func (a *agent) applyEntry(e packet.GossipEntry, now units.Time) {
 		if e.State != packet.GossipAlive && e.Incarnation >= a.inc {
 			a.inc = e.Incarnation + 1
 			g.stats.Refutations++
-			g.emit(trace.Heartbeat, a.node, fmt.Sprintf("refute inc=%d", a.inc))
+			if g.tracer != nil {
+				g.emit(trace.Heartbeat, a.node, fmt.Sprintf("refute inc=%d", a.inc))
+			}
 			if a.isolatedView() {
 				// The cluster held US dead while we hold a quorum of
 				// the cluster dead: we were the partitioned one, and

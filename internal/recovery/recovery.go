@@ -631,7 +631,9 @@ func (m *Manager) miss(hs *hostState, verify bool) {
 	if hs.state == Alive && hs.misses >= m.cfg.SuspectAfter {
 		hs.state = Suspected
 		m.stats.HostsSuspected++
-		m.emit(trace.HostSuspected, hs.node, fmt.Sprintf("misses=%d", hs.misses))
+		if m.tracer != nil {
+			m.emit(trace.HostSuspected, hs.node, fmt.Sprintf("misses=%d", hs.misses))
+		}
 	}
 	if hs.state == Suspected && hs.misses >= m.cfg.ConfirmAfter && !hs.verifying {
 		m.verifyOrConfirm(hs)
@@ -688,7 +690,9 @@ func (m *Manager) confirm(hs *hostState) {
 	hs.state = Confirmed
 	m.stats.HostsConfirmed++
 	m.stats.Detection.Add(float64(m.eng.Now() - hs.firstMissAt))
-	m.emit(trace.HostConfirmed, hs.node, fmt.Sprintf("after=%v", m.eng.Now()-hs.firstMissAt))
+	if m.tracer != nil {
+		m.emit(trace.HostConfirmed, hs.node, fmt.Sprintf("after=%v", m.eng.Now()-hs.firstMissAt))
+	}
 	m.publish(hs.firstMissAt, "confirm")
 }
 
@@ -723,7 +727,9 @@ func (m *Manager) suspectLinks(hs *hostState) {
 	}
 	hs.state = Alive
 	hs.misses, hs.firstMissAt = 0, 0
-	m.emit(trace.HostRestored, hs.node, fmt.Sprintf("link-fault links=%d", added))
+	if m.tracer != nil {
+		m.emit(trace.HostRestored, hs.node, fmt.Sprintf("link-fault links=%d", added))
+	}
 	m.refreshProbeRoutes()
 	if added > 0 {
 		m.publish(trigger, "link-suspect")
@@ -772,7 +778,9 @@ func (m *Manager) publish(trigger units.Time, why string) {
 	m.table = tbl
 	m.stats.RoutesReused += uint64(reused)
 	m.stats.EpochsPublished++
-	m.emit(trace.EpochPublish, m.monNode(), fmt.Sprintf("epoch=%d %s reused=%d", epoch, why, reused))
+	if m.tracer != nil {
+		m.emit(trace.EpochPublish, m.monNode(), fmt.Sprintf("epoch=%d %s reused=%d", epoch, why, reused))
+	}
 	if trigger == 0 {
 		trigger = m.eng.Now()
 	}
@@ -798,7 +806,9 @@ func (m *Manager) publish(trigger units.Time, why string) {
 			}
 			h.InstallTable(tbl, epoch)
 			h.MCP().SetEpoch(epoch)
-			m.emit(trace.EpochInstall, h.Node(), fmt.Sprintf("epoch=%d", epoch))
+			if m.tracer != nil {
+				m.emit(trace.EpochInstall, h.Node(), fmt.Sprintf("epoch=%d", epoch))
+			}
 			if last {
 				m.stats.Convergence.Add(float64(m.eng.Now() - trigger))
 			}

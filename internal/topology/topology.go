@@ -143,7 +143,8 @@ type Topology struct {
 	nodes []Node
 	links []Link
 	// byPort[node][port] is the link plugged into that port, or nil.
-	byPort map[NodeID][]*Link
+	// Node ids are dense, so it is indexed like nodes.
+	byPort [][]*Link
 	// switchNbrs caches, per node, its switch neighbours over
 	// non-loopback links sorted by (far node, link id) — the traversal
 	// order of the routing searches, which walk these lists once per
@@ -154,7 +155,7 @@ type Topology struct {
 // New returns an empty topology to be populated with AddSwitch,
 // AddHost and Connect.
 func New() *Topology {
-	return &Topology{byPort: make(map[NodeID][]*Link)}
+	return &Topology{}
 }
 
 // AddSwitch adds a switch with the given port count and returns its id.
@@ -164,7 +165,7 @@ func (t *Topology) AddSwitch(ports int, name string) NodeID {
 	}
 	id := NodeID(len(t.nodes))
 	t.nodes = append(t.nodes, Node{ID: id, Kind: KindSwitch, Ports: ports, Name: name})
-	t.byPort[id] = make([]*Link, ports)
+	t.byPort = append(t.byPort, make([]*Link, ports))
 	t.switchNbrs = nil
 	return id
 }
@@ -173,7 +174,7 @@ func (t *Topology) AddSwitch(ports int, name string) NodeID {
 func (t *Topology) AddHost(name string) NodeID {
 	id := NodeID(len(t.nodes))
 	t.nodes = append(t.nodes, Node{ID: id, Kind: KindHost, Ports: 1, Name: name})
-	t.byPort[id] = make([]*Link, 1)
+	t.byPort = append(t.byPort, make([]*Link, 1))
 	t.switchNbrs = nil
 	return id
 }
