@@ -14,8 +14,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/routing"
-	"repro/internal/traffic"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -23,7 +23,7 @@ func main() {
 	fmt.Println()
 	for _, alg := range []routing.Algorithm{routing.UpDownRouting, routing.ITBRouting} {
 		cfg := core.DefaultSweepConfig(alg, 16, 11)
-		cfg.Pattern = traffic.HotSpot
+		cfg.Pattern = workload.HotSpot
 		cfg.HotFraction = 0.3
 		cfg.Loads = []float64{0.6}
 		cfg.Window = 500 * units.Microsecond

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/gm"
 	"repro/internal/mcp"
 	"repro/internal/routing"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // BufPoolConfig drives the buffer-pool experiment: the paper's
@@ -64,6 +65,9 @@ type BufPoolResult struct {
 // that the 8 MB of NIC memory makes flushes "very unusual".
 func RunBufPool(cfg BufPoolConfig) (BufPoolResult, error) {
 	var res BufPoolResult
+	if err := workload.CheckLoad(cfg.Load); err != nil {
+		return res, fmt.Errorf("core: buffer-pool study: %w", err)
+	}
 	for _, size := range cfg.PoolSizes {
 		p, err := runBufPoolPoint(cfg, size)
 		if err != nil {
@@ -87,38 +91,25 @@ func runBufPoolPoint(cfg BufPoolConfig, poolSize int) (BufPoolPoint, error) {
 	if err != nil {
 		return BufPoolPoint{}, err
 	}
-	gen, err := traffic.NewGenerator(topo, traffic.Config{
-		Pattern:     traffic.HotSpot,
-		HotFraction: cfg.HotFraction,
-		MessageSize: cfg.MessageSize,
-		Seed:        cfg.Seed + 1,
+	point := BufPoolPoint{PoolSize: poolSize}
+	hosts := topo.Hosts()
+	for _, h := range hosts {
+		cl.Host(h).OnMessage = func(topology.NodeID, []byte, units.Time) { point.Delivered++ }
+	}
+	src := poissonSource{pattern: workload.HotSpot, hotFraction: cfg.HotFraction, load: cfg.Load,
+		msgBytes: cfg.MessageSize, seed: cfg.Seed + 1, until: cfg.Window}
+	err = src.start(cl, hosts, func(host *gm.Host, dst topology.NodeID) {
+		point.Sent++
+		if err := host.Send(dst, make([]byte, cfg.MessageSize)); err != nil {
+			panic(err)
+		}
 	})
 	if err != nil {
 		return BufPoolPoint{}, err
 	}
-	mean := traffic.MeanInterarrival(cfg.Load, cfg.MessageSize, cl.Net.Params().LinkBandwidth)
-	point := BufPoolPoint{PoolSize: poolSize}
-	for _, h := range topo.Hosts() {
-		host := cl.Host(h)
-		hid := h
-		host.OnMessage = func(topology.NodeID, []byte, units.Time) { point.Delivered++ }
-		var tick func()
-		tick = func() {
-			if cl.Eng.Now() >= cfg.Window {
-				return
-			}
-			msg := gen.NextFrom(hid)
-			point.Sent++
-			if err := host.Send(msg.Dst, make([]byte, msg.Size)); err != nil {
-				panic(err)
-			}
-			cl.Eng.Schedule(gen.ExpInterarrival(mean), tick)
-		}
-		cl.Eng.Schedule(gen.ExpInterarrival(mean), tick)
-	}
 	// Let retransmissions drain after injection stops.
 	cl.Eng.RunUntil(cfg.Window * 4)
-	for _, h := range topo.Hosts() {
+	for _, h := range hosts {
 		host := cl.Host(h)
 		point.Retransmits += host.Stats().Retransmits
 		point.PoolDrops += host.MCP().Stats().PoolDrops

@@ -3,11 +3,12 @@ package core
 import (
 	"testing"
 
+	"repro/internal/gm"
 	"repro/internal/mcp"
 	"repro/internal/routing"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // TestFaithfulTwoBufferITBWedgesUnderLoad reproduces *why* section 4
@@ -41,30 +42,20 @@ func TestFaithfulTwoBufferITBWedgesUnderLoad(t *testing.T) {
 		if err := cl.CheckDeadlockFree(); err != nil {
 			t.Fatal(err)
 		}
-		gen, err := traffic.NewGenerator(topo, traffic.Config{
-			Pattern: traffic.Uniform, MessageSize: 512, Seed: 6,
+		delivered := 0
+		hosts := topo.Hosts()
+		for _, h := range hosts {
+			cl.Host(h).OnMessage = func(topology.NodeID, []byte, units.Time) { delivered++ }
+		}
+		src := poissonSource{pattern: workload.Uniform, load: 0.5, msgBytes: 512, seed: 6,
+			until: 400 * units.Microsecond}
+		err = src.start(cl, hosts, func(host *gm.Host, dst topology.NodeID) {
+			if err := host.Send(dst, make([]byte, 512)); err != nil {
+				panic(err)
+			}
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		mean := traffic.MeanInterarrival(0.5, 512, cl.Net.Params().LinkBandwidth)
-		delivered := 0
-		for _, h := range topo.Hosts() {
-			host := cl.Host(h)
-			hid := h
-			host.OnMessage = func(topology.NodeID, []byte, units.Time) { delivered++ }
-			var tick func()
-			tick = func() {
-				if cl.Eng.Now() >= 400*units.Microsecond {
-					return
-				}
-				msg := gen.NextFrom(hid)
-				if err := host.Send(msg.Dst, make([]byte, msg.Size)); err != nil {
-					panic(err)
-				}
-				cl.Eng.Schedule(gen.ExpInterarrival(mean), tick)
-			}
-			cl.Eng.Schedule(gen.ExpInterarrival(mean), tick)
 		}
 		cl.Eng.RunUntil(5 * units.Millisecond)
 		return len(cl.DetectStuck()) > 0, delivered

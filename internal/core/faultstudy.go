@@ -14,8 +14,8 @@ import (
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // FaultStudyConfig drives a fault-injection study: the same cluster
@@ -171,8 +171,11 @@ func RunFaultStudy(cfg FaultStudyConfig) (FaultReport, error) {
 	if cfg.MessageSize < 16 {
 		return FaultReport{}, fmt.Errorf("core: fault study needs a message size of at least 16 bytes")
 	}
-	if cfg.Horizon <= 0 || cfg.Load <= 0 {
-		return FaultReport{}, fmt.Errorf("core: fault study needs a positive horizon and load")
+	if cfg.Horizon <= 0 {
+		return FaultReport{}, fmt.Errorf("core: fault study needs a positive horizon")
+	}
+	if err := workload.CheckLoad(cfg.Load); err != nil {
+		return FaultReport{}, fmt.Errorf("core: fault study: %w", err)
 	}
 	rep := FaultReport{Algorithm: cfg.Algorithm, Switches: cfg.Switches}
 	topo, err := topology.Generate(topology.DefaultGenConfig(cfg.Switches, cfg.Seed))
@@ -311,16 +314,6 @@ func runFaultCampaign(cfg FaultStudyConfig, spec faultSpec) (campaignOutcome, er
 		}
 	}
 
-	gen, err := traffic.NewGenerator(topo, traffic.Config{
-		Pattern:     traffic.Uniform,
-		MessageSize: cfg.MessageSize,
-		Seed:        cfg.Seed + 1,
-	})
-	if err != nil {
-		return campaignOutcome{}, err
-	}
-	mean := traffic.MeanInterarrival(cfg.Load, cfg.MessageSize, cl.Net.Params().LinkBandwidth)
-
 	// Per-message accounting: the payload carries the send time and a
 	// global message id; the receiver marks delivery, the sender's
 	// tracked callbacks mark the outcome.
@@ -328,10 +321,9 @@ func runFaultCampaign(cfg FaultStudyConfig, spec faultSpec) (campaignOutcome, er
 	var msgID uint64
 	delivered := make(map[uint64]int)
 	failed := make(map[uint64]bool)
-	for _, h := range topo.Hosts() {
-		host := cl.Host(h)
-		hid := h
-		host.OnMessage = func(_ topology.NodeID, payload []byte, t units.Time) {
+	hosts := topo.Hosts()
+	for _, h := range hosts {
+		cl.Host(h).OnMessage = func(_ topology.NodeID, payload []byte, t units.Time) {
 			if len(payload) < 16 {
 				return
 			}
@@ -343,25 +335,23 @@ func runFaultCampaign(cfg FaultStudyConfig, spec faultSpec) (campaignOutcome, er
 			}
 			lat.Add(float64(t - decodeStamp(payload)))
 		}
-		var tick func()
-		tick = func() {
-			if cl.Eng.Now() >= cfg.Horizon {
-				return
-			}
-			msg := gen.NextFrom(hid)
-			payload := make([]byte, msg.Size)
-			encodeStamp(payload, cl.Eng.Now())
-			id := msgID
-			msgID++
-			encodeID(payload, id)
-			out.Sent++
-			if err := host.SendTracked(msg.Dst, payload, nil, func() { failed[id] = true }); err != nil {
-				// Rejected up-front: dead peer or no surviving route.
-				failed[id] = true
-			}
-			cl.Eng.Schedule(gen.ExpInterarrival(mean), tick)
+	}
+	src := poissonSource{pattern: workload.Uniform, load: cfg.Load,
+		msgBytes: cfg.MessageSize, seed: cfg.Seed + 1, until: cfg.Horizon}
+	err = src.start(cl, hosts, func(host *gm.Host, dst topology.NodeID) {
+		payload := make([]byte, cfg.MessageSize)
+		encodeStamp(payload, cl.Eng.Now())
+		id := msgID
+		msgID++
+		encodeID(payload, id)
+		out.Sent++
+		if err := host.SendTracked(dst, payload, nil, func() { failed[id] = true }); err != nil {
+			// Rejected up-front: dead peer or no surviving route.
+			failed[id] = true
 		}
-		cl.Eng.Schedule(gen.ExpInterarrival(mean), tick)
+	})
+	if err != nil {
+		return campaignOutcome{}, err
 	}
 	// Drain fully: the dead-peer verdict guarantees termination even
 	// under permanent faults.
@@ -374,7 +364,7 @@ func runFaultCampaign(cfg FaultStudyConfig, spec faultSpec) (campaignOutcome, er
 	}
 	out.Delivered = uint64(len(delivered))
 	out.Failed = uint64(len(failed))
-	for _, h := range topo.Hosts() {
+	for _, h := range hosts {
 		s := cl.Host(h).Stats()
 		out.Retransmits += s.Retransmits
 		out.PeersDead += s.PeersDeclaredDead

@@ -15,7 +15,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -127,6 +126,24 @@ func parseLoadPreset(preset string, seed int64) (*topology.Topology, error) {
 	return engineStudyTopology(preset[:i], hosts, seed)
 }
 
+// presetTexts builds and serializes each preset once; every cell
+// deserializes its private copy (topologies are not goroutine-safe).
+func presetTexts(presets []string, seed int64) (map[string][]byte, error) {
+	texts := make(map[string][]byte, len(presets))
+	for _, preset := range presets {
+		topo, err := parseLoadPreset(preset, seed)
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		if err := topology.Write(&buf, topo); err != nil {
+			return nil, err
+		}
+		texts[preset] = buf.Bytes()
+	}
+	return texts, nil
+}
+
 // loadCellSpec is one runner work item.
 type loadCellSpec struct {
 	preset   string
@@ -180,19 +197,9 @@ func RunLoadStudy(cfg LoadStudyConfig) (LoadStudyResult, error) {
 	res.SizesName = mix.Name()
 	res.SizesMean = mix.MeanBytes()
 
-	// Serialize each preset once; every cell deserializes its private
-	// copy (topologies are not goroutine-safe).
-	topoTexts := make(map[string][]byte, len(cfg.Presets))
-	for _, preset := range cfg.Presets {
-		topo, err := parseLoadPreset(preset, cfg.Seed)
-		if err != nil {
-			return res, err
-		}
-		var buf bytes.Buffer
-		if err := topology.Write(&buf, topo); err != nil {
-			return res, err
-		}
-		topoTexts[preset] = buf.Bytes()
+	topoTexts, err := presetTexts(cfg.Presets, cfg.Seed)
+	if err != nil {
+		return res, err
 	}
 	var specs []loadCellSpec
 	for _, preset := range cfg.Presets {
@@ -222,16 +229,17 @@ func RunLoadStudy(cfg LoadStudyConfig) (LoadStudyResult, error) {
 	return res, nil
 }
 
-// loadCluster builds the cell's cluster under the named engine.
-// Open-loop cells measure the raw network (acks off, like the
-// throughput sweep); the closed-loop drivers need GM reliability so a
-// collective token or RPC reply cannot be silently lost. Both get the
-// paper's proposed buffer pool — loaded ITB networks wedge without it
-// (section 4), and all engines get the same pool for fairness.
-func loadCluster(topo *topology.Topology, engineName string, acks bool, obs runObs) (*Cluster, error) {
-	eng, _ := routing.EngineByName(engineName)
+// loadCluster builds a cell's cluster under eng, with lanes virtual
+// lanes per link (0 takes the engine's own count). Open-loop cells
+// measure the raw network (acks off, like the throughput sweep); the
+// closed-loop drivers need GM reliability so a collective token or
+// RPC reply cannot be silently lost. Both get the paper's proposed
+// buffer pool — loaded ITB networks wedge without it (section 4), and
+// all engines get the same pool for fairness.
+func loadCluster(topo *topology.Topology, eng routing.Engine, lanes int, acks bool, obs runObs) (*Cluster, error) {
 	ccfg := DefaultConfig(topo, routing.ITBRouting, mcp.ITB)
 	ccfg.Engine = eng
+	ccfg.Fabric.Lanes = lanes
 	ccfg.GM.DisableAcks = !acks
 	ccfg.MCP.BufferPool = true
 	ccfg.MCP.RecvBuffers = 64
@@ -245,63 +253,56 @@ func runLoadCell(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec) (loa
 	if err != nil {
 		return loadCellOut{}, err
 	}
+	eng, _ := routing.EngineByName(s.engine) // RunLoadStudy validated the name
 	switch s.pattern {
 	case "allreduce":
-		return runLoadCollective(cfg, mix, s, topo)
+		return runLoadCollective(cfg, mix, s, topo, eng)
 	case "rpc":
-		return runLoadRPC(cfg, s, topo)
+		return runLoadRPC(cfg, s, topo, eng)
 	default:
-		return runLoadPlan(cfg, mix, s, topo)
+		return runLoadPlan(cfg, mix, s, topo, eng)
 	}
 }
 
-// fctRow fills the percentile columns from the sample summary.
-func fctRow(row *LoadRow, lat *stats.Summary) {
+// fctPercentiles returns the p50, p99 and p999 flow-completion times
+// (zero without samples).
+func fctPercentiles(lat *stats.Summary) (p50, p99, p999 units.Time) {
 	if lat.N() == 0 {
-		return
+		return 0, 0, 0
 	}
-	row.P50 = units.Time(lat.Percentile(50))
-	row.P99 = units.Time(lat.Percentile(99))
-	row.P999 = units.Time(lat.Percentile(99.9))
+	return units.Time(lat.Percentile(50)), units.Time(lat.Percentile(99)), units.Time(lat.Percentile(99.9))
 }
 
-// runLoadPlan executes one open-loop cell: compile the flow schedule,
-// inject every flow at its absolute start time regardless of what
-// came before, and measure completion against the injection stamps.
-func runLoadPlan(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo *topology.Topology) (loadCellOut, error) {
-	obs := newRunObs(cfg.Metrics != nil, false)
-	cl, err := loadCluster(topo, s.engine, false, obs)
+// openLoopCell is what one open-loop run measures: the flows started
+// inside the window, those of them that completed, their goodput per
+// active sender as a fraction of link bandwidth, and their completion
+// times.
+type openLoopCell struct {
+	sent, done uint64
+	delivered  float64
+	fct        *stats.Summary
+}
+
+// runOpenLoop compiles plan over the window and runs it on the built
+// cluster: every flow is injected at its absolute start time
+// regardless of what came before, and completion is measured against
+// the injection stamps. The plan's horizon and link bandwidth are set
+// here, from the window and the cluster.
+func runOpenLoop(cl *Cluster, plan workload.PlanConfig, warmup, window units.Time) (openLoopCell, error) {
+	endAt := warmup + window
+	plan.Horizon = endAt
+	plan.LinkBandwidth = cl.Net.Params().LinkBandwidth
+	flows, err := workload.Plan(cl.Topo, plan)
 	if err != nil {
-		return loadCellOut{}, err
+		return openLoopCell{}, err
 	}
-	scenario, err := workload.ScenarioByName(s.pattern)
-	if err != nil {
-		return loadCellOut{}, err
-	}
-	endAt := cfg.Warmup + cfg.Window
-	flows, err := workload.Plan(topo, workload.PlanConfig{
-		Scenario:      scenario,
-		Load:          s.load,
-		Arrival:       cfg.Arrival,
-		Sizes:         mix,
-		Seed:          cfg.Seed + 1,
-		Horizon:       endAt,
-		LinkBandwidth: cl.Net.Params().LinkBandwidth,
-		Fanin:         cfg.Fanin,
-	})
-	if err != nil {
-		return loadCellOut{}, err
-	}
-	row := LoadRow{Preset: s.preset, Pattern: s.pattern, Engine: s.engine,
-		Hosts: len(topo.Hosts()), Offered: s.load}
-	var lat stats.Summary
+	c := openLoopCell{fct: &stats.Summary{}}
 	var deliveredBytes uint64
 	senders := map[topology.NodeID]bool{}
-	for _, h := range topo.Hosts() {
-		host := cl.Host(h)
-		host.OnMessage = func(_ topology.NodeID, payload []byte, t units.Time) {
+	for _, h := range cl.Topo.Hosts() {
+		cl.Host(h).OnMessage = func(_ topology.NodeID, payload []byte, t units.Time) {
 			sentAt := decodeStamp(payload)
-			if sentAt < cfg.Warmup || sentAt >= endAt {
+			if sentAt < warmup || sentAt >= endAt {
 				return
 			}
 			// Goodput counts deliveries inside the window; the FCT
@@ -310,16 +311,15 @@ func runLoadPlan(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo
 			if t <= endAt {
 				deliveredBytes += uint64(len(payload))
 			}
-			row.FlowsDone++
-			lat.Add(float64(t - sentAt))
+			c.done++
+			c.fct.Add(float64(t - sentAt))
 		}
 	}
 	for _, f := range flows {
 		senders[f.Src] = true
-		if f.Start >= cfg.Warmup {
-			row.FlowsSent++
+		if f.Start >= warmup {
+			c.sent++
 		}
-		f := f
 		cl.Eng.ScheduleAt(f.Start, func() {
 			payload := make([]byte, f.Bytes)
 			encodeStamp(payload, cl.Eng.Now())
@@ -328,10 +328,38 @@ func runLoadPlan(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo
 			}
 		})
 	}
-	cl.Eng.RunUntil(endAt + cfg.Window/2)
-	fctRow(&row, &lat)
-	row.Delivered = float64(deliveredBytes) / cfg.Window.Seconds() /
-		float64(len(senders)) / float64(cl.Net.Params().LinkBandwidth)
+	cl.Eng.RunUntil(endAt + window/2)
+	c.delivered = float64(deliveredBytes) / window.Seconds() /
+		float64(len(senders)) / float64(plan.LinkBandwidth)
+	return c, nil
+}
+
+// runLoadPlan executes one open-loop scenario cell.
+func runLoadPlan(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo *topology.Topology, eng routing.Engine) (loadCellOut, error) {
+	obs := newRunObs(cfg.Metrics != nil, false)
+	cl, err := loadCluster(topo, eng, 0, false, obs)
+	if err != nil {
+		return loadCellOut{}, err
+	}
+	scenario, err := workload.ScenarioByName(s.pattern)
+	if err != nil {
+		return loadCellOut{}, err
+	}
+	c, err := runOpenLoop(cl, workload.PlanConfig{
+		Scenario: scenario,
+		Load:     s.load,
+		Arrival:  cfg.Arrival,
+		Sizes:    mix,
+		Seed:     cfg.Seed + 1,
+		Fanin:    cfg.Fanin,
+	}, cfg.Warmup, cfg.Window)
+	if err != nil {
+		return loadCellOut{}, err
+	}
+	row := LoadRow{Preset: s.preset, Pattern: s.pattern, Engine: s.engine,
+		Hosts: len(topo.Hosts()), Offered: s.load,
+		Delivered: c.delivered, FlowsSent: c.sent, FlowsDone: c.done}
+	row.P50, row.P99, row.P999 = fctPercentiles(c.fct)
 	obs.finish(cl)
 	return loadCellOut{row: row, obs: obs}, nil
 }
@@ -341,9 +369,9 @@ func runLoadPlan(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo
 // open-loop uniform background traffic at the offered load; every
 // collective hop is an FCT sample and the completion time is the
 // headline.
-func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo *topology.Topology) (loadCellOut, error) {
+func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo *topology.Topology, eng routing.Engine) (loadCellOut, error) {
 	obs := newRunObs(cfg.Metrics != nil, false)
-	cl, err := loadCluster(topo, s.engine, true, obs)
+	cl, err := loadCluster(topo, eng, 0, true, obs)
 	if err != nil {
 		return loadCellOut{}, err
 	}
@@ -373,9 +401,7 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 	// shed at admission — GM's own pacing backpressure — so overload
 	// shows up as a delivered-vs-offered gap instead of an unbounded
 	// queue the collective token would starve behind forever.
-	gen, err := traffic.NewGenerator(topo, traffic.Config{
-		Pattern: traffic.Uniform, MessageSize: workload.MinFlowBytes, Seed: cfg.Seed + 2,
-	})
+	dests, err := workload.NewDestinations(hosts, workload.Uniform, 0, rand.New(rand.NewSource(cfg.Seed+2)))
 	if err != nil {
 		return loadCellOut{}, err
 	}
@@ -385,7 +411,6 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 	}
 	const bgPort, bgTokens = 2, 8
 	for i, h := range hosts {
-		h := h
 		bp, err := cl.Host(h).OpenPort(bgPort, bgTokens)
 		if err != nil {
 			return loadCellOut{}, err
@@ -397,7 +422,7 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 				bgBytes += uint64(len(payload))
 			}
 		}
-		ap, err := workload.NewArrival(cfg.Arrival, mean, cfg.Seed+3+1000003*int64(i+1))
+		ap, err := workload.NewArrival(cfg.Arrival, mean, rand.New(rand.NewSource(cfg.Seed+3+1000003*int64(i+1))))
 		if err != nil {
 			return loadCellOut{}, err
 		}
@@ -407,7 +432,7 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 			if coll != nil && coll.Done() {
 				return
 			}
-			msg := gen.NextFrom(h)
+			dst := dests.Next(i)
 			// An arrival finding no free token is shed: a refused Send
 			// has no side effects, so the payload is built only for an
 			// arrival that can be admitted. The size draw stays
@@ -415,7 +440,7 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 			// identical whether or not admission succeeds.
 			size := mix.Sample(rng)
 			if bp.FreeSendTokens() > 0 {
-				_ = bp.Send(msg.Dst, bgPort, make([]byte, size))
+				_ = bp.Send(dst, bgPort, make([]byte, size))
 			}
 			cl.Eng.Schedule(ap.Next(), tick)
 		}
@@ -445,7 +470,7 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 	expectHops := 2 * (len(hosts) - 1)
 	row.FlowsSent = uint64(expectHops)
 	row.FlowsDone = uint64(coll.Hops())
-	fctRow(&row, &lat)
+	row.P50, row.P99, row.P999 = fctPercentiles(&lat)
 	row.Delivered = float64(bgBytes) / span.Seconds() /
 		float64(len(hosts)) / float64(cl.Net.Params().LinkBandwidth)
 	obs.finish(cl)
@@ -453,9 +478,9 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 }
 
 // runLoadRPC runs the fan-out service cell.
-func runLoadRPC(cfg LoadStudyConfig, s loadCellSpec, topo *topology.Topology) (loadCellOut, error) {
+func runLoadRPC(cfg LoadStudyConfig, s loadCellSpec, topo *topology.Topology, eng routing.Engine) (loadCellOut, error) {
 	obs := newRunObs(cfg.Metrics != nil, false)
-	cl, err := loadCluster(topo, s.engine, true, obs)
+	cl, err := loadCluster(topo, eng, 0, true, obs)
 	if err != nil {
 		return loadCellOut{}, err
 	}
@@ -482,7 +507,7 @@ func runLoadRPC(cfg LoadStudyConfig, s loadCellSpec, topo *topology.Topology) (l
 	row := LoadRow{Preset: s.preset, Pattern: s.pattern, Engine: s.engine,
 		Hosts: len(topo.Hosts()), Offered: s.load,
 		FlowsSent: st.Issued, FlowsDone: st.Completed, Rejected: st.Rejected}
-	fctRow(&row, st.FCT)
+	row.P50, row.P99, row.P999 = fctPercentiles(st.FCT)
 	row.Delivered = float64(st.DeliveredBytes) / cfg.Window.Seconds() /
 		float64(len(topo.Hosts())) / float64(cl.Net.Params().LinkBandwidth)
 	obs.finish(cl)

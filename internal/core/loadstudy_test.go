@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/routing"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -181,7 +182,11 @@ func TestClusterEngineOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := loadCluster(topo, "layered-ksp", true, newRunObs(false, false))
+	eng, ok := routing.EngineByName("layered-ksp")
+	if !ok {
+		t.Fatal("layered-ksp not registered")
+	}
+	cl, err := loadCluster(topo, eng, 0, true, newRunObs(false, false))
 	if err != nil {
 		t.Fatal(err)
 	}

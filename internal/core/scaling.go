@@ -9,8 +9,8 @@ import (
 	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // ScalingRow compares the two routings at one network size.
@@ -85,7 +85,7 @@ func (r ScalingResult) WriteTable(w io.Writer) {
 
 // PatternRow compares the routings under one traffic pattern.
 type PatternRow struct {
-	Pattern traffic.Pattern
+	Pattern workload.Pattern
 	UD, ITB float64
 	Ratio   float64
 }
@@ -100,9 +100,9 @@ type PatternResult struct {
 // bit-reversal and permutation traffic on one network.
 func RunPatternStudy(switches int, seed int64, window units.Time) (PatternResult, error) {
 	res := PatternResult{Switches: switches}
-	patterns := []traffic.Pattern{traffic.Uniform, traffic.HotSpot, traffic.BitReversal, traffic.Permutation}
+	patterns := []workload.Pattern{workload.Uniform, workload.HotSpot, workload.BitReversal, workload.Permutation}
 	type cell struct {
-		pattern traffic.Pattern
+		pattern workload.Pattern
 		alg     routing.Algorithm
 	}
 	var specs []cell
@@ -114,7 +114,7 @@ func RunPatternStudy(switches int, seed int64, window units.Time) (PatternResult
 	sweeps, err := runner.Map(specs, func(c cell) (SweepResult, error) {
 		cfg := DefaultSweepConfig(c.alg, switches, seed)
 		cfg.Pattern = c.pattern
-		if c.pattern == traffic.HotSpot {
+		if c.pattern == workload.HotSpot {
 			cfg.HotFraction = 0.3
 		}
 		cfg.Loads = []float64{0.2, 0.5, 0.8}

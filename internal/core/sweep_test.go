@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/routing"
-	"repro/internal/traffic"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // smallSweep keeps unit-test runtime low; the full-size sweeps live in
@@ -112,7 +114,7 @@ func TestSweepWriteTable(t *testing.T) {
 
 func TestSweepHotspotPattern(t *testing.T) {
 	cfg := smallSweep(routing.ITBRouting, []float64{0.3})
-	cfg.Pattern = traffic.HotSpot
+	cfg.Pattern = workload.HotSpot
 	cfg.HotFraction = 0.5
 	res, err := RunSweep(cfg)
 	if err != nil {
@@ -203,5 +205,56 @@ func TestAblations(t *testing.T) {
 	res.WriteTable(&sb)
 	if !strings.Contains(sb.String(), "ablation") {
 		t.Error("table header missing")
+	}
+}
+
+// A bad offered load is a configuration error: zero, negative, NaN and
+// infinite loads make every closed-loop study return a plain error
+// naming the load, before any cluster runs, instead of panicking.
+func TestBadLoadIsAnError(t *testing.T) {
+	studies := []struct {
+		name string
+		run  func(load float64) error
+	}{
+		{"sweep", func(load float64) error {
+			_, err := RunSweep(smallSweep(routing.ITBRouting, []float64{0.2, load}))
+			return err
+		}},
+		{"bufpool", func(load float64) error {
+			cfg := DefaultBufPoolConfig()
+			cfg.PoolSizes = []int{2}
+			cfg.Load = load
+			_, err := RunBufPool(cfg)
+			return err
+		}},
+		{"faults", func(load float64) error {
+			cfg := DefaultFaultStudyConfig(routing.ITBRouting, 4, 5)
+			cfg.Campaigns = 1
+			cfg.Load = load
+			_, err := RunFaultStudy(cfg)
+			return err
+		}},
+	}
+	for _, st := range studies {
+		for _, load := range []float64{0, -0.1, math.NaN(), math.Inf(1)} {
+			t.Run(fmt.Sprintf("%s/%v", st.name, load), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("load %v panicked: %v", load, r)
+					}
+				}()
+				err := st.run(load)
+				if err == nil {
+					t.Fatalf("load %v accepted", load)
+				}
+				msg := err.Error()
+				if !strings.Contains(msg, "got "+fmt.Sprint(load)) {
+					t.Errorf("error does not name load %v: %s", load, msg)
+				}
+				if strings.Contains(msg, "goroutine") || strings.Contains(msg, "panicked") {
+					t.Errorf("error carries a panic: %s", msg)
+				}
+			})
+		}
 	}
 }

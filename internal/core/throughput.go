@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 
+	"repro/internal/gm"
 	"repro/internal/mcp"
 	"repro/internal/metrics"
 	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // SweepConfig drives an offered-load sweep on an irregular network,
@@ -25,7 +27,7 @@ type SweepConfig struct {
 	// Seed makes topology and traffic reproducible.
 	Seed int64
 	// Pattern is the destination distribution.
-	Pattern traffic.Pattern
+	Pattern workload.Pattern
 	// HotFraction applies to the HotSpot pattern.
 	HotFraction float64
 	// MessageSize is the payload per message in bytes.
@@ -61,7 +63,7 @@ func DefaultSweepConfig(alg routing.Algorithm, switches int, seed int64) SweepCo
 	return SweepConfig{
 		Switches:    switches,
 		Seed:        seed,
-		Pattern:     traffic.Uniform,
+		Pattern:     workload.Uniform,
 		MessageSize: 512,
 		Loads:       loads,
 		Window:      2 * units.Millisecond,
@@ -114,6 +116,54 @@ func decodeStamp(payload []byte) units.Time {
 	return units.Time(v)
 }
 
+// poissonSource is the traffic of the closed-loop studies (sweep,
+// buffer pool, fault campaigns): every host injects fixed-size
+// messages as a Poisson process at the offered load, to destinations
+// drawn under a pattern. One stream seeded with Seed feeds both
+// draws: the chooser takes the hot host (and the permutation) at
+// start, then each arrival takes its destination and then the gap to
+// its host's next arrival.
+type poissonSource struct {
+	pattern     workload.Pattern
+	hotFraction float64
+	load        float64
+	msgBytes    int
+	seed        int64
+	// until stops the arrivals: none is made at or after it.
+	until units.Time
+}
+
+// start schedules the first arrival of every host in hosts; send
+// carries out one arrival from host to dst.
+func (p poissonSource) start(cl *Cluster, hosts []topology.NodeID, send func(host *gm.Host, dst topology.NodeID)) error {
+	rng := rand.New(rand.NewSource(p.seed))
+	dests, err := workload.NewDestinations(hosts, p.pattern, p.hotFraction, rng)
+	if err != nil {
+		return err
+	}
+	mean, err := workload.MeanGap(p.load, float64(p.msgBytes), cl.Net.Params().LinkBandwidth)
+	if err != nil {
+		return err
+	}
+	gaps, err := workload.NewArrival(workload.ArrivalConfig{Kind: workload.Poisson}, mean, rng)
+	if err != nil {
+		return err
+	}
+	for i, h := range hosts {
+		host := cl.Host(h)
+		var tick func()
+		tick = func() {
+			if cl.Eng.Now() >= p.until {
+				return
+			}
+			send(host, dests.Next(i))
+			cl.Eng.Schedule(gaps.Next(), tick)
+		}
+		cl.Eng.Schedule(gaps.Next(), tick)
+	}
+	return nil
+}
+
 // loadPointSpec is one runner spec of a sweep: the offered load plus
 // the topology in serialized (topology.Write) form, so every worker
 // deserializes its own private copy and shares no structure with its
@@ -138,6 +188,11 @@ type loadPointOutcome struct {
 func RunSweep(cfg SweepConfig) (SweepResult, error) {
 	if cfg.MessageSize < 8 || cfg.Window <= 0 {
 		return SweepResult{}, fmt.Errorf("core: sweep needs a message size of at least 8 bytes and a positive window")
+	}
+	for _, load := range cfg.Loads {
+		if err := workload.CheckLoad(load); err != nil {
+			return SweepResult{}, fmt.Errorf("core: sweep: %w", err)
+		}
 	}
 	res := SweepResult{Algorithm: cfg.Algorithm, Switches: cfg.Switches}
 	topo, err := topology.Generate(topology.DefaultGenConfig(cfg.Switches, cfg.Seed))
@@ -203,26 +258,15 @@ func runLoadPoint(cfg SweepConfig, spec loadPointSpec) (loadPointOutcome, error)
 	if err != nil {
 		return loadPointOutcome{}, err
 	}
-	gen, err := traffic.NewGenerator(topo, traffic.Config{
-		Pattern:     cfg.Pattern,
-		MessageSize: cfg.MessageSize,
-		HotFraction: cfg.HotFraction,
-		Seed:        cfg.Seed + 1,
-	})
-	if err != nil {
-		return loadPointOutcome{}, err
-	}
-	mean := traffic.MeanInterarrival(load, cfg.MessageSize, cl.Net.Params().LinkBandwidth)
 	endAt := cfg.Warmup + cfg.Window
+	hosts := topo.Hosts()
 
 	var point LoadPoint
 	var lat stats.Summary
 	var deliveredBytes uint64
 
-	for _, h := range topo.Hosts() {
-		host := cl.Host(h)
-		hid := h
-		host.OnMessage = func(_ topology.NodeID, payload []byte, t units.Time) {
+	for _, h := range hosts {
+		cl.Host(h).OnMessage = func(_ topology.NodeID, payload []byte, t units.Time) {
 			// The send timestamp rides in the first 8 payload bytes,
 			// so drops beyond saturation cannot desynchronise the
 			// measurement.
@@ -234,34 +278,31 @@ func runLoadPoint(cfg SweepConfig, spec loadPointSpec) (loadPointOutcome, error)
 			deliveredBytes += uint64(len(payload))
 			lat.Add(float64(t - sentAt))
 		}
-		// Poisson injection process.
-		var tick func()
-		tick = func() {
-			if cl.Eng.Now() >= endAt {
-				return
-			}
-			msg := gen.NextFrom(hid)
-			if cl.Eng.Now() >= cfg.Warmup && cl.Eng.Now() < endAt {
-				point.Sent++
-			}
-			payload := make([]byte, msg.Size)
-			encodeStamp(payload, cl.Eng.Now())
-			if err := host.Send(msg.Dst, payload); err != nil {
-				panic(err)
-			}
-			cl.Eng.Schedule(gen.ExpInterarrival(mean), tick)
+	}
+	src := poissonSource{pattern: cfg.Pattern, hotFraction: cfg.HotFraction, load: load,
+		msgBytes: cfg.MessageSize, seed: cfg.Seed + 1, until: endAt}
+	err = src.start(cl, hosts, func(host *gm.Host, dst topology.NodeID) {
+		now := cl.Eng.Now()
+		if now >= cfg.Warmup && now < endAt {
+			point.Sent++
 		}
-		cl.Eng.Schedule(gen.ExpInterarrival(mean), tick)
+		payload := make([]byte, cfg.MessageSize)
+		encodeStamp(payload, now)
+		if err := host.Send(dst, payload); err != nil {
+			panic(err)
+		}
+	})
+	if err != nil {
+		return loadPointOutcome{}, err
 	}
 	// Run to the window end plus a drain margin for messages sent
 	// near the edge, then stop (saturated backlogs need not drain).
 	cl.Eng.RunUntil(endAt + cfg.Window/2)
 
-	hosts := float64(len(topo.Hosts()))
 	windowSec := cfg.Window.Seconds()
 	linkBps := float64(cl.Net.Params().LinkBandwidth)
 	point.Offered = load
-	point.Accepted = float64(deliveredBytes) / windowSec / hosts / linkBps
+	point.Accepted = float64(deliveredBytes) / windowSec / float64(len(hosts)) / linkBps
 	if lat.N() > 0 {
 		point.AvgLatency = units.Time(lat.Mean())
 		point.P99Latency = units.Time(lat.Percentile(99))
@@ -284,22 +325,4 @@ func (r SweepResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "routes: avg %.2f hops, %.0f%% minimal, load CV %.2f, %.0f%% cross the root, avg %.2f ITBs\n",
 		r.RouteStats.AvgLinkHops, 100*r.RouteStats.MinimalFraction, r.RouteStats.LinkLoadCV,
 		100*r.RouteStats.RootFraction, r.RouteStats.AvgITBs)
-}
-
-// CompareSweeps runs UD and ITB sweeps on the same topology seed and
-// reports the throughput ratio — the companion papers' headline
-// ("throughput can be easily doubled").
-func CompareSweeps(switches int, seed int64) (ud, itb SweepResult, ratio float64, err error) {
-	ud, err = RunSweep(DefaultSweepConfig(routing.UpDownRouting, switches, seed))
-	if err != nil {
-		return
-	}
-	itb, err = RunSweep(DefaultSweepConfig(routing.ITBRouting, switches, seed))
-	if err != nil {
-		return
-	}
-	if ud.Throughput > 0 {
-		ratio = itb.Throughput / ud.Throughput
-	}
-	return
 }

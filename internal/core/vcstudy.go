@@ -7,11 +7,9 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/mcp"
 	"repro/internal/metrics"
 	"repro/internal/routing"
 	"repro/internal/runner"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -168,17 +166,9 @@ func RunVCStudy(cfg VCStudyConfig) (VCStudyResult, error) {
 	res.SizesName = mix.Name()
 	res.SizesMean = mix.MeanBytes()
 
-	topoTexts := make(map[string][]byte, len(cfg.Presets))
-	for _, preset := range cfg.Presets {
-		topo, err := parseLoadPreset(preset, cfg.Seed)
-		if err != nil {
-			return res, err
-		}
-		var buf bytes.Buffer
-		if err := topology.Write(&buf, topo); err != nil {
-			return res, err
-		}
-		topoTexts[preset] = buf.Bytes()
+	topoTexts, err := presetTexts(cfg.Presets, cfg.Seed)
+	if err != nil {
+		return res, err
 	}
 	var specs []vcCellSpec
 	for _, preset := range cfg.Presets {
@@ -214,25 +204,11 @@ func tableITBs(tbl *routing.Table) int {
 	return n
 }
 
-// vcPlanFlows compiles the cell's open-loop uniform schedule.
-func vcPlanFlows(cfg VCStudyConfig, mix workload.SizeMix, topo *topology.Topology, bw units.Bandwidth) ([]workload.Flow, error) {
-	scenario, err := workload.ScenarioByName("uniform")
-	if err != nil {
-		return nil, err
-	}
-	return workload.Plan(topo, workload.PlanConfig{
-		Scenario:      scenario,
-		Load:          cfg.Load,
-		Arrival:       cfg.Arrival,
-		Sizes:         mix,
-		Seed:          cfg.Seed + 1,
-		Horizon:       cfg.Warmup + cfg.Window,
-		LinkBandwidth: bw,
-	})
-}
-
-// runVCCell runs one cell: the runLoadPlan discipline with the cell's
-// constructed engine and pinned fabric lane count.
+// runVCCell runs one cell through the load study's open-loop cell,
+// with the cell's constructed engine and pinned fabric lane count.
+// The "itb" arm runs on a fabric that carries the extra lanes but
+// never selects them, which is exactly the comparison the ablation
+// wants. The certificate and the ITB count are taken before the run.
 func runVCCell(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec) (vcCellOut, error) {
 	topo, err := topology.Read(bytes.NewReader(s.topoText))
 	if err != nil {
@@ -243,77 +219,30 @@ func runVCCell(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec) (vcCellOut
 	if err != nil {
 		return vcCellOut{}, err
 	}
-	ccfg := DefaultConfig(topo, routing.ITBRouting, mcp.ITB)
-	ccfg.Engine = eng
-	// Pin the lane count explicitly: the "itb" arm runs on a fabric
-	// that carries the extra lanes but never selects them, which is
-	// exactly the comparison the ablation wants.
-	ccfg.Fabric.Lanes = s.lanes
-	ccfg.GM.DisableAcks = true
-	ccfg.MCP.BufferPool = true
-	ccfg.MCP.RecvBuffers = 64
-	obs.install(&ccfg)
-	cl, err := NewCluster(ccfg)
+	cl, err := loadCluster(topo, eng, s.lanes, false, obs)
 	if err != nil {
 		return vcCellOut{}, err
 	}
 	if err := eng.CheckDeadlockFree(cl.Table); err != nil {
 		return vcCellOut{}, fmt.Errorf("core: %s/%s/lanes%d failed deadlock certification: %w", s.preset, s.arm, s.lanes, err)
 	}
-	endAt := cfg.Warmup + cfg.Window
-	flows, err := vcPlanFlows(cfg, mix, topo, cl.Net.Params().LinkBandwidth)
-	if err != nil {
-		return vcCellOut{}, err
-	}
 	row := VCRow{Preset: s.preset, Arm: s.arm, Lanes: s.lanes,
 		Hosts: len(topo.Hosts()), Offered: cfg.Load,
 		ITBs: tableITBs(cl.Table), DeadlockFree: true}
-	var lat stats.Summary
-	var deliveredBytes uint64
-	senders := map[topology.NodeID]bool{}
-	for _, h := range topo.Hosts() {
-		host := cl.Host(h)
-		host.OnMessage = func(_ topology.NodeID, payload []byte, t units.Time) {
-			sentAt := decodeStamp(payload)
-			if sentAt < cfg.Warmup || sentAt >= endAt {
-				return
-			}
-			if t <= endAt {
-				deliveredBytes += uint64(len(payload))
-			}
-			row.FlowsDone++
-			lat.Add(float64(t - sentAt))
-		}
+	c, err := runOpenLoop(cl, workload.PlanConfig{
+		Scenario: workload.ScenarioUniform,
+		Load:     cfg.Load,
+		Arrival:  cfg.Arrival,
+		Sizes:    mix,
+		Seed:     cfg.Seed + 1,
+	}, cfg.Warmup, cfg.Window)
+	if err != nil {
+		return vcCellOut{}, err
 	}
-	for _, f := range flows {
-		senders[f.Src] = true
-		if f.Start >= cfg.Warmup {
-			row.FlowsSent++
-		}
-		f := f
-		cl.Eng.ScheduleAt(f.Start, func() {
-			payload := make([]byte, f.Bytes)
-			encodeStamp(payload, cl.Eng.Now())
-			if err := cl.Host(f.Src).Send(f.Dst, payload); err != nil {
-				panic(err)
-			}
-		})
-	}
-	cl.Eng.RunUntil(endAt + cfg.Window/2)
-	vcFctRow(&row, &lat)
-	row.Delivered = float64(deliveredBytes) / cfg.Window.Seconds() /
-		float64(len(senders)) / float64(cl.Net.Params().LinkBandwidth)
+	row.Delivered, row.FlowsSent, row.FlowsDone = c.delivered, c.sent, c.done
+	row.P50, row.P99, _ = fctPercentiles(c.fct)
 	obs.finish(cl)
 	return vcCellOut{row: row, obs: obs}, nil
-}
-
-// vcFctRow fills the percentile columns.
-func vcFctRow(row *VCRow, lat *stats.Summary) {
-	if lat.N() == 0 {
-		return
-	}
-	row.P50 = units.Time(lat.Percentile(50))
-	row.P99 = units.Time(lat.Percentile(99))
 }
 
 // WriteTable renders the ablation grouped by preset.

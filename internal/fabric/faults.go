@@ -65,12 +65,6 @@ func (n *Network) SetLinkDown(link int, down bool) {
 	n.emit(trace.LinkFault, n.topo.Link(link).A, 0, fmt.Sprintf("link=%d %s", link, detail))
 }
 
-// IsLinkDown reports whether the link is currently failed.
-func (n *Network) IsLinkDown(link int) bool {
-	lf := n.linkFaults[link]
-	return lf != nil && lf.down
-}
-
 // SetLinkBER sets the per-traversal corruption probability of one
 // link (an error burst); zero clears it.
 func (n *Network) SetLinkBER(link int, prob float64) {

@@ -135,10 +135,6 @@ func (f *Flight) Packet() *packet.Packet { return f.pkt }
 // Source returns the injecting host.
 func (f *Flight) Source() topology.NodeID { return f.src }
 
-// HeaderArrivedAt returns when the header reached the destination
-// endpoint (valid from HeaderArrived onward).
-func (f *Flight) HeaderArrivedAt() units.Time { return f.headerInAt }
-
 // CompletionTime returns when the tail fully arrives (valid after
 // Accept).
 func (f *Flight) CompletionTime() units.Time { return f.completeAt }

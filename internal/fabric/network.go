@@ -147,9 +147,6 @@ func New(eng *sim.Engine, topo *topology.Topology, par Params) *Network {
 	return n
 }
 
-// MaxLanes returns the per-direction virtual-channel count (>= 1).
-func (n *Network) MaxLanes() int { return n.maxLanes }
-
 // corrupts decides whether a packet of wireLen bytes survives one
 // network transit under the configured bit error rate.
 func (n *Network) corrupts(wireLen int) bool {

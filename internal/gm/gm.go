@@ -212,13 +212,6 @@ func NewHost(eng *sim.Engine, m *mcp.MCP, tbl *routing.Table, par Params) *Host 
 // Node returns the host's topology node.
 func (h *Host) Node() topology.NodeID { return h.node }
 
-// SetTable installs a new route table, as the mapper does after
-// remapping a changed network. Packets already segmented keep the
-// route bytes they were stamped with (retransmissions re-clone that
-// header); new Sends use the new table — matching real GM, where the
-// NIC's route SRAM is rewritten between sends.
-func (h *Host) SetTable(tbl *routing.Table) { h.tbl = tbl }
-
 // Table returns the host's current route table: the construction-time
 // table until an install replaces it. Decentralized recovery gives
 // every host its own table, so inspection is per-host.
@@ -227,8 +220,8 @@ func (h *Host) Table() *routing.Table { return h.tbl }
 // Epoch returns the route-table epoch stamped on outgoing packets.
 func (h *Host) Epoch() uint32 { return h.epoch }
 
-// InstallTable is the recovery protocol's SetTable: it installs an
-// epoch-versioned table and reconciles every connection with it, in
+// InstallTable is how the recovery protocol replaces the route table:
+// it installs an epoch-versioned table and reconciles every connection with it, in
 // peer order (deterministic):
 //
 //   - A peer the new table routes to again after a dead verdict is

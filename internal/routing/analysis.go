@@ -2,7 +2,6 @@ package routing
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/topology"
@@ -137,41 +136,6 @@ func Analyze(t *topology.Topology, ud *topology.UpDown, tbl *Table) Analysis {
 		}
 	}
 	return a
-}
-
-// ChannelLoads returns per-channel route counts sorted descending,
-// for reporting hot links.
-func ChannelLoads(t *topology.Topology, tbl *Table) []ChannelLoad {
-	loads := make(map[Channel]int)
-	for _, r := range tbl.Routes() {
-		for _, tr := range r.LinkPath {
-			if t.Node(tr.From).Kind != topology.KindSwitch ||
-				t.Node(tr.To()).Kind != topology.KindSwitch {
-				continue
-			}
-			loads[Channel{LinkID: tr.Link.ID, From: tr.From}]++
-		}
-	}
-	out := make([]ChannelLoad, 0, len(loads))
-	for c, n := range loads {
-		out = append(out, ChannelLoad{Channel: c, Routes: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Routes != out[j].Routes {
-			return out[i].Routes > out[j].Routes
-		}
-		if out[i].Channel.LinkID != out[j].Channel.LinkID {
-			return out[i].Channel.LinkID < out[j].Channel.LinkID
-		}
-		return out[i].Channel.From < out[j].Channel.From
-	})
-	return out
-}
-
-// ChannelLoad pairs a channel with the number of routes crossing it.
-type ChannelLoad struct {
-	Channel Channel
-	Routes  int
 }
 
 // Publish exports the analysis into a metrics registry under

@@ -112,7 +112,7 @@ func (c ArrivalConfig) Validate() error {
 }
 
 // ArrivalProcess produces the interarrival gaps of one open-loop
-// source. Implementations are deterministic per seed and quantise
+// source. Implementations are deterministic per stream and quantise
 // gaps to the engine resolution (>= 1).
 type ArrivalProcess interface {
 	// Next returns the gap to the next arrival.
@@ -124,8 +124,10 @@ type ArrivalProcess interface {
 }
 
 // NewArrival builds an arrival process with the given long-run mean
-// interarrival gap.
-func NewArrival(cfg ArrivalConfig, mean units.Time, seed int64) (ArrivalProcess, error) {
+// interarrival gap, drawing from rng. A source with a private stream
+// passes rand.New(rand.NewSource(seed)); the closed-loop studies pass
+// the stream their destination chooser draws from.
+func NewArrival(cfg ArrivalConfig, mean units.Time, rng *rand.Rand) (ArrivalProcess, error) {
 	if mean <= 0 {
 		return nil, fmt.Errorf("workload: arrival process needs a positive mean gap, got %v", mean)
 	}
@@ -133,7 +135,6 @@ func NewArrival(cfg ArrivalConfig, mean units.Time, seed int64) (ArrivalProcess,
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(seed))
 	switch cfg.Kind {
 	case Poisson:
 		return &poisson{mean: mean, rng: rng}, nil
@@ -220,12 +221,11 @@ func (b *bursty) Name() string     { return "bursty" }
 
 // MeanGap converts an offered load (fraction of a sender's link
 // bandwidth) and a mean flow size into the mean interarrival gap of
-// that sender's arrival process. It is the open-loop analogue of
-// traffic.MeanInterarrival, generalised to fractional mean sizes from
-// a flow-size mix.
+// that sender's arrival process. A fixed message size is the mean of
+// its own one-point mix; a flow-size mix may have a fractional mean.
 func MeanGap(load, meanBytes float64, link units.Bandwidth) (units.Time, error) {
-	if !(load > 0) || math.IsInf(load, 0) {
-		return 0, fmt.Errorf("workload: offered load must be positive and finite, got %v", load)
+	if err := CheckLoad(load); err != nil {
+		return 0, err
 	}
 	if !(meanBytes > 0) || math.IsInf(meanBytes, 0) {
 		return 0, fmt.Errorf("workload: mean flow size must be positive and finite, got %v", meanBytes)
@@ -235,4 +235,14 @@ func MeanGap(load, meanBytes float64, link units.Bandwidth) (units.Time, error) 
 		gap = 1
 	}
 	return units.Time(gap), nil
+}
+
+// CheckLoad rejects an offered load MeanGap cannot convert: zero,
+// negative, NaN or infinite. Studies call it before building any
+// cluster.
+func CheckLoad(load float64) error {
+	if !(load > 0) || math.IsInf(load, 0) {
+		return fmt.Errorf("workload: offered load must be positive and finite, got %v", load)
+	}
+	return nil
 }

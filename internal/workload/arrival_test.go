@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -55,13 +56,13 @@ func TestArrivalConfigValidate(t *testing.T) {
 }
 
 func TestNewArrivalErrors(t *testing.T) {
-	if _, err := NewArrival(ArrivalConfig{Kind: Poisson}, 0, 1); err == nil {
+	if _, err := NewArrival(ArrivalConfig{Kind: Poisson}, 0, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("zero mean accepted")
 	}
-	if _, err := NewArrival(ArrivalConfig{Kind: Poisson}, -units.Microsecond, 1); err == nil {
+	if _, err := NewArrival(ArrivalConfig{Kind: Poisson}, -units.Microsecond, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("negative mean accepted")
 	}
-	if _, err := NewArrival(ArrivalConfig{Kind: Bursty, OnFraction: 2}, units.Microsecond, 1); err == nil {
+	if _, err := NewArrival(ArrivalConfig{Kind: Bursty, OnFraction: 2}, units.Microsecond, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("invalid burst shape accepted")
 	}
 }
@@ -69,7 +70,7 @@ func TestNewArrivalErrors(t *testing.T) {
 // empiricalMean draws n gaps and averages them.
 func empiricalMean(t *testing.T, cfg ArrivalConfig, mean units.Time, seed int64, n int) float64 {
 	t.Helper()
-	ap, err := NewArrival(cfg, mean, seed)
+	ap, err := NewArrival(cfg, mean, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +109,11 @@ func TestArrivalMeanMatchesLoadProperty(t *testing.T) {
 func TestArrivalDeterminismProperty(t *testing.T) {
 	f := func(seed int64, burstRaw uint8) bool {
 		cfg := ArrivalConfig{Kind: Bursty, BurstRatio: 1 + float64(burstRaw%16), OnFraction: 0.25, BurstArrivals: 4}
-		a, err := NewArrival(cfg, 50*units.Nanosecond, seed)
+		a, err := NewArrival(cfg, 50*units.Nanosecond, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return false
 		}
-		b, err := NewArrival(cfg, 50*units.Nanosecond, seed)
+		b, err := NewArrival(cfg, 50*units.Nanosecond, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return false
 		}
@@ -130,7 +131,7 @@ func TestArrivalDeterminismProperty(t *testing.T) {
 
 func TestArrivalAccessors(t *testing.T) {
 	for _, kind := range []ArrivalKind{Poisson, Bursty} {
-		ap, err := NewArrival(ArrivalConfig{Kind: kind}, units.Microsecond, 3)
+		ap, err := NewArrival(ArrivalConfig{Kind: kind}, units.Microsecond, rand.New(rand.NewSource(3)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +150,7 @@ func TestArrivalAccessors(t *testing.T) {
 func TestBurstyClusters(t *testing.T) {
 	mean := units.Microsecond
 	countBelow := func(cfg ArrivalConfig) int {
-		ap, err := NewArrival(cfg, mean, 42)
+		ap, err := NewArrival(cfg, mean, rand.New(rand.NewSource(42)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,5 +210,19 @@ func TestMeanGap(t *testing.T) {
 	ratio := float64(g2) / float64(g1)
 	if math.Abs(ratio-2) > 0.01 {
 		t.Errorf("gap ratio = %v, want 2", ratio)
+	}
+	// A fixed message size at full load is exactly its transfer time:
+	// 1600 bytes on a 160 MB/s link inject one message every 10us.
+	for _, tc := range []struct {
+		load float64
+		want units.Time
+	}{{1, 10 * units.Microsecond}, {0.5, 20 * units.Microsecond}} {
+		g, err := MeanGap(tc.load, 1600, 160*units.MBs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g != tc.want {
+			t.Errorf("MeanGap(%v, 1600, 160MB/s) = %v, want %v", tc.load, g, tc.want)
+		}
 	}
 }

@@ -26,7 +26,7 @@ func FuzzArrivalProcess(f *testing.F) {
 			BurstArrivals: burstArr,
 		}
 		mean := units.Time(meanRaw)
-		ap, err := NewArrival(cfg, mean, seed)
+		ap, err := NewArrival(cfg, mean, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return
 		}
@@ -36,7 +36,7 @@ func FuzzArrivalProcess(f *testing.F) {
 		if cfg.Validate() != nil {
 			t.Fatalf("NewArrival accepted a config Validate rejects: %+v", cfg)
 		}
-		ref, err := NewArrival(cfg, mean, seed)
+		ref, err := NewArrival(cfg, mean, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatalf("second construction failed: %v", err)
 		}

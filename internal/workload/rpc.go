@@ -172,7 +172,7 @@ func StartRPCFanout(eng *sim.Engine, hosts []topology.NodeID, hostOf func(topolo
 	// Fanout distinct random servers.
 	for i := range hosts {
 		i := i
-		ap, err := NewArrival(cfg.Arrival, mean, cfg.Seed+31*int64(i+1))
+		ap, err := NewArrival(cfg.Arrival, mean, rand.New(rand.NewSource(cfg.Seed+31*int64(i+1))))
 		if err != nil {
 			return nil, err
 		}

@@ -1,13 +1,15 @@
-// Package workload is the open-loop traffic plane of the load
-// studies: arrival processes (Poisson and bursty Markov-modulated),
+// Package workload is the simulator's one traffic plane. For the
+// closed-loop studies it supplies the destination patterns the paper
+// and its companion studies evaluate ITBs under (uniform, hotspot,
+// bit-reversal, permutation). For the open-loop load studies it
+// supplies arrival processes (Poisson and bursty Markov-modulated),
 // flow-size mixes (fixed, uniform, heavy-tailed web-search style) and
 // scenario generators (uniform, incast, outcast, all-to-all) that
-// compile an offered load into a deterministic flow schedule, plus
-// two closed-loop drivers — a ring/tree allreduce collective over GM
-// ports and an RPC fan-out service over the gmip stack. The paper
-// evaluates ITBs under closed-loop uniform and permutation traffic;
-// this package supplies the datacenter-style mixes (FatPaths' framing)
-// the saturation studies judge the routing engines under.
+// compile an offered load into a deterministic flow schedule — the
+// datacenter-style mixes (FatPaths' framing) the saturation studies
+// judge the routing engines under — plus two closed-loop drivers: a
+// ring/tree allreduce collective over GM ports and an RPC fan-out
+// service over the gmip stack.
 //
 // Everything here is deterministic per seed: a schedule is a pure
 // function of (topology, config), so the core drivers can shard cells
@@ -19,7 +21,6 @@ import (
 	"math/rand"
 
 	"repro/internal/topology"
-	"repro/internal/traffic"
 	"repro/internal/units"
 )
 
@@ -28,7 +29,7 @@ type Scenario int
 
 const (
 	// ScenarioUniform has every host injecting to uniformly random
-	// other hosts (via internal/traffic's generator).
+	// other hosts (the Uniform destination pattern).
 	ScenarioUniform Scenario = iota
 	// ScenarioIncast aims many senders at one victim host — the
 	// classic partition/aggregate hot spot.
@@ -127,48 +128,42 @@ func Plan(topo *topology.Topology, cfg PlanConfig) ([]Flow, error) {
 		return nil, err
 	}
 
-	// The destination chooser per sender index. Uniform layers on
-	// internal/traffic; the structured scenarios are deterministic
-	// functions of the sender's draw counter.
+	// The destination chooser per sender index. Uniform draws from
+	// the pattern chooser on its own stream; the structured scenarios
+	// are deterministic functions of the sender's draw counter.
 	fan := cfg.Fanin
 	if fan == 0 {
 		fan = len(hosts) - 1
 	}
 	var senders []int
-	var dstFor func(senderIdx, draw int, rng *rand.Rand) topology.NodeID
+	var dstFor func(senderIdx, draw int) topology.NodeID
 	switch cfg.Scenario {
 	case ScenarioUniform:
-		gen, err := traffic.NewGenerator(topo, traffic.Config{
-			Pattern:     traffic.Uniform,
-			MessageSize: MinFlowBytes, // sizes come from the mix; the generator only picks destinations
-			Seed:        cfg.Seed,
-		})
+		dests, err := NewDestinations(hosts, Uniform, 0, rand.New(rand.NewSource(cfg.Seed)))
 		if err != nil {
 			return nil, err
 		}
 		for i := range hosts {
 			senders = append(senders, i)
 		}
-		dstFor = func(senderIdx, _ int, _ *rand.Rand) topology.NodeID {
-			return gen.NextFrom(hosts[senderIdx]).Dst
-		}
+		dstFor = func(senderIdx, _ int) topology.NodeID { return dests.Next(senderIdx) }
 	case ScenarioIncast:
 		// hosts[0] is the victim; the next fan hosts converge on it.
 		for i := 1; i <= fan; i++ {
 			senders = append(senders, i)
 		}
-		dstFor = func(_, _ int, _ *rand.Rand) topology.NodeID { return hosts[0] }
+		dstFor = func(_, _ int) topology.NodeID { return hosts[0] }
 	case ScenarioOutcast:
 		// hosts[0] sprays the next fan hosts round-robin.
 		senders = []int{0}
-		dstFor = func(_, draw int, _ *rand.Rand) topology.NodeID {
+		dstFor = func(_, draw int) topology.NodeID {
 			return hosts[1+draw%fan]
 		}
 	case ScenarioAllToAll:
 		for i := range hosts {
 			senders = append(senders, i)
 		}
-		dstFor = func(senderIdx, draw int, _ *rand.Rand) topology.NodeID {
+		dstFor = func(senderIdx, draw int) topology.NodeID {
 			// Cycle through every other host, offset so the first
 			// destinations of the senders do not all collide.
 			return hosts[(senderIdx+1+draw%(len(hosts)-1))%len(hosts)]
@@ -182,7 +177,7 @@ func Plan(topo *topology.Topology, cfg PlanConfig) ([]Flow, error) {
 		// Per-sender processes: arrival state and size draws are
 		// private streams, so one sender's schedule never depends on
 		// how many others exist.
-		ap, err := NewArrival(cfg.Arrival, mean, cfg.Seed+1000003*int64(ord+1))
+		ap, err := NewArrival(cfg.Arrival, mean, rand.New(rand.NewSource(cfg.Seed+1000003*int64(ord+1))))
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +194,7 @@ func Plan(topo *topology.Topology, cfg PlanConfig) ([]Flow, error) {
 			}
 			flows = append(flows, Flow{
 				Src:   hosts[si],
-				Dst:   dstFor(si, draw, rng),
+				Dst:   dstFor(si, draw),
 				Bytes: cfg.Sizes.Sample(rng),
 				Start: t,
 			})
