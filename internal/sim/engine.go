@@ -7,11 +7,17 @@
 // order they were scheduled, which makes every simulation run
 // reproducible byte-for-byte given the same inputs.
 //
-// The queue is an index-based binary heap over a slab of event slots
-// with a free-list. Every queued slot records its own heap position,
-// so Cancel removes the entry at once (O(log n)) and recycles the slot:
-// the heap holds exactly the live events and nothing is drained later.
-// Scheduling an event in steady state reuses a slot and a heap cell
+// The queue is a radix heap over a slab of event slots with a
+// free-list. Keys never fall below the clock, so an event is filed in
+// bucket bits.Len64(at XOR base), where base is the instant of the
+// last event fired: scheduling is an O(1) append, and only the lowest
+// non-empty bucket is ever re-filed, so far-future events sit
+// untouched until their time comes. Bucket 0 holds the events at base
+// in schedule order. Every queued slot records its position in its
+// bucket, so Cancel removes the entry at once and recycles the slot:
+// the queue holds exactly the live events and nothing is drained
+// later.
+// Scheduling an event in steady state reuses a slot and bucket cells
 // that earlier events vacated, so the hot Schedule/Step/Cancel cycle
 // performs no allocation (see allocs_test.go). Callers that would
 // otherwise allocate a capturing closure per event can use
@@ -20,7 +26,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/units"
 )
@@ -43,7 +53,7 @@ func (ev Event) Valid() bool { return ev.gen != 0 }
 
 // slot is the slab entry behind one scheduled event. Exactly one of
 // fn/afn is set while the slot is queued; both are nil once the slot is
-// free. pos is the slot's index in the heap while it is queued.
+// free. pos is the slot's index in its bucket while it is queued.
 type slot struct {
 	at  units.Time
 	seq uint64
@@ -69,9 +79,34 @@ type Engine struct {
 	seq     uint64
 	slots   []slot
 	free    []int32 // free slot indexes (LIFO)
-	heap    []int32 // queued slot indexes ordered by (at, seq)
 	stopped bool
 	fired   uint64
+
+	// The radix queue; the first Schedule carves its buckets' cells.
+	// Every queued slot with time at sits in
+	// buckets[bits.Len64(at^base)], and base <= now <= at. Bucket 0 holds the events at base in seq
+	// order from head0 on, and when it is non-empty its head is live; a
+	// cancelled entry there becomes a -1 tombstone so the order needs
+	// no shifting. Higher buckets are unordered. mask has bit i set
+	// while bucket i holds an event, and live counts the queued events.
+	base    units.Time
+	head0   int
+	mask    uint64
+	live    int
+	buckets [64][]int32
+}
+
+// bucketCells is each bucket's initial capacity.
+const bucketCells = 32
+
+// carve gives every bucket its first cells from one array, so an
+// engine pays one allocation for its queue rather than one per bucket
+// it touches.
+func (e *Engine) carve() {
+	cells := new([64 * bucketCells]int32)
+	for i := range e.buckets {
+		e.buckets[i] = cells[i*bucketCells : i*bucketCells : (i+1)*bucketCells]
+	}
 }
 
 // NewEngine returns an engine with the clock at zero and no events.
@@ -85,7 +120,7 @@ func (e *Engine) Now() units.Time { return e.now }
 // LiveCount returns the number of queued, uncancelled events. Cancel
 // removes its event from the queue at once, so this is the queue
 // length and LiveCount() == 0 is an exact quiescence test.
-func (e *Engine) LiveCount() int { return len(e.heap) }
+func (e *Engine) LiveCount() int { return e.live }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -149,8 +184,10 @@ func (e *Engine) schedule(t units.Time, fn func(), afn func(any), arg any) Event
 	s.at, s.seq = t, e.seq
 	s.fn, s.afn, s.arg = fn, afn, arg
 	e.seq++
-	e.heap = append(e.heap, idx)
-	e.siftUp(len(e.heap)-1, idx)
+	b := bucketOf(t, e.base)
+	e.room(b)
+	e.push(b, idx)
+	e.live++
 	return Event{idx: idx, gen: s.gen}
 }
 
@@ -165,7 +202,23 @@ func (e *Engine) Cancel(ev Event) {
 	if s.gen != ev.gen || !s.queued() {
 		return // fired or cancelled; the slot may already serve another
 	}
-	e.remove(int(s.pos))
+	b := bucketOf(s.at, e.base)
+	q := e.buckets[b]
+	if b == 0 {
+		q[s.pos] = -1 // keep bucket 0's order: leave a tombstone
+		if int(s.pos) == e.head0 {
+			e.pop0()
+		}
+	} else {
+		last := q[len(q)-1]
+		q[s.pos] = last
+		e.slots[last].pos = s.pos
+		e.buckets[b] = e.buckets[b][:len(q)-1]
+		if len(q) == 1 {
+			e.mask &^= 1 << b
+		}
+	}
+	e.live--
 	e.recycle(ev.idx)
 }
 
@@ -187,7 +240,7 @@ func (e *Engine) EventTime(ev Event) (t units.Time, ok bool) {
 	return e.slots[ev.idx].at, true
 }
 
-// recycle returns a slot that has left the heap to the free-list and
+// recycle returns a slot that has left the queue to the free-list and
 // bumps its generation so outstanding handles to the old event go
 // stale.
 func (e *Engine) recycle(idx int32) {
@@ -202,12 +255,38 @@ func (e *Engine) recycle(idx int32) {
 
 // Step fires the next pending event, if any, and reports whether an
 // event was fired.
-func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+func (e *Engine) Step() bool { return e.stepBy(math.MaxInt64) }
+
+// stepBy fires the earliest event if it is due by deadline and reports
+// whether it fired one.
+func (e *Engine) stepBy(deadline units.Time) bool {
+	if e.mask == 0 {
 		return false
 	}
-	idx := e.heap[0]
-	e.remove(0)
+	// The queue settles only on an event that fires at once, so base
+	// never passes the clock and no schedule lands below it.
+	var idx int32
+	if b := bits.TrailingZeros64(e.mask); b == 0 {
+		idx = e.buckets[0][e.head0]
+		if e.slots[idx].at > deadline {
+			return false
+		}
+		e.pop0()
+	} else if q := e.buckets[b]; len(q) == 1 {
+		// A lone event in the lowest bucket is the earliest, so it
+		// leaves without the bucket being re-filed.
+		idx = q[0]
+		at := e.slots[idx].at
+		if at > deadline {
+			return false
+		}
+		e.buckets[b] = q[:0]
+		e.mask &^= 1 << b
+		e.base = at
+	} else if idx = e.settle(deadline); idx < 0 {
+		return false
+	}
+	e.live--
 	s := &e.slots[idx]
 	at := s.at
 	fn, afn, arg := s.fn, s.afn, s.arg
@@ -237,12 +316,7 @@ func (e *Engine) Run() {
 // queued.
 func (e *Engine) RunUntil(deadline units.Time) {
 	e.stopped = false
-	for !e.stopped {
-		t, ok := e.NextEventAt()
-		if !ok || t > deadline {
-			break
-		}
-		e.Step()
+	for !e.stopped && e.stepBy(deadline) {
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -258,87 +332,137 @@ func (e *Engine) RunFor(d units.Time) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // NextEventAt returns the time of the next event, or ok=false if the
-// queue is empty.
+// queue is empty. It only reads the queue.
 func (e *Engine) NextEventAt() (t units.Time, ok bool) {
-	if len(e.heap) == 0 {
+	if e.live == 0 {
 		return 0, false
 	}
-	return e.slots[e.heap[0]].at, true
+	if q := e.buckets[0]; e.head0 < len(q) {
+		return e.slots[q[e.head0]].at, true
+	}
+	_, m := e.lowest()
+	return m, true
 }
 
 // ---------------------------------------------------------------
-// Index heap over (at, seq). Plain slice operations: no interface
-// boxing, no per-operation allocation once capacity is warm. The sift
-// loops move a hole rather than swapping, and keep every moved slot's
-// pos current. Sequence numbers are unique, so (at, seq) is a strict
-// total order and the firing order does not depend on the heap's
-// internal layout.
+// Radix queue over (at, seq) (Ahuja, Mehlhorn, Orlin & Tarjan 1990).
+// An event's bucket is the highest bit in which its time differs from
+// base, so every event in bucket i agrees with base above bit i-1 and
+// exceeds every event in a lower bucket. Once bucket 0 is empty, only
+// the lowest non-empty bucket is re-filed: its earliest time becomes
+// the new base, and each of its events moves to a strictly lower
+// bucket, which leaves every higher bucket's events where they are.
+// Sequence numbers are unique, so (at, seq) is a strict total order and
+// the firing order does not depend on where an event happens to sit.
 
-// before reports whether slot a fires before slot b.
-func before(a, b *slot) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// bucketOf returns the bucket of an event at t when the queue's base
+// is base.
+func bucketOf(t, base units.Time) int {
+	return bits.Len64(uint64(t^base)) & 63 // times are never negative: Len64 < 64
 }
 
-// siftUp places slot idx, which belongs at heap position i or above.
-func (e *Engine) siftUp(i int, idx int32) {
-	h := e.heap
-	s := &e.slots[idx]
-	for i > 0 {
-		p := (i - 1) / 2
-		ps := &e.slots[h[p]]
-		if !before(s, ps) {
-			break
-		}
-		h[i] = h[p]
-		ps.pos = int32(i)
-		i = p
+// room makes space for one more event in bucket b.
+func (e *Engine) room(b int) {
+	if q := e.buckets[b]; len(q) == cap(q) {
+		e.grow(b)
 	}
-	h[i] = idx
-	s.pos = int32(i)
 }
 
-// siftDown places slot idx, which belongs at heap position i or below.
-func (e *Engine) siftDown(i int, idx int32) {
-	h := e.heap
-	n := len(h)
-	s := &e.slots[idx]
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		cs := &e.slots[h[c]]
-		if r := c + 1; r < n {
-			if rs := &e.slots[h[r]]; before(rs, cs) {
-				c, cs = r, rs
-			}
-		}
-		if !before(cs, s) {
-			break
-		}
-		h[i] = h[c]
-		cs.pos = int32(i)
-		i = c
-	}
-	h[i] = idx
-	s.pos = int32(i)
-}
-
-// remove deletes the entry at heap position i, refilling the hole with
-// the last entry.
-func (e *Engine) remove(i int) {
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if i == n {
+// grow gives the full bucket b a larger array: an empty bucket's, if
+// one is larger, or a new one four times the size. Events drift from
+// bucket to bucket as the base moves, so trading arrays keeps the
+// queue's capacity where its events are instead of allocating it anew
+// in every bucket they pass through. It stays out of line: it runs
+// only when a bucket is full.
+//
+//go:noinline
+func (e *Engine) grow(b int) {
+	q := e.buckets[b]
+	if cap(q) == 0 { // the engine's first Schedule
+		e.carve()
 		return
 	}
-	if i > 0 && before(&e.slots[last], &e.slots[e.heap[(i-1)/2]]) {
-		e.siftUp(i, last)
-	} else {
-		e.siftDown(i, last)
+	for k, spare := range &e.buckets {
+		if len(spare) == 0 && cap(spare) > cap(q) {
+			e.buckets[b], e.buckets[k] = append(spare, q...), q[:0]
+			return
+		}
+	}
+	e.buckets[b] = append(make([]int32, 0, 4*cap(q)), q...)
+}
+
+// push appends slot idx to bucket b, which has room for it. push and
+// room stay apart so that both inline into the hot paths, which call
+// grow only for a full bucket.
+func (e *Engine) push(b int, idx int32) {
+	e.slots[idx].pos = int32(len(e.buckets[b]))
+	e.buckets[b] = append(e.buckets[b], idx)
+	e.mask |= 1 << b
+}
+
+// pop0 advances bucket 0's head past the entry just fired or
+// cancelled and any tombstones behind it, emptying the bucket when
+// nothing live is left, so a non-empty bucket 0 always starts at its
+// earliest event.
+func (e *Engine) pop0() {
+	q := e.buckets[0]
+	e.head0++
+	for e.head0 < len(q) && q[e.head0] < 0 {
+		e.head0++
+	}
+	if e.head0 == len(q) {
+		e.buckets[0], e.head0 = e.buckets[0][:0], 0
+		e.mask &^= 1
+	}
+}
+
+// settle re-files the lowest bucket once bucket 0 is empty and removes
+// and returns the earliest event, if it is due by deadline; otherwise
+// it returns -1 and leaves the queue as it is. The lowest bucket must
+// hold more than one event.
+func (e *Engine) settle(deadline units.Time) int32 {
+	b, m := e.lowest()
+	if m > deadline {
+		return -1
+	}
+	e.refile(b, m)
+	idx := e.buckets[0][0]
+	e.pop0()
+	return idx
+}
+
+// lowest returns the lowest non-empty bucket and its earliest time,
+// which is the queue's earliest time. Bucket 0 must be empty.
+func (e *Engine) lowest() (b int, m units.Time) {
+	b = bits.TrailingZeros64(e.mask)
+	q := e.buckets[b]
+	m = e.slots[q[0]].at
+	for _, idx := range q[1:] {
+		m = min(m, e.slots[idx].at)
+	}
+	return b, m
+}
+
+// refile makes m, the earliest time in bucket b, the new base and
+// re-files bucket b's events into lower buckets, which brings the
+// earliest event to bucket 0's head. Bucket 0 must be empty and b the
+// lowest non-empty bucket.
+func (e *Engine) refile(b int, m units.Time) {
+	e.base = m
+	for _, idx := range e.buckets[b] {
+		j := bucketOf(e.slots[idx].at, m)
+		e.room(j)
+		e.push(j, idx)
+	}
+	// Empty bucket b only now: until then grow must not lend its array.
+	e.buckets[b] = e.buckets[b][:0]
+	e.mask &^= 1 << b
+	// The events that landed in bucket 0 arrive in bucket order; later
+	// schedules at base carry higher seqs and append behind them.
+	if z := e.buckets[0]; len(z) > 1 {
+		slices.SortFunc(z, func(x, y int32) int { return cmp.Compare(e.slots[x].seq, e.slots[y].seq) })
+		for i, idx := range z {
+			e.slots[idx].pos = int32(i)
+		}
 	}
 }

@@ -171,6 +171,63 @@ func TestRunUntilAdvancesClockWithoutEvents(t *testing.T) {
 	}
 }
 
+// TestScheduleIntoGapAfterRunUntil pins the order when RunUntil stops
+// short of the next event and later schedules land in the gap between
+// the clock and the old head. Ties at the old head's instant still
+// fire in schedule order, and the path allocates nothing once the
+// buckets are warm.
+func TestScheduleIntoGapAfterRunUntil(t *testing.T) {
+	e := NewEngine()
+	type firing struct {
+		id int
+		at units.Time
+	}
+	var got []firing
+	record := func(a any) { got = append(got, firing{a.(int), e.Now()}) }
+	at := func(ns units.Time, id int) Event { return e.ScheduleArgAt(ns*units.Nanosecond, record, id) }
+	at(1000, 1)
+	tie := at(1000, 2)
+	at(5000, 3)
+	at(1000, 4)
+	e.RunUntil(100 * units.Nanosecond)
+	if len(got) != 0 || e.Now() != 100*units.Nanosecond {
+		t.Fatalf("RunUntil fired %v, clock %v; want nothing fired and the clock at 100ns", got, e.Now())
+	}
+	e.Cancel(tie)
+	at(500, 5)  // into the gap
+	at(1000, 6) // ties with the old head: after 1 and 4
+	at(100, 7)  // at the clock
+	gap := at(500, 8)
+	at(1001, 9)
+	e.Cancel(gap)
+	e.Run()
+	want := []firing{{7, 100}, {5, 500}, {1, 1000}, {4, 1000}, {6, 1000}, {9, 1001}, {3, 5000}}
+	for i := range want {
+		want[i].at *= units.Nanosecond
+	}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+
+	fn := func() {}
+	cycle := func() {
+		e.Schedule(2*units.Microsecond, fn)
+		e.Schedule(2*units.Microsecond, fn)
+		e.RunFor(units.Microsecond)
+		e.Schedule(500*units.Nanosecond, fn)
+		e.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("schedule into the gap allocates %.1f/op in steady state, want 0", allocs)
+	}
+}
+
 func TestRunFor(t *testing.T) {
 	e := NewEngine()
 	e.RunFor(2 * units.Microsecond)

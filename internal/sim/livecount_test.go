@@ -39,12 +39,12 @@ func TestCancelStormLeavesOnlyLiveEvents(t *testing.T) {
 	if e.LiveCount() != len(kept) {
 		t.Fatalf("after storm: LiveCount=%d, want %d", e.LiveCount(), len(kept))
 	}
-	if err := e.checkHeap(); err != nil {
+	if err := e.checkQueue(); err != nil {
 		t.Fatalf("after storm: %v", err)
 	}
 	// The queue holds exactly the kept events: same count, each queued
 	// slot is one of them, and each kept handle is still live.
-	for _, idx := range e.heap {
+	for _, idx := range e.queuedSlots() {
 		if !kept[idx] {
 			t.Fatalf("slot %d is queued but its event was cancelled", idx)
 		}
@@ -155,7 +155,7 @@ func TestGenerationReuseProperty(t *testing.T) {
 				t.Logf("seed %d step %d: LiveCount=%d, tracked live=%d", seed, step, e.LiveCount(), liveWant)
 				return false
 			}
-			if err := e.checkHeap(); err != nil {
+			if err := e.checkQueue(); err != nil {
 				t.Logf("seed %d step %d: %v", seed, step, err)
 				return false
 			}
@@ -240,7 +240,7 @@ func FuzzStaleHandleCancel(f *testing.F) {
 			if e.LiveCount() != live {
 				t.Fatalf("LiveCount=%d, want %d scheduled, unfired, uncancelled events", e.LiveCount(), live)
 			}
-			if err := e.checkHeap(); err != nil {
+			if err := e.checkQueue(); err != nil {
 				t.Fatal(err)
 			}
 		}
