@@ -523,7 +523,7 @@ func BenchmarkEngineTableBuild1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bytesTotal = 0
 		for _, eng := range engines {
-			ct, err := eng.BuildCompact(topo, nil)
+			ct, err := routing.BuildCompact(eng, topo, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

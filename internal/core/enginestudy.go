@@ -132,7 +132,7 @@ func RunEngineStudy(cfg EngineStudyConfig) (EngineStudyResult, error) {
 			return cellOut{}, err
 		}
 		eng, _ := routing.EngineByName(c.engine)
-		ct, err := eng.BuildCompact(topo, nil)
+		ct, err := routing.BuildCompact(eng, topo, nil)
 		if err != nil {
 			return cellOut{}, err
 		}

@@ -223,7 +223,7 @@ func runVCCell(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec) (vcCellOut
 	if err != nil {
 		return vcCellOut{}, err
 	}
-	if err := eng.CheckDeadlockFree(cl.Table); err != nil {
+	if err := routing.CheckDeadlockFree(cl.Table.Routes()); err != nil {
 		return vcCellOut{}, fmt.Errorf("core: %s/%s/lanes%d failed deadlock certification: %w", s.preset, s.arm, s.lanes, err)
 	}
 	row := VCRow{Preset: s.preset, Arm: s.arm, Lanes: s.lanes,

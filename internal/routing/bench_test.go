@@ -77,7 +77,7 @@ func BenchmarkTableLookup(b *testing.B) {
 // updown-itb dragonfly-342 arena per op, over the same host pairs.
 func BenchmarkCompactDecode(b *testing.B) {
 	topo := benchDragonfly(b, 342)
-	ct, err := UpDownITBEngine{}.BuildCompact(topo, nil)
+	ct, err := BuildCompact(UpDownITBEngine{}, topo, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func BenchmarkCompactDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
 		si, di := sw[p[0]], sw[p[1]]
-		if _, _, _, err := DecodePath(topo, ct.Switch(si), ct.PairSteps(si, di)); err != nil {
+		if err := ct.forEachStep(si, di, nil, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

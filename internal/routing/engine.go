@@ -17,9 +17,10 @@ import (
 //
 // Every engine must deliver the same contract: on a connected
 // topology, BuildTable routes every ordered live host pair and the
-// resulting route set passes CheckDeadlockFree; BuildCompact produces
-// the struct-of-arrays switch-pair form of the same paths for the
-// large-topology studies.
+// resulting route set passes CheckDeadlockFree. An engine supplies only
+// its orientation, its lane count and its search; the Table builds and
+// BuildCompact, which produces the struct-of-arrays switch-pair form of
+// the same paths for the large-topology studies, are written once.
 type Engine interface {
 	// Name is the stable identifier used on the itbsim command line
 	// and in study output.
@@ -37,18 +38,14 @@ type Engine interface {
 	// of nil or from a different engine degenerates to a full build
 	// (returning 0 reused).
 	RebuildAvoiding(prev *Table, t *topology.Topology, avoid *Avoid) (*Table, int, error)
-	// BuildCompact computes the switch-pair CompactTable.
-	BuildCompact(t *topology.Topology, avoid *Avoid) (*CompactTable, error)
-	// CheckDeadlockFree is the engine's self-check: it verifies the
-	// Dally & Seitz acyclicity of the channel dependency graph induced
-	// by a table this engine built.
-	CheckDeadlockFree(tbl *Table) error
 	// Lanes declares how many virtual-channel lanes per link direction
 	// the engine's routes require of the fabric. Engines whose routes
 	// never select a lane declare 1 (the faithful Myrinet
 	// configuration); the vc engines declare their lane count so the
 	// cluster builder can size the fabric to the tables it loads.
 	Lanes() int
+	// search is the engine's per-source search and goal rule.
+	search() search
 }
 
 // Engines returns the registered engines in stable (alphabetical by
@@ -134,7 +131,7 @@ func engineCheckTopology(name string, t *topology.Topology) error {
 // pathFunc computes the switch path for one switch pair; every Table
 // holds one. Besides the traversals it returns the in-transit reset
 // positions (indices into the traversal before which an
-// ejection/re-injection happens) and, for lane-aware engines, the
+// ejection/re-injection happens) and, for multi-lane searches, the
 // virtual-channel lane of every traversal (nil means everything rides
 // lane 0).
 type pathFunc func(srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, error)
@@ -142,18 +139,23 @@ type pathFunc func(srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, e
 // rebuildEngineTable is the body of every engine's BuildTable (prev
 // nil) and RebuildAvoiding. The switch graph is prev's when the same
 // engine built prev on t (an engine's orientation is a function of
-// the topology), otherwise a new one over e.Orientation(t). pathFn
-// makes the engine's switch-pair search over that graph; nil selects
-// the Algorithm-selected searches. Surviving routes of a prev from the
-// same engine and algorithm are shared into the new table and only
-// the invalidated pairs are searched again; any other prev
-// degenerates to a full build. With a nil avoid every pair must
+// the topology), otherwise a new one over e.Orientation(t). The table's
+// Algorithm is ITBRouting when the engine's search may reset through
+// an in-transit buffer and UpDownRouting otherwise. Surviving routes of
+// a prev from the same engine and algorithm are shared into the new
+// table and only the invalidated pairs are searched again; any other
+// prev degenerates to a full build. With a nil avoid every pair must
 // route; with an exclusion set, pairs with dead endpoints or no
 // surviving path are omitted, matching BuildTableAvoiding.
-func rebuildEngineTable(e Engine, prev *Table, t *topology.Topology, alg Algorithm, avoid *Avoid, pathFn func(*engineGraph) pathFunc) (*Table, int, error) {
+func rebuildEngineTable(e Engine, prev *Table, t *topology.Topology, avoid *Avoid) (*Table, int, error) {
 	name := e.Name()
 	if err := engineCheckTopology(name, t); err != nil {
 		return nil, 0, err
+	}
+	s := e.search()
+	alg := UpDownRouting
+	if s.itb {
+		alg = ITBRouting
 	}
 	sameEngine := prev != nil && prev.engine == name
 	var g *engineGraph
@@ -165,11 +167,7 @@ func rebuildEngineTable(e Engine, prev *Table, t *topology.Topology, alg Algorit
 			return nil, 0, err
 		}
 	}
-	var fn pathFunc
-	if pathFn != nil {
-		fn = pathFn(g)
-	}
-	tbl := newTable(t, g, alg, avoid, name, fn)
+	tbl := newTable(t, g, alg, avoid, name, g.pathFunc(s, avoid))
 	if !sameEngine || prev.Algorithm != alg {
 		if err := tbl.routeAll(t, avoid == nil); err != nil {
 			return nil, 0, fmt.Errorf("routing: engine %q: %w", name, err)

@@ -1,8 +1,6 @@
 package routing
 
 import (
-	"fmt"
-
 	"repro/internal/topology"
 )
 
@@ -32,79 +30,23 @@ func (UpDownITBEngine) Orientation(t *topology.Topology) *topology.UpDown {
 // orientation, byte-for-byte the BuildTable tables the earlier
 // experiments pinned.
 func (e UpDownITBEngine) BuildTable(t *topology.Topology, avoid *Avoid) (*Table, error) {
-	tbl, _, err := e.RebuildAvoiding(nil, t, avoid)
+	tbl, _, err := rebuildEngineTable(e, nil, t, avoid)
 	return tbl, err
 }
 
 // RebuildAvoiding implements Engine.
 func (e UpDownITBEngine) RebuildAvoiding(prev *Table, t *topology.Topology, avoid *Avoid) (*Table, int, error) {
-	return rebuildEngineTable(e, prev, t, ITBRouting, avoid, nil)
-}
-
-// CheckDeadlockFree implements Engine.
-func (UpDownITBEngine) CheckDeadlockFree(tbl *Table) error {
-	return CheckDeadlockFree(tbl.Routes())
+	return rebuildEngineTable(e, prev, t, avoid)
 }
 
 // Lanes implements Engine: the paper's mechanism needs no virtual
 // channels — that is its whole point.
 func (UpDownITBEngine) Lanes() int { return 1 }
 
-// BuildCompact implements Engine: one in-transit Dijkstra per source
-// switch, lexicographically minimising (hops, ITBs), with each
-// destination's path read from its first settled state — the search
-// and goal rule BuildTable uses, so both representations hold the same
-// switch paths. In-transit ejection hosts are chosen by (src+dst)
-// rotation over a switch's live hosts rather than BuildTable's
-// least-loaded choice, spreading the in-transit load deterministically
-// without per-pair state.
-func (e UpDownITBEngine) BuildCompact(t *topology.Topology, avoid *Avoid) (*CompactTable, error) {
-	if err := engineCheckTopology(e.Name(), t); err != nil {
-		return nil, err
-	}
-	ud := e.Orientation(t)
-	g, err := newEngineGraph(t, ud)
-	if err != nil {
-		return nil, err
-	}
-	eject := g.liveHostPorts(avoid)
-	canReset := make([]bool, len(g.sws))
-	for i := range canReset {
-		canReset[i] = len(eject[i]) > 0
-	}
-	s := len(g.sws)
-	ct := &CompactTable{
-		EngineName: e.Name(),
-		t:          t,
-		ud:         ud,
-		avoid:      avoid,
-		sws:        g.sws,
-		sidx:       g.sidx,
-		off:        make([]uint32, s*s+1),
-	}
-	st := newSearchTree(2 * s)
-	heap := make([]itbHeapEntry, 0, 4*s)
-	var scratch []int32
-	for si := 0; si < s; si++ {
-		heap = g.itbSearch(int32(si), avoid, canReset, st, heap)
-		for di := 0; di < s; di++ {
-			ct.off[si*s+di] = uint32(len(ct.steps))
-			if si == di {
-				continue
-			}
-			goal := st.goal[di]
-			if goal < 0 {
-				if avoid == nil {
-					return nil, fmt.Errorf("routing: engine %q: switch %d unreachable from %d", e.Name(), g.sws[di], g.sws[si])
-				}
-				continue
-			}
-			ct.steps, scratch, err = g.appendPath(ct.steps, st, goal, eject, si+di, scratch)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	ct.off[s*s] = uint32(len(ct.steps))
-	return ct, nil
+// search implements Engine: ITBRouting's in-transit Dijkstra,
+// lexicographically minimising (hops, ITBs), with each destination's
+// path read from its first settled state.
+func (UpDownITBEngine) search() search {
+	s, _ := ITBRouting.search()
+	return s
 }

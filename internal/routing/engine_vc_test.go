@@ -44,10 +44,10 @@ func TestVCEngineContract(t *testing.T) {
 						t.Fatalf("route %d->%d: %v", r.Src, r.Dst, err)
 					}
 				}
-				if err := e.CheckDeadlockFree(tbl); err != nil {
+				if err := CheckDeadlockFree(tbl.Routes()); err != nil {
 					t.Fatalf("CheckDeadlockFree(Table): %v", err)
 				}
-				ct, err := e.BuildCompact(topo, nil)
+				ct, err := BuildCompact(e, topo, nil)
 				if err != nil {
 					t.Fatalf("BuildCompact: %v", err)
 				}
@@ -133,7 +133,7 @@ func TestVCSingleLaneIsPureUpDown(t *testing.T) {
 			t.Fatalf("route %d->%d: %d switch hops, legal shortest path has %d", r.Src, r.Dst, got, want)
 		}
 	}
-	ct, err := e.BuildCompact(topo, nil)
+	ct, err := BuildCompact(e, topo, nil)
 	if err != nil {
 		t.Fatalf("BuildCompact: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestVCSingleLaneIsPureUpDown(t *testing.T) {
 // at no hop cost.
 func TestVCITBNeedsFewerITBs(t *testing.T) {
 	topo := propTopology(t, "irregular", 64, 1)
-	ref, err := UpDownITBEngine{}.BuildCompact(topo, nil)
+	ref, err := BuildCompact(UpDownITBEngine{}, topo, nil)
 	if err != nil {
 		t.Fatalf("reference BuildCompact: %v", err)
 	}
@@ -162,7 +162,7 @@ func TestVCITBNeedsFewerITBs(t *testing.T) {
 	if refA.TotalITBs == 0 {
 		t.Skip("topology needs no ITBs; nothing to compare")
 	}
-	vc, err := VCEscapeEngine{NumLanes: 2, ITBRepair: true}.BuildCompact(topo, nil)
+	vc, err := BuildCompact(VCEscapeEngine{NumLanes: 2, ITBRepair: true}, topo, nil)
 	if err != nil {
 		t.Fatalf("vc BuildCompact: %v", err)
 	}
@@ -241,7 +241,7 @@ func TestVCRebuildAvoiding(t *testing.T) {
 			t.Fatalf("route %d->%d: %v", r.Src, r.Dst, err)
 		}
 	}
-	if err := e.CheckDeadlockFree(next); err != nil {
+	if err := CheckDeadlockFree(next.Routes()); err != nil {
 		t.Fatalf("CheckDeadlockFree after rebuild: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/topology"
@@ -16,9 +17,10 @@ import (
 // their graph: its topology view is immutable once built, and its one
 // search slot is guarded by a mutex.
 //
-// States are (switch, up*/down* phase) pairs encoded as
-// switchIndex*2+phase, with phase 0 = "no down hop taken yet" and
-// phase 1 = "downed" (only further down hops are legal).
+// States are (switch, up*/down* phase, lane) triples encoded as
+// (switchIndex*2+phase)*lanes+lane, with phase 0 = "no down hop taken
+// yet" and phase 1 = "downed" (only further down hops are legal); a
+// single-lane search's states are switchIndex*2+phase.
 type engineGraph struct {
 	t   *topology.Topology
 	ud  *topology.UpDown
@@ -37,31 +39,16 @@ type engineGraph struct {
 	// (loopback-free by construction: hosts have one port).
 	hostPorts [][]uint8
 
-	// mu guards last, the search every Algorithm-selected table over
-	// this graph reads its switch paths from. One slot per graph, not
-	// per table, keeps the many long-lived lazy tables of a gossip run
-	// from each holding a search tree.
+	// mu guards slot, the search every table over this graph reads its
+	// switch paths from. One slot per graph, not per table, keeps the
+	// many long-lived lazy tables of a gossip run from each holding a
+	// search tree.
 	mu   sync.Mutex
-	last algSearch
-}
-
-// algSearch is the key and result of the last Algorithm-selected
-// search over a graph, with its reusable buffers.
-type algSearch struct {
-	alg   Algorithm
-	avoid *Avoid
-	src   int32 // source switch index; -1 before the first search
-	tree  *searchTree
-	heap  []itbHeapEntry
-	queue []int32
-	// canReset marks the switches with a live in-transit host under
-	// resetFor.
-	canReset []bool
-	resetFor *Avoid
+	slot searchSlot
 }
 
 func newEngineGraph(t *topology.Topology, ud *topology.UpDown) (*engineGraph, error) {
-	g := &engineGraph{t: t, ud: ud, last: algSearch{src: -1}}
+	g := &engineGraph{t: t, ud: ud, slot: searchSlot{src: -1}}
 	g.sidx = make([]int32, t.NumNodes())
 	for i := range g.sidx {
 		g.sidx[i] = -1
@@ -118,39 +105,6 @@ func mustGraph(t *topology.Topology, ud *topology.UpDown) *engineGraph {
 	return g
 }
 
-// searchFrom returns the search tree of alg from source switch si
-// under avoid: ITBRouting runs the in-transit Dijkstra, UpDownRouting
-// the legal BFS. The last search is kept, so the host-major build
-// order runs one search per source. g.mu must be held.
-func (g *engineGraph) searchFrom(alg Algorithm, avoid *Avoid, si int32) (*searchTree, error) {
-	s := &g.last
-	if s.src == si && s.alg == alg && s.avoid == avoid {
-		return s.tree, nil
-	}
-	if s.tree == nil {
-		s.tree = newSearchTree(2 * len(g.sws))
-		s.queue = make([]int32, 0, 2*len(g.sws))
-	}
-	switch alg {
-	case UpDownRouting:
-		g.legalBFS(si, 0, avoid, s.tree, s.queue)
-	case ITBRouting:
-		if s.canReset == nil || s.resetFor != avoid {
-			s.canReset = make([]bool, len(g.sws))
-			for i, ports := range g.liveHostPorts(avoid) {
-				s.canReset[i] = len(ports) > 0
-			}
-			s.resetFor = avoid
-		}
-		s.heap = g.itbSearch(si, avoid, s.canReset, s.tree, s.heap)
-	default:
-		s.src = -1
-		return nil, fmt.Errorf("routing: unknown algorithm %d", alg)
-	}
-	s.alg, s.avoid, s.src = alg, avoid, si
-	return s.tree, nil
-}
-
 // liveHostPorts returns, per switch index, the host-facing ports whose
 // hosts survive the exclusion set — the candidates for in-transit
 // ejection. With a nil avoid it is hostPorts itself.
@@ -171,14 +125,125 @@ func (g *engineGraph) liveHostPorts(avoid *Avoid) [][]uint8 {
 	return out
 }
 
+// search is one route computation over an engine graph: a per-source
+// search and the goal rule that reads each destination's state out of
+// it. Every engine and both Algorithm values are one search; it is a
+// comparable value, and the graph's search slot is keyed by it.
+type search struct {
+	// dijkstra selects the lane-aware in-transit Dijkstra; otherwise
+	// the search is the up*/down*-legal BFS.
+	dijkstra bool
+	// layers is the number of BFS trees per source, each with the
+	// adjacency rotated by its index; a pair reads the tree pairLayer
+	// assigns it. It is 1 for every search but the layered engine's.
+	layers uint8
+	// lanes is the virtual-lane count of the search's states (1 for
+	// the BFS).
+	lanes uint8
+	// itb lets the Dijkstra reset through an in-transit buffer at a
+	// switch with a live host.
+	itb bool
+	// first is the goal rule: a destination's goal is the state the
+	// search reached its switch in first, the state the mapper's
+	// per-pair search stops at. Otherwise it is the cheapest reached
+	// state, ties to phase 0 and lower lanes.
+	first bool
+}
+
+// searchSlot is the last search run over a graph, keyed by the search,
+// the exclusion set and the source switch, with its reusable buffers.
+// The host-major build order therefore runs one search per source.
+type searchSlot struct {
+	s     search
+	avoid *Avoid
+	src   int32 // source switch index; -1 before the first search
+	trees []searchTree
+	heap  []itbHeapEntry
+	// buf is the BFS queue during a search and the walker's path
+	// after it; a path visits a state at most once, so neither
+	// outgrows the state count.
+	buf []int32
+	// eject holds, per switch, the host ports live under avoid: where
+	// the Dijkstra may reset, and the ejection ports a reset encodes.
+	eject [][]uint8
+}
+
+// run makes the slot hold search s from source switch si under avoid.
+func (sl *searchSlot) run(g *engineGraph, s search, avoid *Avoid, si int32) {
+	if sl.src == si && sl.s == s && sl.avoid == avoid {
+		return
+	}
+	states := 2 * len(g.sws) * int(s.lanes)
+	if len(sl.trees) != int(s.layers) || len(sl.trees[0].dist) != states {
+		sl.trees = make([]searchTree, s.layers)
+		for i := range sl.trees {
+			sl.trees[i] = newSearchTree(states)
+		}
+		sl.buf = make([]int32, 0, states)
+	}
+	if sl.eject == nil || sl.avoid != avoid {
+		sl.eject = g.liveHostPorts(avoid)
+	}
+	if s.dijkstra {
+		sl.heap = g.dijkstra(s, si, avoid, sl.eject, &sl.trees[0], sl.heap)
+	} else {
+		for layer := range sl.trees {
+			g.legalBFS(si, layer, avoid, &sl.trees[layer], sl.buf)
+		}
+	}
+	sl.s, sl.avoid, sl.src = s, avoid, si
+}
+
+// goal returns the tree and the goal state of destination switch di
+// under the slot's search, or -1 when di is unreachable.
+func (sl *searchSlot) goal(di int32) (*searchTree, int32) {
+	st := &sl.trees[pairLayer(int(sl.src), int(di), int(sl.s.layers))]
+	if sl.s.first {
+		return st, st.goal[di]
+	}
+	L := int32(sl.s.lanes)
+	best, bestD := int32(-1), distUnreached
+	for ph := int32(0); ph < 2; ph++ {
+		for lane := int32(0); lane < L; lane++ {
+			if s := (di*2+ph)*L + lane; st.dist[s] < bestD {
+				best, bestD = s, st.dist[s]
+			}
+		}
+	}
+	return st, best
+}
+
+// pathFunc returns the switch-pair search of s over g under avoid, the
+// one every table runs. It searches in the graph's slot, under its
+// mutex.
+func (g *engineGraph) pathFunc(s search, avoid *Avoid) pathFunc {
+	return func(srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, error) {
+		si, di := g.sidx[srcSw], g.sidx[dstSw]
+		if si < 0 || di < 0 {
+			return nil, nil, nil, fmt.Errorf("routing: %d->%d is not a switch pair", srcSw, dstSw)
+		}
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		sl := &g.slot
+		sl.run(g, s, avoid, si)
+		st, goal := sl.goal(di)
+		if goal < 0 {
+			return nil, nil, nil, fmt.Errorf("routing: no path from switch %d to %d", srcSw, dstSw)
+		}
+		sl.buf = st.walk(goal, sl.buf)
+		trav, itbBefore, lanes := g.traversals(st, sl.buf, int32(s.lanes))
+		return trav, itbBefore, lanes, nil
+	}
+}
+
 // searchTree holds one source's search result: per state, the best
 // distance and the parent pointers to reconstruct paths. parentEdge is
 // the CSR edge index taken into the state, edgeReset for the zero-hop
-// in-transit reset (phase 1 -> phase 0 at the same switch), or
-// edgeNone for unreached states and the start. goal holds, per switch
-// index, the state the two-phase searches reached the switch in first
-// (-1 while unreached): the first one settled by itbSearch, the first
-// one discovered by legalBFS.
+// in-transit reset (phase 1 -> phase 0, lane 0, at the same switch),
+// edgeBump for the zero-hop lane bump, or edgeNone for unreached
+// states and the start. goal holds, per switch index, the state the
+// search reached the switch in first (-1 while unreached): the first
+// one settled by the Dijkstra, the first one discovered by legalBFS.
 type searchTree struct {
 	dist        []int64
 	parentEdge  []int32
@@ -189,13 +254,14 @@ type searchTree struct {
 const (
 	edgeNone  int32 = -1
 	edgeReset int32 = -2
+	edgeBump  int32 = -3
 )
 
 const distUnreached = int64(1) << 62
 
-func newSearchTree(states int) *searchTree {
+func newSearchTree(states int) searchTree {
 	idx := make([]int32, 2*states+states/2)
-	st := &searchTree{
+	st := searchTree{
 		dist:        make([]int64, states),
 		parentEdge:  idx[:states:states],
 		parentState: idx[states : 2*states : 2*states],
@@ -289,17 +355,22 @@ func (g *engineGraph) plainBFS(src int32, avoid *Avoid, dist []int32, queue []in
 }
 
 // itbHeapEntry is one (cost, state) pair of the slice-backed binary
-// min-heap the Dijkstra searches (itbSearch, vcSearch) run on. The
-// heap is allocation-free across sources when the backing slice is
-// reused.
+// min-heap the Dijkstra runs on. The heap is allocation-free across
+// sources when the backing slice is reused.
 type itbHeapEntry struct {
 	cost  int64
 	state int32
 }
 
-// hopCost packs a lexicographic (hops, ITBs) route cost into one
-// integer.
-func hopCost(hops, itbs int64) int64 { return hops<<20 | itbs }
+// Lexicographic route cost: hops dominate, then in-transit buffers,
+// then lane bumps — the cheapest repair is always preferred and a
+// repair is never bought with extra hops unless no minimal path can
+// be repaired at all.
+const (
+	costHop  = int64(1) << 40
+	costITB  = int64(1) << 20
+	costBump = int64(1)
+)
 
 func heapPush(h []itbHeapEntry, e itbHeapEntry) []itbHeapEntry {
 	h = append(h, e)
@@ -339,21 +410,31 @@ func heapPop(h []itbHeapEntry) (itbHeapEntry, []itbHeapEntry) {
 	return top, h
 }
 
-// itbSearch runs the in-transit Dijkstra from source switch src over
-// the layered state graph: hop edges cost hopCost(1,0), the zero-hop
-// reset edge (phase 1 -> 0, available where canReset) costs
-// hopCost(0,1), so the lexicographic (hops, ITBs) minimum is found for
-// every destination. st.goal records each switch's first settled
-// state. Relaxation is strict and the reset edge is tried before the
-// CSR edges, so every pop up to a destination's first one is the same
-// pop a single-destination run would make, and st.goal is the state
-// that run would stop at. It returns the heap for reuse.
-func (g *engineGraph) itbSearch(src int32, avoid *Avoid, canReset []bool, st *searchTree, heap []itbHeapEntry) []itbHeapEntry {
+// dijkstra runs the lane-aware in-transit Dijkstra of s from source
+// switch src over states (switch, phase, lane) encoded as
+// (si*2+ph)*L+lane. Hop edges keep the lane and cost costHop. At phase
+// "downed" a bump edge moves to (up-ok, lane+1) for costBump and, with
+// s.itb where the switch has a live host in eject, a reset edge moves
+// to (up-ok, lane 0) for costITB. st.goal records each switch's first
+// settled state. Relaxation is strict and the bump and reset edges are
+// tried before the CSR edges, so every pop up to a destination's first
+// one is the same pop a single-destination run would make, and st.goal
+// is the state that run would stop at. It returns the heap for reuse.
+func (g *engineGraph) dijkstra(s search, src int32, avoid *Avoid, eject [][]uint8, st *searchTree, heap []itbHeapEntry) []itbHeapEntry {
+	L := int32(s.lanes)
 	st.reset()
-	start := src * 2
+	start := (src * 2) * L // phase 0, lane 0
 	st.dist[start] = 0
 	heap = heap[:0]
 	heap = heapPush(heap, itbHeapEntry{0, start})
+	relax := func(next int32, c int64, edge, cur int32) {
+		if c < st.dist[next] {
+			st.dist[next] = c
+			st.parentEdge[next] = edge
+			st.parentState[next] = cur
+			heap = heapPush(heap, itbHeapEntry{c, next})
+		}
+	}
 	for len(heap) > 0 {
 		var top itbHeapEntry
 		top, heap = heapPop(heap)
@@ -361,23 +442,24 @@ func (g *engineGraph) itbSearch(src int32, avoid *Avoid, canReset []bool, st *se
 			continue // stale entry
 		}
 		cur := top.state
-		si, ph := cur/2, cur%2
+		lane := cur % L
+		sp := cur / L
+		si, ph := sp/2, sp%2
 		if st.goal[si] < 0 {
 			st.goal[si] = cur
 		}
 		base := st.dist[cur]
-		if ph == 1 && canReset[si] {
-			next := cur - 1 // phase 0 at the same switch
-			if c := base + hopCost(0, 1); c < st.dist[next] {
-				st.dist[next] = c
-				st.parentEdge[next] = edgeReset
-				st.parentState[next] = cur
-				heap = heapPush(heap, itbHeapEntry{c, next})
+		if ph == 1 {
+			if lane+1 < L {
+				relax((si*2)*L+lane+1, base+costBump, edgeBump, cur)
+			}
+			if s.itb && len(eject[si]) > 0 {
+				relax((si*2)*L, base+costITB, edgeReset, cur)
 			}
 		}
 		for e := g.eOff[si]; e < g.eOff[si+1]; e++ {
 			if !g.eDown[e] && ph == 1 {
-				continue
+				continue // up after down needs a repair first
 			}
 			if avoid.avoidsLink(int(g.eLink[e])) {
 				continue
@@ -386,111 +468,92 @@ func (g *engineGraph) itbSearch(src int32, avoid *Avoid, canReset []bool, st *se
 			if g.eDown[e] {
 				next++
 			}
-			if c := base + hopCost(1, 0); c < st.dist[next] {
-				st.dist[next] = c
-				st.parentEdge[next] = int32(e)
-				st.parentState[next] = cur
-				heap = heapPush(heap, itbHeapEntry{c, next})
-			}
+			relax(next*L+lane, base+costHop, e, cur)
 		}
 	}
 	return heap
 }
 
-// bestState returns the reached goal state for destination switch di
-// (either phase is acceptable; ties prefer phase 0), or -1 when the
-// destination is unreachable. It is the goal rule of the layered and
-// minimal-escape engines, whose Table and CompactTable builds both use
-// it.
-func (st *searchTree) bestState(di int32) int32 {
-	s0, s1 := di*2, di*2+1
-	d0, d1 := st.dist[s0], st.dist[s1]
-	if d0 == distUnreached && d1 == distUnreached {
-		return -1
-	}
-	if d0 <= d1 {
-		return s0
-	}
-	return s1
-}
-
-// appendPath appends the compact encoding of the path from the search
-// tree's source to goal onto buf: one output-port byte per hop, with
-// stepITB+ejection-port pairs at in-transit resets. ejectPorts selects
-// the ejection port per reset switch; pairRot rotates the choice so
-// the in-transit load spreads deterministically over a switch's hosts.
-// scratch is a reusable reversed-entry buffer.
-func (g *engineGraph) appendPath(buf []byte, st *searchTree, goal int32, ejectPorts [][]uint8, pairRot int, scratch []int32) ([]byte, []int32, error) {
-	scratch = scratch[:0]
+// walk reads the path from the tree's source to goal: the states its
+// steps lead to, in source-to-goal order, reusing buf. The step into
+// each state is its parentEdge: a CSR hop edge, edgeReset or edgeBump.
+func (st *searchTree) walk(goal int32, buf []int32) []int32 {
+	buf = buf[:0]
 	for cur := goal; st.parentEdge[cur] != edgeNone; cur = st.parentState[cur] {
-		e := st.parentEdge[cur]
-		if e == edgeReset {
-			// Record the reset switch as -(si+1).
-			scratch = append(scratch, -(cur/2 + 1))
-		} else {
-			scratch = append(scratch, e)
-		}
+		buf = append(buf, cur)
 	}
-	for i := len(scratch) - 1; i >= 0; i-- {
-		entry := scratch[i]
-		if entry >= 0 {
-			buf = append(buf, g.ePort[entry])
-			continue
-		}
-		si := -entry - 1
-		ports := ejectPorts[si]
-		if len(ports) == 0 {
-			return buf, scratch, fmt.Errorf("routing: in-transit reset at switch %d which has no live hosts", g.sws[si])
-		}
-		buf = append(buf, stepITB, ports[pairRot%len(ports)])
-	}
-	return buf, scratch, nil
+	slices.Reverse(buf)
+	return buf
 }
 
-// traversalsTo reconstructs the path to goal as the (Traversal,
-// itbBefore) pair the Table assembler consumes — the Table builds'
-// form of appendPath. Both slices are nil when empty.
-func (g *engineGraph) traversalsTo(st *searchTree, goal int32) ([]Traversal, []int) {
+// appendSteps appends the compact encoding of a walked path of an
+// L-lane search onto buf: one output-port byte per hop, preceded by a
+// stepVC+lane pair where the hop's lane differs from the lane on the
+// wire, and a stepITB+ejection-port pair per in-transit reset. rot
+// rotates the port choice over the reset switch's eject ports, so the
+// in-transit load spreads deterministically over its hosts. eject must
+// be the set the search ran with: a reset exists only where it is
+// non-empty.
+func (g *engineGraph) appendSteps(buf []byte, st *searchTree, path []int32, L int32, eject [][]uint8, rot int) []byte {
+	wire := uint8(0)
+	for _, cur := range path {
+		switch e := st.parentEdge[cur]; e {
+		case edgeReset:
+			ports := eject[cur/L/2]
+			buf = append(buf, stepITB, ports[rot%len(ports)])
+			wire = 0 // the re-injection restarts on lane 0
+		case edgeBump:
+			// The bump surfaces as the next hop's lane.
+		default:
+			if lane := uint8(cur % L); lane != wire {
+				buf = append(buf, stepVC, lane)
+				wire = lane
+			}
+			buf = append(buf, g.ePort[e])
+		}
+	}
+	return buf
+}
+
+// traversals returns a walked path of an L-lane search in the form the
+// Table assembler consumes: the switch traversals, the indices before
+// which an in-transit reset happens, and, when L > 1, each traversal's
+// lane (nil otherwise: everything rides lane 0). The first two are nil
+// when empty.
+func (g *engineGraph) traversals(st *searchTree, path []int32, L int32) ([]Traversal, []int, []uint8) {
 	hops, resets := 0, 0
-	for cur := goal; st.parentEdge[cur] != edgeNone; cur = st.parentState[cur] {
-		if st.parentEdge[cur] == edgeReset {
+	for _, cur := range path {
+		switch st.parentEdge[cur] {
+		case edgeReset:
 			resets++
-		} else {
+		case edgeBump:
+		default:
 			hops++
 		}
 	}
 	var trav []Traversal
 	var itbBefore []int
+	var lanes []uint8
 	if hops > 0 {
-		trav = make([]Traversal, hops)
+		trav = make([]Traversal, 0, hops)
 	}
 	if resets > 0 {
-		itbBefore = make([]int, resets)
+		itbBefore = make([]int, 0, resets)
 	}
-	// Fill both from the back: a reset lands before the hops still
-	// unplaced, which are exactly the hops nearer the source.
-	for cur := goal; st.parentEdge[cur] != edgeNone; cur = st.parentState[cur] {
-		if e := st.parentEdge[cur]; e == edgeReset {
-			resets--
-			itbBefore[resets] = hops
-		} else {
-			hops--
-			trav[hops] = Traversal{Link: g.t.Link(int(g.eLink[e])), From: g.sws[st.parentState[cur]/2]}
+	if L > 1 {
+		lanes = make([]uint8, 0, hops)
+	}
+	for _, cur := range path {
+		switch e := st.parentEdge[cur]; e {
+		case edgeReset:
+			itbBefore = append(itbBefore, len(trav))
+		case edgeBump:
+		default:
+			trav = append(trav, Traversal{Link: g.t.Link(int(g.eLink[e])), From: g.sws[st.parentState[cur]/L/2]})
+			if L > 1 {
+				lanes = append(lanes, uint8(cur%L))
+			}
 		}
 	}
-	return trav, itbBefore
-}
-
-// edgeFrom returns the switch index owning CSR edge e.
-func (g *engineGraph) edgeFrom(e int32) int32 {
-	lo, hi := int32(0), int32(len(g.sws))
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if g.eOff[mid] <= e {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return trav, itbBefore, lanes
 }

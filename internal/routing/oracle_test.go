@@ -152,7 +152,7 @@ func oracleSearchPathITB(t *topology.Topology, ud *topology.UpDown, src, dst top
 			heap.Push(h, &oracleNode{st: next, cost: cost})
 		}
 		if st.ph == oracleDowned && len(liveHostsAt(t, st.sw, avoid)) > 0 {
-			relax(oracleState{sw: st.sw, ph: oracleUpOK}, base+hopCost(0, 1),
+			relax(oracleState{sw: st.sw, ph: oracleUpOK}, base+costITB,
 				oracleStep{prev: st, itb: true})
 		}
 		for _, nb := range t.SwitchNeighbors(st.sw) {
@@ -167,7 +167,7 @@ func oracleSearchPathITB(t *topology.Topology, ud *topology.UpDown, src, dst top
 			if dir == topology.Down {
 				nextPh = oracleDowned
 			}
-			relax(oracleState{sw: nb.Node, ph: nextPh}, base+hopCost(1, 0),
+			relax(oracleState{sw: nb.Node, ph: nextPh}, base+costHop,
 				oracleStep{prev: st, link: nb.Link})
 		}
 	}

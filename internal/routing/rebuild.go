@@ -40,7 +40,10 @@ func RebuildAvoiding(prev *Table, t *topology.Topology, ud *topology.UpDown, alg
 	if err != nil {
 		return nil, 0, err
 	}
-	tbl := newTable(t, g, alg, avoid, "", nil)
+	tbl, err := algTable(t, g, alg, avoid)
+	if err != nil {
+		return nil, 0, err
+	}
 	if prev == nil || prev.Algorithm != alg {
 		// Pairs unreachable under the exclusion set are omitted.
 		_ = tbl.routeAll(t, false)
@@ -108,15 +111,17 @@ type lazyRebuild struct {
 // mutates it.
 func RebuildAvoidingLazy(prev *Table, t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid, reused *uint64) *Table {
 	g, err := graphFor(prev, t, ud)
-	var fn pathFunc
-	if err != nil {
-		// The topology has no switch graph: every search fails, so
-		// every pair prev cannot supply resolves as unroutable.
-		fn = func(topology.NodeID, topology.NodeID) ([]Traversal, []int, []uint8, error) {
-			return nil, nil, nil, err
-		}
+	var tbl *Table
+	if err == nil {
+		tbl, err = algTable(t, g, alg, avoid)
 	}
-	tbl := newTable(t, g, alg, avoid, "", fn)
+	if err != nil {
+		// No switch graph or no such algorithm: every search fails, so
+		// every pair prev cannot supply resolves as unroutable.
+		tbl = newTable(t, g, alg, avoid, "", func(topology.NodeID, topology.NodeID) ([]Traversal, []int, []uint8, error) {
+			return nil, nil, nil, err
+		})
+	}
 	if prev != nil && prev.Algorithm != alg {
 		prev = nil
 	}
@@ -182,5 +187,9 @@ func (f *Finder) FindRoute(alg Algorithm, src, dst topology.NodeID, avoid *Avoid
 	if avoid.hostDead(f.t, src) || avoid.hostDead(f.t, dst) {
 		return nil, fmt.Errorf("routing: endpoint %d->%d dead under exclusion set", src, dst)
 	}
-	return newTable(f.t, f.g, alg, avoid, "", nil).buildRoute(f.t, src, dst)
+	tbl, err := algTable(f.t, f.g, alg, avoid)
+	if err != nil {
+		return nil, err
+	}
+	return tbl.buildRoute(f.t, src, dst)
 }

@@ -15,7 +15,7 @@ func RootQuality(t *topology.Topology, ud *topology.UpDown) int {
 	total := 0
 	for si := range g.sws {
 		// One legal BFS per source covers all destinations.
-		g.legalBFS(int32(si), 0, nil, tree, queue)
+		g.legalBFS(int32(si), 0, nil, &tree, queue)
 		for di := range g.sws {
 			if goal := tree.goal[di]; goal >= 0 {
 				total += int(tree.dist[goal])

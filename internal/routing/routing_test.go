@@ -14,7 +14,11 @@ func switchPath(tb testing.TB, tp *topology.Topology, ud *topology.UpDown, alg A
 	if err != nil {
 		tb.Fatal(err)
 	}
-	trav, itbBefore, _, err := algPathFunc(g, alg, nil)(src, dst)
+	s, err := alg.search()
+	if err != nil {
+		return nil, nil, err
+	}
+	trav, itbBefore, _, err := g.pathFunc(s, nil)(src, dst)
 	return trav, itbBefore, err
 }
 

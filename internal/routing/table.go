@@ -67,7 +67,7 @@ type Table struct {
 	engine string
 	// graph is the switch graph the table's searches run on; tables
 	// rebuilt from this one share it. pathFn is the switch-pair search
-	// over it: the engine's, or algPathFunc's.
+	// over it: the engine's or the Algorithm's (engineGraph.pathFunc).
 	graph  *engineGraph
 	pathFn pathFunc
 	// lazyFill, when non-nil, resolves Lookup misses on demand (tables
@@ -92,12 +92,8 @@ type cachedPath struct {
 }
 
 // newTable returns an empty table of topology t over graph g whose
-// switch paths come from fn, or from the Algorithm-selected searches
-// when fn is nil.
+// switch paths come from fn.
 func newTable(t *topology.Topology, g *engineGraph, alg Algorithm, avoid *Avoid, engine string, fn pathFunc) *Table {
-	if fn == nil {
-		fn = algPathFunc(g, alg, avoid)
-	}
 	lo, hi := 0, t.NumNodes()-1
 	for lo <= hi && t.Node(topology.NodeID(lo)).Kind != topology.KindHost {
 		lo++
@@ -196,11 +192,10 @@ func graphFor(prev *Table, t *topology.Topology, ud *topology.UpDown) (*engineGr
 	return newEngineGraph(t, ud)
 }
 
-// algPathFunc is the switch-pair search of the Algorithm-selected
-// tables over g. ITBRouting takes each destination's first settled
-// state of the in-transit Dijkstra, UpDownRouting the first discovered
-// state of the legal BFS. Those are exactly the states a search for
-// that one destination stops at, so the paths are the per-pair
+// search returns the Algorithm's route computation. ITBRouting is the
+// in-transit Dijkstra and UpDownRouting the legal BFS, each with the
+// first-reached goal rule: a destination's goal is the state the
+// mapper's per-pair search stops at, so the paths are the per-pair
 // searches'.
 //
 // ITBRouting needs no separate up*/down* fallback under an exclusion
@@ -208,25 +203,24 @@ func graphFor(prev *Table, t *topology.Topology, ud *topology.UpDown) (*engineGr
 // where no live in-transit host repairs a minimal path it returns the
 // shortest route the live hosts and links still allow, which is a
 // legal route when no reset survives on it.
-func algPathFunc(g *engineGraph, alg Algorithm, avoid *Avoid) pathFunc {
-	return func(srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, error) {
-		si, di := g.sidx[srcSw], g.sidx[dstSw]
-		if si < 0 || di < 0 {
-			return nil, nil, nil, fmt.Errorf("routing: %d->%d is not a switch pair", srcSw, dstSw)
-		}
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		tree, err := g.searchFrom(alg, avoid, si)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		goal := tree.goal[di]
-		if goal < 0 {
-			return nil, nil, nil, fmt.Errorf("routing: no path from switch %d to %d", srcSw, dstSw)
-		}
-		trav, itbBefore := g.traversalsTo(tree, goal)
-		return trav, itbBefore, nil, nil
+func (a Algorithm) search() (search, error) {
+	switch a {
+	case UpDownRouting:
+		return search{layers: 1, lanes: 1, first: true}, nil
+	case ITBRouting:
+		return search{dijkstra: true, layers: 1, lanes: 1, itb: true, first: true}, nil
 	}
+	return search{}, fmt.Errorf("routing: unknown algorithm %d", a)
+}
+
+// algTable returns an empty table of alg over graph g, for the
+// Algorithm-selected entry points.
+func algTable(t *topology.Topology, g *engineGraph, alg Algorithm, avoid *Avoid) (*Table, error) {
+	s, err := alg.search()
+	if err != nil {
+		return nil, err
+	}
+	return newTable(t, g, alg, avoid, "", g.pathFunc(s, avoid)), nil
 }
 
 // BuildTable computes routes for all ordered host pairs.
@@ -235,7 +229,10 @@ func BuildTable(t *topology.Topology, ud *topology.UpDown, alg Algorithm) (*Tabl
 	if err != nil {
 		return nil, err
 	}
-	tbl := newTable(t, g, alg, nil, "", nil)
+	tbl, err := algTable(t, g, alg, nil)
+	if err != nil {
+		return nil, err
+	}
 	if err := tbl.routeAll(t, true); err != nil {
 		return nil, err
 	}
