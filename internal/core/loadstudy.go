@@ -451,7 +451,9 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 	// token is an error, not a silent zero row. The slack is real: an
 	// engine without in-transit buffers on a loaded Dragonfly is two
 	// orders of magnitude slower than the ITB engines, and that
-	// number is the study's point, not a failure.
+	// number is the study's point, not a failure. The error reports
+	// GM and fabric progress: events are still queued at the
+	// deadline, so waiters in the fabric would not show a cycle.
 	deadline := cfg.Warmup + 4000*cfg.Window
 	cl.Eng.RunUntil(deadline)
 	if coll == nil || !coll.Done() {
@@ -459,8 +461,14 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 		if coll != nil {
 			hops = coll.Hops()
 		}
-		return loadCellOut{}, fmt.Errorf("core: %s/%s allreduce did not complete by %v under load %.2f (%d hops delivered, %d flights stuck)",
-			s.preset, s.engine, deadline, s.load, hops, len(cl.DetectStuck()))
+		var retransmits, dups uint64
+		for _, h := range hosts {
+			st := cl.Host(h).Stats()
+			retransmits += st.Retransmits
+			dups += st.DuplicateDrops
+		}
+		return loadCellOut{}, fmt.Errorf("core: %s/%s allreduce did not complete by %v under load %.2f (%d hops delivered; GM %d retransmits, %d duplicate drops; fabric %d deliveries)",
+			s.preset, s.engine, deadline, s.load, hops, retransmits, dups, cl.Net.Stats().Delivered)
 	}
 	if got, want := coll.Checksum(), workload.ExpectedChecksum(len(hosts), cfg.VectorLen); got != want {
 		return loadCellOut{}, fmt.Errorf("core: %s/%s allreduce checksum %d, want %d", s.preset, s.engine, got, want)

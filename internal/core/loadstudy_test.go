@@ -1,6 +1,8 @@
 package core
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -205,5 +207,31 @@ func TestClusterEngineOverride(t *testing.T) {
 	}
 	if got, want := coll.Checksum(), workload.ExpectedChecksum(16, 16); got != want {
 		t.Errorf("checksum %d, want %d", got, want)
+	}
+}
+
+// TestLoadCollectiveDeadlineReportsProgress forces an allreduce cell
+// past its deadline (Warmup + 4000*Window, here 70 µs, far short of a
+// 16-host ring allreduce) and checks that the error reports GM and
+// fabric progress: hops delivered, GM retransmits and duplicate drops,
+// and fabric deliveries.
+func TestLoadCollectiveDeadlineReportsProgress(t *testing.T) {
+	cfg := smallLoadStudy(5)
+	cfg.Engines = []string{"updown-itb"}
+	cfg.Patterns = []string{"allreduce"}
+	cfg.Window = 10 * units.Nanosecond
+	_, err := RunLoadStudy(cfg)
+	if err == nil {
+		t.Fatal("allreduce finished inside a 70 µs deadline")
+	}
+	m := regexp.MustCompile(`did not complete by .* \((\d+) hops delivered; GM (\d+) retransmits, (\d+) duplicate drops; fabric (\d+) deliveries\)`).FindStringSubmatch(err.Error())
+	if m == nil {
+		t.Fatalf("deadline error does not report GM and fabric progress: %v", err)
+	}
+	if hops, _ := strconv.Atoi(m[1]); hops >= 2*15 {
+		t.Errorf("%d hops delivered, but the 30-hop allreduce did not complete", hops)
+	}
+	if deliveries, _ := strconv.Atoi(m[4]); deliveries == 0 {
+		t.Errorf("fabric delivered nothing before the deadline: %v", err)
 	}
 }
