@@ -52,15 +52,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ud := topology.BuildUpDown(rebuilt)
-	tbl, err := routing.BuildTable(rebuilt, ud, routing.ITBRouting)
+	tbl, err := routing.ITBRouting.BuildTable(rebuilt, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := routing.CheckDeadlockFree(tbl.Routes()); err != nil {
 		log.Fatal(err)
 	}
-	an := routing.Analyze(rebuilt, ud, tbl)
+	an := routing.Analyze(rebuilt, tbl.Orientation(), tbl)
 	fmt.Printf("computed %d ITB routes on the discovered map: %.0f%% minimal, avg %.2f ITBs/route, deadlock free\n",
 		an.Routes, 100*an.MinimalFraction, an.AvgITBs)
 }

@@ -77,7 +77,7 @@ func DefaultVCStudyConfig(seed int64) VCStudyConfig {
 func vcArmEngine(arm string, lanes int) (routing.Engine, error) {
 	switch arm {
 	case "itb":
-		return routing.UpDownITBEngine{}, nil
+		return routing.ITBRouting, nil
 	case "vc":
 		return routing.VCEscapeEngine{NumLanes: lanes}, nil
 	case "itb+vc":

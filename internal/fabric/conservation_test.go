@@ -29,8 +29,7 @@ func TestPacketConservationProperty(t *testing.T) {
 		for _, h := range topo.Hosts() {
 			net.Attach(h, &testEP{eng: eng})
 		}
-		ud := topology.BuildUpDown(topo)
-		tbl, err := routing.BuildTable(topo, ud, routing.UpDownRouting)
+		tbl, err := routing.UpDownRouting.BuildTable(topo, nil)
 		if err != nil {
 			return false
 		}
@@ -81,8 +80,7 @@ func TestStallAccountingProperty(t *testing.T) {
 			eps[h] = ep
 			net.Attach(h, ep)
 		}
-		ud := topology.BuildUpDown(topo)
-		tbl, err := routing.BuildTable(topo, ud, routing.UpDownRouting)
+		tbl, err := routing.UpDownRouting.BuildTable(topo, nil)
 		if err != nil {
 			return false
 		}

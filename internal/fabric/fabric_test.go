@@ -70,8 +70,7 @@ func testbedNet(t *testing.T) (*sim.Engine, *Network, topology.TestbedNodes, map
 // routeBytes computes the UD route header for a host pair.
 func routeBytes(t *testing.T, topo *topology.Topology, src, dst topology.NodeID) []byte {
 	t.Helper()
-	ud := topology.BuildUpDown(topo)
-	tbl, err := routing.BuildTable(topo, ud, routing.UpDownRouting)
+	tbl, err := routing.UpDownRouting.BuildTable(topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,8 +85,7 @@ func TestProgressiveReleaseSameUnloadedLatency(t *testing.T) {
 // accounted for (no channel left held, no double release panic).
 func TestProgressiveReleaseConservation(t *testing.T) {
 	eng, net, nodes, eps := releaseNet(t, true)
-	ud := topology.BuildUpDown(net.Topology())
-	tbl, err := routing.BuildTable(net.Topology(), ud, routing.UpDownRouting)
+	tbl, err := routing.UpDownRouting.BuildTable(net.Topology(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

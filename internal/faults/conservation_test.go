@@ -60,8 +60,7 @@ func checkConservation(t *testing.T, topo *topology.Topology, seed int64, detect
 	t.Helper()
 	eng := sim.NewEngine()
 	net := fabric.New(eng, topo, fabric.DefaultParams())
-	ud := topology.BuildUpDown(topo)
-	tbl, err := routing.BuildTable(topo, ud, routing.ITBRouting)
+	tbl, err := routing.ITBRouting.BuildTable(topo, nil)
 	if err != nil {
 		t.Error(err)
 		return false
@@ -88,7 +87,7 @@ func checkConservation(t *testing.T, topo *topology.Topology, seed int64, detect
 	// and epoch installs are all events, not an oracle recompute.
 	rcfg := recovery.DefaultConfig(4 * horizon)
 	rtgt := recovery.Target{
-		Eng: eng, Topo: topo, UD: ud, Alg: routing.ITBRouting,
+		Eng: eng, Topo: topo, Engine: routing.ITBRouting,
 		Base: tbl, Hosts: hosts, Monitor: 0,
 	}
 	var det recovery.Detector

@@ -79,8 +79,7 @@ func TestFlapSequences(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
 			net := fabric.New(eng, topo, fabric.DefaultParams())
-			ud := topology.BuildUpDown(topo)
-			tbl, err := routing.BuildTable(topo, ud, routing.ITBRouting)
+			tbl, err := routing.ITBRouting.BuildTable(topo, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +88,7 @@ func TestFlapSequences(t *testing.T) {
 				hosts = append(hosts, gm.NewHost(eng, mcp.New(net, h, mcp.DefaultConfig(mcp.ITB)), tbl, gm.DefaultParams()))
 			}
 			mgr, err := recovery.NewManager(recovery.DefaultConfig(2000*us), recovery.Target{
-				Eng: eng, Topo: topo, UD: ud, Alg: routing.ITBRouting,
+				Eng: eng, Topo: topo, Engine: routing.ITBRouting,
 				Base: tbl, Hosts: hosts, Monitor: 0,
 			})
 			if err != nil {

@@ -54,8 +54,7 @@ func runPoolCampaign(t *testing.T, topo *topology.Topology, seed int64) string {
 	t.Helper()
 	eng := sim.NewEngine()
 	net := fabric.New(eng, topo, fabric.DefaultParams())
-	ud := topology.BuildUpDown(topo)
-	tbl, err := routing.BuildTable(topo, ud, routing.ITBRouting)
+	tbl, err := routing.ITBRouting.BuildTable(topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func runPoolCampaign(t *testing.T, topo *topology.Topology, seed int64) string {
 
 	horizon := 800 * units.Microsecond
 	mgr, err := recovery.NewManager(recovery.DefaultConfig(4*horizon), recovery.Target{
-		Eng: eng, Topo: topo, UD: ud, Alg: routing.ITBRouting,
+		Eng: eng, Topo: topo, Engine: routing.ITBRouting,
 		Base: tbl, Hosts: hosts, Monitor: 0,
 	})
 	if err != nil {
@@ -216,8 +215,7 @@ func TestPoolSteadyStateUnderSustainedDrops(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	net := fabric.New(eng, topo, fabric.DefaultParams())
-	ud := topology.BuildUpDown(topo)
-	tbl, err := routing.BuildTable(topo, ud, routing.ITBRouting)
+	tbl, err := routing.ITBRouting.BuildTable(topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func peerRig(tb testing.TB, npeers int) (*Host, *routing.Table) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tbl, err := routing.UpDownITBEngine{}.BuildTable(topo, nil)
+	tbl, err := routing.ITBRouting.BuildTable(topo, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

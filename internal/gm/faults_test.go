@@ -23,8 +23,7 @@ func faultRig(t *testing.T, ber float64, seed int64) *rig {
 	par.BitErrorRate = ber
 	par.FaultSeed = seed
 	net := fabric.New(eng, topo, par)
-	ud := topology.BuildUpDown(topo)
-	tbl, err := routing.BuildTable(topo, ud, routing.UpDownRouting)
+	tbl, err := routing.UpDownRouting.BuildTable(topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

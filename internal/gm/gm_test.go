@@ -26,8 +26,7 @@ func newRig(t testing.TB, mcpCfg mcp.Config, gmPar Params) *rig {
 	eng := sim.NewEngine()
 	topo, nodes := topology.Testbed()
 	net := fabric.New(eng, topo, fabric.DefaultParams())
-	ud := topology.BuildUpDown(topo)
-	tbl, err := routing.BuildTable(topo, ud, routing.UpDownRouting)
+	tbl, err := routing.UpDownRouting.BuildTable(topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,7 @@ func TestReliabilityProperty(t *testing.T) {
 		eng := sim.NewEngine()
 		topo, nodes := topology.Testbed()
 		net := fabric.New(eng, topo, fabric.DefaultParams())
-		ud := topology.BuildUpDown(topo)
-		tbl, err := routing.BuildTable(topo, ud, routing.UpDownRouting)
+		tbl, err := routing.UpDownRouting.BuildTable(topo, nil)
 		if err != nil {
 			return false
 		}
@@ -94,8 +93,7 @@ func TestReliabilityEventuallyQuiesces(t *testing.T) {
 	eng := sim.NewEngine()
 	topo, nodes := topology.Testbed()
 	net := fabric.New(eng, topo, fabric.DefaultParams())
-	ud := topology.BuildUpDown(topo)
-	tbl, err := routing.BuildTable(topo, ud, routing.UpDownRouting)
+	tbl, err := routing.UpDownRouting.BuildTable(topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

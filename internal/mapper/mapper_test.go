@@ -114,7 +114,7 @@ func TestBuildTopologyRoutesWork(t *testing.T) {
 		t.Errorf("translated %d hosts, want %d", len(ids), len(topo.Hosts()))
 	}
 	ud := topology.BuildUpDown(rebuilt)
-	tbl, err := routing.BuildTable(rebuilt, ud, routing.ITBRouting)
+	tbl, err := routing.ITBRouting.BuildTable(rebuilt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,7 @@ func newRigCfg(t testing.TB, tweak func(*Config)) *rig {
 	for _, h := range topo.Hosts() {
 		r.mcps[h] = New(net, h, cfg)
 	}
-	ud := topology.BuildUpDown(topo)
-	tbl, err := routing.BuildTable(topo, ud, routing.UpDownRouting)
+	tbl, err := routing.UpDownRouting.BuildTable(topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +313,7 @@ func TestBufferPoolDropsWhenFull(t *testing.T) {
 	for _, h := range topo.Hosts() {
 		mcps[h] = New(net, h, cfg)
 	}
-	ud := topology.BuildUpDown(topo)
-	tbl, err := routing.BuildTable(topo, ud, routing.UpDownRouting)
+	tbl, err := routing.UpDownRouting.BuildTable(topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

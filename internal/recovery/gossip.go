@@ -18,8 +18,8 @@
 //     protocol safe under flapping.
 //   - A suspicion no alive-claim refutes within SuspicionPeriods
 //     periods is confirmed locally; the confirming agent rebuilds its
-//     own route table around its local dead set (the shared
-//     routing.RebuildAvoiding path the monitor uses) and installs it
+//     own route table around its local dead set (the engine's
+//     incremental rebuild the monitor uses) and installs it
 //     under a fresh epoch. Consensus is emergent: the dead claim
 //     gossips outward and every agent converges on the same avoid
 //     set, host by host, with no coordinator. Killing any single
@@ -130,8 +130,7 @@ type Gossip struct {
 	cfg    Config
 	eng    *sim.Engine
 	topo   *topology.Topology
-	ud     *topology.UpDown
-	alg    routing.Algorithm
+	engine routing.Engine
 	base   *routing.Table
 	finder *routing.Finder // probe routes
 	hosts  []*gm.Host
@@ -173,13 +172,13 @@ func NewGossip(cfg Config, tgt Target) (*Gossip, error) {
 	if cfg.Deadline <= 0 {
 		return nil, fmt.Errorf("recovery: Config.Deadline is required (it bounds the probe process)")
 	}
-	if tgt.Eng == nil || tgt.Topo == nil || tgt.UD == nil || tgt.Base == nil {
+	if tgt.Eng == nil || tgt.Topo == nil || tgt.Engine == nil || tgt.Base == nil {
 		return nil, fmt.Errorf("recovery: incomplete target")
 	}
 	if len(tgt.Hosts) < 2 {
 		return nil, fmt.Errorf("recovery: gossip needs at least two hosts")
 	}
-	finder, err := routing.NewFinder(tgt.Topo, tgt.UD)
+	finder, err := routing.NewFinder(tgt.Topo, tgt.Base.Orientation())
 	if err != nil {
 		return nil, err
 	}
@@ -187,8 +186,7 @@ func NewGossip(cfg Config, tgt Target) (*Gossip, error) {
 		cfg:        cfg.withDefaults(),
 		eng:        tgt.Eng,
 		topo:       tgt.Topo,
-		ud:         tgt.UD,
-		alg:        tgt.Alg,
+		engine:     tgt.Engine,
 		base:       tgt.Base,
 		finder:     finder,
 		hosts:      tgt.Hosts,
@@ -380,7 +378,7 @@ func (g *Gossip) route(from, to int) []byte {
 		return h
 	}
 	var hdr []byte
-	r, err := g.finder.FindRoute(routing.UpDownRouting, g.hosts[from].Node(), g.hosts[to].Node(), nil)
+	r, err := g.finder.FindRoute(g.hosts[from].Node(), g.hosts[to].Node(), nil)
 	if err == nil {
 		if enc, err := r.EncodeHeader(); err == nil {
 			hdr = enc
@@ -454,7 +452,7 @@ func (g *Gossip) tableFor(dead []int) (*routing.Table, error) {
 	// traffic actually uses pay validation/search. Eager all-pairs
 	// rebuilds per distinct local dead set are what made per-agent
 	// installs the scale bottleneck.
-	tbl := routing.RebuildAvoidingLazy(prev, g.topo, g.ud, g.alg, avoid, &g.stats.RoutesReused)
+	tbl := routing.RebuildAvoidingLazy(prev, g.topo, g.engine, avoid, &g.stats.RoutesReused)
 	g.tableCache[string(key)] = tbl
 	return tbl, nil
 }

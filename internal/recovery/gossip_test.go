@@ -32,8 +32,7 @@ func newGossipRig(t *testing.T, cfg Config) *gossipRig {
 	eng := sim.NewEngine()
 	topo, f := topology.Figure1()
 	net := fabric.New(eng, topo, fabric.DefaultParams())
-	ud := topology.BuildUpDown(topo)
-	tbl, err := routing.BuildTable(topo, ud, routing.ITBRouting)
+	tbl, err := routing.ITBRouting.BuildTable(topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +45,7 @@ func newGossipRig(t *testing.T, cfg Config) *gossipRig {
 	gsp, err := NewGossip(cfg, Target{
 		Eng:    eng,
 		Topo:   topo,
-		UD:     ud,
-		Alg:    routing.ITBRouting,
+		Engine: routing.ITBRouting,
 		Base:   tbl,
 		Hosts:  hosts,
 		Tracer: tr,

@@ -30,8 +30,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	eng := sim.NewEngine()
 	topo, f := topology.Figure1()
 	net := fabric.New(eng, topo, fabric.DefaultParams())
-	ud := topology.BuildUpDown(topo)
-	tbl, err := routing.BuildTable(topo, ud, routing.ITBRouting)
+	tbl, err := routing.ITBRouting.BuildTable(topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +43,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	mgr, err := NewManager(cfg, Target{
 		Eng:     eng,
 		Topo:    topo,
-		UD:      ud,
-		Alg:     routing.ITBRouting,
+		Engine:  routing.ITBRouting,
 		Base:    tbl,
 		Hosts:   hosts,
 		Monitor: 0,

@@ -66,23 +66,3 @@ func liveHostsAt(t *topology.Topology, sw topology.NodeID, avoid *Avoid) []topol
 	}
 	return live
 }
-
-// BuildTableAvoiding recomputes the route table around an exclusion
-// set, as the mapper does after detecting faults. Differences from
-// BuildTable:
-//
-//   - Pairs whose endpoint host is dead (or cabled through a dead
-//     link) get no route at all; Lookup reports them missing and GM
-//     fails such sends immediately.
-//   - With ITBRouting, a pair whose minimal path can no longer be
-//     repaired — no valid in-transit host survives on any minimal
-//     path — falls back to a pure up*/down* route over the live links.
-//   - Pairs disconnected even under up*/down* are silently omitted
-//     rather than failing the whole build: the rest of the network
-//     keeps routing.
-//
-// A nil avoid makes it equivalent to BuildTable.
-func BuildTableAvoiding(t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid) (*Table, error) {
-	tbl, _, err := RebuildAvoiding(nil, t, ud, alg, avoid)
-	return tbl, err
-}

@@ -43,7 +43,7 @@ func FuzzCompactSteps(f *testing.F) {
 	s := len(topo.Switches())
 	// Seed with real engine-built paths, including ITB- and
 	// lane-bearing ones.
-	for _, e := range []Engine{UpDownITBEngine{}, VCEscapeEngine{NumLanes: 2, ITBRepair: true}} {
+	for _, e := range []Engine{ITBRouting, VCEscapeEngine{NumLanes: 2, ITBRepair: true}} {
 		ct, err := BuildCompact(e, topo, nil)
 		if err != nil {
 			f.Fatal(err)

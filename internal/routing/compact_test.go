@@ -140,7 +140,7 @@ func TestCompactCertificateRejects(t *testing.T) {
 	}
 
 	ring := topology.Ring(6, 1)
-	ct, err := BuildCompact(UpDownITBEngine{}, ring, nil)
+	ct, err := BuildCompact(ITBRouting, ring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

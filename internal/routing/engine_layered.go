@@ -55,8 +55,7 @@ func pairLayer(si, di, layers int) int {
 	return (si*31 + di*17) % layers
 }
 
-// BuildTable implements Engine. Layered routes carry no in-transit
-// buffers, so the table's Algorithm is UpDownRouting.
+// BuildTable implements Engine.
 func (e LayeredEngine) BuildTable(t *topology.Topology, avoid *Avoid) (*Table, error) {
 	tbl, _, err := rebuildEngineTable(e, nil, t, avoid)
 	return tbl, err

@@ -102,8 +102,8 @@ func TestEngineTableAgreesWithCompact(t *testing.T) {
 				if err != nil {
 					t.Fatalf("BuildTable: %v", err)
 				}
-				if tbl.Engine() != e.Name() {
-					t.Fatalf("table names engine %q", tbl.Engine())
+				if tbl.engine != e {
+					t.Fatalf("table records engine %v", tbl.engine)
 				}
 				hosts := topo.Hosts()
 				if want := len(hosts) * (len(hosts) - 1); tbl.Len() != want {

@@ -151,7 +151,7 @@ func TestVCSingleLaneIsPureUpDown(t *testing.T) {
 // at no hop cost.
 func TestVCITBNeedsFewerITBs(t *testing.T) {
 	topo := propTopology(t, "irregular", 64, 1)
-	ref, err := BuildCompact(UpDownITBEngine{}, topo, nil)
+	ref, err := BuildCompact(ITBRouting, topo, nil)
 	if err != nil {
 		t.Fatalf("reference BuildCompact: %v", err)
 	}

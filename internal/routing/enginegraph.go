@@ -127,7 +127,7 @@ func (g *engineGraph) liveHostPorts(avoid *Avoid) [][]uint8 {
 
 // search is one route computation over an engine graph: a per-source
 // search and the goal rule that reads each destination's state out of
-// it. Every engine and both Algorithm values are one search; it is a
+// it. Every engine is one search; it is a
 // comparable value, and the graph's search slot is keyed by it.
 type search struct {
 	// dijkstra selects the lane-aware in-transit Dijkstra; otherwise

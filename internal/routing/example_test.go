@@ -9,12 +9,13 @@ import (
 
 // The paper's Figure 1: the minimal path from switch 4 to switch 1 is
 // forbidden by up*/down*; ITB routing splits it at a host of switch 6.
-func ExampleBuildTable() {
+// Both routings orient the links from switch 0, the figure's root and
+// the lowest-id switch.
+func ExampleUpDownEngine_BuildTable() {
 	topo, f := topology.Figure1()
-	ud := topology.BuildUpDownFrom(topo, f.Switches[0])
 
-	udTbl, _ := routing.BuildTable(topo, ud, routing.UpDownRouting)
-	itbTbl, _ := routing.BuildTable(topo, ud, routing.ITBRouting)
+	udTbl, _ := routing.UpDownRouting.BuildTable(topo, nil)
+	itbTbl, _ := routing.ITBRouting.BuildTable(topo, nil)
 
 	src, dst := f.Hosts[4], f.Hosts[1]
 	udRoute, _ := udTbl.Lookup(src, dst)
@@ -33,8 +34,7 @@ func ExampleBuildTable() {
 
 func ExampleCheckDeadlockFree() {
 	topo := topology.Ring(6, 1)
-	ud := topology.BuildUpDown(topo)
-	tbl, _ := routing.BuildTable(topo, ud, routing.UpDownRouting)
+	tbl, _ := routing.UpDownRouting.BuildTable(topo, nil)
 	fmt.Println(routing.CheckDeadlockFree(tbl.Routes()))
 	// Output: <nil>
 }

@@ -201,23 +201,20 @@ func oracleReconstructITB(parent map[oracleState]oracleStep, start, goal oracleS
 	return trav, itbBefore, nil
 }
 
-// oraclePathFunc is the mapper's original Algorithm selection as a
-// pathFunc: up*/down* BFS, or the in-transit Dijkstra falling back to
-// the up*/down* BFS when it finds no path.
-func oraclePathFunc(t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid) pathFunc {
+// oraclePathFunc is the mapper's original route selection as a
+// pathFunc: up*/down* BFS, or with itb the in-transit Dijkstra falling
+// back to the up*/down* BFS when it finds no path.
+func oraclePathFunc(t *topology.Topology, ud *topology.UpDown, itb bool, avoid *Avoid) pathFunc {
 	return func(srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, error) {
-		switch alg {
-		case UpDownRouting:
+		if !itb {
 			trav, err := oracleSearchPath(t, ud, srcSw, dstSw, avoid)
 			return trav, nil, nil, err
-		case ITBRouting:
-			trav, itbBefore, err := oracleSearchPathITB(t, ud, srcSw, dstSw, avoid)
-			if err != nil {
-				trav, err = oracleSearchPath(t, ud, srcSw, dstSw, avoid)
-				itbBefore = nil
-			}
-			return trav, itbBefore, nil, err
 		}
-		return nil, nil, nil, fmt.Errorf("oracle: unknown algorithm %d", alg)
+		trav, itbBefore, err := oracleSearchPathITB(t, ud, srcSw, dstSw, avoid)
+		if err != nil {
+			trav, err = oracleSearchPath(t, ud, srcSw, dstSw, avoid)
+			itbBefore = nil
+		}
+		return trav, itbBefore, nil, err
 	}
 }

@@ -24,37 +24,12 @@ func routeValid(t *topology.Topology, r *Route, avoid *Avoid) bool {
 	return true
 }
 
-// RebuildAvoiding is the incremental form of BuildTableAvoiding the
-// recovery manager uses at each epoch publish: routes of prev that
-// remain valid under the exclusion set are carried into the new table
-// unchanged (routes are immutable once built, so sharing is safe),
-// and only the invalidated pairs are searched again. The in-transit
-// load balance is seeded from the reused routes so replacement routes
-// spread over the hosts the survivors left least loaded. It returns
-// the new table and the number of routes reused.
-//
-// A prev of nil (or with a different algorithm) degenerates to a full
-// BuildTableAvoiding.
-func RebuildAvoiding(prev *Table, t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid) (*Table, int, error) {
-	g, err := graphFor(prev, t, ud)
-	if err != nil {
-		return nil, 0, err
-	}
-	tbl, err := algTable(t, g, alg, avoid)
-	if err != nil {
-		return nil, 0, err
-	}
-	if prev == nil || prev.Algorithm != alg {
-		// Pairs unreachable under the exclusion set are omitted.
-		_ = tbl.routeAll(t, false)
-		return tbl, 0, nil
-	}
-	return tbl, tbl.rebuildFrom(prev, t), nil
-}
-
-// rebuildFrom fills tbl from prev: every live pair whose prev route
-// survives tbl's exclusion set is shared, seeding the in-transit load,
-// and the remaining pairs are searched afterwards in host-major order,
+// rebuildFrom fills tbl from prev, the incremental rebuild the
+// recovery manager runs at each epoch publish: every live pair whose
+// prev route survives tbl's exclusion set is shared (routes are
+// immutable once built), seeding the in-transit load, so replacement
+// routes spread over the hosts the survivors left least loaded. The
+// remaining pairs are searched afterwards in host-major order,
 // omitting those that no longer route. It returns the number of
 // routes reused.
 func (tbl *Table) rebuildFrom(prev *Table, t *topology.Topology) int {
@@ -97,40 +72,38 @@ type lazyRebuild struct {
 	reused *uint64
 }
 
-// RebuildAvoidingLazy is RebuildAvoiding with on-demand resolution:
-// the returned table starts empty and each Lookup miss either adopts
-// prev's still-valid route or searches a replacement, memoizing
-// either way. Eager rebuilds pay O(hosts²) per distinct exclusion
-// set just to copy the survivors; a lazy table pays only for the
-// pairs traffic actually uses, which is what makes per-agent gossip
-// installs (every host rebuilding around its own local dead set, in
-// its own order) affordable at thousand-host scales. A nil prev (or
-// one built by a different algorithm) resolves every pair by search.
+// RebuildAvoidingLazy is e.RebuildAvoiding with on-demand
+// resolution: the returned table starts empty and each Lookup miss
+// either adopts prev's still-valid route or searches a replacement,
+// memoizing either way. Eager rebuilds pay O(hosts²) per distinct
+// exclusion set just to copy the survivors; a lazy table pays only
+// for the pairs traffic actually uses, which is what makes per-agent
+// gossip installs (every host rebuilding around its own local dead
+// set, in its own order) affordable at thousand-host scales. A nil
+// prev (or one built by a different engine value) resolves every
+// pair by search.
 //
 // The returned table is for single-goroutine simulation use: Lookup
 // mutates it.
-func RebuildAvoidingLazy(prev *Table, t *topology.Topology, ud *topology.UpDown, alg Algorithm, avoid *Avoid, reused *uint64) *Table {
-	g, err := graphFor(prev, t, ud)
-	var tbl *Table
-	if err == nil {
-		tbl, err = algTable(t, g, alg, avoid)
-	}
-	if err != nil {
-		// No switch graph or no such algorithm: every search fails, so
-		// every pair prev cannot supply resolves as unroutable.
-		tbl = newTable(t, g, alg, avoid, "", func(topology.NodeID, topology.NodeID) ([]Traversal, []int, []uint8, error) {
-			return nil, nil, nil, err
-		})
-	}
-	if prev != nil && prev.Algorithm != alg {
+func RebuildAvoidingLazy(prev *Table, t *topology.Topology, e Engine, avoid *Avoid, reused *uint64) *Table {
+	if prev != nil && prev.engine != e {
 		prev = nil
+	}
+	g, err := engineGraphFor(e, prev, t)
+	tbl := newTable(t, g, e, avoid)
+	if err != nil {
+		// No switch graph: every search fails, so every pair prev
+		// cannot supply resolves as unroutable.
+		tbl.pathFn = func(topology.NodeID, topology.NodeID) ([]Traversal, []int, []uint8, error) {
+			return nil, nil, nil, err
+		}
 	}
 	tbl.lazyFill = &lazyRebuild{prev: prev, reused: reused}
 	return tbl
 }
 
 // resolveLazy fills one pair of a lazily rebuilt table, mirroring one
-// iteration of RebuildAvoiding's loop: dead endpoints are omitted,
+// iteration of rebuildFrom's loop: dead endpoints are omitted,
 // surviving prev routes are shared (routes are immutable once built),
 // and invalidated pairs are searched under the exclusion set.
 func (tbl *Table) resolveLazy(src, dst topology.NodeID) (*Route, bool) {
@@ -179,17 +152,16 @@ func NewFinder(t *topology.Topology, ud *topology.UpDown) (*Finder, error) {
 	return &Finder{t: t, g: g}, nil
 }
 
-// FindRoute computes one route src->dst under an exclusion set — the
-// recovery manager's verification probes use it to reach a suspect
-// over an alternate path that avoids the links the primary route
-// crossed. An exclusion set must not change while queries pass it.
-func (f *Finder) FindRoute(alg Algorithm, src, dst topology.NodeID, avoid *Avoid) (*Route, error) {
+// FindRoute computes one up*/down*-legal route src->dst under an
+// exclusion set — the recovery manager's verification probes use it
+// to reach a suspect over an alternate path that avoids the links the
+// primary route crossed. Probe routes never eject through an
+// in-transit host: a probe must not depend on a host that may itself
+// be the thing being probed. An exclusion set must not change while
+// queries pass it.
+func (f *Finder) FindRoute(src, dst topology.NodeID, avoid *Avoid) (*Route, error) {
 	if avoid.hostDead(f.t, src) || avoid.hostDead(f.t, dst) {
 		return nil, fmt.Errorf("routing: endpoint %d->%d dead under exclusion set", src, dst)
 	}
-	tbl, err := algTable(f.t, f.g, alg, avoid)
-	if err != nil {
-		return nil, err
-	}
-	return tbl.buildRoute(f.t, src, dst)
+	return newTable(f.t, f.g, UpDownRouting, avoid).buildRoute(f.t, src, dst)
 }

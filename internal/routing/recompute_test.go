@@ -115,7 +115,7 @@ func TestRecomputeAvoidingFigure1(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			avoid := tc.avoid()
-			tbl, err := BuildTableAvoiding(tp, ud, ITBRouting, avoid)
+			tbl, err := ITBRouting.BuildTable(tp, avoid)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestRecomputeAvoidingTestbed(t *testing.T) {
 
 	t.Run("failed-itb-host", func(t *testing.T) {
 		avoid := AvoidLinks().AddHost(n.InTransit)
-		tbl, err := BuildTableAvoiding(tp, ud, ITBRouting, avoid)
+		tbl, err := ITBRouting.BuildTable(tp, avoid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestRecomputeAvoidingTestbed(t *testing.T) {
 
 	t.Run("failed-inter-switch-cable", func(t *testing.T) {
 		dead := linkBetween(t, tp, n.Switch1, n.Switch2)
-		tbl, err := BuildTableAvoiding(tp, ud, ITBRouting, AvoidLinks(dead))
+		tbl, err := ITBRouting.BuildTable(tp, AvoidLinks(dead))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestRecomputeAvoidingTestbed(t *testing.T) {
 		if len(cut) != 3 {
 			t.Fatalf("testbed has %d inter-switch cables, want 3", len(cut))
 		}
-		tbl, err := BuildTableAvoiding(tp, ud, ITBRouting, AvoidLinks(cut...))
+		tbl, err := ITBRouting.BuildTable(tp, AvoidLinks(cut...))
 		if err != nil {
 			t.Fatal(err)
 		}

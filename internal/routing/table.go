@@ -7,25 +7,6 @@ import (
 	"repro/internal/topology"
 )
 
-// Algorithm selects how the mapper computes routes.
-type Algorithm int
-
-const (
-	// UpDownRouting is stock Myrinet: shortest up*/down*-legal routes.
-	UpDownRouting Algorithm = iota
-	// ITBRouting is the paper's mechanism: minimal routes with
-	// up*/down* violations repaired by in-transit buffers.
-	ITBRouting
-)
-
-// String names the routing algorithm.
-func (a Algorithm) String() string {
-	if a == UpDownRouting {
-		return "up*/down*"
-	}
-	return "up*/down* + ITB"
-}
-
 // Table holds the source routes between every ordered host pair, as
 // the mapper would store them in each NIC's SRAM.
 //
@@ -38,8 +19,7 @@ func (a Algorithm) String() string {
 // so the directory from source to row is sparse: the first row sits
 // in src0/row0 and later rows go to a map allocated with the second.
 type Table struct {
-	Algorithm Algorithm
-	topo      *topology.Topology
+	topo *topology.Topology
 	// hostLo and hostSpan bound the host NodeIDs: every host h has
 	// 0 <= h-hostLo < hostSpan.
 	hostLo   topology.NodeID
@@ -60,14 +40,14 @@ type Table struct {
 	// per route for balance). nil until the first search.
 	pathCache map[[2]topology.NodeID]cachedPath
 	// avoid is the exclusion set the table was built around (nil when
-	// built fault-free by BuildTable).
+	// built fault-free).
 	avoid *Avoid
-	// engine names the Engine that built the table ("" for the
-	// Algorithm-selected entry points).
-	engine string
+	// engine is the Engine that built the table; a rebuild by an equal
+	// engine value reuses its routes and its graph.
+	engine Engine
 	// graph is the switch graph the table's searches run on; tables
-	// rebuilt from this one share it. pathFn is the switch-pair search
-	// over it: the engine's or the Algorithm's (engineGraph.pathFunc).
+	// rebuilt from this one share it. pathFn is the engine's
+	// switch-pair search over it (engineGraph.pathFunc).
 	graph  *engineGraph
 	pathFn pathFunc
 	// lazyFill, when non-nil, resolves Lookup misses on demand (tables
@@ -79,9 +59,14 @@ type Table struct {
 // route, so a second Lookup of that pair runs no search.
 var unroutable = new(Route)
 
-// Engine returns the name of the Engine that built the table, or ""
-// for tables from the Algorithm-selected entry points.
-func (tbl *Table) Engine() string { return tbl.engine }
+// Orientation returns the up*/down* orientation the table was routed
+// over (nil for a lazy table whose switch graph could not be built).
+func (tbl *Table) Orientation() *topology.UpDown {
+	if tbl.graph == nil {
+		return nil
+	}
+	return tbl.graph.ud
+}
 
 type cachedPath struct {
 	trav      []Traversal
@@ -91,9 +76,9 @@ type cachedPath struct {
 	lanes []uint8
 }
 
-// newTable returns an empty table of topology t over graph g whose
-// switch paths come from fn.
-func newTable(t *topology.Topology, g *engineGraph, alg Algorithm, avoid *Avoid, engine string, fn pathFunc) *Table {
+// newTable returns an empty table of engine e over graph g of topology
+// t, searching under the exclusion set avoid.
+func newTable(t *topology.Topology, g *engineGraph, e Engine, avoid *Avoid) *Table {
 	lo, hi := 0, t.NumNodes()-1
 	for lo <= hi && t.Node(topology.NodeID(lo)).Kind != topology.KindHost {
 		lo++
@@ -102,14 +87,13 @@ func newTable(t *topology.Topology, g *engineGraph, alg Algorithm, avoid *Avoid,
 		hi--
 	}
 	return &Table{
-		Algorithm: alg,
-		topo:      t,
-		hostLo:    topology.NodeID(lo),
-		hostSpan:  hi - lo + 1,
-		avoid:     avoid,
-		engine:    engine,
-		graph:     g,
-		pathFn:    fn,
+		topo:     t,
+		hostLo:   topology.NodeID(lo),
+		hostSpan: hi - lo + 1,
+		avoid:    avoid,
+		engine:   e,
+		graph:    g,
+		pathFn:   g.pathFunc(e.search(), avoid),
 	}
 }
 
@@ -181,62 +165,6 @@ func (tbl *Table) loads() []int32 {
 		count(row)
 	}
 	return tbl.itbLoad
-}
-
-// graphFor returns prev's switch graph when prev was built over the
-// same topology and orientation, and a new graph otherwise.
-func graphFor(prev *Table, t *topology.Topology, ud *topology.UpDown) (*engineGraph, error) {
-	if prev != nil && prev.graph != nil && prev.graph.t == t && prev.graph.ud == ud {
-		return prev.graph, nil
-	}
-	return newEngineGraph(t, ud)
-}
-
-// search returns the Algorithm's route computation. ITBRouting is the
-// in-transit Dijkstra and UpDownRouting the legal BFS, each with the
-// first-reached goal rule: a destination's goal is the state the
-// mapper's per-pair search stops at, so the paths are the per-pair
-// searches'.
-//
-// ITBRouting needs no separate up*/down* fallback under an exclusion
-// set: the in-transit search's graph contains every legal path, so
-// where no live in-transit host repairs a minimal path it returns the
-// shortest route the live hosts and links still allow, which is a
-// legal route when no reset survives on it.
-func (a Algorithm) search() (search, error) {
-	switch a {
-	case UpDownRouting:
-		return search{layers: 1, lanes: 1, first: true}, nil
-	case ITBRouting:
-		return search{dijkstra: true, layers: 1, lanes: 1, itb: true, first: true}, nil
-	}
-	return search{}, fmt.Errorf("routing: unknown algorithm %d", a)
-}
-
-// algTable returns an empty table of alg over graph g, for the
-// Algorithm-selected entry points.
-func algTable(t *topology.Topology, g *engineGraph, alg Algorithm, avoid *Avoid) (*Table, error) {
-	s, err := alg.search()
-	if err != nil {
-		return nil, err
-	}
-	return newTable(t, g, alg, avoid, "", g.pathFunc(s, avoid)), nil
-}
-
-// BuildTable computes routes for all ordered host pairs.
-func BuildTable(t *topology.Topology, ud *topology.UpDown, alg Algorithm) (*Table, error) {
-	g, err := newEngineGraph(t, ud)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := algTable(t, g, alg, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := tbl.routeAll(t, true); err != nil {
-		return nil, err
-	}
-	return tbl, nil
 }
 
 // routeAll routes every ordered pair of live hosts in host-major

@@ -14,12 +14,11 @@ import (
 // materialized lazy ones.
 func TestTableRoutesHostMajor(t *testing.T) {
 	tp, f := topology.Figure1()
-	ud := topology.BuildUpDown(tp)
-	eager, err := BuildTable(tp, ud, ITBRouting)
+	eager, err := ITBRouting.BuildTable(tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy := RebuildAvoidingLazy(eager, tp, ud, ITBRouting, AvoidLinks().AddHost(f.Hosts[6]), nil)
+	lazy := RebuildAvoidingLazy(eager, tp, ITBRouting, AvoidLinks().AddHost(f.Hosts[6]), nil)
 	for name, tbl := range map[string]*Table{"eager": eager, "lazy": lazy} {
 		routes := tbl.Routes()
 		if len(routes) != tbl.Len() || len(routes) == 0 {
@@ -38,12 +37,11 @@ func TestTableRoutesHostMajor(t *testing.T) {
 // both eager and lazy tables.
 func TestLookupHitDoesNotAllocate(t *testing.T) {
 	tp, f := topology.Figure1()
-	ud := topology.BuildUpDown(tp)
-	eager, err := BuildTable(tp, ud, ITBRouting)
+	eager, err := ITBRouting.BuildTable(tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy := RebuildAvoidingLazy(eager, tp, ud, ITBRouting, AvoidLinks().AddHost(f.Hosts[6]), nil)
+	lazy := RebuildAvoidingLazy(eager, tp, ITBRouting, AvoidLinks().AddHost(f.Hosts[6]), nil)
 	src, dst := f.Hosts[4], f.Hosts[1]
 	for name, tbl := range map[string]*Table{"eager": eager, "lazy": lazy} {
 		if _, ok := tbl.Lookup(src, dst); !ok {
@@ -91,7 +89,7 @@ func TestEncodeHeaderMatchesSegments(t *testing.T) {
 	if itbs == 0 || laned == 0 {
 		t.Fatalf("checked %d ITBs and %d lane-switching routes, want both exercised", itbs, laned)
 	}
-	tbl, err := BuildTable(tp, topology.BuildUpDown(tp), ITBRouting)
+	tbl, err := ITBRouting.BuildTable(tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
