@@ -54,29 +54,6 @@ func (r Fig8Result) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteCSV emits offered, accepted, latency columns.
-func (r SweepResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"offered", "accepted", "avg_latency_us", "p99_latency_us", "sent", "delivered"}); err != nil {
-		return err
-	}
-	for _, p := range r.Points {
-		rec := []string{
-			fmt.Sprintf("%.4f", p.Offered),
-			fmt.Sprintf("%.4f", p.Accepted),
-			fmt.Sprintf("%.3f", p.AvgLatency.Microseconds()),
-			fmt.Sprintf("%.3f", p.P99Latency.Microseconds()),
-			fmt.Sprintf("%d", p.Sent),
-			fmt.Sprintf("%d", p.Delivered),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteCSV emits ITB count vs latency.
 func (r ITBCountResult) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

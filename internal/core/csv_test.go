@@ -7,9 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/routing"
-	"repro/internal/units"
 )
 
 func parseCSV(t *testing.T, s string) [][]string {
@@ -66,24 +63,6 @@ func TestFig8CSV(t *testing.T) {
 	}
 }
 
-func TestSweepCSV(t *testing.T) {
-	cfg := DefaultSweepConfig(routing.UpDownRouting, 8, 5)
-	cfg.Loads = []float64{0.2}
-	cfg.Window = 200 * units.Microsecond
-	res, err := RunSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := res.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	recs := parseCSV(t, sb.String())
-	if len(recs) != 2 || recs[0][0] != "offered" {
-		t.Errorf("records = %v", recs)
-	}
-}
-
 // failingWriter errors on every Write. csv.Writer buffers through
 // bufio, so for small outputs the write error only surfaces at Flush —
 // each WriteCSV must end with `cw.Flush(); return cw.Error()` or the
@@ -98,7 +77,6 @@ func TestWriteCSVPropagatesFlushError(t *testing.T) {
 	cases := map[string]func(io.Writer) error{
 		"fig7":     Fig7Result{Rows: []Fig7Row{{Size: 8}}}.WriteCSV,
 		"fig8":     Fig8Result{Rows: []Fig8Row{{Size: 8}}}.WriteCSV,
-		"sweep":    SweepResult{Points: []LoadPoint{{Offered: 0.1}}}.WriteCSV,
 		"itbcount": ITBCountResult{Rows: []ITBCountRow{{ITBs: 1}}}.WriteCSV,
 	}
 	for name, write := range cases {
