@@ -1,7 +1,7 @@
 GO ?= go
 
 # Benchmarks guarded by the bench-gate CI job (see cmd/benchdiff).
-GUARDED_BENCH = ^(BenchmarkFig7_CodeOverhead|BenchmarkFig8_ITBOverhead|BenchmarkAllsizePingPong|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkRecoveryOff|BenchmarkEngineTableBuild1024|BenchmarkLoadStudySmall|BenchmarkFig7Lanes1|BenchmarkFig7Lanes2|BenchmarkVCAblationSweep|BenchmarkUpDownITBTableDragonfly342)$$
+GUARDED_BENCH = ^(BenchmarkFig7_CodeOverhead|BenchmarkFig8_ITBOverhead|BenchmarkAllsizePingPong|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkRecoveryOff|BenchmarkRecoveryChurn72|BenchmarkEngineTableBuild1024|BenchmarkLoadStudySmall|BenchmarkFig7Lanes1|BenchmarkFig7Lanes2|BenchmarkVCAblationSweep|BenchmarkUpDownITBTableDragonfly342)$$
 # Output file for bench-json (ignored by git). A committed point of
 # the benchmark trajectory is written as BENCH_PR<n>.json with
 # `make bench-json BENCH_JSON=BENCH_PR<n>.json`.

@@ -19,6 +19,7 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/mcp"
 	"repro/internal/metrics"
+	"repro/internal/recovery"
 	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -482,6 +483,29 @@ func benchRecovery(b *testing.B, enabled bool) {
 		}
 		if _, err := core.RunFaultStudy(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecoveryChurn72 prices run-time rerouting around dead
+// hosts: one churn-study cell on 18 switches (72 hosts) — heartbeat
+// period 300 µs, 3 churn events, one campaign — under each detector.
+// The monitor rebuilds and republishes epochs; every gossip agent
+// rebuilds around its own dead set. The study's GM recovery knobs are
+// the fault study's defaults (ack timeout 150 µs, backoff 2 capped at
+// 2 ms, dead after 6 timeouts).
+func BenchmarkRecoveryChurn72(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, det := range []recovery.DetectorKind{recovery.DetectorMonitor, recovery.DetectorGossip} {
+			cfg := core.DefaultRecoveryStudyConfig(routing.ITBRouting, 18, 3)
+			cfg.Periods = []units.Time{300 * units.Microsecond}
+			cfg.ChurnEvents = []int{3}
+			cfg.CampaignsPerCell = 1
+			cfg.Detector = det
+			if _, err := core.RunRecoveryStudy(cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

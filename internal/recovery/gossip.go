@@ -37,9 +37,10 @@
 package recovery
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/gm"
 	"repro/internal/metrics"
@@ -158,8 +159,9 @@ type Gossip struct {
 	spreadTx   int // dissemination budget per update (≈ 3·log₂N)
 	started    bool
 	routeCache map[int64][]byte // (from<<32|to) -> encoded header; nil entry = unreachable
-	tableCache map[string]*routing.Table
+	tableCache map[string]*cachedTable
 	keyBuf     []byte // deadKey's reusable buffer
+	deadBuf    []int  // installTable's reusable dead-set buffer
 	stats      Stats
 }
 
@@ -194,7 +196,7 @@ func NewGossip(cfg Config, tgt Target) (*Gossip, error) {
 		idxOf:      make(map[topology.NodeID]int, len(tgt.Hosts)),
 		glob:       make([]globView, len(tgt.Hosts)),
 		routeCache: make(map[int64][]byte),
-		tableCache: make(map[string]*routing.Table),
+		tableCache: make(map[string]*cachedTable),
 	}
 	g.suspectVotes = make([]int, len(tgt.Hosts))
 	g.deadVotes = make([]int, len(tgt.Hosts))
@@ -406,6 +408,14 @@ func (g *Gossip) deadKey(dead []int) []byte {
 	return b
 }
 
+// cachedTable is one rebuilt table and the dead host indexes it
+// avoids. The entry owns dead, so a delayed install can read it after
+// the caller's buffer has been reused.
+type cachedTable struct {
+	tbl  *routing.Table
+	dead []int
+}
+
 // tableFor returns the rebuilt table avoiding the given dead host
 // indexes, cached per avoid set — agents converging on the same dead
 // set share one table.
@@ -418,10 +428,10 @@ func (g *Gossip) deadKey(dead []int) []byte {
 // re-searched, which is what keeps peer-to-peer installs (every agent
 // rebuilding around its own view, in its own order) affordable at
 // large host counts.
-func (g *Gossip) tableFor(dead []int) (*routing.Table, error) {
+func (g *Gossip) tableFor(dead []int) *cachedTable {
 	key := g.deadKey(dead)
-	if tbl, ok := g.tableCache[string(key)]; ok {
-		return tbl, nil
+	if ct, ok := g.tableCache[string(key)]; ok {
+		return ct
 	}
 	prev := g.base
 	if len(dead) > 1 {
@@ -433,17 +443,17 @@ func (g *Gossip) tableFor(dead []int) (*routing.Table, error) {
 			for sub[len(sub)-1] == 0 {
 				sub = sub[:len(sub)-1]
 			}
-			tbl, ok := g.tableCache[string(sub)]
+			ct, ok := g.tableCache[string(sub)]
 			key[d/8] |= 1 << (d % 8)
 			if ok {
-				prev = tbl
+				prev = ct.tbl
 				break
 			}
 		}
 	}
 	var avoid *routing.Avoid
 	if len(dead) > 0 {
-		avoid = &routing.Avoid{}
+		avoid = routing.AvoidLinks()
 		for _, i := range dead {
 			avoid.AddHost(g.hosts[i].Node())
 		}
@@ -452,9 +462,12 @@ func (g *Gossip) tableFor(dead []int) (*routing.Table, error) {
 	// traffic actually uses pay validation/search. Eager all-pairs
 	// rebuilds per distinct local dead set are what made per-agent
 	// installs the scale bottleneck.
-	tbl := routing.RebuildAvoidingLazy(prev, g.topo, g.engine, avoid, &g.stats.RoutesReused)
-	g.tableCache[string(key)] = tbl
-	return tbl, nil
+	ct := &cachedTable{
+		tbl:  routing.RebuildAvoidingLazy(prev, g.topo, g.engine, avoid, &g.stats.RoutesReused),
+		dead: slices.Clone(dead),
+	}
+	g.tableCache[string(key)] = ct
+	return ct
 }
 
 // ---------------------------------------------------------------
@@ -812,33 +825,31 @@ func (a *agent) confirmDead(t int) {
 // dead set and installs it on its own host under a fresh epoch.
 func (a *agent) installTable() {
 	g := a.g
-	var dead []int
+	dead := g.deadBuf[:0]
 	for i := range a.members {
 		if i != a.idx && a.members[i].state == packet.GossipDead {
 			dead = append(dead, i)
 		}
 	}
-	tbl, err := g.tableFor(dead)
-	if err != nil {
-		return
-	}
+	g.deadBuf = dead
+	ct := g.tableFor(dead)
 	g.epoch++
 	epoch := g.epoch
 	g.stats.EpochsPublished++
 	if g.tracer != nil {
-		g.emit(trace.EpochPublish, a.node, fmt.Sprintf("epoch=%d gossip dead=%d", epoch, len(dead)))
+		g.emit(trace.EpochPublish, a.node, fmt.Sprintf("epoch=%d gossip dead=%d", epoch, len(ct.dead)))
 	}
 	host := a.host
 	g.eng.Schedule(g.cfg.InstallDelay, func() {
 		if host.Epoch() > epoch {
 			return // a newer local install already landed
 		}
-		host.InstallTable(tbl, epoch)
+		host.InstallTable(ct.tbl, epoch)
 		host.MCP().SetEpoch(epoch)
 		if g.tracer != nil {
 			g.emit(trace.EpochInstall, host.Node(), fmt.Sprintf("epoch=%d", epoch))
 		}
-		g.noteInstall(a.idx, dead)
+		g.noteInstall(a.idx, ct.dead)
 	})
 }
 
@@ -867,11 +878,11 @@ func (a *agent) buildDigest(target int) []packet.GossipEntry {
 		// digests for later delivery, so this is the last gate before
 		// a stale obituary escapes.
 		iso := a.isolatedView()
-		sort.SliceStable(a.updates, func(i, j int) bool {
-			if a.updates[i].sends != a.updates[j].sends {
-				return a.updates[i].sends < a.updates[j].sends
+		slices.SortStableFunc(a.updates, func(x, y gossipUpdate) int {
+			if c := cmp.Compare(x.sends, y.sends); c != 0 {
+				return c
 			}
-			return a.updates[i].seq < a.updates[j].seq
+			return cmp.Compare(x.seq, y.seq)
 		})
 		for i := range a.updates {
 			if len(out) >= g.cfg.DigestSize {

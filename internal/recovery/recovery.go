@@ -44,7 +44,6 @@ package recovery
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/gm"
 	"repro/internal/metrics"
@@ -494,9 +493,9 @@ func (m *Manager) runRound(r int) {
 func (m *Manager) refreshProbeRoutes() {
 	var avoid *routing.Avoid
 	if len(m.linkSuspects) > 0 {
-		avoid = &routing.Avoid{Links: make(map[int]bool, len(m.linkSuspects))}
+		avoid = routing.AvoidLinks()
 		for id := range m.linkSuspects {
-			avoid.Links[id] = true
+			avoid.AddLink(id)
 		}
 	}
 	for _, hs := range m.targets {
@@ -657,12 +656,12 @@ func (m *Manager) verifyOrConfirm(hs *hostState) {
 // path's inter-switch links (and the standing suspects). nil when no
 // disjoint path exists.
 func (m *Manager) altProbeRoute(hs *hostState) (fwd, ret []byte) {
-	avoid := &routing.Avoid{Links: make(map[int]bool, len(m.linkSuspects)+len(hs.primLinks))}
+	avoid := routing.AvoidLinks()
 	for id := range m.linkSuspects {
-		avoid.Links[id] = true
+		avoid.AddLink(id)
 	}
 	for _, id := range hs.primLinks {
-		avoid.Links[id] = true
+		avoid.AddLink(id)
 	}
 	f, err := m.finder.FindRoute(m.monNode(), hs.node, avoid)
 	if err != nil {
@@ -738,27 +737,22 @@ func (m *Manager) suspectLinks(hs *hostState) {
 // ---------------------------------------------------------------
 // Epoch publication.
 
-// buildAvoid assembles the exclusion set from the current verdicts,
-// deterministically (hosts in target order, links sorted).
+// buildAvoid assembles the exclusion set from the current verdicts:
+// the confirmed hosts and the suspect links. It is nil when there are
+// none, so a fault-free republish routes as the base build did.
 func (m *Manager) buildAvoid() *routing.Avoid {
-	a := &routing.Avoid{}
+	a := routing.AvoidLinks()
+	verdicts := len(m.linkSuspects)
+	for id := range m.linkSuspects {
+		a.AddLink(id)
+	}
 	for _, hs := range m.targets {
 		if hs.state == Confirmed {
 			a.AddHost(hs.node)
+			verdicts++
 		}
 	}
-	if len(m.linkSuspects) > 0 {
-		ids := make([]int, 0, len(m.linkSuspects))
-		for id := range m.linkSuspects {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		a.Links = make(map[int]bool, len(ids))
-		for _, id := range ids {
-			a.Links[id] = true
-		}
-	}
-	if a.Hosts == nil && a.Links == nil {
+	if verdicts == 0 {
 		return nil
 	}
 	return a

@@ -7,35 +7,52 @@ import (
 // Avoid is the exclusion set a route recomputation works around: the
 // links and hosts the mapper currently believes dead. A nil *Avoid
 // excludes nothing, so every search helper treats it as "no faults".
+// Both sets are bitsets, so a membership test on the search hot paths
+// is one word load. Build one with AvoidLinks, AddLink and AddHost.
 type Avoid struct {
-	Links map[int]bool             // failed link ids
-	Hosts map[topology.NodeID]bool // failed (or stalled) hosts
+	links bitset // failed link ids
+	hosts bitset // failed (or stalled) host NodeIDs
+}
+
+// bitset is a set of non-negative ints, bit i%64 of word i/64.
+type bitset []uint64
+
+func (b bitset) has(i int) bool {
+	w := uint(i) >> 6
+	return w < uint(len(b)) && b[w]&(1<<(uint(i)&63)) != 0
+}
+
+func (b *bitset) add(i int) {
+	w := i >> 6
+	if w >= len(*b) {
+		*b = append(*b, make(bitset, w+1-len(*b))...)
+	}
+	(*b)[w] |= 1 << (uint(i) & 63)
 }
 
 // AvoidLinks builds an Avoid from a list of link ids.
 func AvoidLinks(links ...int) *Avoid {
-	a := &Avoid{Links: make(map[int]bool)}
+	a := &Avoid{}
 	for _, l := range links {
-		a.Links[l] = true
+		a.AddLink(l)
 	}
+	return a
+}
+
+// AddLink marks a link failed, returning the receiver for chaining.
+func (a *Avoid) AddLink(id int) *Avoid {
+	a.links.add(id)
 	return a
 }
 
 // AddHost marks a host failed, returning the receiver for chaining.
 func (a *Avoid) AddHost(h topology.NodeID) *Avoid {
-	if a.Hosts == nil {
-		a.Hosts = make(map[topology.NodeID]bool)
-	}
-	a.Hosts[h] = true
+	a.hosts.add(int(h))
 	return a
 }
 
 func (a *Avoid) avoidsLink(id int) bool {
-	return a != nil && a.Links[id]
-}
-
-func (a *Avoid) avoidsHost(h topology.NodeID) bool {
-	return a != nil && a.Hosts[h]
+	return a != nil && a.links.has(id)
 }
 
 // hostDead reports whether a host is unusable: marked failed, not
@@ -44,11 +61,11 @@ func (a *Avoid) hostDead(t *topology.Topology, h topology.NodeID) bool {
 	if a == nil {
 		return false
 	}
-	if a.Hosts[h] {
+	if a.hosts.has(int(h)) {
 		return true
 	}
 	hl := t.LinkAt(h, 0)
-	return hl == nil || a.Links[hl.ID]
+	return hl == nil || a.links.has(hl.ID)
 }
 
 // liveHostsAt returns the hosts of switch sw that can still serve as

@@ -112,7 +112,7 @@ func BenchmarkLazyInstallRow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		avoid := &Avoid{}
+		avoid := AvoidLinks()
 		for k := 1; k <= 20; k++ {
 			avoid.AddHost(hosts[k*3])
 		}

@@ -29,7 +29,7 @@ func TestEngineRebuildEmptyAvoidMatchesFullBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildTable: %v", err)
 			}
-			reb, reused, err := e.RebuildAvoiding(full, topo, &Avoid{})
+			reb, reused, err := e.RebuildAvoiding(full, topo, AvoidLinks())
 			if err != nil {
 				t.Fatalf("RebuildAvoiding: %v", err)
 			}
@@ -62,9 +62,9 @@ func TestEngineRebuildDeadRoot(t *testing.T) {
 			root := ud.Root
 			// Kill every cable touching the orientation root: its hosts
 			// die with their uplinks, and no surviving route may cross it.
-			avoid := &Avoid{Links: make(map[int]bool)}
+			avoid := AvoidLinks()
 			for _, nb := range topo.Neighbors(root) {
-				avoid.Links[nb.Link.ID] = true
+				avoid.AddLink(nb.Link.ID)
 			}
 			reb, reused, err := e.RebuildAvoiding(full, topo, avoid)
 			if err != nil {
@@ -176,7 +176,7 @@ func TestEngineRebuildNilOrForeignPrev(t *testing.T) {
 			if err != nil {
 				t.Fatalf("foreign BuildTable: %v", err)
 			}
-			_, reused, err = e.RebuildAvoiding(foreign, topo, &Avoid{})
+			_, reused, err = e.RebuildAvoiding(foreign, topo, AvoidLinks())
 			if err != nil {
 				t.Fatalf("RebuildAvoiding(foreign): %v", err)
 			}

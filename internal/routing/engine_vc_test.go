@@ -222,7 +222,7 @@ func TestVCRebuildAvoiding(t *testing.T) {
 			break
 		}
 	}
-	avoid := &Avoid{Links: map[int]bool{dead: true}}
+	avoid := AvoidLinks(dead)
 	next, reused, err := e.RebuildAvoiding(tbl, topo, avoid)
 	if err != nil {
 		t.Fatalf("RebuildAvoiding: %v", err)

@@ -51,7 +51,7 @@ func randomAvoids(tp *topology.Topology, rng *rand.Rand) []*Avoid {
 	links := func(n int) *Avoid {
 		a := AvoidLinks()
 		for i := 0; i < n; i++ {
-			a.Links[cables[rng.Intn(len(cables))]] = true
+			a.AddLink(cables[rng.Intn(len(cables))])
 		}
 		return a
 	}
