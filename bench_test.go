@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -513,7 +514,8 @@ func BenchmarkRecoveryChurn72(b *testing.B) {
 // BenchmarkUpDownITBTableDragonfly342 pins the host-pair route table
 // build behind the 342-host Dragonfly cells: the updown-itb engine's
 // BuildTable, 116 622 routes over 12 882 switch pairs, one in-transit
-// Dijkstra per source switch.
+// Dijkstra per source switch. Besides the build it reports the heap a
+// built table retains, per route (B/route).
 func BenchmarkUpDownITBTableDragonfly342(b *testing.B) {
 	topo, err := topology.Dragonfly(topology.DefaultDragonflyConfig(342))
 	if err != nil {
@@ -526,6 +528,26 @@ func BenchmarkUpDownITBTableDragonfly342(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(tableRetainedPerRoute(b, topo), "B/route")
+}
+
+// tableRetainedPerRoute builds one updown-itb table on topo and returns
+// the live heap it holds per route: the live heap after a collection
+// with the table held, less the live heap before the build.
+func tableRetainedPerRoute(b *testing.B, topo *topology.Topology) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tbl, err := routing.ITBRouting.BuildTable(topo, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perRoute := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(tbl.Len())
+	runtime.KeepAlive(tbl)
+	return perRoute
 }
 
 // BenchmarkEngineTableBuild1024 pins the struct-of-arrays compact

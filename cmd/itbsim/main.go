@@ -52,6 +52,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -63,6 +64,9 @@ import (
 	"repro/internal/units"
 )
 
+// csvStudies are the experiments with a CSV form.
+var csvStudies = []string{"fig7", "fig8", "itbcount", "engines", "recovery", "load", "vc"}
+
 func main() {
 	exp := flag.String("exp", "all", "experiment: fig7, fig8, costs, throughput, latload, bufpool, itbcount, ablation, scaling, patterns, roots, schemes, chunks, app, fidelity, trace, faults, recovery, engines, load, vc, all")
 	switches := flag.Int("switches", 16, "switches in the irregular network (throughput/latload)")
@@ -73,7 +77,7 @@ func main() {
 	seed := flag.Int64("seed", 5, "random seed for topology and traffic")
 	iters := flag.Int("iters", 100, "gm_allsize iterations per message size")
 	windowUs := flag.Int("window", 1000, "measurement window in microseconds (throughput/latload)")
-	csvOut := flag.Bool("csv", false, "emit CSV data series instead of tables (fig7, fig8, itbcount, engines, recovery, load, vc)")
+	csvOut := flag.Bool("csv", false, "emit CSV data series instead of tables ("+strings.Join(csvStudies, ", ")+")")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines sharding independent simulation runs (output is identical at any value >= 1)")
 	detectorName := flag.String("detector", "", "failure detector for the faults/recovery studies: monitor (centralized, the default) or gossip (decentralized SWIM)")
 	period := flag.Int("period", 0, "single heartbeat period in microseconds for the recovery study (0 = the default period axis)")
@@ -149,6 +153,12 @@ func main() {
 			return
 		}
 		matched = true
+		if *csvOut && *exp == name && !slices.Contains(csvStudies, name) {
+			// A named study with no CSV form is an error, not tables
+			// on stdout; -exp all prints the others' tables as usual.
+			failures = append(failures, failure{name, fmt.Errorf("no CSV form; the studies with one are: %s", strings.Join(csvStudies, " "))})
+			return
+		}
 		if err := f(); err != nil {
 			failures = append(failures, failure{name, err})
 			fmt.Fprintf(os.Stderr, "itbsim: %s failed (continuing): %v\n", name, err)

@@ -61,6 +61,33 @@ func TestKnownExperimentRuns(t *testing.T) {
 	}
 }
 
+// TestCSVWithoutCSVFormRejected: -csv on a named study that has no
+// CSV form exits 1 before running it and lists the studies that have
+// one, instead of printing tables and exiting 0.
+func TestCSVWithoutCSVFormRejected(t *testing.T) {
+	bin := buildItbsim(t)
+	out, err := exec.Command(bin, "-exp", "throughput", "-csv").Output()
+	ee, ok := err.(*exec.ExitError)
+	if !ok {
+		t.Fatalf("itbsim -exp throughput -csv: err %v, want exit status 1; output:\n%s", err, out)
+	}
+	if code := ee.ExitCode(); code != 1 {
+		t.Errorf("exit code = %d, want 1", code)
+	}
+	if len(out) != 0 {
+		t.Errorf("the study ran; stdout:\n%s", out)
+	}
+	text := string(ee.Stderr)
+	if !strings.Contains(text, "throughput: no CSV form") {
+		t.Errorf("error does not name the study:\n%s", text)
+	}
+	for _, name := range csvStudies {
+		if !strings.Contains(text, name) {
+			t.Errorf("error does not list CSV study %q:\n%s", name, text)
+		}
+	}
+}
+
 // TestMetricsAndTraceExportDeterministic is the CLI acceptance check
 // for the observability flags: `itbsim -exp fig7 -metrics -trace`
 // must write byte-identical files at -workers 1 and -workers 4, the

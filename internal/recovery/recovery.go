@@ -518,7 +518,7 @@ func (m *Manager) refreshProbeRoutes() {
 		}
 		hs.fwd, hs.ret = fh, rh
 		for _, route := range []*routing.Route{f, rr} {
-			for _, tr := range route.LinkPath {
+			for _, tr := range route.LinkPath() {
 				if m.topo.Node(tr.Link.A).Kind == topology.KindSwitch &&
 					m.topo.Node(tr.Link.B).Kind == topology.KindSwitch {
 					hs.primLinks = append(hs.primLinks, tr.Link.ID)

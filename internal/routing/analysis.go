@@ -66,7 +66,8 @@ func Analyze(t *topology.Topology, ud *topology.UpDown, tbl *Table) Analysis {
 			a.Routes++
 			hops := 0
 			crossesRoot := false
-			for _, tr := range r.LinkPath {
+			w := r.walk()
+			for tr, _, ok := w.next(); ok; tr, _, ok = w.next() {
 				if t.Node(tr.From).Kind != topology.KindSwitch ||
 					t.Node(tr.To()).Kind != topology.KindSwitch {
 					continue

@@ -55,6 +55,9 @@ func (a *Avoid) avoidsLink(id int) bool {
 	return a != nil && a.links.has(id)
 }
 
+// anyLinks reports whether the set excludes any link.
+func (a *Avoid) anyLinks() bool { return a != nil && len(a.links) > 0 }
+
 // hostDead reports whether a host is unusable: marked failed, not
 // cabled, or cabled through a failed link.
 func (a *Avoid) hostDead(t *topology.Topology, h topology.NodeID) bool {

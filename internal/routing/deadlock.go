@@ -37,11 +37,9 @@ func BuildCDG(routes []*Route) *CDG {
 	for _, r := range routes {
 		var prev *Channel
 		itbIdx := 0
-		for k, tr := range r.LinkPath {
-			ch := Channel{LinkID: tr.Link.ID, From: tr.From}
-			if r.Lanes != nil && k < len(r.Lanes) {
-				ch.Lane = r.Lanes[k]
-			}
+		w := r.walk()
+		for tr, lane, ok := w.next(); ok; tr, lane, ok = w.next() {
+			ch := Channel{LinkID: tr.Link.ID, From: tr.From, Lane: lane}
 			// Detect ejections: arriving at an in-transit host ends
 			// the dependency chain; the hop out of it starts a new one.
 			if itbIdx < len(r.ITBHosts) && tr.To() == r.ITBHosts[itbIdx] {

@@ -42,17 +42,7 @@ func minimalRingRoutes(tp *topology.Topology) []*Route {
 			}
 			srcSw, _ := tp.SwitchOf(src)
 			dstSw, _ := tp.SwitchOf(dst)
-			r := &Route{Src: src, Dst: dst}
-			r.LinkPath = append(r.LinkPath, Traversal{Link: tp.LinkAt(src, 0), From: src})
-			min := oracleMinimalSwitchPath(tp, srcSw, dstSw)
-			cur := srcSw
-			for _, tr := range min {
-				r.LinkPath = append(r.LinkPath, tr)
-				cur = tr.To()
-			}
-			r.LinkPath = append(r.LinkPath, Traversal{Link: tp.LinkAt(dst, 0), From: cur})
-			r.Segments = [][]byte{{0}} // placeholder; CDG uses LinkPath only
-			routes = append(routes, r)
+			routes = append(routes, forgeRoute(tp, src, dst, oracleMinimalSwitchPath(tp, srcSw, dstSw)))
 		}
 	}
 	return routes

@@ -167,11 +167,15 @@ func rebuildEngineTable(e Engine, prev *Table, t *topology.Topology, avoid *Avoi
 		return nil, 0, err
 	}
 	tbl := newTable(t, g, e, avoid)
+	reused := 0
 	if prev == nil || prev.engine != e {
 		if err := tbl.routeAll(t, avoid == nil); err != nil {
 			return nil, 0, fmt.Errorf("routing: engine %q: %w", e.Name(), err)
 		}
-		return tbl, 0, nil
+	} else {
+		reused = tbl.rebuildFrom(prev, t)
 	}
-	return tbl, tbl.rebuildFrom(prev, t), nil
+	// An eager table searches nothing more.
+	tbl.pathCache = nil
+	return tbl, reused, nil
 }

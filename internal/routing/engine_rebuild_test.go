@@ -85,7 +85,7 @@ func TestEngineRebuildDeadRoot(t *testing.T) {
 				if !routeValid(topo, r, avoid) {
 					t.Fatalf("route %d->%d crosses the dead root's cables", r.Src, r.Dst)
 				}
-				for _, sw := range r.SwitchPath {
+				for _, sw := range r.SwitchPath() {
 					if sw == root {
 						t.Fatalf("route %d->%d crosses the dead root switch", r.Src, r.Dst)
 					}

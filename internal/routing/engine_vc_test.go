@@ -77,15 +77,16 @@ func TestVCLanesMonotone(t *testing.T) {
 				t.Fatalf("BuildTable: %v", err)
 			}
 			for _, r := range tbl.Routes() {
-				if r.Lanes == nil {
+				lanes, links := r.Lanes(), r.LinkPath()
+				if lanes == nil {
 					continue
 				}
-				if len(r.Lanes) != len(r.LinkPath) {
-					t.Fatalf("route %d->%d: %d lanes for %d traversals", r.Src, r.Dst, len(r.Lanes), len(r.LinkPath))
+				if len(lanes) != len(links) {
+					t.Fatalf("route %d->%d: %d lanes for %d traversals", r.Src, r.Dst, len(lanes), len(links))
 				}
 				prev := uint8(0)
 				itbIdx := 0
-				for k, lane := range r.Lanes {
+				for k, lane := range lanes {
 					if int(lane) >= e.lanes() {
 						t.Fatalf("route %d->%d: lane %d beyond engine's %d", r.Src, r.Dst, lane, e.lanes())
 					}
@@ -93,7 +94,7 @@ func TestVCLanesMonotone(t *testing.T) {
 						t.Fatalf("route %d->%d: lane drops %d->%d without a reset", r.Src, r.Dst, prev, lane)
 					}
 					prev = lane
-					if itbIdx < len(r.ITBHosts) && r.LinkPath[k].To() == r.ITBHosts[itbIdx] {
+					if itbIdx < len(r.ITBHosts) && links[k].To() == r.ITBHosts[itbIdx] {
 						itbIdx++
 						prev = 0 // re-injection restarts on lane 0
 					}
@@ -129,7 +130,7 @@ func TestVCSingleLaneIsPureUpDown(t *testing.T) {
 			t.Fatalf("per-pair search %d->%d: %v", srcSw, dstSw, err)
 		}
 		// LinkPath = hostUp + switch hops + delivery.
-		if got, want := len(r.LinkPath)-2, len(trav); got != want {
+		if got, want := len(r.LinkPath())-2, len(trav); got != want {
 			t.Fatalf("route %d->%d: %d switch hops, legal shortest path has %d", r.Src, r.Dst, got, want)
 		}
 	}
@@ -232,7 +233,7 @@ func TestVCRebuildAvoiding(t *testing.T) {
 	}
 	ud := e.Orientation(topo)
 	for _, r := range next.Routes() {
-		for _, tr := range r.LinkPath {
+		for _, tr := range r.LinkPath() {
 			if tr.Link.ID == dead {
 				t.Fatalf("route %d->%d crosses the dead link", r.Src, r.Dst)
 			}

@@ -127,25 +127,27 @@ func sameRoutes(tb testing.TB, tp *topology.Topology, got, want *Table) {
 // routeDiff reports the first difference between two routes in
 // Segments, ITBHosts, SwitchPath or LinkPath.
 func routeDiff(a, b *Route) error {
-	if len(a.Segments) != len(b.Segments) {
-		return fmt.Errorf("%d segments vs %d", len(a.Segments), len(b.Segments))
+	as, bs := a.Segments(), b.Segments()
+	if len(as) != len(bs) {
+		return fmt.Errorf("%d segments vs %d", len(as), len(bs))
 	}
-	for i := range a.Segments {
-		if !bytes.Equal(a.Segments[i], b.Segments[i]) {
-			return fmt.Errorf("segment %d: %v vs %v", i, a.Segments[i], b.Segments[i])
+	for i := range as {
+		if !bytes.Equal(as[i], bs[i]) {
+			return fmt.Errorf("segment %d: %v vs %v", i, as[i], bs[i])
 		}
 	}
 	if fmt.Sprint(a.ITBHosts) != fmt.Sprint(b.ITBHosts) {
 		return fmt.Errorf("ITB hosts %v vs %v", a.ITBHosts, b.ITBHosts)
 	}
-	if fmt.Sprint(a.SwitchPath) != fmt.Sprint(b.SwitchPath) {
-		return fmt.Errorf("switch path %v vs %v", a.SwitchPath, b.SwitchPath)
+	if fmt.Sprint(a.SwitchPath()) != fmt.Sprint(b.SwitchPath()) {
+		return fmt.Errorf("switch path %v vs %v", a.SwitchPath(), b.SwitchPath())
 	}
-	if len(a.LinkPath) != len(b.LinkPath) {
-		return fmt.Errorf("%d link traversals vs %d", len(a.LinkPath), len(b.LinkPath))
+	al, bl := a.LinkPath(), b.LinkPath()
+	if len(al) != len(bl) {
+		return fmt.Errorf("%d link traversals vs %d", len(al), len(bl))
 	}
-	for i := range a.LinkPath {
-		if a.LinkPath[i].Link.ID != b.LinkPath[i].Link.ID || a.LinkPath[i].From != b.LinkPath[i].From {
+	for i := range al {
+		if al[i].Link.ID != bl[i].Link.ID || al[i].From != bl[i].From {
 			return fmt.Errorf("link traversal %d differs", i)
 		}
 	}
@@ -228,7 +230,7 @@ func countFallbacks(tp *topology.Topology, healthy, faulty *Table) int {
 			if src == dst || !ok || rf.NumITBs() > 0 {
 				continue
 			}
-			if rh, _ := healthy.Lookup(src, dst); rh.NumITBs() > 0 && len(rf.LinkPath) > len(rh.LinkPath)-2*rh.NumITBs() {
+			if rh, _ := healthy.Lookup(src, dst); rh.NumITBs() > 0 && len(rf.LinkPath()) > len(rh.LinkPath())-2*rh.NumITBs() {
 				n++
 			}
 		}
@@ -295,17 +297,13 @@ func compactHops(ct *CompactTable, si, di int) ([]topology.NodeID, []uint8, erro
 // switch-switch hops (lane 0 throughout for a lane-less route).
 func hopsOf(tp *topology.Topology, r *Route) ([]topology.NodeID, []uint8) {
 	var lanes []uint8
-	for k, tr := range r.LinkPath {
-		if tp.Node(tr.From).Kind != topology.KindSwitch || tp.Node(tr.To()).Kind != topology.KindSwitch {
-			continue
+	w := r.walk()
+	for tr, lane, ok := w.next(); ok; tr, lane, ok = w.next() {
+		if tp.Node(tr.From).Kind == topology.KindSwitch && tp.Node(tr.To()).Kind == topology.KindSwitch {
+			lanes = append(lanes, lane)
 		}
-		lane := uint8(0)
-		if r.Lanes != nil {
-			lane = r.Lanes[k]
-		}
-		lanes = append(lanes, lane)
 	}
-	return r.SwitchPath, lanes
+	return r.SwitchPath(), lanes
 }
 
 // TestCompactSwitchPathsMatchTable pins every engine's two

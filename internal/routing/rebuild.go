@@ -11,9 +11,14 @@ import (
 // host it ejects through is usable. Endpoint liveness is the caller's
 // check (the rebuild loop skips dead endpoints wholesale).
 func routeValid(t *topology.Topology, r *Route, avoid *Avoid) bool {
-	for _, tr := range r.LinkPath {
-		if avoid.avoidsLink(tr.Link.ID) {
-			return false
+	// Only a set that holds a link can fail a traversal (the gossip
+	// planes' sets hold hosts alone), so only then is the header walked.
+	if avoid.anyLinks() {
+		w := r.walk()
+		for tr, _, ok := w.next(); ok; tr, _, ok = w.next() {
+			if avoid.avoidsLink(tr.Link.ID) {
+				return false
+			}
 		}
 	}
 	for _, h := range r.ITBHosts {

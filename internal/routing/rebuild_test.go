@@ -112,7 +112,7 @@ func TestFindRouteAvoidsPrimaryPath(t *testing.T) {
 	// Exclude the first inter-switch link of the primary path (the
 	// host cables must stay usable).
 	var blocked int = -1
-	for _, tr := range primary.LinkPath {
+	for _, tr := range primary.LinkPath() {
 		if tp.Node(tr.Link.A).Kind == topology.KindSwitch && tp.Node(tr.Link.B).Kind == topology.KindSwitch {
 			blocked = tr.Link.ID
 			break
@@ -125,7 +125,7 @@ func TestFindRouteAvoidsPrimaryPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no alternate route around link %d: %v", blocked, err)
 	}
-	for _, tr := range alt.LinkPath {
+	for _, tr := range alt.LinkPath() {
 		if tr.Link.ID == blocked {
 			t.Fatal("alternate route crosses the excluded link")
 		}

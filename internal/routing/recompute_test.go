@@ -134,7 +134,7 @@ func TestRecomputeAvoidingFigure1(t *testing.T) {
 					t.Errorf("route %v: uses dead in-transit host %d", r, h)
 				}
 			}
-			for _, tr := range r.LinkPath {
+			for _, tr := range r.LinkPath() {
 				if avoid.avoidsLink(tr.Link.ID) {
 					t.Errorf("route %v: traverses failed link %d", r, tr.Link.ID)
 				}
@@ -184,7 +184,7 @@ func TestRecomputeAvoidingTestbed(t *testing.T) {
 			t.Fatal("no routes survive a single cable fault")
 		}
 		for _, r := range tbl.Routes() {
-			for _, tr := range r.LinkPath {
+			for _, tr := range r.LinkPath() {
 				if tr.Link.ID == dead {
 					t.Errorf("route %v traverses failed link %d", r, dead)
 				}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/packet"
 	"repro/internal/topology"
 )
 
@@ -129,8 +130,8 @@ func TestBuildTableUpDownTestbed(t *testing.T) {
 		t.Errorf("host1->host2 crosses %d switches, want 2", r.SwitchCrossings())
 	}
 	// Port bytes: one per crossed switch.
-	if len(r.Segments) != 1 || len(r.Segments[0]) != 2 {
-		t.Errorf("segments = %v", r.Segments)
+	if segs := r.Segments(); len(segs) != 1 || len(segs[0]) != 2 {
+		t.Errorf("segments = %v", segs)
 	}
 	if err := r.Validate(tp, ud); err != nil {
 		t.Error(err)
@@ -157,8 +158,8 @@ func TestBuildTableITBFigure1(t *testing.T) {
 	if r.ITBHosts[0] != f.Hosts[6] {
 		t.Errorf("ITB host = %d, want host at switch 6 (%d)", r.ITBHosts[0], f.Hosts[6])
 	}
-	if len(r.Segments) != 2 {
-		t.Fatalf("segments = %d, want 2", len(r.Segments))
+	if n := len(r.Segments()); n != 2 {
+		t.Fatalf("segments = %d, want 2", n)
 	}
 	if err := r.Validate(tp, ud); err != nil {
 		t.Error(err)
@@ -300,22 +301,24 @@ func TestRouteValidateCatchesIllegalPath(t *testing.T) {
 	// Hand-build the forbidden route host@4 -> host@1 without the ITB.
 	src, dst := f.Hosts[4], f.Hosts[1]
 	srcSw, _ := tp.SwitchOf(src)
-	min := oracleMinimalSwitchPath(tp, srcSw, f.Switches[1])
-	r := &Route{Src: src, Dst: dst}
-	r.LinkPath = append(r.LinkPath, Traversal{Link: tp.LinkAt(src, 0), From: src})
-	seg := []byte{}
-	for _, tr := range min {
-		seg = append(seg, byte(tr.Link.PortAt(tr.From)))
-		r.LinkPath = append(r.LinkPath, tr)
-	}
-	last := min[len(min)-1].To()
-	hl := tp.LinkAt(dst, 0)
-	seg = append(seg, byte(hl.PortAt(last)))
-	r.Segments = [][]byte{seg}
-	r.LinkPath = append(r.LinkPath, Traversal{Link: hl, From: last})
+	r := forgeRoute(tp, src, dst, oracleMinimalSwitchPath(tp, srcSw, f.Switches[1]))
 	if err := r.Validate(tp, ud); err == nil {
 		t.Error("illegal down->up route validated")
 	}
+}
+
+// forgeRoute hand-builds the one-segment route src->dst over the
+// switch-switch traversals trav, bypassing every engine: its header is
+// a port byte per traversal and the delivery port.
+func forgeRoute(tp *topology.Topology, src, dst topology.NodeID, trav []Traversal) *Route {
+	cur, _ := tp.SwitchOf(src)
+	var hdr []byte
+	for _, tr := range trav {
+		hdr = append(hdr, byte(tr.Link.PortAt(tr.From)))
+		cur = tr.To()
+	}
+	hdr = append(hdr, byte(tp.LinkAt(dst, 0).PortAt(cur)))
+	return &Route{Src: src, Dst: dst, hdr: hdr, topo: tp}
 }
 
 func TestRouteValidateStructure(t *testing.T) {
@@ -323,11 +326,11 @@ func TestRouteValidateStructure(t *testing.T) {
 	if err := r.Validate(nil, nil); err == nil {
 		t.Error("empty route validated")
 	}
-	r2 := &Route{Segments: [][]byte{{1}, {2}}}
+	r2 := &Route{hdr: []byte{1, packet.ITBTag, 1, 2}}
 	if err := r2.Validate(nil, nil); err == nil {
 		t.Error("segment/ITB count mismatch validated")
 	}
-	r3 := &Route{Segments: [][]byte{{}}}
+	r3 := &Route{hdr: []byte{packet.ITBTag, 1, 2}, ITBHosts: []topology.NodeID{0}}
 	if err := r3.Validate(nil, nil); err == nil {
 		t.Error("empty segment validated")
 	}

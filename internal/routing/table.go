@@ -37,8 +37,14 @@ type Table struct {
 	itbLoad []int32
 	// pathCache memoises switch-pair searches: all host pairs on the
 	// same switch pair share one search (ITB host choice still varies
-	// per route for balance). nil until the first search.
+	// per route for balance). nil until the first search, and again
+	// once an eager build is done.
 	pathCache map[[2]topology.NodeID]cachedPath
+	// routeChunk, hdrChunk and itbChunk back the routes the table
+	// assembles, their headers and their in-transit hosts.
+	routeChunk chunk[Route]
+	hdrChunk   chunk[byte]
+	itbChunk   chunk[topology.NodeID]
 	// avoid is the exclusion set the table was built around (nil when
 	// built fault-free).
 	avoid *Avoid
@@ -285,55 +291,26 @@ func (tbl *Table) buildRoute(t *topology.Topology, src, dst topology.NodeID) (*R
 
 // assemble converts a switch traversal plus ITB reset positions (and,
 // for lane-aware engines, per-traversal lane assignments) into a
-// Route with port bytes, in-transit host choices, and link path. Lane
-// changes embed as [VCTag][lane] pairs in the segment bytes, emitted
-// exactly where the wire lane (what the fabric infers while consuming
-// the route: lane 0 at every injection, then the last selected lane)
-// diverges from the lane the path wants for the next hop.
+// Route: its wire header, with the port bytes and in-transit host
+// choices. Lane changes embed as [VCTag][lane] pairs in the header,
+// emitted exactly where the wire lane (what the fabric infers while
+// consuming the route: lane 0 at every injection, then the last
+// selected lane) diverges from the lane the path wants for the next
+// hop.
 //
-// The wire header is written once, into one exactly sized buffer, and
-// the Segments are capped sub-slices of it; every other slice of the
-// Route is allocated at its final length too.
+// The header is written once, into an exactly sized slice; the route,
+// its header and its in-transit hosts are carved from the table's
+// chunks.
 func (tbl *Table) assemble(t *topology.Topology, src, dst, srcSw topology.NodeID, trav []Traversal, itbBefore []int, lanes []uint8) (*Route, error) {
-	nITB := len(itbBefore)
-	nLinks := len(trav) + 2 + 2*nITB
-	r := &Route{
-		Src:        src,
-		Dst:        dst,
-		Segments:   make([][]byte, 0, nITB+1),
-		SwitchPath: make([]topology.NodeID, 0, len(trav)+1+nITB),
-		LinkPath:   make([]Traversal, 0, nLinks),
+	var itbHosts []topology.NodeID
+	if len(itbBefore) > 0 {
+		itbHosts = tbl.itbChunk.take(len(itbBefore), 8, 2048)[:0]
 	}
-	if nITB > 0 {
-		r.ITBHosts = make([]topology.NodeID, 0, nITB)
-	}
-	hostUp := t.LinkAt(src, 0)   // src host -> its switch
-	hostDown := t.LinkAt(dst, 0) // last switch -> dst host
-	laned := lanes != nil
+	hdr := tbl.hdrChunk.take(headerLen(trav, itbBefore, lanes), 64, 16<<10)[:0]
 	wireLane := uint8(0)
-	hdr := make([]byte, 0, headerLen(trav, itbBefore, lanes))
-	segStart := 0
-
-	r.LinkPath = append(r.LinkPath, Traversal{Link: hostUp, From: src})
-	if laned {
-		r.Lanes = make([]uint8, 0, nLinks)
-		// Injections always enter on lane 0.
-		r.Lanes = append(r.Lanes, 0)
-	}
-
-	// Split trav at the itbBefore indices.
-	nextITB := 0
-	curSw := srcSw
-	r.SwitchPath = append(r.SwitchPath, curSw)
-	// endSegment closes the segment being written with its final port
-	// byte.
-	endSegment := func(port byte) {
-		hdr = append(hdr, port)
-		r.Segments = append(r.Segments, hdr[segStart:len(hdr):len(hdr)])
-	}
+	// flushSegment ends the segment at itbSwitch with the ejection into
+	// its least-loaded live host (deterministic tie-break by id).
 	flushSegment := func(itbSwitch topology.NodeID) error {
-		// Eject into a live host of itbSwitch: pick the least-loaded
-		// host (deterministic tie-break by id).
 		hosts := liveHostsAt(t, itbSwitch, tbl.avoid)
 		if len(hosts) == 0 {
 			return fmt.Errorf("routing: ITB needed at switch %d which has no live hosts", itbSwitch)
@@ -346,27 +323,17 @@ func (tbl *Table) assemble(t *topology.Topology, src, dst, srcSw topology.NodeID
 			}
 		}
 		load[best-tbl.hostLo]++
-		hl := t.LinkAt(best, 0)
-		// Final port byte of this segment delivers into the ITB host.
-		endSegment(byte(hl.PortAt(itbSwitch)))
-		// The next segment follows its ITB tag and the length of
-		// everything after the length byte (Figure 3.b).
-		hdr = append(hdr, packet.ITBTag, byte(cap(hdr)-len(hdr)-2))
-		segStart = len(hdr)
-		r.LinkPath = append(r.LinkPath, Traversal{Link: hl, From: itbSwitch})
-		r.ITBHosts = append(r.ITBHosts, best)
-		// Re-injection back into the same switch.
-		r.LinkPath = append(r.LinkPath, Traversal{Link: hl, From: best})
-		// The re-injected packet crosses the switch again.
-		r.SwitchPath = append(r.SwitchPath, itbSwitch)
-		if laned {
-			// The ejection rides whatever lane the packet was on; the
-			// re-injection is a fresh lane-0 entry.
-			r.Lanes = append(r.Lanes, wireLane, 0)
-			wireLane = 0
-		}
+		// The ejection port byte, then the next segment's ITB tag and
+		// the length of everything after the length byte (Figure 3.b).
+		// The re-injection is a fresh lane-0 entry.
+		hdr = append(hdr, byte(t.LinkAt(best, 0).PortAt(itbSwitch)), packet.ITBTag, byte(cap(hdr)-len(hdr)-3))
+		itbHosts = append(itbHosts, best)
+		wireLane = 0
 		return nil
 	}
+	// Split trav at the itbBefore indices.
+	nextITB := 0
+	curSw := srcSw
 	for i, tr := range trav {
 		for nextITB < len(itbBefore) && itbBefore[nextITB] == i {
 			if err := flushSegment(curSw); err != nil {
@@ -374,17 +341,12 @@ func (tbl *Table) assemble(t *topology.Topology, src, dst, srcSw topology.NodeID
 			}
 			nextITB++
 		}
-		if laned && lanes[i] != wireLane {
+		if lanes != nil && lanes[i] != wireLane {
 			hdr = append(hdr, packet.VCTag, lanes[i])
 			wireLane = lanes[i]
 		}
 		hdr = append(hdr, byte(tr.Link.PortAt(tr.From)))
-		r.LinkPath = append(r.LinkPath, tr)
-		if laned {
-			r.Lanes = append(r.Lanes, wireLane)
-		}
 		curSw = tr.To()
-		r.SwitchPath = append(r.SwitchPath, curSw)
 	}
 	// Trailing resets (ITB at the destination switch) would be
 	// pointless; the search never produces them, but guard anyway.
@@ -394,18 +356,29 @@ func (tbl *Table) assemble(t *topology.Topology, src, dst, srcSw topology.NodeID
 		}
 		nextITB++
 	}
-	// Deliver into dst.
-	endSegment(byte(hostDown.PortAt(curSw)))
-	r.LinkPath = append(r.LinkPath, Traversal{Link: hostDown, From: curSw})
-	if laned {
-		// The delivery hop stays on the current lane.
-		r.Lanes = append(r.Lanes, wireLane)
-	}
-	if len(hdr) <= packet.MaxRouteLen {
-		// Longer headers stay unset: EncodeHeader reports them.
-		r.hdr = hdr
-	}
+	// Deliver into dst. A header longer than packet.MaxRouteLen is
+	// stored too: EncodeHeader reports it.
+	hdr = append(hdr, byte(t.LinkAt(dst, 0).PortAt(curSw)))
+	r := &tbl.routeChunk.take(1, 4, 1024)[0]
+	*r = Route{Src: src, Dst: dst, ITBHosts: itbHosts, hdr: hdr, topo: t}
 	return r, nil
+}
+
+// chunk hands out exactly sized, capped slices of backing arrays that
+// grow geometrically: each new array is twice the last, from first up
+// to most elements (or the request, if larger). Small tables, such as
+// a lazily rebuilt table with one row, hold a few small arrays; a full
+// table holds one allocation per most elements.
+type chunk[T any] []T
+
+// take returns n fresh elements.
+func (c *chunk[T]) take(n, first, most int) []T {
+	if cap(*c)-len(*c) < n {
+		*c = make([]T, 0, max(n, first, min(2*cap(*c), most)))
+	}
+	k := len(*c)
+	*c = (*c)[:k+n]
+	return (*c)[k : k+n : k+n]
 }
 
 // headerLen is the wire header length assemble writes for a path: a

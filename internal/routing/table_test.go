@@ -73,7 +73,7 @@ func TestEncodeHeaderMatchesSegments(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %d->%d: %v", e.Name(), r.Src, r.Dst, err)
 			}
-			want, _ := packet.BuildITBRoute(r.Segments)
+			want, _ := packet.BuildITBRoute(r.Segments())
 			if !bytes.Equal(hdr, want) {
 				t.Fatalf("%s: %d->%d: header %v, segments encode to %v", e.Name(), r.Src, r.Dst, hdr, want)
 			}
@@ -81,7 +81,7 @@ func TestEncodeHeaderMatchesSegments(t *testing.T) {
 				t.Fatalf("%s: %d->%d: header has spare capacity %d", e.Name(), r.Src, r.Dst, cap(hdr)-len(hdr))
 			}
 			itbs += r.NumITBs()
-			if slices.ContainsFunc(r.Lanes, func(l uint8) bool { return l != 0 }) {
+			if slices.ContainsFunc(r.Lanes(), func(l uint8) bool { return l != 0 }) {
 				laned++
 			}
 		}
@@ -96,5 +96,68 @@ func TestEncodeHeaderMatchesSegments(t *testing.T) {
 	r := tbl.Routes()[0]
 	if allocs := testing.AllocsPerRun(100, func() { r.EncodeHeader() }); allocs != 0 {
 		t.Errorf("EncodeHeader on a table route allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestRouteWalksDoNotAllocate: the checks that decode a route's header
+// over the topology (routeValid, SwitchCrossings, PortTypeMix) walk it
+// without allocating, on an in-transit route and a lane-switching one.
+func TestRouteWalksDoNotAllocate(t *testing.T) {
+	tp, err := topology.Dragonfly(topology.DefaultDragonflyConfig(72))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A link in the set makes routeValid walk the route.
+	avoid := AvoidLinks(tp.LinkAt(tp.Hosts()[0], 0).ID)
+	for _, e := range []Engine{ITBRouting, VCEscapeEngine{NumLanes: 2}} {
+		tbl, err := e.BuildTable(tp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes := tbl.Routes()
+		i := slices.IndexFunc(routes, func(r *Route) bool { return r.NumITBs() > 0 || r.Lanes() != nil })
+		if i < 0 {
+			t.Fatalf("%s: no in-transit or lane-switching route", e.Name())
+		}
+		r := routes[i]
+		checks := map[string]func(){
+			"routeValid":      func() { routeValid(tp, r, avoid) },
+			"SwitchCrossings": func() { r.SwitchCrossings() },
+			"PortTypeMix":     func() { r.PortTypeMix() },
+		}
+		for name, f := range checks {
+			if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+				t.Errorf("%s: %s allocates %.1f/op, want 0", e.Name(), name, allocs)
+			}
+		}
+	}
+}
+
+// TestOverlongHeaderStored: a route whose header exceeds
+// packet.MaxRouteLen keeps its header, so its views still decode, while
+// EncodeHeader reports it as too big for the wire.
+func TestOverlongHeaderStored(t *testing.T) {
+	n := packet.MaxRouteLen + 3
+	tp := topology.Linear(n, 1)
+	tbl, err := UpDownRouting.BuildTable(tp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := tp.Hosts()
+	r, ok := tbl.Lookup(hosts[0], hosts[len(hosts)-1])
+	if !ok {
+		t.Fatal("no end-to-end route")
+	}
+	if _, err := r.EncodeHeader(); err != packet.ErrRouteTooBig {
+		t.Fatalf("EncodeHeader of a %d-switch route: %v, want ErrRouteTooBig", n, err)
+	}
+	if got := r.SwitchCrossings(); got != n {
+		t.Errorf("SwitchCrossings = %d, want %d", got, n)
+	}
+	if got := len(r.LinkPath()); got != n+1 {
+		t.Errorf("%d link traversals, want %d", got, n+1)
+	}
+	if err := r.Validate(tp, tbl.Orientation()); err != nil {
+		t.Error(err)
 	}
 }
