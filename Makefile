@@ -1,7 +1,10 @@
 GO ?= go
 
 # Benchmarks guarded by the bench-gate CI job (see cmd/benchdiff).
-GUARDED_BENCH = ^(BenchmarkFig7_CodeOverhead|BenchmarkFig8_ITBOverhead|BenchmarkAllsizePingPong|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkRecoveryOff|BenchmarkRecoveryChurn72|BenchmarkEngineTableBuild1024|BenchmarkLoadStudySmall|BenchmarkFig7Lanes1|BenchmarkFig7Lanes2|BenchmarkVCAblationSweep|BenchmarkUpDownITBTableDragonfly342)$$
+# GUARDED_BENCH run 3 iterations each; a ping-pong takes a few µs, so
+# PINGPONG_BENCH runs 2000, where the one-off warm-up no longer shows.
+GUARDED_BENCH = ^(BenchmarkFig7_CodeOverhead|BenchmarkFig8_ITBOverhead|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkRecoveryOff|BenchmarkRecoveryChurn72|BenchmarkEngineTableBuild1024|BenchmarkLoadStudySmall|BenchmarkFig7Lanes1|BenchmarkFig7Lanes2|BenchmarkVCAblationSweep|BenchmarkUpDownITBTableDragonfly342)$$
+PINGPONG_BENCH = ^BenchmarkAllsizePingPong$$
 # Output file for bench-json (ignored by git). A committed point of
 # the benchmark trajectory is written as BENCH_PR<n>.json with
 # `make bench-json BENCH_JSON=BENCH_PR<n>.json`.
@@ -54,7 +57,8 @@ bench:
 # Run the guarded benchmarks and summarise them as JSON (min of 5
 # counts per metric); see EXPERIMENTS.md "Benchmark trajectory".
 bench-json:
-	$(GO) test -run '^$$' -bench '$(GUARDED_BENCH)' -benchtime=3x -count=5 -benchmem . \
+	{ $(GO) test -run '^$$' -bench '$(GUARDED_BENCH)' -benchtime=3x -count=5 -benchmem . && \
+	  $(GO) test -run '^$$' -bench '$(PINGPONG_BENCH)' -benchtime=2000x -count=5 -benchmem . ; } \
 		| tee /dev/stderr | $(GO) run ./cmd/benchdiff -emit $(BENCH_JSON)
 
 # Compare the fresh summary against the committed baseline; fails on

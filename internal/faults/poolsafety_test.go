@@ -203,8 +203,8 @@ func patternByte(id uint64, i int) byte {
 // TestPoolSteadyStateUnderSustainedDrops hammers one receiver with
 // fire-and-forget traffic through a single receive buffer, so a large
 // fraction of the wire packets die as buffer-pool drops. Every checked
-// out pool packet — the delivered ones, the dropped ones, and the
-// fire-and-forget originals — must be back in the pool at quiescence.
+// out pool packet — the delivered ones and the dropped ones — must be
+// back in the pool at quiescence.
 // Before the drop-path recycling fix this leaked one packet per drop
 // plus one per send (the DisableAcks pump abandoned its originals), a
 // residue proportional to traffic volume.

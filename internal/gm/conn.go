@@ -10,47 +10,66 @@ import (
 	"repro/internal/units"
 )
 
-// conn holds the reliability state between this host and one peer:
-// go-back-N sending (window, cumulative acks, timeout retransmission)
-// and in-order receiving with message reassembly. GM provides exactly
-// this: reliable and ordered packet delivery in the presence of
-// drops, which the buffer-pool experiments rely on.
+// conn holds the state between this host and one peer. GM gives
+// every host pair reliable, ordered delivery: go-back-N sending
+// (window, cumulative acks, timeout retransmission) and in-order
+// receiving with message reassembly, which the buffer-pool
+// experiments rely on. That machinery lives in relState, which only
+// an ack-mode conn carries; a raw conn (Params.DisableAcks) fires and
+// forgets, and keeps only what both modes read.
 type conn struct {
 	h    *Host
 	peer topology.NodeID
 
-	// Sender state. Sequence numbers count packets, not bytes. The
-	// window holds consecutive seqs, so a seq's entry is found by
-	// subtraction (entry).
-	nextSeq  uint32 // next sequence number to assign
-	ackedTo  uint32 // everything below this is acknowledged
-	inflight []winEntry
-	backlog  sim.FIFO[winEntry] // waiting for window space
-	timer    sim.Event
-
-	// Recovery state (Params.BackoffFactor / DeadPeerTimeouts).
-	curTimeout units.Time // current retransmit timeout (backed off)
-	strikes    int        // consecutive timeouts without ack progress
-	// dead marks the dead-peer verdict. It is no longer permanent: the
-	// recovery protocol's epoch-versioned table install (InstallTable)
-	// can resurrect the conn, restarting the stream at sequence zero
-	// under a new incarnation so that leftovers of the old stream are
-	// recognisable and cannot desynchronise the go-back-N window.
-	dead bool
+	// Sender state. Sequence numbers count packets, not bytes.
+	nextSeq uint32 // next sequence number to assign
 	// incarnation is the epoch of the last resurrection (zero for the
 	// original stream). Acks carrying an older epoch are stale.
 	incarnation uint32
 
 	// Receiver state.
 	expected uint32
-	assembly []byte // fragments of the in-progress message
 	// peerIncarnation mirrors the peer's sender incarnation: adopted
 	// when a sequence-zero packet arrives with a newer epoch, after
 	// which packets of older incarnations are dropped as stale.
 	peerIncarnation uint32
+	// dead marks the dead-peer verdict. It is no longer permanent: the
+	// recovery protocol's epoch-versioned table install (InstallTable)
+	// can resurrect the conn, restarting the stream at sequence zero
+	// under a new incarnation so that leftovers of the old stream are
+	// recognisable and cannot desynchronise the go-back-N window. A
+	// raw conn keeps nothing pending and is never declared dead.
+	dead     bool
+	assembly []byte // fragments of the in-progress message
+
+	// relState is the go-back-N and ack state, nil on a raw conn. An
+	// ack-mode conn points it into its own allocation (reliableConn).
+	*relState
+}
+
+// relState is the reliability part of an ack-mode conn. The window
+// holds consecutive seqs, so a seq's entry is found by subtraction
+// (entry).
+type relState struct {
+	inflight []winEntry
+	backlog  sim.FIFO[winEntry] // waiting for window space
+
+	// Recovery state (Params.BackoffFactor / DeadPeerTimeouts).
+	curTimeout units.Time // current retransmit timeout (backed off)
+	timer      sim.Event
 	// Ack coalescing (Params.AckDelay).
-	pendingAcks int
-	ackTimer    sim.Event
+	ackTimer sim.Event
+
+	ackedTo     uint32 // everything below this is acknowledged
+	strikes     int32  // consecutive timeouts without ack progress
+	pendingAcks int32
+}
+
+// reliableConn is an ack-mode conn and its reliability state in one
+// allocation.
+type reliableConn struct {
+	conn
+	rel relState
 }
 
 // outcome is what a message's last fragment carries to its
@@ -81,8 +100,8 @@ func (o *outcome) failed() {
 	}
 }
 
-// winEntry is one packet of the send stream, in the backlog or the
-// window: the original (kept pristine for retransmission, never
+// winEntry is one packet of an ack-mode send stream, in the backlog
+// or the window: the original (kept pristine for retransmission, never
 // injected itself) and its outcome (zero on all but a message's last
 // fragment).
 type winEntry struct {
@@ -94,7 +113,12 @@ type winEntry struct {
 }
 
 func newConn(h *Host, peer topology.NodeID) *conn {
-	return &conn{h: h, peer: peer}
+	if h.par.DisableAcks {
+		return &conn{h: h, peer: peer}
+	}
+	rc := &reliableConn{conn: conn{h: h, peer: peer}}
+	rc.relState = &rc.rel
+	return &rc.conn
 }
 
 // entry returns the window entry of seq, or nil when seq is not in
@@ -111,9 +135,9 @@ func (c *conn) entry(seq uint32) *winEntry {
 
 // enqueue assigns a sequence number and transmits when the window
 // allows. o is settled when this packet is acknowledged or the
-// dead-peer verdict abandons it. Enqueueing to an already-dead conn
-// fails at once (from a fresh event, so the caller's stack has
-// unwound).
+// dead-peer verdict abandons it; on a raw conn, when its tail leaves
+// the NIC. Enqueueing to an already-dead conn fails at once (from a
+// fresh event, so the caller's stack has unwound).
 func (c *conn) enqueue(pkt *packet.Packet, o outcome) {
 	if c.dead {
 		if pkt.LastFrag {
@@ -132,43 +156,35 @@ func (c *conn) enqueue(pkt *packet.Packet, o outcome) {
 	pkt.Seq = c.nextSeq
 	pkt.Incarnation = c.incarnation
 	c.nextSeq++
+	if c.relState == nil {
+		// Fire-and-forget: no retransmission will ever need an
+		// original, so the packet itself goes on the wire, and the
+		// outcome rides on its completion record.
+		c.h.stats.PacketsSent++
+		rec := c.h.sentRecs.Get()
+		rec.c, rec.outcome = c, o
+		c.h.m.SubmitSend(pkt, sentRaw, rec)
+		return
+	}
 	c.backlog.Push(winEntry{pkt: pkt, outcome: o})
 	c.pump()
 }
 
 // pump moves backlog packets into the window.
 func (c *conn) pump() {
-	for c.backlog.Len() > 0 && (len(c.inflight) < c.h.par.Window || c.h.par.DisableAcks) {
-		e := c.backlog.Pop()
-		if !c.h.par.DisableAcks {
-			c.inflight = append(c.inflight, e)
-			c.transmit(&c.inflight[len(c.inflight)-1])
-			continue
-		}
-		// Fire-and-forget mode: no retransmission will ever need the
-		// original, and transmit clones the wire copy synchronously, so
-		// the original goes straight back to the pool. Keeping it
-		// (pre-fix behaviour) leaked one pool packet per send — in a
-		// long open-loop run, unbounded growth.
-		c.transmit(&e)
-		packet.Put(e.pkt)
+	for c.backlog.Len() > 0 && len(c.inflight) < c.h.par.Window {
+		c.inflight = append(c.inflight, c.backlog.Pop())
+		c.transmit(&c.inflight[len(c.inflight)-1])
 	}
 }
 
-// transmit hands one packet to the MCP. The MCP keeps its own queue,
-// so this never blocks.
+// transmit hands one window entry to the MCP. The MCP keeps its own
+// queue, so this never blocks.
 func (c *conn) transmit(e *winEntry) {
 	c.h.stats.PacketsSent++
 	rec := c.h.sentRecs.Get()
 	rec.c, rec.seq = c, e.pkt.Seq
-	if c.h.par.DisableAcks {
-		// No ack will come and the original is not kept: the tail
-		// leaving stands in for the ack, so the outcome rides on the
-		// completion record.
-		rec.outcome = e.outcome
-	} else {
-		e.submitted = true
-	}
+	e.submitted = true
 	// The MCP consumes the route bytes in flight, so each (re)send
 	// works on a fresh copy; the original stays pristine for
 	// retransmission. The copy comes from (and returns to) the packet
@@ -183,19 +199,24 @@ func (c *conn) transmit(e *winEntry) {
 // entry by seq alone (see resurrect).
 func sent(arg any, _ units.Time) {
 	rec := arg.(*sentRec)
-	r := *rec
-	r.c.h.sentRecs.Put(rec)
-	if r.c.h.par.DisableAcks {
-		r.acked()
-		return
-	}
-	if e := r.c.entry(r.seq); e != nil {
+	c, seq := rec.c, rec.seq
+	c.h.sentRecs.Put(rec)
+	if e := c.entry(seq); e != nil {
 		e.submitted = false
 	}
 }
 
+// sentRaw is the MCP's completion for a raw conn's packet: no ack will
+// come, so its tail leaving the NIC stands in for one.
+func sentRaw(arg any, _ units.Time) {
+	rec := arg.(*sentRec)
+	o, h := rec.outcome, rec.c.h
+	h.sentRecs.Put(rec)
+	o.acked()
+}
+
 func (c *conn) armTimer() {
-	if c.h.par.DisableAcks || c.timer.Valid() || c.dead {
+	if c.timer.Valid() || c.dead {
 		return
 	}
 	if c.curTimeout <= 0 {
@@ -225,7 +246,7 @@ func ackTimeout(arg any) {
 		return
 	}
 	c.strikes++
-	if n := c.h.par.DeadPeerTimeouts; n > 0 && c.strikes >= n {
+	if n := c.h.par.DeadPeerTimeouts; n > 0 && int(c.strikes) >= n {
 		c.declareDead()
 		return
 	}
@@ -357,6 +378,9 @@ func (c *conn) restampRoutes(hdr []byte, typ packet.Type, epoch uint32) {
 // issued under; acknowledgements from before a resurrection must not
 // be applied to the restarted stream.
 func (c *conn) handleAck(nextExpected uint32, epoch uint32) {
+	if c.relState == nil {
+		return // a raw conn has no window to acknowledge
+	}
 	if c.dead {
 		return // verdict issued; outcomes already reported
 	}
@@ -411,7 +435,7 @@ func (c *conn) handleAck(nextExpected uint32, epoch uint32) {
 
 // handleData processes an arriving data packet.
 func (c *conn) handleData(pkt *packet.Packet, t units.Time) {
-	if c.h.par.DisableAcks {
+	if c.relState == nil {
 		// Raw mode: deliver whatever arrives, reassembling naively.
 		c.deliverFrag(pkt, t)
 		return
@@ -471,7 +495,7 @@ func (c *conn) scheduleAck() {
 	if every <= 0 {
 		every = 4
 	}
-	if c.pendingAcks >= every {
+	if int(c.pendingAcks) >= every {
 		c.flushAck()
 		return
 	}

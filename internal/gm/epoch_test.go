@@ -69,7 +69,7 @@ func TestResurrectionResetsStrikes(t *testing.T) {
 	killPeer(t, r, h1, h2)
 
 	c := h1.conns[h2.Node()]
-	if c.strikes < h1.par.DeadPeerTimeouts {
+	if int(c.strikes) < h1.par.DeadPeerTimeouts {
 		t.Fatalf("verdict at %d strikes, want >= %d", c.strikes, h1.par.DeadPeerTimeouts)
 	}
 

@@ -104,3 +104,19 @@ func TestAvoidChaining(t *testing.T) {
 		t.Error("link and host ids share one set")
 	}
 }
+
+// liveHostsAt returns the hosts of switch sw that can still serve as
+// in-transit buffers under the exclusion set.
+func liveHostsAt(t *topology.Topology, sw topology.NodeID, avoid *Avoid) []topology.NodeID {
+	hosts := t.HostsAt(sw)
+	if avoid == nil {
+		return hosts
+	}
+	live := make([]topology.NodeID, 0, len(hosts))
+	for _, h := range hosts {
+		if !avoid.hostDead(t, h) {
+			live = append(live, h)
+		}
+	}
+	return live
+}

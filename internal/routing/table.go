@@ -309,18 +309,23 @@ func (tbl *Table) assemble(t *topology.Topology, src, dst, srcSw topology.NodeID
 	hdr := tbl.hdrChunk.take(headerLen(trav, itbBefore, lanes), 64, 16<<10)[:0]
 	wireLane := uint8(0)
 	// flushSegment ends the segment at itbSwitch with the ejection into
-	// its least-loaded live host (deterministic tie-break by id).
+	// its least-loaded live host (deterministic tie-break: the lowest
+	// id).
 	flushSegment := func(itbSwitch topology.NodeID) error {
-		hosts := liveHostsAt(t, itbSwitch, tbl.avoid)
-		if len(hosts) == 0 {
-			return fmt.Errorf("routing: ITB needed at switch %d which has no live hosts", itbSwitch)
-		}
 		load := tbl.loads()
-		best := hosts[0]
-		for _, h := range hosts[1:] {
-			if load[h-tbl.hostLo] < load[best-tbl.hostLo] {
+		best := topology.NodeID(-1)
+		for _, p := range tbl.graph.hostPorts[tbl.graph.sidx[itbSwitch]] {
+			h := t.LinkAt(itbSwitch, int(p)).Other(itbSwitch)
+			if tbl.avoid.hostDead(t, h) {
+				continue
+			}
+			if best < 0 || load[h-tbl.hostLo] < load[best-tbl.hostLo] ||
+				load[h-tbl.hostLo] == load[best-tbl.hostLo] && h < best {
 				best = h
 			}
+		}
+		if best < 0 {
+			return fmt.Errorf("routing: ITB needed at switch %d which has no live hosts", itbSwitch)
 		}
 		load[best-tbl.hostLo]++
 		// The ejection port byte, then the next segment's ITB tag and
