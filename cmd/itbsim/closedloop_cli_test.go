@@ -26,13 +26,7 @@ import (
 func TestClosedLoopGoldensDeterministic(t *testing.T) {
 	bin := buildItbsim(t)
 	small := []string{"-switches", "8", "-window", "200", "-seed", "3"}
-	for _, tc := range []struct {
-		golden string
-		args   []string
-		// metrics replaces the output by the sha256 of the -metrics
-		// JSON the run writes.
-		metrics bool
-	}{
+	checkGoldens(t, bin, []goldenCase{
 		{"patterns.golden", []string{"-exp", "patterns", "-switches", "8", "-seed", "3"}, false},
 		{"bufpool.golden", []string{"-exp", "bufpool"}, false},
 		{"faults.golden", []string{"-exp", "faults", "-switches", "8", "-seed", "3"}, false},
@@ -42,7 +36,24 @@ func TestClosedLoopGoldensDeterministic(t *testing.T) {
 		{"app.golden", append([]string{"-exp", "app"}, small...), false},
 		{"throughput.golden", append([]string{"-exp", "throughput"}, small...), false},
 		{"throughput_metrics.golden", append([]string{"-exp", "throughput"}, small...), true},
-	} {
+	})
+}
+
+// goldenCase is one itbsim invocation pinned by a committed golden.
+type goldenCase struct {
+	golden string
+	args   []string
+	// metrics replaces the output by the sha256 of the -metrics JSON
+	// the run writes.
+	metrics bool
+}
+
+// checkGoldens runs every case at -workers 1 and -workers 4, one
+// subtest per golden: both outputs must be byte-identical and match
+// the committed golden, or rewrite it under REGEN_GOLDEN.
+func checkGoldens(t *testing.T, bin string, cases []goldenCase) {
+	t.Helper()
+	for _, tc := range cases {
 		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
 			runWith := func(workers string) []byte {
 				t.Helper()

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,57 +10,20 @@ import (
 
 // TestEnginesStudyGoldenDeterministic is the CLI acceptance check for
 // the routing-engine comparison: `itbsim -exp engines` must emit
-// byte-identical tables at -workers 1 and -workers 4 (cells dispatch
+// byte-identical output at -workers 1 and -workers 4 (cells dispatch
 // through the parallel runner; rows and metrics merge in cell order),
-// and the table must match the committed golden. A deliberate engine
-// change regenerates it with:
+// and match the committed goldens: the 256-host table, the CSV of the
+// default 64/256/1024 grid, and the sha256 of that grid's -metrics
+// JSON. A deliberate engine change regenerates them with:
 //
 //	REGEN_GOLDEN=1 go test ./cmd/itbsim/ -run TestEnginesStudyGolden
 func TestEnginesStudyGoldenDeterministic(t *testing.T) {
-	bin := buildItbsim(t)
-	runWith := func(workers string, extra ...string) []byte {
-		t.Helper()
-		args := append([]string{"-exp", "engines", "-hosts", "256", "-seed", "3", "-workers", workers}, extra...)
-		out, err := exec.Command(bin, args...).CombinedOutput()
-		if err != nil {
-			t.Fatalf("itbsim -exp engines -workers %s: %v\n%s", workers, err, out)
-		}
-		return out
-	}
-	got1 := runWith("1")
-	got4 := runWith("4")
-	if !bytes.Equal(got1, got4) {
-		t.Fatalf("-exp engines output differs between -workers 1 and -workers 4\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", got1, got4)
-	}
-
-	path := filepath.Join("testdata", "engines.golden")
-	if os.Getenv("REGEN_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got1, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with REGEN_GOLDEN=1 to create): %v", err)
-	}
-	if !bytes.Equal(got1, want) {
-		t.Errorf("-exp engines drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s", got1, want)
-	}
-
-	// The CSV form carries the same grid with the documented header.
-	csvOut := runWith("4", "-csv")
-	lines := strings.Split(strings.TrimSpace(string(csvOut)), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("-csv output has no data rows:\n%s", csvOut)
-	}
-	if !strings.HasPrefix(lines[0], "class,switches,hosts,engine,") {
-		t.Errorf("-csv header unexpected: %s", lines[0])
-	}
+	grid := []string{"-exp", "engines", "-seed", "3", "-csv"}
+	checkGoldens(t, buildItbsim(t), []goldenCase{
+		{"engines.golden", []string{"-exp", "engines", "-hosts", "256", "-seed", "3"}, false},
+		{"engines_csv.golden", grid, false},
+		{"engines_metrics.golden", grid, true},
+	})
 }
 
 // TestEnginesUnknownEngineRejected locks the -engine validation: a
