@@ -77,7 +77,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzSerializeRoundTrip -fuzztime=10s ./internal/topology/
 	$(GO) test -fuzz=FuzzFatTree -fuzztime=10s ./internal/topology/
 	$(GO) test -fuzz=FuzzDragonfly -fuzztime=10s ./internal/topology/
-	$(GO) test -fuzz=FuzzCompactSteps -fuzztime=10s ./internal/routing/
 	$(GO) test -fuzz=FuzzProbeScheduler -fuzztime=10s ./internal/recovery/
 	$(GO) test -fuzz=FuzzArrivalProcess -fuzztime=10s ./internal/workload/
 	$(GO) test -fuzz=FuzzFlowSizeMix -fuzztime=10s ./internal/workload/

@@ -12,11 +12,12 @@ import (
 )
 
 // EngineStudyConfig parameterises the engine-comparison study: every
-// registered routing engine builds the all-pairs compact route table
-// on every (topology class, size) cell, and the study reports the
-// route-quality and congestion-structure numbers that predict
-// saturation behaviour — in-transit buffer counts, hotspot pressure,
-// and the root bottleneck — across engines and scales.
+// registered routing engine computes and certifies its all-pairs
+// switch paths on every (topology class, size) cell (CertifyEngine),
+// and the study reports the route-quality and congestion-structure
+// numbers that predict saturation behaviour — in-transit buffer
+// counts, hotspot pressure, and the root bottleneck — across engines
+// and scales.
 type EngineStudyConfig struct {
 	// Classes are the topology generator families; default irregular,
 	// fattree, dragonfly.
@@ -51,11 +52,10 @@ func DefaultEngineStudyConfig(seed int64) EngineStudyConfig {
 
 // EngineRow is one (class, size, engine) cell.
 type EngineRow struct {
-	Class    string
-	Engine   string
-	Switches int
-	Hosts    int
-	routing.CompactAnalysis
+	Class  string
+	Engine string
+	Hosts  int
+	routing.EngineAnalysis
 }
 
 // EngineStudyResult is the engine-comparison study output.
@@ -132,28 +132,17 @@ func RunEngineStudy(cfg EngineStudyConfig) (EngineStudyResult, error) {
 			return cellOut{}, err
 		}
 		eng, _ := routing.EngineByName(c.engine)
-		ct, err := routing.BuildCompact(eng, topo, nil)
-		if err != nil {
-			return cellOut{}, err
-		}
-		// The study certifies what it reports: every cell's table is
-		// checked valid and deadlock free before it contributes a row.
-		if err := ct.Validate(); err != nil {
-			return cellOut{}, fmt.Errorf("engine %q on %s/%d: %w", c.engine, c.class, c.hosts, err)
-		}
-		if err := ct.CheckDeadlockFree(); err != nil {
-			return cellOut{}, fmt.Errorf("engine %q on %s/%d: %w", c.engine, c.class, c.hosts, err)
-		}
-		an, err := ct.Analyze()
+		// The study certifies what it reports: every cell's paths are
+		// checked legal and deadlock free as they are counted.
+		an, err := routing.CertifyEngine(eng, topo)
 		if err != nil {
 			return cellOut{}, err
 		}
 		out := cellOut{row: EngineRow{
-			Class:           c.class,
-			Engine:          c.engine,
-			Switches:        ct.NumSwitches(),
-			Hosts:           len(topo.Hosts()),
-			CompactAnalysis: an,
+			Class:          c.class,
+			Engine:         c.engine,
+			Hosts:          len(topo.Hosts()),
+			EngineAnalysis: an,
 		}}
 		if cfg.Metrics != nil {
 			out.reg = metrics.NewRegistry()

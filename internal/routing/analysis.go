@@ -92,7 +92,7 @@ func Analyze(t *topology.Topology, ud *topology.UpDown, tbl *Table) Analysis {
 			srcSw, _ := t.SwitchOf(src)
 			dstSw, _ := t.SwitchOf(dst)
 			if si := g.sidx[srcSw]; si != lastSrc {
-				g.plainBFS(si, nil, minHops, queue)
+				g.plainBFS(si, minHops, queue)
 				lastSrc = si
 			}
 			if hops == int(minHops[g.sidx[dstSw]]) {

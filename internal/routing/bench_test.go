@@ -6,9 +6,8 @@ import (
 	"repro/internal/topology"
 )
 
-// Per-layer routing benchmarks: the host-pair Table build, and a route
-// read from each representation — a Table lookup against decoding the
-// switch-pair path from the CompactTable arena.
+// Per-layer routing benchmarks: the host-pair Table build, a Table
+// lookup, and a lazy table install.
 
 func benchDragonfly(b *testing.B, hosts int) *topology.Topology {
 	b.Helper()
@@ -67,32 +66,6 @@ func BenchmarkTableLookup(b *testing.B) {
 		p := pairs[i%len(pairs)]
 		if _, ok := tbl.Lookup(p[0], p[1]); !ok {
 			b.Fatal("missing route")
-		}
-	}
-}
-
-// BenchmarkCompactDecode is the CompactTable counterpart of
-// BenchmarkTableLookup: one switch-pair path decoded from the
-// updown-itb dragonfly-342 arena per op, over the same host pairs.
-func BenchmarkCompactDecode(b *testing.B) {
-	topo := benchDragonfly(b, 342)
-	ct, err := BuildCompact(ITBRouting, topo, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pairs := benchPairs(topo)
-	sw := make(map[topology.NodeID]int, len(topo.Hosts()))
-	for _, h := range topo.Hosts() {
-		s, _ := topo.SwitchOf(h)
-		sw[h] = ct.SwitchIndex(s)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		si, di := sw[p[0]], sw[p[1]]
-		if err := ct.forEachStep(si, di, nil, nil, nil); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 // topology, BuildTable routes every ordered live host pair and the
 // resulting route set passes CheckDeadlockFree. An engine supplies only
 // its orientation, its lane count and its search; the Table builds and
-// BuildCompact, which produces the struct-of-arrays switch-pair form of
-// the same paths for the large-topology studies, are written once.
+// CertifyEngine, which checks and summarises the same paths for the
+// large-topology engines study without storing them, are written once.
 type Engine interface {
 	// Name is the stable identifier used on the itbsim command line
 	// and in study output.

@@ -1,8 +1,8 @@
 package routing
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,11 +11,12 @@ import (
 
 // The cross-engine property suite: every registered engine must
 // deliver the same contract on every topology class at every size —
-// all-pairs reachability, hop-by-hop route validity under the engine's
-// own orientation, and channel-dependency acyclicity. The cells run
-// the struct-of-arrays CompactTable path (the only one that scales to
-// 4096 hosts); TestEngineTableAgreesWithCompact ties the classic Table
-// path to it at small scale.
+// all-pairs reachability, hop-by-hop up*/down* legality under the
+// engine's own orientation, and channel-dependency acyclicity. The
+// cells run CertifyEngine, which checks every switch path as the
+// search walks it and stores none, so it scales to 4096 hosts;
+// TestEngineTableAgreesWithCertificate ties the Table to the certified
+// paths at small scale.
 
 // propClasses are the generator families of the engine study.
 var propClasses = []string{"irregular", "fattree", "dragonfly"}
@@ -52,30 +53,23 @@ func TestEnginePropertySuite(t *testing.T) {
 			topo := propTopology(t, class, size, 1)
 			for _, e := range Engines() {
 				t.Run(fmt.Sprintf("%s/%d/%s", class, size, e.Name()), func(t *testing.T) {
-					ct, err := BuildCompact(e, topo, nil)
+					a, err := CertifyEngine(e, topo)
 					if err != nil {
-						t.Fatalf("BuildCompact: %v", err)
+						t.Fatalf("CertifyEngine: %v", err)
 					}
-					// Validate covers all-pairs reachability, structural
-					// decodability, per-hop up*/down* legality with resets,
-					// and arrival at the right switch.
-					if err := ct.Validate(); err != nil {
-						t.Fatalf("Validate: %v", err)
+					n := len(topo.Switches())
+					if a.Engine != e.Name() || a.Switches != n || a.Pairs != n*(n-1) {
+						t.Fatalf("analysis of engine %q: %d switches, %d pairs; want %q, %d, %d",
+							a.Engine, a.Switches, a.Pairs, e.Name(), n, n*(n-1))
 					}
-					if err := ct.CheckDeadlockFree(); err != nil {
-						t.Fatalf("CheckDeadlockFree: %v", err)
-					}
-					if ct.EngineName != e.Name() {
-						t.Fatalf("table names engine %q", ct.EngineName)
-					}
-					// Determinism: a second build is byte-identical.
+					// Determinism: a second certification is identical.
 					if size <= 256 {
-						again, err := BuildCompact(e, topo, nil)
+						again, err := CertifyEngine(e, topo)
 						if err != nil {
-							t.Fatalf("second BuildCompact: %v", err)
+							t.Fatalf("second CertifyEngine: %v", err)
 						}
-						if !bytes.Equal(ct.steps, again.steps) {
-							t.Fatalf("compact build is not deterministic")
+						if again != a {
+							t.Fatalf("certification is not deterministic:\n%+v\n%+v", a, again)
 						}
 					}
 				})
@@ -84,96 +78,46 @@ func TestEnginePropertySuite(t *testing.T) {
 	}
 }
 
-// TestEngineTableAgreesWithCompact pins the classic Table build to the
-// struct-of-arrays build: per host pair, the route must use exactly as
-// many switch hops and in-transit buffers as the compact path for its
-// switch pair (both read the same search with the same goal rule, so
-// the paths are the same; TestCompactSwitchPathsMatchTable compares
-// them hop by hop). It also checks the Table-side
-// contract: every ordered host pair routed, every route valid under
-// the engine's orientation, and the engine's deadlock self-check green
-// (the classic deadlock.go CDG over materialised routes).
-func TestEngineTableAgreesWithCompact(t *testing.T) {
-	for _, class := range propClasses {
-		topo := propTopology(t, class, 64, 1)
-		for _, e := range Engines() {
-			t.Run(fmt.Sprintf("%s/%s", class, e.Name()), func(t *testing.T) {
-				tbl, err := e.BuildTable(topo, nil)
-				if err != nil {
-					t.Fatalf("BuildTable: %v", err)
-				}
-				if tbl.engine != e {
-					t.Fatalf("table records engine %v", tbl.engine)
-				}
-				hosts := topo.Hosts()
-				if want := len(hosts) * (len(hosts) - 1); tbl.Len() != want {
-					t.Fatalf("%d routes, want %d", tbl.Len(), want)
-				}
-				ud := e.Orientation(topo)
-				ct, err := BuildCompact(e, topo, nil)
-				if err != nil {
-					t.Fatalf("BuildCompact: %v", err)
-				}
-				for _, src := range hosts {
-					for _, dst := range hosts {
-						if src == dst {
-							continue
-						}
-						r, ok := tbl.Lookup(src, dst)
-						if !ok {
-							t.Fatalf("no route %d->%d", src, dst)
-						}
-						if err := r.Validate(topo, ud); err != nil {
-							t.Fatalf("route %d->%d: %v", src, dst, err)
-						}
-						srcSw, _ := topo.SwitchOf(src)
-						dstSw, _ := topo.SwitchOf(dst)
-						hops, itbs := 0, 0
-						err := ct.forEachStep(ct.SwitchIndex(srcSw), ct.SwitchIndex(dstSw),
-							func(*topology.Link, topology.NodeID) error { hops++; return nil },
-							func(_, _ topology.NodeID, _ *topology.Link) error { itbs++; return nil },
-							nil)
-						if err != nil {
-							t.Fatalf("decode %d->%d: %v", srcSw, dstSw, err)
-						}
-						if r.NumITBs() != itbs {
-							t.Fatalf("route %d->%d uses %d ITBs, compact path %d",
-								src, dst, r.NumITBs(), itbs)
-						}
-						if want := hops + 1 + itbs; r.SwitchCrossings() != want {
-							t.Fatalf("route %d->%d crosses %d switches, compact path %d",
-								src, dst, r.SwitchCrossings(), want)
-						}
-					}
-				}
-				if err := CheckDeadlockFree(tbl.Routes()); err != nil {
-					t.Fatalf("CheckDeadlockFree: %v", err)
-				}
-			})
-		}
-	}
-}
-
 // TestEnginePairPropertiesQuick drives testing/quick over random
-// switch pairs of each (engine, size) cell: the stored compact path
-// must decode, end at its destination switch, and re-encode to
-// identical bytes.
+// switch pairs of each (engine, size) cell: the certified path must
+// start at the source switch, end at the destination, cross only
+// cabled switch-switch links, and be no shorter than the unrestricted
+// shortest path.
 func TestEnginePairPropertiesQuick(t *testing.T) {
 	for _, size := range []int{16, 64} {
 		topo := propTopology(t, "irregular", size, 7)
 		for _, e := range Engines() {
 			t.Run(fmt.Sprintf("%d/%s", size, e.Name()), func(t *testing.T) {
-				ct, err := BuildCompact(e, topo, nil)
-				if err != nil {
-					t.Fatalf("BuildCompact: %v", err)
-				}
-				s := ct.NumSwitches()
+				_, paths := certifiedPaths(t, e, topo)
+				g := mustGraph(topo, e.Orientation(topo))
+				sws := topo.Switches()
+				s := len(sws)
+				dist := make([]int32, s)
 				prop := func(a, b uint16) bool {
 					si, di := int(a)%s, int(b)%s
-					steps := ct.PairSteps(si, di)
-					out, end, err := reencode(ct, ct.Switch(si), steps)
-					if err != nil || end != ct.Switch(di) || !bytes.Equal(out, steps) {
-						t.Logf("pair (%d,%d): round trip ends at %d: %v", si, di, end, err)
+					path := paths[[2]int{si, di}]
+					if si == di {
+						return path == nil
+					}
+					csws, _, _ := certifiedHops(path)
+					if csws[0] != sws[si] || csws[len(csws)-1] != sws[di] {
+						t.Logf("pair (%d,%d): path %v", si, di, csws)
+						return false
+					}
+					hops := 0
+					for k := 1; k < len(csws); k++ {
+						if csws[k] == csws[k-1] {
+							continue // an in-transit reset
+						}
+						if !slices.ContainsFunc(topo.SwitchNeighbors(csws[k-1]), func(nb topology.Neighbor) bool { return nb.Node == csws[k] }) {
+							t.Logf("pair (%d,%d): no link %d->%d", si, di, csws[k-1], csws[k])
+							return false
+						}
+						hops++
+					}
+					g.plainBFS(int32(si), dist, nil)
+					if int32(hops) < dist[di] {
+						t.Logf("pair (%d,%d): %d hops, shortest path %d", si, di, hops, dist[di])
 						return false
 					}
 					return true

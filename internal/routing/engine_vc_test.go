@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -23,8 +24,8 @@ func vcVariants() []VCEscapeEngine {
 
 // TestVCEngineContract runs the cross-engine contract over every vc
 // variant and topology class: all-pairs reachability, route validity
-// (with per-lane legality), lane-aware deadlock certification on both
-// the Table and CompactTable paths, and build determinism.
+// (with per-lane legality), and lane-aware deadlock certification of
+// both the Table's routes and the engine's certified switch paths.
 func TestVCEngineContract(t *testing.T) {
 	for _, class := range propClasses {
 		topo := propTopology(t, class, 64, 1)
@@ -47,18 +48,8 @@ func TestVCEngineContract(t *testing.T) {
 				if err := CheckDeadlockFree(tbl.Routes()); err != nil {
 					t.Fatalf("CheckDeadlockFree(Table): %v", err)
 				}
-				ct, err := BuildCompact(e, topo, nil)
-				if err != nil {
-					t.Fatalf("BuildCompact: %v", err)
-				}
-				if got := ct.Lanes(); got != e.lanes() {
-					t.Fatalf("compact table declares %d lanes, want %d", got, e.lanes())
-				}
-				if err := ct.Validate(); err != nil {
-					t.Fatalf("Validate: %v", err)
-				}
-				if err := ct.CheckDeadlockFree(); err != nil {
-					t.Fatalf("CheckDeadlockFree(Compact): %v", err)
+				if _, err := CertifyEngine(e, topo); err != nil {
+					t.Fatalf("CertifyEngine: %v", err)
 				}
 			})
 		}
@@ -107,7 +98,7 @@ func TestVCLanesMonotone(t *testing.T) {
 // TestVCSingleLaneIsPureUpDown pins the degenerate case: with one
 // lane and no ITB repair the engine is exactly the legal-shortest-path
 // discipline — same hop count as the per-pair legacy search, zero
-// ITBs, no stepVC markers in the compact arena.
+// ITBs, and every certified hop on lane 0.
 func TestVCSingleLaneIsPureUpDown(t *testing.T) {
 	topo := propTopology(t, "irregular", 64, 1)
 	e := VCEscapeEngine{NumLanes: 1}
@@ -134,13 +125,13 @@ func TestVCSingleLaneIsPureUpDown(t *testing.T) {
 			t.Fatalf("route %d->%d: %d switch hops, legal shortest path has %d", r.Src, r.Dst, got, want)
 		}
 	}
-	ct, err := BuildCompact(e, topo, nil)
-	if err != nil {
-		t.Fatalf("BuildCompact: %v", err)
+	a, paths := certifiedPaths(t, e, topo)
+	if a.TotalITBs != 0 {
+		t.Fatalf("certified paths use %d ITBs", a.TotalITBs)
 	}
-	for _, b := range ct.steps {
-		if b == stepVC || b == stepITB {
-			t.Fatalf("single-lane compact arena contains marker %#02x", b)
+	for pair, path := range paths {
+		if _, lanes, _ := certifiedHops(path); slices.ContainsFunc(lanes, func(l uint8) bool { return l != 0 }) {
+			t.Fatalf("switch pair %v: certified lanes %v", pair, lanes)
 		}
 	}
 }
@@ -152,24 +143,16 @@ func TestVCSingleLaneIsPureUpDown(t *testing.T) {
 // at no hop cost.
 func TestVCITBNeedsFewerITBs(t *testing.T) {
 	topo := propTopology(t, "irregular", 64, 1)
-	ref, err := BuildCompact(ITBRouting, topo, nil)
+	refA, err := CertifyEngine(ITBRouting, topo)
 	if err != nil {
-		t.Fatalf("reference BuildCompact: %v", err)
-	}
-	refA, err := ref.Analyze()
-	if err != nil {
-		t.Fatalf("reference Analyze: %v", err)
+		t.Fatalf("reference CertifyEngine: %v", err)
 	}
 	if refA.TotalITBs == 0 {
 		t.Skip("topology needs no ITBs; nothing to compare")
 	}
-	vc, err := BuildCompact(VCEscapeEngine{NumLanes: 2, ITBRepair: true}, topo, nil)
+	vcA, err := CertifyEngine(VCEscapeEngine{NumLanes: 2, ITBRepair: true}, topo)
 	if err != nil {
-		t.Fatalf("vc BuildCompact: %v", err)
-	}
-	vcA, err := vc.Analyze()
-	if err != nil {
-		t.Fatalf("vc Analyze: %v", err)
+		t.Fatalf("vc CertifyEngine: %v", err)
 	}
 	if vcA.TotalITBs >= refA.TotalITBs {
 		t.Fatalf("vc-itb uses %d ITBs, reference %d — lanes bought nothing", vcA.TotalITBs, refA.TotalITBs)

@@ -5,13 +5,14 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/packet"
 	"repro/internal/topology"
 )
 
 // engineGraph is the struct-of-arrays switch-level view of a topology
-// that every route search runs on: the Table builds, the engines' bulk
-// CompactTable builds, the recovery probe routes and the route-set
-// statistics. Each search runs once per *source* switch over
+// that every route search runs on: the Table builds, the engines-study
+// certificate (CertifyEngine), the recovery probe routes and the
+// route-set statistics. Each search runs once per *source* switch over
 // int-indexed state arrays and reconstructs every destination's path
 // from the shared parent tree. Tables rebuilt from one another share
 // their graph: its topology view is immutable once built, and its one
@@ -33,7 +34,6 @@ type engineGraph struct {
 	eOff  []int32
 	eTo   []int32 // neighbour switch index
 	eLink []int32 // link id
-	ePort []uint8 // output port at the from-switch
 	eDown []bool  // true when the traversal is a down hop under ud
 	// hostPorts[si] lists the switch's host-facing ports in port order
 	// (loopback-free by construction: hosts have one port).
@@ -65,18 +65,16 @@ func newEngineGraph(t *topology.Topology, ud *topology.UpDown) (*engineGraph, er
 	}
 	g.eTo = make([]int32, 0, edges)
 	g.eLink = make([]int32, 0, edges)
-	g.ePort = make([]uint8, 0, edges)
 	g.eDown = make([]bool, 0, edges)
 	for si, sw := range g.sws {
 		g.eOff[si] = int32(len(g.eTo))
 		for _, nb := range t.SwitchNeighbors(sw) {
 			port := nb.Link.PortAt(sw)
-			if port > int(maxCompactPort) {
-				return nil, fmt.Errorf("routing: switch %d port %d exceeds the compact route encoding's %d-port limit", sw, port, maxCompactPort)
+			if err := checkPort(sw, port); err != nil {
+				return nil, err
 			}
 			g.eTo = append(g.eTo, g.sidx[nb.Node])
 			g.eLink = append(g.eLink, int32(nb.Link.ID))
-			g.ePort = append(g.ePort, uint8(port))
 			g.eDown = append(g.eDown, ud.DirectionOf(nb.Link, sw) == topology.Down)
 		}
 		for port := 0; port < t.Node(sw).Ports; port++ {
@@ -84,8 +82,8 @@ func newEngineGraph(t *topology.Topology, ud *topology.UpDown) (*engineGraph, er
 			if l == nil || t.Node(l.Other(sw)).Kind != topology.KindHost {
 				continue
 			}
-			if port > int(maxCompactPort) {
-				return nil, fmt.Errorf("routing: switch %d port %d exceeds the compact route encoding's %d-port limit", sw, port, maxCompactPort)
+			if err := checkPort(sw, port); err != nil {
+				return nil, err
 			}
 			g.hostPorts[si] = append(g.hostPorts[si], uint8(port))
 		}
@@ -94,9 +92,19 @@ func newEngineGraph(t *topology.Topology, ud *topology.UpDown) (*engineGraph, er
 	return g, nil
 }
 
+// checkPort rejects a switch port a wire header cannot select: route
+// bytes from packet.VCTag up are markers, so a port byte of that value
+// would read as one.
+func checkPort(sw topology.NodeID, port int) error {
+	if port >= int(packet.VCTag) {
+		return fmt.Errorf("routing: switch %d port %d is not addressable: route headers select ports below %d", sw, port, packet.VCTag)
+	}
+	return nil
+}
+
 // mustGraph is newEngineGraph for the callers without an error
-// return. Its only error is a switch port beyond the route encoding,
-// which no route search can serve.
+// return. Its only error is a switch port beyond the wire header's
+// reach, which no route search can serve.
 func mustGraph(t *topology.Topology, ud *topology.UpDown) *engineGraph {
 	g, err := newEngineGraph(t, ud)
 	if err != nil {
@@ -164,7 +172,7 @@ type searchSlot struct {
 	// outgrows the state count.
 	buf []int32
 	// eject holds, per switch, the host ports live under avoid: where
-	// the Dijkstra may reset, and the ejection ports a reset encodes.
+	// the Dijkstra may reset.
 	eject [][]uint8
 }
 
@@ -328,10 +336,10 @@ func (g *engineGraph) legalBFS(src int32, rot int, avoid *Avoid, st *searchTree,
 }
 
 // plainBFS computes unrestricted shortest distances (minimal hops,
-// ignoring the orientation) from src to every switch. Used for
-// minimality statistics and reachability checks; dist is indexed by
-// switch index, not state.
-func (g *engineGraph) plainBFS(src int32, avoid *Avoid, dist []int32, queue []int32) {
+// ignoring the orientation and faults) from src to every switch, for
+// the minimality statistics; dist is indexed by switch index, not
+// state.
+func (g *engineGraph) plainBFS(src int32, dist []int32, queue []int32) {
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -341,9 +349,6 @@ func (g *engineGraph) plainBFS(src int32, avoid *Avoid, dist []int32, queue []in
 		si := queue[0]
 		queue = queue[1:]
 		for e := g.eOff[si]; e < g.eOff[si+1]; e++ {
-			if avoid.avoidsLink(int(g.eLink[e])) {
-				continue
-			}
 			to := g.eTo[e]
 			if dist[to] >= 0 {
 				continue
@@ -483,35 +488,6 @@ func (st *searchTree) walk(goal int32, buf []int32) []int32 {
 		buf = append(buf, cur)
 	}
 	slices.Reverse(buf)
-	return buf
-}
-
-// appendSteps appends the compact encoding of a walked path of an
-// L-lane search onto buf: one output-port byte per hop, preceded by a
-// stepVC+lane pair where the hop's lane differs from the lane on the
-// wire, and a stepITB+ejection-port pair per in-transit reset. rot
-// rotates the port choice over the reset switch's eject ports, so the
-// in-transit load spreads deterministically over its hosts. eject must
-// be the set the search ran with: a reset exists only where it is
-// non-empty.
-func (g *engineGraph) appendSteps(buf []byte, st *searchTree, path []int32, L int32, eject [][]uint8, rot int) []byte {
-	wire := uint8(0)
-	for _, cur := range path {
-		switch e := st.parentEdge[cur]; e {
-		case edgeReset:
-			ports := eject[cur/L/2]
-			buf = append(buf, stepITB, ports[rot%len(ports)])
-			wire = 0 // the re-injection restarts on lane 0
-		case edgeBump:
-			// The bump surfaces as the next hop's lane.
-		default:
-			if lane := uint8(cur % L); lane != wire {
-				buf = append(buf, stepVC, lane)
-				wire = lane
-			}
-			buf = append(buf, g.ePort[e])
-		}
-	}
 	return buf
 }
 

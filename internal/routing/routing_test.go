@@ -48,7 +48,7 @@ func TestMinimalVsUpDownOnFigure1(t *testing.T) {
 		t.Fatal(err)
 	}
 	minHops := make([]int32, len(g.sws))
-	g.plainBFS(g.sidx[src], nil, minHops, nil)
+	g.plainBFS(g.sidx[src], minHops, nil)
 	min := int(minHops[g.sidx[dst]])
 	udp, _, err := switchPath(t, tp, ud, UpDownRouting, src, dst)
 	if err != nil {
