@@ -20,9 +20,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet always; staticcheck when installed (CI
-# installs it, local trees may not have it).
+# Static analysis: gofmt (any file it would reformat fails the
+# target), go vet always, and staticcheck when installed (CI installs
+# it, local trees may not have it).
 lint: vet
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt would reformat:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

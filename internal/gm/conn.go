@@ -10,13 +10,13 @@ import (
 	"repro/internal/units"
 )
 
-// conn holds the state between this host and one peer. GM gives
-// every host pair reliable, ordered delivery: go-back-N sending
+// conn holds the state between an ack-mode host and one peer. GM
+// gives every host pair reliable, ordered delivery: go-back-N sending
 // (window, cumulative acks, timeout retransmission) and in-order
 // receiving with message reassembly, which the buffer-pool
-// experiments rely on. That machinery lives in relState, which only
-// an ack-mode conn carries; a raw conn (Params.DisableAcks) fires and
-// forgets, and keeps only what both modes read.
+// experiments rely on. A raw host (Params.DisableAcks) keeps no conn:
+// its per-peer state is a sequence counter and, while a multi-fragment
+// message is arriving, its assembly (Host.rawSeq, Host.rawAsm).
 type conn struct {
 	h    *Host
 	peer topology.NodeID
@@ -33,24 +33,10 @@ type conn struct {
 	// when a sequence-zero packet arrives with a newer epoch, after
 	// which packets of older incarnations are dropped as stale.
 	peerIncarnation uint32
-	// dead marks the dead-peer verdict. It is no longer permanent: the
-	// recovery protocol's epoch-versioned table install (InstallTable)
-	// can resurrect the conn, restarting the stream at sequence zero
-	// under a new incarnation so that leftovers of the old stream are
-	// recognisable and cannot desynchronise the go-back-N window. A
-	// raw conn keeps nothing pending and is never declared dead.
-	dead     bool
-	assembly []byte // fragments of the in-progress message
+	assembly        []byte // fragments of the in-progress message
 
-	// relState is the go-back-N and ack state, nil on a raw conn. An
-	// ack-mode conn points it into its own allocation (reliableConn).
-	*relState
-}
-
-// relState is the reliability part of an ack-mode conn. The window
-// holds consecutive seqs, so a seq's entry is found by subtraction
-// (entry).
-type relState struct {
+	// The send window holds consecutive seqs, so a seq's entry is
+	// found by subtraction (entry).
 	inflight []winEntry
 	backlog  sim.FIFO[winEntry] // waiting for window space
 
@@ -63,13 +49,12 @@ type relState struct {
 	ackedTo     uint32 // everything below this is acknowledged
 	strikes     int32  // consecutive timeouts without ack progress
 	pendingAcks int32
-}
-
-// reliableConn is an ack-mode conn and its reliability state in one
-// allocation.
-type reliableConn struct {
-	conn
-	rel relState
+	// dead marks the dead-peer verdict. It is no longer permanent: the
+	// recovery protocol's epoch-versioned table install (InstallTable)
+	// can resurrect the conn, restarting the stream at sequence zero
+	// under a new incarnation so that leftovers of the old stream are
+	// recognisable and cannot desynchronise the go-back-N window.
+	dead bool
 }
 
 // outcome is what a message's last fragment carries to its
@@ -112,15 +97,6 @@ type winEntry struct {
 	submitted bool
 }
 
-func newConn(h *Host, peer topology.NodeID) *conn {
-	if h.par.DisableAcks {
-		return &conn{h: h, peer: peer}
-	}
-	rc := &reliableConn{conn: conn{h: h, peer: peer}}
-	rc.relState = &rc.rel
-	return &rc.conn
-}
-
 // entry returns the window entry of seq, or nil when seq is not in
 // the window.
 func (c *conn) entry(seq uint32) *winEntry {
@@ -135,9 +111,9 @@ func (c *conn) entry(seq uint32) *winEntry {
 
 // enqueue assigns a sequence number and transmits when the window
 // allows. o is settled when this packet is acknowledged or the
-// dead-peer verdict abandons it; on a raw conn, when its tail leaves
-// the NIC. Enqueueing to an already-dead conn fails at once (from a
-// fresh event, so the caller's stack has unwound).
+// dead-peer verdict abandons it. Enqueueing to an already-dead conn
+// fails at once (from a fresh event, so the caller's stack has
+// unwound).
 func (c *conn) enqueue(pkt *packet.Packet, o outcome) {
 	if c.dead {
 		if pkt.LastFrag {
@@ -156,16 +132,6 @@ func (c *conn) enqueue(pkt *packet.Packet, o outcome) {
 	pkt.Seq = c.nextSeq
 	pkt.Incarnation = c.incarnation
 	c.nextSeq++
-	if c.relState == nil {
-		// Fire-and-forget: no retransmission will ever need an
-		// original, so the packet itself goes on the wire, and the
-		// outcome rides on its completion record.
-		c.h.stats.PacketsSent++
-		rec := c.h.sentRecs.Get()
-		rec.c, rec.outcome = c, o
-		c.h.m.SubmitSend(pkt, sentRaw, rec)
-		return
-	}
 	c.backlog.Push(winEntry{pkt: pkt, outcome: o})
 	c.pump()
 }
@@ -183,7 +149,7 @@ func (c *conn) pump() {
 func (c *conn) transmit(e *winEntry) {
 	c.h.stats.PacketsSent++
 	rec := c.h.sentRecs.Get()
-	rec.c, rec.seq = c, e.pkt.Seq
+	rec.h, rec.peer, rec.seq = c.h, c.peer, e.pkt.Seq
 	e.submitted = true
 	// The MCP consumes the route bytes in flight, so each (re)send
 	// works on a fresh copy; the original stays pristine for
@@ -199,20 +165,11 @@ func (c *conn) transmit(e *winEntry) {
 // entry by seq alone (see resurrect).
 func sent(arg any, _ units.Time) {
 	rec := arg.(*sentRec)
-	c, seq := rec.c, rec.seq
-	c.h.sentRecs.Put(rec)
-	if e := c.entry(seq); e != nil {
+	h, peer, seq := rec.h, rec.peer, rec.seq
+	h.sentRecs.Put(rec)
+	if e := h.conns[peer].entry(seq); e != nil {
 		e.submitted = false
 	}
-}
-
-// sentRaw is the MCP's completion for a raw conn's packet: no ack will
-// come, so its tail leaving the NIC stands in for one.
-func sentRaw(arg any, _ units.Time) {
-	rec := arg.(*sentRec)
-	o, h := rec.outcome, rec.c.h
-	h.sentRecs.Put(rec)
-	o.acked()
 }
 
 func (c *conn) armTimer() {
@@ -378,9 +335,6 @@ func (c *conn) restampRoutes(hdr []byte, typ packet.Type, epoch uint32) {
 // issued under; acknowledgements from before a resurrection must not
 // be applied to the restarted stream.
 func (c *conn) handleAck(nextExpected uint32, epoch uint32) {
-	if c.relState == nil {
-		return // a raw conn has no window to acknowledge
-	}
 	if c.dead {
 		return // verdict issued; outcomes already reported
 	}
@@ -434,12 +388,7 @@ func (c *conn) handleAck(nextExpected uint32, epoch uint32) {
 }
 
 // handleData processes an arriving data packet.
-func (c *conn) handleData(pkt *packet.Packet, t units.Time) {
-	if c.relState == nil {
-		// Raw mode: deliver whatever arrives, reassembling naively.
-		c.deliverFrag(pkt, t)
-		return
-	}
+func (c *conn) handleData(pkt *packet.Packet) {
 	switch {
 	case pkt.Incarnation > c.peerIncarnation:
 		// The peer's sender restarted its stream under a newer
@@ -467,7 +416,7 @@ func (c *conn) handleData(pkt *packet.Packet, t units.Time) {
 	switch {
 	case pkt.Seq == c.expected:
 		c.expected++
-		c.deliverFrag(pkt, t)
+		c.deliverFrag(pkt)
 		c.scheduleAck()
 	case pkt.Seq < c.expected:
 		// Duplicate (a retransmission raced the ack): re-ack at once.
@@ -523,34 +472,13 @@ func (c *conn) flushAck() {
 }
 
 // deliverFrag appends a fragment and completes the message on its
-// last fragment, dispatching to the destination port (or the legacy
-// OnMessage callback when nobody opened that port).
-func (c *conn) deliverFrag(pkt *packet.Packet, t units.Time) {
+// last fragment.
+func (c *conn) deliverFrag(pkt *packet.Packet) {
 	c.assembly = append(c.assembly, pkt.Payload...)
 	if !pkt.LastFrag {
 		return
 	}
 	msg := c.assembly
 	c.assembly = nil
-	c.h.stats.MessagesReceived++
-	op := c.h.recvOps.Get()
-	*op = recvOp{c: c, srcPort: pkt.SrcPort, dstPort: pkt.DstPort, msg: msg}
-	// The application sees the message after the host-side receive
-	// overhead.
-	c.h.eng.ScheduleArg(c.h.par.HostRecvOverhead, message, op)
-}
-
-// message hands a reassembled message to its port, or to the legacy
-// OnMessage callback when nobody opened that port.
-func message(arg any) {
-	p := arg.(*recvOp)
-	op := *p
-	h := op.c.h
-	h.recvOps.Put(p)
-	if h.deliverToPort(op.c.peer, op.srcPort, op.dstPort, op.msg, h.eng.Now()) {
-		return
-	}
-	if h.OnMessage != nil {
-		h.OnMessage(op.c.peer, op.msg, h.eng.Now())
-	}
+	c.h.complete(c.peer, pkt, msg)
 }

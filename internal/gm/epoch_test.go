@@ -171,7 +171,7 @@ func TestStaleIncarnationDataDropped(t *testing.T) {
 	// A leftover epoch-0 packet (seq 1, would be next in the old
 	// stream) arrives late: dropped as stale, expected unchanged.
 	stale := pkt(t, h1, h2, 1, 0)
-	rc.handleData(stale, r.eng.Now())
+	rc.handleData(stale)
 	if rc.expected != 1 {
 		t.Fatalf("stale data moved expected to %d", rc.expected)
 	}
@@ -181,7 +181,7 @@ func TestStaleIncarnationDataDropped(t *testing.T) {
 	// A duplicated seq-0 packet of the SAME incarnation must go down
 	// the normal duplicate path, not re-adopt and reset the stream.
 	dup := pkt(t, h1, h2, 0, 3)
-	rc.handleData(dup, r.eng.Now())
+	rc.handleData(dup)
 	if rc.expected != 1 {
 		t.Fatalf("duplicate seq-0 reset expected to %d", rc.expected)
 	}
@@ -214,7 +214,7 @@ func TestEpochBumpKeepsLiveStream(t *testing.T) {
 	// The re-stamped retransmit of seq 0: epoch 5, incarnation still 0.
 	replay := pkt(t, h1, h2, 0, 0)
 	replay.Epoch = 5
-	rc.handleData(replay, r.eng.Now())
+	rc.handleData(replay)
 	r.eng.Run()
 	if rc.expected != 1 || rc.peerIncarnation != 0 {
 		t.Fatalf("re-stamped retransmit reset the stream: expected=%d peerIncarnation=%d",

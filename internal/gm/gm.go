@@ -34,9 +34,10 @@ type Params struct {
 	// AckTimeout triggers retransmission of unacknowledged packets.
 	AckTimeout units.Time
 	// DisableAcks turns off the reliability layer (no acks, no
-	// retransmission) for raw-network experiments. A raw conn carries
-	// no go-back-N state: each packet goes on the wire as it is, and
-	// its outcome settles when its tail leaves the NIC.
+	// retransmission) for raw-network experiments. A raw host keeps no
+	// conn: each packet goes on the wire as it is, stamped from a
+	// per-peer sequence counter, and its outcome settles when its tail
+	// leaves the NIC. Acks that reach a raw host are discarded.
 	DisableAcks bool
 	// AckDelay coalesces acknowledgements: instead of acking every
 	// packet, the receiver waits up to AckDelay (or until AckEvery
@@ -106,7 +107,8 @@ type Stats struct {
 }
 
 // Host is one workstation's GM endpoint: it owns the MCP beneath it
-// and the per-peer connection state for reliable ordered delivery.
+// and the per-peer state: a conn per peer for reliable ordered
+// delivery, or with acks off a sequence counter per peer.
 type Host struct {
 	eng  *sim.Engine
 	m    *mcp.MCP
@@ -115,8 +117,16 @@ type Host struct {
 	tbl  *routing.Table
 
 	// conns is indexed by peer NodeID (nil where no conn exists yet)
-	// and grown on first use; conns are never deleted.
+	// and grown on first use; conns are never deleted. A raw host
+	// keeps none.
 	conns []*conn
+	// rawSeq is a raw host's next sequence number per peer, indexed by
+	// NodeID and sized to the topology at construction. rawAsm holds
+	// the fragments of each sender's in-progress multi-fragment
+	// message; a single-fragment message never enters it.
+	rawSeq []uint32
+	rawAsm map[topology.NodeID][]byte
+
 	ports map[uint8]*Port
 	msgID uint32
 	// epoch is the version of the installed route table (0 until the
@@ -155,7 +165,8 @@ type Host struct {
 
 // sendOp is one gm_send call waiting out the host send overhead.
 type sendOp struct {
-	c                *conn
+	h                *Host
+	peer             topology.NodeID
 	payload, route   []byte
 	typ              packet.Type
 	srcPort, dstPort uint8
@@ -166,18 +177,20 @@ type sendOp struct {
 // recvOp is one reassembled message waiting out the host receive
 // overhead.
 type recvOp struct {
-	c                *conn
+	h                *Host
+	peer             topology.NodeID
 	srcPort, dstPort uint8
 	msg              []byte
 }
 
-// sentRec names one transmitted packet: the conn and sequence number
+// sentRec names one transmitted packet: the peer and sequence number
 // whose send-buffer state its tail leaving the NIC settles (sent). A
-// raw conn's record carries the packet's outcome instead, which the
+// raw host's record carries the packet's outcome instead, which the
 // tail leaving settles (sentRaw).
 type sentRec struct {
-	c   *conn
-	seq uint32
+	h    *Host
+	peer topology.NodeID
+	seq  uint32
 	outcome
 }
 
@@ -206,6 +219,9 @@ func NewHost(eng *sim.Engine, m *mcp.MCP, tbl *routing.Table, par Params) *Host 
 		node: m.Host(),
 		par:  par,
 		tbl:  tbl,
+	}
+	if par.DisableAcks {
+		h.rawSeq = make([]uint32, m.Network().Topology().NumNodes())
 	}
 	m.OnDeliver = h.deliver
 	return h
@@ -240,8 +256,8 @@ func (h *Host) Epoch() uint32 { return h.epoch }
 //     traffic failed immediately (graceful degradation instead of
 //     retransmitting into a void until the verdict).
 //
-// Raw conns (Params.DisableAcks) keep nothing pending, so the install
-// has nothing to fail, restamp or resurrect on them.
+// A raw host (Params.DisableAcks) keeps no conns and nothing pending,
+// so the install only swaps its table.
 func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 	if epoch < h.epoch {
 		// Staggered installs from overlapping publishes can arrive out
@@ -253,7 +269,7 @@ func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 		h.epoch = epoch
 	}
 	for _, c := range h.conns {
-		if c == nil || c.relState == nil {
+		if c == nil {
 			continue
 		}
 		r, ok := tbl.Lookup(h.node, c.peer)
@@ -373,7 +389,7 @@ func (h *Host) sendPort(dst topology.NodeID, payload []byte, route []byte, typ p
 	h.stats.MessagesSent++
 	op := h.sendOps.Get()
 	*op = sendOp{
-		c: h.connTo(dst), payload: payload, route: route, typ: typ,
+		h: h, peer: dst, payload: payload, route: route, typ: typ,
 		srcPort: srcPort, dstPort: dstPort, id: h.msgID, o: o,
 	}
 	// The user-level send overhead is paid once per gm_send call.
@@ -386,7 +402,7 @@ func (h *Host) sendPort(dst topology.NodeID, payload []byte, route []byte, typ p
 func segment(arg any) {
 	p := arg.(*sendOp)
 	op := *p
-	h := op.c.h
+	h := op.h
 	h.sendOps.Put(p)
 	nfrags := (len(op.payload) + h.par.MTU - 1) / h.par.MTU
 	if nfrags == 0 {
@@ -399,7 +415,7 @@ func segment(arg any) {
 		pkt.Type = op.typ
 		pkt.Payload = append(pkt.Payload, fr...)
 		pkt.Src = int(h.node)
-		pkt.Dst = int(op.c.peer)
+		pkt.Dst = int(op.peer)
 		pkt.SrcPort = op.srcPort
 		pkt.DstPort = op.dstPort
 		pkt.MsgID = op.id
@@ -413,8 +429,34 @@ func segment(arg any) {
 		if pkt.LastFrag {
 			o = op.o
 		}
-		op.c.enqueue(pkt, o)
+		if h.par.DisableAcks {
+			h.sendRaw(op.peer, pkt, o)
+		} else {
+			h.connTo(op.peer).enqueue(pkt, o)
+		}
 	}
+}
+
+// sendRaw puts a raw host's packet on the wire as it is: no
+// retransmission will ever need an original, and the outcome rides on
+// its completion record. Seqs stay consecutive per peer, so an
+// ack-mode receiver accepts the stream in order.
+func (h *Host) sendRaw(peer topology.NodeID, pkt *packet.Packet, o outcome) {
+	pkt.Seq = h.rawSeq[peer]
+	h.rawSeq[peer]++
+	h.stats.PacketsSent++
+	rec := h.sentRecs.Get()
+	rec.h, rec.outcome = h, o
+	h.m.SubmitSend(pkt, sentRaw, rec)
+}
+
+// sentRaw is the MCP's completion for a raw host's packet: no ack will
+// come, so its tail leaving the NIC stands in for one.
+func sentRaw(arg any, _ units.Time) {
+	rec := arg.(*sentRec)
+	o, h := rec.outcome, rec.h
+	h.sentRecs.Put(rec)
+	o.acked()
 }
 
 func (h *Host) connTo(peer topology.NodeID) *conn {
@@ -423,18 +465,24 @@ func (h *Host) connTo(peer topology.NodeID) *conn {
 	}
 	c := h.conns[peer]
 	if c == nil {
-		c = newConn(h, peer)
+		c = &conn{h: h, peer: peer}
 		h.conns[peer] = c
 	}
 	return c
 }
 
 // deliver is the MCP's completion upcall. The wire packet (a
-// transmit clone, a raw conn's packet, or an ack) is consumed here:
-// once the connection state has absorbed it, it goes back to the pool.
-func (h *Host) deliver(pkt *packet.Packet, t units.Time) {
+// transmit clone, a raw host's packet, or an ack) is consumed here:
+// once the host state has absorbed it, it goes back to the pool.
+func (h *Host) deliver(pkt *packet.Packet, _ units.Time) {
 	src := topology.NodeID(pkt.Src)
-	if pkt.Type == packet.TypeAck {
+	switch {
+	case h.par.DisableAcks:
+		// A raw host has no window for an ack to trim.
+		if pkt.Type != packet.TypeAck {
+			h.receiveRaw(src, pkt)
+		}
+	case pkt.Type == packet.TypeAck:
 		// The ack's incarnation travels encoded in the payload (the
 		// wire format the recovery protocol adds); the bookkeeping
 		// field is the fallback for acks that predate any incarnation.
@@ -445,11 +493,50 @@ func (h *Host) deliver(pkt *packet.Packet, t units.Time) {
 			}
 		}
 		h.connTo(src).handleAck(pkt.Seq, inc)
-		packet.Put(pkt)
+	default:
+		h.connTo(src).handleData(pkt)
+	}
+	packet.Put(pkt)
+}
+
+// receiveRaw delivers whatever reaches a raw host, reassembling
+// naively: a fragment appends to its sender's in-progress message, and
+// a last fragment completes it.
+func (h *Host) receiveRaw(src topology.NodeID, pkt *packet.Packet) {
+	asm := append(h.rawAsm[src], pkt.Payload...)
+	if !pkt.LastFrag {
+		if h.rawAsm == nil {
+			h.rawAsm = make(map[topology.NodeID][]byte)
+		}
+		h.rawAsm[src] = asm
 		return
 	}
-	h.connTo(src).handleData(pkt, t)
-	packet.Put(pkt)
+	delete(h.rawAsm, src)
+	h.complete(src, pkt, asm)
+}
+
+// complete hands the message msg from src, whose last fragment is pkt,
+// to the application after the host-side receive overhead.
+func (h *Host) complete(src topology.NodeID, pkt *packet.Packet, msg []byte) {
+	h.stats.MessagesReceived++
+	op := h.recvOps.Get()
+	*op = recvOp{h: h, peer: src, srcPort: pkt.SrcPort, dstPort: pkt.DstPort, msg: msg}
+	h.eng.ScheduleArg(h.par.HostRecvOverhead, message, op)
+}
+
+// message hands a reassembled message to its port, or to the legacy
+// OnMessage callback when nobody opened that port.
+func message(arg any) {
+	p := arg.(*recvOp)
+	op := *p
+	h := op.h
+	h.recvOps.Put(p)
+	if h.deliverToPort(op.peer, op.srcPort, op.dstPort, op.msg, h.eng.Now()) {
+		return
+	}
+	if h.OnMessage != nil {
+		h.OnMessage(op.peer, op.msg, h.eng.Now())
+	}
 }
 
 // sendAck emits a zero-payload acknowledgement carrying the

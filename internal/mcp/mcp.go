@@ -242,6 +242,9 @@ func (m *MCP) Stats() Stats { return m.stats }
 // NIC returns the underlying hardware model.
 func (m *MCP) NIC() *lanai.NIC { return m.nic }
 
+// Network returns the fabric this firmware's NIC is cabled into.
+func (m *MCP) Network() *fabric.Network { return m.net }
+
 // Engine returns the event engine driving this firmware.
 func (m *MCP) Engine() *sim.Engine { return m.eng }
 

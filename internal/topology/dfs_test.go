@@ -50,10 +50,24 @@ func TestDFSRootIsHighestDegree(t *testing.T) {
 		t.Fatal(err)
 	}
 	ud := BuildUpDownDFS(tp)
-	rootDeg := switchDegree(tp, ud.Root)
+	// Count each switch's switch-to-switch cables port by port.
+	degree := func(sw NodeID) int {
+		d := 0
+		for _, nb := range tp.Neighbors(sw) {
+			if tp.Node(nb.Node).Kind == KindSwitch && !nb.Link.IsLoopback() {
+				d++
+			}
+		}
+		return d
+	}
+	deg := switchDegrees(tp)
+	rootDeg := degree(ud.Root)
 	for _, sw := range tp.Switches() {
-		if switchDegree(tp, sw) > rootDeg {
-			t.Errorf("switch %d has degree %d above root's %d", sw, switchDegree(tp, sw), rootDeg)
+		if deg[sw] != degree(sw) {
+			t.Errorf("switchDegrees counts %d cables at switch %d, its ports %d", deg[sw], sw, degree(sw))
+		}
+		if degree(sw) > rootDeg {
+			t.Errorf("switch %d has degree %d above root's %d", sw, degree(sw), rootDeg)
 		}
 	}
 }

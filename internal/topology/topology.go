@@ -305,14 +305,18 @@ func (t *Topology) SwitchOf(host NodeID) (NodeID, bool) {
 // Neighbors returns (link, far node) pairs for every cabled port of n,
 // in port order.
 func (t *Topology) Neighbors(n NodeID) []Neighbor {
-	var out []Neighbor
+	return t.appendNeighbors(nil, n)
+}
+
+// appendNeighbors appends Neighbors(n) to dst, so that a walk can
+// reuse one buffer.
+func (t *Topology) appendNeighbors(dst []Neighbor, n NodeID) []Neighbor {
 	for port, l := range t.byPort[n] {
-		if l == nil {
-			continue
+		if l != nil {
+			dst = append(dst, Neighbor{Link: l, Node: l.Other(n), Port: port})
 		}
-		out = append(out, Neighbor{Link: l, Node: l.Other(n), Port: port})
 	}
-	return out
+	return dst
 }
 
 // Neighbor is one cabled adjacency of a node.
@@ -371,11 +375,14 @@ func (t *Topology) Connected() bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, nb := range t.Neighbors(n) {
-			if !seen[nb.Node] {
-				seen[nb.Node] = true
+		for _, l := range t.byPort[n] {
+			if l == nil {
+				continue
+			}
+			if o := l.Other(n); !seen[o] {
+				seen[o] = true
 				count++
-				stack = append(stack, nb.Node)
+				stack = append(stack, o)
 			}
 		}
 	}

@@ -1,8 +1,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Direction is the up*/down* label of a directed traversal of a link.
@@ -77,13 +78,14 @@ func BuildUpDownFrom(t *Topology, root NodeID) *UpDown {
 	// is port order, which is deterministic.
 	ud.Level[root] = 0
 	queue := []NodeID{root}
+	var nbs []Neighbor
 	for len(queue) > 0 {
 		sw := queue[0]
 		queue = queue[1:]
 		// Visit neighbours in increasing node id for determinism
 		// independent of cabling order.
-		nbs := t.Neighbors(sw)
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i].Node < nbs[j].Node })
+		nbs = t.appendNeighbors(nbs[:0], sw)
+		slices.SortFunc(nbs, func(a, b Neighbor) int { return cmp.Compare(a.Node, b.Node) })
 		for _, nb := range nbs {
 			if t.Node(nb.Node).Kind != KindSwitch {
 				continue
@@ -172,21 +174,27 @@ func BuildUpDownDFS(t *Topology) *UpDown {
 	}
 	// Root heuristic: the highest-degree switch (ties to lower id),
 	// as in the DFS methodology literature.
+	deg := switchDegrees(t)
 	root := sws[0]
 	bestDeg := -1
 	for _, sw := range sws {
-		d := switchDegree(t, sw)
-		if d > bestDeg {
+		if d := deg[sw]; d > bestDeg {
 			bestDeg = d
 			root = sw
 		}
 	}
-	return BuildUpDownDFSFrom(t, root)
+	return buildUpDownDFS(t, root, deg)
 }
 
 // BuildUpDownDFSFrom computes the DFS orientation from an explicit
 // root switch.
 func BuildUpDownDFSFrom(t *Topology, root NodeID) *UpDown {
+	return buildUpDownDFS(t, root, switchDegrees(t))
+}
+
+// buildUpDownDFS is BuildUpDownDFSFrom with the switch degrees
+// (switchDegrees) already counted.
+func buildUpDownDFS(t *Topology, root NodeID, deg []int) *UpDown {
 	if t.Node(root).Kind != KindSwitch {
 		panic(fmt.Sprintf("topology: DFS root %d is not a switch", root))
 	}
@@ -197,34 +205,48 @@ func BuildUpDownDFSFrom(t *Topology, root NodeID) *UpDown {
 		upEnd:    make(map[int]NodeID),
 		TreeLink: make(map[NodeID]int),
 	}
-	// Iterative DFS; neighbours visited in descending degree (ties to
-	// lower id), the usual branch-selection heuristic.
+	// Recursive DFS; neighbours visited in descending degree (ties to
+	// lower id, then lower link id), the usual branch-selection
+	// heuristic. The order is total, so filtering out hosts and
+	// loopback cables before sorting changes nothing. nbs stacks the
+	// sorted neighbours of every switch on the DFS path: a visit
+	// appends its own above its caller's and truncates them on return.
 	index := 0
+	var nbs []Neighbor
+	byDegree := func(a, b Neighbor) int {
+		if c := cmp.Compare(deg[b.Node], deg[a.Node]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Node, b.Node); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Link.ID, b.Link.ID)
+	}
 	var visit func(sw NodeID)
 	visit = func(sw NodeID) {
 		ud.Level[sw] = index
 		index++
-		nbs := t.Neighbors(sw)
-		sort.Slice(nbs, func(i, j int) bool {
-			di, dj := switchDegree(t, nbs[i].Node), switchDegree(t, nbs[j].Node)
-			if di != dj {
-				return di > dj
-			}
-			if nbs[i].Node != nbs[j].Node {
-				return nbs[i].Node < nbs[j].Node
-			}
-			return nbs[i].Link.ID < nbs[j].Link.ID
-		})
-		for _, nb := range nbs {
-			if t.Node(nb.Node).Kind != KindSwitch || nb.Link.IsLoopback() {
+		lo := len(nbs)
+		for port, l := range t.byPort[sw] {
+			if l == nil || l.IsLoopback() {
 				continue
 			}
+			if o := l.Other(sw); t.nodes[o].Kind == KindSwitch {
+				nbs = append(nbs, Neighbor{Link: l, Node: o, Port: port})
+			}
+		}
+		hi := len(nbs)
+		slices.SortFunc(nbs[lo:hi], byDegree)
+		for i := lo; i < hi; i++ {
+			// Index nbs afresh: a nested visit may have moved it.
+			nb := nbs[i]
 			if _, seen := ud.Level[nb.Node]; seen {
 				continue
 			}
 			ud.TreeLink[nb.Node] = nb.Link.ID
 			visit(nb.Node)
 		}
+		nbs = nbs[:lo]
 	}
 	visit(root)
 	// Orient every switch-switch link toward the smaller DFS index.
@@ -247,13 +269,17 @@ func BuildUpDownDFSFrom(t *Topology, root NodeID) *UpDown {
 	return ud
 }
 
-// switchDegree counts a switch's switch-to-switch cables.
-func switchDegree(t *Topology, sw NodeID) int {
-	d := 0
-	for _, nb := range t.Neighbors(sw) {
-		if t.Node(nb.Node).Kind == KindSwitch && !nb.Link.IsLoopback() {
-			d++
+// switchDegrees counts every switch's switch-to-switch cables,
+// indexed by NodeID (loopback cables excluded).
+func switchDegrees(t *Topology) []int {
+	deg := make([]int, len(t.nodes))
+	for i := range t.links {
+		l := &t.links[i]
+		if l.IsLoopback() || t.nodes[l.A].Kind != KindSwitch || t.nodes[l.B].Kind != KindSwitch {
+			continue
 		}
+		deg[l.A]++
+		deg[l.B]++
 	}
-	return d
+	return deg
 }
