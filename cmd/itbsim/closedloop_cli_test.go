@@ -80,21 +80,7 @@ func checkGoldens(t *testing.T, bin string, cases []goldenCase) {
 			if !bytes.Equal(got1, got4) {
 				t.Fatalf("output differs between -workers 1 and -workers 4\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", got1, got4)
 			}
-			path := filepath.Join("testdata", tc.golden)
-			if os.Getenv("REGEN_GOLDEN") != "" {
-				if err := os.WriteFile(path, got1, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("regenerated %s", path)
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with REGEN_GOLDEN=1 to create): %v", err)
-			}
-			if !bytes.Equal(got1, want) {
-				t.Errorf("drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s", got1, want)
-			}
+			matchGolden(t, tc.golden, got1)
 		})
 	}
 }
