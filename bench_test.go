@@ -170,7 +170,7 @@ func BenchmarkBufferPool(b *testing.B) {
 func BenchmarkITBCount(b *testing.B) {
 	var last core.ITBCountResult
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunITBCount(4, 64, 10)
+		res, err := core.RunITBCount(4, 64, 10, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func BenchmarkITBCount(b *testing.B) {
 func BenchmarkAblationEarlyRecv(b *testing.B) {
 	var penalty units.Time
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunAblations([]int{4096}, 10)
+		res, err := core.RunAblations([]int{4096}, 10, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func BenchmarkAblationEarlyRecv(b *testing.B) {
 func BenchmarkAblationDispatch(b *testing.B) {
 	var penalty units.Time
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunAblations([]int{64}, 10)
+		res, err := core.RunAblations([]int{64}, 10, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

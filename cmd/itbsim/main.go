@@ -1,4 +1,6 @@
 // Command itbsim runs the paper's experiments and prints their tables.
+// The experiments are the entries of core.Studies, run in table order
+// by -exp all.
 //
 // Usage:
 //
@@ -33,7 +35,8 @@
 //
 // Independent simulation runs are sharded across -workers goroutines
 // (default: all cores); output is byte-identical at any worker count.
-// -workers must be at least 1; anything lower is rejected.
+// -workers, -iters, -window and -switches must be at least 1; anything
+// lower is rejected before any study runs.
 //
 // The faults and recovery studies accept -detector to choose the
 // failure-detection plane: "monitor" (the centralized default) or
@@ -49,10 +52,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -64,75 +65,103 @@ import (
 	"repro/internal/units"
 )
 
-// csvStudies are the experiments with a CSV form.
-var csvStudies = []string{"fig7", "fig8", "itbcount", "engines", "recovery", "load", "vc"}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig7, fig8, costs, throughput, latload, bufpool, itbcount, ablation, scaling, patterns, roots, schemes, chunks, app, fidelity, trace, faults, recovery, engines, load, vc, all")
-	switches := flag.Int("switches", 16, "switches in the irregular network (throughput/latload)")
-	engineName := flag.String("engine", "all", "routing engine for the engines study (see -exp engines); \"all\" runs every registered engine")
-	hosts := flag.Int("hosts", 0, "single nominal host count for the engines study (0 = the default 64/256/1024 grid)")
-	topofile := flag.String("topofile", "", "serialized topology file routed by the engines study instead of the generated grid")
-	pattern := flag.String("pattern", "all", "single workload pattern for the load study (uniform, incast, outcast, alltoall, allreduce, rpc); \"all\" runs the default set")
-	seed := flag.Int64("seed", 5, "random seed for topology and traffic")
-	iters := flag.Int("iters", 100, "gm_allsize iterations per message size")
-	windowUs := flag.Int("window", 1000, "measurement window in microseconds (throughput/latload)")
-	csvOut := flag.Bool("csv", false, "emit CSV data series instead of tables ("+strings.Join(csvStudies, ", ")+")")
+	var names, csvNames []string
+	for _, s := range core.Studies {
+		names = append(names, s.Name)
+		if s.CSV {
+			csvNames = append(csvNames, s.Name)
+		}
+	}
+	var p core.Params
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, ", ")+", all")
+	flag.IntVar(&p.Switches, "switches", 16, "switches in the irregular network (throughput, latload, patterns, fidelity, schemes, app, roots, faults, recovery)")
+	flag.StringVar(&p.Engine, "engine", "all", "routing engine for the engines and load studies; \"all\" runs every registered engine")
+	flag.IntVar(&p.Hosts, "hosts", 0, "single nominal host count for the engines study (0 = the default 64/256/1024 grid)")
+	flag.StringVar(&p.TopoFile, "topofile", "", "serialized topology file routed by the engines study instead of the generated grid")
+	flag.StringVar(&p.Pattern, "pattern", "all", "single workload pattern for the load study (uniform, incast, outcast, alltoall, allreduce, rpc); \"all\" runs the default set")
+	flag.Int64Var(&p.Seed, "seed", 5, "random seed for topology and traffic")
+	flag.IntVar(&p.Iters, "iters", 100, "gm_allsize iterations per message size (fig7, fig8)")
+	windowUs := flag.Int("window", 1000, "measurement window in microseconds (throughput, latload, scaling, patterns, fidelity, schemes, roots)")
+	csvOut := flag.Bool("csv", false, "emit CSV data series instead of tables ("+strings.Join(csvNames, ", ")+")")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines sharding independent simulation runs (output is identical at any value >= 1)")
 	detectorName := flag.String("detector", "", "failure detector for the faults/recovery studies: monitor (centralized, the default) or gossip (decentralized SWIM)")
 	period := flag.Int("period", 0, "single heartbeat period in microseconds for the recovery study (0 = the default period axis)")
-	churn := flag.Int("churn", 0, "single churn-event count for the recovery study (0 = the default churn axis)")
-	campaigns := flag.Int("campaigns", 0, "campaigns averaged into each recovery-study cell (0 = the default)")
+	flag.IntVar(&p.Churn, "churn", 0, "single churn-event count for the recovery study (0 = the default churn axis)")
+	flag.IntVar(&p.Campaigns, "campaigns", 0, "campaigns averaged into each recovery-study cell (0 = the default)")
 	metricsOut := flag.String("metrics", "", "write the merged metrics snapshot of the instrumented experiments as JSON to this file (byte-identical at any -workers value)")
 	traceOut := flag.String("trace", "", "write the packet-lifecycle trace of the instrumented experiments as JSON Lines to this file")
 	pprofOut := flag.String("pprof", "", "write a CPU profile of the whole invocation to this file")
 	flag.Parse()
 
-	// Validate the concurrency knobs before anything runs: a worker
-	// count below 1 used to flow straight into the runner, where it
-	// silently meant "serial" at best and hung a sharded sweep at
-	// worst. Reject it like an unknown -exp instead.
-	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "itbsim: -workers %d is invalid; need at least 1 worker goroutine\n", *workers)
-		os.Exit(1)
+	// Validate the shared knobs before anything runs: a worker count
+	// below 1 used to flow straight into the runner, where it silently
+	// meant "serial" at best and hung a sharded sweep at worst, and a
+	// bad -window or -switches failed once per study cell. Reject them
+	// like an unknown -exp instead.
+	for _, k := range []struct {
+		flag string
+		v    int
+		unit string
+	}{
+		{"workers", *workers, "worker goroutine"},
+		{"iters", p.Iters, "iteration"},
+		{"window", *windowUs, "microsecond"},
+		{"switches", p.Switches, "switch"},
+	} {
+		if k.v < 1 {
+			fmt.Fprintf(os.Stderr, "itbsim: -%s %d is invalid; need at least 1 %s\n", k.flag, k.v, k.unit)
+			os.Exit(1)
+		}
 	}
 	runner.SetWorkers(*workers)
+	p.Window = units.Time(*windowUs) * units.Microsecond
+	p.Period = units.Time(*period) * units.Microsecond
 
 	// Reject unknown detectors the same way as unknown engines: name
 	// the offender, list what is valid.
-	detector, err := recovery.ParseDetectorKind(*detectorName)
+	var err error
+	p.Detector, err = recovery.ParseDetectorKind(*detectorName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "itbsim: %v\n", err)
 		os.Exit(1)
 	}
 
-	if *hosts < 0 || *period < 0 || *churn < 0 || *campaigns < 0 {
+	if p.Hosts < 0 || *period < 0 || p.Churn < 0 || p.Campaigns < 0 {
 		fmt.Fprintf(os.Stderr, "itbsim: -hosts/-period/-churn/-campaigns must be >= 0 (0 selects the study default)\n")
 		os.Exit(1)
 	}
 
 	// Reject unknown engines before anything runs, mirroring the
 	// unknown -exp error path: name the offender, list what is valid.
-	if *engineName != "all" {
-		if _, ok := routing.EngineByName(*engineName); !ok {
+	if p.Engine != "all" {
+		if _, ok := routing.EngineByName(p.Engine); !ok {
 			fmt.Fprintf(os.Stderr, "itbsim: unknown engine %q; valid engines:\n%s",
-				*engineName, routing.EngineList())
+				p.Engine, routing.EngineList())
 			os.Exit(1)
 		}
 	}
 
-	// -metrics and -trace arm shared collectors; the instrumented
-	// experiments (fig7, fig8, throughput, latload, itbcount, ablation,
-	// faults, recovery, trace) merge their per-run state into them in
-	// run order,
-	// so the exported files are byte-identical at any worker count.
-	var reg *metrics.Registry
-	if *metricsOut != "" {
-		reg = metrics.NewRegistry()
+	var studies []core.Study
+	for _, s := range core.Studies {
+		if *exp == "all" || *exp == s.Name {
+			studies = append(studies, s)
+		}
 	}
-	var rec *trace.Recorder
+	if len(studies) == 0 {
+		fmt.Fprintf(os.Stderr, "itbsim: unknown experiment %q; valid experiments: all %s\n",
+			*exp, strings.Join(names, " "))
+		os.Exit(1)
+	}
+
+	// -metrics and -trace arm shared collectors; the instrumented
+	// studies merge their per-run state into them in run order, so the
+	// exported files are byte-identical at any worker count.
+	if *metricsOut != "" {
+		p.Metrics = metrics.NewRegistry()
+	}
 	if *traceOut != "" {
-		rec = trace.NewRecorder(0)
+		p.Trace = trace.NewRecorder(0)
 	}
 
 	// Failed experiments are collected rather than aborting the whole
@@ -145,27 +174,6 @@ func main() {
 		err  error
 	}
 	var failures []failure
-	matched := false
-	var known []string
-	run := func(name string, f func() error) {
-		known = append(known, name)
-		if *exp != "all" && *exp != name {
-			return
-		}
-		matched = true
-		if *csvOut && *exp == name && !slices.Contains(csvStudies, name) {
-			// A named study with no CSV form is an error, not tables
-			// on stdout; -exp all prints the others' tables as usual.
-			failures = append(failures, failure{name, fmt.Errorf("no CSV form; the studies with one are: %s", strings.Join(csvStudies, " "))})
-			return
-		}
-		if err := f(); err != nil {
-			failures = append(failures, failure{name, err})
-			fmt.Fprintf(os.Stderr, "itbsim: %s failed (continuing): %v\n", name, err)
-			return
-		}
-		fmt.Println()
-	}
 	defer func() {
 		if len(failures) == 0 {
 			return
@@ -197,347 +205,25 @@ func main() {
 		}()
 	}
 
-	run("fig7", func() error {
-		cfg := core.DefaultFig7Config()
-		cfg.Iterations = *iters
-		cfg.Metrics = reg
-		cfg.Trace = rec
-		res, err := core.RunFig7(cfg)
+	for _, s := range studies {
+		if *csvOut && *exp == s.Name && !s.CSV {
+			// A named study with no CSV form is an error, not tables
+			// on stdout; -exp all prints the others' tables as usual.
+			failures = append(failures, failure{s.Name, fmt.Errorf("no CSV form; the studies with one are: %s", strings.Join(csvNames, " "))})
+			continue
+		}
+		rep, err := s.Run(p)
+		if err == nil && *csvOut && s.CSV {
+			err = rep.(core.CSVReport).WriteCSV(os.Stdout)
+		} else if err == nil {
+			rep.WriteTable(os.Stdout)
+		}
 		if err != nil {
-			return err
+			failures = append(failures, failure{s.Name, err})
+			fmt.Fprintf(os.Stderr, "itbsim: %s failed (continuing): %v\n", s.Name, err)
+			continue
 		}
-		if *csvOut {
-			return res.WriteCSV(os.Stdout)
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("fig8", func() error {
-		cfg := core.DefaultFig8Config()
-		cfg.Iterations = *iters
-		cfg.Metrics = reg
-		cfg.Trace = rec
-		res, err := core.RunFig8(cfg)
-		if err != nil {
-			return err
-		}
-		if *csvOut {
-			return res.WriteCSV(os.Stdout)
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("costs", func() error {
-		res, err := core.RunCostReport()
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	sweep := func(alg *routing.UpDownEngine) (core.SweepResult, error) {
-		cfg := core.DefaultSweepConfig(alg, *switches, *seed)
-		cfg.Window = units.Time(*windowUs) * units.Microsecond
-		// Each sweep merges into the shared registry under its routing
-		// prefix, so UD and ITB load points stay distinguishable.
-		var sub *metrics.Registry
-		if reg != nil {
-			sub = metrics.NewRegistry()
-			cfg.Metrics = sub
-		}
-		res, err := core.RunSweep(cfg)
-		if reg != nil && err == nil {
-			prefix := "ud."
-			if alg.ITB {
-				prefix = "itb."
-			}
-			reg.MergePrefixed(prefix, sub)
-		}
-		return res, err
-	}
-
-	run("throughput", func() error {
-		ud, err := sweep(routing.UpDownRouting)
-		if err != nil {
-			return err
-		}
-		ud.WriteTable(os.Stdout)
 		fmt.Println()
-		itb, err := sweep(routing.ITBRouting)
-		if err != nil {
-			return err
-		}
-		itb.WriteTable(os.Stdout)
-		if ud.Throughput > 0 {
-			fmt.Printf("\nITB/UD throughput ratio: %.2fx (paper: easily doubled, sometimes tripled on large nets)\n",
-				itb.Throughput/ud.Throughput)
-		}
-		return nil
-	})
-
-	run("latload", func() error {
-		fmt.Println("Average latency vs offered load (uniform traffic)")
-		fmt.Printf("%10s %16s %16s\n", "offered", "UD latency", "ITB latency")
-		ud, err := sweep(routing.UpDownRouting)
-		if err != nil {
-			return err
-		}
-		itb, err := sweep(routing.ITBRouting)
-		if err != nil {
-			return err
-		}
-		for i := range ud.Points {
-			fmt.Printf("%10.3f %16s %16s\n",
-				ud.Points[i].Offered, ud.Points[i].AvgLatency, itb.Points[i].AvgLatency)
-		}
-		// Latency distributions at a moderate load (microseconds).
-		for _, pair := range []struct {
-			name string
-			res  core.SweepResult
-		}{{"UD", ud}, {"ITB", itb}} {
-			for _, p := range pair.res.Points {
-				if p.Offered != 0.3 || p.Latencies == nil || p.Latencies.N() == 0 {
-					continue
-				}
-				us := p.Latencies.Scaled(1.0 / float64(units.Microsecond))
-				fmt.Printf("\n%s latency distribution at offered load 0.3 (us):\n", pair.name)
-				if err := us.WriteHistogram(os.Stdout, 10, 40); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-
-	run("bufpool", func() error {
-		res, err := core.RunBufPool(core.DefaultBufPoolConfig())
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("itbcount", func() error {
-		res, err := core.RunITBCount(4, 64, 30, reg)
-		if err != nil {
-			return err
-		}
-		if *csvOut {
-			return res.WriteCSV(os.Stdout)
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("ablation", func() error {
-		res, err := core.RunAblations([]int{64, 1024, 4096}, 20, reg)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("scaling", func() error {
-		res, err := core.RunScaling([]int{8, 16, 32}, *seed,
-			units.Time(*windowUs)*units.Microsecond)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("patterns", func() error {
-		res, err := core.RunPatternStudy(*switches, *seed,
-			units.Time(*windowUs)*units.Microsecond)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("trace", func() error {
-		// One ITB-routed message through the testbed, with the full
-		// packet lifecycle dumped: the paper's Figure 4/5 control flow
-		// made visible.
-		res, err := core.RunTraceDemo()
-		if err != nil {
-			return err
-		}
-		if rec != nil {
-			for _, e := range res.Events() {
-				rec.Record(e)
-			}
-		}
-		fmt.Println("Packet lifecycle of one in-transit message (host1 -> ITB host -> host2):")
-		return res.WriteText(os.Stdout)
-	})
-
-	run("fidelity", func() error {
-		res, err := core.RunModelFidelity(*switches, *seed,
-			units.Time(*windowUs)*units.Microsecond)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("schemes", func() error {
-		res, err := core.RunSchemes(*switches, *seed,
-			units.Time(*windowUs)*units.Microsecond)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("app", func() error {
-		cfg := core.DefaultAppStudyConfig()
-		cfg.Switches = *switches
-		cfg.Seed = *seed
-		res, err := core.RunAppStudy(cfg)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("roots", func() error {
-		res, err := core.RunRootStudy(*switches, *seed,
-			units.Time(*windowUs)*units.Microsecond)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("chunks", func() error {
-		res, err := core.RunChunkAblation(8192, []int{0, 32, 64, 256, 1024, 4096}, 20)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("faults", func() error {
-		cfg := core.DefaultFaultStudyConfig(routing.ITBRouting, *switches, *seed)
-		cfg.Metrics = reg
-		cfg.Detector = detector
-		res, err := core.RunFaultStudy(cfg)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("engines", func() error {
-		cfg := core.DefaultEngineStudyConfig(*seed)
-		cfg.Metrics = reg
-		if *engineName != "all" {
-			cfg.Engines = []string{*engineName}
-		}
-		if *hosts > 0 {
-			cfg.Sizes = []int{*hosts}
-		}
-		if *topofile != "" {
-			text, err := os.ReadFile(*topofile)
-			if err != nil {
-				return err
-			}
-			cfg.TopoText = string(text)
-			cfg.TopoLabel = filepath.Base(*topofile)
-		}
-		res, err := core.RunEngineStudy(cfg)
-		if err != nil {
-			// An engine refusing a topology (disconnected, no switches,
-			// uncabled hosts) lists the registered engines, so the caller
-			// can tell a bad engine choice from a bad topology.
-			return fmt.Errorf("%w\nvalid engines:\n%s", err, routing.EngineList())
-		}
-		if *csvOut {
-			return res.WriteCSV(os.Stdout)
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("recovery", func() error {
-		cfg := core.DefaultRecoveryStudyConfig(routing.ITBRouting, *switches, *seed)
-		cfg.Metrics = reg
-		cfg.Detector = detector
-		// Grid-thinning knobs for scale runs: the nightly 1024-host
-		// churn grid samples single cells rather than the full cross
-		// product.
-		if *period > 0 {
-			cfg.Periods = []units.Time{units.Time(*period) * units.Microsecond}
-		}
-		if *churn > 0 {
-			cfg.ChurnEvents = []int{*churn}
-		}
-		if *campaigns > 0 {
-			cfg.CampaignsPerCell = *campaigns
-		}
-		res, err := core.RunRecoveryStudy(cfg)
-		if err != nil {
-			return err
-		}
-		if *csvOut {
-			return res.WriteCSV(os.Stdout)
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("load", func() error {
-		cfg := core.DefaultLoadStudyConfig(*seed)
-		cfg.Metrics = reg
-		if *engineName != "all" {
-			cfg.Engines = []string{*engineName}
-		}
-		if *pattern != "all" {
-			cfg.Patterns = []string{*pattern}
-		}
-		res, err := core.RunLoadStudy(cfg)
-		if err != nil {
-			return err
-		}
-		if *csvOut {
-			return res.WriteCSV(os.Stdout)
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	run("vc", func() error {
-		cfg := core.DefaultVCStudyConfig(*seed)
-		cfg.Metrics = reg
-		res, err := core.RunVCStudy(cfg)
-		if err != nil {
-			return err
-		}
-		if *csvOut {
-			return res.WriteCSV(os.Stdout)
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	})
-
-	if *exp != "all" && !matched {
-		fmt.Fprintf(os.Stderr, "itbsim: unknown experiment %q; valid experiments: all %s\n",
-			*exp, strings.Join(known, " "))
-		os.Exit(1)
 	}
 
 	writeFile := func(flagName, path string, write func(f *os.File) error) {
@@ -553,14 +239,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "itbsim: %s: %v\n", flagName, err)
 		}
 	}
-	if reg != nil {
+	if p.Metrics != nil {
 		writeFile("-metrics", *metricsOut, func(f *os.File) error {
-			return reg.Snapshot().WriteJSON(f)
+			return p.Metrics.Snapshot().WriteJSON(f)
 		})
 	}
-	if rec != nil {
+	if p.Trace != nil {
 		writeFile("-trace", *traceOut, func(f *os.File) error {
-			return rec.WriteJSONL(f)
+			return p.Trace.WriteJSONL(f)
 		})
 	}
 }

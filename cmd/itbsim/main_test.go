@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // buildItbsim compiles the command into a temp dir and returns the
@@ -81,9 +83,9 @@ func TestCSVWithoutCSVFormRejected(t *testing.T) {
 	if !strings.Contains(text, "throughput: no CSV form") {
 		t.Errorf("error does not name the study:\n%s", text)
 	}
-	for _, name := range csvStudies {
-		if !strings.Contains(text, name) {
-			t.Errorf("error does not list CSV study %q:\n%s", name, text)
+	for _, s := range core.Studies {
+		if s.CSV && !strings.Contains(text, s.Name) {
+			t.Errorf("error does not list CSV study %q:\n%s", s.Name, text)
 		}
 	}
 }
@@ -304,6 +306,10 @@ func TestWorkersFlagValidation(t *testing.T) {
 		{[]string{"-exp", "load", "-workers", "0"}, "-workers 0 is invalid"},
 		{[]string{"-exp", "load", "-workers", "-3"}, "-workers -3 is invalid"},
 		{[]string{"-exp", "engines", "-hosts", "-3"}, "-hosts/-period/-churn/-campaigns must be >= 0"},
+		{[]string{"-exp", "fig7", "-iters", "0"}, "-iters 0 is invalid"},
+		{[]string{"-exp", "scaling", "-window", "0"}, "-window 0 is invalid"},
+		{[]string{"-exp", "schemes", "-switches", "0"}, "-switches 0 is invalid"},
+		{[]string{"-exp", "throughput", "-switches", "-2"}, "-switches -2 is invalid"},
 	}
 	for _, c := range cases {
 		out, err := exec.Command(bin, c.args...).CombinedOutput()

@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -32,51 +31,34 @@ type ITBCountResult struct {
 }
 
 // RunITBCount measures one-way latency over a chain of switches with
-// 0..maxITBs gratuitous ejections at intermediate hosts. An optional
-// trailing registry receives the merged per-run metrics, prefixed
-// "itb<N>." per ITB count.
-func RunITBCount(maxITBs int, size int, iterations int, mx ...*metrics.Registry) (ITBCountResult, error) {
+// 0..maxITBs gratuitous ejections at intermediate hosts. A non-nil
+// reg receives the merged per-run metrics, prefixed "itb<N>." per ITB
+// count.
+func RunITBCount(maxITBs int, size int, iterations int, reg *metrics.Registry) (ITBCountResult, error) {
 	if maxITBs < 1 || iterations < 1 {
 		return ITBCountResult{}, fmt.Errorf("core: need positive maxITBs and iterations")
 	}
-	reg := optRegistry(mx)
-	chainLen := maxITBs + 2
 	res := ITBCountResult{Size: size}
 	counts := make([]int, maxITBs+1)
 	for n := range counts {
 		counts[n] = n
 	}
-	type outcome struct {
-		lat units.Time
-		obs runObs
-	}
-	outs, err := runner.Map(counts, func(n int) (outcome, error) {
-		obs := newRunObs(reg != nil, false)
-		lat, err := chainLatency(chainLen, n, size, iterations, obs)
-		return outcome{lat: lat, obs: obs}, err
+	lats, err := runCells(counts, runObs{reg: reg}, func(n int, _ units.Time) string {
+		return fmt.Sprintf("itb%d.", n)
+	}, func(n int, obs runObs) (units.Time, error) {
+		return chainLatency(maxITBs+2, n, size, iterations, obs)
 	})
 	if err != nil {
 		return res, err
 	}
-	base := outs[0].lat
-	for n, o := range outs {
-		o.obs.mergeInto(fmt.Sprintf("itb%d.", n), reg, nil)
-		row := ITBCountRow{ITBs: n, Latency: o.lat}
+	for n, lat := range lats {
+		row := ITBCountRow{ITBs: n, Latency: lat}
 		if n > 0 {
-			row.ExtraPerITB = (o.lat - base) / units.Time(n)
+			row.ExtraPerITB = (lat - lats[0]) / units.Time(n)
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// optRegistry resolves the optional trailing registry argument of the
-// positional-signature drivers.
-func optRegistry(mx []*metrics.Registry) *metrics.Registry {
-	if len(mx) > 0 {
-		return mx[0]
-	}
-	return nil
 }
 
 // chainLatency builds a linear chain, hand-builds a route from the
@@ -91,33 +73,16 @@ func chainLatency(switches, nITBs, size, iterations int, obs runObs) (units.Time
 		return 0, err
 	}
 	hosts := topo.Hosts()
-	src, dst := hosts[0], hosts[len(hosts)-1]
 	route, err := chainRoute(topo, nITBs)
 	if err != nil {
 		return 0, err
 	}
-	var sum units.Time
-	done := 0
-	var start units.Time
-	var kick func()
-	cl.Host(dst).OnMessage = func(_ topology.NodeID, _ []byte, t units.Time) {
-		sum += t - start
-		done++
-		if done < iterations {
-			kick()
-		}
-	}
-	kick = func() {
-		start = cl.Eng.Now()
-		cl.Host(src).SendVia(dst, make([]byte, size), route, packet.TypeITB)
-	}
-	kick()
-	cl.Eng.Run()
-	if done != iterations {
-		return 0, fmt.Errorf("core: chain run finished %d of %d iterations", done, iterations)
+	lat, err := oneWayLatency(cl, hosts[0], hosts[len(hosts)-1], route, packet.TypeITB, size, iterations)
+	if err != nil {
+		return 0, err
 	}
 	obs.finish(cl)
-	return sum / units.Time(iterations), nil
+	return lat, nil
 }
 
 // chainRoute builds the wire route along the chain, splitting it into
@@ -192,10 +157,10 @@ type AblationResult struct {
 // RunAblations measures both ablations at the given sizes. The three
 // firmware variants (paper design, store-and-forward, dispatch-cycle
 // re-injection) at every size are independent runs, dispatched
-// through the runner as one batch.
-func RunAblations(sizes []int, iterations int, mx ...*metrics.Registry) (AblationResult, error) {
+// through the runner as one batch. A non-nil reg receives the merged
+// per-run metrics, prefixed "size<N>.<variant>.".
+func RunAblations(sizes []int, iterations int, reg *metrics.Registry) (AblationResult, error) {
 	var res AblationResult
-	reg := optRegistry(mx)
 	type variant struct {
 		size  int
 		name  string
@@ -208,24 +173,17 @@ func RunAblations(sizes []int, iterations int, mx ...*metrics.Registry) (Ablatio
 			variant{size, "store_forward", func(c *mcp.Config) { c.DisableEarlyRecv = true }},
 			variant{size, "dispatch", func(c *mcp.Config) { c.ReinjectViaDispatch = true }})
 	}
-	type outcome struct {
-		lat units.Time
-		obs runObs
-	}
-	outs, err := runner.Map(specs, func(v variant) (outcome, error) {
-		obs := newRunObs(reg != nil, false)
-		lat, err := fig8ITBLatency(v.size, iterations, v.tweak, obs)
-		return outcome{lat: lat, obs: obs}, err
+	lats, err := runCells(specs, runObs{reg: reg}, func(i int, _ units.Time) string {
+		return fmt.Sprintf("size%d.%s.", specs[i].size, specs[i].name)
+	}, func(v variant, obs runObs) (units.Time, error) {
+		return fig8ITBLatency(v.size, iterations, v.tweak, obs)
 	})
 	if err != nil {
 		return res, err
 	}
-	for i, o := range outs {
-		o.obs.mergeInto(fmt.Sprintf("size%d.%s.", specs[i].size, specs[i].name), reg, nil)
-	}
-	for i := 0; i < len(outs); i += 3 {
+	for i := 0; i < len(lats); i += 3 {
 		size := specs[i].size
-		fast, sf, dd := outs[i].lat, outs[i+1].lat, outs[i+2].lat
+		fast, sf, dd := lats[i], lats[i+1], lats[i+2]
 		res.Rows = append(res.Rows, AblationRow{
 			Name: "early-recv vs store-and-forward", Size: size,
 			Fast: fast, Slow: sf, Penalty: sf - fast,
@@ -237,21 +195,31 @@ func RunAblations(sizes []int, iterations int, mx ...*metrics.Registry) (Ablatio
 	return res, nil
 }
 
+// TraceDemo is the recorded packet lifecycle of one in-transit
+// message.
+type TraceDemo struct{ *trace.Recorder }
+
+// WriteTable dumps the lifecycle, one event per line.
+func (d TraceDemo) WriteTable(w io.Writer) {
+	fmt.Fprintln(w, "Packet lifecycle of one in-transit message (host1 -> ITB host -> host2):")
+	_ = d.WriteText(w) // tables drop write errors, like every Fprintf in WriteTable
+}
+
 // RunTraceDemo runs one in-transit message through the testbed with a
 // recorder attached and returns the trace — the Figure 4/5 control
 // flow made observable.
-func RunTraceDemo() (*trace.Recorder, error) {
+func RunTraceDemo() (TraceDemo, error) {
 	topo, nodes, routes := fig8Testbed()
 	rec := trace.NewRecorder(0)
 	cfg := DefaultConfig(topo, routing.UpDownRouting, mcp.ITB)
 	cfg.Trace = rec
 	cl, err := NewCluster(cfg)
 	if err != nil {
-		return nil, err
+		return TraceDemo{}, err
 	}
 	cl.Host(nodes.Host1).SendVia(nodes.Host2, make([]byte, 256), routes.itbForward, packet.TypeITB)
 	cl.Eng.Run()
-	return rec, nil
+	return TraceDemo{rec}, nil
 }
 
 // fig8ITBLatency measures the ITB-path half round trip at one size
@@ -306,37 +274,31 @@ type FidelityResult struct {
 // both release policies.
 func RunModelFidelity(switches int, seed int64, window units.Time) (FidelityResult, error) {
 	res := FidelityResult{Switches: switches}
-	type cell struct {
-		progressive bool
-		alg         *routing.UpDownEngine
-	}
-	var specs []cell
+	var cfgs []SweepConfig
 	for _, progressive := range []bool{false, true} {
 		for _, alg := range []*routing.UpDownEngine{routing.UpDownRouting, routing.ITBRouting} {
-			specs = append(specs, cell{progressive, alg})
+			cfg := DefaultSweepConfig(alg, switches, seed)
+			cfg.Loads = []float64{0.2, 0.5, 0.8}
+			cfg.Window = window
+			cfg.ProgressiveRelease = progressive
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	sweeps, err := runner.Map(specs, func(c cell) (SweepResult, error) {
-		cfg := DefaultSweepConfig(c.alg, switches, seed)
-		cfg.Loads = []float64{0.2, 0.5, 0.8}
-		cfg.Window = window
-		cfg.ProgressiveRelease = c.progressive
-		return RunSweep(cfg)
-	})
+	sweeps, err := runSweeps(cfgs, nil, nil)
 	if err != nil {
 		return res, err
 	}
 	thr := map[[2]bool]float64{}
 	for i, sr := range sweeps {
-		c := specs[i]
+		c := cfgs[i]
 		policy := "conservative"
-		if c.progressive {
+		if c.ProgressiveRelease {
 			policy = "progressive"
 		}
 		res.Rows = append(res.Rows, FidelityRow{
-			Policy: policy, Algorithm: c.alg, Throughput: sr.Throughput,
+			Policy: policy, Algorithm: c.Algorithm, Throughput: sr.Throughput,
 		})
-		thr[[2]bool{c.progressive, c.alg.ITB}] = sr.Throughput
+		thr[[2]bool{c.ProgressiveRelease, c.Algorithm.ITB}] = sr.Throughput
 	}
 	if ud := thr[[2]bool{false, false}]; ud > 0 {
 		res.RatioConservative = thr[[2]bool{false, true}] / ud

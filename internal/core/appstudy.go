@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mcp"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -54,7 +53,7 @@ func RunAppStudy(cfg AppStudyConfig) (AppStudyResult, error) {
 	}
 	res := AppStudyResult{Config: cfg}
 	algs := []*routing.UpDownEngine{routing.UpDownRouting, routing.ITBRouting}
-	times, err := runner.Map(algs, func(alg *routing.UpDownEngine) (units.Time, error) {
+	times, err := runCells(algs, runObs{}, nil, func(alg *routing.UpDownEngine, _ runObs) (units.Time, error) {
 		return runApp(cfg, alg)
 	})
 	if err != nil {

@@ -68,14 +68,11 @@ func RunBufPool(cfg BufPoolConfig) (BufPoolResult, error) {
 	if err := workload.CheckLoad(cfg.Load); err != nil {
 		return res, fmt.Errorf("core: buffer-pool study: %w", err)
 	}
-	for _, size := range cfg.PoolSizes {
-		p, err := runBufPoolPoint(cfg, size)
-		if err != nil {
-			return res, err
-		}
-		res.Points = append(res.Points, p)
-	}
-	return res, nil
+	var err error
+	res.Points, err = runCells(cfg.PoolSizes, runObs{}, nil, func(size int, _ runObs) (BufPoolPoint, error) {
+		return runBufPoolPoint(cfg, size)
+	})
+	return res, err
 }
 
 func runBufPoolPoint(cfg BufPoolConfig, poolSize int) (BufPoolPoint, error) {

@@ -87,7 +87,7 @@ func TestWriteCSVPropagatesFlushError(t *testing.T) {
 }
 
 func TestITBCountCSV(t *testing.T) {
-	res, err := RunITBCount(2, 64, 3)
+	res, err := RunITBCount(2, 64, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

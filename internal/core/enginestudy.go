@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/topology"
 )
 
@@ -116,56 +114,38 @@ func RunEngineStudy(cfg EngineStudyConfig) (EngineStudyResult, error) {
 			}
 		}
 	}
-	type cellOut struct {
-		row EngineRow
-		reg *metrics.Registry
-	}
-	outs, err := runner.Map(specs, func(c cell) (cellOut, error) {
+	var err error
+	res.Rows, err = runCells(specs, runObs{reg: cfg.Metrics}, func(i int, r EngineRow) string {
+		return fmt.Sprintf("%s.%d.%s.", r.Class, r.Hosts, r.Engine)
+	}, func(c cell, obs runObs) (EngineRow, error) {
 		var topo *topology.Topology
 		var err error
 		if cfg.TopoText != "" {
-			topo, err = topology.Read(strings.NewReader(cfg.TopoText))
+			topo, err = readTopo([]byte(cfg.TopoText))
 		} else {
 			topo, err = engineStudyTopology(c.class, c.hosts, cfg.Seed)
 		}
 		if err != nil {
-			return cellOut{}, err
+			return EngineRow{}, err
 		}
 		eng, _ := routing.EngineByName(c.engine)
 		// The study certifies what it reports: every cell's paths are
 		// checked legal and deadlock free as they are counted.
 		an, err := routing.CertifyEngine(eng, topo)
 		if err != nil {
-			return cellOut{}, err
+			return EngineRow{}, err
 		}
-		out := cellOut{row: EngineRow{
-			Class:          c.class,
-			Engine:         c.engine,
-			Hosts:          len(topo.Hosts()),
-			EngineAnalysis: an,
-		}}
-		if cfg.Metrics != nil {
-			out.reg = metrics.NewRegistry()
-			out.reg.Counter("pairs").Add(uint64(an.Pairs))
-			out.reg.Counter("itbs.total").Add(uint64(an.TotalITBs))
-			out.reg.Counter("table.bytes").Add(uint64(an.TableBytes))
-			out.reg.Gauge("channel.load.max").Set(float64(an.MaxChannelLoad))
-			out.reg.Gauge("hotspot.ratio").Set(an.HotspotRatio)
-			out.reg.Gauge("minimal.fraction").Set(an.MinimalFraction)
+		if obs.reg != nil {
+			obs.reg.Counter("pairs").Add(uint64(an.Pairs))
+			obs.reg.Counter("itbs.total").Add(uint64(an.TotalITBs))
+			obs.reg.Counter("table.bytes").Add(uint64(an.TableBytes))
+			obs.reg.Gauge("channel.load.max").Set(float64(an.MaxChannelLoad))
+			obs.reg.Gauge("hotspot.ratio").Set(an.HotspotRatio)
+			obs.reg.Gauge("minimal.fraction").Set(an.MinimalFraction)
 		}
-		return out, nil
+		return EngineRow{Class: c.class, Engine: c.engine, Hosts: len(topo.Hosts()), EngineAnalysis: an}, nil
 	})
-	if err != nil {
-		return res, err
-	}
-	for i, out := range outs {
-		res.Rows = append(res.Rows, out.row)
-		if cfg.Metrics != nil && out.reg != nil {
-			prefix := fmt.Sprintf("%s.%d.%s.", specs[i].class, out.row.Hosts, specs[i].engine)
-			cfg.Metrics.MergePrefixed(prefix, out.reg)
-		}
-	}
-	return res, nil
+	return res, err
 }
 
 // WriteTable renders the study grouped by topology cell. Relief is

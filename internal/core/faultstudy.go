@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/recovery"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -158,13 +156,6 @@ type FaultReport struct {
 	Campaigns []CampaignOutcome
 }
 
-// faultSpec is one runner spec: the campaign index (0 = baseline) and
-// the serialized topology, private per worker.
-type faultSpec struct {
-	idx      int
-	topoText []byte
-}
-
 // RunFaultStudy executes the study: one fresh cluster per campaign,
 // dispatched through the parallel runner and merged in campaign order.
 func RunFaultStudy(cfg FaultStudyConfig) (FaultReport, error) {
@@ -181,43 +172,28 @@ func RunFaultStudy(cfg FaultStudyConfig) (FaultReport, error) {
 		return FaultReport{}, fmt.Errorf("core: fault study: %w", err)
 	}
 	rep := FaultReport{Algorithm: cfg.Algorithm, Switches: cfg.Switches}
-	topo, err := topology.Generate(topology.DefaultGenConfig(cfg.Switches, cfg.Seed))
+	text, err := irregularText(cfg.Switches, cfg.Seed)
 	if err != nil {
 		return rep, err
 	}
-	var topoText bytes.Buffer
-	if err := topology.Write(&topoText, topo); err != nil {
-		return rep, err
+	campaigns := make([]int, cfg.Campaigns+1) // 0 is the baseline
+	for i := range campaigns {
+		campaigns[i] = i
 	}
-	specs := make([]faultSpec, cfg.Campaigns+1)
-	for i := range specs {
-		specs[i] = faultSpec{idx: i, topoText: topoText.Bytes()}
-	}
-	outcomes, err := runner.Map(specs, func(s faultSpec) (campaignOutcome, error) {
-		return runFaultCampaign(cfg, s)
+	outcomes, err := runCells(campaigns, runObs{reg: cfg.Metrics}, func(i int, _ CampaignOutcome) string {
+		if i == 0 {
+			return "baseline."
+		}
+		return fmt.Sprintf("campaign%02d.", i)
+	}, func(idx int, obs runObs) (CampaignOutcome, error) {
+		return runFaultCampaign(cfg, idx, text, obs)
 	})
 	if err != nil {
 		return rep, err
 	}
-	for i, o := range outcomes {
-		prefix := "baseline."
-		if i > 0 {
-			prefix = fmt.Sprintf("campaign%02d.", i)
-		}
-		o.obs.mergeInto(prefix, cfg.Metrics, nil)
-	}
-	rep.Baseline = outcomes[0].out
-	for _, o := range outcomes[1:] {
-		rep.Campaigns = append(rep.Campaigns, o.out)
-	}
+	rep.Baseline = outcomes[0]
+	rep.Campaigns = outcomes[1:]
 	return rep, nil
-}
-
-// campaignOutcome threads a campaign's accounting and its per-run
-// observability state through the runner.
-type campaignOutcome struct {
-	out CampaignOutcome
-	obs runObs
 }
 
 // studyGM returns the GM parameters of the study with the recovery
@@ -242,26 +218,27 @@ func studyGM(cfg FaultStudyConfig) (ack units.Time, backoff float64, maxAck unit
 	return
 }
 
-func runFaultCampaign(cfg FaultStudyConfig, spec faultSpec) (campaignOutcome, error) {
-	topo, err := topology.Read(bytes.NewReader(spec.topoText))
+// runFaultCampaign runs campaign idx (0 = the fault-free baseline) on
+// a private copy of the serialized topology.
+func runFaultCampaign(cfg FaultStudyConfig, idx int, topoText []byte, obs runObs) (CampaignOutcome, error) {
+	topo, err := readTopo(topoText)
 	if err != nil {
-		return campaignOutcome{}, err
+		return CampaignOutcome{}, err
 	}
 	ccfg := DefaultConfig(topo, cfg.Algorithm, variantFor(cfg.Algorithm))
 	ccfg.MCP.BufferPool = true
 	ccfg.MCP.RecvBuffers = 16
 	ccfg.MCP.DropStaleITB = cfg.DropStaleITB
 	ccfg.GM.AckTimeout, ccfg.GM.BackoffFactor, ccfg.GM.MaxAckTimeout, ccfg.GM.DeadPeerTimeouts = studyGM(cfg)
-	obs := newRunObs(cfg.Metrics != nil, false)
 	obs.install(&ccfg)
 	cl, err := NewCluster(ccfg)
 	if err != nil {
-		return campaignOutcome{}, err
+		return CampaignOutcome{}, err
 	}
 	out := CampaignOutcome{Name: "baseline"}
 	var det recovery.Detector
-	if spec.idx > 0 {
-		camp := faults.Generate(cfg.Seed+int64(spec.idx), topo, faults.GenConfig{
+	if idx > 0 {
+		camp := faults.Generate(cfg.Seed+int64(idx), topo, faults.GenConfig{
 			Horizon:   cfg.Horizon,
 			Events:    cfg.FaultEvents,
 			Transient: cfg.Transient,
@@ -287,18 +264,18 @@ func runFaultCampaign(cfg FaultStudyConfig, spec faultSpec) (campaignOutcome, er
 			switch cfg.Detector {
 			case recovery.DetectorGossip:
 				if rcfg.Seed == 0 {
-					rcfg.Seed = cfg.Seed + int64(spec.idx)
+					rcfg.Seed = cfg.Seed + int64(idx)
 				}
 				gsp, gerr := recovery.NewGossip(rcfg, rtgt)
 				if gerr != nil {
-					return campaignOutcome{}, gerr
+					return CampaignOutcome{}, gerr
 				}
 				gsp.Start()
 				det = gsp
 			default:
 				mgr, merr := recovery.NewManager(rcfg, rtgt)
 				if merr != nil {
-					return campaignOutcome{}, merr
+					return CampaignOutcome{}, merr
 				}
 				mgr.Start()
 				det = mgr
@@ -312,7 +289,7 @@ func runFaultCampaign(cfg FaultStudyConfig, spec faultSpec) (campaignOutcome, er
 			Recovery: det,
 		}, camp)
 		if err != nil {
-			return campaignOutcome{}, err
+			return CampaignOutcome{}, err
 		}
 	}
 
@@ -353,7 +330,7 @@ func runFaultCampaign(cfg FaultStudyConfig, spec faultSpec) (campaignOutcome, er
 		}
 	})
 	if err != nil {
-		return campaignOutcome{}, err
+		return CampaignOutcome{}, err
 	}
 	// Drain fully: the dead-peer verdict guarantees termination even
 	// under permanent faults.
@@ -400,7 +377,7 @@ func runFaultCampaign(cfg FaultStudyConfig, spec faultSpec) (campaignOutcome, er
 		out.P99Latency = units.Time(lat.Percentile(99))
 	}
 	obs.finish(cl)
-	return campaignOutcome{out: out, obs: obs}, nil
+	return out, nil
 }
 
 // variantFor returns the firmware variant a routing needs.

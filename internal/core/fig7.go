@@ -8,7 +8,6 @@ import (
 	"repro/internal/mcp"
 	"repro/internal/metrics"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -62,40 +61,29 @@ func DefaultFig7Config() Fig7Config {
 func RunFig7(cfg Fig7Config) (Fig7Result, error) {
 	// The two firmware variants are independent runs — each builds its
 	// own testbed and engine — so they dispatch through the runner.
-	// Observability state is per-run too: each run collects into a
-	// private registry/recorder, merged below in input order.
-	type outcome struct {
-		rows []gm.AllsizeResult
-		obs  runObs
-	}
-	runs, err := runner.Map([]mcp.Variant{mcp.Original, mcp.ITB},
-		func(v mcp.Variant) (outcome, error) {
+	prefixes := []string{"original.", "modified."}
+	runs, err := runCells([]mcp.Variant{mcp.Original, mcp.ITB}, runObs{cfg.Metrics, cfg.Trace},
+		func(i int, _ []gm.AllsizeResult) string { return prefixes[i] },
+		func(v mcp.Variant, obs runObs) ([]gm.AllsizeResult, error) {
 			topo, nodes := topology.Testbed()
 			ccfg := DefaultConfig(topo, routing.UpDownRouting, v)
-			obs := newRunObs(cfg.Metrics != nil, cfg.Trace != nil)
 			obs.install(&ccfg)
 			cl, err := NewCluster(ccfg)
 			if err != nil {
-				return outcome{}, err
+				return nil, err
 			}
 			rows, err := gm.Allsize(cl.Eng, cl.Host(nodes.Host1), cl.Host(nodes.Host2), gm.AllsizeConfig{
 				Sizes:      cfg.Sizes,
 				Iterations: cfg.Iterations,
 				Warmup:     cfg.Warmup,
 			})
-			if err != nil {
-				return outcome{}, err
-			}
 			obs.finish(cl)
-			return outcome{rows: rows, obs: obs}, nil
+			return rows, err
 		})
 	if err != nil {
 		return Fig7Result{}, err
 	}
-	for i, prefix := range []string{"original.", "modified."} {
-		runs[i].obs.mergeInto(prefix, cfg.Metrics, cfg.Trace)
-	}
-	orig, mod := runs[0].rows, runs[1].rows
+	orig, mod := runs[0], runs[1]
 	var res Fig7Result
 	var sum units.Time
 	for i := range orig {

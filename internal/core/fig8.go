@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -104,43 +103,35 @@ func RunFig8(cfg Fig8Config) (Fig8Result, error) {
 		forward []byte
 		typ     packet.Type
 	}
-	type outcome struct {
-		rows []gm.AllsizeResult
-		obs  runObs
-	}
 	_, _, routes := fig8Testbed()
-	runs, err := runner.Map([]spec{
+	prefixes := []string{"ud.", "ud_itb."}
+	runs, err := runCells([]spec{
 		{routes.udForward, packet.TypeGM},
 		{routes.itbForward, packet.TypeITB},
-	}, func(s spec) (outcome, error) {
-		topo, nodes, routes := fig8Testbed()
-		ccfg := DefaultConfig(topo, routing.UpDownRouting, mcp.ITB)
-		obs := newRunObs(cfg.Metrics != nil, cfg.Trace != nil)
-		obs.install(&ccfg)
-		cl, err := NewCluster(ccfg)
-		if err != nil {
-			return outcome{}, err
-		}
-		rows, err := gm.Allsize(cl.Eng, cl.Host(nodes.Host1), cl.Host(nodes.Host2), gm.AllsizeConfig{
-			Sizes:      cfg.Sizes,
-			Iterations: cfg.Iterations,
-			Warmup:     cfg.Warmup,
-			Forward:    &gm.PingRoute{Route: s.forward, Type: s.typ},
-			Back:       &gm.PingRoute{Route: routes.back, Type: packet.TypeGM},
+	}, runObs{cfg.Metrics, cfg.Trace},
+		func(i int, _ []gm.AllsizeResult) string { return prefixes[i] },
+		func(s spec, obs runObs) ([]gm.AllsizeResult, error) {
+			topo, nodes, routes := fig8Testbed()
+			ccfg := DefaultConfig(topo, routing.UpDownRouting, mcp.ITB)
+			obs.install(&ccfg)
+			cl, err := NewCluster(ccfg)
+			if err != nil {
+				return nil, err
+			}
+			rows, err := gm.Allsize(cl.Eng, cl.Host(nodes.Host1), cl.Host(nodes.Host2), gm.AllsizeConfig{
+				Sizes:      cfg.Sizes,
+				Iterations: cfg.Iterations,
+				Warmup:     cfg.Warmup,
+				Forward:    &gm.PingRoute{Route: s.forward, Type: s.typ},
+				Back:       &gm.PingRoute{Route: routes.back, Type: packet.TypeGM},
+			})
+			obs.finish(cl)
+			return rows, err
 		})
-		if err != nil {
-			return outcome{}, err
-		}
-		obs.finish(cl)
-		return outcome{rows: rows, obs: obs}, nil
-	})
 	if err != nil {
 		return Fig8Result{}, err
 	}
-	for i, prefix := range []string{"ud.", "ud_itb."} {
-		runs[i].obs.mergeInto(prefix, cfg.Metrics, cfg.Trace)
-	}
-	ud, itb := runs[0].rows, runs[1].rows
+	ud, itb := runs[0], runs[1]
 	var res Fig8Result
 	var sum units.Time
 	for i := range ud {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/mcp"
 	"repro/internal/metrics"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -126,20 +124,15 @@ func parseLoadPreset(preset string, seed int64) (*topology.Topology, error) {
 	return engineStudyTopology(preset[:i], hosts, seed)
 }
 
-// presetTexts builds and serializes each preset once; every cell
-// deserializes its private copy (topologies are not goroutine-safe).
+// presetTexts builds and serializes each preset once.
 func presetTexts(presets []string, seed int64) (map[string][]byte, error) {
 	texts := make(map[string][]byte, len(presets))
 	for _, preset := range presets {
-		topo, err := parseLoadPreset(preset, seed)
+		text, err := topoText(parseLoadPreset(preset, seed))
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := topology.Write(&buf, topo); err != nil {
-			return nil, err
-		}
-		texts[preset] = buf.Bytes()
+		texts[preset] = text
 	}
 	return texts, nil
 }
@@ -151,12 +144,6 @@ type loadCellSpec struct {
 	engine   string
 	load     float64
 	topoText []byte
-}
-
-// loadCellOut carries a cell's row and observability state.
-type loadCellOut struct {
-	row LoadRow
-	obs runObs
 }
 
 // RunLoadStudy executes the grid through the parallel runner. Every
@@ -214,19 +201,13 @@ func RunLoadStudy(cfg LoadStudyConfig) (LoadStudyResult, error) {
 			}
 		}
 	}
-	outs, err := runner.Map(specs, func(s loadCellSpec) (loadCellOut, error) {
-		return runLoadCell(cfg, mix, s)
+	res.Rows, err = runCells(specs, runObs{reg: cfg.Metrics}, func(i int, _ LoadRow) string {
+		s := specs[i]
+		return fmt.Sprintf("%s.%s.%s.load%03d.", s.preset, s.pattern, s.engine, int(s.load*100+0.5))
+	}, func(s loadCellSpec, obs runObs) (LoadRow, error) {
+		return runLoadCell(cfg, mix, s, obs)
 	})
-	if err != nil {
-		return res, err
-	}
-	for i, out := range outs {
-		res.Rows = append(res.Rows, out.row)
-		prefix := fmt.Sprintf("%s.%s.%s.load%03d.", specs[i].preset, specs[i].pattern,
-			specs[i].engine, int(specs[i].load*100+0.5))
-		out.obs.mergeInto(prefix, cfg.Metrics, nil)
-	}
-	return res, nil
+	return res, err
 }
 
 // loadCluster builds a cell's cluster under eng, with lanes virtual
@@ -248,19 +229,19 @@ func loadCluster(topo *topology.Topology, eng routing.Engine, lanes int, acks bo
 }
 
 // runLoadCell dispatches on the pattern family.
-func runLoadCell(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec) (loadCellOut, error) {
-	topo, err := topology.Read(bytes.NewReader(s.topoText))
+func runLoadCell(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, obs runObs) (LoadRow, error) {
+	topo, err := readTopo(s.topoText)
 	if err != nil {
-		return loadCellOut{}, err
+		return LoadRow{}, err
 	}
 	eng, _ := routing.EngineByName(s.engine) // RunLoadStudy validated the name
 	switch s.pattern {
 	case "allreduce":
-		return runLoadCollective(cfg, mix, s, topo, eng)
+		return runLoadCollective(cfg, mix, s, topo, eng, obs)
 	case "rpc":
-		return runLoadRPC(cfg, s, topo, eng)
+		return runLoadRPC(cfg, s, topo, eng, obs)
 	default:
-		return runLoadPlan(cfg, mix, s, topo, eng)
+		return runLoadPlan(cfg, mix, s, topo, eng, obs)
 	}
 }
 
@@ -335,15 +316,14 @@ func runOpenLoop(cl *Cluster, plan workload.PlanConfig, warmup, window units.Tim
 }
 
 // runLoadPlan executes one open-loop scenario cell.
-func runLoadPlan(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo *topology.Topology, eng routing.Engine) (loadCellOut, error) {
-	obs := newRunObs(cfg.Metrics != nil, false)
+func runLoadPlan(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo *topology.Topology, eng routing.Engine, obs runObs) (LoadRow, error) {
 	cl, err := loadCluster(topo, eng, 0, false, obs)
 	if err != nil {
-		return loadCellOut{}, err
+		return LoadRow{}, err
 	}
 	scenario, err := workload.ScenarioByName(s.pattern)
 	if err != nil {
-		return loadCellOut{}, err
+		return LoadRow{}, err
 	}
 	c, err := runOpenLoop(cl, workload.PlanConfig{
 		Scenario: scenario,
@@ -354,14 +334,14 @@ func runLoadPlan(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo
 		Fanin:    cfg.Fanin,
 	}, cfg.Warmup, cfg.Window)
 	if err != nil {
-		return loadCellOut{}, err
+		return LoadRow{}, err
 	}
 	row := LoadRow{Preset: s.preset, Pattern: s.pattern, Engine: s.engine,
 		Hosts: len(topo.Hosts()), Offered: s.load,
 		Delivered: c.delivered, FlowsSent: c.sent, FlowsDone: c.done}
 	row.P50, row.P99, row.P999 = fctPercentiles(c.fct)
 	obs.finish(cl)
-	return loadCellOut{row: row, obs: obs}, nil
+	return row, nil
 }
 
 // runLoadCollective runs the promoted allreduce driver: the
@@ -369,11 +349,10 @@ func runLoadPlan(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo
 // open-loop uniform background traffic at the offered load; every
 // collective hop is an FCT sample and the completion time is the
 // headline.
-func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo *topology.Topology, eng routing.Engine) (loadCellOut, error) {
-	obs := newRunObs(cfg.Metrics != nil, false)
+func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo *topology.Topology, eng routing.Engine, obs runObs) (LoadRow, error) {
 	cl, err := loadCluster(topo, eng, 0, true, obs)
 	if err != nil {
-		return loadCellOut{}, err
+		return LoadRow{}, err
 	}
 	hosts := topo.Hosts()
 	row := LoadRow{Preset: s.preset, Pattern: s.pattern, Engine: s.engine,
@@ -403,17 +382,17 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 	// queue the collective token would starve behind forever.
 	dests, err := workload.NewDestinations(hosts, workload.Uniform, 0, rand.New(rand.NewSource(cfg.Seed+2)))
 	if err != nil {
-		return loadCellOut{}, err
+		return LoadRow{}, err
 	}
 	mean, err := workload.MeanGap(s.load, mix.MeanBytes(), cl.Net.Params().LinkBandwidth)
 	if err != nil {
-		return loadCellOut{}, err
+		return LoadRow{}, err
 	}
 	const bgPort, bgTokens = 2, 8
 	for i, h := range hosts {
 		bp, err := cl.Host(h).OpenPort(bgPort, bgTokens)
 		if err != nil {
-			return loadCellOut{}, err
+			return LoadRow{}, err
 		}
 		bp.ProvideReceiveTokens(2 * bgTokens)
 		bp.OnReceive = func(_ topology.NodeID, _ uint8, payload []byte, t units.Time) {
@@ -424,7 +403,7 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 		}
 		ap, err := workload.NewArrival(cfg.Arrival, mean, rand.New(rand.NewSource(cfg.Seed+3+1000003*int64(i+1))))
 		if err != nil {
-			return loadCellOut{}, err
+			return LoadRow{}, err
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed ^ (0x9E3779B9 * int64(i+1))))
 		var tick func()
@@ -467,11 +446,11 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 			retransmits += st.Retransmits
 			dups += st.DuplicateDrops
 		}
-		return loadCellOut{}, fmt.Errorf("core: %s/%s allreduce did not complete by %v under load %.2f (%d hops delivered; GM %d retransmits, %d duplicate drops; fabric %d deliveries)",
+		return LoadRow{}, fmt.Errorf("core: %s/%s allreduce did not complete by %v under load %.2f (%d hops delivered; GM %d retransmits, %d duplicate drops; fabric %d deliveries)",
 			s.preset, s.engine, deadline, s.load, hops, retransmits, dups, cl.Net.Stats().Delivered)
 	}
 	if got, want := coll.Checksum(), workload.ExpectedChecksum(len(hosts), cfg.VectorLen); got != want {
-		return loadCellOut{}, fmt.Errorf("core: %s/%s allreduce checksum %d, want %d", s.preset, s.engine, got, want)
+		return LoadRow{}, fmt.Errorf("core: %s/%s allreduce checksum %d, want %d", s.preset, s.engine, got, want)
 	}
 	span := coll.DoneAt() - cfg.Warmup
 	row.Collective = span
@@ -482,15 +461,14 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 	row.Delivered = float64(bgBytes) / span.Seconds() /
 		float64(len(hosts)) / float64(cl.Net.Params().LinkBandwidth)
 	obs.finish(cl)
-	return loadCellOut{row: row, obs: obs}, nil
+	return row, nil
 }
 
 // runLoadRPC runs the fan-out service cell.
-func runLoadRPC(cfg LoadStudyConfig, s loadCellSpec, topo *topology.Topology, eng routing.Engine) (loadCellOut, error) {
-	obs := newRunObs(cfg.Metrics != nil, false)
+func runLoadRPC(cfg LoadStudyConfig, s loadCellSpec, topo *topology.Topology, eng routing.Engine, obs runObs) (LoadRow, error) {
 	cl, err := loadCluster(topo, eng, 0, true, obs)
 	if err != nil {
-		return loadCellOut{}, err
+		return LoadRow{}, err
 	}
 	endAt := cfg.Warmup + cfg.Window
 	mesh, err := workload.StartRPCFanout(cl.Eng, topo.Hosts(), cl.Host, workload.RPCConfig{
@@ -505,7 +483,7 @@ func runLoadRPC(cfg LoadStudyConfig, s loadCellSpec, topo *topology.Topology, en
 		LinkBandwidth: cl.Net.Params().LinkBandwidth,
 	})
 	if err != nil {
-		return loadCellOut{}, err
+		return LoadRow{}, err
 	}
 	// RPC round trips under load run several windows long; injection
 	// stops at the horizon but in-flight RPCs get a generous drain so
@@ -519,7 +497,7 @@ func runLoadRPC(cfg LoadStudyConfig, s loadCellSpec, topo *topology.Topology, en
 	row.Delivered = float64(st.DeliveredBytes) / cfg.Window.Seconds() /
 		float64(len(topo.Hosts())) / float64(cl.Net.Params().LinkBandwidth)
 	obs.finish(cl)
-	return loadCellOut{row: row, obs: obs}, nil
+	return row, nil
 }
 
 // WriteTable renders the study grouped by (preset, pattern) cell.

@@ -188,7 +188,7 @@ func TestClusterEngineOverride(t *testing.T) {
 	if !ok {
 		t.Fatal("layered-ksp not registered")
 	}
-	cl, err := loadCluster(topo, eng, 0, true, newRunObs(false, false))
+	cl, err := loadCluster(topo, eng, 0, true, runObs{})
 	if err != nil {
 		t.Fatal(err)
 	}

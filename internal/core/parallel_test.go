@@ -102,7 +102,7 @@ func TestSweepDeterministic(t *testing.T) {
 
 func TestITBCountDeterministic(t *testing.T) {
 	assertDeterministic(t, func() (string, error) {
-		res, err := RunITBCount(2, 64, 5)
+		res, err := RunITBCount(2, 64, 5, nil)
 		if err != nil {
 			return "", err
 		}
@@ -117,7 +117,7 @@ func TestITBCountDeterministic(t *testing.T) {
 
 func TestAblationsDeterministic(t *testing.T) {
 	assertDeterministic(t, func() (string, error) {
-		res, err := RunAblations([]int{256, 1024}, 5)
+		res, err := RunAblations([]int{256, 1024}, 5, nil)
 		if err != nil {
 			return "", err
 		}

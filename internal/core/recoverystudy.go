@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -9,8 +8,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/recovery"
 	"repro/internal/routing"
-	"repro/internal/runner"
-	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -118,7 +115,6 @@ func DefaultRecoveryStudyConfig(alg *routing.UpDownEngine, switches int, seed in
 type recoverySpec struct {
 	cell     int // index into the flattened (period, churn) grid
 	campaign int // 1-based: campaign index within the cell
-	topoText []byte
 }
 
 // RunRecoveryStudy executes the grid through the parallel runner,
@@ -139,12 +135,8 @@ func RunRecoveryStudy(cfg RecoveryStudyConfig) (RecoveryStudyResult, error) {
 	if cfg.MessageSize < 16 {
 		return res, fmt.Errorf("core: recovery study needs a message size of at least 16 bytes")
 	}
-	topo, err := topology.Generate(topology.DefaultGenConfig(cfg.Switches, cfg.Seed))
+	text, err := irregularText(cfg.Switches, cfg.Seed)
 	if err != nil {
-		return res, err
-	}
-	var topoText bytes.Buffer
-	if err := topology.Write(&topoText, topo); err != nil {
 		return res, err
 	}
 	type cellCfg struct {
@@ -160,10 +152,12 @@ func RunRecoveryStudy(cfg RecoveryStudyConfig) (RecoveryStudyResult, error) {
 	var specs []recoverySpec
 	for ci := range cells {
 		for k := 1; k <= cfg.CampaignsPerCell; k++ {
-			specs = append(specs, recoverySpec{cell: ci, campaign: k, topoText: topoText.Bytes()})
+			specs = append(specs, recoverySpec{cell: ci, campaign: k})
 		}
 	}
-	outcomes, err := runner.Map(specs, func(s recoverySpec) (campaignOutcome, error) {
+	outcomes, err := runCells(specs, runObs{reg: cfg.Metrics}, func(i int, _ CampaignOutcome) string {
+		return fmt.Sprintf("cell%02d.camp%02d.", specs[i].cell, specs[i].campaign)
+	}, func(s recoverySpec, obs runObs) (CampaignOutcome, error) {
 		cell := cells[s.cell]
 		rcfg := recovery.DefaultConfig(0)
 		rcfg.Period = cell.period
@@ -179,9 +173,8 @@ func RunRecoveryStudy(cfg RecoveryStudyConfig) (RecoveryStudyResult, error) {
 			Detector:     detector,
 			Transient:    cfg.Transient,
 			DropStaleITB: cfg.DropStaleITB,
-			Metrics:      cfg.Metrics,
 		}
-		return runFaultCampaign(fcfg, faultSpec{idx: s.campaign, topoText: s.topoText})
+		return runFaultCampaign(fcfg, s.campaign, text, obs)
 	})
 	if err != nil {
 		return res, err
@@ -191,8 +184,7 @@ func RunRecoveryStudy(cfg RecoveryStudyConfig) (RecoveryStudyResult, error) {
 		var detSum, convSum units.Time
 		var detN, convN int
 		for k := 0; k < cfg.CampaignsPerCell; k++ {
-			oc := outcomes[ci*cfg.CampaignsPerCell+k]
-			o := oc.out
+			o := outcomes[ci*cfg.CampaignsPerCell+k]
 			row.Sent += o.Sent
 			row.Delivered += o.Delivered
 			row.Failed += o.Failed
@@ -213,7 +205,6 @@ func RunRecoveryStudy(cfg RecoveryStudyConfig) (RecoveryStudyResult, error) {
 				convSum += o.ConvergenceAvg
 				convN++
 			}
-			oc.obs.mergeInto(fmt.Sprintf("cell%02d.camp%02d.", ci, k+1), cfg.Metrics, nil)
 		}
 		if detN > 0 {
 			row.DetectionAvg = detSum / units.Time(detN)

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -48,31 +47,25 @@ func RunRootStudy(switches int, seed int64, window units.Time) (RootStudyResult,
 		{"best root", bestRoot},
 		{"worst root", worstRoot},
 	}
-	type cell struct {
-		label string
-		alg   *routing.UpDownEngine
-	}
-	var specs []cell
+	var cfgs []SweepConfig
 	for _, c := range cases {
 		for _, itb := range []bool{false, true} {
 			root := c.root
-			specs = append(specs, cell{c.label, &routing.UpDownEngine{ITB: itb, Root: &root}})
+			cfg := DefaultSweepConfig(&routing.UpDownEngine{ITB: itb, Root: &root}, switches, seed)
+			cfg.Loads = []float64{0.2, 0.5, 0.8}
+			cfg.Window = window
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	sweeps, err := runner.Map(specs, func(c cell) (SweepResult, error) {
-		cfg := DefaultSweepConfig(c.alg, switches, seed)
-		cfg.Loads = []float64{0.2, 0.5, 0.8}
-		cfg.Window = window
-		return RunSweep(cfg)
-	})
+	sweeps, err := runSweeps(cfgs, nil, nil)
 	if err != nil {
 		return res, err
 	}
 	for i, sr := range sweeps {
 		res.Rows = append(res.Rows, RootStudyRow{
-			Root:       *specs[i].alg.Root,
-			Label:      specs[i].label,
-			Algorithm:  specs[i].alg,
+			Root:       *sr.Algorithm.Root,
+			Label:      cases[i/2].label,
+			Algorithm:  sr.Algorithm,
 			AvgHops:    sr.RouteStats.AvgLinkHops,
 			RootFrac:   sr.RouteStats.RootFraction,
 			Throughput: sr.Throughput,

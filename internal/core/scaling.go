@@ -7,7 +7,6 @@ import (
 	"repro/internal/mcp"
 	"repro/internal/packet"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -29,34 +28,28 @@ type ScalingResult struct {
 	Rows []ScalingRow
 }
 
-// RunScaling sweeps network sizes. Every (size, algorithm) cell is an
-// independent sweep, so all of them dispatch through the runner at
-// once and the rows assemble from the ordered results.
+// RunScaling sweeps network sizes. Every (size, algorithm) sweep runs
+// in one batch of cells, and the rows assemble from the ordered
+// results.
 func RunScaling(sizes []int, seed int64, window units.Time) (ScalingResult, error) {
 	var res ScalingResult
-	type cell struct {
-		switches int
-		alg      *routing.UpDownEngine
-	}
-	var specs []cell
+	var cfgs []SweepConfig
 	for _, n := range sizes {
-		specs = append(specs,
-			cell{n, routing.UpDownRouting},
-			cell{n, routing.ITBRouting})
+		for _, alg := range []*routing.UpDownEngine{routing.UpDownRouting, routing.ITBRouting} {
+			cfg := DefaultSweepConfig(alg, n, seed)
+			cfg.Loads = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
+			cfg.Window = window
+			cfgs = append(cfgs, cfg)
+		}
 	}
-	sweeps, err := runner.Map(specs, func(c cell) (SweepResult, error) {
-		cfg := DefaultSweepConfig(c.alg, c.switches, seed)
-		cfg.Loads = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-		cfg.Window = window
-		return RunSweep(cfg)
-	})
+	sweeps, err := runSweeps(cfgs, nil, nil)
 	if err != nil {
 		return res, err
 	}
 	for i := 0; i < len(sweeps); i += 2 {
 		ud, itb := sweeps[i], sweeps[i+1]
 		row := ScalingRow{
-			Switches: specs[i].switches,
+			Switches: ud.Switches,
 			UD:       ud.Throughput,
 			ITB:      itb.Throughput,
 			UDHops:   ud.RouteStats.AvgLinkHops,
@@ -101,32 +94,26 @@ type PatternResult struct {
 func RunPatternStudy(switches int, seed int64, window units.Time) (PatternResult, error) {
 	res := PatternResult{Switches: switches}
 	patterns := []workload.Pattern{workload.Uniform, workload.HotSpot, workload.BitReversal, workload.Permutation}
-	type cell struct {
-		pattern workload.Pattern
-		alg     *routing.UpDownEngine
-	}
-	var specs []cell
+	var cfgs []SweepConfig
 	for _, p := range patterns {
-		specs = append(specs,
-			cell{p, routing.UpDownRouting},
-			cell{p, routing.ITBRouting})
-	}
-	sweeps, err := runner.Map(specs, func(c cell) (SweepResult, error) {
-		cfg := DefaultSweepConfig(c.alg, switches, seed)
-		cfg.Pattern = c.pattern
-		if c.pattern == workload.HotSpot {
-			cfg.HotFraction = 0.3
+		for _, alg := range []*routing.UpDownEngine{routing.UpDownRouting, routing.ITBRouting} {
+			cfg := DefaultSweepConfig(alg, switches, seed)
+			cfg.Pattern = p
+			if p == workload.HotSpot {
+				cfg.HotFraction = 0.3
+			}
+			cfg.Loads = []float64{0.2, 0.5, 0.8}
+			cfg.Window = window
+			cfgs = append(cfgs, cfg)
 		}
-		cfg.Loads = []float64{0.2, 0.5, 0.8}
-		cfg.Window = window
-		return RunSweep(cfg)
-	})
+	}
+	sweeps, err := runSweeps(cfgs, nil, nil)
 	if err != nil {
 		return res, err
 	}
 	for i := 0; i < len(sweeps); i += 2 {
 		row := PatternRow{
-			Pattern: specs[i].pattern,
+			Pattern: cfgs[i].Pattern,
 			UD:      sweeps[i].Throughput,
 			ITB:     sweeps[i+1].Throughput,
 		}
@@ -164,24 +151,13 @@ type ChunkResult struct {
 // testbed across SDMA chunk sizes.
 func RunChunkAblation(size int, chunks []int, iterations int) (ChunkResult, error) {
 	res := ChunkResult{Size: size}
-	rows, err := runner.Map(chunks, func(cb int) (ChunkRow, error) {
+	rows, err := runCells(chunks, runObs{}, nil, func(cb int, _ runObs) (ChunkRow, error) {
 		topo, nodes := topology.Testbed()
 		cfg := DefaultConfig(topo, routing.UpDownRouting, mcp.ITB)
 		cfg.MCP.SendChunkBytes = cb
 		cl, err := NewCluster(cfg)
 		if err != nil {
 			return ChunkRow{}, err
-		}
-		var sum units.Time
-		done := 0
-		var start units.Time
-		var kick func()
-		cl.Host(nodes.Host2).OnMessage = func(_ topology.NodeID, _ []byte, t units.Time) {
-			sum += t - start
-			done++
-			if done < iterations {
-				kick()
-			}
 		}
 		route, ok := cl.Table.Lookup(nodes.Host1, nodes.Host2)
 		if !ok {
@@ -191,22 +167,36 @@ func RunChunkAblation(size int, chunks []int, iterations int) (ChunkResult, erro
 		if err != nil {
 			return ChunkRow{}, err
 		}
-		kick = func() {
-			start = cl.Eng.Now()
-			cl.Host(nodes.Host1).SendVia(nodes.Host2, make([]byte, size), hdr, packet.TypeGM)
-		}
-		kick()
-		cl.Eng.Run()
-		if done != iterations {
-			return ChunkRow{}, fmt.Errorf("core: chunk run finished %d of %d", done, iterations)
-		}
-		return ChunkRow{ChunkBytes: cb, Latency: sum / units.Time(iterations)}, nil
+		lat, err := oneWayLatency(cl, nodes.Host1, nodes.Host2, hdr, packet.TypeGM, size, iterations)
+		return ChunkRow{ChunkBytes: cb, Latency: lat}, err
 	})
-	if err != nil {
-		return res, err
-	}
 	res.Rows = rows
-	return res, nil
+	return res, err
+}
+
+// oneWayLatency sends iterations size-byte messages from src to dst
+// over the wire route, each as soon as the previous one arrives, and
+// returns the mean one-way latency.
+func oneWayLatency(cl *Cluster, src, dst topology.NodeID, route []byte, typ packet.Type, size, iterations int) (units.Time, error) {
+	var sum, start units.Time
+	done := 0
+	kick := func() {
+		start = cl.Eng.Now()
+		cl.Host(src).SendVia(dst, make([]byte, size), route, typ)
+	}
+	cl.Host(dst).OnMessage = func(_ topology.NodeID, _ []byte, t units.Time) {
+		sum += t - start
+		done++
+		if done < iterations {
+			kick()
+		}
+	}
+	kick()
+	cl.Eng.Run()
+	if done != iterations {
+		return 0, fmt.Errorf("core: one-way run finished %d of %d iterations", done, iterations)
+	}
+	return sum / units.Time(iterations), nil
 }
 
 // WriteTable renders the ablation.

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/units"
 )
 
@@ -30,29 +29,27 @@ type SchemesResult struct {
 // RunSchemes evaluates the 2x2 of {BFS, DFS} x {UD, ITB}.
 func RunSchemes(switches int, seed int64, window units.Time) (SchemesResult, error) {
 	res := SchemesResult{Switches: switches}
-	var specs []*routing.UpDownEngine
+	var cfgs []SweepConfig
 	for _, dfs := range []bool{false, true} {
 		for _, itb := range []bool{false, true} {
-			specs = append(specs, &routing.UpDownEngine{ITB: itb, DFS: dfs})
+			cfg := DefaultSweepConfig(&routing.UpDownEngine{ITB: itb, DFS: dfs}, switches, seed)
+			cfg.Loads = []float64{0.2, 0.5, 0.8}
+			cfg.Window = window
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	sweeps, err := runner.Map(specs, func(alg *routing.UpDownEngine) (SweepResult, error) {
-		cfg := DefaultSweepConfig(alg, switches, seed)
-		cfg.Loads = []float64{0.2, 0.5, 0.8}
-		cfg.Window = window
-		return RunSweep(cfg)
-	})
+	sweeps, err := runSweeps(cfgs, nil, nil)
 	if err != nil {
 		return res, err
 	}
-	for i, sr := range sweeps {
+	for _, sr := range sweeps {
 		orient := "BFS"
-		if specs[i].DFS {
+		if sr.Algorithm.DFS {
 			orient = "DFS"
 		}
 		res.Rows = append(res.Rows, SchemeRow{
 			Orientation: orient,
-			Algorithm:   specs[i],
+			Algorithm:   sr.Algorithm,
 			AvgHops:     sr.RouteStats.AvgLinkHops,
 			Throughput:  sr.Throughput,
 		})

@@ -165,7 +165,7 @@ func TestBufPoolDropRateFallsWithPoolSize(t *testing.T) {
 }
 
 func TestITBCountLinearGrowth(t *testing.T) {
-	res, err := RunITBCount(3, 64, 10)
+	res, err := RunITBCount(3, 64, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +190,13 @@ func TestITBCountLinearGrowth(t *testing.T) {
 }
 
 func TestITBCountErrors(t *testing.T) {
-	if _, err := RunITBCount(0, 64, 10); err == nil {
+	if _, err := RunITBCount(0, 64, 10, nil); err == nil {
 		t.Error("zero maxITBs accepted")
 	}
 }
 
 func TestAblations(t *testing.T) {
-	res, err := RunAblations([]int{2048}, 10)
+	res, err := RunAblations([]int{2048}, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/gm"
 	"repro/internal/metrics"
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -160,76 +158,97 @@ func (p poissonSource) start(cl *Cluster, hosts []topology.NodeID, send func(hos
 	return nil
 }
 
-// loadPointSpec is one runner spec of a sweep: the offered load plus
-// the topology in serialized (topology.Write) form, so every worker
-// deserializes its own private copy and shares no structure with its
-// siblings.
-type loadPointSpec struct {
-	load     float64
-	topoText []byte
-}
-
-// loadPointOutcome is what one load-point run returns through the
-// runner.
-type loadPointOutcome struct {
-	point LoadPoint
-	rs    routing.Analysis
-	obs   runObs
-}
-
 // RunSweep executes the sweep: one fresh cluster per load point, so
 // points are independent and reproducible. The points dispatch
 // through the parallel runner; results merge in Loads order, so the
 // curve is byte-identical at any worker count.
 func RunSweep(cfg SweepConfig) (SweepResult, error) {
-	if cfg.Algorithm == nil {
-		return SweepResult{}, fmt.Errorf("core: sweep needs a routing algorithm")
+	res, err := runSweeps([]SweepConfig{cfg}, cfg.Metrics, []string{""})
+	if err != nil {
+		return SweepResult{}, err
 	}
-	if cfg.MessageSize < 8 || cfg.Window <= 0 {
-		return SweepResult{}, fmt.Errorf("core: sweep needs a message size of at least 8 bytes and a positive window")
-	}
-	for _, load := range cfg.Loads {
-		if err := workload.CheckLoad(load); err != nil {
-			return SweepResult{}, fmt.Errorf("core: sweep: %w", err)
+	return res[0], nil
+}
+
+// sweepCell is load point k of sweep j of a batch: the sweep's
+// configuration, the offered load, and the topology in serialized
+// form, so every worker reads its own private copy and shares no
+// structure with its siblings.
+type sweepCell struct {
+	j, k     int
+	cfg      SweepConfig
+	load     float64
+	topoText []byte
+}
+
+// sweepPoint is what one load-point run measures.
+type sweepPoint struct {
+	point LoadPoint
+	rs    routing.Analysis
+}
+
+// runSweeps runs every load point of every sweep as one batch of
+// cells, so a grid of sweeps fills the worker pool at once. Point k of
+// sweep j merges its metrics into reg as labels[j]+"point<k>."; each
+// cfg's own Metrics is ignored.
+func runSweeps(cfgs []SweepConfig, reg *metrics.Registry, labels []string) ([]SweepResult, error) {
+	var cells []sweepCell
+	texts := map[[2]int64][]byte{} // by (switches, seed)
+	for j, cfg := range cfgs {
+		if cfg.Algorithm == nil {
+			return nil, fmt.Errorf("core: sweep needs a routing algorithm")
+		}
+		if cfg.MessageSize < 8 || cfg.Window <= 0 {
+			return nil, fmt.Errorf("core: sweep needs a message size of at least 8 bytes and a positive window")
+		}
+		for _, load := range cfg.Loads {
+			if err := workload.CheckLoad(load); err != nil {
+				return nil, fmt.Errorf("core: sweep: %w", err)
+			}
+		}
+		key := [2]int64{int64(cfg.Switches), cfg.Seed}
+		if texts[key] == nil {
+			text, err := irregularText(cfg.Switches, cfg.Seed)
+			if err != nil {
+				return nil, err
+			}
+			texts[key] = text
+		}
+		text := texts[key]
+		for k, load := range cfg.Loads {
+			cells = append(cells, sweepCell{j: j, k: k, cfg: cfg, load: load, topoText: text})
 		}
 	}
-	res := SweepResult{Algorithm: cfg.Algorithm, Switches: cfg.Switches}
-	topo, err := topology.Generate(topology.DefaultGenConfig(cfg.Switches, cfg.Seed))
+	points, err := runCells(cells, runObs{reg: reg}, func(i int, _ sweepPoint) string {
+		return fmt.Sprintf("%spoint%02d.", labels[cells[i].j], cells[i].k)
+	}, runLoadPoint)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	var topoText bytes.Buffer
-	if err := topology.Write(&topoText, topo); err != nil {
-		return res, err
+	res := make([]SweepResult, len(cfgs))
+	for j, cfg := range cfgs {
+		res[j] = SweepResult{Algorithm: cfg.Algorithm, Switches: cfg.Switches}
 	}
-	specs := make([]loadPointSpec, len(cfg.Loads))
-	for i, load := range cfg.Loads {
-		specs[i] = loadPointSpec{load: load, topoText: topoText.Bytes()}
+	for i, p := range points {
+		r := &res[cells[i].j]
+		r.Points = append(r.Points, p.point)
+		r.RouteStats = p.rs
 	}
-	outcomes, err := runner.Map(specs, func(s loadPointSpec) (loadPointOutcome, error) {
-		return runLoadPoint(cfg, s)
-	})
-	if err != nil {
-		return res, err
+	for j := range res {
+		var pts []stats.Point
+		for _, p := range res[j].Points {
+			pts = append(pts, stats.Point{X: p.Offered, Y: p.Accepted})
+		}
+		res[j].Throughput = stats.MaxY(pts).Y
 	}
-	for i, o := range outcomes {
-		res.Points = append(res.Points, o.point)
-		res.RouteStats = o.rs
-		o.obs.mergeInto(fmt.Sprintf("point%02d.", i), cfg.Metrics, nil)
-	}
-	var pts []stats.Point
-	for _, p := range res.Points {
-		pts = append(pts, stats.Point{X: p.Offered, Y: p.Accepted})
-	}
-	res.Throughput = stats.MaxY(pts).Y
 	return res, nil
 }
 
-func runLoadPoint(cfg SweepConfig, spec loadPointSpec) (loadPointOutcome, error) {
-	load := spec.load
-	topo, err := topology.Read(bytes.NewReader(spec.topoText))
+func runLoadPoint(c sweepCell, obs runObs) (sweepPoint, error) {
+	cfg, load := c.cfg, c.load
+	topo, err := readTopo(c.topoText)
 	if err != nil {
-		return loadPointOutcome{}, err
+		return sweepPoint{}, err
 	}
 	ccfg := DefaultConfig(topo, cfg.Algorithm, variantFor(cfg.Algorithm))
 	// Raw-network measurement: no acks. Loaded networks need the
@@ -245,11 +264,10 @@ func runLoadPoint(cfg SweepConfig, spec loadPointSpec) (loadPointOutcome, error)
 	ccfg.MCP.BufferPool = true
 	ccfg.MCP.RecvBuffers = 64
 	ccfg.Fabric.ProgressiveRelease = cfg.ProgressiveRelease
-	obs := newRunObs(cfg.Metrics != nil, false)
 	obs.install(&ccfg)
 	cl, err := NewCluster(ccfg)
 	if err != nil {
-		return loadPointOutcome{}, err
+		return sweepPoint{}, err
 	}
 	endAt := cfg.Warmup + cfg.Window
 	hosts := topo.Hosts()
@@ -286,7 +304,7 @@ func runLoadPoint(cfg SweepConfig, spec loadPointSpec) (loadPointOutcome, error)
 		}
 	})
 	if err != nil {
-		return loadPointOutcome{}, err
+		return sweepPoint{}, err
 	}
 	// Run to the window end plus a drain margin for messages sent
 	// near the edge, then stop (saturated backlogs need not drain).
@@ -302,7 +320,7 @@ func runLoadPoint(cfg SweepConfig, spec loadPointSpec) (loadPointOutcome, error)
 	}
 	point.Latencies = &lat
 	obs.finish(cl)
-	return loadPointOutcome{point: point, rs: routing.Analyze(topo, cl.UD, cl.Table), obs: obs}, nil
+	return sweepPoint{point: point, rs: routing.Analyze(topo, cl.UD, cl.Table)}, nil
 }
 
 // WriteTable renders the sweep.

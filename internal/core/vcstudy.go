@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -9,8 +8,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/routing"
-	"repro/internal/runner"
-	"repro/internal/topology"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -126,12 +123,6 @@ type vcCellSpec struct {
 	topoText []byte
 }
 
-// vcCellOut carries a cell's row and observability state.
-type vcCellOut struct {
-	row VCRow
-	obs runObs
-}
-
 // RunVCStudy executes the ablation through the parallel runner; rows
 // and metrics merge in grid order, so the study is byte-identical at
 // any worker count.
@@ -181,18 +172,12 @@ func RunVCStudy(cfg VCStudyConfig) (VCStudyResult, error) {
 			}
 		}
 	}
-	outs, err := runner.Map(specs, func(s vcCellSpec) (vcCellOut, error) {
-		return runVCCell(cfg, mix, s)
+	res.Rows, err = runCells(specs, runObs{reg: cfg.Metrics}, func(i int, _ VCRow) string {
+		return fmt.Sprintf("%s.%s.lanes%d.", specs[i].preset, specs[i].arm, specs[i].lanes)
+	}, func(s vcCellSpec, obs runObs) (VCRow, error) {
+		return runVCCell(cfg, mix, s, obs)
 	})
-	if err != nil {
-		return res, err
-	}
-	for i, out := range outs {
-		res.Rows = append(res.Rows, out.row)
-		prefix := fmt.Sprintf("%s.%s.lanes%d.", specs[i].preset, specs[i].arm, specs[i].lanes)
-		out.obs.mergeInto(prefix, cfg.Metrics, nil)
-	}
-	return res, nil
+	return res, err
 }
 
 // tableITBs sums the in-transit assignments over a route table.
@@ -209,22 +194,21 @@ func tableITBs(tbl *routing.Table) int {
 // The "itb" arm runs on a fabric that carries the extra lanes but
 // never selects them, which is exactly the comparison the ablation
 // wants. The certificate and the ITB count are taken before the run.
-func runVCCell(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec) (vcCellOut, error) {
-	topo, err := topology.Read(bytes.NewReader(s.topoText))
+func runVCCell(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec, obs runObs) (VCRow, error) {
+	topo, err := readTopo(s.topoText)
 	if err != nil {
-		return vcCellOut{}, err
+		return VCRow{}, err
 	}
-	obs := newRunObs(cfg.Metrics != nil, false)
 	eng, err := vcArmEngine(s.arm, s.lanes)
 	if err != nil {
-		return vcCellOut{}, err
+		return VCRow{}, err
 	}
 	cl, err := loadCluster(topo, eng, s.lanes, false, obs)
 	if err != nil {
-		return vcCellOut{}, err
+		return VCRow{}, err
 	}
 	if err := routing.CheckDeadlockFree(cl.Table.Routes()); err != nil {
-		return vcCellOut{}, fmt.Errorf("core: %s/%s/lanes%d failed deadlock certification: %w", s.preset, s.arm, s.lanes, err)
+		return VCRow{}, fmt.Errorf("core: %s/%s/lanes%d failed deadlock certification: %w", s.preset, s.arm, s.lanes, err)
 	}
 	row := VCRow{Preset: s.preset, Arm: s.arm, Lanes: s.lanes,
 		Hosts: len(topo.Hosts()), Offered: cfg.Load,
@@ -237,12 +221,12 @@ func runVCCell(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec) (vcCellOut
 		Seed:     cfg.Seed + 1,
 	}, cfg.Warmup, cfg.Window)
 	if err != nil {
-		return vcCellOut{}, err
+		return VCRow{}, err
 	}
 	row.Delivered, row.FlowsSent, row.FlowsDone = c.delivered, c.sent, c.done
 	row.P50, row.P99, _ = fctPercentiles(c.fct)
 	obs.finish(cl)
-	return vcCellOut{row: row, obs: obs}, nil
+	return row, nil
 }
 
 // WriteTable renders the ablation grouped by preset.
