@@ -239,25 +239,31 @@ func (h *Host) Table() *routing.Table { return h.tbl }
 func (h *Host) Epoch() uint32 { return h.epoch }
 
 // InstallTable is how the recovery protocol replaces the route table:
-// it installs an epoch-versioned table and reconciles every connection with it, in
-// peer order (deterministic):
+// it installs an epoch-versioned table and reconciles with it, in peer
+// order (deterministic), every connection that is dead or has packets
+// pending:
 //
 //   - A peer the new table routes to again after a dead verdict is
 //     resurrected: the verdict is lifted and the go-back-N stream
 //     restarts at sequence zero under a new incarnation (the epoch),
 //     so stale packets and acks from the old stream are recognisable
 //     and dropped rather than desynchronising the window.
-//   - A live peer keeps its stream, but accrued strikes and backoff
-//     are cleared (the new table may route around whatever caused
-//     them) and pending packets are re-stamped with the new route —
-//     the mapper rewriting the NIC's route SRAM rescues in-flight
-//     traffic whose old route died.
+//   - A live peer with packets pending keeps its stream, but accrued
+//     strikes and backoff are cleared (the new table may route around
+//     whatever caused them) and the pending packets are re-stamped
+//     with the new route — the mapper rewriting the NIC's route SRAM
+//     rescues in-flight traffic whose old route died.
 //   - A peer the new table cannot reach at all has its pending
 //     traffic failed immediately (graceful degradation instead of
 //     retransmitting into a void until the verdict).
 //
-// A raw host (Params.DisableAcks) keeps no conns and nothing pending,
-// so the install only swaps its table.
+// A live conn with nothing pending is left alone: its strikes and
+// timeout are already at rest (strikes accrue only while the window
+// holds packets, and the ack that empties it resets both), and its
+// next send reads its route from the new table. So the install looks
+// up only the busy and dead peers, which on a lazily rebuilt table is
+// all it resolves. A raw host (Params.DisableAcks) keeps no conns and
+// nothing pending, so the install only swaps its table.
 func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 	if epoch < h.epoch {
 		// Staggered installs from overlapping publishes can arrive out
@@ -269,13 +275,13 @@ func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 		h.epoch = epoch
 	}
 	for _, c := range h.conns {
-		if c == nil {
+		if c == nil || (!c.dead && len(c.inflight) == 0 && c.backlog.Len() == 0) {
 			continue
 		}
 		r, ok := tbl.Lookup(h.node, c.peer)
 		switch {
 		case !ok:
-			if !c.dead && (len(c.inflight) > 0 || c.backlog.Len() > 0) {
+			if !c.dead {
 				c.declareDead()
 			}
 		case c.dead:

@@ -159,9 +159,6 @@ type Gossip struct {
 	spreadTx   int // dissemination budget per update (≈ 3·log₂N)
 	started    bool
 	routeCache map[int64][]byte // (from<<32|to) -> encoded header; nil entry = unreachable
-	tableCache map[string]*cachedTable
-	keyBuf     []byte // deadKey's reusable buffer
-	deadBuf    []int  // installTable's reusable dead-set buffer
 	stats      Stats
 }
 
@@ -196,7 +193,6 @@ func NewGossip(cfg Config, tgt Target) (*Gossip, error) {
 		idxOf:      make(map[topology.NodeID]int, len(tgt.Hosts)),
 		glob:       make([]globView, len(tgt.Hosts)),
 		routeCache: make(map[int64][]byte),
-		tableCache: make(map[string]*cachedTable),
 	}
 	g.suspectVotes = make([]int, len(tgt.Hosts))
 	g.deadVotes = make([]int, len(tgt.Hosts))
@@ -388,86 +384,6 @@ func (g *Gossip) route(from, to int) []byte {
 	}
 	g.routeCache[key] = hdr
 	return hdr
-}
-
-// deadKey renders a sorted dead-index set into the reusable key
-// buffer as a bitset over host indexes (index i is bit i%8 of byte
-// i/8), ending at the byte of the highest index. Installs hit tableFor
-// once per epoch per agent, so the key must be cheap. Lookups compile
-// to alloc-free map probes via the string(...) conversion at the call
-// sites; only a cache insert pays for a copy.
-func (g *Gossip) deadKey(dead []int) []byte {
-	b := g.keyBuf[:0]
-	if len(dead) > 0 {
-		b = append(b, make([]byte, dead[len(dead)-1]/8+1)...)
-		for _, d := range dead {
-			b[d/8] |= 1 << (d % 8)
-		}
-	}
-	g.keyBuf = b
-	return b
-}
-
-// cachedTable is one rebuilt table and the dead host indexes it
-// avoids. The entry owns dead, so a delayed install can read it after
-// the caller's buffer has been reused.
-type cachedTable struct {
-	tbl  *routing.Table
-	dead []int
-}
-
-// tableFor returns the rebuilt table avoiding the given dead host
-// indexes, cached per avoid set — agents converging on the same dead
-// set share one table.
-//
-// The rebuild is seeded from the closest cached ancestor rather than
-// the base table: local dead sets grow one confirm at a time, so a
-// leave-one-out subset is usually cached and its routes already
-// avoid every other member of the set. The subsets are probed highest
-// index dropped first. Only the newest dead host's damage is
-// re-searched, which is what keeps peer-to-peer installs (every agent
-// rebuilding around its own view, in its own order) affordable at
-// large host counts.
-func (g *Gossip) tableFor(dead []int) *cachedTable {
-	key := g.deadKey(dead)
-	if ct, ok := g.tableCache[string(key)]; ok {
-		return ct
-	}
-	prev := g.base
-	if len(dead) > 1 {
-		for skip := len(dead) - 1; skip >= 0; skip-- {
-			d := dead[skip]
-			key[d/8] &^= 1 << (d % 8)
-			// Dropping the highest index may empty the last byte.
-			sub := key
-			for sub[len(sub)-1] == 0 {
-				sub = sub[:len(sub)-1]
-			}
-			ct, ok := g.tableCache[string(sub)]
-			key[d/8] |= 1 << (d % 8)
-			if ok {
-				prev = ct.tbl
-				break
-			}
-		}
-	}
-	var avoid *routing.Avoid
-	if len(dead) > 0 {
-		avoid = routing.AvoidLinks()
-		for _, i := range dead {
-			avoid.AddHost(g.hosts[i].Node())
-		}
-	}
-	// Lazy: an install only allocates the table, and only the pairs
-	// traffic actually uses pay validation/search. Eager all-pairs
-	// rebuilds per distinct local dead set are what made per-agent
-	// installs the scale bottleneck.
-	ct := &cachedTable{
-		tbl:  routing.RebuildAvoidingLazy(prev, g.topo, g.engine, avoid, &g.stats.RoutesReused),
-		dead: slices.Clone(dead),
-	}
-	g.tableCache[string(key)] = ct
-	return ct
 }
 
 // ---------------------------------------------------------------
@@ -822,34 +738,44 @@ func (a *agent) confirmDead(t int) {
 }
 
 // installTable rebuilds this agent's route table around its local
-// dead set and installs it on its own host under a fresh epoch.
+// dead set and installs it on its own host under a fresh epoch. The
+// rebuild is seeded from the base table, never from an earlier
+// install: the table depends on the dead set alone, not on the order
+// it was confirmed in, and it references only the base, so it lives
+// only while pending or installed. It is lazy: an install allocates
+// the table, and only the pairs the host actually uses pay validation
+// or search.
 func (a *agent) installTable() {
 	g := a.g
-	dead := g.deadBuf[:0]
+	var dead []int
+	var avoid *routing.Avoid
 	for i := range a.members {
 		if i != a.idx && a.members[i].state == packet.GossipDead {
+			if avoid == nil {
+				avoid = routing.AvoidLinks()
+			}
+			avoid.AddHost(g.hosts[i].Node())
 			dead = append(dead, i)
 		}
 	}
-	g.deadBuf = dead
-	ct := g.tableFor(dead)
+	tbl := routing.RebuildAvoidingLazy(g.base, g.topo, g.engine, avoid, &g.stats.RoutesReused)
 	g.epoch++
 	epoch := g.epoch
 	g.stats.EpochsPublished++
 	if g.tracer != nil {
-		g.emit(trace.EpochPublish, a.node, fmt.Sprintf("epoch=%d gossip dead=%d", epoch, len(ct.dead)))
+		g.emit(trace.EpochPublish, a.node, fmt.Sprintf("epoch=%d gossip dead=%d", epoch, len(dead)))
 	}
 	host := a.host
 	g.eng.Schedule(g.cfg.InstallDelay, func() {
 		if host.Epoch() > epoch {
 			return // a newer local install already landed
 		}
-		host.InstallTable(ct.tbl, epoch)
+		host.InstallTable(tbl, epoch)
 		host.MCP().SetEpoch(epoch)
 		if g.tracer != nil {
 			g.emit(trace.EpochInstall, host.Node(), fmt.Sprintf("epoch=%d", epoch))
 		}
-		g.noteInstall(a.idx, ct.dead)
+		g.noteInstall(a.idx, dead)
 	})
 }
 
