@@ -1,6 +1,6 @@
 // Command itbsim runs the paper's experiments and prints their tables.
 // The experiments are the entries of core.Studies, run in table order
-// by -exp all.
+// by -exp all; the throughput and latload studies share one sweep run.
 //
 // Usage:
 //
@@ -66,8 +66,9 @@ import (
 )
 
 func main() {
+	all := core.Studies()
 	var names, csvNames []string
-	for _, s := range core.Studies {
+	for _, s := range all {
 		names = append(names, s.Name)
 		if s.CSV {
 			csvNames = append(csvNames, s.Name)
@@ -143,7 +144,7 @@ func main() {
 	}
 
 	var studies []core.Study
-	for _, s := range core.Studies {
+	for _, s := range all {
 		if *exp == "all" || *exp == s.Name {
 			studies = append(studies, s)
 		}

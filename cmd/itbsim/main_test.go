@@ -83,7 +83,7 @@ func TestCSVWithoutCSVFormRejected(t *testing.T) {
 	if !strings.Contains(text, "throughput: no CSV form") {
 		t.Errorf("error does not name the study:\n%s", text)
 	}
-	for _, s := range core.Studies {
+	for _, s := range core.Studies() {
 		if s.CSV && !strings.Contains(text, s.Name) {
 			t.Errorf("error does not list CSV study %q:\n%s", s.Name, text)
 		}

@@ -76,108 +76,127 @@ func study[R Report](name string, run func(Params) (R, error)) Study {
 	}}
 }
 
-// Studies are the itbsim experiments in `-exp all` order.
-var Studies = []Study{
-	study("fig7", func(p Params) (Fig7Result, error) {
-		cfg := DefaultFig7Config()
-		cfg.Iterations, cfg.Metrics, cfg.Trace = p.Iters, p.Metrics, p.Trace
-		return RunFig7(cfg)
-	}),
-	study("fig8", func(p Params) (Fig8Result, error) {
-		cfg := DefaultFig8Config()
-		cfg.Iterations, cfg.Metrics, cfg.Trace = p.Iters, p.Metrics, p.Trace
-		return RunFig8(cfg)
-	}),
-	study("costs", func(Params) (CostReport, error) { return RunCostReport() }),
-	study("throughput", runSweepPair),
-	study("latload", func(p Params) (LatencyReport, error) {
-		r, err := runSweepPair(p)
-		return LatencyReport(r), err
-	}),
-	study("bufpool", func(Params) (BufPoolResult, error) { return RunBufPool(DefaultBufPoolConfig()) }),
-	study("itbcount", func(p Params) (ITBCountResult, error) { return RunITBCount(4, 64, 30, p.Metrics) }),
-	study("ablation", func(p Params) (AblationResult, error) {
-		return RunAblations([]int{64, 1024, 4096}, 20, p.Metrics)
-	}),
-	study("scaling", func(p Params) (ScalingResult, error) { return RunScaling([]int{8, 16, 32}, p.Seed, p.Window) }),
-	study("patterns", func(p Params) (PatternResult, error) { return RunPatternStudy(p.Switches, p.Seed, p.Window) }),
-	study("trace", func(p Params) (TraceDemo, error) {
-		d, err := RunTraceDemo()
-		if err == nil && p.Trace != nil {
-			for _, e := range d.Events() {
-				p.Trace.Record(e)
+// Studies returns the itbsim experiments in `-exp all` order. The
+// throughput and latload studies are two readings of one sweep pair:
+// the returned table runs the pair once per Params and renders both
+// reports from that run, so `-exp all` neither simulates it twice nor
+// merges its metrics twice.
+func Studies() []Study {
+	var pair struct {
+		p   Params
+		ok  bool
+		r   ThroughputReport
+		err error
+	}
+	sweepPair := func(p Params) (ThroughputReport, error) {
+		if !pair.ok || pair.p != p {
+			pair.p, pair.ok = p, true
+			pair.r, pair.err = runSweepPair(p)
+		}
+		return pair.r, pair.err
+	}
+	return []Study{
+		study("fig7", func(p Params) (Fig7Result, error) {
+			cfg := DefaultFig7Config()
+			cfg.Iterations, cfg.Metrics, cfg.Trace = p.Iters, p.Metrics, p.Trace
+			return RunFig7(cfg)
+		}),
+		study("fig8", func(p Params) (Fig8Result, error) {
+			cfg := DefaultFig8Config()
+			cfg.Iterations, cfg.Metrics, cfg.Trace = p.Iters, p.Metrics, p.Trace
+			return RunFig8(cfg)
+		}),
+		study("costs", func(Params) (CostReport, error) { return RunCostReport() }),
+		study("throughput", sweepPair),
+		study("latload", func(p Params) (LatencyReport, error) {
+			r, err := sweepPair(p)
+			return LatencyReport(r), err
+		}),
+		study("bufpool", func(Params) (BufPoolResult, error) { return RunBufPool(DefaultBufPoolConfig()) }),
+		study("itbcount", func(p Params) (ITBCountResult, error) { return RunITBCount(4, 64, 30, p.Metrics) }),
+		study("ablation", func(p Params) (AblationResult, error) {
+			return RunAblations([]int{64, 1024, 4096}, 20, p.Metrics)
+		}),
+		study("scaling", func(p Params) (ScalingResult, error) { return RunScaling([]int{8, 16, 32}, p.Seed, p.Window) }),
+		study("patterns", func(p Params) (PatternResult, error) { return RunPatternStudy(p.Switches, p.Seed, p.Window) }),
+		study("trace", func(p Params) (TraceDemo, error) {
+			d, err := RunTraceDemo()
+			if err == nil && p.Trace != nil {
+				for _, e := range d.Events() {
+					p.Trace.Record(e)
+				}
 			}
-		}
-		return d, err
-	}),
-	study("fidelity", func(p Params) (FidelityResult, error) { return RunModelFidelity(p.Switches, p.Seed, p.Window) }),
-	study("schemes", func(p Params) (SchemesResult, error) { return RunSchemes(p.Switches, p.Seed, p.Window) }),
-	study("app", func(p Params) (AppStudyResult, error) {
-		cfg := DefaultAppStudyConfig()
-		cfg.Switches, cfg.Seed = p.Switches, p.Seed
-		return RunAppStudy(cfg)
-	}),
-	study("roots", func(p Params) (RootStudyResult, error) { return RunRootStudy(p.Switches, p.Seed, p.Window) }),
-	study("chunks", func(Params) (ChunkResult, error) {
-		return RunChunkAblation(8192, []int{0, 32, 64, 256, 1024, 4096}, 20)
-	}),
-	study("faults", func(p Params) (FaultReport, error) {
-		cfg := DefaultFaultStudyConfig(routing.ITBRouting, p.Switches, p.Seed)
-		cfg.Metrics, cfg.Detector = p.Metrics, p.Detector
-		return RunFaultStudy(cfg)
-	}),
-	study("engines", func(p Params) (EngineStudyResult, error) {
-		cfg := DefaultEngineStudyConfig(p.Seed)
-		cfg.Metrics = p.Metrics
-		cfg.Engines = pick(cfg.Engines, p.Engine)
-		if p.Hosts > 0 {
-			cfg.Sizes = []int{p.Hosts}
-		}
-		if p.TopoFile != "" {
-			text, err := os.ReadFile(p.TopoFile)
+			return d, err
+		}),
+		study("fidelity", func(p Params) (FidelityResult, error) { return RunModelFidelity(p.Switches, p.Seed, p.Window) }),
+		study("schemes", func(p Params) (SchemesResult, error) { return RunSchemes(p.Switches, p.Seed, p.Window) }),
+		study("app", func(p Params) (AppStudyResult, error) {
+			cfg := DefaultAppStudyConfig()
+			cfg.Switches, cfg.Seed = p.Switches, p.Seed
+			return RunAppStudy(cfg)
+		}),
+		study("roots", func(p Params) (RootStudyResult, error) { return RunRootStudy(p.Switches, p.Seed, p.Window) }),
+		study("chunks", func(Params) (ChunkResult, error) {
+			return RunChunkAblation(8192, []int{0, 32, 64, 256, 1024, 4096}, 20)
+		}),
+		study("faults", func(p Params) (FaultReport, error) {
+			cfg := DefaultFaultStudyConfig(routing.ITBRouting, p.Switches, p.Seed)
+			cfg.Metrics, cfg.Detector = p.Metrics, p.Detector
+			return RunFaultStudy(cfg)
+		}),
+		study("engines", func(p Params) (EngineStudyResult, error) {
+			cfg := DefaultEngineStudyConfig(p.Seed)
+			cfg.Metrics = p.Metrics
+			cfg.Engines = pick(cfg.Engines, p.Engine)
+			if p.Hosts > 0 {
+				cfg.Sizes = []int{p.Hosts}
+			}
+			if p.TopoFile != "" {
+				text, err := os.ReadFile(p.TopoFile)
+				if err != nil {
+					return EngineStudyResult{}, err
+				}
+				cfg.TopoText, cfg.TopoLabel = string(text), filepath.Base(p.TopoFile)
+			}
+			res, err := RunEngineStudy(cfg)
 			if err != nil {
-				return EngineStudyResult{}, err
+				// An engine refusing a topology (disconnected, no switches,
+				// uncabled hosts) lists the registered engines, so the caller
+				// can tell a bad engine choice from a bad topology.
+				return res, fmt.Errorf("%w\nvalid engines:\n%s", err, routing.EngineList())
 			}
-			cfg.TopoText, cfg.TopoLabel = string(text), filepath.Base(p.TopoFile)
-		}
-		res, err := RunEngineStudy(cfg)
-		if err != nil {
-			// An engine refusing a topology (disconnected, no switches,
-			// uncabled hosts) lists the registered engines, so the caller
-			// can tell a bad engine choice from a bad topology.
-			return res, fmt.Errorf("%w\nvalid engines:\n%s", err, routing.EngineList())
-		}
-		return res, nil
-	}),
-	study("recovery", func(p Params) (RecoveryStudyResult, error) {
-		cfg := DefaultRecoveryStudyConfig(routing.ITBRouting, p.Switches, p.Seed)
-		cfg.Metrics, cfg.Detector = p.Metrics, p.Detector
-		// Grid-thinning knobs for scale runs: the nightly 1024-host
-		// churn grid samples single cells rather than the full cross
-		// product.
-		if p.Period > 0 {
-			cfg.Periods = []units.Time{p.Period}
-		}
-		if p.Churn > 0 {
-			cfg.ChurnEvents = []int{p.Churn}
-		}
-		if p.Campaigns > 0 {
-			cfg.CampaignsPerCell = p.Campaigns
-		}
-		return RunRecoveryStudy(cfg)
-	}),
-	study("load", func(p Params) (LoadStudyResult, error) {
-		cfg := DefaultLoadStudyConfig(p.Seed)
-		cfg.Metrics = p.Metrics
-		cfg.Engines = pick(cfg.Engines, p.Engine)
-		cfg.Patterns = pick(cfg.Patterns, p.Pattern)
-		return RunLoadStudy(cfg)
-	}),
-	study("vc", func(p Params) (VCStudyResult, error) {
-		cfg := DefaultVCStudyConfig(p.Seed)
-		cfg.Metrics = p.Metrics
-		return RunVCStudy(cfg)
-	}),
+			return res, nil
+		}),
+		study("recovery", func(p Params) (RecoveryStudyResult, error) {
+			cfg := DefaultRecoveryStudyConfig(routing.ITBRouting, p.Switches, p.Seed)
+			cfg.Metrics, cfg.Detector = p.Metrics, p.Detector
+			// Grid-thinning knobs for scale runs: the nightly 1024-host
+			// churn grid samples single cells rather than the full cross
+			// product.
+			if p.Period > 0 {
+				cfg.Periods = []units.Time{p.Period}
+			}
+			if p.Churn > 0 {
+				cfg.ChurnEvents = []int{p.Churn}
+			}
+			if p.Campaigns > 0 {
+				cfg.CampaignsPerCell = p.Campaigns
+			}
+			return RunRecoveryStudy(cfg)
+		}),
+		study("load", func(p Params) (LoadStudyResult, error) {
+			cfg := DefaultLoadStudyConfig(p.Seed)
+			cfg.Metrics = p.Metrics
+			cfg.Engines = pick(cfg.Engines, p.Engine)
+			cfg.Patterns = pick(cfg.Patterns, p.Pattern)
+			return RunLoadStudy(cfg)
+		}),
+		study("vc", func(p Params) (VCStudyResult, error) {
+			cfg := DefaultVCStudyConfig(p.Seed)
+			cfg.Metrics = p.Metrics
+			return RunVCStudy(cfg)
+		}),
+	}
 }
 
 // pick narrows a default list to the one name asked for; "" and "all"
