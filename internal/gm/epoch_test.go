@@ -1,10 +1,14 @@
 package gm
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/mcp"
 	"repro/internal/packet"
+	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -259,5 +263,133 @@ func TestInstallTableRestampsPendingRoutes(t *testing.T) {
 	r.eng.Run()
 	if !delivered {
 		t.Error("re-stamped packet never delivered")
+	}
+}
+
+// TestInstallReconcilesOnlyBusyAndDeadConns pins what an install
+// touches. On a lazily rebuilt table it resolves the routes of the
+// busy and the dead peer alone: the busy conn's pending packet is
+// re-stamped and the dead conn is resurrected, while an idle conn is
+// left alone and sends its next message on the new table's route and
+// epoch.
+func TestInstallReconcilesOnlyBusyAndDeadConns(t *testing.T) {
+	eng := sim.NewEngine()
+	topo := topology.Ring(3, 2)
+	net := fabric.New(eng, topo, fabric.DefaultParams())
+	base, err := routing.ITBRouting.BuildTable(topo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := DefaultParams()
+	par.AckTimeout = 50 * units.Microsecond
+	par.DeadPeerTimeouts = 3
+	ids := topo.Hosts()
+	hosts := map[topology.NodeID]*Host{}
+	for _, n := range ids {
+		hosts[n] = NewHost(eng, mcp.New(net, n, mcp.DefaultConfig(mcp.ITB)), base, par)
+	}
+	// Ring cables two hosts to each switch in turn: ids[1] shares the
+	// source's switch, ids[2] and ids[3] sit one switch away and
+	// ids[4] and ids[5] on the third.
+	src := hosts[ids[0]]
+	busy, dead, idle, far := ids[1], ids[2], ids[3:], ids[5]
+
+	// The new table avoids the switch link the route to far crosses,
+	// so far's new route differs from its base route, while the busy
+	// and dead peers' base routes survive and are adopted.
+	crosses := func(dst topology.NodeID, link int) bool {
+		r, ok := base.Lookup(src.Node(), dst)
+		if !ok {
+			t.Fatalf("base table has no route %d->%d", src.Node(), dst)
+		}
+		for _, tr := range r.LinkPath() {
+			if tr.Link.ID == link {
+				return true
+			}
+		}
+		return false
+	}
+	cut := -1
+	r, _ := base.Lookup(src.Node(), far)
+	for _, tr := range r.LinkPath() {
+		if topo.Node(tr.From).Kind == topology.KindSwitch && topo.Node(tr.To()).Kind == topology.KindSwitch {
+			cut = tr.Link.ID
+			break
+		}
+	}
+	if cut < 0 || crosses(busy, cut) || crosses(dead, cut) {
+		t.Fatalf("ring routes not as assumed: cut link %d", cut)
+	}
+
+	// Idle conns: one acknowledged exchange each.
+	for _, p := range idle {
+		if err := src.Send(p, pattern(64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+	// The dead conn: a message into a stalled NIC draws the verdict.
+	hosts[dead].MCP().SetStalled(true)
+	if err := src.Send(dead, pattern(64)); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	hosts[dead].MCP().SetStalled(false)
+	if !src.PeerDead(dead) {
+		t.Fatal("no dead-peer verdict for the stalled peer")
+	}
+	// The busy conn: one message in the window, short of a timeout.
+	hosts[busy].MCP().SetStalled(true)
+	acked := false
+	if err := src.SendTracked(busy, pattern(64), func() { acked = true }, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(par.AckTimeout / 2)
+	if c := src.conns[busy]; len(c.inflight) != 1 {
+		t.Fatalf("busy conn holds %d packets in its window, want 1", len(c.inflight))
+	}
+
+	var reused uint64
+	tbl := routing.RebuildAvoidingLazy(base, topo, routing.ITBRouting, routing.AvoidLinks(cut), &reused)
+	rerouted := src.Stats().PacketsRerouted
+	src.InstallTable(tbl, 1)
+
+	if reused != 2 {
+		t.Errorf("install resolved %d routes, want 2 (the busy and the dead peer)", reused)
+	}
+	busyRoute, _ := tbl.Lookup(src.Node(), busy)
+	busyHdr, _ := busyRoute.EncodeHeader()
+	if p := src.conns[busy].inflight[0].pkt; p.Epoch != 1 || !bytes.Equal(p.Route, busyHdr) {
+		t.Errorf("busy conn's pending packet: epoch %d route %x, want epoch 1 route %x", p.Epoch, p.Route, busyHdr)
+	}
+	if got := src.Stats().PacketsRerouted - rerouted; got != 1 {
+		t.Errorf("install re-stamped %d packets, want 1", got)
+	}
+	if src.PeerDead(dead) || src.Stats().ConnsResurrected != 1 {
+		t.Errorf("dead conn not resurrected: PeerDead %v, ConnsResurrected %d", src.PeerDead(dead), src.Stats().ConnsResurrected)
+	}
+
+	// The idle conn reads the new table at its next send.
+	oldRoute, _ := base.Lookup(src.Node(), far)
+	oldHdr, _ := oldRoute.EncodeHeader()
+	if err := src.Send(far, pattern(64)); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(par.HostSendOverhead)
+	newRoute, _ := tbl.Lookup(src.Node(), far)
+	newHdr, _ := newRoute.EncodeHeader()
+	if bytes.Equal(newHdr, oldHdr) {
+		t.Fatalf("the new table routes %d->%d as the base does", src.Node(), far)
+	}
+	if c := src.conns[far]; len(c.inflight) != 1 || c.inflight[0].pkt.Epoch != 1 || !bytes.Equal(c.inflight[0].pkt.Route, newHdr) {
+		t.Errorf("idle conn's next send does not carry the new table's route and epoch")
+	}
+
+	hosts[busy].MCP().SetStalled(false)
+	var got int
+	hosts[far].OnMessage = func(topology.NodeID, []byte, units.Time) { got++ }
+	eng.Run()
+	if !acked || got != 1 {
+		t.Errorf("after the install: busy message acked %v, far peer got %d messages, want true and 1", acked, got)
 	}
 }

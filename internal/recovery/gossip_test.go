@@ -29,8 +29,16 @@ type gossipRig struct {
 
 func newGossipRig(t *testing.T, cfg Config) *gossipRig {
 	t.Helper()
-	eng := sim.NewEngine()
 	topo, f := topology.Figure1()
+	r := newGossipRigOn(t, cfg, topo)
+	r.f = f
+	return r
+}
+
+// newGossipRigOn attaches the detector to a cluster on topo.
+func newGossipRigOn(t *testing.T, cfg Config, topo *topology.Topology) *gossipRig {
+	t.Helper()
+	eng := sim.NewEngine()
 	net := fabric.New(eng, topo, fabric.DefaultParams())
 	tbl, err := routing.ITBRouting.BuildTable(topo, nil)
 	if err != nil {
@@ -53,7 +61,7 @@ func newGossipRig(t *testing.T, cfg Config) *gossipRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &gossipRig{eng: eng, topo: topo, f: f, hosts: hosts, gsp: gsp, tr: tr}
+	return &gossipRig{eng: eng, topo: topo, hosts: hosts, gsp: gsp, tr: tr}
 }
 
 func (r *gossipRig) idx(node topology.NodeID) int {
@@ -473,5 +481,92 @@ func TestGossipScenarioDeterministic(t *testing.T) {
 	a, b := gossipScenario(t), gossipScenario(t)
 	if a != b {
 		t.Fatalf("two runs diverged:\n  %s\n  %s", a, b)
+	}
+}
+
+// TestGossipInstallsHistoryIndependent pins that an agent's installed
+// table depends on its dead set alone, not on the order it confirmed
+// it in. Two agents bury the same two hosts in opposite orders. Every
+// host pair must then route in both installed tables as it does in a
+// fresh lazy rebuild of the base table around those two hosts.
+func TestGossipInstallsHistoryIndependent(t *testing.T) {
+	topo, err := topology.Generate(topology.DefaultGenConfig(8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newGossipRigOn(t, DefaultConfig(4000*units.Microsecond), topo)
+	base := r.hosts[0].Table()
+	// Bury the two busiest in-transit hosts, so the rebuild searches
+	// replacement routes rather than only adopting base routes.
+	load := make([]int, len(r.hosts))
+	for _, rt := range base.Routes() {
+		for _, h := range rt.ITBHosts {
+			load[r.idx(h)]++
+		}
+	}
+	x, y := -1, -1
+	for i, n := range load {
+		switch {
+		case x < 0 || n > load[x]:
+			x, y = i, x
+		case y < 0 || n > load[y]:
+			y = i
+		}
+	}
+	if load[y] == 0 {
+		t.Fatalf("base table ejects through fewer than two hosts: %v", load)
+	}
+	var agents []*agent
+	for _, a := range r.gsp.agents {
+		if a.idx != x && a.idx != y && len(agents) < 2 {
+			agents = append(agents, a)
+		}
+	}
+	for i, order := range [][2]int{{x, y}, {y, x}} {
+		for _, v := range order {
+			agents[i].suspect(v)
+			agents[i].confirmDead(v)
+		}
+	}
+	r.eng.Run()
+
+	avoid := routing.AvoidLinks()
+	avoid.AddHost(r.hosts[x].Node())
+	avoid.AddHost(r.hosts[y].Node())
+	want := routing.RebuildAvoidingLazy(base, r.topo, routing.ITBRouting, avoid, nil)
+	for _, a := range agents {
+		if a.host.Epoch() == 0 {
+			t.Fatalf("agent %d installed no table", a.idx)
+		}
+	}
+	searched := 0
+	for _, src := range r.topo.Hosts() {
+		for _, dst := range r.topo.Hosts() {
+			if src == dst {
+				continue
+			}
+			w, wok := want.Lookup(src, dst)
+			var whdr []byte
+			if wok {
+				whdr, _ = w.EncodeHeader()
+				if b, _ := base.Lookup(src, dst); b != w {
+					searched++
+				}
+			}
+			for _, a := range agents {
+				g, ok := a.host.Table().Lookup(src, dst)
+				var ghdr []byte
+				if ok {
+					ghdr, _ = g.EncodeHeader()
+				}
+				if ok != wok || string(ghdr) != string(whdr) {
+					t.Errorf("agent %d routes %d->%d as %x (ok %v), a fresh rebuild as %x (ok %v)",
+						a.idx, src, dst, ghdr, ok, whdr, wok)
+				}
+			}
+		}
+	}
+	if searched == 0 {
+		t.Error("every live pair kept its base route: the test exercises no search")
 	}
 }
