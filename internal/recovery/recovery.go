@@ -259,7 +259,13 @@ type Stats struct {
 	LinksSuspected  uint64
 	LinksRetired    uint64
 	PeerReports     uint64
-	RoutesReused    uint64
+	// RoutesReused counts routes a rebuild adopted unchanged from the
+	// table it was seeded from. The monitor counts a whole eager
+	// rebuild at each publish. A gossip install's lazy table counts a
+	// base route as it resolves it, at the install (busy and dead
+	// conns) or at a later send, so the count follows the pairs the
+	// hosts use rather than the table size.
+	RoutesReused uint64
 	// Gossip-mode counters (always zero under the monitor detector).
 	Refutations    uint64 // incarnation bumps refuting own suspicion/obituary
 	DigestsSent    uint64 // digests attached to outgoing protocol packets

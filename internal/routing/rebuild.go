@@ -80,13 +80,15 @@ type lazyRebuild struct {
 // RebuildAvoidingLazy is e.RebuildAvoiding with on-demand
 // resolution: the returned table starts empty and each Lookup miss
 // either adopts prev's still-valid route or searches a replacement,
-// memoizing either way. Eager rebuilds pay O(hosts²) per distinct
-// exclusion set just to copy the survivors; a lazy table pays only
-// for the pairs traffic actually uses, which is what makes per-agent
-// gossip installs (every host rebuilding around its own local dead
-// set, in its own order) affordable at thousand-host scales. A nil
-// prev (or one built by a different engine value) resolves every
-// pair by search.
+// memoizing either way; reused, when non-nil, counts the adoptions.
+// Eager rebuilds pay O(hosts²) per distinct exclusion set just to
+// copy the survivors; a lazy table pays only for the pairs its host
+// actually looks up, which is what makes per-agent gossip installs
+// (every host rebuilding around its own local dead set) affordable at
+// thousand-host scales. The gossip detector passes its base table as
+// prev, so each of its tables references the base alone. A nil prev
+// (or one built by a different engine value) resolves every pair by
+// search.
 //
 // The returned table is for single-goroutine simulation use: Lookup
 // mutates it.
