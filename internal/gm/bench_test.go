@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mcp"
+	"repro/internal/routing"
 )
 
 // BenchmarkInstallTable is one table install on a host with 44 conns,
@@ -15,6 +16,30 @@ func BenchmarkInstallTable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.InstallTable(tbl, 1)
+	}
+}
+
+// BenchmarkInstallTableDeadExcluded is one gossip install on a host
+// with 44 conns, 20 of them dead to peers the new table excludes: a
+// lazy rebuild of the base around those 20 hosts, installed. The dead
+// conns are skipped without a lookup, so the host's row is never
+// resolved.
+func BenchmarkInstallTableDeadExcluded(b *testing.B) {
+	h, tbl := peerRig(b, 44)
+	topo := h.MCP().Network().Topology()
+	avoid := routing.AvoidHostsIn(topo)
+	dead := 0
+	for _, c := range h.conns {
+		if c != nil && dead < 20 {
+			c.dead = true
+			avoid.AddHost(c.peer)
+			dead++
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.InstallTable(routing.RebuildAvoidingLazy(tbl, topo, routing.ITBRouting, avoid, nil), 1)
 	}
 }
 

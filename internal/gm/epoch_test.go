@@ -393,3 +393,87 @@ func TestInstallReconcilesOnlyBusyAndDeadConns(t *testing.T) {
 		t.Errorf("after the install: busy message acked %v, far peer got %d messages, want true and 1", acked, got)
 	}
 }
+
+// TestInstallSkipsDeadConnsToExcludedPeers pins the dead conns an
+// install looks up. A dead conn whose peer the new table's exclusion
+// set holds dead is skipped: with it the only conn to reconcile, the
+// install allocates nothing beyond the rebuild, so the source's row is
+// never resolved, and the conn stays dead. A dead conn to a peer the
+// table still reaches is resurrected, and a busy conn is re-stamped.
+func TestInstallSkipsDeadConnsToExcludedPeers(t *testing.T) {
+	eng := sim.NewEngine()
+	topo := topology.Ring(3, 2)
+	net := fabric.New(eng, topo, fabric.DefaultParams())
+	base, err := routing.ITBRouting.BuildTable(topo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := DefaultParams()
+	par.AckTimeout = 50 * units.Microsecond
+	par.DeadPeerTimeouts = 3
+	ids := topo.Hosts()
+	hosts := map[topology.NodeID]*Host{}
+	for _, n := range ids {
+		hosts[n] = NewHost(eng, mcp.New(net, n, mcp.DefaultConfig(mcp.ITB)), base, par)
+	}
+	src := hosts[ids[0]]
+	busy, excluded, reachable, idle := ids[1], ids[2], ids[4], ids[5]
+	kill := func(p topology.NodeID) {
+		hosts[p].MCP().SetStalled(true)
+		if err := src.Send(p, pattern(64)); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		hosts[p].MCP().SetStalled(false)
+		if !src.PeerDead(p) {
+			t.Fatalf("no dead-peer verdict for stalled peer %d", p)
+		}
+	}
+	if err := src.Send(idle, pattern(64)); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	kill(excluded)
+
+	avoid := routing.AvoidHostsIn(topo).AddHost(excluded)
+	rebuild := func() *routing.Table {
+		return routing.RebuildAvoidingLazy(base, topo, routing.ITBRouting, avoid, nil)
+	}
+	alone := testing.AllocsPerRun(20, func() { rebuild() })
+	withInstall := testing.AllocsPerRun(20, func() { src.InstallTable(rebuild(), 1) })
+	if withInstall != alone {
+		t.Errorf("install with only a dead conn to an excluded peer allocates %.0f beyond the rebuild's %.0f: it resolved the row",
+			withInstall-alone, alone)
+	}
+	if !src.PeerDead(excluded) || src.Stats().ConnsResurrected != 0 {
+		t.Fatalf("dead conn to an excluded peer: PeerDead %v, ConnsResurrected %d, want true and 0",
+			src.PeerDead(excluded), src.Stats().ConnsResurrected)
+	}
+
+	kill(reachable)
+	hosts[busy].MCP().SetStalled(true)
+	if err := src.Send(busy, pattern(64)); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(par.AckTimeout / 2)
+	if c := src.conns[busy]; len(c.inflight) != 1 {
+		t.Fatalf("busy conn holds %d packets in its window, want 1", len(c.inflight))
+	}
+	tbl := rebuild()
+	src.InstallTable(tbl, 2)
+	if src.PeerDead(reachable) || src.Stats().ConnsResurrected != 1 {
+		t.Errorf("dead conn to a reachable peer: PeerDead %v, ConnsResurrected %d, want false and 1",
+			src.PeerDead(reachable), src.Stats().ConnsResurrected)
+	}
+	if !src.PeerDead(excluded) {
+		t.Error("dead conn to an excluded peer was resurrected")
+	}
+	busyRoute, ok := tbl.Lookup(src.Node(), busy)
+	if !ok {
+		t.Fatal("new table has no route to the busy peer")
+	}
+	busyHdr, _ := busyRoute.EncodeHeader()
+	if p := src.conns[busy].inflight[0].pkt; p.Epoch != 2 || !bytes.Equal(p.Route, busyHdr) {
+		t.Errorf("busy conn's pending packet: epoch %d route %x, want epoch 2 route %x", p.Epoch, p.Route, busyHdr)
+	}
+}

@@ -260,10 +260,13 @@ func (h *Host) Epoch() uint32 { return h.epoch }
 // A live conn with nothing pending is left alone: its strikes and
 // timeout are already at rest (strikes accrue only while the window
 // holds packets, and the ack that empties it resets both), and its
-// next send reads its route from the new table. So the install looks
-// up only the busy and dead peers, which on a lazily rebuilt table is
-// all it resolves. A raw host (Params.DisableAcks) keeps no conns and
-// nothing pending, so the install only swaps its table.
+// next send reads its route from the new table. A dead conn whose
+// peer the new table's exclusion set holds dead is left alone too: the
+// table cannot route to it, so it would stay dead. The install thus
+// looks up only the busy peers and the dead ones the table may route
+// to again, which on a lazily rebuilt table is all it resolves. A raw
+// host (Params.DisableAcks) keeps no conns and nothing pending, so the
+// install only swaps its table.
 func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 	if epoch < h.epoch {
 		// Staggered installs from overlapping publishes can arrive out
@@ -275,7 +278,7 @@ func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 		h.epoch = epoch
 	}
 	for _, c := range h.conns {
-		if c == nil || (!c.dead && len(c.inflight) == 0 && c.backlog.Len() == 0) {
+		if c == nil || (!c.dead && len(c.inflight) == 0 && c.backlog.Len() == 0) || (c.dead && tbl.Avoids(c.peer)) {
 			continue
 		}
 		r, ok := tbl.Lookup(h.node, c.peer)

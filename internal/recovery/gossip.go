@@ -37,10 +37,8 @@
 package recovery
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/gm"
 	"repro/internal/metrics"
@@ -96,8 +94,11 @@ type agent struct {
 
 	inc     uint32
 	members []member // indexed like Gossip.hosts; self entry unused
-	order   []int    // shuffled probe ring of the other host indexes
-	pos     int
+	// nonAlive counts the members held suspect or dead; setState keeps
+	// it in step with every state change.
+	nonAlive int
+	order    []int // shuffled probe ring of the other host indexes
+	pos      int
 
 	updates   []gossipUpdate
 	updateSeq uint64
@@ -514,19 +515,15 @@ func (g *Gossip) resurrectGlob(victim int) {
 }
 
 // noteInstall records an agent's table install for convergence
-// sampling: avoid is its local dead set at install time.
-func (g *Gossip) noteInstall(agentIdx int, avoid []int) {
+// sampling: tbl is the installed table, built around the agent's
+// local dead set.
+func (g *Gossip) noteInstall(agentIdx int, tbl *routing.Table) {
 	now := g.eng.Now()
 	keep := g.epsodes[:0]
 	for _, ep := range g.epsodes {
-		if ep.need[agentIdx] {
-			for _, v := range avoid {
-				if v == ep.victim {
-					ep.need[agentIdx] = false
-					ep.left--
-					break
-				}
-			}
+		if ep.need[agentIdx] && tbl.Avoids(g.hosts[ep.victim].Node()) {
+			ep.need[agentIdx] = false
+			ep.left--
 		}
 		if ep.left == 0 {
 			g.stats.Convergence.Add(float64(now - ep.trigger))
@@ -708,7 +705,7 @@ func (a *agent) suspect(t int) {
 	if m.state != packet.GossipAlive {
 		return
 	}
-	m.state = packet.GossipSuspect
+	a.setState(t, packet.GossipSuspect)
 	m.suspectAt = g.eng.Now()
 	a.enqueue(packet.GossipEntry{Node: int32(g.hosts[t].Node()), Incarnation: m.inc, State: packet.GossipSuspect})
 	g.voteSuspect(t)
@@ -730,7 +727,7 @@ func (a *agent) armConfirm(t int, inc uint32, at units.Time) {
 func (a *agent) confirmDead(t int) {
 	g := a.g
 	m := &a.members[t]
-	m.state = packet.GossipDead
+	a.setState(t, packet.GossipDead)
 	a.enqueue(packet.GossipEntry{Node: int32(g.hosts[t].Node()), Incarnation: m.inc, State: packet.GossipDead})
 	g.unvoteSuspect(t)
 	g.voteDead(t)
@@ -744,18 +741,26 @@ func (a *agent) confirmDead(t int) {
 // it was confirmed in, and it references only the base, so it lives
 // only while pending or installed. It is lazy: an install allocates
 // the table, and only the pairs the host actually uses pay validation
-// or search.
+// or search. The table carries the dead set as its exclusion set,
+// which is what the install and the convergence sampling read.
 func (a *agent) installTable() {
 	g := a.g
-	var dead []int
-	var avoid *routing.Avoid
+	dead := 0
 	for i := range a.members {
 		if i != a.idx && a.members[i].state == packet.GossipDead {
-			if avoid == nil {
-				avoid = routing.AvoidLinks()
+			dead++
+		}
+	}
+	// Counting first makes the set outside any loop, so it stays on
+	// the stack (the table keeps its own copy) and only its words are
+	// allocated.
+	var avoid *routing.Avoid
+	if dead > 0 {
+		avoid = routing.AvoidHostsIn(g.topo)
+		for i := range a.members {
+			if i != a.idx && a.members[i].state == packet.GossipDead {
+				avoid.AddHost(g.hosts[i].Node())
 			}
-			avoid.AddHost(g.hosts[i].Node())
-			dead = append(dead, i)
 		}
 	}
 	tbl := routing.RebuildAvoidingLazy(g.base, g.topo, g.engine, avoid, &g.stats.RoutesReused)
@@ -763,7 +768,7 @@ func (a *agent) installTable() {
 	epoch := g.epoch
 	g.stats.EpochsPublished++
 	if g.tracer != nil {
-		g.emit(trace.EpochPublish, a.node, fmt.Sprintf("epoch=%d gossip dead=%d", epoch, len(dead)))
+		g.emit(trace.EpochPublish, a.node, fmt.Sprintf("epoch=%d gossip dead=%d", epoch, dead))
 	}
 	host := a.host
 	g.eng.Schedule(g.cfg.InstallDelay, func() {
@@ -775,7 +780,7 @@ func (a *agent) installTable() {
 		if g.tracer != nil {
 			g.emit(trace.EpochInstall, host.Node(), fmt.Sprintf("epoch=%d", epoch))
 		}
-		g.noteInstall(a.idx, dead)
+		g.noteInstall(a.idx, tbl)
 	})
 }
 
@@ -804,12 +809,7 @@ func (a *agent) buildDigest(target int) []packet.GossipEntry {
 		// digests for later delivery, so this is the last gate before
 		// a stale obituary escapes.
 		iso := a.isolatedView()
-		slices.SortStableFunc(a.updates, func(x, y gossipUpdate) int {
-			if c := cmp.Compare(x.sends, y.sends); c != 0 {
-				return c
-			}
-			return cmp.Compare(x.seq, y.seq)
-		})
+		sortUpdates(a.updates)
 		for i := range a.updates {
 			if len(out) >= g.cfg.DigestSize {
 				break
@@ -834,6 +834,23 @@ func (a *agent) buildDigest(target int) []packet.GossipEntry {
 	}
 	g.stats.DigestsSent++
 	return out
+}
+
+// sortUpdates orders the queue least-spread first, oldest first among
+// equals: by (sends, seq), a strict total order since seq is unique,
+// so the order is the one any sort gives. The queue arrives nearly
+// sorted (since the last digest, only the entries it carried gained a
+// send, and enqueue appended or replaced a few), so an insertion pass
+// moves few entries.
+func sortUpdates(u []gossipUpdate) {
+	for i := 1; i < len(u); i++ {
+		x := u[i]
+		j := i
+		for ; j > 0 && (u[j-1].sends > x.sends || u[j-1].sends == x.sends && u[j-1].seq > x.seq); j-- {
+			u[j] = u[j-1]
+		}
+		u[j] = x
+	}
 }
 
 func digestHas(d []packet.GossipEntry, node int32) bool {
@@ -873,13 +890,19 @@ func (a *agent) enqueue(e packet.GossipEntry) {
 // likelier explanation for its verdicts: it currently holds at least
 // a quorum of the cluster non-alive.
 func (a *agent) isolatedView() bool {
-	n := 0
-	for i := range a.members {
-		if i != a.idx && a.members[i].state != packet.GossipAlive {
-			n++
-		}
+	return a.nonAlive >= a.g.quorum
+}
+
+// setState moves member i to state s, keeping nonAlive counted.
+func (a *agent) setState(i int, s packet.GossipState) {
+	m := &a.members[i]
+	switch {
+	case m.state == packet.GossipAlive && s != packet.GossipAlive:
+		a.nonAlive++
+	case m.state != packet.GossipAlive && s == packet.GossipAlive:
+		a.nonAlive--
 	}
-	return n >= a.g.quorum
+	m.state = s
 }
 
 // resetView wipes the verdicts an isolated agent accumulated. It has
@@ -903,7 +926,7 @@ func (a *agent) resetView() {
 		default:
 			continue
 		}
-		a.members[i].state = packet.GossipAlive
+		a.setState(i, packet.GossipAlive)
 		a.members[i].suspectAt = 0
 	}
 	a.updates = a.updates[:0]
@@ -971,7 +994,7 @@ func (a *agent) applyEntry(e packet.GossipEntry, now units.Time) {
 		case e.Incarnation > m.inc:
 			prev := m.state
 			m.inc = e.Incarnation
-			m.state = packet.GossipAlive
+			a.setState(idx, packet.GossipAlive)
 			m.suspectAt = 0
 			a.enqueue(e)
 			if prev == packet.GossipDead {
@@ -994,7 +1017,7 @@ func (a *agent) applyEntry(e packet.GossipEntry, now units.Time) {
 			(m.state == packet.GossipSuspect && e.Incarnation > m.inc) {
 			wasAlive := m.state == packet.GossipAlive
 			m.inc = e.Incarnation
-			m.state = packet.GossipSuspect
+			a.setState(idx, packet.GossipSuspect)
 			a.enqueue(e)
 			if wasAlive {
 				m.suspectAt = now
@@ -1006,7 +1029,7 @@ func (a *agent) applyEntry(e packet.GossipEntry, now units.Time) {
 		if m.state != packet.GossipDead && e.Incarnation >= m.inc {
 			wasSuspect := m.state == packet.GossipSuspect
 			m.inc = e.Incarnation
-			m.state = packet.GossipDead
+			a.setState(idx, packet.GossipDead)
 			m.suspectAt = 0
 			a.enqueue(e)
 			if wasSuspect {

@@ -1,8 +1,12 @@
 package recovery
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/fabric"
 	"repro/internal/gm"
@@ -568,5 +572,92 @@ func TestGossipInstallsHistoryIndependent(t *testing.T) {
 	}
 	if searched == 0 {
 		t.Error("every live pair kept its base route: the test exercises no search")
+	}
+}
+
+// TestGossipNonAliveCount runs a churn campaign on the golden churn
+// network (8 switches, seed 3) and checks, at every epoch publish and
+// every install, each agent's non-alive count against a recount of
+// its members, and isolatedView against the quorum test on that
+// recount. The stalled hosts' own agents lose every peer, so the
+// campaign drives agents across the quorum and back.
+func TestGossipNonAliveCount(t *testing.T) {
+	topo, err := topology.Generate(topology.DefaultGenConfig(8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon = 12000 * units.Microsecond
+	r := newGossipRigOn(t, DefaultConfig(horizon), topo)
+	rng := rand.New(rand.NewSource(3))
+	for ev := 0; ev < 6; ev++ {
+		vi := rng.Intn(len(r.hosts))
+		at := units.Time(100+rng.Intn(5000)) * units.Microsecond
+		r.kill(vi, at)
+		r.revive(vi, at+units.Time(3000+rng.Intn(3000))*units.Microsecond)
+	}
+	r.gsp.Start()
+	installs := func() (n uint64) {
+		for _, h := range r.hosts {
+			n += uint64(h.Epoch())
+		}
+		return n
+	}
+	checks, isolated := 0, 0
+	published, installed := r.gsp.stats.EpochsPublished, installs()
+	for r.eng.Step() {
+		p, i := r.gsp.stats.EpochsPublished, installs()
+		if p == published && i == installed {
+			continue
+		}
+		published, installed = p, i
+		checks++
+		for _, a := range r.gsp.agents {
+			n := 0
+			for j, m := range a.members {
+				if j != a.idx && m.state != packet.GossipAlive {
+					n++
+				}
+			}
+			if a.nonAlive != n {
+				t.Fatalf("at %v agent %d counts %d members non-alive, recount %d", r.eng.Now(), a.idx, a.nonAlive, n)
+			}
+			if got, want := a.isolatedView(), n >= r.gsp.quorum; got != want {
+				t.Fatalf("at %v agent %d isolatedView %v, recount says %v", r.eng.Now(), a.idx, got, want)
+			}
+			if a.isolatedView() {
+				isolated++
+			}
+		}
+	}
+	t.Logf("%d checks, %d isolated agent views, %d confirms", checks, isolated, r.gsp.stats.HostsConfirmed)
+	if checks == 0 || isolated == 0 || r.gsp.stats.HostsConfirmed == 0 {
+		t.Errorf("campaign too quiet: %d checks, %d isolated agent views, %d confirms", checks, isolated, r.gsp.stats.HostsConfirmed)
+	}
+}
+
+// TestSortUpdatesMatchesStableSort checks the digest queue's insertion
+// pass against the stable sort by (sends, seq) on random queues: seq
+// values unique and shuffled, sends drawn from a few values so ties
+// are common.
+func TestSortUpdatesMatchesStableSort(t *testing.T) {
+	f := func(sends []uint8, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		seqs := rng.Perm(len(sends))
+		u := make([]gossipUpdate, len(sends))
+		for i, s := range sends {
+			u[i] = gossipUpdate{entry: packet.GossipEntry{Node: int32(i)}, sends: int(s % 4), seq: uint64(seqs[i])}
+		}
+		want := slices.Clone(u)
+		slices.SortStableFunc(want, func(x, y gossipUpdate) int {
+			if c := cmp.Compare(x.sends, y.sends); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.seq, y.seq)
+		})
+		sortUpdates(u)
+		return slices.Equal(u, want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

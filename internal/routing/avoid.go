@@ -39,6 +39,13 @@ func AvoidLinks(links ...int) *Avoid {
 	return a
 }
 
+// AvoidHostsIn returns an empty exclusion set whose host set is sized
+// for every node of t, so AddHost of any of t's hosts allocates
+// nothing more.
+func AvoidHostsIn(t *topology.Topology) *Avoid {
+	return &Avoid{hosts: make(bitset, (t.NumNodes()+63)/64)}
+}
+
 // AddLink marks a link failed, returning the receiver for chaining.
 func (a *Avoid) AddLink(id int) *Avoid {
 	a.links.add(id)

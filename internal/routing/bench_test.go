@@ -37,7 +37,7 @@ func BenchmarkBuildTable(b *testing.B) {
 	}
 }
 
-// benchPairs lists dragonfly-342's ordered host pairs in host-major
+// benchPairs lists a topology's ordered host pairs in host-major
 // order.
 func benchPairs(topo *topology.Topology) [][2]topology.NodeID {
 	var pairs [][2]topology.NodeID
@@ -70,22 +70,35 @@ func BenchmarkTableLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkLazyInstallRow is one gossip table install on dragonfly-72:
-// RebuildAvoidingLazy from the updown-itb base under a 20-host dead
-// set, then the first host's row resolved against all 71 peers (the
-// dead ones resolve unroutable).
+// BenchmarkLazyInstallRow is one gossip table install on dragonfly-72
+// (lazyInstallRow).
 func BenchmarkLazyInstallRow(b *testing.B) {
-	topo := benchDragonfly(b, 72)
-	base, err := ITBRouting.BuildTable(topo, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hosts := topo.Hosts()
-	src := hosts[0]
+	install := lazyInstallRow(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		avoid := AvoidLinks()
+		install()
+	}
+}
+
+// lazyInstallRow returns one gossip table install on dragonfly-72: a
+// 20-host dead set built as a gossip agent builds it, the lazy rebuild
+// of the updown-itb base around it, then the first host's row resolved
+// against all 71 peers (the dead ones resolve unroutable).
+func lazyInstallRow(tb testing.TB) func() {
+	tb.Helper()
+	topo, err := topology.Dragonfly(topology.DefaultDragonflyConfig(72))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base, err := ITBRouting.BuildTable(topo, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hosts := topo.Hosts()
+	src := hosts[0]
+	return func() {
+		avoid := AvoidHostsIn(topo)
 		for k := 1; k <= 20; k++ {
 			avoid.AddHost(hosts[k*3])
 		}

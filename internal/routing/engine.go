@@ -129,10 +129,10 @@ func engineCheckTopology(name string, t *topology.Topology) error {
 	return nil
 }
 
-// pathFunc computes the switch path for one switch pair; every Table
-// holds one. Besides the traversals it returns the in-transit reset
-// positions (indices into the traversal before which an
-// ejection/re-injection happens) and, for multi-lane searches, the
+// pathFunc computes the switch path for one switch pair, as
+// engineGraph.path does. Besides the traversals it returns the
+// in-transit reset positions (indices into the traversal before which
+// an ejection/re-injection happens) and, for multi-lane searches, the
 // virtual-channel lane of every traversal (nil means everything rides
 // lane 0).
 type pathFunc func(srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, error)

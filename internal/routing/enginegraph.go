@@ -38,6 +38,10 @@ type engineGraph struct {
 	// hostPorts[si] lists the switch's host-facing ports in port order
 	// (loopback-free by construction: hosts have one port).
 	hostPorts [][]uint8
+	// hostLo and hostSpan bound the host NodeIDs: every host h has
+	// 0 <= h-hostLo < hostSpan. Every table over the graph spans them.
+	hostLo   topology.NodeID
+	hostSpan int
 
 	// mu guards slot, the search every table over this graph reads its
 	// switch paths from. One slot per graph, not per table, keeps the
@@ -49,6 +53,7 @@ type engineGraph struct {
 
 func newEngineGraph(t *topology.Topology, ud *topology.UpDown) (*engineGraph, error) {
 	g := &engineGraph{t: t, ud: ud, slot: searchSlot{src: -1}}
+	g.hostLo, g.hostSpan = hostBounds(t)
 	g.sidx = make([]int32, t.NumNodes())
 	for i := range g.sidx {
 		g.sidx[i] = -1
@@ -113,24 +118,47 @@ func mustGraph(t *topology.Topology, ud *topology.UpDown) *engineGraph {
 	return g
 }
 
-// liveHostPorts returns, per switch index, the host-facing ports whose
-// hosts survive the exclusion set — the candidates for in-transit
-// ejection. With a nil avoid it is hostPorts itself.
-func (g *engineGraph) liveHostPorts(avoid *Avoid) [][]uint8 {
-	if avoid == nil {
-		return g.hostPorts
+// hostBounds returns the lowest host NodeID of t and the span from it
+// to the highest one.
+func hostBounds(t *topology.Topology) (topology.NodeID, int) {
+	lo, hi := 0, t.NumNodes()-1
+	for lo <= hi && t.Node(topology.NodeID(lo)).Kind != topology.KindHost {
+		lo++
 	}
-	out := make([][]uint8, len(g.sws))
+	for hi >= lo && t.Node(topology.NodeID(hi)).Kind != topology.KindHost {
+		hi--
+	}
+	return topology.NodeID(lo), hi - lo + 1
+}
+
+// liveHostPorts makes sl.eject hold, per switch index, the host-facing
+// ports whose hosts survive the exclusion set — the candidates for
+// in-transit ejection. With a nil avoid it is hostPorts itself;
+// otherwise the lists are cut from the slot's reusable flat buffer.
+func (g *engineGraph) liveHostPorts(avoid *Avoid, sl *searchSlot) {
+	if avoid == nil {
+		sl.eject = g.hostPorts
+		return
+	}
+	if len(sl.ejectBy) != len(g.sws) {
+		n := 0
+		for _, ports := range g.hostPorts {
+			n += len(ports)
+		}
+		sl.ejectBy, sl.ejectPorts = make([][]uint8, len(g.sws)), make([]uint8, 0, n)
+	}
+	flat := sl.ejectPorts[:0]
 	for si, ports := range g.hostPorts {
-		sw := g.sws[si]
+		sw, start := g.sws[si], len(flat)
 		for _, p := range ports {
 			h := g.t.LinkAt(sw, int(p)).Other(sw)
 			if !avoid.hostDead(g.t, h) {
-				out[si] = append(out[si], p)
+				flat = append(flat, p)
 			}
 		}
+		sl.ejectBy[si] = flat[start:len(flat):len(flat)]
 	}
-	return out
+	sl.ejectPorts, sl.eject = flat, sl.ejectBy
 }
 
 // search is one route computation over an engine graph: a per-source
@@ -172,8 +200,11 @@ type searchSlot struct {
 	// outgrows the state count.
 	buf []int32
 	// eject holds, per switch, the host ports live under avoid: where
-	// the Dijkstra may reset.
-	eject [][]uint8
+	// the Dijkstra may reset. Under an exclusion set it is ejectBy,
+	// whose lists share the flat ejectPorts.
+	eject      [][]uint8
+	ejectBy    [][]uint8
+	ejectPorts []uint8
 }
 
 // run makes the slot hold search s from source switch si under avoid.
@@ -190,7 +221,7 @@ func (sl *searchSlot) run(g *engineGraph, s search, avoid *Avoid, si int32) {
 		sl.buf = make([]int32, 0, states)
 	}
 	if sl.eject == nil || sl.avoid != avoid {
-		sl.eject = g.liveHostPorts(avoid)
+		g.liveHostPorts(avoid, sl)
 	}
 	if s.dijkstra {
 		sl.heap = g.dijkstra(s, si, avoid, sl.eject, &sl.trees[0], sl.heap)
@@ -221,27 +252,24 @@ func (sl *searchSlot) goal(di int32) (*searchTree, int32) {
 	return st, best
 }
 
-// pathFunc returns the switch-pair search of s over g under avoid, the
-// one every table runs. It searches in the graph's slot, under its
-// mutex.
-func (g *engineGraph) pathFunc(s search, avoid *Avoid) pathFunc {
-	return func(srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, error) {
-		si, di := g.sidx[srcSw], g.sidx[dstSw]
-		if si < 0 || di < 0 {
-			return nil, nil, nil, fmt.Errorf("routing: %d->%d is not a switch pair", srcSw, dstSw)
-		}
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		sl := &g.slot
-		sl.run(g, s, avoid, si)
-		st, goal := sl.goal(di)
-		if goal < 0 {
-			return nil, nil, nil, fmt.Errorf("routing: no path from switch %d to %d", srcSw, dstSw)
-		}
-		sl.buf = st.walk(goal, sl.buf)
-		trav, itbBefore, lanes := g.traversals(st, sl.buf, int32(s.lanes))
-		return trav, itbBefore, lanes, nil
+// path is the switch-pair search of s over g under avoid, the one every
+// table runs. It searches in the graph's slot, under its mutex.
+func (g *engineGraph) path(s search, avoid *Avoid, srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, error) {
+	si, di := g.sidx[srcSw], g.sidx[dstSw]
+	if si < 0 || di < 0 {
+		return nil, nil, nil, fmt.Errorf("routing: %d->%d is not a switch pair", srcSw, dstSw)
 	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	sl := &g.slot
+	sl.run(g, s, avoid, si)
+	st, goal := sl.goal(di)
+	if goal < 0 {
+		return nil, nil, nil, fmt.Errorf("routing: no path from switch %d to %d", srcSw, dstSw)
+	}
+	sl.buf = st.walk(goal, sl.buf)
+	trav, itbBefore, lanes := g.traversals(st, sl.buf, int32(s.lanes))
+	return trav, itbBefore, lanes, nil
 }
 
 // searchTree holds one source's search result: per state, the best

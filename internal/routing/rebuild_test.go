@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/topology"
@@ -137,6 +139,48 @@ func TestFindRouteAvoidsPrimaryPath(t *testing.T) {
 	}
 }
 
+// TestFindRouteSharedTableMatchesFresh checks the Finder's one
+// fault-free probe table: queried over every host pair in a shuffled
+// order, so source switches interleave and the table's switch-pair
+// cache serves most of them, it gives each pair the header a fresh
+// table on its own graph gives, on the 18-switch churn network and on
+// dragonfly-72.
+func TestFindRouteSharedTableMatchesFresh(t *testing.T) {
+	churn, err := topology.Generate(topology.DefaultGenConfig(18, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dragonfly, err := topology.Dragonfly(topology.DefaultDragonflyConfig(72))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range []*topology.Topology{churn, dragonfly} {
+		ud := ITBRouting.Orientation(tp)
+		finder, err := NewFinder(tp, ud)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := mustGraph(tp, ud)
+		pairs := benchPairs(tp)
+		rand.New(rand.NewSource(1)).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		for _, p := range pairs {
+			got, err := finder.FindRoute(p[0], p[1], nil)
+			if err != nil {
+				t.Fatalf("%d hosts: FindRoute %d->%d: %v", len(tp.Hosts()), p[0], p[1], err)
+			}
+			want, err := newTable(tp, fresh, UpDownRouting, nil).buildRoute(tp, p[0], p[1])
+			if err != nil {
+				t.Fatalf("%d hosts: fresh table %d->%d: %v", len(tp.Hosts()), p[0], p[1], err)
+			}
+			gh, _ := got.EncodeHeader()
+			wh, _ := want.EncodeHeader()
+			if !bytes.Equal(gh, wh) {
+				t.Fatalf("%d hosts: probe route %d->%d is %x, a fresh table's %x", len(tp.Hosts()), p[0], p[1], gh, wh)
+			}
+		}
+	}
+}
+
 // TestRebuildLazyMatchesEager checks the on-demand rebuild: a lazily
 // rebuilt table must answer every pair exactly as the eager
 // rebuild would — same reachability, routes valid under the
@@ -242,10 +286,9 @@ func TestRebuildLazyMemoizesUnreachable(t *testing.T) {
 	}
 	lazy := RebuildAvoidingLazy(base, topo, ITBRouting, AvoidLinks(bridge), nil)
 	searches := 0
-	search := lazy.pathFn
 	lazy.pathFn = func(s, d topology.NodeID) ([]Traversal, []int, []uint8, error) {
 		searches++
-		return search(s, d)
+		return lazy.graph.path(lazy.search, lazy.avoid, s, d)
 	}
 	hosts := topo.Hosts()
 	for i := 0; i < 2; i++ {
@@ -255,5 +298,17 @@ func TestRebuildLazyMemoizesUnreachable(t *testing.T) {
 		if searches != 1 {
 			t.Fatalf("Lookup %d: %d searches in total, want 1", i+1, searches)
 		}
+	}
+}
+
+// TestLazyInstallRowAllocs pins what a gossip install costs the heap:
+// the dead set's host words, the table and the one row its host
+// resolves. The exclusion set itself stays on the caller's stack (the
+// table keeps its own copy), the lazy state lives in the table, and
+// adopting base routes allocates nothing.
+func TestLazyInstallRowAllocs(t *testing.T) {
+	install := lazyInstallRow(t)
+	if allocs := testing.AllocsPerRun(100, install); allocs > 3 {
+		t.Errorf("a lazy install and its row allocate %.1f times, want at most 3", allocs)
 	}
 }

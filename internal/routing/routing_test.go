@@ -15,7 +15,7 @@ func switchPath(tb testing.TB, tp *topology.Topology, ud *topology.UpDown, alg *
 	if err != nil {
 		tb.Fatal(err)
 	}
-	trav, itbBefore, _, err := g.pathFunc(alg.search(), nil)(src, dst)
+	trav, itbBefore, _, err := g.path(alg.search(), nil, src, dst)
 	return trav, itbBefore, err
 }
 

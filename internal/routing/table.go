@@ -46,19 +46,23 @@ type Table struct {
 	hdrChunk   chunk[byte]
 	itbChunk   chunk[topology.NodeID]
 	// avoid is the exclusion set the table was built around (nil when
-	// built fault-free).
-	avoid *Avoid
+	// built fault-free). It points at avoidSet, the table's own copy,
+	// so the caller's set need not escape to the heap with the table.
+	avoid    *Avoid
+	avoidSet Avoid
 	// engine is the Engine that built the table; a rebuild by an equal
 	// engine value reuses its routes and its graph.
 	engine Engine
 	// graph is the switch graph the table's searches run on; tables
-	// rebuilt from this one share it. pathFn is the engine's
-	// switch-pair search over it (engineGraph.pathFunc).
+	// rebuilt from this one share it. search is the engine's search;
+	// every switch pair is graph.path(search, avoid, ...), unless
+	// pathFn, nil but in tests, stands in for it.
 	graph  *engineGraph
+	search search
 	pathFn pathFunc
-	// lazyFill, when non-nil, resolves Lookup misses on demand (tables
-	// from RebuildAvoidingLazy); eager tables leave it nil.
-	lazyFill *lazyRebuild
+	// lazy resolves Lookup misses on demand (tables from
+	// RebuildAvoidingLazy); eager tables leave it off.
+	lazy lazyRebuild
 }
 
 // unroutable fills the row slot of a pair a lazy table resolved to no
@@ -83,24 +87,27 @@ type cachedPath struct {
 }
 
 // newTable returns an empty table of engine e over graph g of topology
-// t, searching under the exclusion set avoid.
+// t (nil when t has no switch graph), searching under the exclusion set
+// avoid.
 func newTable(t *topology.Topology, g *engineGraph, e Engine, avoid *Avoid) *Table {
-	lo, hi := 0, t.NumNodes()-1
-	for lo <= hi && t.Node(topology.NodeID(lo)).Kind != topology.KindHost {
-		lo++
+	tbl := &Table{topo: t, engine: e, graph: g, search: e.search()}
+	if g != nil {
+		tbl.hostLo, tbl.hostSpan = g.hostLo, g.hostSpan
+	} else {
+		tbl.hostLo, tbl.hostSpan = hostBounds(t)
 	}
-	for hi >= lo && t.Node(topology.NodeID(hi)).Kind != topology.KindHost {
-		hi--
+	if avoid != nil {
+		tbl.avoidSet = *avoid
+		tbl.avoid = &tbl.avoidSet
 	}
-	return &Table{
-		topo:     t,
-		hostLo:   topology.NodeID(lo),
-		hostSpan: hi - lo + 1,
-		avoid:    avoid,
-		engine:   e,
-		graph:    g,
-		pathFn:   g.pathFunc(e.search(), avoid),
-	}
+	return tbl
+}
+
+// Avoids reports whether the table's exclusion set holds host h dead:
+// marked failed, or cabled through a failed link. The table routes
+// nothing to or from such a host.
+func (tbl *Table) Avoids(h topology.NodeID) bool {
+	return tbl.avoid.hostDead(tbl.topo, h)
 }
 
 // row returns src's row, or nil when no route out of src is stored.
@@ -212,7 +219,7 @@ func (tbl *Table) Lookup(src, dst topology.NodeID) (*Route, bool) {
 			return r, true
 		}
 	}
-	if tbl.lazyFill == nil {
+	if !tbl.lazy.on {
 		return nil, false
 	}
 	return tbl.resolveLazy(src, dst)
@@ -222,7 +229,7 @@ func (tbl *Table) Lookup(src, dst topology.NodeID) (*Route, bool) {
 // so whole-table accessors see the complete route set; eager tables
 // are untouched.
 func (tbl *Table) materialize() {
-	if tbl.lazyFill == nil {
+	if !tbl.lazy.on {
 		return
 	}
 	hosts := tbl.topo.Hosts()
@@ -233,7 +240,7 @@ func (tbl *Table) materialize() {
 			}
 		}
 	}
-	tbl.lazyFill = nil
+	tbl.lazy = lazyRebuild{}
 }
 
 // Routes returns every route in the table in host-major order: by
@@ -277,7 +284,11 @@ func (tbl *Table) buildRoute(t *topology.Topology, src, dst topology.NodeID) (*R
 	cp, cached := tbl.pathCache[key]
 	if !cached {
 		var err error
-		cp.trav, cp.itbBefore, cp.lanes, err = tbl.pathFn(srcSw, dstSw)
+		if tbl.pathFn != nil {
+			cp.trav, cp.itbBefore, cp.lanes, err = tbl.pathFn(srcSw, dstSw)
+		} else {
+			cp.trav, cp.itbBefore, cp.lanes, err = tbl.graph.path(tbl.search, tbl.avoid, srcSw, dstSw)
+		}
 		if err != nil {
 			return nil, err
 		}
