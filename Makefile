@@ -72,27 +72,11 @@ bench-json:
 bench-gate: bench-json
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current $(BENCH_JSON)
 
-# Short fuzz pass over the wire codecs and workload generators.
-fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/packet/
-	$(GO) test -fuzz=FuzzDecodeMapping -fuzztime=10s ./internal/packet/
-	$(GO) test -fuzz=FuzzSplitITBRoute -fuzztime=10s ./internal/packet/
-	$(GO) test -fuzz=FuzzEpochTag -fuzztime=10s ./internal/packet/
-	$(GO) test -fuzz=FuzzGossipDigest -fuzztime=10s ./internal/packet/
-	$(GO) test -fuzz=FuzzSerializeRoundTrip -fuzztime=10s ./internal/topology/
-	$(GO) test -fuzz=FuzzFatTree -fuzztime=10s ./internal/topology/
-	$(GO) test -fuzz=FuzzDragonfly -fuzztime=10s ./internal/topology/
-	$(GO) test -fuzz=FuzzProbeScheduler -fuzztime=10s ./internal/recovery/
-	$(GO) test -fuzz=FuzzArrivalProcess -fuzztime=10s ./internal/workload/
-	$(GO) test -fuzz=FuzzFlowSizeMix -fuzztime=10s ./internal/workload/
-	$(GO) test -fuzz=FuzzStaleHandleCancel -fuzztime=10s ./internal/sim/
-	$(GO) test -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
-
-# Run every Fuzz* target briefly, discovering them with `go test
-# -list` so new targets are picked up without editing this file or the
-# CI workflow.
+# Run every Fuzz* target for FUZZTIME each, discovering them with
+# `go test -list` so new targets are picked up without editing this
+# file or the CI workflow.
 FUZZTIME ?= 10s
-fuzz-smoke:
+fuzz fuzz-smoke:
 	@set -e; for pkg in $$($(GO) list ./...); do \
 		targets=$$($(GO) test -list '^Fuzz' $$pkg 2>/dev/null | grep '^Fuzz' || true); \
 		for t in $$targets; do \

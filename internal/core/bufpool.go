@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/gm"
 	"repro/internal/mcp"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -68,14 +67,17 @@ func RunBufPool(cfg BufPoolConfig) (BufPoolResult, error) {
 	if err := workload.CheckLoad(cfg.Load); err != nil {
 		return res, fmt.Errorf("core: buffer-pool study: %w", err)
 	}
-	var err error
+	mix, err := workload.FixedSize(cfg.MessageSize)
+	if err != nil {
+		return res, fmt.Errorf("core: buffer-pool study: %w", err)
+	}
 	res.Points, err = runCells(cfg.PoolSizes, runObs{}, nil, func(size int, _ runObs) (BufPoolPoint, error) {
-		return runBufPoolPoint(cfg, size)
+		return runBufPoolPoint(cfg, mix, size)
 	})
 	return res, err
 }
 
-func runBufPoolPoint(cfg BufPoolConfig, poolSize int) (BufPoolPoint, error) {
+func runBufPoolPoint(cfg BufPoolConfig, mix workload.SizeMix, poolSize int) (BufPoolPoint, error) {
 	topo, err := topology.Generate(topology.DefaultGenConfig(cfg.Switches, cfg.Seed))
 	if err != nil {
 		return BufPoolPoint{}, err
@@ -88,24 +90,21 @@ func runBufPoolPoint(cfg BufPoolConfig, poolSize int) (BufPoolPoint, error) {
 	if err != nil {
 		return BufPoolPoint{}, err
 	}
-	point := BufPoolPoint{PoolSize: poolSize}
-	hosts := topo.Hosts()
-	for _, h := range hosts {
-		cl.Host(h).OnMessage = func(topology.NodeID, []byte, units.Time) { point.Delivered++ }
-	}
-	src := poissonSource{pattern: workload.HotSpot, hotFraction: cfg.HotFraction, load: cfg.Load,
-		msgBytes: cfg.MessageSize, seed: cfg.Seed + 1, until: cfg.Window}
-	err = src.start(cl, hosts, func(host *gm.Host, dst topology.NodeID) {
-		point.Sent++
-		if err := host.Send(dst, make([]byte, cfg.MessageSize)); err != nil {
-			panic(err)
-		}
+	flows, err := workload.Plan(topo, workload.PlanConfig{
+		Scenario: workload.ScenarioPattern, Pattern: workload.HotSpot, HotFraction: cfg.HotFraction,
+		Load: cfg.Load, Sizes: mix, Seed: cfg.Seed + 1, Horizon: cfg.Window,
+		LinkBandwidth: cl.Net.Params().LinkBandwidth,
 	})
 	if err != nil {
 		return BufPoolPoint{}, err
 	}
+	point := BufPoolPoint{PoolSize: poolSize, Sent: uint64(len(flows))}
 	// Let retransmissions drain after injection stops.
-	cl.Eng.RunUntil(cfg.Window * 4)
+	deliveries, _ := runOpenLoop(cl, flows, cfg.Window*4, nil)
+	for _, n := range deliveries {
+		point.Delivered += uint64(n)
+	}
+	hosts := topo.Hosts()
 	for _, h := range hosts {
 		host := cl.Host(h)
 		point.Retransmits += host.Stats().Retransmits

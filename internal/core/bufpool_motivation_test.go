@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/gm"
 	"repro/internal/mcp"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -42,22 +41,20 @@ func TestFaithfulTwoBufferITBWedgesUnderLoad(t *testing.T) {
 		if err := cl.CheckDeadlockFree(); err != nil {
 			t.Fatal(err)
 		}
-		delivered := 0
-		hosts := topo.Hosts()
-		for _, h := range hosts {
-			cl.Host(h).OnMessage = func(topology.NodeID, []byte, units.Time) { delivered++ }
+		mix, err := workload.FixedSize(512)
+		if err != nil {
+			t.Fatal(err)
 		}
-		src := poissonSource{pattern: workload.Uniform, load: 0.5, msgBytes: 512, seed: 6,
-			until: 400 * units.Microsecond}
-		err = src.start(cl, hosts, func(host *gm.Host, dst topology.NodeID) {
-			if err := host.Send(dst, make([]byte, 512)); err != nil {
-				panic(err)
-			}
+		flows, err := workload.Plan(topo, workload.PlanConfig{
+			Scenario: workload.ScenarioPattern, Pattern: workload.Uniform,
+			Load: 0.5, Sizes: mix, Seed: 6, Horizon: 400 * units.Microsecond,
+			LinkBandwidth: cl.Net.Params().LinkBandwidth,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl.Eng.RunUntil(5 * units.Millisecond)
+		delivered := 0
+		runOpenLoop(cl, flows, 5*units.Millisecond, func(int, units.Time) { delivered++ })
 		return len(cl.DetectStuck()) > 0, delivered
 	}
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/routing"
 	"repro/internal/stats"
-	"repro/internal/topology"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -35,8 +34,7 @@ type FaultStudyConfig struct {
 	// Load is the offered load during the run, as a fraction of
 	// per-host link bandwidth.
 	Load float64
-	// MessageSize is the payload per message (at least 16 bytes: the
-	// measurement rides a timestamp and a message id in the payload).
+	// MessageSize is the payload per message (>= workload.MinFlowBytes).
 	MessageSize int
 	// Horizon is the injection window; faults land inside it and the
 	// run then drains to completion (dead-peer verdicts bound the
@@ -162,13 +160,14 @@ func RunFaultStudy(cfg FaultStudyConfig) (FaultReport, error) {
 	if cfg.Algorithm == nil {
 		return FaultReport{}, fmt.Errorf("core: fault study needs a routing algorithm")
 	}
-	if cfg.MessageSize < 16 {
-		return FaultReport{}, fmt.Errorf("core: fault study needs a message size of at least 16 bytes")
-	}
 	if cfg.Horizon <= 0 {
 		return FaultReport{}, fmt.Errorf("core: fault study needs a positive horizon")
 	}
 	if err := workload.CheckLoad(cfg.Load); err != nil {
+		return FaultReport{}, fmt.Errorf("core: fault study: %w", err)
+	}
+	mix, err := workload.FixedSize(cfg.MessageSize)
+	if err != nil {
 		return FaultReport{}, fmt.Errorf("core: fault study: %w", err)
 	}
 	rep := FaultReport{Algorithm: cfg.Algorithm, Switches: cfg.Switches}
@@ -186,7 +185,7 @@ func RunFaultStudy(cfg FaultStudyConfig) (FaultReport, error) {
 		}
 		return fmt.Sprintf("campaign%02d.", i)
 	}, func(idx int, obs runObs) (CampaignOutcome, error) {
-		return runFaultCampaign(cfg, idx, text, obs)
+		return runFaultCampaign(cfg, mix, idx, text, obs)
 	})
 	if err != nil {
 		return rep, err
@@ -219,8 +218,8 @@ func studyGM(cfg FaultStudyConfig) (ack units.Time, backoff float64, maxAck unit
 }
 
 // runFaultCampaign runs campaign idx (0 = the fault-free baseline) on
-// a private copy of the serialized topology.
-func runFaultCampaign(cfg FaultStudyConfig, idx int, topoText []byte, obs runObs) (CampaignOutcome, error) {
+// a private copy of the serialized topology; mix sizes its messages.
+func runFaultCampaign(cfg FaultStudyConfig, mix workload.SizeMix, idx int, topoText []byte, obs runObs) (CampaignOutcome, error) {
 	topo, err := readTopo(topoText)
 	if err != nil {
 		return CampaignOutcome{}, err
@@ -293,56 +292,34 @@ func runFaultCampaign(cfg FaultStudyConfig, idx int, topoText []byte, obs runObs
 		}
 	}
 
-	// Per-message accounting: the payload carries the send time and a
-	// global message id; the receiver marks delivery, the sender's
-	// tracked callbacks mark the outcome.
-	var lat stats.Summary
-	var msgID uint64
-	delivered := make(map[uint64]int)
-	failed := make(map[uint64]bool)
-	hosts := topo.Hosts()
-	for _, h := range hosts {
-		cl.Host(h).OnMessage = func(_ topology.NodeID, payload []byte, t units.Time) {
-			if len(payload) < 16 {
-				return
-			}
-			id := decodeID(payload)
-			delivered[id]++
-			if delivered[id] > 1 {
-				out.Duplicated++
-				return
-			}
-			lat.Add(float64(t - decodeStamp(payload)))
-		}
-	}
-	src := poissonSource{pattern: workload.Uniform, load: cfg.Load,
-		msgBytes: cfg.MessageSize, seed: cfg.Seed + 1, until: cfg.Horizon}
-	err = src.start(cl, hosts, func(host *gm.Host, dst topology.NodeID) {
-		payload := make([]byte, cfg.MessageSize)
-		encodeStamp(payload, cl.Eng.Now())
-		id := msgID
-		msgID++
-		encodeID(payload, id)
-		out.Sent++
-		if err := host.SendTracked(dst, payload, nil, func() { failed[id] = true }); err != nil {
-			// Rejected up-front: dead peer or no surviving route.
-			failed[id] = true
-		}
+	flows, err := workload.Plan(topo, workload.PlanConfig{
+		Scenario: workload.ScenarioPattern, Pattern: workload.Uniform,
+		Load: cfg.Load, Sizes: mix, Seed: cfg.Seed + 1, Horizon: cfg.Horizon,
+		LinkBandwidth: cl.Net.Params().LinkBandwidth,
 	})
 	if err != nil {
 		return CampaignOutcome{}, err
 	}
 	// Drain fully: the dead-peer verdict guarantees termination even
 	// under permanent faults.
-	cl.Eng.Run()
-
-	for id := range delivered {
-		if failed[id] {
-			out.Overlap++
+	var lat stats.Summary
+	deliveries, failed := runOpenLoop(cl, flows, 0, func(i int, t units.Time) {
+		lat.Add(float64(t - flows[i].Start))
+	})
+	out.Sent = uint64(len(flows))
+	for i, n := range deliveries {
+		if failed[i] {
+			out.Failed++
+		}
+		if n > 0 {
+			out.Delivered++
+			out.Duplicated += uint64(n - 1)
+			if failed[i] {
+				out.Overlap++
+			}
 		}
 	}
-	out.Delivered = uint64(len(delivered))
-	out.Failed = uint64(len(failed))
+	hosts := topo.Hosts()
 	for _, h := range hosts {
 		s := cl.Host(h).Stats()
 		out.Retransmits += s.Retransmits
@@ -397,22 +374,6 @@ func hostSlice(cl *Cluster) []*gm.Host {
 		out = append(out, cl.Host(h))
 	}
 	return out
-}
-
-// encodeID/decodeID carry the study-wide message id in payload bytes
-// 8..15 (the timestamp occupies 0..7).
-func encodeID(payload []byte, id uint64) {
-	for i := 0; i < 8; i++ {
-		payload[8+i] = byte(id >> (8 * i))
-	}
-}
-
-func decodeID(payload []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(payload[8+i]) << (8 * i)
-	}
-	return v
 }
 
 // WriteTable renders the study.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -254,7 +255,44 @@ func fctPercentiles(lat *stats.Summary) (p50, p99, p999 units.Time) {
 	return units.Time(lat.Percentile(50)), units.Time(lat.Percentile(99)), units.Time(lat.Percentile(99.9))
 }
 
-// openLoopCell is what one open-loop run measures: the flows started
+// runOpenLoop is the one open-loop traffic cell. It injects every
+// flow of a compiled plan at its absolute start time, regardless of
+// what came before, and runs the built cluster until until (zero
+// drains the engine). Flow i carries i in its first eight payload
+// bytes; onDeliver, when non-nil, sees each flow's first delivery, in
+// event order. It returns each flow's delivery count and whether its
+// sender reported it failed or refused it (dead peer, no route).
+func runOpenLoop(cl *Cluster, flows []workload.Flow, until units.Time, onDeliver func(i int, t units.Time)) (deliveries []int, failed []bool) {
+	deliveries, failed = make([]int, len(flows)), make([]bool, len(flows))
+	for _, h := range cl.Topo.Hosts() {
+		cl.Host(h).OnMessage = func(_ topology.NodeID, payload []byte, t units.Time) {
+			i := int(binary.LittleEndian.Uint64(payload))
+			if deliveries[i]++; deliveries[i] == 1 && onDeliver != nil {
+				onDeliver(i, t)
+			}
+		}
+	}
+	send := func(arg any) {
+		i := arg.(int)
+		f := flows[i]
+		payload := make([]byte, f.Bytes)
+		binary.LittleEndian.PutUint64(payload, uint64(i))
+		if err := cl.Host(f.Src).SendTracked(f.Dst, payload, nil, func() { failed[i] = true }); err != nil {
+			failed[i] = true
+		}
+	}
+	for i, f := range flows {
+		cl.Eng.ScheduleArgAt(f.Start, send, i)
+	}
+	if until > 0 {
+		cl.Eng.RunUntil(until)
+	} else {
+		cl.Eng.Run()
+	}
+	return deliveries, failed
+}
+
+// openLoopCell is what one load-study run measures: the flows started
 // inside the window, those of them that completed, their goodput per
 // active sender as a fraction of link bandwidth, and their completion
 // times.
@@ -264,12 +302,10 @@ type openLoopCell struct {
 	fct        *stats.Summary
 }
 
-// runOpenLoop compiles plan over the window and runs it on the built
-// cluster: every flow is injected at its absolute start time
-// regardless of what came before, and completion is measured against
-// the injection stamps. The plan's horizon and link bandwidth are set
-// here, from the window and the cluster.
-func runOpenLoop(cl *Cluster, plan workload.PlanConfig, warmup, window units.Time) (openLoopCell, error) {
+// measureOpenLoop compiles plan over the window, with the horizon and
+// link bandwidth set from the window and the cluster, and runs it
+// through runOpenLoop to the window end plus half a window.
+func measureOpenLoop(cl *Cluster, plan workload.PlanConfig, warmup, window units.Time) (openLoopCell, error) {
 	endAt := warmup + window
 	plan.Horizon = endAt
 	plan.LinkBandwidth = cl.Net.Params().LinkBandwidth
@@ -278,38 +314,28 @@ func runOpenLoop(cl *Cluster, plan workload.PlanConfig, warmup, window units.Tim
 		return openLoopCell{}, err
 	}
 	c := openLoopCell{fct: &stats.Summary{}}
-	var deliveredBytes uint64
 	senders := map[topology.NodeID]bool{}
-	for _, h := range cl.Topo.Hosts() {
-		cl.Host(h).OnMessage = func(_ topology.NodeID, payload []byte, t units.Time) {
-			sentAt := decodeStamp(payload)
-			if sentAt < warmup || sentAt >= endAt {
-				return
-			}
-			// Goodput counts deliveries inside the window; the FCT
-			// tail keeps collecting through the drain margin — tails
-			// are exactly the flows that outlive the window.
-			if t <= endAt {
-				deliveredBytes += uint64(len(payload))
-			}
-			c.done++
-			c.fct.Add(float64(t - sentAt))
-		}
-	}
 	for _, f := range flows {
 		senders[f.Src] = true
 		if f.Start >= warmup {
 			c.sent++
 		}
-		cl.Eng.ScheduleAt(f.Start, func() {
-			payload := make([]byte, f.Bytes)
-			encodeStamp(payload, cl.Eng.Now())
-			if err := cl.Host(f.Src).Send(f.Dst, payload); err != nil {
-				panic(err)
-			}
-		})
 	}
-	cl.Eng.RunUntil(endAt + window/2)
+	var deliveredBytes uint64
+	runOpenLoop(cl, flows, endAt+window/2, func(i int, t units.Time) {
+		f := flows[i]
+		if f.Start < warmup {
+			return
+		}
+		// Goodput counts deliveries inside the window; the FCT tail
+		// keeps collecting through the drain margin — tails are
+		// exactly the flows that outlive the window.
+		if t <= endAt {
+			deliveredBytes += uint64(f.Bytes)
+		}
+		c.done++
+		c.fct.Add(float64(t - f.Start))
+	})
 	c.delivered = float64(deliveredBytes) / window.Seconds() /
 		float64(len(senders)) / float64(plan.LinkBandwidth)
 	return c, nil
@@ -325,7 +351,7 @@ func runLoadPlan(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo
 	if err != nil {
 		return LoadRow{}, err
 	}
-	c, err := runOpenLoop(cl, workload.PlanConfig{
+	c, err := measureOpenLoop(cl, workload.PlanConfig{
 		Scenario: scenario,
 		Load:     s.load,
 		Arrival:  cfg.Arrival,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/routing"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // RecoveryStudyConfig drives the self-healing study: a grid of
@@ -32,7 +33,7 @@ type RecoveryStudyConfig struct {
 	CampaignsPerCell int
 	// Load is the offered load as a fraction of link bandwidth.
 	Load float64
-	// MessageSize is the payload per message (>= 16 bytes).
+	// MessageSize is the payload per message (>= workload.MinFlowBytes).
 	MessageSize int
 	// Horizon is the fault-injection window; the recovery deadline is
 	// 4x this.
@@ -132,8 +133,9 @@ func RunRecoveryStudy(cfg RecoveryStudyConfig) (RecoveryStudyResult, error) {
 	if len(cfg.Periods) == 0 || len(cfg.ChurnEvents) == 0 || cfg.CampaignsPerCell <= 0 {
 		return res, fmt.Errorf("core: recovery study needs periods, churn counts and campaigns per cell")
 	}
-	if cfg.MessageSize < 16 {
-		return res, fmt.Errorf("core: recovery study needs a message size of at least 16 bytes")
+	mix, err := workload.FixedSize(cfg.MessageSize)
+	if err != nil {
+		return res, fmt.Errorf("core: recovery study: %w", err)
 	}
 	text, err := irregularText(cfg.Switches, cfg.Seed)
 	if err != nil {
@@ -174,7 +176,7 @@ func RunRecoveryStudy(cfg RecoveryStudyConfig) (RecoveryStudyResult, error) {
 			Transient:    cfg.Transient,
 			DropStaleITB: cfg.DropStaleITB,
 		}
-		return runFaultCampaign(fcfg, s.campaign, text, obs)
+		return runFaultCampaign(fcfg, mix, s.campaign, text, obs)
 	})
 	if err != nil {
 		return res, err

@@ -89,6 +89,51 @@ func TestITBBeatsUpDownThroughput(t *testing.T) {
 	}
 }
 
+// TestOpenLoopMessageSizeFloor checks that every open-loop study
+// rejects a message below workload.MinFlowBytes up front, with an
+// error that names the bound, rather than running or failing inside
+// a cell.
+func TestOpenLoopMessageSizeFloor(t *testing.T) {
+	studies := []struct {
+		name string
+		run  func(size int) error
+	}{
+		{"sweep", func(size int) error {
+			cfg := smallSweep(routing.UpDownRouting, []float64{0.1})
+			cfg.MessageSize = size
+			_, err := RunSweep(cfg)
+			return err
+		}},
+		{"bufpool", func(size int) error {
+			cfg := DefaultBufPoolConfig()
+			cfg.MessageSize = size
+			_, err := RunBufPool(cfg)
+			return err
+		}},
+		{"faults", func(size int) error {
+			cfg := DefaultFaultStudyConfig(routing.ITBRouting, 8, 3)
+			cfg.MessageSize = size
+			_, err := RunFaultStudy(cfg)
+			return err
+		}},
+		{"recovery", func(size int) error {
+			cfg := DefaultRecoveryStudyConfig(routing.ITBRouting, 8, 3)
+			cfg.MessageSize = size
+			_, err := RunRecoveryStudy(cfg)
+			return err
+		}},
+	}
+	bound := fmt.Sprint(workload.MinFlowBytes)
+	for _, st := range studies {
+		for _, size := range []int{0, 12} {
+			err := st.run(size)
+			if err == nil || !strings.Contains(err.Error(), bound) {
+				t.Errorf("%s with %d-byte messages: error %v, want one naming the %s-byte floor", st.name, size, err, bound)
+			}
+		}
+	}
+}
+
 func TestSweepErrors(t *testing.T) {
 	cfg := smallSweep(routing.UpDownRouting, []float64{0.1})
 	cfg.MessageSize = 0

@@ -3,13 +3,10 @@ package core
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
-	"repro/internal/gm"
 	"repro/internal/metrics"
 	"repro/internal/routing"
 	"repro/internal/stats"
-	"repro/internal/topology"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -94,70 +91,6 @@ type SweepResult struct {
 	RouteStats routing.Analysis
 }
 
-// encodeStamp/decodeStamp carry the injection time inside the first
-// eight payload bytes of a measurement message.
-func encodeStamp(payload []byte, t units.Time) {
-	for i := 0; i < 8; i++ {
-		payload[i] = byte(uint64(t) >> (8 * i))
-	}
-}
-
-func decodeStamp(payload []byte) units.Time {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(payload[i]) << (8 * i)
-	}
-	return units.Time(v)
-}
-
-// poissonSource is the traffic of the closed-loop studies (sweep,
-// buffer pool, fault campaigns): every host injects fixed-size
-// messages as a Poisson process at the offered load, to destinations
-// drawn under a pattern. One stream seeded with Seed feeds both
-// draws: the chooser takes the hot host (and the permutation) at
-// start, then each arrival takes its destination and then the gap to
-// its host's next arrival.
-type poissonSource struct {
-	pattern     workload.Pattern
-	hotFraction float64
-	load        float64
-	msgBytes    int
-	seed        int64
-	// until stops the arrivals: none is made at or after it.
-	until units.Time
-}
-
-// start schedules the first arrival of every host in hosts; send
-// carries out one arrival from host to dst.
-func (p poissonSource) start(cl *Cluster, hosts []topology.NodeID, send func(host *gm.Host, dst topology.NodeID)) error {
-	rng := rand.New(rand.NewSource(p.seed))
-	dests, err := workload.NewDestinations(hosts, p.pattern, p.hotFraction, rng)
-	if err != nil {
-		return err
-	}
-	mean, err := workload.MeanGap(p.load, float64(p.msgBytes), cl.Net.Params().LinkBandwidth)
-	if err != nil {
-		return err
-	}
-	gaps, err := workload.NewArrival(workload.ArrivalConfig{Kind: workload.Poisson}, mean, rng)
-	if err != nil {
-		return err
-	}
-	for i, h := range hosts {
-		host := cl.Host(h)
-		var tick func()
-		tick = func() {
-			if cl.Eng.Now() >= p.until {
-				return
-			}
-			send(host, dests.Next(i))
-			cl.Eng.Schedule(gaps.Next(), tick)
-		}
-		cl.Eng.Schedule(gaps.Next(), tick)
-	}
-	return nil
-}
-
 // RunSweep executes the sweep: one fresh cluster per load point, so
 // points are independent and reproducible. The points dispatch
 // through the parallel runner; results merge in Loads order, so the
@@ -177,6 +110,7 @@ func RunSweep(cfg SweepConfig) (SweepResult, error) {
 type sweepCell struct {
 	j, k     int
 	cfg      SweepConfig
+	mix      workload.SizeMix
 	load     float64
 	topoText []byte
 }
@@ -198,8 +132,12 @@ func runSweeps(cfgs []SweepConfig, reg *metrics.Registry, labels []string) ([]Sw
 		if cfg.Algorithm == nil {
 			return nil, fmt.Errorf("core: sweep needs a routing algorithm")
 		}
-		if cfg.MessageSize < 8 || cfg.Window <= 0 {
-			return nil, fmt.Errorf("core: sweep needs a message size of at least 8 bytes and a positive window")
+		if cfg.Window <= 0 {
+			return nil, fmt.Errorf("core: sweep needs a positive window")
+		}
+		mix, err := workload.FixedSize(cfg.MessageSize)
+		if err != nil {
+			return nil, fmt.Errorf("core: sweep: %w", err)
 		}
 		for _, load := range cfg.Loads {
 			if err := workload.CheckLoad(load); err != nil {
@@ -216,7 +154,7 @@ func runSweeps(cfgs []SweepConfig, reg *metrics.Registry, labels []string) ([]Sw
 		}
 		text := texts[key]
 		for k, load := range cfg.Loads {
-			cells = append(cells, sweepCell{j: j, k: k, cfg: cfg, load: load, topoText: text})
+			cells = append(cells, sweepCell{j: j, k: k, cfg: cfg, mix: mix, load: load, topoText: text})
 		}
 	}
 	points, err := runCells(cells, runObs{reg: reg}, func(i int, _ sweepPoint) string {
@@ -270,50 +208,39 @@ func runLoadPoint(c sweepCell, obs runObs) (sweepPoint, error) {
 		return sweepPoint{}, err
 	}
 	endAt := cfg.Warmup + cfg.Window
-	hosts := topo.Hosts()
-
-	var point LoadPoint
-	var lat stats.Summary
-	var deliveredBytes uint64
-
-	for _, h := range hosts {
-		cl.Host(h).OnMessage = func(_ topology.NodeID, payload []byte, t units.Time) {
-			// The send timestamp rides in the first 8 payload bytes,
-			// so drops beyond saturation cannot desynchronise the
-			// measurement.
-			sentAt := decodeStamp(payload)
-			if sentAt < cfg.Warmup || sentAt >= endAt || t > endAt {
-				return // outside the measurement window
-			}
-			point.Delivered++
-			deliveredBytes += uint64(len(payload))
-			lat.Add(float64(t - sentAt))
-		}
-	}
-	src := poissonSource{pattern: cfg.Pattern, hotFraction: cfg.HotFraction, load: load,
-		msgBytes: cfg.MessageSize, seed: cfg.Seed + 1, until: endAt}
-	err = src.start(cl, hosts, func(host *gm.Host, dst topology.NodeID) {
-		now := cl.Eng.Now()
-		if now >= cfg.Warmup && now < endAt {
-			point.Sent++
-		}
-		payload := make([]byte, cfg.MessageSize)
-		encodeStamp(payload, now)
-		if err := host.Send(dst, payload); err != nil {
-			panic(err)
-		}
+	flows, err := workload.Plan(topo, workload.PlanConfig{
+		Scenario: workload.ScenarioPattern, Pattern: cfg.Pattern, HotFraction: cfg.HotFraction,
+		Load: load, Sizes: c.mix, Seed: cfg.Seed + 1, Horizon: endAt,
+		LinkBandwidth: cl.Net.Params().LinkBandwidth,
 	})
 	if err != nil {
 		return sweepPoint{}, err
 	}
+
+	var point LoadPoint
+	var lat stats.Summary
+	var deliveredBytes uint64
+	for _, f := range flows {
+		if f.Start >= cfg.Warmup {
+			point.Sent++
+		}
+	}
 	// Run to the window end plus a drain margin for messages sent
 	// near the edge, then stop (saturated backlogs need not drain).
-	cl.Eng.RunUntil(endAt + cfg.Window/2)
+	runOpenLoop(cl, flows, endAt+cfg.Window/2, func(i int, t units.Time) {
+		f := flows[i]
+		if f.Start < cfg.Warmup || t > endAt {
+			return // outside the measurement window
+		}
+		point.Delivered++
+		deliveredBytes += uint64(f.Bytes)
+		lat.Add(float64(t - f.Start))
+	})
 
 	windowSec := cfg.Window.Seconds()
 	linkBps := float64(cl.Net.Params().LinkBandwidth)
 	point.Offered = load
-	point.Accepted = float64(deliveredBytes) / windowSec / float64(len(hosts)) / linkBps
+	point.Accepted = float64(deliveredBytes) / windowSec / float64(len(topo.Hosts())) / linkBps
 	if lat.N() > 0 {
 		point.AvgLatency = units.Time(lat.Mean())
 		point.P99Latency = units.Time(lat.Percentile(99))

@@ -213,7 +213,7 @@ func runVCCell(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec, obs runObs
 	row := VCRow{Preset: s.preset, Arm: s.arm, Lanes: s.lanes,
 		Hosts: len(topo.Hosts()), Offered: cfg.Load,
 		ITBs: tableITBs(cl.Table), DeadlockFree: true}
-	c, err := runOpenLoop(cl, workload.PlanConfig{
+	c, err := measureOpenLoop(cl, workload.PlanConfig{
 		Scenario: workload.ScenarioUniform,
 		Load:     cfg.Load,
 		Arrival:  cfg.Arrival,

@@ -125,8 +125,8 @@ type ArrivalProcess interface {
 
 // NewArrival builds an arrival process with the given long-run mean
 // interarrival gap, drawing from rng. A source with a private stream
-// passes rand.New(rand.NewSource(seed)); the closed-loop studies pass
-// the stream their destination chooser draws from.
+// passes rand.New(rand.NewSource(seed)); ScenarioPattern passes the
+// stream its destination chooser draws from.
 func NewArrival(cfg ArrivalConfig, mean units.Time, rng *rand.Rand) (ArrivalProcess, error) {
 	if mean <= 0 {
 		return nil, fmt.Errorf("workload: arrival process needs a positive mean gap, got %v", mean)

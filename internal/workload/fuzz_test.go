@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -89,4 +90,96 @@ func FuzzFlowSizeMix(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzPlan hammers Plan with every scenario (and invalid ones), raw
+// patterns, hot fractions, loads, horizons, fan-ins, arrival kinds and
+// size mixes. Plan must never panic: it either fails or returns flows
+// that start inside (0, Horizon), never send to their own source,
+// take their sizes from the mix, and number at most maxPlanFlows.
+// Inputs that expect more than maxFuzzFlows flows are skipped to keep
+// each run cheap; TestPlanFlowCap covers the bound itself.
+func FuzzPlan(f *testing.F) {
+	const maxFuzzFlows = 1 << 16
+	fat, err := topology.FatTree(topology.DefaultFatTreeConfig(16))
+	if err != nil {
+		f.Fatal(err)
+	}
+	irr, err := topology.Generate(topology.DefaultGenConfig(3, 5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(int64(1), false, uint8(4), int8(1), 0.7, 0.8, int64(units.Millisecond), 0, uint8(0), uint8(0), 512, 0)
+	f.Add(int64(2), true, uint8(4), int8(3), 0.0, 0.2, int64(units.Millisecond), 0, uint8(1), uint8(1), 64, 4096)
+	f.Add(int64(3), false, uint8(4), int8(1), math.NaN(), 0.5, int64(units.Millisecond), 0, uint8(0), uint8(2), 0, 0)
+	f.Add(int64(4), false, uint8(4), int8(2), 0.5, math.NaN(), int64(units.Millisecond), 0, uint8(0), uint8(0), 16, 0)
+	f.Add(int64(5), false, uint8(0), int8(0), 0.5, math.Inf(1), int64(units.Millisecond), 0, uint8(0), uint8(0), 16, 0)
+	f.Add(int64(6), true, uint8(4), int8(-3), 0.5, 0.5, int64(units.Millisecond), 0, uint8(0), uint8(0), 16, 0)
+	f.Add(int64(7), false, uint8(4), int8(9), 0.5, 0.5, int64(units.Millisecond), 0, uint8(0), uint8(0), 16, 0)
+	f.Add(int64(8), false, uint8(1), int8(0), 0.0, 3.0, int64(math.MaxInt64), 5, uint8(1), uint8(2), 0, 0)
+	f.Add(int64(9), true, uint8(2), int8(0), 0.0, 1e-12, int64(math.MaxInt64), -1, uint8(2), uint8(0), 1<<20, 0)
+	f.Add(int64(12), false, uint8(4), int8(0), 0.0, 5e-9, int64(math.MaxInt64), 0, uint8(0), uint8(0), 1<<20, 0)
+	f.Add(int64(10), false, uint8(3), int8(0), 0.0, 1e6, int64(units.Microsecond), 0, uint8(0), uint8(1), 16, 16)
+	f.Add(int64(11), false, uint8(9), int8(0), 0.0, 0.5, int64(-1), 0, uint8(0), uint8(0), 16, 0)
+	f.Fuzz(func(t *testing.T, seed int64, irregular bool, scenario uint8, pattern int8, hot, load float64,
+		horizon int64, fanin int, arrival, sizeKind uint8, a, b int) {
+		topo := fat
+		if irregular {
+			topo = irr
+		}
+		mix, err := NewSizeMix(SizeMixConfig{Kind: []string{"fixed", "uniform", "websearch", "none"}[sizeKind%4], Bytes: a, Min: a, Max: b})
+		if err != nil {
+			return
+		}
+		if mean, err := MeanGap(load, mix.MeanBytes(), 160e6); err == nil &&
+			float64(len(topo.Hosts()))*float64(horizon)/float64(mean) > maxFuzzFlows {
+			return
+		}
+		cfg := PlanConfig{
+			Scenario:      Scenario(scenario % 6), // includes one invalid scenario
+			Load:          load,
+			Arrival:       ArrivalConfig{Kind: ArrivalKind(arrival % 3)},
+			Sizes:         mix,
+			Seed:          seed,
+			Horizon:       units.Time(horizon),
+			LinkBandwidth: units.Bandwidth(160e6),
+			Fanin:         fanin,
+			Pattern:       Pattern(pattern),
+			HotFraction:   hot,
+		}
+		flows, err := Plan(topo, cfg)
+		if err != nil {
+			return
+		}
+		if len(flows) > maxPlanFlows {
+			t.Fatalf("%d flows exceed the bound %d", len(flows), maxPlanFlows)
+		}
+		for i, fl := range flows {
+			if !(fl.Start > 0 && fl.Start < cfg.Horizon) {
+				t.Fatalf("flow %d starts at %v, outside (0, %v)", i, fl.Start, cfg.Horizon)
+			}
+			if fl.Src == fl.Dst {
+				t.Fatalf("flow %d sends to its own source %v", i, fl.Src)
+			}
+			if !inMix(mix, fl.Bytes) {
+				t.Fatalf("flow %d size %d is not in %s", i, fl.Bytes, mix.Name())
+			}
+		}
+	})
+}
+
+// inMix reports whether the mix can draw size.
+func inMix(m SizeMix, size int) bool {
+	switch m := m.(type) {
+	case *Mix:
+		for _, b := range m.buckets {
+			if b.Bytes == size {
+				return true
+			}
+		}
+		return false
+	case *UniformRange:
+		return size >= m.min && size <= m.max
+	}
+	return false
 }

@@ -7,8 +7,8 @@ import (
 	"repro/internal/topology"
 )
 
-// Pattern selects the destination distribution of the closed-loop
-// studies: uniform random traffic (the distribution of the companion
+// Pattern selects the destination distribution of ScenarioPattern:
+// uniform random traffic (the distribution of the companion
 // simulation studies), hotspot, bit-reversal and fixed permutation.
 type Pattern int
 

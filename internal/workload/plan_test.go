@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -239,5 +240,32 @@ func TestPlanFlowCap(t *testing.T) {
 	cfg.Horizon = units.Millisecond
 	if _, err := Plan(topo, cfg); err == nil {
 		t.Error("plan beyond the flow cap accepted")
+	}
+}
+
+// TestPlanAtTheEndOfTime plans with gaps of about 10^18 ps up to the
+// largest representable horizon: a sender's clock must stop at the
+// horizon rather than wrap past it into negative start times.
+func TestPlanAtTheEndOfTime(t *testing.T) {
+	topo := planTopo(t)
+	mix, err := FixedSize(MaxFlowBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Scenario{ScenarioUniform, ScenarioPattern} {
+		cfg := planConfig(s)
+		cfg.Sizes, cfg.Load, cfg.Horizon = mix, 5e-9, units.Time(math.MaxInt64)
+		flows, err := Plan(topo, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if len(flows) == 0 {
+			t.Fatalf("%v: empty plan", s)
+		}
+		for _, f := range flows {
+			if f.Start <= 0 {
+				t.Fatalf("%v: start %v", s, f.Start)
+			}
+		}
 	}
 }

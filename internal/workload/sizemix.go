@@ -6,9 +6,10 @@ import (
 	"math/rand"
 )
 
-// MinFlowBytes is the smallest flow the drivers can measure: the
-// first 8 payload bytes carry the injection timestamp and the next 8
-// identify the flow, so every mix must stay at or above 16 bytes.
+// MinFlowBytes is the smallest flow the drivers can measure: an
+// open-loop cell stamps the flow into its leading payload bytes (the
+// core cell its index in 8, the benchmark's cell its injection time
+// and id in 16), so every mix must stay at or above 16 bytes.
 const MinFlowBytes = 16
 
 // MaxFlowBytes bounds a single flow. GM segments larger messages at

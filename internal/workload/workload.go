@@ -1,13 +1,12 @@
-// Package workload is the simulator's one traffic plane. For the
-// closed-loop studies it supplies the destination patterns the paper
-// and its companion studies evaluate ITBs under (uniform, hotspot,
-// bit-reversal, permutation). For the open-loop load studies it
-// supplies arrival processes (Poisson and bursty Markov-modulated),
-// flow-size mixes (fixed, uniform, heavy-tailed web-search style) and
-// scenario generators (uniform, incast, outcast, all-to-all) that
-// compile an offered load into a deterministic flow schedule — the
-// datacenter-style mixes (FatPaths' framing) the saturation studies
-// judge the routing engines under — plus two closed-loop drivers: a
+// Package workload is the simulator's one traffic plane. It supplies
+// arrival processes (Poisson and bursty Markov-modulated), flow-size
+// mixes (fixed, uniform, heavy-tailed web-search style) and scenario
+// generators that compile an offered load into a deterministic flow
+// schedule: the datacenter-style mixes (FatPaths' framing) the
+// saturation studies judge the routing engines under (uniform,
+// incast, outcast, all-to-all), and the destination patterns the
+// paper and its companion studies evaluate ITBs under (uniform,
+// hotspot, bit-reversal, permutation) — plus two closed-loop drivers: a
 // ring/tree allreduce collective over GM ports and an RPC fan-out
 // service over the gmip stack.
 //
@@ -17,6 +16,7 @@
 package workload
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -41,6 +41,10 @@ const (
 	// through every other host — the shuffle phase of a distributed
 	// join.
 	ScenarioAllToAll
+	// ScenarioPattern has every host sending to destinations drawn
+	// under a destination Pattern — the traffic of the throughput
+	// sweep, the buffer-pool study and the fault campaigns.
+	ScenarioPattern
 )
 
 // String names the scenario.
@@ -54,6 +58,8 @@ func (s Scenario) String() string {
 		return "outcast"
 	case ScenarioAllToAll:
 		return "alltoall"
+	case ScenarioPattern:
+		return "pattern"
 	default:
 		return fmt.Sprintf("Scenario(%d)", int(s))
 	}
@@ -105,10 +111,15 @@ type PlanConfig struct {
 	// Fanin bounds the participant count of incast (senders) and
 	// outcast (receivers); 0 means all other hosts.
 	Fanin int
+	// Pattern and HotFraction choose the destinations of
+	// ScenarioPattern (HotFraction applies to HotSpot only).
+	Pattern     Pattern
+	HotFraction float64
 }
 
 // Plan compiles the configuration into the deterministic flow
-// schedule, ordered by sender and then by start time.
+// schedule, ordered by sender and then by start time, except that
+// ScenarioPattern returns its flows in arrival order.
 func Plan(topo *topology.Topology, cfg PlanConfig) ([]Flow, error) {
 	hosts := topo.Hosts()
 	if len(hosts) < 2 {
@@ -126,6 +137,9 @@ func Plan(topo *topology.Topology, cfg PlanConfig) ([]Flow, error) {
 	mean, err := MeanGap(cfg.Load, cfg.Sizes.MeanBytes(), cfg.LinkBandwidth)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Scenario == ScenarioPattern {
+		return planPattern(hosts, cfg, mean)
 	}
 
 	// The destination chooser per sender index. Uniform draws from
@@ -182,15 +196,10 @@ func Plan(topo *topology.Topology, cfg PlanConfig) ([]Flow, error) {
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed ^ (0x5DEECE66D * int64(ord+1))))
-		t := units.Time(0)
-		for draw := 0; ; draw++ {
-			t += ap.Next()
-			if t >= cfg.Horizon {
-				break
-			}
+		draw := 0
+		for t := nextArrival(0, ap, cfg.Horizon); t < cfg.Horizon; t = nextArrival(t, ap, cfg.Horizon) {
 			if len(flows) >= maxPlanFlows {
-				return nil, fmt.Errorf("workload: plan exceeds %d flows (load %v over horizon %v on %d senders); shrink the horizon or load",
-					maxPlanFlows, cfg.Load, cfg.Horizon, len(senders))
+				return nil, errTooManyFlows(cfg, len(senders))
 			}
 			flows = append(flows, Flow{
 				Src:   hosts[si],
@@ -198,7 +207,79 @@ func Plan(topo *topology.Topology, cfg PlanConfig) ([]Flow, error) {
 				Bytes: cfg.Sizes.Sample(rng),
 				Start: t,
 			})
+			draw++
 		}
 	}
 	return flows, nil
 }
+
+// nextArrival returns the time of the process's next arrival after
+// t, or the horizon when it lands at or after it (t is before it).
+func nextArrival(t units.Time, ap ArrivalProcess, horizon units.Time) units.Time {
+	if g := ap.Next(); g < horizon-t {
+		return t + g
+	}
+	return horizon
+}
+
+func errTooManyFlows(cfg PlanConfig, senders int) error {
+	return fmt.Errorf("workload: plan exceeds %d flows (load %v over horizon %v on %d senders); shrink the horizon or load",
+		maxPlanFlows, cfg.Load, cfg.Horizon, senders)
+}
+
+// planPattern compiles ScenarioPattern. One stream seeded with
+// cfg.Seed feeds the destination chooser and every host's arrival
+// process, in the order an event-driven source draws them: the
+// chooser's hot host (and permutation) first, then each host's first
+// gap in host order, then per arrival its destination and the gap to
+// its host's next arrival. Arrivals are taken by time, ties in the
+// order their gaps were drawn. Sizes come from a private stream.
+func planPattern(hosts []topology.NodeID, cfg PlanConfig, mean units.Time) ([]Flow, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	dests, err := NewDestinations(hosts, cfg.Pattern, cfg.HotFraction, rng)
+	if err != nil {
+		return nil, err
+	}
+	sizes := rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))
+	aps := make([]ArrivalProcess, len(hosts))
+	q := &arrivals{host: make([]int, len(hosts)), at: make([]units.Time, len(hosts)), seq: make([]int, len(hosts))}
+	for i := range hosts {
+		if aps[i], err = NewArrival(cfg.Arrival, mean, rng); err != nil {
+			return nil, err
+		}
+		q.host[i], q.at[i], q.seq[i] = i, nextArrival(0, aps[i], cfg.Horizon), i
+	}
+	heap.Init(q)
+	var flows []Flow
+	for draws := len(hosts); ; draws++ {
+		i := q.host[0]
+		start := q.at[i]
+		if start >= cfg.Horizon {
+			return flows, nil
+		}
+		if len(flows) >= maxPlanFlows {
+			return nil, errTooManyFlows(cfg, len(hosts))
+		}
+		flows = append(flows, Flow{Src: hosts[i], Dst: dests.Next(i), Bytes: cfg.Sizes.Sample(sizes), Start: start})
+		q.at[i], q.seq[i] = nextArrival(start, aps[i], cfg.Horizon), draws
+		heap.Fix(q, 0)
+	}
+}
+
+// arrivals is a heap of host ranks by each host's next arrival: by
+// time, ties by the order the gaps were drawn. No host is added or
+// removed; one whose arrivals reach the horizon sinks.
+type arrivals struct {
+	host []int
+	at   []units.Time // by host rank
+	seq  []int        // by host rank
+}
+
+func (a *arrivals) Len() int { return len(a.host) }
+func (a *arrivals) Less(i, j int) bool {
+	x, y := a.host[i], a.host[j]
+	return a.at[x] < a.at[y] || a.at[x] == a.at[y] && a.seq[x] < a.seq[y]
+}
+func (a *arrivals) Swap(i, j int) { a.host[i], a.host[j] = a.host[j], a.host[i] }
+func (a *arrivals) Push(any)      {}
+func (a *arrivals) Pop() any      { return nil }
