@@ -138,7 +138,7 @@ func BenchmarkLatencyUnderLoad(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return res.Points[0].AvgLatency
+			return res.Points[0].AvgLatency()
 		}
 		udLat = mk(routing.UpDownRouting)
 		itbLat = mk(routing.ITBRouting)

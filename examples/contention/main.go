@@ -34,7 +34,7 @@ func main() {
 		}
 		p := res.Points[0]
 		fmt.Printf("%-12s accepted %.3f of offered %.3f, avg latency %s, p99 %s\n",
-			alg, p.Accepted, p.Offered, p.AvgLatency, p.P99Latency)
+			alg, p.Accepted, p.Offered, p.AvgLatency(), p.P99Latency())
 		fmt.Printf("%-12s routes: avg %.2f hops, %.0f%% cross the root, channel-load CV %.2f\n",
 			"", res.RouteStats.AvgLinkHops, 100*res.RouteStats.RootFraction, res.RouteStats.LinkLoadCV)
 	}

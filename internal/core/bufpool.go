@@ -77,7 +77,7 @@ func RunBufPool(cfg BufPoolConfig) (BufPoolResult, error) {
 	return res, err
 }
 
-func runBufPoolPoint(cfg BufPoolConfig, mix workload.SizeMix, poolSize int) (BufPoolPoint, error) {
+func runBufPoolPoint(cfg BufPoolConfig, mix *workload.Mix, poolSize int) (BufPoolPoint, error) {
 	topo, err := topology.Generate(topology.DefaultGenConfig(cfg.Switches, cfg.Seed))
 	if err != nil {
 		return BufPoolPoint{}, err

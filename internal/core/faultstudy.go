@@ -57,16 +57,6 @@ type FaultStudyConfig struct {
 	// runs the decentralized SWIM-style detector with one agent per
 	// host and no single point of failure.
 	Detector recovery.DetectorKind
-	// Transient overrides the fraction of generated faults that are
-	// repaired within the horizon (zero keeps the generator default of
-	// 0.7). Churn studies push this toward 1 so hosts flap down and
-	// back up instead of staying dead.
-	Transient float64
-	// DropStaleITB selects the in-transit hosts' policy for packets
-	// stamped with an older epoch than the host's own during
-	// mixed-epoch convergence windows: drop (true) or optimistically
-	// forward (false).
-	DropStaleITB bool
 	// GM recovery knobs (zero values take the study defaults:
 	// AckTimeout 150us, backoff 2x capped at 2ms, verdict after 6
 	// barren timeouts).
@@ -126,7 +116,7 @@ type CampaignOutcome struct {
 	Suspects        uint64
 	Confirms        uint64
 	Resurrections   uint64
-	StaleDrops      uint64 // stale-epoch drops, GM window + in-transit
+	StaleDrops      uint64 // GM packets and acks of an older incarnation, dropped
 	DetectionAvg    units.Time
 	ConvergenceAvg  units.Time
 
@@ -219,7 +209,7 @@ func studyGM(cfg FaultStudyConfig) (ack units.Time, backoff float64, maxAck unit
 
 // runFaultCampaign runs campaign idx (0 = the fault-free baseline) on
 // a private copy of the serialized topology; mix sizes its messages.
-func runFaultCampaign(cfg FaultStudyConfig, mix workload.SizeMix, idx int, topoText []byte, obs runObs) (CampaignOutcome, error) {
+func runFaultCampaign(cfg FaultStudyConfig, mix *workload.Mix, idx int, topoText []byte, obs runObs) (CampaignOutcome, error) {
 	topo, err := readTopo(topoText)
 	if err != nil {
 		return CampaignOutcome{}, err
@@ -227,7 +217,6 @@ func runFaultCampaign(cfg FaultStudyConfig, mix workload.SizeMix, idx int, topoT
 	ccfg := DefaultConfig(topo, cfg.Algorithm, variantFor(cfg.Algorithm))
 	ccfg.MCP.BufferPool = true
 	ccfg.MCP.RecvBuffers = 16
-	ccfg.MCP.DropStaleITB = cfg.DropStaleITB
 	ccfg.GM.AckTimeout, ccfg.GM.BackoffFactor, ccfg.GM.MaxAckTimeout, ccfg.GM.DeadPeerTimeouts = studyGM(cfg)
 	obs.install(&ccfg)
 	cl, err := NewCluster(ccfg)
@@ -238,9 +227,8 @@ func runFaultCampaign(cfg FaultStudyConfig, mix workload.SizeMix, idx int, topoT
 	var det recovery.Detector
 	if idx > 0 {
 		camp := faults.Generate(cfg.Seed+int64(idx), topo, faults.GenConfig{
-			Horizon:   cfg.Horizon,
-			Events:    cfg.FaultEvents,
-			Transient: cfg.Transient,
+			Horizon: cfg.Horizon,
+			Events:  cfg.FaultEvents,
 		})
 		out.Name = camp.Name
 		out.Events = len(camp.Events)
@@ -327,7 +315,6 @@ func runFaultCampaign(cfg FaultStudyConfig, mix workload.SizeMix, idx int, topoT
 		out.StaleDrops += s.EpochStaleDrops
 		ms := cl.Host(h).MCP().Stats()
 		out.PoolDrops += ms.PoolDrops
-		out.StaleDrops += ms.StaleEpochDrops
 	}
 	out.FaultKilled = cl.Net.Stats().FaultKilled
 	if det != nil {

@@ -47,8 +47,6 @@ type LoadStudyConfig struct {
 	Fanin int
 	// VectorLen is the allreduce vector length in 32-bit words.
 	VectorLen int
-	// Collective selects the allreduce algorithm (ring or tree).
-	Collective workload.CollectiveKind
 	// Fanout is the RPC fan-out degree.
 	Fanout int
 	// Seed makes topologies and schedules reproducible.
@@ -67,18 +65,17 @@ var loadPatterns = []string{"uniform", "incast", "outcast", "alltoall", "allredu
 // patterns, three load points across the knee.
 func DefaultLoadStudyConfig(seed int64) LoadStudyConfig {
 	return LoadStudyConfig{
-		Presets:    []string{"fattree-16", "dragonfly-72"},
-		Engines:    routing.EngineNames(),
-		Patterns:   []string{"uniform", "incast", "allreduce", "rpc"},
-		Loads:      []float64{0.2, 0.5, 0.8},
-		Arrival:    workload.ArrivalConfig{Kind: workload.Poisson},
-		Sizes:      workload.SizeMixConfig{Kind: "websearch"},
-		Window:     250 * units.Microsecond,
-		Warmup:     50 * units.Microsecond,
-		VectorLen:  256,
-		Collective: workload.RingAllreduce,
-		Fanout:     4,
-		Seed:       seed,
+		Presets:   []string{"fattree-16", "dragonfly-72"},
+		Engines:   routing.EngineNames(),
+		Patterns:  []string{"uniform", "incast", "allreduce", "rpc"},
+		Loads:     []float64{0.2, 0.5, 0.8},
+		Arrival:   workload.ArrivalConfig{Kind: workload.Poisson},
+		Sizes:     workload.SizeMixConfig{Kind: "websearch"},
+		Window:    250 * units.Microsecond,
+		Warmup:    50 * units.Microsecond,
+		VectorLen: 256,
+		Fanout:    4,
+		Seed:      seed,
 	}
 }
 
@@ -230,7 +227,7 @@ func loadCluster(topo *topology.Topology, eng routing.Engine, lanes int, acks bo
 }
 
 // runLoadCell dispatches on the pattern family.
-func runLoadCell(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, obs runObs) (LoadRow, error) {
+func runLoadCell(cfg LoadStudyConfig, mix *workload.Mix, s loadCellSpec, obs runObs) (LoadRow, error) {
 	topo, err := readTopo(s.topoText)
 	if err != nil {
 		return LoadRow{}, err
@@ -342,7 +339,7 @@ func measureOpenLoop(cl *Cluster, plan workload.PlanConfig, warmup, window units
 }
 
 // runLoadPlan executes one open-loop scenario cell.
-func runLoadPlan(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo *topology.Topology, eng routing.Engine, obs runObs) (LoadRow, error) {
+func runLoadPlan(cfg LoadStudyConfig, mix *workload.Mix, s loadCellSpec, topo *topology.Topology, eng routing.Engine, obs runObs) (LoadRow, error) {
 	cl, err := loadCluster(topo, eng, 0, false, obs)
 	if err != nil {
 		return LoadRow{}, err
@@ -375,7 +372,7 @@ func runLoadPlan(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo
 // open-loop uniform background traffic at the offered load; every
 // collective hop is an FCT sample and the completion time is the
 // headline.
-func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec, topo *topology.Topology, eng routing.Engine, obs runObs) (LoadRow, error) {
+func runLoadCollective(cfg LoadStudyConfig, mix *workload.Mix, s loadCellSpec, topo *topology.Topology, eng routing.Engine, obs runObs) (LoadRow, error) {
 	cl, err := loadCluster(topo, eng, 0, true, obs)
 	if err != nil {
 		return LoadRow{}, err
@@ -387,8 +384,8 @@ func runLoadCollective(cfg LoadStudyConfig, mix workload.SizeMix, s loadCellSpec
 	var bgBytes uint64
 
 	ccfg := workload.CollectiveConfig{
-		Kind: cfg.Collective, VectorLen: cfg.VectorLen,
-		Port: 1, SendTokens: 4, RecvTokens: 8,
+		VectorLen: cfg.VectorLen,
+		Port:      1, SendTokens: 4, RecvTokens: 8,
 		OnHop: func(latency, _ units.Time) { lat.Add(float64(latency)) },
 	}
 	var coll *workload.Collective

@@ -196,7 +196,7 @@ func TestClusterEngineOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	coll, err := workload.StartAllreduce(cl.Eng, topo.Hosts(), cl.Host, workload.CollectiveConfig{
-		Kind: workload.RingAllreduce, VectorLen: 16, Port: 1, SendTokens: 4, RecvTokens: 8,
+		VectorLen: 16, Port: 1, SendTokens: 4, RecvTokens: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ func TestSweepDeterministic(t *testing.T) {
 		res.WriteTable(&sb)
 		// The points at full precision, beyond the table's rounding.
 		for _, p := range res.Points {
-			fmt.Fprintf(&sb, "%v %v %d %d %d %d\n", p.Offered, p.Accepted, p.AvgLatency, p.P99Latency, p.Sent, p.Delivered)
+			fmt.Fprintf(&sb, "%v %v %d %d %d %d\n", p.Offered, p.Accepted, p.AvgLatency(), p.P99Latency(), p.Sent, p.Delivered)
 		}
 		return sb.String(), nil
 	})

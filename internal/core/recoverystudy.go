@@ -46,12 +46,6 @@ type RecoveryStudyConfig struct {
 	// convergence latencies are cluster-consensus figures with no
 	// monitor host, and the probe-overhead columns become meaningful.
 	Detector recovery.DetectorKind
-	// Transient overrides the repaired-within-horizon fraction of
-	// generated faults (zero keeps the generator default of 0.7).
-	// Churn studies push this toward 1 for continuous down/up flapping.
-	Transient float64
-	// DropStaleITB selects the in-transit stale-epoch policy.
-	DropStaleITB bool
 	// Metrics, when non-nil, receives merged per-campaign metrics
 	// prefixed "cell<NN>.camp<NN>.".
 	Metrics *metrics.Registry
@@ -72,7 +66,9 @@ type RecoveryStudyRow struct {
 	EpochsPublished uint64
 	Confirms        uint64
 	Resurrections   uint64
-	StaleDrops      uint64
+	// StaleDrops sums the campaigns' GM drops of packets and acks of
+	// an older incarnation (CampaignOutcome.StaleDrops).
+	StaleDrops uint64
 	// Detector-plane overhead across the cell's campaigns: direct
 	// probes, second-chance probes (monitor verify / gossip ping-req),
 	// and the gossip-only refutation and digest counters.
@@ -164,17 +160,15 @@ func RunRecoveryStudy(cfg RecoveryStudyConfig) (RecoveryStudyResult, error) {
 		rcfg := recovery.DefaultConfig(0)
 		rcfg.Period = cell.period
 		fcfg := FaultStudyConfig{
-			Switches:     cfg.Switches,
-			Seed:         cfg.Seed + int64(s.cell)*1000,
-			FaultEvents:  cell.churn,
-			Load:         cfg.Load,
-			MessageSize:  cfg.MessageSize,
-			Horizon:      cfg.Horizon,
-			Algorithm:    cfg.Algorithm,
-			Recovery:     &rcfg,
-			Detector:     detector,
-			Transient:    cfg.Transient,
-			DropStaleITB: cfg.DropStaleITB,
+			Switches:    cfg.Switches,
+			Seed:        cfg.Seed + int64(s.cell)*1000,
+			FaultEvents: cell.churn,
+			Load:        cfg.Load,
+			MessageSize: cfg.MessageSize,
+			Horizon:     cfg.Horizon,
+			Algorithm:   cfg.Algorithm,
+			Recovery:    &rcfg,
+			Detector:    detector,
 		}
 		return runFaultCampaign(fcfg, mix, s.campaign, text, obs)
 	})

@@ -250,7 +250,7 @@ func (r LatencyReport) WriteTable(w io.Writer) {
 	fmt.Fprintln(w, "Average latency vs offered load (uniform traffic)")
 	fmt.Fprintf(w, "%10s %16s %16s\n", "offered", "UD latency", "ITB latency")
 	for i, p := range r.UD.Points {
-		fmt.Fprintf(w, "%10.3f %16s %16s\n", p.Offered, p.AvgLatency, r.ITB.Points[i].AvgLatency)
+		fmt.Fprintf(w, "%10.3f %16s %16s\n", p.Offered, p.AvgLatency(), r.ITB.Points[i].AvgLatency())
 	}
 	for _, pair := range []struct {
 		name string

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/routing"
+	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -35,8 +36,17 @@ func TestSweepLowLoadDeliversOffered(t *testing.T) {
 	if p.Accepted < p.Offered*0.5 || p.Accepted > p.Offered*1.5 {
 		t.Errorf("accepted %.4f vs offered %.4f at low load", p.Accepted, p.Offered)
 	}
-	if p.AvgLatency <= 0 || p.P99Latency < p.AvgLatency {
-		t.Errorf("latencies inconsistent: avg %v p99 %v", p.AvgLatency, p.P99Latency)
+	if p.AvgLatency() <= 0 || p.P99Latency() < p.AvgLatency() {
+		t.Errorf("latencies inconsistent: avg %v p99 %v", p.AvgLatency(), p.P99Latency())
+	}
+}
+
+// A point without latency samples reads 0 for both figures.
+func TestLoadPointLatencyWithoutSamples(t *testing.T) {
+	for _, p := range []LoadPoint{{}, {Latencies: &stats.Summary{}}} {
+		if p.AvgLatency() != 0 || p.P99Latency() != 0 {
+			t.Errorf("%+v: avg %v p99 %v, want 0", p, p.AvgLatency(), p.P99Latency())
+		}
 	}
 }
 
@@ -51,8 +61,8 @@ func TestSweepSaturates(t *testing.T) {
 	if high.Accepted >= 0.95 {
 		t.Errorf("accepted %.3f at offered 1.0: no saturation visible", high.Accepted)
 	}
-	if high.AvgLatency <= low.AvgLatency {
-		t.Errorf("latency did not grow with load: %v -> %v", low.AvgLatency, high.AvgLatency)
+	if high.AvgLatency() <= low.AvgLatency() {
+		t.Errorf("latency did not grow with load: %v -> %v", low.AvgLatency(), high.AvgLatency())
 	}
 }
 

@@ -68,15 +68,28 @@ type LoadPoint struct {
 	// Offered and Accepted are traffic fractions of per-host link
 	// bandwidth (payload bytes, normalised).
 	Offered, Accepted float64
-	// AvgLatency and P99Latency cover messages sent and delivered in
-	// the measurement window.
-	AvgLatency units.Time
-	P99Latency units.Time
-	Sent       uint64
-	Delivered  uint64
+	Sent              uint64
+	Delivered         uint64
 	// Latencies holds the raw per-message latency samples (in
-	// picoseconds, as float64) for distribution plots.
+	// picoseconds, as float64) of the messages sent and delivered in
+	// the measurement window.
 	Latencies *stats.Summary
+}
+
+// AvgLatency is the mean of Latencies, 0 with no samples.
+func (p LoadPoint) AvgLatency() units.Time {
+	if p.Latencies == nil {
+		return 0
+	}
+	return units.Time(p.Latencies.Mean())
+}
+
+// P99Latency is the 99th percentile of Latencies, 0 with no samples.
+func (p LoadPoint) P99Latency() units.Time {
+	if p.Latencies == nil {
+		return 0
+	}
+	return units.Time(p.Latencies.Percentile(99))
 }
 
 // SweepResult is the full curve.
@@ -110,7 +123,7 @@ func RunSweep(cfg SweepConfig) (SweepResult, error) {
 type sweepCell struct {
 	j, k     int
 	cfg      SweepConfig
-	mix      workload.SizeMix
+	mix      *workload.Mix
 	load     float64
 	topoText []byte
 }
@@ -241,10 +254,6 @@ func runLoadPoint(c sweepCell, obs runObs) (sweepPoint, error) {
 	linkBps := float64(cl.Net.Params().LinkBandwidth)
 	point.Offered = load
 	point.Accepted = float64(deliveredBytes) / windowSec / float64(len(topo.Hosts())) / linkBps
-	if lat.N() > 0 {
-		point.AvgLatency = units.Time(lat.Mean())
-		point.P99Latency = units.Time(lat.Percentile(99))
-	}
 	point.Latencies = &lat
 	obs.finish(cl)
 	return sweepPoint{point: point, rs: routing.Analyze(topo, cl.UD, cl.Table)}, nil
@@ -257,7 +266,7 @@ func (r SweepResult) WriteTable(w io.Writer) {
 		"offered", "accepted", "avg-latency", "p99-latency", "sent", "delivered")
 	for _, p := range r.Points {
 		fmt.Fprintf(w, "%10.3f %10.3f %14s %14s %8d %10d\n",
-			p.Offered, p.Accepted, p.AvgLatency, p.P99Latency, p.Sent, p.Delivered)
+			p.Offered, p.Accepted, p.AvgLatency(), p.P99Latency(), p.Sent, p.Delivered)
 	}
 	fmt.Fprintf(w, "peak accepted traffic: %.3f of link bandwidth per host\n", r.Throughput)
 	fmt.Fprintf(w, "routes: avg %.2f hops, %.0f%% minimal, load CV %.2f, %.0f%% cross the root, avg %.2f ITBs\n",

@@ -194,7 +194,7 @@ func tableITBs(tbl *routing.Table) int {
 // The "itb" arm runs on a fabric that carries the extra lanes but
 // never selects them, which is exactly the comparison the ablation
 // wants. The certificate and the ITB count are taken before the run.
-func runVCCell(cfg VCStudyConfig, mix workload.SizeMix, s vcCellSpec, obs runObs) (VCRow, error) {
+func runVCCell(cfg VCStudyConfig, mix *workload.Mix, s vcCellSpec, obs runObs) (VCRow, error) {
 	topo, err := readTopo(s.topoText)
 	if err != nil {
 		return VCRow{}, err

@@ -133,11 +133,12 @@ type GenConfig struct {
 	// Events is how many fault episodes to generate (a transient
 	// fault's repair event does not count against this).
 	Events int
-	// Transient is the probability a generated fault is repaired
-	// within the horizon (the rest stay broken and exercise the
-	// dead-peer/reroute machinery). Default 0.7 when zero.
-	Transient float64
 }
+
+// transientShare is the probability a generated fault is repaired
+// within the horizon; the rest stay broken and exercise the
+// dead-peer/reroute machinery.
+const transientShare = 0.7
 
 // Generate materialises a random campaign for a topology from a seed.
 // The same (seed, topology, config) always yields the same campaign:
@@ -156,9 +157,6 @@ func Generate(seed int64, t *topology.Topology, cfg GenConfig) Campaign {
 	if cfg.Events <= 0 {
 		cfg.Events = 4
 	}
-	if cfg.Transient == 0 {
-		cfg.Transient = 0.7
-	}
 	var swLinks []int
 	for _, l := range t.Links() {
 		if t.Node(l.A).Kind == topology.KindSwitch && t.Node(l.B).Kind == topology.KindSwitch && !l.IsLoopback() {
@@ -171,7 +169,7 @@ func Generate(seed int64, t *topology.Topology, cfg GenConfig) Campaign {
 		return units.Time(rng.Int63n(int64(cfg.Horizon)))
 	}
 	repairAt := func(start units.Time) (units.Time, bool) {
-		if rng.Float64() >= cfg.Transient {
+		if rng.Float64() >= transientShare {
 			return 0, false
 		}
 		rest := int64(cfg.Horizon - start)

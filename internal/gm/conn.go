@@ -43,12 +43,9 @@ type conn struct {
 	// Recovery state (Params.BackoffFactor / DeadPeerTimeouts).
 	curTimeout units.Time // current retransmit timeout (backed off)
 	timer      sim.Event
-	// Ack coalescing (Params.AckDelay).
-	ackTimer sim.Event
 
-	ackedTo     uint32 // everything below this is acknowledged
-	strikes     int32  // consecutive timeouts without ack progress
-	pendingAcks int32
+	ackedTo uint32 // everything below this is acknowledged
+	strikes int32  // consecutive timeouts without ack progress
 	// dead marks the dead-peer verdict. It is no longer permanent: the
 	// recovery protocol's epoch-versioned table install (InstallTable)
 	// can resurrect the conn, restarting the stream at sequence zero
@@ -402,11 +399,6 @@ func (c *conn) handleData(pkt *packet.Packet) {
 		c.peerIncarnation = pkt.Incarnation
 		c.expected = 0
 		c.assembly = nil
-		c.pendingAcks = 0
-		if c.ackTimer.Valid() {
-			c.h.eng.Cancel(c.ackTimer)
-			c.ackTimer = sim.NoEvent
-		}
 	case pkt.Incarnation < c.peerIncarnation:
 		// A leftover of the previous incarnation (stale route SRAM or
 		// a clone that sat in a queue across the resurrection).
@@ -417,57 +409,15 @@ func (c *conn) handleData(pkt *packet.Packet) {
 	case pkt.Seq == c.expected:
 		c.expected++
 		c.deliverFrag(pkt)
-		c.scheduleAck()
 	case pkt.Seq < c.expected:
-		// Duplicate (a retransmission raced the ack): re-ack at once.
+		// Duplicate (a retransmission raced the ack): re-ack.
 		c.h.stats.DuplicateDrops++
-		c.flushAck()
 	default:
 		// Gap: an earlier packet was flushed by a buffer pool.
-		// Go-back-N discards and re-acks the last good position
-		// immediately, so the sender rewinds without a full timeout.
+		// Go-back-N discards and re-acks the last good position, so
+		// the sender rewinds without a full timeout.
 		c.h.stats.OutOfOrderDrops++
-		c.flushAck()
 	}
-}
-
-// scheduleAck acknowledges the in-order progress: immediately by
-// default, or coalesced under Params.AckDelay (one cumulative ack per
-// AckEvery packets or per delay window, whichever first).
-func (c *conn) scheduleAck() {
-	if c.h.par.AckDelay <= 0 {
-		c.h.sendAck(c.peer, c.expected)
-		return
-	}
-	c.pendingAcks++
-	every := c.h.par.AckEvery
-	if every <= 0 {
-		every = 4
-	}
-	if int(c.pendingAcks) >= every {
-		c.flushAck()
-		return
-	}
-	if !c.ackTimer.Valid() {
-		c.ackTimer = c.h.eng.ScheduleArg(c.h.par.AckDelay, ackDelayed, c)
-	}
-}
-
-// ackDelayed emits the coalesced acknowledgement of the conn it is
-// scheduled with when the delay window closes.
-func ackDelayed(arg any) {
-	c := arg.(*conn)
-	c.ackTimer = sim.NoEvent
-	c.flushAck()
-}
-
-// flushAck emits the cumulative acknowledgement now.
-func (c *conn) flushAck() {
-	if c.ackTimer.Valid() {
-		c.h.eng.Cancel(c.ackTimer)
-		c.ackTimer = sim.NoEvent
-	}
-	c.pendingAcks = 0
 	c.h.sendAck(c.peer, c.expected)
 }
 

@@ -39,16 +39,6 @@ type Params struct {
 	// per-peer sequence counter, and its outcome settles when its tail
 	// leaves the NIC. Acks that reach a raw host are discarded.
 	DisableAcks bool
-	// AckDelay coalesces acknowledgements: instead of acking every
-	// packet, the receiver waits up to AckDelay (or until AckEvery
-	// packets are pending) and sends one cumulative ack — GM's
-	// ack-coalescing optimisation. Zero acks immediately (the
-	// default, used by the paper-calibrated experiments).
-	AckDelay units.Time
-	// AckEvery bounds coalescing: a cumulative ack goes out at the
-	// latest after this many unacknowledged packets (default 4 when
-	// AckDelay is set).
-	AckEvery int
 	// BackoffFactor multiplies the retransmit timeout after every
 	// barren timeout (exponential backoff); acknowledgement progress
 	// resets it to AckTimeout. Values <= 1 keep the timeout fixed

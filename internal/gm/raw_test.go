@@ -66,10 +66,12 @@ func TestInstallTableOnRawHost(t *testing.T) {
 	}
 }
 
-// An ack-mode conn to a new peer is one allocation of at most 176 B.
+// An ack-mode conn to a new peer is one allocation of at most 160 B,
+// the size class it fills: a field that pushes it into a larger class
+// has to justify the growth.
 func TestConnToAllocatesOnce(t *testing.T) {
-	if n := unsafe.Sizeof(conn{}); n > 176 {
-		t.Errorf("conn is %d B, want <= 176", n)
+	if n := unsafe.Sizeof(conn{}); n > 160 {
+		t.Errorf("conn is %d B, want <= 160", n)
 	}
 	r := newRig(t, mcp.DefaultConfig(mcp.ITB), DefaultParams())
 	h := r.hosts[r.nodes.Host1]

@@ -59,15 +59,6 @@ type Config struct {
 	// chunk of a packet is in NIC memory instead of waiting for the
 	// whole SDMA. Zero stages whole packets.
 	SendChunkBytes int
-	// DropStaleITB selects the stale-epoch policy at an in-transit
-	// host under the recovery protocol: when set, an ITB packet whose
-	// epoch is older than this firmware's installed route-table epoch
-	// is flushed (its stamped sub-paths may cross links the new epoch
-	// routed around; GM retransmits it on the new route). Unset, the
-	// packet is forwarded anyway — optimistic, cheaper, but it can
-	// probe dead links. Epoch-0 packets (pre-recovery senders) always
-	// forward.
-	DropStaleITB bool
 }
 
 // DefaultConfig returns the faithful configuration of the paper's
@@ -94,7 +85,6 @@ type Stats struct {
 	BlockedArrivals  uint64 // arrivals that waited for a receive buffer
 	CRCDrops         uint64 // packets flushed for failing the payload CRC
 	StallDrops       uint64 // arrivals flushed while the NIC was stalled
-	StaleEpochDrops  uint64 // in-transit packets flushed by the stale-epoch policy
 	GossipDigests    uint64 // membership digests consumed from mapping payloads
 	GossipPiggybacks uint64 // membership digests consumed off in-transit data packets
 }
@@ -158,8 +148,8 @@ type MCP struct {
 	inTransit    map[*packet.Packet]bool
 
 	// epoch is the route-table version the recovery protocol last
-	// installed on this firmware (SetEpoch); the stale-ITB policy
-	// compares arriving in-transit packets against it.
+	// installed on this firmware (SetEpoch). An in-transit packet
+	// stamped under an older epoch is forwarded all the same.
 	epoch uint32
 
 	// Injected fault state (campaign-driven). A stalled NIC flushes
@@ -298,7 +288,6 @@ func (m *MCP) PublishMetrics(r *metrics.Registry) {
 		{"blocked_arrivals", m.stats.BlockedArrivals},
 		{"crc_drops", m.stats.CRCDrops},
 		{"stall_drops", m.stats.StallDrops},
-		{"stale_epoch_drops", m.stats.StaleEpochDrops},
 		{"gossip_digests", m.stats.GossipDigests},
 		{"gossip_piggybacks", m.stats.GossipPiggybacks},
 	} {
@@ -579,17 +568,6 @@ func detected(arg any) {
 			m.stats.GossipPiggybacks++
 			m.OnGossip(entries, m.eng.Now())
 		}
-	}
-	if m.cfg.DropStaleITB && pkt.Epoch > 0 && pkt.Epoch < m.epoch {
-		// Stale-epoch policy: the packet was stamped under an older
-		// table than this host runs; flush it instead of forwarding
-		// over sub-paths the remap may have routed around. Reception
-		// still completes into the buffer, which is freed there.
-		m.stats.StaleEpochDrops++
-		m.emit(trace.StaleEpochDrop, pkt.ID, fmt.Sprintf("epoch=%d<%d", pkt.Epoch, m.epoch))
-		m.inTransit[pkt] = false
-		m.rxJobs.Put(j)
-		return
 	}
 	if _, err := pkt.PopITBHeader(); err != nil {
 		// Corrupt in-transit header: flush the packet; reception

@@ -115,7 +115,7 @@ type Packet struct {
 	ID               uint64 // unique id for tracing
 	// Epoch is the sender's route-table epoch (recovery protocol).
 	// Zero means the sender predates any remap — the pre-recovery wire
-	// format — so ITB stale-epoch policy never applies to it.
+	// format.
 	Epoch uint32
 	// Incarnation is the GM connection's session number: bumped only
 	// when a resurrected sender restarts its stream from seq 0, so

@@ -28,8 +28,9 @@
 //
 // Message forwarding stays correct while views disagree (the
 // snap-stabilizing property the mixed-epoch machinery provides):
-// packets stamped under any epoch either deliver or die by the
-// explicit stale-epoch policy, never loop.
+// packets stamped under any epoch follow the finite source route they
+// carry, so they either deliver or die on a dead link and GM
+// retransmits them; they never loop.
 //
 // Determinism: agents use private seeded RNGs, all protocol state
 // lives in index-ordered slices, and maps are keyed lookups only —

@@ -30,8 +30,8 @@
 //     host as its own simulation event, InstallDelay +
 //     k*InstallStagger after the publish. Between the first and last
 //     install the cluster runs mixed epochs; packets carry their
-//     sender's epoch and in-transit hosts apply the configured
-//     stale-epoch policy.
+//     sender's epoch, and in-transit hosts forward stale-stamped
+//     packets over the sub-paths they carry.
 //   - Confirmed hosts keep being probed. A reply from one resurrects
 //     it: a new epoch restores its routes, and gm.Host.InstallTable
 //     lifts dead-peer verdicts against it under a fresh incarnation.

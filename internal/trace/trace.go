@@ -18,22 +18,21 @@ type Kind int
 
 // Event kinds, in rough lifecycle order.
 const (
-	Inject         Kind = iota // packet header offered to the network
-	HeaderOut                  // header left the source NIC
-	HeaderArrive               // header reached a host port
-	Delivered                  // tail fully received at a host
-	Dropped                    // flushed (misroute or pool overflow)
-	ITBDetect                  // in-transit marker recognised
-	ITBPending                 // send engine busy; pending flag raised
-	ITBReinject                // re-injection programmed
-	SendQueued                 // GM handed a packet to the MCP
-	RecvToHost                 // RDMA to host memory complete
-	Retransmit                 // GM go-back-N retransmission
-	LinkFault                  // a link failed or recovered (detail: down/up/ber)
-	NICFault                   // a NIC fault event (detail: stall/resume/pool-exhaust/pool-restore)
-	RouteRecompute             // retained for value stability; superseded by EpochPublish
-	PeerDead                   // GM declared a peer dead after repeated timeouts
-	// Recovery-protocol kinds (appended; earlier values are stable).
+	Inject       Kind = iota // packet header offered to the network
+	HeaderOut                // header left the source NIC
+	HeaderArrive             // header reached a host port
+	Delivered                // tail fully received at a host
+	Dropped                  // flushed (misroute or pool overflow)
+	ITBDetect                // in-transit marker recognised
+	ITBPending               // send engine busy; pending flag raised
+	ITBReinject              // re-injection programmed
+	SendQueued               // GM handed a packet to the MCP
+	RecvToHost               // RDMA to host memory complete
+	Retransmit               // GM go-back-N retransmission
+	LinkFault                // a link failed or recovered (detail: down/up/ber)
+	NICFault                 // a NIC fault event (detail: stall/resume/pool-exhaust/pool-restore)
+	PeerDead                 // GM declared a peer dead after repeated timeouts
+	// Recovery-protocol kinds.
 	Heartbeat       // recovery probe sent or answered
 	HostSuspected   // heartbeat misses crossed the suspect threshold
 	HostConfirmed   // heartbeat misses crossed the confirm threshold
@@ -41,7 +40,6 @@ const (
 	EpochPublish    // a new epoch-versioned route table started distributing
 	EpochInstall    // one host installed the epoch's table
 	PeerResurrected // a dead-peer verdict was lifted by a table install
-	StaleEpochDrop  // an ITB host dropped a packet with a stale epoch
 )
 
 // String names the kind.
@@ -73,8 +71,6 @@ func (k Kind) String() string {
 		return "link-fault"
 	case NICFault:
 		return "nic-fault"
-	case RouteRecompute:
-		return "route-recompute"
 	case PeerDead:
 		return "peer-dead"
 	case Heartbeat:
@@ -91,8 +87,6 @@ func (k Kind) String() string {
 		return "epoch-install"
 	case PeerResurrected:
 		return "peer-resurrected"
-	case StaleEpochDrop:
-		return "stale-epoch-drop"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}

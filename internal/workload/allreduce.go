@@ -10,35 +10,10 @@ import (
 	"repro/internal/units"
 )
 
-// CollectiveKind selects the allreduce algorithm.
-type CollectiveKind int
-
-const (
-	// RingAllreduce circulates one accumulating token around the host
-	// ring twice — once to sum, once to broadcast. Critical path:
-	// 2(n-1) chained hops.
-	RingAllreduce CollectiveKind = iota
-	// TreeAllreduce reduces up a binary rank tree and broadcasts the
-	// result back down. Critical path: O(log n) chained hops per
-	// phase.
-	TreeAllreduce
-)
-
-// String names the kind.
-func (k CollectiveKind) String() string {
-	switch k {
-	case RingAllreduce:
-		return "ring"
-	case TreeAllreduce:
-		return "tree"
-	default:
-		return fmt.Sprintf("CollectiveKind(%d)", int(k))
-	}
-}
-
-// CollectiveConfig parameterises an allreduce collective.
+// CollectiveConfig parameterises a ring allreduce: one accumulating
+// token circulates around the host ring twice — once to sum, once to
+// broadcast — so the critical path is 2(n-1) chained hops.
 type CollectiveConfig struct {
-	Kind CollectiveKind
 	// VectorLen is the reduced vector length in 32-bit words.
 	VectorLen int
 	// Port is the GM port the collective claims on every host.
@@ -55,7 +30,7 @@ type CollectiveConfig struct {
 // DefaultCollectiveConfig returns the ring collective the original
 // example ran: a 1024-word vector on GM port 1.
 func DefaultCollectiveConfig() CollectiveConfig {
-	return CollectiveConfig{Kind: RingAllreduce, VectorLen: 1024, Port: 1, SendTokens: 4, RecvTokens: 8}
+	return CollectiveConfig{VectorLen: 1024, Port: 1, SendTokens: 4, RecvTokens: 8}
 }
 
 // Collective is a running (or finished) allreduce.
@@ -89,8 +64,8 @@ func ExpectedChecksum(n, vectorLen int) uint64 {
 // localWord is rank r's contribution to word j.
 func localWord(r, j int) uint32 { return uint32(r + j) }
 
-// Collective wire framing: [hop/phase: 2 bytes LE][send stamp: 8
-// bytes LE][vector words: 4 bytes BE each].
+// Collective wire framing: [hop: 2 bytes LE][send stamp: 8 bytes
+// LE][vector words: 4 bytes BE each].
 const collectiveHeader = 10
 
 func encodeCollective(tag uint16, now units.Time, vec []uint32) []byte {
@@ -114,10 +89,10 @@ func decodeCollective(p []byte) (tag uint16, stamp units.Time, vec []uint32) {
 }
 
 // StartAllreduce opens the collective's port on every host, wires the
-// algorithm's receive handlers and injects the first message(s). The
-// caller runs the engine; the returned Collective reports completion,
-// checksum and hop count. hostOf resolves a topology host to its GM
-// endpoint (core's Cluster.Host, in the drivers).
+// ring's receive handlers and injects the token. The caller runs the
+// engine; the returned Collective reports completion, checksum and hop
+// count. hostOf resolves a topology host to its GM endpoint (core's
+// Cluster.Host, in the drivers).
 func StartAllreduce(eng *sim.Engine, hosts []topology.NodeID, hostOf func(topology.NodeID) *gm.Host, cfg CollectiveConfig) (*Collective, error) {
 	n := len(hosts)
 	if n < 2 {
@@ -126,7 +101,7 @@ func StartAllreduce(eng *sim.Engine, hosts []topology.NodeID, hostOf func(topolo
 	if cfg.VectorLen < 1 {
 		return nil, fmt.Errorf("workload: allreduce needs a positive vector length, got %d", cfg.VectorLen)
 	}
-	if cfg.Kind == RingAllreduce && 2*n-2 > 0xFFFF {
+	if 2*n-2 > 0xFFFF {
 		return nil, fmt.Errorf("workload: ring allreduce hop counter overflows at %d hosts", n)
 	}
 	ports := make([]*gm.Port, n)
@@ -145,14 +120,7 @@ func StartAllreduce(eng *sim.Engine, hosts []topology.NodeID, hostOf func(topolo
 			cfg.OnHop(t-stamp, t)
 		}
 	}
-	switch cfg.Kind {
-	case RingAllreduce:
-		c.startRing(eng, hosts, ports, cfg, observe)
-	case TreeAllreduce:
-		c.startTree(eng, hosts, ports, cfg, observe)
-	default:
-		return nil, fmt.Errorf("workload: unknown collective kind %d", int(cfg.Kind))
-	}
+	c.startRing(eng, hosts, ports, cfg, observe)
 	return c, nil
 }
 
@@ -196,86 +164,5 @@ func (c *Collective) startRing(eng *sim.Engine, hosts []topology.NodeID, ports [
 	}
 	if err := ports[0].Send(hosts[1], cfg.Port, encodeCollective(0, eng.Now(), vec)); err != nil {
 		panic(err)
-	}
-}
-
-// Tree phases ride in the message tag.
-const (
-	treeReduce    = 0
-	treeBroadcast = 1
-)
-
-// startTree reduces up the binary rank tree (children 2i+1, 2i+2)
-// and broadcasts the result back down; done when every non-root rank
-// holds the sum.
-func (c *Collective) startTree(eng *sim.Engine, hosts []topology.NodeID, ports []*gm.Port, cfg CollectiveConfig, observe func(stamp, t units.Time)) {
-	n := len(hosts)
-	vecs := make([][]uint32, n)
-	pending := make([]int, n) // children yet to report in the reduce phase
-	for i := range hosts {
-		vecs[i] = make([]uint32, cfg.VectorLen)
-		for j := range vecs[i] {
-			vecs[i][j] = localWord(i, j)
-		}
-		if 2*i+1 < n {
-			pending[i]++
-		}
-		if 2*i+2 < n {
-			pending[i]++
-		}
-	}
-	received := 0 // non-root ranks holding the broadcast result
-	sendTo := func(i, dst int, tag uint16) {
-		if err := ports[i].Send(hosts[dst], cfg.Port, encodeCollective(tag, eng.Now(), vecs[i])); err != nil {
-			panic(err)
-		}
-	}
-	broadcast := func(i int) {
-		if 2*i+1 < n {
-			sendTo(i, 2*i+1, treeBroadcast)
-		}
-		if 2*i+2 < n {
-			sendTo(i, 2*i+2, treeBroadcast)
-		}
-	}
-	for i := range hosts {
-		i := i
-		ports[i].OnReceive = func(_ topology.NodeID, _ uint8, payload []byte, t units.Time) {
-			tag, stamp, vec := decodeCollective(payload)
-			observe(stamp, t)
-			switch tag {
-			case treeReduce:
-				for j := range vec {
-					vecs[i][j] += vec[j]
-				}
-				pending[i]--
-				if pending[i] > 0 {
-					return
-				}
-				if i == 0 {
-					// Reduce complete: witness the sum, start the
-					// broadcast wave.
-					for _, x := range vecs[0] {
-						c.checksum += uint64(x)
-					}
-					broadcast(0)
-					return
-				}
-				sendTo(i, (i-1)/2, treeReduce)
-			case treeBroadcast:
-				vecs[i] = vec
-				received++
-				broadcast(i)
-				if received == n-1 {
-					c.doneAt = t
-				}
-			}
-		}
-	}
-	// Leaves open the reduce phase.
-	for i := range hosts {
-		if pending[i] == 0 && i != 0 {
-			sendTo(i, (i-1)/2, treeReduce)
-		}
 	}
 }

@@ -10,14 +10,8 @@ import (
 )
 
 func TestArrivalKindNames(t *testing.T) {
-	for _, k := range []ArrivalKind{Poisson, Bursty} {
-		got, err := ArrivalKindByName(k.String())
-		if err != nil || got != k {
-			t.Errorf("ArrivalKindByName(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	if _, err := ArrivalKindByName("fractal"); err == nil {
-		t.Error("unknown kind accepted")
+	if s := Poisson.String(); s != "poisson" {
+		t.Errorf("Poisson String = %q", s)
 	}
 	if s := ArrivalKind(99).String(); s != "ArrivalKind(99)" {
 		t.Errorf("stray kind String = %q", s)
@@ -25,33 +19,11 @@ func TestArrivalKindNames(t *testing.T) {
 }
 
 func TestArrivalConfigValidate(t *testing.T) {
-	nan := math.NaN()
-	cases := []struct {
-		name string
-		cfg  ArrivalConfig
-		ok   bool
-	}{
-		{"poisson", ArrivalConfig{Kind: Poisson}, true},
-		{"bursty defaults", ArrivalConfig{Kind: Bursty}, true},
-		{"bursty explicit", ArrivalConfig{Kind: Bursty, BurstRatio: 4, OnFraction: 0.5, BurstArrivals: 8}, true},
-		{"ratio below one", ArrivalConfig{Kind: Bursty, BurstRatio: 0.5}, false},
-		{"ratio NaN", ArrivalConfig{Kind: Bursty, BurstRatio: nan}, false},
-		{"ratio Inf", ArrivalConfig{Kind: Bursty, BurstRatio: math.Inf(1)}, false},
-		{"onfraction one", ArrivalConfig{Kind: Bursty, OnFraction: 1}, false},
-		{"onfraction NaN", ArrivalConfig{Kind: Bursty, OnFraction: nan}, false},
-		{"onfraction negative", ArrivalConfig{Kind: Bursty, OnFraction: -0.25}, false},
-		{"burst arrivals below one", ArrivalConfig{Kind: Bursty, BurstArrivals: 0.5}, false},
-		{"burst arrivals NaN", ArrivalConfig{Kind: Bursty, BurstArrivals: nan}, false},
-		{"unknown kind", ArrivalConfig{Kind: ArrivalKind(7)}, false},
+	if err := (ArrivalConfig{Kind: Poisson}).Validate(); err != nil {
+		t.Errorf("poisson: unexpected error %v", err)
 	}
-	for _, c := range cases {
-		err := c.cfg.Validate()
-		if c.ok && err != nil {
-			t.Errorf("%s: unexpected error %v", c.name, err)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("%s: invalid config accepted", c.name)
-		}
+	if err := (ArrivalConfig{Kind: ArrivalKind(7)}).Validate(); err == nil {
+		t.Error("unknown kind accepted")
 	}
 }
 
@@ -62,8 +34,8 @@ func TestNewArrivalErrors(t *testing.T) {
 	if _, err := NewArrival(ArrivalConfig{Kind: Poisson}, -units.Microsecond, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("negative mean accepted")
 	}
-	if _, err := NewArrival(ArrivalConfig{Kind: Bursty, OnFraction: 2}, units.Microsecond, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("invalid burst shape accepted")
+	if _, err := NewArrival(ArrivalConfig{Kind: ArrivalKind(7)}, units.Microsecond, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("unknown kind accepted")
 	}
 }
 
@@ -86,29 +58,25 @@ func empiricalMean(t *testing.T, cfg ArrivalConfig, mean units.Time, seed int64,
 }
 
 // Property: the empirical arrival rate matches the configured offered
-// load — the long-run mean gap of both process families converges to
-// the constructed mean.
+// load — the long-run mean gap converges to the constructed mean.
 func TestArrivalMeanMatchesLoadProperty(t *testing.T) {
-	for _, kind := range []ArrivalKind{Poisson, Bursty} {
-		kind := kind
-		f := func(seed int64, meanRaw uint32) bool {
-			// Mean gaps from 10ns to ~42ms, away from the 1ps floor so
-			// quantisation cannot bias the average upward.
-			mean := units.Time(meanRaw)*10*units.Nanosecond + 10*units.Nanosecond
-			got := empiricalMean(t, ArrivalConfig{Kind: kind}, mean, seed, 60000)
-			return math.Abs(got-float64(mean)) < 0.1*float64(mean)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-			t.Errorf("%v: %v", kind, err)
-		}
+	f := func(seed int64, meanRaw uint32) bool {
+		// Mean gaps from 10ns to ~42ms, away from the 1ps floor so
+		// quantisation cannot bias the average upward.
+		mean := units.Time(meanRaw)*10*units.Nanosecond + 10*units.Nanosecond
+		got := empiricalMean(t, ArrivalConfig{Kind: Poisson}, mean, seed, 60000)
+		return math.Abs(got-float64(mean)) < 0.1*float64(mean)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+		t.Error(err)
 	}
 }
 
 // Property: the same seed reproduces the same gap stream; the process
 // is a pure function of (config, mean, seed).
 func TestArrivalDeterminismProperty(t *testing.T) {
-	f := func(seed int64, burstRaw uint8) bool {
-		cfg := ArrivalConfig{Kind: Bursty, BurstRatio: 1 + float64(burstRaw%16), OnFraction: 0.25, BurstArrivals: 4}
+	f := func(seed int64) bool {
+		cfg := ArrivalConfig{Kind: Poisson}
 		a, err := NewArrival(cfg, 50*units.Nanosecond, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return false
@@ -126,46 +94,6 @@ func TestArrivalDeterminismProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestArrivalAccessors(t *testing.T) {
-	for _, kind := range []ArrivalKind{Poisson, Bursty} {
-		ap, err := NewArrival(ArrivalConfig{Kind: kind}, units.Microsecond, rand.New(rand.NewSource(3)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ap.Mean() != units.Microsecond {
-			t.Errorf("%v Mean = %v", kind, ap.Mean())
-		}
-		if ap.Name() != kind.String() {
-			t.Errorf("%v Name = %q", kind, ap.Name())
-		}
-	}
-}
-
-// Bursty gaps must cluster: the ON-state gap mean is BurstRatio times
-// tighter than the OFF-state one, so the gap distribution has far more
-// small gaps than a Poisson stream of the same long-run mean.
-func TestBurstyClusters(t *testing.T) {
-	mean := units.Microsecond
-	countBelow := func(cfg ArrivalConfig) int {
-		ap, err := NewArrival(cfg, mean, rand.New(rand.NewSource(42)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for i := 0; i < 30000; i++ {
-			if ap.Next() < mean/4 {
-				n++
-			}
-		}
-		return n
-	}
-	poisson := countBelow(ArrivalConfig{Kind: Poisson})
-	bursty := countBelow(ArrivalConfig{Kind: Bursty, BurstRatio: 16, OnFraction: 0.1, BurstArrivals: 32})
-	if bursty <= poisson {
-		t.Errorf("bursty small gaps %d <= poisson %d; burstiness lost", bursty, poisson)
 	}
 }
 

@@ -28,47 +28,39 @@ func driverCluster(t *testing.T) *core.Cluster {
 	return cl
 }
 
-func TestAllreduceKinds(t *testing.T) {
-	for _, kind := range []workload.CollectiveKind{workload.RingAllreduce, workload.TreeAllreduce} {
-		cl := driverCluster(t)
-		hosts := cl.Topo.Hosts()
-		cfg := workload.DefaultCollectiveConfig()
-		cfg.Kind = kind
-		cfg.VectorLen = 64
-		hopCount := 0
-		cfg.OnHop = func(latency, _ units.Time) {
-			hopCount++
-			if latency <= 0 {
-				t.Errorf("%v: non-positive hop latency %v", kind, latency)
-			}
+func TestAllreduceRing(t *testing.T) {
+	cl := driverCluster(t)
+	hosts := cl.Topo.Hosts()
+	cfg := workload.DefaultCollectiveConfig()
+	cfg.VectorLen = 64
+	hopCount := 0
+	cfg.OnHop = func(latency, _ units.Time) {
+		hopCount++
+		if latency <= 0 {
+			t.Errorf("non-positive hop latency %v", latency)
 		}
-		coll, err := workload.StartAllreduce(cl.Eng, hosts, cl.Host, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		cl.Eng.Run()
-		if !coll.Done() {
-			t.Fatalf("%v: collective did not complete", kind)
-		}
-		if got, want := coll.Checksum(), workload.ExpectedChecksum(len(hosts), cfg.VectorLen); got != want {
-			t.Errorf("%v: checksum %d, want %d", kind, got, want)
-		}
-		n := len(hosts)
-		wantHops := 2*n - 2 // ring: two passes around
-		if kind == workload.TreeAllreduce {
-			wantHops = 2 * (n - 1) // each non-root edge carries reduce + broadcast
-		}
-		if coll.Hops() != wantHops || hopCount != wantHops {
-			t.Errorf("%v: hops = %d (observed %d), want %d", kind, coll.Hops(), hopCount, wantHops)
-		}
-		if coll.DoneAt() <= 0 {
-			t.Errorf("%v: DoneAt = %v", kind, coll.DoneAt())
-		}
+	}
+	coll, err := workload.StartAllreduce(cl.Eng, hosts, cl.Host, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Eng.Run()
+	if !coll.Done() {
+		t.Fatal("collective did not complete")
+	}
+	if got, want := coll.Checksum(), workload.ExpectedChecksum(len(hosts), cfg.VectorLen); got != want {
+		t.Errorf("checksum %d, want %d", got, want)
+	}
+	wantHops := 2*len(hosts) - 2 // two passes around the ring
+	if coll.Hops() != wantHops || hopCount != wantHops {
+		t.Errorf("hops = %d (observed %d), want %d", coll.Hops(), hopCount, wantHops)
+	}
+	if coll.DoneAt() <= 0 {
+		t.Errorf("DoneAt = %v", coll.DoneAt())
 	}
 }
 
-// The ring and tree must agree on the reduced vector regardless of
-// message interleaving — the checksum is algorithm-independent.
+// The checksum's closed form, independent of message interleaving.
 func TestAllreduceChecksumClosedForm(t *testing.T) {
 	// n ranks each contribute word j = rank+j over L words:
 	// sum = n*L(L-1)/2 + L*n(n-1)/2.
@@ -88,11 +80,6 @@ func TestAllreduceErrors(t *testing.T) {
 	bad.VectorLen = 0
 	if _, err := workload.StartAllreduce(cl.Eng, hosts, cl.Host, bad); err == nil {
 		t.Error("zero vector accepted")
-	}
-	bad = cfg
-	bad.Kind = workload.CollectiveKind(9)
-	if _, err := workload.StartAllreduce(cl.Eng, hosts, cl.Host, bad); err == nil {
-		t.Error("unknown kind accepted")
 	}
 }
 

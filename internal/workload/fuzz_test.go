@@ -9,23 +9,18 @@ import (
 	"repro/internal/units"
 )
 
-// FuzzArrivalProcess hammers the arrival constructors with arbitrary
-// shapes: every accepted configuration must produce quantised,
-// non-negative, deterministic gaps, and every rejected one must be
-// rejected consistently (Validate and NewArrival agree).
+// FuzzArrivalProcess hammers the arrival constructor with arbitrary
+// kinds and means: every accepted configuration must produce
+// quantised, non-negative, deterministic gaps, and every rejected one
+// must be rejected consistently (Validate and NewArrival agree).
 func FuzzArrivalProcess(f *testing.F) {
-	f.Add(int64(1), uint8(0), 8.0, 0.25, 16.0, int64(units.Microsecond))
-	f.Add(int64(2), uint8(1), 1.0, 0.5, 1.0, int64(50*units.Nanosecond))
-	f.Add(int64(3), uint8(1), math.NaN(), math.NaN(), math.NaN(), int64(1))
-	f.Add(int64(4), uint8(1), math.Inf(1), 0.999, 1e18, int64(math.MaxInt64))
-	f.Add(int64(5), uint8(7), 2.0, 0.5, 4.0, int64(-1))
-	f.Fuzz(func(t *testing.T, seed int64, kind uint8, ratio, onFrac, burstArr float64, meanRaw int64) {
-		cfg := ArrivalConfig{
-			Kind:          ArrivalKind(kind % 3), // includes one invalid kind
-			BurstRatio:    ratio,
-			OnFraction:    onFrac,
-			BurstArrivals: burstArr,
-		}
+	f.Add(int64(1), uint8(0), int64(units.Microsecond))
+	f.Add(int64(2), uint8(0), int64(50*units.Nanosecond))
+	f.Add(int64(3), uint8(1), int64(1))
+	f.Add(int64(4), uint8(0), int64(math.MaxInt64))
+	f.Add(int64(5), uint8(7), int64(-1))
+	f.Fuzz(func(t *testing.T, seed int64, kind uint8, meanRaw int64) {
+		cfg := ArrivalConfig{Kind: ArrivalKind(kind % 2)} // includes one invalid kind
 		mean := units.Time(meanRaw)
 		ap, err := NewArrival(cfg, mean, rand.New(rand.NewSource(seed)))
 		if err != nil {
@@ -49,9 +44,6 @@ func FuzzArrivalProcess(f *testing.F) {
 			if r := ref.Next(); r != g {
 				t.Fatalf("gap stream not deterministic: %v != %v at %d", g, r, i)
 			}
-		}
-		if ap.Mean() != mean {
-			t.Fatalf("Mean() = %v, want %v", ap.Mean(), mean)
 		}
 	})
 }
@@ -109,25 +101,25 @@ func FuzzPlan(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(int64(1), false, uint8(4), int8(1), 0.7, 0.8, int64(units.Millisecond), 0, uint8(0), uint8(0), 512, 0)
-	f.Add(int64(2), true, uint8(4), int8(3), 0.0, 0.2, int64(units.Millisecond), 0, uint8(1), uint8(1), 64, 4096)
-	f.Add(int64(3), false, uint8(4), int8(1), math.NaN(), 0.5, int64(units.Millisecond), 0, uint8(0), uint8(2), 0, 0)
-	f.Add(int64(4), false, uint8(4), int8(2), 0.5, math.NaN(), int64(units.Millisecond), 0, uint8(0), uint8(0), 16, 0)
-	f.Add(int64(5), false, uint8(0), int8(0), 0.5, math.Inf(1), int64(units.Millisecond), 0, uint8(0), uint8(0), 16, 0)
-	f.Add(int64(6), true, uint8(4), int8(-3), 0.5, 0.5, int64(units.Millisecond), 0, uint8(0), uint8(0), 16, 0)
-	f.Add(int64(7), false, uint8(4), int8(9), 0.5, 0.5, int64(units.Millisecond), 0, uint8(0), uint8(0), 16, 0)
-	f.Add(int64(8), false, uint8(1), int8(0), 0.0, 3.0, int64(math.MaxInt64), 5, uint8(1), uint8(2), 0, 0)
-	f.Add(int64(9), true, uint8(2), int8(0), 0.0, 1e-12, int64(math.MaxInt64), -1, uint8(2), uint8(0), 1<<20, 0)
-	f.Add(int64(12), false, uint8(4), int8(0), 0.0, 5e-9, int64(math.MaxInt64), 0, uint8(0), uint8(0), 1<<20, 0)
-	f.Add(int64(10), false, uint8(3), int8(0), 0.0, 1e6, int64(units.Microsecond), 0, uint8(0), uint8(1), 16, 16)
-	f.Add(int64(11), false, uint8(9), int8(0), 0.0, 0.5, int64(-1), 0, uint8(0), uint8(0), 16, 0)
+	f.Add(int64(1), false, uint8(4), int8(1), 0.7, 0.8, int64(units.Millisecond), 0, uint8(0), uint8(0), 512)
+	f.Add(int64(2), true, uint8(4), int8(3), 0.0, 0.2, int64(units.Millisecond), 0, uint8(1), uint8(0), 64)
+	f.Add(int64(3), false, uint8(4), int8(1), math.NaN(), 0.5, int64(units.Millisecond), 0, uint8(0), uint8(1), 0)
+	f.Add(int64(4), false, uint8(4), int8(2), 0.5, math.NaN(), int64(units.Millisecond), 0, uint8(0), uint8(0), 16)
+	f.Add(int64(5), false, uint8(0), int8(0), 0.5, math.Inf(1), int64(units.Millisecond), 0, uint8(0), uint8(0), 16)
+	f.Add(int64(6), true, uint8(4), int8(-3), 0.5, 0.5, int64(units.Millisecond), 0, uint8(0), uint8(0), 16)
+	f.Add(int64(7), false, uint8(4), int8(9), 0.5, 0.5, int64(units.Millisecond), 0, uint8(0), uint8(0), 16)
+	f.Add(int64(8), false, uint8(1), int8(0), 0.0, 3.0, int64(math.MaxInt64), 5, uint8(1), uint8(1), 0)
+	f.Add(int64(9), true, uint8(2), int8(0), 0.0, 1e-12, int64(math.MaxInt64), -1, uint8(2), uint8(0), 1<<20)
+	f.Add(int64(12), false, uint8(4), int8(0), 0.0, 5e-9, int64(math.MaxInt64), 0, uint8(0), uint8(0), 1<<20)
+	f.Add(int64(10), false, uint8(3), int8(0), 0.0, 1e6, int64(units.Microsecond), 0, uint8(0), uint8(0), 16)
+	f.Add(int64(11), false, uint8(9), int8(0), 0.0, 0.5, int64(-1), 0, uint8(0), uint8(0), 16)
 	f.Fuzz(func(t *testing.T, seed int64, irregular bool, scenario uint8, pattern int8, hot, load float64,
-		horizon int64, fanin int, arrival, sizeKind uint8, a, b int) {
+		horizon int64, fanin int, arrival, sizeKind uint8, bytes int) {
 		topo := fat
 		if irregular {
 			topo = irr
 		}
-		mix, err := NewSizeMix(SizeMixConfig{Kind: []string{"fixed", "uniform", "websearch", "none"}[sizeKind%4], Bytes: a, Min: a, Max: b})
+		mix, err := NewSizeMix(SizeMixConfig{Kind: []string{"fixed", "websearch", "none"}[sizeKind%3], Bytes: bytes})
 		if err != nil {
 			return
 		}
@@ -138,7 +130,7 @@ func FuzzPlan(f *testing.F) {
 		cfg := PlanConfig{
 			Scenario:      Scenario(scenario % 6), // includes one invalid scenario
 			Load:          load,
-			Arrival:       ArrivalConfig{Kind: ArrivalKind(arrival % 3)},
+			Arrival:       ArrivalConfig{Kind: ArrivalKind(arrival % 2)},
 			Sizes:         mix,
 			Seed:          seed,
 			Horizon:       units.Time(horizon),
@@ -169,17 +161,11 @@ func FuzzPlan(f *testing.F) {
 }
 
 // inMix reports whether the mix can draw size.
-func inMix(m SizeMix, size int) bool {
-	switch m := m.(type) {
-	case *Mix:
-		for _, b := range m.buckets {
-			if b.Bytes == size {
-				return true
-			}
+func inMix(m *Mix, size int) bool {
+	for _, b := range m.buckets {
+		if b.Bytes == size {
+			return true
 		}
-		return false
-	case *UniformRange:
-		return size >= m.min && size <= m.max
 	}
 	return false
 }

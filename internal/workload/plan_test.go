@@ -185,19 +185,6 @@ func TestPlanDeterminism(t *testing.T) {
 	}
 }
 
-func TestPlanBurstyArrivals(t *testing.T) {
-	topo := planTopo(t)
-	cfg := planConfig(ScenarioUniform)
-	cfg.Arrival = ArrivalConfig{Kind: Bursty}
-	flows, err := Plan(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flows) == 0 {
-		t.Fatal("bursty plan empty")
-	}
-}
-
 func TestPlanErrors(t *testing.T) {
 	topo := planTopo(t)
 	bad := planConfig(ScenarioUniform)
@@ -225,7 +212,7 @@ func TestPlanErrors(t *testing.T) {
 		t.Error("unknown scenario accepted")
 	}
 	bad = planConfig(ScenarioUniform)
-	bad.Arrival = ArrivalConfig{Kind: Bursty, OnFraction: 2}
+	bad.Arrival = ArrivalConfig{Kind: ArrivalKind(7)}
 	if _, err := Plan(topo, bad); err == nil {
 		t.Error("invalid arrival config accepted")
 	}
@@ -235,11 +222,28 @@ func TestPlanErrors(t *testing.T) {
 // not allocate gigabytes.
 func TestPlanFlowCap(t *testing.T) {
 	topo := planTopo(t)
+	for _, s := range []Scenario{ScenarioUniform, ScenarioPattern} {
+		cfg := planConfig(s)
+		cfg.Load = 1e12
+		cfg.Horizon = units.Millisecond
+		if _, err := Plan(topo, cfg); err == nil {
+			t.Errorf("%v: plan beyond the flow cap accepted", s)
+		}
+	}
+	// The up-front estimate rejects only plans far over the cap: one
+	// expected at half the cap passes it (drawing its 2 M flows is left
+	// to the in-loop cap, which bounds it exactly), one expected just
+	// over four times the cap does not.
+	mean := units.Microsecond
+	senders := len(topo.Hosts())
 	cfg := planConfig(ScenarioUniform)
-	cfg.Load = 1e12
-	cfg.Horizon = units.Millisecond
-	if _, err := Plan(topo, cfg); err == nil {
-		t.Error("plan beyond the flow cap accepted")
+	cfg.Horizon = mean * maxPlanFlows / 2 / units.Time(senders)
+	if err := checkExpectedFlows(cfg, senders, mean); err != nil {
+		t.Errorf("plan expected at half the cap rejected: %v", err)
+	}
+	cfg.Horizon = mean*4*maxPlanFlows/units.Time(senders) + mean
+	if err := checkExpectedFlows(cfg, senders, mean); err == nil {
+		t.Error("plan expected over four times the cap accepted")
 	}
 }
 

@@ -18,18 +18,6 @@ const MinFlowBytes = 16
 // scaled to Myrinet message sizes.
 const MaxFlowBytes = 1 << 20
 
-// SizeMix draws per-flow payload sizes. Implementations are pure: the
-// caller owns the randomness, so one seeded stream reproduces one
-// schedule.
-type SizeMix interface {
-	// Sample draws one flow size in bytes.
-	Sample(rng *rand.Rand) int
-	// MeanBytes is the exact distribution mean.
-	MeanBytes() float64
-	// Name identifies the mix for tables and CSV.
-	Name() string
-}
-
 // Bucket is one discrete mass point of a Mix.
 type Bucket struct {
 	Bytes  int
@@ -40,10 +28,12 @@ type Bucket struct {
 // from summing to exactly 1.
 const weightTolerance = 1e-9
 
-// Mix is a discrete weighted size distribution. Construction
-// validates that the weights form a probability distribution — they
-// must sum to 1 within weightTolerance; nothing is silently
-// renormalised.
+// Mix draws per-flow payload sizes from a discrete weighted
+// distribution. Construction validates that the weights form a
+// probability distribution — they must sum to 1 within
+// weightTolerance; nothing is silently renormalised. Sampling is pure:
+// the caller owns the randomness, so one seeded stream reproduces one
+// schedule.
 type Mix struct {
 	name    string
 	buckets []Bucket
@@ -131,52 +121,23 @@ func WebSearch() *Mix {
 	return m
 }
 
-// UniformRange draws sizes uniformly over [Min, Max].
-type UniformRange struct {
-	min, max int
-}
-
-// NewUniformRange validates and builds a uniform size range.
-func NewUniformRange(min, max int) (*UniformRange, error) {
-	if min < MinFlowBytes || max > MaxFlowBytes || min > max {
-		return nil, fmt.Errorf("workload: uniform size range needs %d <= min <= max <= %d, got [%d, %d]",
-			MinFlowBytes, MaxFlowBytes, min, max)
-	}
-	return &UniformRange{min: min, max: max}, nil
-}
-
-// Sample draws one size.
-func (u *UniformRange) Sample(rng *rand.Rand) int {
-	return u.min + rng.Intn(u.max-u.min+1)
-}
-
-// MeanBytes is the exact range mean.
-func (u *UniformRange) MeanBytes() float64 { return float64(u.min+u.max) / 2 }
-
-// Name identifies the range.
-func (u *UniformRange) Name() string { return fmt.Sprintf("uniform-%d-%d", u.min, u.max) }
-
 // SizeMixConfig is the serialisable (CLI/driver) form of a mix
 // choice.
 type SizeMixConfig struct {
-	// Kind is "fixed", "uniform" or "websearch".
+	// Kind is "fixed" or "websearch".
 	Kind string
 	// Bytes is the fixed size (Kind "fixed").
 	Bytes int
-	// Min and Max bound the uniform range (Kind "uniform").
-	Min, Max int
 }
 
 // NewSizeMix resolves a config into a mix.
-func NewSizeMix(cfg SizeMixConfig) (SizeMix, error) {
+func NewSizeMix(cfg SizeMixConfig) (*Mix, error) {
 	switch cfg.Kind {
 	case "fixed":
 		return FixedSize(cfg.Bytes)
-	case "uniform":
-		return NewUniformRange(cfg.Min, cfg.Max)
 	case "websearch":
 		return WebSearch(), nil
 	default:
-		return nil, fmt.Errorf("workload: unknown size mix %q (valid: fixed uniform websearch)", cfg.Kind)
+		return nil, fmt.Errorf("workload: unknown size mix %q (valid: fixed websearch)", cfg.Kind)
 	}
 }

@@ -134,31 +134,6 @@ func TestFixedSize(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	u, err := NewUniformRange(64, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 1000; i++ {
-		s := u.Sample(rng)
-		if s < 64 || s > 256 {
-			t.Fatalf("sample %d outside [64, 256]", s)
-		}
-	}
-	if u.MeanBytes() != 160 {
-		t.Errorf("mean = %v", u.MeanBytes())
-	}
-	if u.Name() != "uniform-64-256" {
-		t.Errorf("name = %q", u.Name())
-	}
-	for _, bad := range [][2]int{{8, 64}, {64, MaxFlowBytes + 1}, {256, 64}} {
-		if _, err := NewUniformRange(bad[0], bad[1]); err == nil {
-			t.Errorf("range %v accepted", bad)
-		}
-	}
-}
-
 func TestNewSizeMix(t *testing.T) {
 	cases := []struct {
 		cfg  SizeMixConfig
@@ -166,7 +141,6 @@ func TestNewSizeMix(t *testing.T) {
 		ok   bool
 	}{
 		{SizeMixConfig{Kind: "fixed", Bytes: 1024}, "fixed-1024", true},
-		{SizeMixConfig{Kind: "uniform", Min: 64, Max: 512}, "uniform-64-512", true},
 		{SizeMixConfig{Kind: "websearch"}, "websearch", true},
 		{SizeMixConfig{Kind: "zipf"}, "", false},
 		{SizeMixConfig{Kind: "fixed", Bytes: 1}, "", false},

@@ -1,14 +1,13 @@
 // Package workload is the simulator's one traffic plane. It supplies
-// arrival processes (Poisson and bursty Markov-modulated), flow-size
-// mixes (fixed, uniform, heavy-tailed web-search style) and scenario
-// generators that compile an offered load into a deterministic flow
-// schedule: the datacenter-style mixes (FatPaths' framing) the
-// saturation studies judge the routing engines under (uniform,
-// incast, outcast, all-to-all), and the destination patterns the
-// paper and its companion studies evaluate ITBs under (uniform,
-// hotspot, bit-reversal, permutation) — plus two closed-loop drivers: a
-// ring/tree allreduce collective over GM ports and an RPC fan-out
-// service over the gmip stack.
+// Poisson arrivals, flow-size mixes (fixed, heavy-tailed web-search
+// style) and scenario generators that compile an offered load into a
+// deterministic flow schedule: the datacenter-style mixes (FatPaths'
+// framing) the saturation studies judge the routing engines under
+// (uniform, incast, outcast, all-to-all), and the destination patterns
+// the paper and its companion studies evaluate ITBs under (uniform,
+// hotspot, bit-reversal, permutation) — plus two closed-loop drivers:
+// a ring allreduce collective over GM ports and an RPC fan-out service
+// over the gmip stack.
 //
 // Everything here is deterministic per seed: a schedule is a pure
 // function of (topology, config), so the core drivers can shard cells
@@ -100,7 +99,7 @@ type PlanConfig struct {
 	// Arrival shapes the interarrival process of every sender.
 	Arrival ArrivalConfig
 	// Sizes draws per-flow payload sizes.
-	Sizes SizeMix
+	Sizes *Mix
 	// Seed makes the schedule reproducible.
 	Seed int64
 	// Horizon bounds the schedule: flows start strictly before it.
@@ -139,6 +138,9 @@ func Plan(topo *topology.Topology, cfg PlanConfig) ([]Flow, error) {
 		return nil, err
 	}
 	if cfg.Scenario == ScenarioPattern {
+		if err := checkExpectedFlows(cfg, len(hosts), mean); err != nil {
+			return nil, err
+		}
 		return planPattern(hosts, cfg, mean)
 	}
 
@@ -185,6 +187,9 @@ func Plan(topo *topology.Topology, cfg PlanConfig) ([]Flow, error) {
 	default:
 		return nil, fmt.Errorf("workload: unknown scenario %d", int(cfg.Scenario))
 	}
+	if err := checkExpectedFlows(cfg, len(senders), mean); err != nil {
+		return nil, err
+	}
 
 	var flows []Flow
 	for ord, si := range senders {
@@ -215,11 +220,23 @@ func Plan(topo *topology.Topology, cfg PlanConfig) ([]Flow, error) {
 
 // nextArrival returns the time of the process's next arrival after
 // t, or the horizon when it lands at or after it (t is before it).
-func nextArrival(t units.Time, ap ArrivalProcess, horizon units.Time) units.Time {
+func nextArrival(t units.Time, ap *PoissonGaps, horizon units.Time) units.Time {
 	if g := ap.Next(); g < horizon-t {
 		return t + g
 	}
 	return horizon
+}
+
+// checkExpectedFlows fails a plan whose expected flow count (senders
+// × horizon / mean gap) is over four times maxPlanFlows before a
+// single flow is drawn, so an absurd configuration costs nothing. The
+// margin keeps every plan the in-loop cap would admit: the cap, not
+// this estimate, is the exact bound.
+func checkExpectedFlows(cfg PlanConfig, senders int, mean units.Time) error {
+	if float64(senders)*float64(cfg.Horizon)/float64(mean) > 4*maxPlanFlows {
+		return errTooManyFlows(cfg, senders)
+	}
+	return nil
 }
 
 func errTooManyFlows(cfg PlanConfig, senders int) error {
@@ -241,7 +258,7 @@ func planPattern(hosts []topology.NodeID, cfg PlanConfig, mean units.Time) ([]Fl
 		return nil, err
 	}
 	sizes := rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))
-	aps := make([]ArrivalProcess, len(hosts))
+	aps := make([]*PoissonGaps, len(hosts))
 	q := &arrivals{host: make([]int, len(hosts)), at: make([]units.Time, len(hosts)), seq: make([]int, len(hosts))}
 	for i := range hosts {
 		if aps[i], err = NewArrival(cfg.Arrival, mean, rng); err != nil {
