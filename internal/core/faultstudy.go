@@ -57,13 +57,6 @@ type FaultStudyConfig struct {
 	// runs the decentralized SWIM-style detector with one agent per
 	// host and no single point of failure.
 	Detector recovery.DetectorKind
-	// GM recovery knobs (zero values take the study defaults:
-	// AckTimeout 150us, backoff 2x capped at 2ms, verdict after 6
-	// barren timeouts).
-	AckTimeout       units.Time
-	BackoffFactor    float64
-	MaxAckTimeout    units.Time
-	DeadPeerTimeouts int
 	// Metrics, when non-nil, receives the merged end-of-run metrics of
 	// the baseline and every campaign, prefixed "baseline." and
 	// "campaign<NN>." (merged in campaign order; byte-identical at any
@@ -185,27 +178,15 @@ func RunFaultStudy(cfg FaultStudyConfig) (FaultReport, error) {
 	return rep, nil
 }
 
-// studyGM returns the GM parameters of the study with the recovery
-// knobs resolved.
-func studyGM(cfg FaultStudyConfig) (ack units.Time, backoff float64, maxAck units.Time, deadAfter int) {
-	ack = cfg.AckTimeout
-	if ack <= 0 {
-		ack = 150 * units.Microsecond
-	}
-	backoff = cfg.BackoffFactor
-	if backoff == 0 {
-		backoff = 2
-	}
-	maxAck = cfg.MaxAckTimeout
-	if maxAck <= 0 {
-		maxAck = 2 * units.Millisecond
-	}
-	deadAfter = cfg.DeadPeerTimeouts
-	if deadAfter == 0 {
-		deadAfter = 6
-	}
-	return
-}
+// The GM recovery parameters of every fault campaign: a 150 µs ack
+// timeout, backed off 2x per barren timeout up to 2 ms, and the
+// dead-peer verdict after 6 barren timeouts.
+const (
+	studyAckTimeout       = 150 * units.Microsecond
+	studyBackoffFactor    = 2
+	studyMaxAckTimeout    = 2 * units.Millisecond
+	studyDeadPeerTimeouts = 6
+)
 
 // runFaultCampaign runs campaign idx (0 = the fault-free baseline) on
 // a private copy of the serialized topology; mix sizes its messages.
@@ -217,7 +198,8 @@ func runFaultCampaign(cfg FaultStudyConfig, mix *workload.Mix, idx int, topoText
 	ccfg := DefaultConfig(topo, cfg.Algorithm, variantFor(cfg.Algorithm))
 	ccfg.MCP.BufferPool = true
 	ccfg.MCP.RecvBuffers = 16
-	ccfg.GM.AckTimeout, ccfg.GM.BackoffFactor, ccfg.GM.MaxAckTimeout, ccfg.GM.DeadPeerTimeouts = studyGM(cfg)
+	ccfg.GM.AckTimeout, ccfg.GM.BackoffFactor = studyAckTimeout, studyBackoffFactor
+	ccfg.GM.MaxAckTimeout, ccfg.GM.DeadPeerTimeouts = studyMaxAckTimeout, studyDeadPeerTimeouts
 	obs.install(&ccfg)
 	cl, err := NewCluster(ccfg)
 	if err != nil {
@@ -240,7 +222,6 @@ func runFaultCampaign(cfg FaultStudyConfig, mix *workload.Mix, idx int, topoText
 			rtgt := recovery.Target{
 				Eng:     cl.Eng,
 				Topo:    topo,
-				Engine:  cfg.Algorithm,
 				Base:    cl.Table,
 				Hosts:   hostSlice(cl),
 				Monitor: 0,

@@ -36,8 +36,6 @@ type LoadStudyConfig struct {
 	Patterns []string
 	// Loads is the offered-load axis, per active sender.
 	Loads []float64
-	// Arrival shapes every sender's arrival process.
-	Arrival workload.ArrivalConfig
 	// Sizes selects the flow-size mix of the open-loop plans.
 	Sizes workload.SizeMixConfig
 	// Window is the measurement interval; Warmup is discarded
@@ -69,7 +67,6 @@ func DefaultLoadStudyConfig(seed int64) LoadStudyConfig {
 		Engines:   routing.EngineNames(),
 		Patterns:  []string{"uniform", "incast", "allreduce", "rpc"},
 		Loads:     []float64{0.2, 0.5, 0.8},
-		Arrival:   workload.ArrivalConfig{Kind: workload.Poisson},
 		Sizes:     workload.SizeMixConfig{Kind: "websearch"},
 		Window:    250 * units.Microsecond,
 		Warmup:    50 * units.Microsecond,
@@ -351,7 +348,6 @@ func runLoadPlan(cfg LoadStudyConfig, mix *workload.Mix, s loadCellSpec, topo *t
 	c, err := measureOpenLoop(cl, workload.PlanConfig{
 		Scenario: scenario,
 		Load:     s.load,
-		Arrival:  cfg.Arrival,
 		Sizes:    mix,
 		Seed:     cfg.Seed + 1,
 		Fanin:    cfg.Fanin,
@@ -424,7 +420,7 @@ func runLoadCollective(cfg LoadStudyConfig, mix *workload.Mix, s loadCellSpec, t
 				bgBytes += uint64(len(payload))
 			}
 		}
-		ap, err := workload.NewArrival(cfg.Arrival, mean, rand.New(rand.NewSource(cfg.Seed+3+1000003*int64(i+1))))
+		ap, err := workload.NewArrival(mean, rand.New(rand.NewSource(cfg.Seed+3+1000003*int64(i+1))))
 		if err != nil {
 			return LoadRow{}, err
 		}
@@ -499,7 +495,6 @@ func runLoadRPC(cfg LoadStudyConfig, s loadCellSpec, topo *topology.Topology, en
 		RequestBytes:  128,
 		ReplyBytes:    512,
 		Load:          s.load,
-		Arrival:       cfg.Arrival,
 		Seed:          cfg.Seed + 4,
 		Warmup:        cfg.Warmup,
 		Horizon:       endAt,
@@ -527,7 +522,7 @@ func runLoadRPC(cfg LoadStudyConfig, s loadCellSpec, topo *topology.Topology, en
 func (r LoadStudyResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "Load study: open-loop workload plane (SLO outputs per routing engine)\n")
 	fmt.Fprintf(w, "arrival %s, sizes %s (mean %.0fB), window %s after %s warmup\n",
-		r.Config.Arrival.Kind, r.SizesName, r.SizesMean, r.Config.Window, r.Config.Warmup)
+		workload.Poisson, r.SizesName, r.SizesMean, r.Config.Window, r.Config.Warmup)
 	fmt.Fprintf(w, "%-14s %-9s %-15s %7s %8s %6s %6s %5s %10s %10s %10s %11s\n",
 		"preset", "pattern", "engine", "offered", "delivrd", "sent", "done", "rej",
 		"p50", "p99", "p999", "collective")

@@ -41,8 +41,6 @@ type VCStudyConfig struct {
 	LaneCounts []int
 	// Load is the offered open-loop uniform load per sender.
 	Load float64
-	// Arrival shapes the senders' arrival process.
-	Arrival workload.ArrivalConfig
 	// Sizes selects the flow-size mix.
 	Sizes workload.SizeMixConfig
 	// Window is the measurement interval; Warmup is discarded
@@ -62,7 +60,6 @@ func DefaultVCStudyConfig(seed int64) VCStudyConfig {
 		Arms:       vcArms,
 		LaneCounts: []int{1, 2, 4},
 		Load:       0.6,
-		Arrival:    workload.ArrivalConfig{Kind: workload.Poisson},
 		Sizes:      workload.SizeMixConfig{Kind: "websearch"},
 		Window:     250 * units.Microsecond,
 		Warmup:     50 * units.Microsecond,
@@ -216,7 +213,6 @@ func runVCCell(cfg VCStudyConfig, mix *workload.Mix, s vcCellSpec, obs runObs) (
 	c, err := measureOpenLoop(cl, workload.PlanConfig{
 		Scenario: workload.ScenarioUniform,
 		Load:     cfg.Load,
-		Arrival:  cfg.Arrival,
 		Sizes:    mix,
 		Seed:     cfg.Seed + 1,
 	}, cfg.Warmup, cfg.Window)
@@ -233,7 +229,7 @@ func runVCCell(cfg VCStudyConfig, mix *workload.Mix, s vcCellSpec, obs runObs) (
 func (r VCStudyResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "VC ablation: in-transit buffers vs virtual-channel lanes (uniform open loop)\n")
 	fmt.Fprintf(w, "arrival %s, sizes %s (mean %.0fB), load %.2f, window %s after %s warmup\n",
-		r.Config.Arrival.Kind, r.SizesName, r.SizesMean, r.Config.Load, r.Config.Window, r.Config.Warmup)
+		workload.Poisson, r.SizesName, r.SizesMean, r.Config.Load, r.Config.Window, r.Config.Warmup)
 	fmt.Fprintf(w, "%-14s %-7s %5s %7s %8s %6s %6s %10s %10s %6s %9s\n",
 		"preset", "arm", "lanes", "offered", "delivrd", "sent", "done", "p50", "p99", "itbs", "deadlock")
 	prev := ""

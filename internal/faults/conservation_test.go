@@ -87,7 +87,7 @@ func checkConservation(t *testing.T, topo *topology.Topology, seed int64, detect
 	// and epoch installs are all events, not an oracle recompute.
 	rcfg := recovery.DefaultConfig(4 * horizon)
 	rtgt := recovery.Target{
-		Eng: eng, Topo: topo, Engine: routing.ITBRouting,
+		Eng: eng, Topo: topo,
 		Base: tbl, Hosts: hosts, Monitor: 0,
 	}
 	var det recovery.Detector

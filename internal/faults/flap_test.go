@@ -88,7 +88,7 @@ func TestFlapSequences(t *testing.T) {
 				hosts = append(hosts, gm.NewHost(eng, mcp.New(net, h, mcp.DefaultConfig(mcp.ITB)), tbl, gm.DefaultParams()))
 			}
 			mgr, err := recovery.NewManager(recovery.DefaultConfig(2000*us), recovery.Target{
-				Eng: eng, Topo: topo, Engine: routing.ITBRouting,
+				Eng: eng, Topo: topo,
 				Base: tbl, Hosts: hosts, Monitor: 0,
 			})
 			if err != nil {

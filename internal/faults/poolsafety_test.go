@@ -81,7 +81,7 @@ func runPoolCampaign(t *testing.T, topo *topology.Topology, seed int64) string {
 
 	horizon := 800 * units.Microsecond
 	mgr, err := recovery.NewManager(recovery.DefaultConfig(4*horizon), recovery.Target{
-		Eng: eng, Topo: topo, Engine: routing.ITBRouting,
+		Eng: eng, Topo: topo,
 		Base: tbl, Hosts: hosts, Monitor: 0,
 	})
 	if err != nil {

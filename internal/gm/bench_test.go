@@ -39,7 +39,7 @@ func BenchmarkInstallTableDeadExcluded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.InstallTable(routing.RebuildAvoidingLazy(tbl, topo, routing.ITBRouting, avoid, nil), 1)
+		h.InstallTable(tbl.RebuildLazy(avoid, nil), 1)
 	}
 }
 

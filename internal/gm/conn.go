@@ -309,14 +309,13 @@ func (c *conn) resurrect(epoch uint32) {
 	}
 }
 
-// restampRoutes rewrites the stamped route bytes (and epoch) of every
-// pending packet after a table install, so retransmissions follow the
-// new table instead of probing a dead path forever.
-func (c *conn) restampRoutes(hdr []byte, typ packet.Type, epoch uint32) {
+// restampRoutes rewrites the stamped route bytes of every pending
+// packet after a table install, so retransmissions follow the new
+// table instead of probing a dead path forever.
+func (c *conn) restampRoutes(hdr []byte, typ packet.Type) {
 	restamp := func(pkt *packet.Packet) {
 		pkt.Route = append(pkt.Route[:0], hdr...)
 		pkt.Type = typ
-		pkt.Epoch = epoch
 		c.h.stats.PacketsRerouted++
 	}
 	for i := range c.inflight {

@@ -14,9 +14,9 @@ import (
 )
 
 // pkt builds a bare data packet as it would arrive at dst's GM layer
-// (route consumed), for driving handleData directly. inc stamps both
-// the incarnation and the epoch, as a sender whose last resurrection
-// was at that epoch would.
+// (route consumed), for driving handleData directly. inc stamps the
+// incarnation, as a sender whose last resurrection was at that epoch
+// would.
 func pkt(t *testing.T, src, dst *Host, seq, inc uint32) *packet.Packet {
 	t.Helper()
 	p := packet.Get()
@@ -24,7 +24,6 @@ func pkt(t *testing.T, src, dst *Host, seq, inc uint32) *packet.Packet {
 	p.Src = int(src.Node())
 	p.Dst = int(dst.Node())
 	p.Seq = seq
-	p.Epoch = inc
 	p.Incarnation = inc
 	p.LastFrag = true
 	p.Payload = append(p.Payload, pattern(16)...)
@@ -215,10 +214,8 @@ func TestEpochBumpKeepsLiveStream(t *testing.T) {
 	}
 	h1.InstallTable(r.tbl, 5) // live conn: epoch bumps, incarnation must not
 	rc := h2.conns[h1.Node()]
-	// The re-stamped retransmit of seq 0: epoch 5, incarnation still 0.
-	replay := pkt(t, h1, h2, 0, 0)
-	replay.Epoch = 5
-	rc.handleData(replay)
+	// The re-stamped retransmit of seq 0: incarnation still 0.
+	rc.handleData(pkt(t, h1, h2, 0, 0))
 	r.eng.Run()
 	if rc.expected != 1 || rc.peerIncarnation != 0 {
 		t.Fatalf("re-stamped retransmit reset the stream: expected=%d peerIncarnation=%d",
@@ -233,8 +230,8 @@ func TestEpochBumpKeepsLiveStream(t *testing.T) {
 }
 
 // TestInstallTableRestampsPendingRoutes checks that a table install
-// rewrites the stamped routes and epochs of pending packets, so
-// retransmissions follow the new table.
+// rewrites the stamped routes of pending packets, so retransmissions
+// follow the new table.
 func TestInstallTableRestampsPendingRoutes(t *testing.T) {
 	r := resurrectRig(t)
 	h1, h2 := r.hosts[r.nodes.Host1], r.hosts[r.nodes.Host2]
@@ -250,9 +247,6 @@ func TestInstallTableRestampsPendingRoutes(t *testing.T) {
 		t.Fatalf("inflight = %d, want 1", len(c.inflight))
 	}
 	h1.InstallTable(r.tbl, 5)
-	if c.inflight[0].pkt.Epoch != 5 {
-		t.Errorf("inflight packet epoch = %d after install, want 5", c.inflight[0].pkt.Epoch)
-	}
 	if got := h1.Stats().PacketsRerouted; got == 0 {
 		t.Error("PacketsRerouted = 0 after install with pending traffic")
 	}
@@ -350,7 +344,7 @@ func TestInstallReconcilesOnlyBusyAndDeadConns(t *testing.T) {
 	}
 
 	var reused uint64
-	tbl := routing.RebuildAvoidingLazy(base, topo, routing.ITBRouting, routing.AvoidLinks(cut), &reused)
+	tbl := base.RebuildLazy(routing.AvoidLinks(cut), &reused)
 	rerouted := src.Stats().PacketsRerouted
 	src.InstallTable(tbl, 1)
 
@@ -359,8 +353,8 @@ func TestInstallReconcilesOnlyBusyAndDeadConns(t *testing.T) {
 	}
 	busyRoute, _ := tbl.Lookup(src.Node(), busy)
 	busyHdr, _ := busyRoute.EncodeHeader()
-	if p := src.conns[busy].inflight[0].pkt; p.Epoch != 1 || !bytes.Equal(p.Route, busyHdr) {
-		t.Errorf("busy conn's pending packet: epoch %d route %x, want epoch 1 route %x", p.Epoch, p.Route, busyHdr)
+	if p := src.conns[busy].inflight[0].pkt; !bytes.Equal(p.Route, busyHdr) {
+		t.Errorf("busy conn's pending packet: route %x, want %x", p.Route, busyHdr)
 	}
 	if got := src.Stats().PacketsRerouted - rerouted; got != 1 {
 		t.Errorf("install re-stamped %d packets, want 1", got)
@@ -381,8 +375,8 @@ func TestInstallReconcilesOnlyBusyAndDeadConns(t *testing.T) {
 	if bytes.Equal(newHdr, oldHdr) {
 		t.Fatalf("the new table routes %d->%d as the base does", src.Node(), far)
 	}
-	if c := src.conns[far]; len(c.inflight) != 1 || c.inflight[0].pkt.Epoch != 1 || !bytes.Equal(c.inflight[0].pkt.Route, newHdr) {
-		t.Errorf("idle conn's next send does not carry the new table's route and epoch")
+	if c := src.conns[far]; len(c.inflight) != 1 || !bytes.Equal(c.inflight[0].pkt.Route, newHdr) {
+		t.Errorf("idle conn's next send does not carry the new table's route")
 	}
 
 	hosts[busy].MCP().SetStalled(false)
@@ -437,7 +431,7 @@ func TestInstallSkipsDeadConnsToExcludedPeers(t *testing.T) {
 
 	avoid := routing.AvoidHostsIn(topo).AddHost(excluded)
 	rebuild := func() *routing.Table {
-		return routing.RebuildAvoidingLazy(base, topo, routing.ITBRouting, avoid, nil)
+		return base.RebuildLazy(avoid, nil)
 	}
 	alone := testing.AllocsPerRun(20, func() { rebuild() })
 	withInstall := testing.AllocsPerRun(20, func() { src.InstallTable(rebuild(), 1) })
@@ -473,7 +467,7 @@ func TestInstallSkipsDeadConnsToExcludedPeers(t *testing.T) {
 		t.Fatal("new table has no route to the busy peer")
 	}
 	busyHdr, _ := busyRoute.EncodeHeader()
-	if p := src.conns[busy].inflight[0].pkt; p.Epoch != 2 || !bytes.Equal(p.Route, busyHdr) {
-		t.Errorf("busy conn's pending packet: epoch %d route %x, want epoch 2 route %x", p.Epoch, p.Route, busyHdr)
+	if p := src.conns[busy].inflight[0].pkt; !bytes.Equal(p.Route, busyHdr) {
+		t.Errorf("busy conn's pending packet: route %x, want %x", p.Route, busyHdr)
 	}
 }

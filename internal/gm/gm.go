@@ -120,8 +120,8 @@ type Host struct {
 	ports map[uint8]*Port
 	msgID uint32
 	// epoch is the version of the installed route table (0 until the
-	// recovery protocol publishes one); outgoing packets are stamped
-	// with it.
+	// recovery protocol publishes one); a resurrected conn restarts its
+	// stream under it as its incarnation.
 	epoch uint32
 
 	// OnMessage delivers a complete, in-order message to the
@@ -225,7 +225,8 @@ func (h *Host) Node() topology.NodeID { return h.node }
 // every host its own table, so inspection is per-host.
 func (h *Host) Table() *routing.Table { return h.tbl }
 
-// Epoch returns the route-table epoch stamped on outgoing packets.
+// Epoch returns the epoch of the installed route table (0 until the
+// first install).
 func (h *Host) Epoch() uint32 { return h.epoch }
 
 // InstallTable is how the recovery protocol replaces the route table:
@@ -283,7 +284,7 @@ func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 			c.strikes = 0
 			c.curTimeout = h.par.AckTimeout
 			if hdr, err := r.EncodeHeader(); err == nil {
-				c.restampRoutes(hdr, packetTypeFor(r), h.epoch)
+				c.restampRoutes(hdr, packetTypeFor(r))
 			}
 		}
 	}
@@ -420,7 +421,6 @@ func segment(arg any) {
 		pkt.MsgID = op.id
 		pkt.FragIndex = i
 		pkt.LastFrag = i == nfrags-1
-		pkt.Epoch = h.epoch
 		if h.GossipStamp != nil {
 			pkt.Gossip = h.GossipStamp()
 		}

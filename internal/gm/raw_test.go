@@ -36,10 +36,7 @@ func TestInstallTableOnRawHost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tbl, _, err := routing.UpDownRouting.RebuildAvoiding(r.tbl, r.net.Topology(), routing.AvoidLinks().AddHost(lost))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl, _ := r.tbl.Rebuild(routing.AvoidLinks().AddHost(lost))
 	if _, ok := tbl.Lookup(h1.Node(), lost); ok {
 		t.Fatalf("the rebuilt table still routes to host %d", lost)
 	}

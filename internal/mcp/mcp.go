@@ -147,11 +147,6 @@ type MCP struct {
 	waiting      sim.FIFO[*fabric.Flight] // blocked arrivals (no buffer pool)
 	inTransit    map[*packet.Packet]bool
 
-	// epoch is the route-table version the recovery protocol last
-	// installed on this firmware (SetEpoch). An in-transit packet
-	// stamped under an older epoch is forwarded all the same.
-	epoch uint32
-
 	// Injected fault state (campaign-driven). A stalled NIC flushes
 	// every arrival and stops feeding the wire; an exhausted pool
 	// behaves as if every receive buffer were busy. Both are
@@ -243,18 +238,6 @@ func (m *MCP) Config() Config { return m.cfg }
 
 // SetTracer attaches an event recorder (nil to detach).
 func (m *MCP) SetTracer(r *trace.Recorder) { m.tracer = r }
-
-// SetEpoch installs the route-table epoch on the firmware, as the
-// recovery protocol's table distribution does host by host. Epochs
-// only move forward; a late-arriving older install is ignored.
-func (m *MCP) SetEpoch(epoch uint32) {
-	if epoch > m.epoch {
-		m.epoch = epoch
-	}
-}
-
-// Epoch returns the installed route-table epoch.
-func (m *MCP) Epoch() uint32 { return m.epoch }
 
 // SetMetrics attaches a registry (nil to detach): the firmware keeps
 // per-queue high-water gauges live as it runs; the counter snapshot is
@@ -648,9 +631,9 @@ func (m *MCP) PacketReceived(pkt *packet.Packet, headerAt, completedAt units.Tim
 		if ok && !forward {
 			delete(m.inTransit, pkt)
 			m.releaseRecvBuffer()
-			// Stale-epoch or corrupt-header flush: the in-transit packet
-			// dies in this NIC with no other live reference (early-recv
-			// and the detect event have both run).
+			// Corrupt-header flush: the in-transit packet dies in this
+			// NIC with no other live reference (early-recv and the
+			// detect event have both run).
 			packet.Recycle(pkt)
 			return
 		}

@@ -113,16 +113,12 @@ type Packet struct {
 	LastFrag         bool   // final fragment of its message
 	ITBsTaken        int    // in-transit hops already performed
 	ID               uint64 // unique id for tracing
-	// Epoch is the sender's route-table epoch (recovery protocol).
-	// Zero means the sender predates any remap — the pre-recovery wire
-	// format.
-	Epoch uint32
-	// Incarnation is the GM connection's session number: bumped only
-	// when a resurrected sender restarts its stream from seq 0, so
-	// receivers can tell a genuinely new stream from a retransmitted
-	// old one even when the table epoch advanced under a live
-	// connection. Distinct from Epoch: tables republish without
-	// connections dying.
+	// Incarnation is the GM connection's session number: the
+	// route-table epoch at which a resurrected sender restarted its
+	// stream from seq 0, so receivers can tell a genuinely new stream
+	// from a retransmitted old one. It moves only on resurrection, not
+	// at every table epoch: tables republish without connections
+	// dying.
 	Incarnation uint32
 	// Corrupt marks an injected fault: the payload CRC will fail at
 	// the destination NIC. Cut-through forwarding cannot detect it at

@@ -15,7 +15,7 @@ import (
 // that consumed it — GM's deliver path Puts wire packets and acks, the
 // connection state Puts acknowledged or abandoned originals, and every
 // drop path (misroute, fault kill, CRC flush, buffer-pool overflow,
-// stale-epoch discard) calls Recycle at the single point where the
+// stale-incarnation discard) calls Recycle at the single point where the
 // packet leaves the simulation. Recycle is safe on packets that did
 // not come from the pool (mapper scouts, MCP replies, recovery probes,
 // fault-injected duplicates): only pool-tracked packets carry the

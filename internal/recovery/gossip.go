@@ -18,9 +18,9 @@
 //     protocol safe under flapping.
 //   - A suspicion no alive-claim refutes within SuspicionPeriods
 //     periods is confirmed locally; the confirming agent rebuilds its
-//     own route table around its local dead set (the engine's
-//     incremental rebuild the monitor uses) and installs it
-//     under a fresh epoch. Consensus is emergent: the dead claim
+//     own route table around its local dead set (the lazy form of the
+//     base table's rebuild the monitor uses) and installs it under a
+//     fresh epoch. Consensus is emergent: the dead claim
 //     gossips outward and every agent converges on the same avoid
 //     set, host by host, with no coordinator. Killing any single
 //     host — including the one the monitor design elected — only
@@ -133,7 +133,6 @@ type Gossip struct {
 	cfg    Config
 	eng    *sim.Engine
 	topo   *topology.Topology
-	engine routing.Engine
 	base   *routing.Table
 	finder *routing.Finder // probe routes
 	hosts  []*gm.Host
@@ -156,12 +155,11 @@ type Gossip struct {
 	deadVotes    []int
 	quorum       int
 
-	nonce      uint32
-	epoch      uint32
-	spreadTx   int // dissemination budget per update (≈ 3·log₂N)
-	started    bool
-	routeCache map[int64][]byte // (from<<32|to) -> encoded header; nil entry = unreachable
-	stats      Stats
+	nonce    uint32
+	epoch    uint32
+	spreadTx int // dissemination budget per update (≈ 3·log₂N)
+	started  bool
+	stats    Stats
 }
 
 // NewGossip builds (but does not start) the decentralized detector.
@@ -173,7 +171,7 @@ func NewGossip(cfg Config, tgt Target) (*Gossip, error) {
 	if cfg.Deadline <= 0 {
 		return nil, fmt.Errorf("recovery: Config.Deadline is required (it bounds the probe process)")
 	}
-	if tgt.Eng == nil || tgt.Topo == nil || tgt.Engine == nil || tgt.Base == nil {
+	if tgt.Eng == nil || tgt.Topo == nil || tgt.Base == nil {
 		return nil, fmt.Errorf("recovery: incomplete target")
 	}
 	if len(tgt.Hosts) < 2 {
@@ -184,17 +182,15 @@ func NewGossip(cfg Config, tgt Target) (*Gossip, error) {
 		return nil, err
 	}
 	g := &Gossip{
-		cfg:        cfg.withDefaults(),
-		eng:        tgt.Eng,
-		topo:       tgt.Topo,
-		engine:     tgt.Engine,
-		base:       tgt.Base,
-		finder:     finder,
-		hosts:      tgt.Hosts,
-		tracer:     tgt.Tracer,
-		idxOf:      make(map[topology.NodeID]int, len(tgt.Hosts)),
-		glob:       make([]globView, len(tgt.Hosts)),
-		routeCache: make(map[int64][]byte),
+		cfg:    cfg.withDefaults(),
+		eng:    tgt.Eng,
+		topo:   tgt.Topo,
+		base:   tgt.Base,
+		finder: finder,
+		hosts:  tgt.Hosts,
+		tracer: tgt.Tracer,
+		idxOf:  make(map[topology.NodeID]int, len(tgt.Hosts)),
+		glob:   make([]globView, len(tgt.Hosts)),
 	}
 	g.suspectVotes = make([]int, len(tgt.Hosts))
 	g.deadVotes = make([]int, len(tgt.Hosts))
@@ -368,23 +364,20 @@ func (g *Gossip) nextNonce() uint32 {
 	return g.nonce
 }
 
-// route returns the cached up*/down* wire header from host index
-// `from` to host index `to` (nil when no route exists). Gossip
-// probes, like the monitor's, avoid in-transit hosts: a probe must
-// not depend on a host that may itself be the thing being probed.
+// route returns the up*/down* wire header from host index `from` to
+// host index `to` (nil when no route exists), the pair's route the
+// Finder memoizes. Gossip probes, like the monitor's, avoid in-transit
+// hosts: a probe must not depend on a host that may itself be the
+// thing being probed.
 func (g *Gossip) route(from, to int) []byte {
-	key := int64(from)<<32 | int64(uint32(to))
-	if h, ok := g.routeCache[key]; ok {
-		return h
-	}
-	var hdr []byte
 	r, err := g.finder.FindRoute(g.hosts[from].Node(), g.hosts[to].Node(), nil)
-	if err == nil {
-		if enc, err := r.EncodeHeader(); err == nil {
-			hdr = enc
-		}
+	if err != nil {
+		return nil
 	}
-	g.routeCache[key] = hdr
+	hdr, err := r.EncodeHeader()
+	if err != nil {
+		return nil
+	}
 	return hdr
 }
 
@@ -764,7 +757,7 @@ func (a *agent) installTable() {
 			}
 		}
 	}
-	tbl := routing.RebuildAvoidingLazy(g.base, g.topo, g.engine, avoid, &g.stats.RoutesReused)
+	tbl := g.base.RebuildLazy(avoid, &g.stats.RoutesReused)
 	g.epoch++
 	epoch := g.epoch
 	g.stats.EpochsPublished++
@@ -777,7 +770,6 @@ func (a *agent) installTable() {
 			return // a newer local install already landed
 		}
 		host.InstallTable(tbl, epoch)
-		host.MCP().SetEpoch(epoch)
 		if g.tracer != nil {
 			g.emit(trace.EpochInstall, host.Node(), fmt.Sprintf("epoch=%d", epoch))
 		}

@@ -57,7 +57,6 @@ func newGossipRigOn(t *testing.T, cfg Config, topo *topology.Topology) *gossipRi
 	gsp, err := NewGossip(cfg, Target{
 		Eng:    eng,
 		Topo:   topo,
-		Engine: routing.ITBRouting,
 		Base:   tbl,
 		Hosts:  hosts,
 		Tracer: tr,
@@ -537,7 +536,7 @@ func TestGossipInstallsHistoryIndependent(t *testing.T) {
 	avoid := routing.AvoidLinks()
 	avoid.AddHost(r.hosts[x].Node())
 	avoid.AddHost(r.hosts[y].Node())
-	want := routing.RebuildAvoidingLazy(base, r.topo, routing.ITBRouting, avoid, nil)
+	want := base.RebuildLazy(avoid, nil)
 	for _, a := range agents {
 		if a.host.Epoch() == 0 {
 			t.Fatalf("agent %d installed no table", a.idx)

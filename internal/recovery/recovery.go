@@ -26,12 +26,11 @@
 //     epoch: the route table is rebuilt incrementally around the
 //     confirmed hosts and suspected links (dead in-transit hosts
 //     degrade ITB routes to pure up*/down* sub-paths, see
-//     routing.Engine's RebuildAvoiding) and installed on each live
-//     host as its own simulation event, InstallDelay +
-//     k*InstallStagger after the publish. Between the first and last
-//     install the cluster runs mixed epochs; packets carry their
-//     sender's epoch, and in-transit hosts forward stale-stamped
-//     packets over the sub-paths they carry.
+//     routing.Table's Rebuild) and installed on each live host as its
+//     own simulation event, InstallDelay + k*InstallStagger after the
+//     publish. Between the first and last install the cluster runs
+//     mixed epochs; in-transit hosts forward the packets stamped under
+//     an older table over the sub-paths they carry.
 //   - Confirmed hosts keep being probed. A reply from one resurrects
 //     it: a new epoch restores its routes, and gm.Host.InstallTable
 //     lifts dead-peer verdicts against it under a fresh incarnation.
@@ -232,10 +231,9 @@ func (c Config) withDefaults() Config {
 type Target struct {
 	Eng  *sim.Engine
 	Topo *topology.Topology
-	// Engine rebuilds the published tables.
-	Engine routing.Engine
-	// Base is the initial (epoch-0) table the cluster started with,
-	// built by Engine; probe routes follow its orientation.
+	// Base is the initial (epoch-0) table the cluster started with.
+	// Every published table is rebuilt from it, with its engine and
+	// switch graph, and probe routes follow its orientation.
 	Base *routing.Table
 	// Hosts in topology order; installs walk this order.
 	Hosts []*gm.Host
@@ -301,7 +299,6 @@ type Manager struct {
 	cfg    Config
 	eng    *sim.Engine
 	topo   *topology.Topology
-	engine routing.Engine
 	table  *routing.Table
 	finder *routing.Finder // probe routes
 	hosts  []*gm.Host
@@ -330,7 +327,7 @@ func NewManager(cfg Config, tgt Target) (*Manager, error) {
 	if cfg.Deadline <= 0 {
 		return nil, fmt.Errorf("recovery: Config.Deadline is required (it bounds the probe process)")
 	}
-	if tgt.Eng == nil || tgt.Topo == nil || tgt.Engine == nil || tgt.Base == nil {
+	if tgt.Eng == nil || tgt.Topo == nil || tgt.Base == nil {
 		return nil, fmt.Errorf("recovery: incomplete target")
 	}
 	if tgt.Monitor < 0 || tgt.Monitor >= len(tgt.Hosts) {
@@ -344,7 +341,6 @@ func NewManager(cfg Config, tgt Target) (*Manager, error) {
 		cfg:          cfg.withDefaults(),
 		eng:          tgt.Eng,
 		topo:         tgt.Topo,
-		engine:       tgt.Engine,
 		table:        tgt.Base,
 		finder:       finder,
 		hosts:        tgt.Hosts,
@@ -505,25 +501,13 @@ func (m *Manager) refreshProbeRoutes() {
 		}
 	}
 	for _, hs := range m.targets {
-		hs.fwd, hs.ret, hs.primLinks = nil, nil, nil
-		f, err := m.finder.FindRoute(m.monNode(), hs.node, avoid)
-		if err != nil {
+		var routes [2]*routing.Route
+		hs.fwd, hs.ret, routes = m.probeRoutes(hs.node, avoid)
+		hs.primLinks = nil
+		if hs.fwd == nil {
 			continue
 		}
-		rr, err := m.finder.FindRoute(hs.node, m.monNode(), avoid)
-		if err != nil {
-			continue
-		}
-		fh, err := f.EncodeHeader()
-		if err != nil {
-			continue
-		}
-		rh, err := rr.EncodeHeader()
-		if err != nil {
-			continue
-		}
-		hs.fwd, hs.ret = fh, rh
-		for _, route := range []*routing.Route{f, rr} {
+		for _, route := range routes {
 			for _, tr := range route.LinkPath() {
 				if m.topo.Node(tr.Link.A).Kind == topology.KindSwitch &&
 					m.topo.Node(tr.Link.B).Kind == topology.KindSwitch {
@@ -532,6 +516,24 @@ func (m *Manager) refreshProbeRoutes() {
 			}
 		}
 	}
+}
+
+// probeRoutes returns the probe headers from the monitor to node and
+// back under avoid, with the two routes they encode; the headers are
+// nil unless both directions route.
+func (m *Manager) probeRoutes(node topology.NodeID, avoid *routing.Avoid) (fwd, ret []byte, routes [2]*routing.Route) {
+	var hdrs [2][]byte
+	for i, p := range [2][2]topology.NodeID{{m.monNode(), node}, {node, m.monNode()}} {
+		r, err := m.finder.FindRoute(p[0], p[1], avoid)
+		if err != nil {
+			return nil, nil, routes
+		}
+		if hdrs[i], err = r.EncodeHeader(); err != nil {
+			return nil, nil, routes
+		}
+		routes[i] = r
+	}
+	return hdrs[0], hdrs[1], routes
 }
 
 // sendProbe emits one probe (or verification probe) to a target. A
@@ -669,23 +671,8 @@ func (m *Manager) altProbeRoute(hs *hostState) (fwd, ret []byte) {
 	for _, id := range hs.primLinks {
 		avoid.AddLink(id)
 	}
-	f, err := m.finder.FindRoute(m.monNode(), hs.node, avoid)
-	if err != nil {
-		return nil, nil
-	}
-	rr, err := m.finder.FindRoute(hs.node, m.monNode(), avoid)
-	if err != nil {
-		return nil, nil
-	}
-	fh, err := f.EncodeHeader()
-	if err != nil {
-		return nil, nil
-	}
-	rh, err := rr.EncodeHeader()
-	if err != nil {
-		return nil, nil
-	}
-	return fh, rh
+	fwd, ret, _ = m.probeRoutes(hs.node, avoid)
+	return fwd, ret
 }
 
 // confirm gives the dead verdict and publishes an epoch without the
@@ -768,10 +755,7 @@ func (m *Manager) buildAvoid() *routing.Avoid {
 // host by host. trigger is when the causing condition was first
 // observed; the convergence summary samples trigger -> last install.
 func (m *Manager) publish(trigger units.Time, why string) {
-	tbl, reused, err := m.engine.RebuildAvoiding(m.table, m.topo, m.buildAvoid())
-	if err != nil {
-		return // unreachable with a non-nil previous table
-	}
+	tbl, reused := m.table.Rebuild(m.buildAvoid())
 	m.epoch++
 	epoch := m.epoch
 	m.table = tbl
@@ -804,7 +788,6 @@ func (m *Manager) publish(trigger units.Time, why string) {
 				m.gSkew.SetMax(float64(epoch - h.Epoch()))
 			}
 			h.InstallTable(tbl, epoch)
-			h.MCP().SetEpoch(epoch)
 			if m.tracer != nil {
 				m.emit(trace.EpochInstall, h.Node(), fmt.Sprintf("epoch=%d", epoch))
 			}

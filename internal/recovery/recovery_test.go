@@ -43,7 +43,6 @@ func newRig(t *testing.T, cfg Config) *rig {
 	mgr, err := NewManager(cfg, Target{
 		Eng:     eng,
 		Topo:    topo,
-		Engine:  routing.ITBRouting,
 		Base:    tbl,
 		Hosts:   hosts,
 		Monitor: 0,
@@ -110,9 +109,6 @@ func TestDetectionAndConvergence(t *testing.T) {
 		}
 		if h.Epoch() != r.mgr.Epoch() {
 			t.Errorf("host %d at epoch %d, cluster published %d", i, h.Epoch(), r.mgr.Epoch())
-		}
-		if h.MCP().Epoch() != r.mgr.Epoch() {
-			t.Errorf("host %d MCP at epoch %d, want %d", i, h.MCP().Epoch(), r.mgr.Epoch())
 		}
 	}
 	// Incremental rebuild actually reused the unaffected routes.

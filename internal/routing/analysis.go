@@ -48,7 +48,7 @@ func Analyze(t *topology.Topology, ud *topology.UpDown, tbl *Table) Analysis {
 	// Minimal hop counts come from one unrestricted BFS per source
 	// switch, rerun only when the host-major iteration changes source.
 	g := tbl.graph
-	if g == nil || g.t != t {
+	if g.t != t {
 		g = mustGraph(t, ud)
 	}
 	minHops := make([]int32, len(g.sws))

@@ -102,7 +102,7 @@ func lazyInstallRow(tb testing.TB) func() {
 		for k := 1; k <= 20; k++ {
 			avoid.AddHost(hosts[k*3])
 		}
-		tbl := RebuildAvoidingLazy(base, topo, ITBRouting, avoid, nil)
+		tbl := base.RebuildLazy(avoid, nil)
 		for _, dst := range hosts[1:] {
 			tbl.Lookup(src, dst)
 		}

@@ -33,11 +33,6 @@ type Engine interface {
 	// BuildTable computes host-pair routes, omitting pairs with dead
 	// endpoints and pairs unreachable under a non-nil exclusion set.
 	BuildTable(t *topology.Topology, avoid *Avoid) (*Table, error)
-	// RebuildAvoiding is the incremental form: routes of prev that
-	// survive the exclusion set are reused, the rest recomputed. A prev
-	// of nil or from a different engine value degenerates to a full
-	// build (returning 0 reused).
-	RebuildAvoiding(prev *Table, t *topology.Topology, avoid *Avoid) (*Table, int, error)
 	// Lanes declares how many virtual-channel lanes per link direction
 	// the engine's routes require of the fabric. Engines whose routes
 	// never select a lane declare 1 (the faithful Myrinet
@@ -137,45 +132,23 @@ func engineCheckTopology(name string, t *topology.Topology) error {
 // lane 0).
 type pathFunc func(srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, error)
 
-// engineGraphFor returns prev's switch graph when an equal engine
-// value built prev on t (an engine's orientation is a function of the
-// topology), and otherwise a new graph over e.Orientation(t), after
-// checking that e can route t.
-func engineGraphFor(e Engine, prev *Table, t *topology.Topology) (*engineGraph, error) {
-	if prev != nil && prev.engine == e && prev.graph != nil && prev.graph.t == t {
-		return prev.graph, nil
-	}
+// buildTable is the body of every engine's BuildTable: a table over a
+// new switch graph of e.Orientation(t), with every live pair resolved.
+// With a nil avoid every pair must route; with an exclusion set, pairs
+// whose endpoint host is dead (or cabled through a dead link) or that
+// have no surviving path are omitted. Its rebuilds (Table.Rebuild and
+// Table.RebuildLazy) share its engine and graph.
+func buildTable(e Engine, t *topology.Topology, avoid *Avoid) (*Table, error) {
 	if err := engineCheckTopology(e.Name(), t); err != nil {
 		return nil, err
 	}
-	return newEngineGraph(t, e.Orientation(t))
-}
-
-// rebuildEngineTable is the body of every engine's BuildTable (prev
-// nil) and RebuildAvoiding. Surviving routes of a prev built by an
-// equal engine value are shared into the new table and only the
-// invalidated pairs are searched again; any other prev degenerates to
-// a full build. Equal values share prev's switch graph, so two
-// orientations never do. With a nil avoid every pair must route; with
-// an exclusion set, pairs whose endpoint host is dead (or cabled
-// through a dead link) or that have no surviving path are omitted:
-// Lookup reports them missing, GM fails such sends at once, and the
-// rest of the network keeps routing.
-func rebuildEngineTable(e Engine, prev *Table, t *topology.Topology, avoid *Avoid) (*Table, int, error) {
-	g, err := engineGraphFor(e, prev, t)
+	g, err := newEngineGraph(t, e.Orientation(t))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	tbl := newTable(t, g, e, avoid)
-	reused := 0
-	if prev == nil || prev.engine != e {
-		if err := tbl.routeAll(t, avoid == nil); err != nil {
-			return nil, 0, fmt.Errorf("routing: engine %q: %w", e.Name(), err)
-		}
-	} else {
-		reused = tbl.rebuildFrom(prev, t)
+	tbl := newTable(g, e, avoid)
+	if err := tbl.fill(avoid == nil); err != nil {
+		return nil, fmt.Errorf("routing: engine %q: %w", e.Name(), err)
 	}
-	// An eager table searches nothing more.
-	tbl.pathCache = nil
-	return tbl, reused, nil
+	return tbl, nil
 }

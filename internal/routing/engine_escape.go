@@ -35,13 +35,7 @@ func (MinimalEscapeEngine) Orientation(t *topology.Topology) *topology.UpDown {
 
 // BuildTable implements Engine.
 func (e MinimalEscapeEngine) BuildTable(t *topology.Topology, avoid *Avoid) (*Table, error) {
-	tbl, _, err := rebuildEngineTable(e, nil, t, avoid)
-	return tbl, err
-}
-
-// RebuildAvoiding implements Engine.
-func (e MinimalEscapeEngine) RebuildAvoiding(prev *Table, t *topology.Topology, avoid *Avoid) (*Table, int, error) {
-	return rebuildEngineTable(e, prev, t, avoid)
+	return buildTable(e, t, avoid)
 }
 
 // Lanes implements Engine: every route is legal under one orientation

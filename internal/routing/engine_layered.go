@@ -57,13 +57,7 @@ func pairLayer(si, di, layers int) int {
 
 // BuildTable implements Engine.
 func (e LayeredEngine) BuildTable(t *topology.Topology, avoid *Avoid) (*Table, error) {
-	tbl, _, err := rebuildEngineTable(e, nil, t, avoid)
-	return tbl, err
-}
-
-// RebuildAvoiding implements Engine.
-func (e LayeredEngine) RebuildAvoiding(prev *Table, t *topology.Topology, avoid *Avoid) (*Table, int, error) {
-	return rebuildEngineTable(e, prev, t, avoid)
+	return buildTable(e, t, avoid)
 }
 
 // Lanes implements Engine: the tie-break layers are a route-choice

@@ -6,11 +6,10 @@ import (
 	"repro/internal/topology"
 )
 
-// Engine-level RebuildAvoiding coverage: the incremental rebuild must
-// behave identically across engines — full reuse under an empty
-// exclusion set, correct re-routing around a dead orientation root,
-// silent omission of pairs cut off by a partitioning fault, and
-// degeneration to a full build when prev is nil or foreign.
+// Engine-level Rebuild coverage: the incremental rebuild must behave
+// identically across engines — full reuse under an empty exclusion
+// set, correct re-routing around a dead orientation root, and silent
+// omission of pairs cut off by a partitioning fault.
 
 func rebuildTestTopology(t *testing.T) *topology.Topology {
 	t.Helper()
@@ -29,10 +28,7 @@ func TestEngineRebuildEmptyAvoidMatchesFullBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildTable: %v", err)
 			}
-			reb, reused, err := e.RebuildAvoiding(full, topo, AvoidLinks())
-			if err != nil {
-				t.Fatalf("RebuildAvoiding: %v", err)
-			}
+			reb, reused := full.Rebuild(AvoidLinks())
 			if reused != full.Len() {
 				t.Errorf("reused %d routes, want all %d", reused, full.Len())
 			}
@@ -66,10 +62,7 @@ func TestEngineRebuildDeadRoot(t *testing.T) {
 			for _, nb := range topo.Neighbors(root) {
 				avoid.AddLink(nb.Link.ID)
 			}
-			reb, reused, err := e.RebuildAvoiding(full, topo, avoid)
-			if err != nil {
-				t.Fatalf("RebuildAvoiding: %v", err)
-			}
+			reb, reused := full.Rebuild(avoid)
 			if reused >= full.Len() {
 				t.Errorf("reused %d of %d routes despite a dead root", reused, full.Len())
 			}
@@ -131,10 +124,7 @@ func TestEngineRebuildPartitioned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildTable: %v", err)
 			}
-			reb, _, err := e.RebuildAvoiding(full, topo, AvoidLinks(bridge))
-			if err != nil {
-				t.Fatalf("RebuildAvoiding: %v", err)
-			}
+			reb, _ := full.Rebuild(AvoidLinks(bridge))
 			// 16 hosts, 8 per half: cross-half pairs are silently
 			// omitted, same-half pairs all survive.
 			if want := 2 * 8 * 7; reb.Len() != want {
@@ -148,40 +138,6 @@ func TestEngineRebuildPartitioned(t *testing.T) {
 				t.Errorf("same-half pair lost")
 			} else if !routeValid(topo, r, AvoidLinks(bridge)) {
 				t.Errorf("surviving route crosses the bridge")
-			}
-		})
-	}
-}
-
-func TestEngineRebuildNilOrForeignPrev(t *testing.T) {
-	topo := rebuildTestTopology(t)
-	engines := Engines()
-	for i, e := range engines {
-		t.Run(e.Name(), func(t *testing.T) {
-			reb, reused, err := e.RebuildAvoiding(nil, topo, nil)
-			if err != nil {
-				t.Fatalf("RebuildAvoiding(nil): %v", err)
-			}
-			if reused != 0 {
-				t.Errorf("reused %d routes from a nil prev", reused)
-			}
-			hosts := topo.Hosts()
-			if want := len(hosts) * (len(hosts) - 1); reb.Len() != want {
-				t.Errorf("full build via rebuild has %d routes, want %d", reb.Len(), want)
-			}
-			// A table from a different engine must not be reused: its
-			// paths embody another orientation's legality argument.
-			other := engines[(i+1)%len(engines)]
-			foreign, err := other.BuildTable(topo, nil)
-			if err != nil {
-				t.Fatalf("foreign BuildTable: %v", err)
-			}
-			_, reused, err = e.RebuildAvoiding(foreign, topo, AvoidLinks())
-			if err != nil {
-				t.Fatalf("RebuildAvoiding(foreign): %v", err)
-			}
-			if reused != 0 {
-				t.Errorf("reused %d routes from engine %q", reused, other.Name())
 			}
 		})
 	}

@@ -19,9 +19,9 @@ import (
 // ejection consuming the packet from the network.
 //
 // The engine is used by pointer: *UpDownEngine implements Engine, so
-// handing one to an Engine costs no allocation, and table reuse keys
-// on the pointer. UpDownRouting and ITBRouting are shared; build a new
-// value rather than change their fields.
+// handing one to an Engine costs no allocation. UpDownRouting and
+// ITBRouting are shared; build a new value rather than change their
+// fields.
 type UpDownEngine struct {
 	// ITB repairs forbidden turns with in-transit buffers; without it
 	// every route is legal end to end.
@@ -82,13 +82,7 @@ func (e *UpDownEngine) Orientation(t *topology.Topology) *topology.UpDown {
 
 // BuildTable implements Engine.
 func (e *UpDownEngine) BuildTable(t *topology.Topology, avoid *Avoid) (*Table, error) {
-	tbl, _, err := rebuildEngineTable(e, nil, t, avoid)
-	return tbl, err
-}
-
-// RebuildAvoiding implements Engine.
-func (e *UpDownEngine) RebuildAvoiding(prev *Table, t *topology.Topology, avoid *Avoid) (*Table, int, error) {
-	return rebuildEngineTable(e, prev, t, avoid)
+	return buildTable(e, t, avoid)
 }
 
 // Lanes implements Engine: the paper's mechanism needs no virtual

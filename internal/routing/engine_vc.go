@@ -74,11 +74,5 @@ func (e VCEscapeEngine) search() search {
 
 // BuildTable implements Engine.
 func (e VCEscapeEngine) BuildTable(t *topology.Topology, avoid *Avoid) (*Table, error) {
-	tbl, _, err := rebuildEngineTable(e, nil, t, avoid)
-	return tbl, err
-}
-
-// RebuildAvoiding implements Engine.
-func (e VCEscapeEngine) RebuildAvoiding(prev *Table, t *topology.Topology, avoid *Avoid) (*Table, int, error) {
-	return rebuildEngineTable(e, prev, t, avoid)
+	return buildTable(e, t, avoid)
 }

@@ -207,10 +207,7 @@ func TestVCRebuildAvoiding(t *testing.T) {
 		}
 	}
 	avoid := AvoidLinks(dead)
-	next, reused, err := e.RebuildAvoiding(tbl, topo, avoid)
-	if err != nil {
-		t.Fatalf("RebuildAvoiding: %v", err)
-	}
+	next, reused := tbl.Rebuild(avoid)
 	if reused == 0 {
 		t.Fatalf("no routes reused after a single link fault")
 	}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -252,6 +253,11 @@ func (sl *searchSlot) goal(di int32) (*searchTree, int32) {
 	return st, best
 }
 
+// errNoPath reports a switch pair the search cannot connect under the
+// exclusion set. It is a sentinel, so a lazy Lookup of a partitioned
+// pair allocates nothing.
+var errNoPath = errors.New("routing: no switch path under the exclusion set")
+
 // path is the switch-pair search of s over g under avoid, the one every
 // table runs. It searches in the graph's slot, under its mutex.
 func (g *engineGraph) path(s search, avoid *Avoid, srcSw, dstSw topology.NodeID) ([]Traversal, []int, []uint8, error) {
@@ -265,7 +271,7 @@ func (g *engineGraph) path(s search, avoid *Avoid, srcSw, dstSw topology.NodeID)
 	sl.run(g, s, avoid, si)
 	st, goal := sl.goal(di)
 	if goal < 0 {
-		return nil, nil, nil, fmt.Errorf("routing: no path from switch %d to %d", srcSw, dstSw)
+		return nil, nil, nil, errNoPath
 	}
 	sl.buf = st.walk(goal, sl.buf)
 	trav, itbBefore, lanes := g.traversals(st, sl.buf, int32(s.lanes))

@@ -90,9 +90,9 @@ func oracleTable(tb testing.TB, tp *topology.Topology, ud *topology.UpDown, alg 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tbl := newTable(tp, g, alg, avoid)
+	tbl := newTable(g, alg, avoid)
 	tbl.pathFn = oraclePathFunc(tp, ud, alg.ITB, avoid)
-	if err := tbl.routeAll(tp, avoid == nil); err != nil {
+	if err := tbl.fill(avoid == nil); err != nil {
 		tb.Fatal(err)
 	}
 	return tbl
@@ -191,22 +191,20 @@ func TestTablesMatchPerPairSearches(t *testing.T) {
 						fallbacks += countFallbacks(tp, oBase, oFull)
 					}
 
-					inc, reused, err := alg.RebuildAvoiding(base, tp, avoid)
-					if err != nil {
-						t.Fatalf("%s: %v", ctx, err)
-					}
+					inc, reused := base.Rebuild(avoid)
 					if inc.graph != base.graph {
 						t.Fatalf("%s: rebuild did not inherit the switch graph", ctx)
 					}
-					oInc := newTable(tp, oBase.graph, alg, avoid)
+					oInc := newTable(oBase.graph, alg, avoid)
 					oInc.pathFn = oraclePathFunc(tp, ud, alg.ITB, avoid)
-					if oReused := oInc.rebuildFrom(oBase, tp); reused != oReused {
+					if oReused := oInc.adoptSurvivors(oBase); reused != oReused {
 						t.Fatalf("%s: rebuild reused %d routes, oracle %d", ctx, reused, oReused)
 					}
+					oInc.fill(false)
 					sameRoutes(t, tp, inc, oInc)
 
-					lazy := RebuildAvoidingLazy(base, tp, alg, avoid, nil)
-					oLazy := RebuildAvoidingLazy(oBase, tp, alg, avoid, nil)
+					lazy := base.RebuildLazy(avoid, nil)
+					oLazy := oBase.RebuildLazy(avoid, nil)
 					oLazy.pathFn = oraclePathFunc(tp, ud, alg.ITB, avoid)
 					sameRoutes(t, tp, lazy, oLazy)
 				}

@@ -20,10 +20,7 @@ func TestRebuildReusesValidRoutes(t *testing.T) {
 	}
 	avoid := AvoidLinks().AddHost(f.Hosts[6]) // the Figure 1 in-transit host dies
 
-	inc, reused, err := ITBRouting.RebuildAvoiding(base, tp, avoid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc, reused := base.Rebuild(avoid)
 	full, err := ITBRouting.BuildTable(tp, avoid)
 	if err != nil {
 		t.Fatal(err)
@@ -57,41 +54,6 @@ func TestRebuildReusesValidRoutes(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRebuildNilPrevFallsBack checks that a nil previous table (or an
-// engine change) degenerates to a full build.
-func TestRebuildNilPrevFallsBack(t *testing.T) {
-	tp, _ := topology.Figure1()
-	tbl, reused, err := ITBRouting.RebuildAvoiding(nil, tp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reused != 0 {
-		t.Errorf("reused = %d with nil prev, want 0", reused)
-	}
-	want, err := ITBRouting.BuildTable(tp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != want.Len() {
-		t.Errorf("fallback table has %d routes, want %d", tbl.Len(), want.Len())
-	}
-
-	udTbl, err := UpDownRouting.BuildTable(tp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl2, reused2, err := ITBRouting.RebuildAvoiding(udTbl, tp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reused2 != 0 {
-		t.Errorf("reused = %d across an engine change, want 0", reused2)
-	}
-	if tbl2.engine != Engine(ITBRouting) {
-		t.Errorf("engine = %v, want ITBRouting", tbl2.engine)
 	}
 }
 
@@ -168,7 +130,7 @@ func TestFindRouteSharedTableMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d hosts: FindRoute %d->%d: %v", len(tp.Hosts()), p[0], p[1], err)
 			}
-			want, err := newTable(tp, fresh, UpDownRouting, nil).buildRoute(tp, p[0], p[1])
+			want, err := newTable(fresh, UpDownRouting, nil).buildRoute(p[0], p[1])
 			if err != nil {
 				t.Fatalf("%d hosts: fresh table %d->%d: %v", len(tp.Hosts()), p[0], p[1], err)
 			}
@@ -178,6 +140,33 @@ func TestFindRouteSharedTableMatchesFresh(t *testing.T) {
 				t.Fatalf("%d hosts: probe route %d->%d is %x, a fresh table's %x", len(tp.Hosts()), p[0], p[1], gh, wh)
 			}
 		}
+	}
+}
+
+// TestFindRouteMemoizesFaultFree: the Finder's fault-free table is
+// lazy, so a repeated fault-free query returns the route the first one
+// resolved rather than assembling a new one, and a query under an
+// exclusion set does not disturb it.
+func TestFindRouteMemoizesFaultFree(t *testing.T) {
+	tp, f := topology.Figure1()
+	finder, err := NewFinder(tp, topology.BuildUpDown(tp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := f.Hosts[4], f.Hosts[1]
+	first, err := finder.FindRoute(src, dst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := finder.FindRoute(src, dst, AvoidLinks().AddHost(f.Hosts[6])); err != nil {
+		t.Fatal(err)
+	}
+	again, err := finder.FindRoute(src, dst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Errorf("repeated fault-free FindRoute %d->%d returned a new route", src, dst)
 	}
 }
 
@@ -194,12 +183,9 @@ func TestRebuildLazyMatchesEager(t *testing.T) {
 	}
 	avoid := AvoidLinks().AddHost(f.Hosts[6])
 
-	eager, wantReused, err := ITBRouting.RebuildAvoiding(base, tp, avoid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eager, wantReused := base.Rebuild(avoid)
 	var reused uint64
-	lazy := RebuildAvoidingLazy(base, tp, ITBRouting, avoid, &reused)
+	lazy := base.RebuildLazy(avoid, &reused)
 
 	hosts := tp.Hosts()
 	for _, src := range hosts {
@@ -239,42 +225,6 @@ func TestRebuildLazyMatchesEager(t *testing.T) {
 	}
 }
 
-// TestRebuildLazyNilPrev checks degenerate prevs: nil, and an
-// engine mismatch, both resolve every pair by search with zero
-// reuse, and Len() materialization alone matches a full build.
-func TestRebuildLazyNilPrev(t *testing.T) {
-	tp, _ := topology.Figure1()
-	want, err := ITBRouting.BuildTable(tp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var reused uint64
-	lazy := RebuildAvoidingLazy(nil, tp, ITBRouting, nil, &reused)
-	if lazy.Len() != want.Len() {
-		t.Errorf("nil-prev lazy table has %d routes, want %d", lazy.Len(), want.Len())
-	}
-	if reused != 0 {
-		t.Errorf("reused = %d with nil prev, want 0", reused)
-	}
-
-	udTbl, err := UpDownRouting.BuildTable(tp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reused = 0
-	lazy2 := RebuildAvoidingLazy(udTbl, tp, ITBRouting, nil, &reused)
-	if lazy2.Len() != want.Len() {
-		t.Errorf("engine-change lazy table has %d routes, want %d", lazy2.Len(), want.Len())
-	}
-	if reused != 0 {
-		t.Errorf("reused = %d across an engine change, want 0", reused)
-	}
-	if lazy2.engine != Engine(ITBRouting) {
-		t.Errorf("engine = %v, want ITBRouting", lazy2.engine)
-	}
-}
-
 // TestRebuildLazyMemoizesUnreachable: a pair whose search fails (live
 // endpoints on the two sides of a partition) is searched once; the
 // second Lookup finds the unroutable marker in the row.
@@ -284,7 +234,7 @@ func TestRebuildLazyMemoizesUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy := RebuildAvoidingLazy(base, topo, ITBRouting, AvoidLinks(bridge), nil)
+	lazy := base.RebuildLazy(AvoidLinks(bridge), nil)
 	searches := 0
 	lazy.pathFn = func(s, d topology.NodeID) ([]Traversal, []int, []uint8, error) {
 		searches++

@@ -105,7 +105,7 @@ func TestRouteViewsGolden(t *testing.T) {
 				}
 				fmt.Fprintf(&b, "%s %s avoid%d %s\n", c.name, engineLabel(e), ai, routeViewsDigest(tbl))
 			}
-			lazy := RebuildAvoidingLazy(base, tp, e, drawn[1], nil)
+			lazy := base.RebuildLazy(drawn[1], nil)
 			fmt.Fprintf(&b, "%s %s lazy1 %s\n", c.name, engineLabel(e), routeViewsDigest(lazy))
 		}
 	}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/packet"
@@ -15,18 +16,26 @@ import (
 // source is stored. A row spans the host NodeIDs only (index
 // dst-hostLo), since only hosts are routed to. A NIC only ever reads
 // its own host's row, and a table that one host reads (a gossip
-// agent's lazily rebuilt table) holds that one row and nothing else,
-// so the directory from source to row is sparse: the first row sits
-// in src0/row0 and later rows go to a map allocated with the second.
+// agent's lazily rebuilt table) holds that one row, so the row
+// directory starts as one inline slot for the first source stored and
+// becomes one slot per host when a second source stores.
+//
+// Every pair is routed by one resolver (resolve): an eager table
+// resolves every live pair when it is built (fill), a lazy one
+// resolves each pair on its first Lookup.
 type Table struct {
 	topo *topology.Topology
 	// hostLo and hostSpan bound the host NodeIDs: every host h has
 	// 0 <= h-hostLo < hostSpan.
 	hostLo   topology.NodeID
 	hostSpan int
-	src0     topology.NodeID
-	row0     []*Route
-	rows     map[topology.NodeID][]*Route
+	// rows is the row directory: rows[src-srcLo] is src's row, nil
+	// while no route out of src is stored. It is inline[:] (srcLo the
+	// first source stored) until a second source stores, and then has
+	// one slot per host (srcLo = hostLo).
+	srcLo  topology.NodeID
+	rows   [][]*Route
+	inline [1][]*Route
 	// n counts the routes stored (unroutable markers excluded).
 	n int
 	// itbLoad counts in-transit assignments per host (index
@@ -38,7 +47,7 @@ type Table struct {
 	// pathCache memoises switch-pair searches: all host pairs on the
 	// same switch pair share one search (ITB host choice still varies
 	// per route for balance). nil until the first search, and again
-	// once an eager build is done.
+	// once every pair is resolved.
 	pathCache map[[2]topology.NodeID]cachedPath
 	// routeChunk, hdrChunk and itbChunk back the routes the table
 	// assembles, their headers and their in-transit hosts.
@@ -50,8 +59,7 @@ type Table struct {
 	// so the caller's set need not escape to the heap with the table.
 	avoid    *Avoid
 	avoidSet Avoid
-	// engine is the Engine that built the table; a rebuild by an equal
-	// engine value reuses its routes and its graph.
+	// engine is the Engine that built the table; its rebuilds keep it.
 	engine Engine
 	// graph is the switch graph the table's searches run on; tables
 	// rebuilt from this one share it. search is the engine's search;
@@ -60,23 +68,29 @@ type Table struct {
 	graph  *engineGraph
 	search search
 	pathFn pathFunc
-	// lazy resolves Lookup misses on demand (tables from
-	// RebuildAvoidingLazy); eager tables leave it off.
-	lazy lazyRebuild
+	// lazy makes Lookup resolve a miss on demand; it is cleared once
+	// fill has resolved every pair. prev, when non-nil, is the table a
+	// lazy rebuild adopts surviving routes from, and reused, when
+	// non-nil, counts the adoptions.
+	lazy   bool
+	prev   *Table
+	reused *uint64
 }
 
 // unroutable fills the row slot of a pair a lazy table resolved to no
 // route, so a second Lookup of that pair runs no search.
 var unroutable = new(Route)
 
+// The resolver's failures are sentinels, so a lazy Lookup that misses
+// allocates nothing.
+var (
+	errNotHost      = errors.New("routing: endpoint is not a host")
+	errDeadEndpoint = errors.New("routing: endpoint dead under the exclusion set")
+)
+
 // Orientation returns the up*/down* orientation the table was routed
-// over (nil for a lazy table whose switch graph could not be built).
-func (tbl *Table) Orientation() *topology.UpDown {
-	if tbl.graph == nil {
-		return nil
-	}
-	return tbl.graph.ud
-}
+// over.
+func (tbl *Table) Orientation() *topology.UpDown { return tbl.graph.ud }
 
 type cachedPath struct {
 	trav      []Traversal
@@ -86,16 +100,10 @@ type cachedPath struct {
 	lanes []uint8
 }
 
-// newTable returns an empty table of engine e over graph g of topology
-// t (nil when t has no switch graph), searching under the exclusion set
-// avoid.
-func newTable(t *topology.Topology, g *engineGraph, e Engine, avoid *Avoid) *Table {
-	tbl := &Table{topo: t, engine: e, graph: g, search: e.search()}
-	if g != nil {
-		tbl.hostLo, tbl.hostSpan = g.hostLo, g.hostSpan
-	} else {
-		tbl.hostLo, tbl.hostSpan = hostBounds(t)
-	}
+// newTable returns an empty table of engine e over graph g, searching
+// under the exclusion set avoid.
+func newTable(g *engineGraph, e Engine, avoid *Avoid) *Table {
+	tbl := &Table{topo: g.t, hostLo: g.hostLo, hostSpan: g.hostSpan, engine: e, graph: g, search: e.search()}
 	if avoid != nil {
 		tbl.avoidSet = *avoid
 		tbl.avoid = &tbl.avoidSet
@@ -112,10 +120,10 @@ func (tbl *Table) Avoids(h topology.NodeID) bool {
 
 // row returns src's row, or nil when no route out of src is stored.
 func (tbl *Table) row(src topology.NodeID) []*Route {
-	if src == tbl.src0 && tbl.row0 != nil {
-		return tbl.row0
+	if i := uint(src - tbl.srcLo); i < uint(len(tbl.rows)) {
+		return tbl.rows[i]
 	}
-	return tbl.rows[src]
+	return nil
 }
 
 // isHost reports whether h lies in the table's host span.
@@ -123,25 +131,36 @@ func (tbl *Table) isHost(h topology.NodeID) bool {
 	return uint(h-tbl.hostLo) < uint(tbl.hostSpan)
 }
 
-// store sets the route (or the unroutable marker) of src->dst for a
-// dst in the host span, allocating src's row on its first store.
+// store sets the route (or the unroutable marker) of src->dst for src
+// and dst in the host span, allocating src's row on its first store.
 func (tbl *Table) store(src, dst topology.NodeID, r *Route) {
 	row := tbl.row(src)
 	if row == nil {
-		row = make([]*Route, tbl.hostSpan)
-		switch {
-		case tbl.row0 == nil:
-			tbl.src0, tbl.row0 = src, row
-		case tbl.rows == nil:
-			tbl.rows = map[topology.NodeID][]*Route{src: row}
-		default:
-			tbl.rows[src] = row
-		}
+		row = tbl.addRow(src)
 	}
 	row[dst-tbl.hostLo] = r
 	if r != unroutable {
 		tbl.n++
 	}
+}
+
+// addRow allocates src's row. The first row takes the inline slot; the
+// second promotes the directory to one slot per host, keeping the
+// first row where it is.
+func (tbl *Table) addRow(src topology.NodeID) []*Route {
+	row := make([]*Route, tbl.hostSpan)
+	switch {
+	case tbl.rows == nil:
+		tbl.srcLo, tbl.inline[0] = src, row
+		tbl.rows = tbl.inline[:]
+		return row
+	case len(tbl.rows) < tbl.hostSpan:
+		dir := make([][]*Route, tbl.hostSpan)
+		dir[tbl.srcLo-tbl.hostLo] = tbl.inline[0]
+		tbl.srcLo, tbl.rows, tbl.inline[0] = tbl.hostLo, dir, nil
+	}
+	tbl.rows[src-tbl.srcLo] = row
+	return row
 }
 
 // adopt stores a route shared from a previous table. Its in-transit
@@ -164,7 +183,7 @@ func (tbl *Table) loads() []int32 {
 		return tbl.itbLoad
 	}
 	tbl.itbLoad = make([]int32, tbl.hostSpan)
-	count := func(row []*Route) {
+	for _, row := range tbl.rows {
 		for _, r := range row {
 			if r != nil && r != unroutable {
 				for _, h := range r.ITBHosts {
@@ -173,18 +192,53 @@ func (tbl *Table) loads() []int32 {
 			}
 		}
 	}
-	count(tbl.row0)
-	for _, row := range tbl.rows {
-		count(row)
-	}
 	return tbl.itbLoad
 }
 
-// routeAll routes every ordered pair of live hosts in host-major
+// resolve routes one pair and stores the outcome, so the pair is never
+// resolved again: a pair with a dead endpoint is marked unroutable
+// without a search, and a live pair goes to resolveLive.
+func (tbl *Table) resolve(src, dst topology.NodeID) (*Route, error) {
+	if !tbl.isHost(src) || !tbl.isHost(dst) {
+		return nil, errNotHost
+	}
+	if src == dst || tbl.avoid.hostDead(tbl.topo, src) || tbl.avoid.hostDead(tbl.topo, dst) {
+		tbl.store(src, dst, unroutable)
+		return nil, errDeadEndpoint
+	}
+	return tbl.resolveLive(src, dst)
+}
+
+// resolveLive routes a pair of distinct live hosts: the route of prev
+// is shared if it survives the exclusion set (routes are immutable
+// once built), and otherwise the pair is searched. A pair that does
+// not route is marked unroutable.
+func (tbl *Table) resolveLive(src, dst topology.NodeID) (*Route, error) {
+	if tbl.prev != nil {
+		if r, ok := tbl.prev.Lookup(src, dst); ok && routeValid(tbl.topo, r, tbl.avoid) {
+			tbl.adopt(src, dst, r)
+			if tbl.reused != nil {
+				*tbl.reused++
+			}
+			return r, nil
+		}
+	}
+	r, err := tbl.buildRoute(src, dst)
+	if err != nil {
+		tbl.store(src, dst, unroutable)
+		return nil, err
+	}
+	tbl.store(src, dst, r)
+	return r, nil
+}
+
+// fill resolves every unresolved pair of live hosts in host-major
 // order, the order the in-transit load balance is defined by. A pair
-// that does not route fails the build when strict and is omitted
-// otherwise.
-func (tbl *Table) routeAll(t *topology.Topology, strict bool) error {
+// that does not route fails the fill when strict and is marked
+// unroutable otherwise. A filled table resolves nothing more, so it
+// drops its lazy state and its switch-pair cache.
+func (tbl *Table) fill(strict bool) error {
+	t := tbl.topo
 	hosts := t.Hosts()
 	for _, src := range hosts {
 		if tbl.avoid.hostDead(t, src) {
@@ -194,21 +248,21 @@ func (tbl *Table) routeAll(t *topology.Topology, strict bool) error {
 			if src == dst || tbl.avoid.hostDead(t, dst) {
 				continue
 			}
-			r, err := tbl.buildRoute(t, src, dst)
-			if err != nil {
-				if strict {
-					return err
-				}
+			if row := tbl.row(src); row != nil && row[dst-tbl.hostLo] != nil {
 				continue
 			}
-			tbl.store(src, dst, r)
+			if _, err := tbl.resolveLive(src, dst); err != nil && strict {
+				return err
+			}
 		}
 	}
+	tbl.lazy, tbl.prev, tbl.reused = false, nil, nil
+	tbl.pathCache = nil
 	return nil
 }
 
-// Lookup returns the route from src to dst. On a lazily rebuilt
-// table a miss resolves (and memoizes) the pair on demand.
+// Lookup returns the route from src to dst. On a lazy table a miss
+// resolves (and memoizes) the pair on demand.
 func (tbl *Table) Lookup(src, dst topology.NodeID) (*Route, bool) {
 	if row := tbl.row(src); row != nil && tbl.isHost(dst) {
 		switch r := row[dst-tbl.hostLo]; r {
@@ -219,28 +273,19 @@ func (tbl *Table) Lookup(src, dst topology.NodeID) (*Route, bool) {
 			return r, true
 		}
 	}
-	if !tbl.lazy.on {
+	if !tbl.lazy {
 		return nil, false
 	}
-	return tbl.resolveLazy(src, dst)
+	r, err := tbl.resolve(src, dst)
+	return r, err == nil
 }
 
-// materialize forces every unresolved pair of a lazily rebuilt table
-// so whole-table accessors see the complete route set; eager tables
-// are untouched.
+// materialize resolves every pair of a lazy table, so whole-table
+// accessors see the complete route set; eager tables are untouched.
 func (tbl *Table) materialize() {
-	if !tbl.lazy.on {
-		return
+	if tbl.lazy {
+		tbl.fill(false)
 	}
-	hosts := tbl.topo.Hosts()
-	for _, src := range hosts {
-		for _, dst := range hosts {
-			if src != dst {
-				tbl.Lookup(src, dst)
-			}
-		}
-	}
-	tbl.lazy = lazyRebuild{}
 }
 
 // Routes returns every route in the table in host-major order: by
@@ -249,12 +294,7 @@ func (tbl *Table) materialize() {
 func (tbl *Table) Routes() []*Route {
 	tbl.materialize()
 	out := make([]*Route, 0, tbl.n)
-	hosts := tbl.topo.Hosts()
-	for _, src := range hosts {
-		row := tbl.row(src)
-		if row == nil {
-			continue
-		}
+	for _, row := range tbl.rows {
 		for _, r := range row {
 			if r != nil && r != unroutable {
 				out = append(out, r)
@@ -271,7 +311,8 @@ func (tbl *Table) Len() int {
 }
 
 // buildRoute assembles a host-to-host Route from a switch path.
-func (tbl *Table) buildRoute(t *topology.Topology, src, dst topology.NodeID) (*Route, error) {
+func (tbl *Table) buildRoute(src, dst topology.NodeID) (*Route, error) {
+	t := tbl.topo
 	srcSw, ok := t.SwitchOf(src)
 	if !ok {
 		return nil, fmt.Errorf("routing: host %d not cabled", src)
@@ -297,7 +338,7 @@ func (tbl *Table) buildRoute(t *topology.Topology, src, dst topology.NodeID) (*R
 		}
 		tbl.pathCache[key] = cp
 	}
-	return tbl.assemble(t, src, dst, srcSw, cp.trav, cp.itbBefore, cp.lanes)
+	return tbl.assemble(src, dst, srcSw, cp.trav, cp.itbBefore, cp.lanes)
 }
 
 // assemble converts a switch traversal plus ITB reset positions (and,
@@ -312,7 +353,8 @@ func (tbl *Table) buildRoute(t *topology.Topology, src, dst topology.NodeID) (*R
 // The header is written once, into an exactly sized slice; the route,
 // its header and its in-transit hosts are carved from the table's
 // chunks.
-func (tbl *Table) assemble(t *topology.Topology, src, dst, srcSw topology.NodeID, trav []Traversal, itbBefore []int, lanes []uint8) (*Route, error) {
+func (tbl *Table) assemble(src, dst, srcSw topology.NodeID, trav []Traversal, itbBefore []int, lanes []uint8) (*Route, error) {
+	t := tbl.topo
 	var itbHosts []topology.NodeID
 	if len(itbBefore) > 0 {
 		itbHosts = tbl.itbChunk.take(len(itbBefore), 8, 2048)[:0]

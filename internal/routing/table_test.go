@@ -18,7 +18,7 @@ func TestTableRoutesHostMajor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy := RebuildAvoidingLazy(eager, tp, ITBRouting, AvoidLinks().AddHost(f.Hosts[6]), nil)
+	lazy := eager.RebuildLazy(AvoidLinks().AddHost(f.Hosts[6]), nil)
 	for name, tbl := range map[string]*Table{"eager": eager, "lazy": lazy} {
 		routes := tbl.Routes()
 		if len(routes) != tbl.Len() || len(routes) == 0 {
@@ -34,21 +34,84 @@ func TestTableRoutesHostMajor(t *testing.T) {
 }
 
 // TestLookupHitDoesNotAllocate: a resolved pair is a row index on
-// both eager and lazy tables.
+// both eager and lazy tables, from the first host's row (the lazy
+// table's inline directory slot) and, once the directory has grown,
+// from the last host's.
 func TestLookupHitDoesNotAllocate(t *testing.T) {
 	tp, f := topology.Figure1()
 	eager, err := ITBRouting.BuildTable(tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy := RebuildAvoidingLazy(eager, tp, ITBRouting, AvoidLinks().AddHost(f.Hosts[6]), nil)
-	src, dst := f.Hosts[4], f.Hosts[1]
+	lazy := eager.RebuildLazy(AvoidLinks().AddHost(f.Hosts[2]), nil)
+	hosts := tp.Hosts()
+	last := hosts[len(hosts)-1]
 	for name, tbl := range map[string]*Table{"eager": eager, "lazy": lazy} {
-		if _, ok := tbl.Lookup(src, dst); !ok {
-			t.Fatalf("%s: no route %d->%d", name, src, dst)
+		for _, p := range [][2]topology.NodeID{{f.Hosts[4], f.Hosts[1]}, {last, f.Hosts[1]}} {
+			src, dst := p[0], p[1]
+			if _, ok := tbl.Lookup(src, dst); !ok {
+				t.Fatalf("%s: no route %d->%d", name, src, dst)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { tbl.Lookup(src, dst) }); allocs != 0 {
+				t.Errorf("%s: Lookup hit %d->%d allocates %.1f/op, want 0", name, src, dst, allocs)
+			}
 		}
-		if allocs := testing.AllocsPerRun(100, func() { tbl.Lookup(src, dst) }); allocs != 0 {
-			t.Errorf("%s: Lookup hit allocates %.1f/op, want 0", name, allocs)
+	}
+}
+
+// TestTableDirectoryPromotes: a lazy table resolves the first host's
+// row, then the last host's, then a middle one's. The first row sits
+// in the inline directory slot and the second source promotes the
+// directory to one slot per host; every route resolved before the
+// directory grew is still the same pointer afterwards, and Routes
+// stays host-major.
+func TestTableDirectoryPromotes(t *testing.T) {
+	tp, err := topology.Dragonfly(topology.DefaultDragonflyConfig(72))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := ITBRouting.BuildTable(tp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := tp.Hosts()
+	lazy := base.RebuildLazy(AvoidLinks().AddHost(hosts[10]), nil)
+	seen := map[[2]topology.NodeID]*Route{}
+	resolve := func(src topology.NodeID) {
+		for _, dst := range hosts {
+			if r, ok := lazy.Lookup(src, dst); ok {
+				seen[[2]topology.NodeID{src, dst}] = r
+			}
+		}
+	}
+	resolve(hosts[0])
+	if len(lazy.rows) != 1 {
+		t.Fatalf("one source resolved: directory has %d slots, want the 1 inline slot", len(lazy.rows))
+	}
+	for _, src := range []topology.NodeID{hosts[len(hosts)-1], hosts[len(hosts)/2]} {
+		resolve(src)
+		if len(lazy.rows) != lazy.hostSpan {
+			t.Fatalf("after %d: directory has %d slots, want one per host (%d)", src, len(lazy.rows), lazy.hostSpan)
+		}
+		for p, r := range seen {
+			if got, ok := lazy.Lookup(p[0], p[1]); !ok || got != r {
+				t.Fatalf("after %d: route %d->%d moved", src, p[0], p[1])
+			}
+		}
+	}
+	routes := lazy.Routes()
+	if len(routes) != lazy.Len() || len(routes) < len(seen) {
+		t.Fatalf("Routes() returned %d routes, Len() %d, %d seen", len(routes), lazy.Len(), len(seen))
+	}
+	for i := 1; i < len(routes); i++ {
+		a, b := routes[i-1], routes[i]
+		if a.Src > b.Src || a.Src == b.Src && a.Dst >= b.Dst {
+			t.Fatalf("route %d (%d->%d) follows %d->%d", i, b.Src, b.Dst, a.Src, a.Dst)
+		}
+	}
+	for p, r := range seen {
+		if got, _ := lazy.Lookup(p[0], p[1]); got != r {
+			t.Fatalf("materialising moved route %d->%d", p[0], p[1])
 		}
 	}
 }

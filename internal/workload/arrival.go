@@ -40,16 +40,13 @@ func (c ArrivalConfig) Validate() error {
 	return nil
 }
 
-// NewArrival builds an arrival process with the given long-run mean
-// interarrival gap, drawing from rng. A source with a private stream
-// passes rand.New(rand.NewSource(seed)); ScenarioPattern passes the
-// stream its destination chooser draws from.
-func NewArrival(cfg ArrivalConfig, mean units.Time, rng *rand.Rand) (*PoissonGaps, error) {
+// NewArrival builds a Poisson arrival process with the given long-run
+// mean interarrival gap, drawing from rng. A source with a private
+// stream passes rand.New(rand.NewSource(seed)); ScenarioPattern passes
+// the stream its destination chooser draws from.
+func NewArrival(mean units.Time, rng *rand.Rand) (*PoissonGaps, error) {
 	if mean <= 0 {
 		return nil, fmt.Errorf("workload: arrival process needs a positive mean gap, got %v", mean)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
 	}
 	return &PoissonGaps{mean: mean, rng: rng}, nil
 }

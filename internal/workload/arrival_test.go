@@ -28,21 +28,18 @@ func TestArrivalConfigValidate(t *testing.T) {
 }
 
 func TestNewArrivalErrors(t *testing.T) {
-	if _, err := NewArrival(ArrivalConfig{Kind: Poisson}, 0, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewArrival(0, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("zero mean accepted")
 	}
-	if _, err := NewArrival(ArrivalConfig{Kind: Poisson}, -units.Microsecond, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewArrival(-units.Microsecond, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("negative mean accepted")
-	}
-	if _, err := NewArrival(ArrivalConfig{Kind: ArrivalKind(7)}, units.Microsecond, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("unknown kind accepted")
 	}
 }
 
 // empiricalMean draws n gaps and averages them.
-func empiricalMean(t *testing.T, cfg ArrivalConfig, mean units.Time, seed int64, n int) float64 {
+func empiricalMean(t *testing.T, mean units.Time, seed int64, n int) float64 {
 	t.Helper()
-	ap, err := NewArrival(cfg, mean, rand.New(rand.NewSource(seed)))
+	ap, err := NewArrival(mean, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +61,7 @@ func TestArrivalMeanMatchesLoadProperty(t *testing.T) {
 		// Mean gaps from 10ns to ~42ms, away from the 1ps floor so
 		// quantisation cannot bias the average upward.
 		mean := units.Time(meanRaw)*10*units.Nanosecond + 10*units.Nanosecond
-		got := empiricalMean(t, ArrivalConfig{Kind: Poisson}, mean, seed, 60000)
+		got := empiricalMean(t, mean, seed, 60000)
 		return math.Abs(got-float64(mean)) < 0.1*float64(mean)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
@@ -73,15 +70,14 @@ func TestArrivalMeanMatchesLoadProperty(t *testing.T) {
 }
 
 // Property: the same seed reproduces the same gap stream; the process
-// is a pure function of (config, mean, seed).
+// is a pure function of (mean, seed).
 func TestArrivalDeterminismProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		cfg := ArrivalConfig{Kind: Poisson}
-		a, err := NewArrival(cfg, 50*units.Nanosecond, rand.New(rand.NewSource(seed)))
+		a, err := NewArrival(50*units.Nanosecond, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return false
 		}
-		b, err := NewArrival(cfg, 50*units.Nanosecond, rand.New(rand.NewSource(seed)))
+		b, err := NewArrival(50*units.Nanosecond, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return false
 		}

@@ -91,7 +91,6 @@ func TestRPCFanout(t *testing.T) {
 		RequestBytes:  128,
 		ReplyBytes:    256,
 		Load:          0.1,
-		Arrival:       workload.ArrivalConfig{Kind: workload.Poisson},
 		Seed:          11,
 		Warmup:        20 * units.Microsecond,
 		Horizon:       220 * units.Microsecond,

@@ -10,9 +10,10 @@ import (
 )
 
 // FuzzArrivalProcess hammers the arrival constructor with arbitrary
-// kinds and means: every accepted configuration must produce
-// quantised, non-negative, deterministic gaps, and every rejected one
-// must be rejected consistently (Validate and NewArrival agree).
+// means and the config validation with arbitrary kinds: Validate
+// accepts exactly the Poisson kind, NewArrival exactly the positive
+// means, and every accepted process produces quantised, non-negative,
+// deterministic gaps.
 func FuzzArrivalProcess(f *testing.F) {
 	f.Add(int64(1), uint8(0), int64(units.Microsecond))
 	f.Add(int64(2), uint8(0), int64(50*units.Nanosecond))
@@ -21,18 +22,18 @@ func FuzzArrivalProcess(f *testing.F) {
 	f.Add(int64(5), uint8(7), int64(-1))
 	f.Fuzz(func(t *testing.T, seed int64, kind uint8, meanRaw int64) {
 		cfg := ArrivalConfig{Kind: ArrivalKind(kind % 2)} // includes one invalid kind
+		if (cfg.Validate() == nil) != (cfg.Kind == Poisson) {
+			t.Fatalf("Validate of kind %v: %v", cfg.Kind, cfg.Validate())
+		}
 		mean := units.Time(meanRaw)
-		ap, err := NewArrival(cfg, mean, rand.New(rand.NewSource(seed)))
+		ap, err := NewArrival(mean, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return
 		}
 		if mean <= 0 {
 			t.Fatalf("non-positive mean %v accepted", mean)
 		}
-		if cfg.Validate() != nil {
-			t.Fatalf("NewArrival accepted a config Validate rejects: %+v", cfg)
-		}
-		ref, err := NewArrival(cfg, mean, rand.New(rand.NewSource(seed)))
+		ref, err := NewArrival(mean, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatalf("second construction failed: %v", err)
 		}

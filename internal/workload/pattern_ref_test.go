@@ -27,7 +27,7 @@ func referencePattern(t *testing.T, hosts []topology.NodeID, cfg PlanConfig) []F
 	if err != nil {
 		t.Fatal(err)
 	}
-	gaps, err := NewArrival(ArrivalConfig{Kind: Poisson}, mean, rng)
+	gaps, err := NewArrival(mean, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,6 @@ type RPCConfig struct {
 	// Load is the offered load per client as a fraction of its link
 	// bandwidth (an RPC injects Fanout*RequestBytes).
 	Load float64
-	// Arrival shapes each client's RPC arrival process.
-	Arrival ArrivalConfig
 	// Seed makes the schedule reproducible.
 	Seed int64
 	// Warmup and Horizon bound the measurement: RPCs issued in
@@ -172,7 +170,7 @@ func StartRPCFanout(eng *sim.Engine, hosts []topology.NodeID, hostOf func(topolo
 	// Fanout distinct random servers.
 	for i := range hosts {
 		i := i
-		ap, err := NewArrival(cfg.Arrival, mean, rand.New(rand.NewSource(cfg.Seed+31*int64(i+1))))
+		ap, err := NewArrival(mean, rand.New(rand.NewSource(cfg.Seed+31*int64(i+1))))
 		if err != nil {
 			return nil, err
 		}

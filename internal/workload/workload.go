@@ -133,6 +133,9 @@ func Plan(topo *topology.Topology, cfg PlanConfig) ([]Flow, error) {
 	if cfg.Fanin < 0 || cfg.Fanin > len(hosts)-1 {
 		return nil, fmt.Errorf("workload: fanin %d outside [0, %d]", cfg.Fanin, len(hosts)-1)
 	}
+	if err := cfg.Arrival.Validate(); err != nil {
+		return nil, err
+	}
 	mean, err := MeanGap(cfg.Load, cfg.Sizes.MeanBytes(), cfg.LinkBandwidth)
 	if err != nil {
 		return nil, err
@@ -196,7 +199,7 @@ func Plan(topo *topology.Topology, cfg PlanConfig) ([]Flow, error) {
 		// Per-sender processes: arrival state and size draws are
 		// private streams, so one sender's schedule never depends on
 		// how many others exist.
-		ap, err := NewArrival(cfg.Arrival, mean, rand.New(rand.NewSource(cfg.Seed+1000003*int64(ord+1))))
+		ap, err := NewArrival(mean, rand.New(rand.NewSource(cfg.Seed+1000003*int64(ord+1))))
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +264,7 @@ func planPattern(hosts []topology.NodeID, cfg PlanConfig, mean units.Time) ([]Fl
 	aps := make([]*PoissonGaps, len(hosts))
 	q := &arrivals{host: make([]int, len(hosts)), at: make([]units.Time, len(hosts)), seq: make([]int, len(hosts))}
 	for i := range hosts {
-		if aps[i], err = NewArrival(cfg.Arrival, mean, rng); err != nil {
+		if aps[i], err = NewArrival(mean, rng); err != nil {
 			return nil, err
 		}
 		q.host[i], q.at[i], q.seq[i] = i, nextArrival(0, aps[i], cfg.Horizon), i
