@@ -12,6 +12,7 @@ package repro_test
 
 import (
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"testing"
 
 	"repro/internal/core"
@@ -28,10 +29,27 @@ import (
 	"repro/internal/units"
 )
 
+// gcCyclesPerOp starts counting the collections the process completes
+// (the runtime/metrics counter /gc/cycles/total:gc-cycles). The
+// function it returns reports them per op as gc-cycles/op, the
+// guarded benchmarks' collections beside their allocs/op: call it at
+// the end of the timed loop, or defer the call at its start.
+func gcCyclesPerOp(b *testing.B) (report func()) {
+	start := gcCycles()
+	return func() { b.ReportMetric(float64(gcCycles()-start)/float64(b.N), "gc-cycles/op") }
+}
+
+func gcCycles() uint64 {
+	s := []rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
 // BenchmarkFig7_CodeOverhead regenerates Figure 7: per-packet latency
 // overhead of the ITB-modified MCP vs the original, across message
 // sizes. Paper: ~125 ns average, <300 ns max.
 func BenchmarkFig7_CodeOverhead(b *testing.B) {
+	defer gcCyclesPerOp(b)()
 	var last core.Fig7Result
 	for i := 0; i < b.N; i++ {
 		res, err := core.RunFig7(core.Fig7Config{
@@ -51,6 +69,7 @@ func BenchmarkFig7_CodeOverhead(b *testing.B) {
 // BenchmarkFig8_ITBOverhead regenerates Figure 8: per-ITB latency cost
 // over matched 5-crossing paths. Paper: ~1.3 us per ITB.
 func BenchmarkFig8_ITBOverhead(b *testing.B) {
+	defer gcCyclesPerOp(b)()
 	var last core.Fig8Result
 	for i := 0; i < b.N; i++ {
 		res, err := core.RunFig8(core.Fig8Config{
@@ -349,6 +368,7 @@ func speedupSweep(b *testing.B) {
 func BenchmarkSweepSerial(b *testing.B) {
 	runner.SetWorkers(1)
 	defer runner.SetWorkers(0)
+	defer gcCyclesPerOp(b)()
 	for i := 0; i < b.N; i++ {
 		speedupSweep(b)
 	}
@@ -361,6 +381,7 @@ func BenchmarkSweepSerial(b *testing.B) {
 // speedup.
 func BenchmarkSweepParallel(b *testing.B) {
 	runner.SetWorkers(0) // runtime.NumCPU()
+	defer gcCyclesPerOp(b)()
 	for i := 0; i < b.N; i++ {
 		speedupSweep(b)
 	}
@@ -406,6 +427,7 @@ func BenchmarkAllsizePingPong(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	defer gcCyclesPerOp(b)()
 	_, err = gm.Allsize(cl.Eng, cl.Host(nodes.Host1), cl.Host(nodes.Host2), gm.AllsizeConfig{
 		Sizes:      []int{64},
 		Iterations: b.N,
@@ -473,6 +495,7 @@ func BenchmarkRecoveryOn(b *testing.B) {
 func benchRecovery(b *testing.B, enabled bool) {
 	b.Helper()
 	b.ReportAllocs()
+	defer gcCyclesPerOp(b)()
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultFaultStudyConfig(routing.ITBRouting, 8, 3)
 		cfg.Campaigns = 2
@@ -497,6 +520,7 @@ func benchRecovery(b *testing.B, enabled bool) {
 // 2 ms, dead after 6 timeouts).
 func BenchmarkRecoveryChurn72(b *testing.B) {
 	b.ReportAllocs()
+	defer gcCyclesPerOp(b)()
 	for i := 0; i < b.N; i++ {
 		for _, det := range []recovery.DetectorKind{recovery.DetectorMonitor, recovery.DetectorGossip} {
 			cfg := core.DefaultRecoveryStudyConfig(routing.ITBRouting, 18, 3)
@@ -523,11 +547,13 @@ func BenchmarkUpDownITBTableDragonfly342(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	reportGC := gcCyclesPerOp(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := routing.ITBRouting.BuildTable(topo, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportGC()
 	b.StopTimer()
 	b.ReportMetric(tableRetainedPerRoute(b, topo), "B/route")
 }
@@ -563,6 +589,7 @@ func BenchmarkEngineTableBuild1024(b *testing.B) {
 	engines := routing.Engines()
 	b.ReportAllocs()
 	b.ResetTimer()
+	defer gcCyclesPerOp(b)()
 	var bytesTotal int
 	for i := 0; i < b.N; i++ {
 		bytesTotal = 0
@@ -595,6 +622,7 @@ func BenchmarkLoadStudySmall(b *testing.B) {
 	cfg.VectorLen = 64
 	b.ReportAllocs()
 	b.ResetTimer()
+	defer gcCyclesPerOp(b)()
 	var rows int
 	for i := 0; i < b.N; i++ {
 		res, err := core.RunLoadStudy(cfg)
@@ -625,6 +653,7 @@ func BenchmarkFig7Lanes2(b *testing.B) {
 func benchFig7Lanes(b *testing.B, lanes int) {
 	b.Helper()
 	b.ReportAllocs()
+	defer gcCyclesPerOp(b)()
 	for i := 0; i < b.N; i++ {
 		topo, nodes := topology.Testbed()
 		ccfg := core.DefaultConfig(topo, routing.UpDownRouting, mcp.ITB)
@@ -657,6 +686,7 @@ func BenchmarkVCAblationSweep(b *testing.B) {
 	cfg.Warmup = 20 * units.Microsecond
 	b.ReportAllocs()
 	b.ResetTimer()
+	defer gcCyclesPerOp(b)()
 	var itbs uint64
 	for i := 0; i < b.N; i++ {
 		res, err := core.RunVCStudy(cfg)

@@ -15,7 +15,10 @@
 //
 // With -count > 1 each benchmark appears several times in the input;
 // the summary keeps the per-metric minimum, the standard way to
-// suppress scheduler noise on shared CI runners.
+// suppress scheduler noise on shared CI runners. A benchmark's
+// gc-cycles/op metric (collections per op) is carried into the
+// summary and printed beside allocs/op, but never gated: the
+// collector's pacing depends on the heap the whole process holds.
 package main
 
 import (
@@ -30,11 +33,14 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's summary.
+// Result is one benchmark's summary. GCCyclesPerOp is the
+// collections the benchmark's timed loop ran per op (its
+// gc-cycles/op metric): reported beside allocs/op, never gated.
 type Result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
+	NsPerOp       float64 `json:"ns_per_op"`
+	AllocsPerOp   float64 `json:"allocs_per_op"`
+	BytesPerOp    float64 `json:"bytes_per_op"`
+	GCCyclesPerOp float64 `json:"gc_cycles_per_op,omitempty"`
 }
 
 // Summary is the emitted JSON document.
@@ -134,6 +140,10 @@ func parseBench(r io.Reader) (Summary, error) {
 					res.AllocsPerOp = v
 				}
 				got = true
+			case "gc-cycles/op":
+				if !seen || v < res.GCCyclesPerOp {
+					res.GCCyclesPerOp = v
+				}
 			}
 		}
 		if got {
@@ -203,8 +213,8 @@ func compare(basePath, curPath string, nsTol, allocTol float64, w io.Writer) (re
 			status = fmt.Sprintf("REGRESSION allocs/op +%g (+%.3f%%, limit %g%%)", allocDelta, allocPct, allocTol)
 			regressions++
 		}
-		fmt.Fprintf(w, "%-28s ns/op %12.0f -> %12.0f (%+.1f%%)  allocs/op %10.0f -> %10.0f  %s\n",
-			name, b.NsPerOp, c.NsPerOp, nsDelta, b.AllocsPerOp, c.AllocsPerOp, status)
+		fmt.Fprintf(w, "%-28s ns/op %12.0f -> %12.0f (%+.1f%%)  allocs/op %10.0f -> %10.0f  gc-cycles/op %6.3g -> %6.3g  %s\n",
+			name, b.NsPerOp, c.NsPerOp, nsDelta, b.AllocsPerOp, c.AllocsPerOp, b.GCCyclesPerOp, c.GCCyclesPerOp, status)
 	}
 	return regressions, nil
 }

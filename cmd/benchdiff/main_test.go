@@ -11,8 +11,8 @@ const sampleBench = `goos: linux
 goarch: amd64
 pkg: repro
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkFig7_CodeOverhead 	       3	   9774981 ns/op	       180.9 ns-overhead-max	       136.1 ns-overhead/pkt	 5741816 B/op	   78970 allocs/op
-BenchmarkFig7_CodeOverhead 	       3	   9500000 ns/op	       180.9 ns-overhead-max	       136.1 ns-overhead/pkt	 5741810 B/op	   78969 allocs/op
+BenchmarkFig7_CodeOverhead 	       3	   9774981 ns/op	         1.000 gc-cycles/op	       180.9 ns-overhead-max	       136.1 ns-overhead/pkt	 5741816 B/op	   78970 allocs/op
+BenchmarkFig7_CodeOverhead 	       3	   9500000 ns/op	         1.333 gc-cycles/op	       180.9 ns-overhead-max	       136.1 ns-overhead/pkt	 5741810 B/op	   78969 allocs/op
 BenchmarkSweepParallel-4   	       3	 757393726 ns/op	   4382123 allocs/op
 PASS
 ok  	repro	1.234s
@@ -35,6 +35,9 @@ func TestParseBenchKeepsMinimumAcrossCounts(t *testing.T) {
 	}
 	if fig7.BytesPerOp != 5741810 {
 		t.Errorf("B/op = %v, want min 5741810", fig7.BytesPerOp)
+	}
+	if fig7.GCCyclesPerOp != 1 {
+		t.Errorf("gc-cycles/op = %v, want min 1", fig7.GCCyclesPerOp)
 	}
 	// The -GOMAXPROCS suffix must be stripped.
 	if _, ok := sum.Benchmarks["SweepParallel"]; !ok {
@@ -126,6 +129,25 @@ func TestCompareAllocTolerance(t *testing.T) {
 	out.Reset()
 	if n, _ := compare(base, leak, 15, 0.1, &out); n != 2 {
 		t.Errorf("regressions = %d, want 2 (alloc leak + growth from zero)\n%s", n, out.String())
+	}
+}
+
+// Collections per op are printed beside allocs/op but never gated:
+// a fiftyfold rise is no regression.
+func TestCompareReportsGCCyclesUngated(t *testing.T) {
+	dir := t.TempDir()
+	base := writeSummary(t, dir, "base.json", Summary{Benchmarks: map[string]Result{
+		"Churn": {NsPerOp: 1000, AllocsPerOp: 10, GCCyclesPerOp: 0.1},
+	}})
+	cur := writeSummary(t, dir, "cur.json", Summary{Benchmarks: map[string]Result{
+		"Churn": {NsPerOp: 1000, AllocsPerOp: 10, GCCyclesPerOp: 5},
+	}})
+	var out strings.Builder
+	if n, _ := compare(base, cur, 15, 0.1, &out); n != 0 {
+		t.Errorf("regressions = %d, want 0 (gc-cycles/op is not gated)\n%s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "gc-cycles/op    0.1 ->      5") {
+		t.Errorf("report does not print gc-cycles/op 0.1 -> 5:\n%s", out.String())
 	}
 }
 

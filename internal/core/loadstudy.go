@@ -408,6 +408,13 @@ func runLoadCollective(cfg LoadStudyConfig, mix *workload.Mix, s loadCellSpec, t
 		return LoadRow{}, err
 	}
 	const bgPort, bgTokens = 2, 8
+	// Every background send reads a prefix of one zero slab: GM only
+	// reads a payload, so the cell's senders share it.
+	maxBytes := 0
+	for _, b := range mix.Buckets() {
+		maxBytes = max(maxBytes, b.Bytes)
+	}
+	zeros := make([]byte, maxBytes)
 	for i, h := range hosts {
 		bp, err := cl.Host(h).OpenPort(bgPort, bgTokens)
 		if err != nil {
@@ -432,14 +439,10 @@ func runLoadCollective(cfg LoadStudyConfig, mix *workload.Mix, s loadCellSpec, t
 			}
 			dst := dests.Next(i)
 			// An arrival finding no free token is shed: a refused Send
-			// has no side effects, so the payload is built only for an
-			// arrival that can be admitted. The size draw stays
-			// consumed either way, so the offered schedule is
-			// identical whether or not admission succeeds.
-			size := mix.Sample(rng)
-			if bp.FreeSendTokens() > 0 {
-				_ = bp.Send(dst, bgPort, make([]byte, size))
-			}
+			// has no side effects. The size draw is consumed either
+			// way, so the offered schedule is identical whether or not
+			// admission succeeds.
+			_ = bp.Send(dst, bgPort, zeros[:mix.Sample(rng)])
 			cl.Eng.Schedule(ap.Next(), tick)
 		}
 		cl.Eng.Schedule(ap.Next(), tick)

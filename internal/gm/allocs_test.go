@@ -86,3 +86,24 @@ func TestConnToKeepsPeersSorted(t *testing.T) {
 		t.Errorf("peers = %v, want %v", got, want)
 	}
 }
+
+// A warm gm_allsize round trip allocates nothing: both directions send
+// from the run's one buffer per size, and each message lands in the
+// receive buffer the previous handler returned. A run of 110 round
+// trips allocates what a run of 10 does. The count is exact only
+// without the race detector, whose sync.Pool drops pooled packets.
+func TestAllsizeRoundTripAllocs(t *testing.T) {
+	r := newRig(t, mcp.DefaultConfig(mcp.ITB), DefaultParams())
+	a, b := r.hosts[r.nodes.Host1], r.hosts[r.nodes.Host2]
+	run := func(iters int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Allsize(r.eng, a, b, AllsizeConfig{Sizes: []int{64}, Iterations: iters}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := run(10), run(110)
+	if perTrip := (long - short) / 100; perTrip != 0 && !raceEnabled {
+		t.Errorf("allsize round trip allocates %.2f/op (%.0f allocs for 10 round trips, %.0f for 110), want 0", perTrip, short, long)
+	}
+}

@@ -52,12 +52,16 @@ func Allsize(eng *sim.Engine, a, b *Host, cfg AllsizeConfig) ([]AllsizeResult, e
 	if cfg.Iterations <= 0 {
 		return nil, fmt.Errorf("gm: allsize needs a positive iteration count")
 	}
-	send := func(h *Host, dst *Host, size int, pr *PingRoute) {
+	// Both directions send from one buffer per size, as gm_allsize
+	// sends from a buffer it allocated once: its bytes are zeros, and
+	// GM only reads them.
+	var buf []byte
+	send := func(h *Host, dst *Host, pr *PingRoute) {
 		if pr != nil {
-			h.SendVia(dst.Node(), make([]byte, size), pr.Route, pr.Type)
+			h.SendVia(dst.Node(), buf, pr.Route, pr.Type)
 			return
 		}
-		if err := h.Send(dst.Node(), make([]byte, size)); err != nil {
+		if err := h.Send(dst.Node(), buf); err != nil {
 			panic(err)
 		}
 	}
@@ -71,9 +75,10 @@ func Allsize(eng *sim.Engine, a, b *Host, cfg AllsizeConfig) ([]AllsizeResult, e
 		var start, sum, min, max units.Time
 		done := false
 		var kick func()
+		buf = make([]byte, size)
 
 		b.OnMessage = func(topology.NodeID, []byte, units.Time) {
-			send(b, a, size, cfg.Back)
+			send(b, a, cfg.Back)
 		}
 		a.OnMessage = func(_ topology.NodeID, _ []byte, t units.Time) {
 			half := (t - start) / 2
@@ -96,7 +101,7 @@ func Allsize(eng *sim.Engine, a, b *Host, cfg AllsizeConfig) ([]AllsizeResult, e
 		}
 		kick = func() {
 			start = eng.Now()
-			send(a, b, size, cfg.Forward)
+			send(a, b, cfg.Forward)
 		}
 		kick()
 		eng.Run()

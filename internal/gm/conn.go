@@ -33,7 +33,7 @@ type conn struct {
 	// when a sequence-zero packet arrives with a newer epoch, after
 	// which packets of older incarnations are dropped as stale.
 	peerIncarnation uint32
-	assembly        []byte // fragments of the in-progress message
+	assembly        []byte // fragments of the in-progress message (a receive buffer)
 
 	// The send window holds consecutive seqs, so a seq's entry is
 	// found by subtraction (entry).
@@ -314,7 +314,7 @@ func (c *conn) resurrect(epoch uint32) {
 // table instead of probing a dead path forever.
 func (c *conn) restampRoutes(hdr []byte, typ packet.Type) {
 	restamp := func(pkt *packet.Packet) {
-		pkt.Route = append(pkt.Route[:0], hdr...)
+		pkt.SetRoute(hdr)
 		pkt.Type = typ
 		c.h.stats.PacketsRerouted++
 	}
@@ -397,6 +397,7 @@ func (c *conn) handleData(pkt *packet.Packet) {
 		// expected and re-deliver.
 		c.peerIncarnation = pkt.Incarnation
 		c.expected = 0
+		putRecvBuf(c.assembly)
 		c.assembly = nil
 	case pkt.Incarnation < c.peerIncarnation:
 		// A leftover of the previous incarnation (stale route SRAM or
@@ -420,10 +421,10 @@ func (c *conn) handleData(pkt *packet.Packet) {
 	c.h.sendAck(c.peer, c.expected)
 }
 
-// deliverFrag appends a fragment and completes the message on its
-// last fragment.
+// deliverFrag appends a fragment to the message's receive buffer and
+// completes the message on its last fragment.
 func (c *conn) deliverFrag(pkt *packet.Packet) {
-	c.assembly = append(c.assembly, pkt.Payload...)
+	c.assembly = appendFrag(c.assembly, pkt.Payload)
 	if !pkt.LastFrag {
 		return
 	}

@@ -42,7 +42,7 @@ func TestLossyLinkRecovered(t *testing.T) {
 	r := faultRig(t, 0.00025, 99)
 	var got [][]byte
 	r.hosts[r.nodes.Host2].OnMessage = func(_ topology.NodeID, p []byte, _ units.Time) {
-		got = append(got, p)
+		got = append(got, bytes.Clone(p))
 	}
 	const n = 25
 	for i := 0; i < n; i++ {

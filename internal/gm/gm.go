@@ -125,7 +125,9 @@ type Host struct {
 	epoch uint32
 
 	// OnMessage delivers a complete, in-order message to the
-	// application.
+	// application. The payload is GM's receive buffer: it is valid
+	// until OnMessage returns, and a handler that keeps the bytes
+	// copies them.
 	OnMessage func(src topology.NodeID, payload []byte, t units.Time)
 	// OnPeerDead fires when the dead-peer verdict is issued for a peer
 	// (Params.DeadPeerTimeouts).
@@ -344,7 +346,10 @@ func packetTypeFor(r *routing.Route) packet.Type {
 	return packet.TypeGM
 }
 
-// Send transmits payload to dst using the route table.
+// Send transmits payload to dst using the route table. GM reads the
+// payload once, when it segments the message into packets after the
+// host send overhead, so the caller must not modify it until the
+// send's outcome.
 func (h *Host) Send(dst topology.NodeID, payload []byte) error {
 	return h.SendTracked(dst, payload, nil, nil)
 }
@@ -354,7 +359,8 @@ func (h *Host) Send(dst topology.NodeID, payload []byte) error {
 // message is abandoned by the dead-peer verdict. Exactly one of the
 // two eventually fires (when a non-nil error is returned, neither
 // does: the message was never accepted). Fault campaigns use this to
-// account for every message as delivered or reported dropped.
+// account for every message as delivered or reported dropped. As with
+// Send, the caller must not modify payload until the outcome.
 func (h *Host) SendTracked(dst topology.NodeID, payload []byte, onAcked, onFailed func()) error {
 	if h.tbl == nil {
 		return fmt.Errorf("gm: host %d has no route table", h.node)
@@ -376,8 +382,11 @@ func (h *Host) SendTracked(dst topology.NodeID, payload []byte, onAcked, onFaile
 
 // SendVia transmits payload to dst over an explicit wire route (used
 // by the evaluation harness to pin the exact paths of Figures 7/8).
+// GM reads the payload and the route once, when it segments the
+// message into packets (each packet takes its own copy of the route),
+// so the caller must not modify either until the send's outcome.
 func (h *Host) SendVia(dst topology.NodeID, payload []byte, route []byte, typ packet.Type) {
-	h.sendPort(dst, payload, append([]byte(nil), route...), typ, 0, 0, outcome{})
+	h.sendPort(dst, payload, route, typ, 0, 0, outcome{})
 }
 
 // sendPort segments and enqueues one message; o is settled as acked
@@ -411,7 +420,7 @@ func segment(arg any) {
 	for i := 0; i < nfrags; i++ {
 		fr := op.payload[i*h.par.MTU : min((i+1)*h.par.MTU, len(op.payload))]
 		pkt := packet.Get()
-		pkt.Route = append(pkt.Route, op.route...)
+		pkt.SetRoute(op.route)
 		pkt.Type = op.typ
 		pkt.Payload = append(pkt.Payload, fr...)
 		pkt.Src = int(h.node)
@@ -502,7 +511,7 @@ func (h *Host) deliver(pkt *packet.Packet, _ units.Time) {
 // naively: a fragment appends to its sender's in-progress message, and
 // a last fragment completes it.
 func (h *Host) receiveRaw(src topology.NodeID, pkt *packet.Packet) {
-	asm := append(h.rawAsm[src], pkt.Payload...)
+	asm := appendFrag(h.rawAsm[src], pkt.Payload)
 	if !pkt.LastFrag {
 		if h.rawAsm == nil {
 			h.rawAsm = make(map[topology.NodeID][]byte)
@@ -524,7 +533,9 @@ func (h *Host) complete(src topology.NodeID, pkt *packet.Packet, msg []byte) {
 }
 
 // message hands a reassembled message to its port, or to the legacy
-// OnMessage callback when nobody opened that port.
+// OnMessage callback when nobody opened that port. The port returns
+// the receive buffer once OnReceive has seen it; here it returns as
+// soon as OnMessage does.
 func message(arg any) {
 	p := arg.(*recvOp)
 	op := *p
@@ -536,6 +547,7 @@ func message(arg any) {
 	if h.OnMessage != nil {
 		h.OnMessage(op.peer, op.msg, h.eng.Now())
 	}
+	putRecvBuf(op.msg)
 }
 
 // sendAck emits a zero-payload acknowledgement carrying the
@@ -554,7 +566,7 @@ func (h *Host) sendAck(peer topology.NodeID, nextExpected uint32) {
 		return
 	}
 	ack := packet.Get()
-	ack.Route = append(ack.Route, hdr...)
+	ack.SetRoute(hdr)
 	ack.Type = packet.TypeAck
 	ack.Src = int(h.node)
 	ack.Dst = int(peer)

@@ -52,7 +52,7 @@ func TestMessageDeliveryIntact(t *testing.T) {
 	var got []byte
 	var from topology.NodeID
 	r.hosts[r.nodes.Host2].OnMessage = func(src topology.NodeID, p []byte, _ units.Time) {
-		got, from = p, src
+		got, from = bytes.Clone(p), src
 	}
 	if err := r.hosts[r.nodes.Host1].Send(r.nodes.Host2, want); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestSegmentationAndReassembly(t *testing.T) {
 	r := newRig(t, mcp.DefaultConfig(mcp.ITB), DefaultParams())
 	want := pattern(10000) // 3 fragments at MTU 4096
 	var got []byte
-	r.hosts[r.nodes.Host2].OnMessage = func(_ topology.NodeID, p []byte, _ units.Time) { got = p }
+	r.hosts[r.nodes.Host2].OnMessage = func(_ topology.NodeID, p []byte, _ units.Time) { got = bytes.Clone(p) }
 	if err := r.hosts[r.nodes.Host1].Send(r.nodes.Host2, want); err != nil {
 		t.Fatal(err)
 	}

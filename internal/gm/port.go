@@ -20,9 +20,10 @@ var ErrNoSendTokens = errors.New("gm: no free send tokens")
 // messages can land, and spend send tokens on transmissions — the
 // flow control that makes GM "protected user-level access".
 //
-// A message addressed to an open port is held until the application
-// has provided a receive token; messages to ports nobody opened fall
-// through to the host's legacy OnMessage callback.
+// A message addressed to an open port is held, in its receive buffer,
+// until the application has provided a receive token; messages to
+// ports nobody opened fall through to the host's legacy OnMessage
+// callback.
 type Port struct {
 	host *Host
 	id   uint8
@@ -32,7 +33,9 @@ type Port struct {
 
 	sendTokens int
 
-	// OnReceive delivers one message per receive token.
+	// OnReceive delivers one message per receive token. The payload
+	// is GM's receive buffer: it is valid until OnReceive returns, and
+	// a handler that keeps the bytes copies them.
 	OnReceive func(src topology.NodeID, srcPort uint8, payload []byte, t units.Time)
 }
 
@@ -93,6 +96,7 @@ func (p *Port) drain() {
 		if p.OnReceive != nil {
 			p.OnReceive(m.src, m.srcPort, m.payload, p.host.eng.Now())
 		}
+		putRecvBuf(m.payload)
 	}
 }
 
@@ -100,7 +104,9 @@ func (p *Port) drain() {
 // send token. The token returns when GM has acknowledged the whole
 // message (or immediately after the tail leaves, with acks disabled).
 // It fails with ErrNoSendTokens, and no other effect, when no token is
-// free.
+// free. GM reads the payload once, when it segments the message after
+// the host send overhead, so the caller must not modify it until the
+// token returns.
 func (p *Port) Send(dst topology.NodeID, dstPort uint8, payload []byte) error {
 	if p.sendTokens == 0 {
 		return ErrNoSendTokens

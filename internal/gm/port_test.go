@@ -44,7 +44,7 @@ func TestPortToPortMessage(t *testing.T) {
 	var got []byte
 	var fromPort uint8
 	dst.OnReceive = func(from topology.NodeID, srcPort uint8, p []byte, _ units.Time) {
-		got, fromPort = p, srcPort
+		got, fromPort = bytes.Clone(p), srcPort
 	}
 	dst.ProvideReceiveTokens(1)
 	want := pattern(500)

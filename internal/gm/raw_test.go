@@ -200,7 +200,7 @@ func TestRawInterleavedFragmentsReassemble(t *testing.T) {
 	}
 	got := map[topology.NodeID][][]byte{}
 	dst.OnMessage = func(src topology.NodeID, p []byte, _ units.Time) {
-		got[src] = append(got[src], p)
+		got[src] = append(got[src], bytes.Clone(p))
 	}
 	const msgs = 2
 	for _, h := range senders {
@@ -245,7 +245,7 @@ func TestRawSenderToAckModeReceiver(t *testing.T) {
 	mtu := DefaultParams().MTU
 	sizes := []int{64, 3 * mtu / 2, mtu, 0, 2*mtu + 1, 300}
 	var got [][]byte
-	h2.OnMessage = func(_ topology.NodeID, p []byte, _ units.Time) { got = append(got, p) }
+	h2.OnMessage = func(_ topology.NodeID, p []byte, _ units.Time) { got = append(got, bytes.Clone(p)) }
 	out0 := packet.PoolOutstanding()
 	for i, n := range sizes {
 		if err := h1.Send(h2.Node(), bytes.Repeat([]byte{byte(i + 1)}, n)); err != nil {

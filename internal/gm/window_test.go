@@ -62,13 +62,14 @@ func sendAckRig(tb testing.TB) (cycle func(), src *Port) {
 	return cycle, src
 }
 
-// A warm send→ack cycle of one port message allocates only the
-// receiver's reassembled message: the send token comes back through
-// the window entry, not through per-send closures. The count is exact
-// only without the race detector, whose sync.Pool drops pooled packets.
+// A warm send→ack cycle of one port message allocates nothing: the
+// send token comes back through the window entry, not through
+// per-send closures, and the message lands in the receive buffer the
+// previous cycle's handler returned. The count is exact only without
+// the race detector, whose sync.Pool drops pooled packets.
 func TestSendAckCycleAllocs(t *testing.T) {
 	cycle, src := sendAckRig(t)
-	const want = 1
+	const want = 0
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != want && !raceEnabled {
 		t.Errorf("send→ack cycle allocates %.1f/op, want %d", allocs, want)
 	}

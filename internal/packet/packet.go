@@ -138,6 +138,18 @@ type Packet struct {
 	// ClonePooled). Recycle uses it to release drop-path packets
 	// without knowing their provenance; Put clears it.
 	pooled bool
+	// routeBuf is the route storage the packet owns. SetRoute and
+	// CloneInto write the route into it, and Put keeps it for the
+	// packet's next life: Route itself is resliced from the front as
+	// switches consume its bytes, so its capacity shrinks in flight.
+	routeBuf []byte
+}
+
+// SetRoute copies r into the packet's own route storage, reusing its
+// capacity, and makes the copy the packet's route.
+func (p *Packet) SetRoute(r []byte) {
+	p.routeBuf = append(p.routeBuf[:0], r...)
+	p.Route = p.routeBuf
 }
 
 // HeaderOverhead is the fixed non-payload byte count of a packet with
@@ -160,6 +172,7 @@ func (p *Packet) WireLen() int {
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Route = append([]byte(nil), p.Route...)
+	q.routeBuf = q.Route
 	q.Payload = append([]byte(nil), p.Payload...)
 	q.pooled = false // heap clone: never pool-released
 	return &q

@@ -46,8 +46,12 @@ func Put(p *Packet) {
 	if p.pooled {
 		puts.Add(1)
 	}
-	route, payload := p.Route[:0], p.Payload[:0]
-	*p = Packet{Route: route, Payload: payload}
+	route := p.routeBuf
+	if route == nil {
+		route = p.Route // a route set directly: keep what is left of it
+	}
+	route, payload := route[:0], p.Payload[:0]
+	*p = Packet{Route: route, Payload: payload, routeBuf: route}
 	pool.Put(p)
 }
 
@@ -75,9 +79,10 @@ func PoolOutstanding() int64 {
 // cloning a pool packet into a heap packet (or vice versa) must not
 // transfer the pooled mark.
 func (p *Packet) CloneInto(q *Packet) {
-	route, payload, qp := q.Route[:0], q.Payload[:0], q.pooled
+	buf, payload, qp := q.routeBuf, q.Payload[:0], q.pooled
 	*q = *p
-	q.Route = append(route, p.Route...)
+	q.routeBuf = buf
+	q.SetRoute(p.Route)
 	q.Payload = append(payload, p.Payload...)
 	q.pooled = qp
 }
