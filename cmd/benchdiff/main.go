@@ -18,7 +18,9 @@
 // suppress scheduler noise on shared CI runners. A benchmark's
 // gc-cycles/op metric (collections per op) is carried into the
 // summary and printed beside allocs/op, but never gated: the
-// collector's pacing depends on the heap the whole process holds.
+// collector's pacing depends on the heap the whole process holds. A
+// route-table benchmark's B/route metric (the heap a built table
+// retains per route) is carried and printed the same way.
 package main
 
 import (
@@ -35,12 +37,14 @@ import (
 
 // Result is one benchmark's summary. GCCyclesPerOp is the
 // collections the benchmark's timed loop ran per op (its
-// gc-cycles/op metric): reported beside allocs/op, never gated.
+// gc-cycles/op metric), and BytesPerRoute the heap a route table
+// retains per route (its B/route metric): both reported, never gated.
 type Result struct {
 	NsPerOp       float64 `json:"ns_per_op"`
 	AllocsPerOp   float64 `json:"allocs_per_op"`
 	BytesPerOp    float64 `json:"bytes_per_op"`
 	GCCyclesPerOp float64 `json:"gc_cycles_per_op,omitempty"`
+	BytesPerRoute float64 `json:"bytes_per_route,omitempty"`
 }
 
 // Summary is the emitted JSON document.
@@ -144,6 +148,10 @@ func parseBench(r io.Reader) (Summary, error) {
 				if !seen || v < res.GCCyclesPerOp {
 					res.GCCyclesPerOp = v
 				}
+			case "B/route":
+				if !seen || v < res.BytesPerRoute {
+					res.BytesPerRoute = v
+				}
 			}
 		}
 		if got {
@@ -213,8 +221,12 @@ func compare(basePath, curPath string, nsTol, allocTol float64, w io.Writer) (re
 			status = fmt.Sprintf("REGRESSION allocs/op +%g (+%.3f%%, limit %g%%)", allocDelta, allocPct, allocTol)
 			regressions++
 		}
-		fmt.Fprintf(w, "%-28s ns/op %12.0f -> %12.0f (%+.1f%%)  allocs/op %10.0f -> %10.0f  gc-cycles/op %6.3g -> %6.3g  %s\n",
-			name, b.NsPerOp, c.NsPerOp, nsDelta, b.AllocsPerOp, c.AllocsPerOp, b.GCCyclesPerOp, c.GCCyclesPerOp, status)
+		perRoute := ""
+		if b.BytesPerRoute != 0 || c.BytesPerRoute != 0 {
+			perRoute = fmt.Sprintf("  B/route %6.4g -> %6.4g", b.BytesPerRoute, c.BytesPerRoute)
+		}
+		fmt.Fprintf(w, "%-28s ns/op %12.0f -> %12.0f (%+.1f%%)  allocs/op %10.0f -> %10.0f  gc-cycles/op %6.3g -> %6.3g%s  %s\n",
+			name, b.NsPerOp, c.NsPerOp, nsDelta, b.AllocsPerOp, c.AllocsPerOp, b.GCCyclesPerOp, c.GCCyclesPerOp, perRoute, status)
 	}
 	return regressions, nil
 }

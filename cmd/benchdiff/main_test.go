@@ -151,6 +151,38 @@ func TestCompareReportsGCCyclesUngated(t *testing.T) {
 	}
 }
 
+// A table benchmark's B/route is carried into the summary (the
+// minimum across counts) and printed, and its growth is not gated.
+func TestBytesPerRouteCarriedUngated(t *testing.T) {
+	sum, err := parseBench(strings.NewReader(sampleBench + `
+BenchmarkUpDownITBTableDragonfly342-2   	       3	  30164057 ns/op	        89.26 B/route	         2.667 gc-cycles/op	14196850 B/op	   18769 allocs/op
+BenchmarkUpDownITBTableDragonfly342-2   	       3	  29164057 ns/op	        89.50 B/route	         2.000 gc-cycles/op	14196888 B/op	   18769 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sum.Benchmarks["UpDownITBTableDragonfly342"].BytesPerRoute; got != 89.26 {
+		t.Errorf("B/route = %v, want min 89.26", got)
+	}
+	if got := sum.Benchmarks["Fig7_CodeOverhead"].BytesPerRoute; got != 0 {
+		t.Errorf("B/route of a benchmark that reports none = %v, want 0", got)
+	}
+	dir := t.TempDir()
+	base := writeSummary(t, dir, "base.json", Summary{Benchmarks: map[string]Result{
+		"Table": {NsPerOp: 1000, AllocsPerOp: 10, BytesPerRoute: 18.5},
+	}})
+	cur := writeSummary(t, dir, "cur.json", Summary{Benchmarks: map[string]Result{
+		"Table": {NsPerOp: 1000, AllocsPerOp: 10, BytesPerRoute: 89.26},
+	}})
+	var out strings.Builder
+	if n, _ := compare(base, cur, 15, 0.1, &out); n != 0 {
+		t.Errorf("regressions = %d, want 0 (B/route is not gated)\n%s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "B/route   18.5 ->  89.26") {
+		t.Errorf("report does not print B/route 18.5 -> 89.26:\n%s", out.String())
+	}
+}
+
 func TestEmitRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")

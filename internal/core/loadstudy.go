@@ -266,17 +266,23 @@ func runOpenLoop(cl *Cluster, flows []workload.Flow, until units.Time, onDeliver
 			}
 		}
 	}
+	// Each flow's start is scheduled with a pointer to its index, and
+	// its failure comes back to one callback with the index as context,
+	// so the schedule allocates nothing per flow.
+	fail := func(i int) { failed[i] = true }
 	send := func(arg any) {
-		i := arg.(int)
+		i := *arg.(*int)
 		f := flows[i]
 		payload := make([]byte, f.Bytes)
 		binary.LittleEndian.PutUint64(payload, uint64(i))
-		if err := cl.Host(f.Src).SendTracked(f.Dst, payload, nil, func() { failed[i] = true }); err != nil {
+		if err := cl.Host(f.Src).SendTracked(f.Dst, payload, nil, fail, i); err != nil {
 			failed[i] = true
 		}
 	}
+	idx := make([]int, len(flows))
 	for i, f := range flows {
-		cl.Eng.ScheduleArgAt(f.Start, send, i)
+		idx[i] = i
+		cl.Eng.ScheduleArgAt(f.Start, send, &idx[i])
 	}
 	if until > 0 {
 		cl.Eng.RunUntil(until)

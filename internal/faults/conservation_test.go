@@ -152,8 +152,8 @@ func checkConservation(t *testing.T, topo *topology.Topology, seed int64, detect
 		at := units.Time(rng.Int63n(int64(horizon)))
 		eng.ScheduleAt(at, func() {
 			err := byID[src].SendTracked(dst, payload,
-				func() { acked[id] = true },
-				func() { failed[id] = true })
+				func(i int) { acked[uint64(i)] = true },
+				func(i int) { failed[uint64(i)] = true }, int(id))
 			if err != nil {
 				// Rejected up-front (dead peer, no surviving route):
 				// that IS the failure report.

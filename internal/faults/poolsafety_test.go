@@ -140,8 +140,8 @@ func runPoolCampaign(t *testing.T, topo *topology.Topology, seed int64) string {
 		at := units.Time(rng.Int63n(int64(horizon)))
 		eng.ScheduleAt(at, func() {
 			err := byID[src].SendTracked(dst, payload,
-				func() { acked[id] = true },
-				func() { failed[id] = true })
+				func(i int) { acked[uint64(i)] = true },
+				func(i int) { failed[uint64(i)] = true }, int(id))
 			if err != nil {
 				failed[id] = true
 			}

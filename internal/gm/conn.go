@@ -56,10 +56,12 @@ type conn struct {
 
 // outcome is what a message's last fragment carries to its
 // completion: the port whose send token comes back on either outcome,
-// and the caller's callbacks. Exactly one of acked and failed runs.
+// and the caller's callbacks with the context they are called with.
+// Exactly one of acked and failed runs.
 type outcome struct {
 	port              *Port
-	onAcked, onFailed func()
+	onAcked, onFailed func(ctx int)
+	ctx               int
 }
 
 // acked returns the send token, then runs the caller's callback.
@@ -68,7 +70,7 @@ func (o *outcome) acked() {
 		o.port.sendTokens++
 	}
 	if o.onAcked != nil {
-		o.onAcked()
+		o.onAcked(o.ctx)
 	}
 }
 
@@ -78,7 +80,7 @@ func (o *outcome) failed() {
 		o.port.sendTokens++
 	}
 	if o.onFailed != nil {
-		o.onFailed()
+		o.onFailed(o.ctx)
 	}
 }
 

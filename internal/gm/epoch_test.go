@@ -48,9 +48,9 @@ func killPeer(t *testing.T, r *rig, src, dst *Host) {
 	t.Helper()
 	dst.MCP().SetStalled(true)
 	failed := false
-	if err := src.SendTracked(dst.Node(), pattern(64), func() {
+	if err := src.SendTracked(dst.Node(), pattern(64), func(int) {
 		t.Error("message into a stalled peer was acked")
-	}, func() { failed = true }); err != nil {
+	}, func(int) { failed = true }, 0); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.Run()
@@ -335,7 +335,7 @@ func TestInstallReconcilesOnlyBusyAndDeadConns(t *testing.T) {
 	// The busy conn: one message in the window, short of a timeout.
 	hosts[busy].MCP().SetStalled(true)
 	acked := false
-	if err := src.SendTracked(busy, pattern(64), func() { acked = true }, nil); err != nil {
+	if err := src.SendTracked(busy, pattern(64), func(int) { acked = true }, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunFor(par.AckTimeout / 2)
@@ -469,5 +469,84 @@ func TestInstallSkipsDeadConnsToExcludedPeers(t *testing.T) {
 	busyHdr, _ := busyRoute.EncodeHeader()
 	if p := src.conns[busy].inflight[0].pkt; !bytes.Equal(p.Route, busyHdr) {
 		t.Errorf("busy conn's pending packet: route %x, want %x", p.Route, busyHdr)
+	}
+}
+
+// TestSendOwnsItsRoute pins the header lifetime: a message takes its
+// wire route when it is sent and keeps those bytes until it segments.
+// Between the send and the segmentation, a second send writes another
+// route, the test looks up and writes a third, and a table install
+// changes the first peer's route; the first message's packet still
+// carries its own route, and the second's its own.
+func TestSendOwnsItsRoute(t *testing.T) {
+	eng := sim.NewEngine()
+	topo := topology.Ring(3, 2)
+	net := fabric.New(eng, topo, fabric.DefaultParams())
+	base, err := routing.ITBRouting.BuildTable(topo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := DefaultParams()
+	ids := topo.Hosts()
+	hosts := map[topology.NodeID]*Host{}
+	for _, n := range ids {
+		hosts[n] = NewHost(eng, mcp.New(net, n, mcp.DefaultConfig(mcp.ITB)), base, par)
+	}
+	src := hosts[ids[0]]
+	far, near := ids[5], ids[1]
+	header := func(tbl *routing.Table, dst topology.NodeID) []byte {
+		r, ok := tbl.Lookup(src.Node(), dst)
+		if !ok {
+			t.Fatalf("no route %d->%d", src.Node(), dst)
+		}
+		hdr, err := r.EncodeHeader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hdr
+	}
+	farHdr, nearHdr := header(base, far), header(base, near)
+	// The new table avoids the first switch link of far's route.
+	cut := -1
+	r, _ := base.Lookup(src.Node(), far)
+	for _, tr := range r.LinkPath() {
+		if topo.Node(tr.From).Kind == topology.KindSwitch && topo.Node(tr.To()).Kind == topology.KindSwitch {
+			cut = tr.Link.ID
+			break
+		}
+	}
+	tbl, _ := base.Rebuild(routing.AvoidLinks(cut))
+	if bytes.Equal(header(tbl, far), farHdr) {
+		t.Fatalf("the rebuilt table routes %d->%d as the base does", src.Node(), far)
+	}
+
+	if err := src.Send(far, pattern(64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Send(near, pattern(64)); err != nil {
+		t.Fatal(err)
+	}
+	var buf [packet.MaxRouteLen]byte
+	other, _ := base.Lookup(ids[2], ids[4])
+	if _, err := other.AppendHeader(buf[:0]); err != nil {
+		t.Fatal(err)
+	}
+	src.InstallTable(tbl, 1)
+	eng.RunFor(par.HostSendOverhead)
+	for dst, want := range map[topology.NodeID][]byte{far: farHdr, near: nearHdr} {
+		c := src.conns[dst]
+		if c == nil || len(c.inflight) != 1 {
+			t.Fatalf("conn to %d holds no segmented packet", dst)
+		}
+		if got := c.inflight[0].pkt.Route; !bytes.Equal(got, want) {
+			t.Errorf("message to %d segmented with route %x, want the route at its send %x", dst, got, want)
+		}
+	}
+	got := 0
+	hosts[far].OnMessage = func(topology.NodeID, []byte, units.Time) { got++ }
+	hosts[near].OnMessage = func(topology.NodeID, []byte, units.Time) { got++ }
+	eng.Run()
+	if got != 2 {
+		t.Errorf("%d of 2 messages delivered", got)
 	}
 }

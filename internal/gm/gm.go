@@ -155,11 +155,15 @@ type Host struct {
 	settle []outcome
 }
 
-// sendOp is one gm_send call waiting out the host send overhead.
+// sendOp is one gm_send call waiting out the host send overhead. It
+// owns its wire route: route is a copy the call made, in hdr when it
+// fits, so no later Lookup or table install can change the bytes the
+// message is segmented with.
 type sendOp struct {
 	h                *Host
 	peer             topology.NodeID
 	payload, route   []byte
+	hdr              [packet.MaxRouteLen]byte
 	typ              packet.Type
 	srcPort, dstPort uint8
 	id               uint32
@@ -275,6 +279,7 @@ func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 			continue
 		}
 		r, ok := tbl.Lookup(h.node, c.peer)
+		var buf [packet.MaxRouteLen]byte
 		switch {
 		case !ok:
 			if !c.dead {
@@ -285,7 +290,7 @@ func (h *Host) InstallTable(tbl *routing.Table, epoch uint32) {
 		default:
 			c.strikes = 0
 			c.curTimeout = h.par.AckTimeout
-			if hdr, err := r.EncodeHeader(); err == nil {
+			if hdr, err := r.AppendHeader(buf[:0]); err == nil {
 				c.restampRoutes(hdr, packetTypeFor(r))
 			}
 		}
@@ -339,7 +344,7 @@ func (h *Host) PublishMetrics(r *metrics.Registry) {
 }
 
 // packetTypeFor returns the wire type a route requires.
-func packetTypeFor(r *routing.Route) packet.Type {
+func packetTypeFor(r routing.Route) packet.Type {
 	if r.NumITBs() > 0 {
 		return packet.TypeITB
 	}
@@ -351,17 +356,20 @@ func packetTypeFor(r *routing.Route) packet.Type {
 // host send overhead, so the caller must not modify it until the
 // send's outcome.
 func (h *Host) Send(dst topology.NodeID, payload []byte) error {
-	return h.SendTracked(dst, payload, nil, nil)
+	return h.SendTracked(dst, payload, nil, nil, 0)
 }
 
-// SendTracked is Send with message-outcome callbacks: onAcked fires
-// when GM has acknowledged the whole message, onFailed when the
-// message is abandoned by the dead-peer verdict. Exactly one of the
-// two eventually fires (when a non-nil error is returned, neither
-// does: the message was never accepted). Fault campaigns use this to
-// account for every message as delivered or reported dropped. As with
-// Send, the caller must not modify payload until the outcome.
-func (h *Host) SendTracked(dst topology.NodeID, payload []byte, onAcked, onFailed func()) error {
+// SendTracked is Send with message-outcome callbacks, as GM's
+// gm_send_with_callback: onAcked fires when GM has acknowledged the
+// whole message, onFailed when the message is abandoned by the
+// dead-peer verdict, each called with ctx, the caller's context for
+// the message. So one pair of callbacks serves every message a caller
+// sends. Exactly one of the two eventually fires (when a non-nil error
+// is returned, neither does: the message was never accepted). Fault
+// campaigns use this to account for every message as delivered or
+// reported dropped. As with Send, the caller must not modify payload
+// until the outcome.
+func (h *Host) SendTracked(dst topology.NodeID, payload []byte, onAcked, onFailed func(ctx int), ctx int) error {
 	if h.tbl == nil {
 		return fmt.Errorf("gm: host %d has no route table", h.node)
 	}
@@ -372,35 +380,37 @@ func (h *Host) SendTracked(dst topology.NodeID, payload []byte, onAcked, onFaile
 	if !ok {
 		return fmt.Errorf("gm: no route %d->%d", h.node, dst)
 	}
-	hdr, err := r.EncodeHeader()
+	var buf [packet.MaxRouteLen]byte
+	hdr, err := r.AppendHeader(buf[:0])
 	if err != nil {
 		return err
 	}
-	h.sendPort(dst, payload, hdr, packetTypeFor(r), 0, 0, outcome{onAcked: onAcked, onFailed: onFailed})
+	h.sendPort(dst, payload, hdr, packetTypeFor(r), 0, 0, outcome{onAcked: onAcked, onFailed: onFailed, ctx: ctx})
 	return nil
 }
 
 // SendVia transmits payload to dst over an explicit wire route (used
 // by the evaluation harness to pin the exact paths of Figures 7/8).
-// GM reads the payload and the route once, when it segments the
-// message into packets (each packet takes its own copy of the route),
-// so the caller must not modify either until the send's outcome.
+// GM copies the route when called; it reads the payload once, when it
+// segments the message into packets, so the caller must not modify the
+// payload until the send's outcome.
 func (h *Host) SendVia(dst topology.NodeID, payload []byte, route []byte, typ packet.Type) {
 	h.sendPort(dst, payload, route, typ, 0, 0, outcome{})
 }
 
-// sendPort segments and enqueues one message; o is settled as acked
-// when GM has acknowledged the whole message (or when its tail leaves
-// the NIC, with acks disabled), or as failed if the message is
-// abandoned by the dead-peer verdict.
+// sendPort segments and enqueues one message over a copy of route;
+// o is settled as acked when GM has acknowledged the whole message (or
+// when its tail leaves the NIC, with acks disabled), or as failed if
+// the message is abandoned by the dead-peer verdict.
 func (h *Host) sendPort(dst topology.NodeID, payload []byte, route []byte, typ packet.Type, srcPort, dstPort uint8, o outcome) {
 	h.msgID++
 	h.stats.MessagesSent++
 	op := h.sendOps.Get()
 	*op = sendOp{
-		h: h, peer: dst, payload: payload, route: route, typ: typ,
+		h: h, peer: dst, payload: payload, typ: typ,
 		srcPort: srcPort, dstPort: dstPort, id: h.msgID, o: o,
 	}
+	op.route = append(op.hdr[:0], route...)
 	// The user-level send overhead is paid once per gm_send call.
 	h.eng.ScheduleArg(h.par.HostSendOverhead, segment, op)
 }
@@ -409,10 +419,8 @@ func (h *Host) sendPort(dst topology.NodeID, payload []byte, route []byte, typ p
 // paid, segmenting the payload at the MTU. An empty message is one
 // empty packet.
 func segment(arg any) {
-	p := arg.(*sendOp)
-	op := *p
+	op := arg.(*sendOp)
 	h := op.h
-	h.sendOps.Put(p)
 	nfrags := (len(op.payload) + h.par.MTU - 1) / h.par.MTU
 	if nfrags == 0 {
 		nfrags = 1
@@ -443,6 +451,7 @@ func segment(arg any) {
 			h.connTo(op.peer).enqueue(pkt, o)
 		}
 	}
+	h.sendOps.Put(op)
 }
 
 // sendRaw puts a raw host's packet on the wire as it is: no
@@ -561,7 +570,8 @@ func (h *Host) sendAck(peer topology.NodeID, nextExpected uint32) {
 	if !ok {
 		return
 	}
-	hdr, err := r.EncodeHeader()
+	var buf [packet.MaxRouteLen]byte
+	hdr, err := r.AppendHeader(buf[:0])
 	if err != nil {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -122,7 +123,8 @@ func (p *Port) Send(dst topology.NodeID, dstPort uint8, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("gm: no route %d->%d", h.node, dst)
 	}
-	hdr, err := r.EncodeHeader()
+	var buf [packet.MaxRouteLen]byte
+	hdr, err := r.AppendHeader(buf[:0])
 	if err != nil {
 		return err
 	}

@@ -105,8 +105,8 @@ func TestDeadConnFailsInSendOrder(t *testing.T) {
 		i := i
 		h1.sendPort(h2.Node(), pattern(64), hdr, packetTypeFor(r1), p.id, 2, outcome{
 			port:    p,
-			onAcked: func() { t.Errorf("message %d into a stalled peer was acked", i) },
-			onFailed: func() {
+			onAcked: func(int) { t.Errorf("message %d into a stalled peer was acked", i) },
+			onFailed: func(int) {
 				if got, want := p.FreeSendTokens(), i+1; got != want {
 					t.Errorf("message %d failed with %d tokens back, want %d", i, got, want)
 				}
@@ -141,9 +141,9 @@ func TestDisableAcksSettlesAtTailOut(t *testing.T) {
 	h1, h2 := r.hosts[r.nodes.Host1], r.hosts[r.nodes.Host2]
 	var ackedAt, receivedAt []units.Time
 	h2.OnMessage = func(_ topology.NodeID, _ []byte, at units.Time) { receivedAt = append(receivedAt, at) }
-	if err := h1.SendTracked(h2.Node(), pattern(64), func() { ackedAt = append(ackedAt, r.eng.Now()) }, func() {
+	if err := h1.SendTracked(h2.Node(), pattern(64), func(int) { ackedAt = append(ackedAt, r.eng.Now()) }, func(int) {
 		t.Error("message failed with acks disabled")
-	}); err != nil {
+	}, 0); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.Run()

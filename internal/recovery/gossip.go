@@ -364,17 +364,18 @@ func (g *Gossip) nextNonce() uint32 {
 	return g.nonce
 }
 
-// route returns the up*/down* wire header from host index `from` to
-// host index `to` (nil when no route exists), the pair's route the
-// Finder memoizes. Gossip probes, like the monitor's, avoid in-transit
-// hosts: a probe must not depend on a host that may itself be the
-// thing being probed.
-func (g *Gossip) route(from, to int) []byte {
+// route appends to buf the up*/down* wire header from host index
+// `from` to host index `to`, the pair's route the Finder memoizes, and
+// returns it (nil when no route exists). With a nil buf the header is
+// a new slice the caller owns. Gossip probes, like the monitor's,
+// avoid in-transit hosts: a probe must not depend on a host that may
+// itself be the thing being probed.
+func (g *Gossip) route(from, to int, buf []byte) []byte {
 	r, err := g.finder.FindRoute(g.hosts[from].Node(), g.hosts[to].Node(), nil)
 	if err != nil {
 		return nil
 	}
-	hdr, err := r.EncodeHeader()
+	hdr, err := r.AppendHeader(buf)
 	if err != nil {
 		return nil
 	}
@@ -578,7 +579,8 @@ func (a *agent) pickTarget() int {
 // probe runs the direct stage against target index t.
 func (a *agent) probe(t int) {
 	g := a.g
-	fwd, ret := g.route(a.idx, t), g.route(t, a.idx)
+	var rb [packet.MaxRouteLen]byte
+	fwd, ret := g.route(a.idx, t, nil), g.route(t, a.idx, rb[:0])
 	if fwd == nil || ret == nil {
 		return // partitioned by topology: nothing to learn
 	}
@@ -587,7 +589,7 @@ func (a *agent) probe(t int) {
 	a.outstanding[n] = pc
 	g.stats.ProbesSent++
 	a.sendMapping(&packet.Packet{
-		Route: append([]byte(nil), fwd...),
+		Route: fwd,
 		Type:  packet.TypeMapping,
 		Src:   int(a.node),
 		Dst:   int(g.hosts[t].Node()),
@@ -631,7 +633,8 @@ func (a *agent) directTimeout(n uint32, pc *probeCycle) {
 	}
 	sent := 0
 	for _, rIdx := range relays {
-		fwd, home := g.route(a.idx, rIdx), g.route(rIdx, a.idx)
+		var hb [packet.MaxRouteLen]byte
+		fwd, home := g.route(a.idx, rIdx, nil), g.route(rIdx, a.idx, hb[:0])
 		if fwd == nil || home == nil {
 			continue
 		}
@@ -640,7 +643,7 @@ func (a *agent) directTimeout(n uint32, pc *probeCycle) {
 		a.outstanding[n2] = pc
 		g.stats.VerifyProbes++
 		a.sendMapping(&packet.Packet{
-			Route: append([]byte(nil), fwd...),
+			Route: fwd,
 			Type:  packet.TypeMapping,
 			Src:   int(a.node),
 			Dst:   int(g.hosts[rIdx].Node()),
@@ -1087,7 +1090,8 @@ func (a *agent) relayPing(pm packet.Mapping) {
 	if !ok || tIdx == a.idx {
 		return
 	}
-	fwd, ret := g.route(a.idx, tIdx), g.route(tIdx, a.idx)
+	var rb [packet.MaxRouteLen]byte
+	fwd, ret := g.route(a.idx, tIdx, nil), g.route(tIdx, a.idx, rb[:0])
 	if fwd == nil || ret == nil {
 		return // cannot help; the origin's indirect stage times out
 	}
@@ -1100,7 +1104,7 @@ func (a *agent) relayPing(pm packet.Mapping) {
 	}
 	g.stats.ProbesSent++
 	a.sendMapping(&packet.Packet{
-		Route: append([]byte(nil), fwd...),
+		Route: fwd,
 		Type:  packet.TypeMapping,
 		Src:   int(a.node),
 		Dst:   int(pm.Target),

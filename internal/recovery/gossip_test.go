@@ -111,7 +111,7 @@ func (r *gossipRig) checkConverged(t *testing.T, victim topology.NodeID) {
 			if dst == victim {
 				t.Errorf("host %d still routes to the dead host", i)
 			}
-			for _, itb := range route.ITBHosts {
+			for _, itb := range route.ITBHosts() {
 				if itb == victim {
 					t.Errorf("host %d route to %d still ejects through the dead host", i, dst)
 				}
@@ -503,7 +503,7 @@ func TestGossipInstallsHistoryIndependent(t *testing.T) {
 	// replacement routes rather than only adopting base routes.
 	load := make([]int, len(r.hosts))
 	for _, rt := range base.Routes() {
-		for _, h := range rt.ITBHosts {
+		for _, h := range rt.ITBHosts() {
 			load[r.idx(h)]++
 		}
 	}

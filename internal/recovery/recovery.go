@@ -501,7 +501,7 @@ func (m *Manager) refreshProbeRoutes() {
 		}
 	}
 	for _, hs := range m.targets {
-		var routes [2]*routing.Route
+		var routes [2]routing.Route
 		hs.fwd, hs.ret, routes = m.probeRoutes(hs.node, avoid)
 		hs.primLinks = nil
 		if hs.fwd == nil {
@@ -521,7 +521,7 @@ func (m *Manager) refreshProbeRoutes() {
 // probeRoutes returns the probe headers from the monitor to node and
 // back under avoid, with the two routes they encode; the headers are
 // nil unless both directions route.
-func (m *Manager) probeRoutes(node topology.NodeID, avoid *routing.Avoid) (fwd, ret []byte, routes [2]*routing.Route) {
+func (m *Manager) probeRoutes(node topology.NodeID, avoid *routing.Avoid) (fwd, ret []byte, routes [2]routing.Route) {
 	var hdrs [2][]byte
 	for i, p := range [2][2]topology.NodeID{{m.monNode(), node}, {node, m.monNode()}} {
 		r, err := m.finder.FindRoute(p[0], p[1], avoid)

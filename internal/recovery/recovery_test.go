@@ -130,7 +130,7 @@ func TestDetectionAndConvergence(t *testing.T) {
 			if src == victim || dst == victim {
 				t.Errorf("published table still routes %d->%d involving the dead host", src, dst)
 			}
-			for _, h := range route.ITBHosts {
+			for _, h := range route.ITBHosts() {
 				if h == victim {
 					t.Errorf("route %d->%d still ejects through the dead host", src, dst)
 				}

@@ -32,7 +32,7 @@ type CDG struct {
 // (its channels drain and free), and its re-injection is a fresh
 // injection that holds nothing yet — this is exactly how ITBs break
 // the down->up dependency cycles.
-func BuildCDG(routes []*Route) *CDG {
+func BuildCDG(routes []Route) *CDG {
 	g := &CDG{edges: make(map[Channel]map[Channel]bool)}
 	for _, r := range routes {
 		var prev *Channel
@@ -42,7 +42,7 @@ func BuildCDG(routes []*Route) *CDG {
 			ch := Channel{LinkID: tr.Link.ID, From: tr.From, Lane: lane}
 			// Detect ejections: arriving at an in-transit host ends
 			// the dependency chain; the hop out of it starts a new one.
-			if itbIdx < len(r.ITBHosts) && tr.To() == r.ITBHosts[itbIdx] {
+			if itbIdx < r.NumITBs() && tr.To() == r.itbHost(itbIdx) {
 				if prev != nil {
 					g.addEdge(*prev, ch)
 				}
@@ -155,7 +155,7 @@ func (g *CDG) FindCycle() []Channel {
 
 // CheckDeadlockFree returns an error describing a dependency cycle if
 // the route set is not deadlock free.
-func CheckDeadlockFree(routes []*Route) error {
+func CheckDeadlockFree(routes []Route) error {
 	g := BuildCDG(routes)
 	if cyc := g.FindCycle(); cyc != nil {
 		return fmt.Errorf("routing: channel dependency cycle of length %d: %v", len(cyc)-1, cyc)

@@ -7,7 +7,7 @@ import (
 	"repro/internal/topology"
 )
 
-func buildRoutes(t *testing.T, tp *topology.Topology, alg *UpDownEngine) []*Route {
+func buildRoutes(t *testing.T, tp *topology.Topology, alg *UpDownEngine) []Route {
 	t.Helper()
 	tbl, err := alg.BuildTable(tp, nil)
 	if err != nil {
@@ -32,9 +32,9 @@ func TestITBDeadlockFreeOnRing(t *testing.T) {
 
 // minimalRingRoutes hand-builds pure minimal routes between every
 // host pair of tp without ITBs.
-func minimalRingRoutes(tp *topology.Topology) []*Route {
+func minimalRingRoutes(tp *topology.Topology) []Route {
 	hosts := tp.Hosts()
-	var routes []*Route
+	var routes []Route
 	for _, src := range hosts {
 		for _, dst := range hosts {
 			if src == dst {
@@ -65,7 +65,7 @@ func TestCheckDeadlockFreeReportsOneCycle(t *testing.T) {
 	routes := minimalRingRoutes(topology.Ring(6, 1))
 	var want string
 	for i := 0; i < 20; i++ {
-		rotated := append(append([]*Route(nil), routes[i:]...), routes[:i]...)
+		rotated := append(append([]Route(nil), routes[i:]...), routes[:i]...)
 		err := CheckDeadlockFree(rotated)
 		if err == nil {
 			t.Fatal("pure minimal routing on a ring reported deadlock free")

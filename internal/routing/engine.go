@@ -146,7 +146,7 @@ func buildTable(e Engine, t *topology.Topology, avoid *Avoid) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl := newTable(g, e, avoid)
+	tbl := newTable(g, e, avoid, nil)
 	if err := tbl.fill(avoid == nil); err != nil {
 		return nil, fmt.Errorf("routing: engine %q: %w", e.Name(), err)
 	}

@@ -75,7 +75,7 @@ func TestEngineRebuildDeadRoot(t *testing.T) {
 				t.Errorf("%d routes for %d live hosts (max %d)", reb.Len(), live, max)
 			}
 			for _, r := range reb.Routes() {
-				if !routeValid(topo, r, avoid) {
+				if !routeValid(r, avoid) {
 					t.Fatalf("route %d->%d crosses the dead root's cables", r.Src, r.Dst)
 				}
 				for _, sw := range r.SwitchPath() {
@@ -136,7 +136,7 @@ func TestEngineRebuildPartitioned(t *testing.T) {
 			}
 			if r, ok := reb.Lookup(hosts[0], hosts[7]); !ok {
 				t.Errorf("same-half pair lost")
-			} else if !routeValid(topo, r, AvoidLinks(bridge)) {
+			} else if !routeValid(r, AvoidLinks(bridge)) {
 				t.Errorf("surviving route crosses the bridge")
 			}
 		})

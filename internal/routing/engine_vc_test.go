@@ -85,7 +85,7 @@ func TestVCLanesMonotone(t *testing.T) {
 						t.Fatalf("route %d->%d: lane drops %d->%d without a reset", r.Src, r.Dst, prev, lane)
 					}
 					prev = lane
-					if itbIdx < len(r.ITBHosts) && links[k].To() == r.ITBHosts[itbIdx] {
+					if itbIdx < len(r.ITBHosts()) && links[k].To() == r.ITBHosts()[itbIdx] {
 						itbIdx++
 						prev = 0 // re-injection restarts on lane 0
 					}

@@ -43,6 +43,9 @@ type engineGraph struct {
 	// 0 <= h-hostLo < hostSpan. Every table over the graph spans them.
 	hostLo   topology.NodeID
 	hostSpan int
+	// deliver[h-hostLo] is the port of host h's switch that h is
+	// cabled to: the last byte of every route into h.
+	deliver []uint8
 
 	// mu guards slot, the search every table over this graph reads its
 	// switch paths from. One slot per graph, not per table, keeps the
@@ -72,6 +75,18 @@ func newEngineGraph(t *topology.Topology, ud *topology.UpDown) (*engineGraph, er
 	g.eTo = make([]int32, 0, edges)
 	g.eLink = make([]int32, 0, edges)
 	g.eDown = make([]bool, 0, edges)
+	// One buffer holds every switch's host ports, then deliver.
+	hostPorts := 0
+	for _, sw := range g.sws {
+		for port := 0; port < t.Node(sw).Ports; port++ {
+			if l := t.LinkAt(sw, port); l != nil && t.Node(l.Other(sw)).Kind == topology.KindHost {
+				hostPorts++
+			}
+		}
+	}
+	flat := make([]uint8, hostPorts, hostPorts+g.hostSpan)
+	g.deliver = flat[hostPorts : hostPorts+g.hostSpan]
+	flat = flat[:0]
 	for si, sw := range g.sws {
 		g.eOff[si] = int32(len(g.eTo))
 		for _, nb := range t.SwitchNeighbors(sw) {
@@ -83,6 +98,7 @@ func newEngineGraph(t *topology.Topology, ud *topology.UpDown) (*engineGraph, er
 			g.eLink = append(g.eLink, int32(nb.Link.ID))
 			g.eDown = append(g.eDown, ud.DirectionOf(nb.Link, sw) == topology.Down)
 		}
+		start := len(flat)
 		for port := 0; port < t.Node(sw).Ports; port++ {
 			l := t.LinkAt(sw, port)
 			if l == nil || t.Node(l.Other(sw)).Kind != topology.KindHost {
@@ -91,7 +107,11 @@ func newEngineGraph(t *topology.Topology, ud *topology.UpDown) (*engineGraph, er
 			if err := checkPort(sw, port); err != nil {
 				return nil, err
 			}
-			g.hostPorts[si] = append(g.hostPorts[si], uint8(port))
+			flat = append(flat, uint8(port))
+			g.deliver[l.Other(sw)-g.hostLo] = uint8(port)
+		}
+		if len(flat) > start {
+			g.hostPorts[si] = flat[start:len(flat):len(flat)]
 		}
 	}
 	g.eOff[len(g.sws)] = int32(len(g.eTo))

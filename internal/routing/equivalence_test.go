@@ -90,7 +90,7 @@ func oracleTable(tb testing.TB, tp *topology.Topology, ud *topology.UpDown, alg 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tbl := newTable(g, alg, avoid)
+	tbl := newTable(g, alg, avoid, nil)
 	tbl.pathFn = oraclePathFunc(tp, ud, alg.ITB, avoid)
 	if err := tbl.fill(avoid == nil); err != nil {
 		tb.Fatal(err)
@@ -126,7 +126,7 @@ func sameRoutes(tb testing.TB, tp *topology.Topology, got, want *Table) {
 
 // routeDiff reports the first difference between two routes in
 // Segments, ITBHosts, SwitchPath or LinkPath.
-func routeDiff(a, b *Route) error {
+func routeDiff(a, b Route) error {
 	as, bs := a.Segments(), b.Segments()
 	if len(as) != len(bs) {
 		return fmt.Errorf("%d segments vs %d", len(as), len(bs))
@@ -136,8 +136,8 @@ func routeDiff(a, b *Route) error {
 			return fmt.Errorf("segment %d: %v vs %v", i, as[i], bs[i])
 		}
 	}
-	if fmt.Sprint(a.ITBHosts) != fmt.Sprint(b.ITBHosts) {
-		return fmt.Errorf("ITB hosts %v vs %v", a.ITBHosts, b.ITBHosts)
+	if fmt.Sprint(a.ITBHosts()) != fmt.Sprint(b.ITBHosts()) {
+		return fmt.Errorf("ITB hosts %v vs %v", a.ITBHosts(), b.ITBHosts())
 	}
 	if fmt.Sprint(a.SwitchPath()) != fmt.Sprint(b.SwitchPath()) {
 		return fmt.Errorf("switch path %v vs %v", a.SwitchPath(), b.SwitchPath())
@@ -195,7 +195,7 @@ func TestTablesMatchPerPairSearches(t *testing.T) {
 					if inc.graph != base.graph {
 						t.Fatalf("%s: rebuild did not inherit the switch graph", ctx)
 					}
-					oInc := newTable(oBase.graph, alg, avoid)
+					oInc := newTable(oBase.graph, alg, avoid, oBase.paths)
 					oInc.pathFn = oraclePathFunc(tp, ud, alg.ITB, avoid)
 					if oReused := oInc.adoptSurvivors(oBase); reused != oReused {
 						t.Fatalf("%s: rebuild reused %d routes, oracle %d", ctx, reused, oReused)
@@ -268,7 +268,7 @@ func engineLabel(e Engine) string {
 
 // hopsOf returns a Route's switch path and the lane of each of its
 // switch-switch hops (lane 0 throughout for a lane-less route).
-func hopsOf(tp *topology.Topology, r *Route) ([]topology.NodeID, []uint8) {
+func hopsOf(tp *topology.Topology, r Route) ([]topology.NodeID, []uint8) {
 	var lanes []uint8
 	w := r.walk()
 	for tr, lane, ok := w.next(); ok; tr, lane, ok = w.next() {

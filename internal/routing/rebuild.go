@@ -10,7 +10,7 @@ import (
 // exclusion set: every link it crosses is live and every in-transit
 // host it ejects through is usable. Endpoint liveness is the caller's
 // check (the rebuild loop skips dead endpoints wholesale).
-func routeValid(t *topology.Topology, r *Route, avoid *Avoid) bool {
+func routeValid(r Route, avoid *Avoid) bool {
 	// Only a set that holds a link can fail a traversal (the gossip
 	// planes' sets hold hosts alone), so only then is the header walked.
 	if avoid.anyLinks() {
@@ -21,8 +21,8 @@ func routeValid(t *topology.Topology, r *Route, avoid *Avoid) bool {
 			}
 		}
 	}
-	for _, h := range r.ITBHosts {
-		if avoid.hostDead(t, h) {
+	for k := range r.NumITBs() {
+		if avoid.hostDead(r.store.g.t, r.itbHost(k)) {
 			return false
 		}
 	}
@@ -39,7 +39,7 @@ func routeValid(t *topology.Topology, r *Route, avoid *Avoid) bool {
 // at once, and the rest of the network keeps routing. It returns the
 // number of routes reused.
 func (tbl *Table) Rebuild(avoid *Avoid) (*Table, int) {
-	next := newTable(tbl.graph, tbl.engine, avoid)
+	next := newTable(tbl.graph, tbl.engine, avoid, tbl.paths)
 	reused := next.adoptSurvivors(tbl)
 	next.fill(false)
 	return next, reused
@@ -60,8 +60,8 @@ func (tbl *Table) adoptSurvivors(prev *Table) int {
 			if src == dst || tbl.avoid.hostDead(t, dst) {
 				continue
 			}
-			if r, ok := prev.Lookup(src, dst); ok && routeValid(t, r, tbl.avoid) {
-				tbl.adopt(src, dst, r)
+			if r, ok := prev.Lookup(src, dst); ok && routeValid(r, tbl.avoid) {
+				tbl.adopt(r)
 				reused++
 			}
 		}
@@ -84,7 +84,7 @@ func (tbl *Table) adoptSurvivors(prev *Table) int {
 // escape to the heap. The returned table is for single-goroutine
 // simulation use: Lookup mutates it.
 func (tbl *Table) RebuildLazy(avoid *Avoid, reused *uint64) *Table {
-	next := newTable(tbl.graph, tbl.engine, avoid)
+	next := newTable(tbl.graph, tbl.engine, avoid, tbl.paths)
 	next.lazy, next.prev, next.reused = true, tbl, reused
 	return next
 }
@@ -95,7 +95,9 @@ func (tbl *Table) RebuildLazy(avoid *Avoid, reused *uint64) *Table {
 // keeps, which memoizes each pair's route and whose switch-pair cache
 // runs each switch pair's search once however the queries interleave;
 // a query under an exclusion set goes through a fresh lazy table,
-// which searches under its own copy of the set.
+// which searches under its own copy of the set. Every query's table
+// shares the Finder's path store, so a probe path searched again is
+// stored once.
 type Finder struct {
 	free *Table
 }
@@ -106,7 +108,7 @@ func NewFinder(t *topology.Topology, ud *topology.UpDown) (*Finder, error) {
 	if err != nil {
 		return nil, err
 	}
-	free := newTable(g, UpDownRouting, nil)
+	free := newTable(g, UpDownRouting, nil, nil)
 	free.lazy = true
 	return &Finder{free: free}, nil
 }
@@ -119,14 +121,14 @@ func NewFinder(t *topology.Topology, ud *topology.UpDown) (*Finder, error) {
 // be the thing being probed. A fault-free query (nil avoid) returns
 // the pair's memoized route. An exclusion set must not change while
 // queries pass it.
-func (f *Finder) FindRoute(src, dst topology.NodeID, avoid *Avoid) (*Route, error) {
+func (f *Finder) FindRoute(src, dst topology.NodeID, avoid *Avoid) (Route, error) {
 	tbl := f.free
 	if avoid != nil {
-		tbl = newTable(tbl.graph, UpDownRouting, avoid)
+		tbl = newTable(tbl.graph, UpDownRouting, avoid, tbl.paths)
 		tbl.lazy = true
 	}
 	if r, ok := tbl.Lookup(src, dst); ok {
 		return r, nil
 	}
-	return nil, fmt.Errorf("routing: no probe route %d->%d", src, dst)
+	return Route{}, fmt.Errorf("routing: no probe route %d->%d", src, dst)
 }

@@ -45,10 +45,10 @@ func TestRebuildReusesValidRoutes(t *testing.T) {
 			if !oki {
 				continue
 			}
-			if !routeValid(tp, ri, avoid) {
+			if !routeValid(ri, avoid) {
 				t.Errorf("pair %d->%d: incremental route crosses the exclusion set", src, dst)
 			}
-			for _, h := range ri.ITBHosts {
+			for _, h := range ri.ITBHosts() {
 				if h == f.Hosts[6] {
 					t.Errorf("pair %d->%d: route still ejects through the dead host", src, dst)
 				}
@@ -130,9 +130,11 @@ func TestFindRouteSharedTableMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d hosts: FindRoute %d->%d: %v", len(tp.Hosts()), p[0], p[1], err)
 			}
-			want, err := newTable(fresh, UpDownRouting, nil).buildRoute(p[0], p[1])
-			if err != nil {
-				t.Fatalf("%d hosts: fresh table %d->%d: %v", len(tp.Hosts()), p[0], p[1], err)
+			ft := newTable(fresh, UpDownRouting, nil, nil)
+			ft.lazy = true
+			want, ok := ft.Lookup(p[0], p[1])
+			if !ok {
+				t.Fatalf("%d hosts: fresh table %d->%d: no route", len(tp.Hosts()), p[0], p[1])
 			}
 			gh, _ := got.EncodeHeader()
 			wh, _ := want.EncodeHeader()
@@ -199,15 +201,15 @@ func TestRebuildLazyMatchesEager(t *testing.T) {
 				// The miss must be memoized as the row's unroutable
 				// marker, so a second Lookup may not fall through to a
 				// fresh resolution.
-				if row := lazy.row(src); row == nil || row[dst-lazy.hostLo] != unroutable {
+				if row := lazy.row(src); row == nil || row[dst-lazy.hostLo].path != pairUnroutable {
 					t.Errorf("pair %d->%d: unroutable pair not memoized", src, dst)
 				}
 				continue
 			}
-			if !routeValid(tp, rl, avoid) {
+			if !routeValid(rl, avoid) {
 				t.Errorf("pair %d->%d: lazy route crosses the exclusion set", src, dst)
 			}
-			for _, h := range rl.ITBHosts {
+			for _, h := range rl.ITBHosts() {
 				if h == f.Hosts[6] {
 					t.Errorf("pair %d->%d: lazy route ejects through the dead host", src, dst)
 				}

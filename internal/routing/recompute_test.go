@@ -129,7 +129,7 @@ func TestRecomputeAvoidingFigure1(t *testing.T) {
 			if tc.wantITBs >= 0 && r.NumITBs() != tc.wantITBs {
 				t.Errorf("route %v: NumITBs = %d, want %d", r, r.NumITBs(), tc.wantITBs)
 			}
-			for _, h := range r.ITBHosts {
+			for _, h := range r.ITBHosts() {
 				if avoid.hostDead(tp, h) {
 					t.Errorf("route %v: uses dead in-transit host %d", r, h)
 				}
@@ -164,7 +164,7 @@ func TestRecomputeAvoidingTestbed(t *testing.T) {
 		if !ok {
 			t.Fatal("host1->host2 unroutable with ITB host down")
 		}
-		for _, h := range r.ITBHosts {
+		for _, h := range r.ITBHosts() {
 			if h == n.InTransit {
 				t.Errorf("route %v still uses dead in-transit host", r)
 			}

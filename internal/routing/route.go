@@ -19,21 +19,80 @@ import (
 // or more up*/down*-legal segments; consecutive segments are separated
 // by an ejection/re-injection at an in-transit host.
 //
-// The wire header is the route's only stored form, as it is in the
-// NIC: the segments, the switch and link paths and the lanes are views
-// decoded from it over the topology.
+// A Route is a view, returned by value, of what its table stores: the
+// switch pair's path record (the wire header with its in-transit split
+// points and lane tags) and the host pair's ejection ports. The wire
+// header is written from those (AppendHeader); the segments, the
+// switch and link paths, the in-transit hosts and the lanes are
+// decoded from them over the topology.
 type Route struct {
 	Src, Dst topology.NodeID
-	// ITBHosts lists the in-transit hosts, one per segment boundary.
-	ITBHosts []topology.NodeID
-	// hdr is the wire header (Figure 3.b): each segment's switch output
-	// port bytes, the segments after the first each preceded by an ITB
-	// tag and a length byte, with [VCTag][lane] pairs wherever the lane
-	// changes. Segment i ends by delivering the packet into
-	// ITBHosts[i] (or Dst for the last segment).
-	hdr []byte
-	// topo is the topology the header's port bytes index.
-	topo *topology.Topology
+	// store is the path store that holds the route's path record, and
+	// rec the host pair's record; a zero Route has neither.
+	store *pathStore
+	rec   pair
+}
+
+// path returns the route's path record.
+func (r Route) path() *swPath { return r.store.at(r.rec.path - 1) }
+
+// hdr returns the header template of the route's path.
+func (r Route) hdr() []byte { return r.store.hdr(r.path()) }
+
+// NumITBs returns how many in-transit buffers the route uses.
+func (r Route) NumITBs() int {
+	if r.store == nil {
+		return 0
+	}
+	return int(r.path().nitbs)
+}
+
+// ejectPort returns the ejection port byte of the k-th in-transit host
+// of the route, whose path is p.
+func (r Route) ejectPort(p *swPath, k int) byte {
+	if p.nitbs <= inlineEjects {
+		return r.rec.ejectAt(k)
+	}
+	return r.store.ejects[int(r.rec.ejects)+k]
+}
+
+// itbHost returns the k-th in-transit host: the host cabled to the
+// k-th in-transit switch at the route's ejection port.
+func (r Route) itbHost(k int) topology.NodeID {
+	p := r.path()
+	sw := topology.NodeID(r.store.itbs(p)[k].sw)
+	return r.store.g.t.LinkAt(sw, int(r.ejectPort(p, k))).Other(sw)
+}
+
+// ITBHosts lists the in-transit hosts, one per segment boundary, in a
+// new slice (nil when the route has none).
+func (r Route) ITBHosts() []topology.NodeID {
+	n := r.NumITBs()
+	if n == 0 {
+		return nil
+	}
+	out := make([]topology.NodeID, n)
+	for k := range out {
+		out[k] = r.itbHost(k)
+	}
+	return out
+}
+
+// appendHeader appends the route's wire header to buf: the path's
+// template with each ejection port and the delivery port into Dst
+// written in.
+func (r Route) appendHeader(buf []byte) []byte {
+	p, n := r.path(), len(buf)
+	buf = append(buf, r.store.hdr(p)...)
+	hdr := buf[n:]
+	if p.nitbs > 0 {
+		for k, sp := range r.store.itbs(p) {
+			hdr[sp.at] = r.ejectPort(p, k)
+		}
+	}
+	g := r.store.g
+	hdr[len(hdr)-1] = g.deliver[r.Dst-g.hostLo]
+	return buf
 }
 
 // Traversal is one directed use of a link.
@@ -45,17 +104,23 @@ type Traversal struct {
 // To returns the node the traversal arrives at.
 func (tr Traversal) To() topology.NodeID { return tr.Link.Other(tr.From) }
 
-// hopWalk decodes a route's header over its topology, one link
-// traversal per step with the virtual-channel lane it rides: the host
-// link out of Src on lane 0, a hop per port byte on the lane the header
-// last selected, the ejection into each in-transit host on the current
-// lane and the re-injection out of it on lane 0, and the delivery into
-// Dst. It allocates nothing.
+// hopWalk decodes a route over its topology, one link traversal per
+// step with the virtual-channel lane it rides: the host link out of Src
+// on lane 0, a hop per port byte on the lane the header last selected,
+// the ejection into each in-transit host on the current lane and the
+// re-injection out of it on lane 0, and the delivery into Dst. It reads
+// the path's template, taking each ejection port from the route, and
+// allocates nothing.
 type hopWalk struct {
-	r *Route
-	// i indexes the next header byte; cur is the switch the packet is
-	// at and lane the lane it rides.
-	i    int
+	r Route
+	// p is the route's path and hdr its template (nil for a zero
+	// Route).
+	p   *swPath
+	hdr []byte
+	// i indexes the next template byte, and k the next in-transit
+	// host; cur is the switch the packet is at and lane the lane it
+	// rides.
+	i, k int
 	cur  topology.NodeID
 	lane uint8
 	// ejected is the host link of an ejection whose re-injection is
@@ -65,17 +130,24 @@ type hopWalk struct {
 }
 
 // walk returns a hopWalk over r's traversals.
-func (r *Route) walk() hopWalk { return hopWalk{r: r} }
+func (r Route) walk() hopWalk {
+	if r.store == nil {
+		return hopWalk{}
+	}
+	p := r.path()
+	return hopWalk{r: r, p: p, hdr: r.store.hdr(p)}
+}
 
 // next returns the next traversal and its lane; ok is false once the
 // delivery into Dst has been returned.
 func (w *hopWalk) next() (tr Traversal, lane uint8, ok bool) {
-	t, hdr := w.r.topo, w.r.hdr
+	hdr := w.hdr
+	if len(hdr) == 0 {
+		return Traversal{}, 0, false
+	}
+	t := w.r.store.g.t
 	if !w.started {
 		w.started = true
-		if len(hdr) == 0 {
-			return Traversal{}, 0, false
-		}
 		l := t.LinkAt(w.r.Src, 0)
 		w.cur = l.Other(w.r.Src)
 		return Traversal{Link: l, From: w.r.Src}, 0, true
@@ -94,32 +166,33 @@ func (w *hopWalk) next() (tr Traversal, lane uint8, ok bool) {
 			w.i += 2
 		default:
 			w.i++
-			l := t.LinkAt(w.cur, int(b))
-			tr = Traversal{Link: l, From: w.cur}
 			switch {
 			case w.i == len(hdr):
 				// The delivery into Dst.
+				return Traversal{Link: t.LinkAt(w.r.Dst, 0), From: w.cur}, w.lane, true
 			case hdr[w.i] == packet.ITBTag:
-				w.ejected = l
-			default:
-				w.cur = l.Other(w.cur)
+				w.ejected = t.LinkAt(w.cur, int(w.r.ejectPort(w.p, w.k)))
+				w.k++
+				return Traversal{Link: w.ejected, From: w.cur}, w.lane, true
 			}
+			tr = Traversal{Link: t.LinkAt(w.cur, int(b)), From: w.cur}
+			w.cur = tr.To()
 			return tr, w.lane, true
 		}
 	}
 	return Traversal{}, 0, false
 }
 
-// NumITBs returns how many in-transit buffers the route uses.
-func (r *Route) NumITBs() int { return len(r.ITBHosts) }
-
 // SwitchCrossings returns the number of switch traversals, counting
 // repeats (the metric the paper equalises between compared paths):
 // one per port byte of the header.
-func (r *Route) SwitchCrossings() int {
-	n := 0
-	for i := 0; i < len(r.hdr); i++ {
-		if b := r.hdr[i]; b == packet.ITBTag || b == packet.VCTag {
+func (r Route) SwitchCrossings() int {
+	if r.store == nil {
+		return 0
+	}
+	hdr, n := r.hdr(), 0
+	for i := 0; i < len(hdr); i++ {
+		if b := hdr[i]; b == packet.ITBTag || b == packet.VCTag {
 			i++
 			continue
 		}
@@ -131,7 +204,7 @@ func (r *Route) SwitchCrossings() int {
 // PortTypeMix counts traversed switch ports by type, counting both the
 // input and output port of every switch crossing, since per the paper
 // the latency through a switch depends on the type of traversed ports.
-func (r *Route) PortTypeMix() (san, lan int) {
+func (r Route) PortTypeMix() (san, lan int) {
 	w := r.walk()
 	for tr, _, ok := w.next(); ok; tr, _, ok = w.next() {
 		if tr.Link.Type == topology.SAN {
@@ -143,36 +216,36 @@ func (r *Route) PortTypeMix() (san, lan int) {
 	return san, lan
 }
 
-// Segments returns the per-segment switch output port bytes as capped
-// sub-slices of the header, lane pairs included. They alias the
-// header and must not be modified.
-func (r *Route) Segments() [][]byte {
-	if len(r.hdr) == 0 {
+// Segments returns the per-segment switch output port bytes, lane
+// pairs included, as capped sub-slices of a newly written header.
+func (r Route) Segments() [][]byte {
+	if r.store == nil || len(r.hdr()) == 0 {
 		return nil
 	}
+	hdr := r.appendHeader(make([]byte, 0, len(r.hdr())))
 	segs := make([][]byte, 0, r.NumITBs()+1)
 	start := 0
-	for i := 0; i < len(r.hdr); i++ {
-		switch r.hdr[i] {
+	for i := 0; i < len(hdr); i++ {
+		switch hdr[i] {
 		case packet.ITBTag:
-			segs = append(segs, r.hdr[start:i:i])
+			segs = append(segs, hdr[start:i:i])
 			start = i + 2
 			i++
 		case packet.VCTag:
 			i++
 		}
 	}
-	return append(segs, r.hdr[start:len(r.hdr):len(r.hdr)])
+	return append(segs, hdr[start:len(hdr):len(hdr)])
 }
 
 // SwitchPath returns the full sequence of switches traversed, in
 // order, counting revisits: an in-transit host's switch appears again
 // after the re-injection. Its length is SwitchCrossings.
-func (r *Route) SwitchPath() []topology.NodeID {
+func (r Route) SwitchPath() []topology.NodeID {
 	out := make([]topology.NodeID, 0, r.SwitchCrossings())
 	w := r.walk()
 	for tr, _, ok := w.next(); ok; tr, _, ok = w.next() {
-		if to := tr.To(); r.topo.Node(to).Kind == topology.KindSwitch {
+		if to := tr.To(); r.store.g.t.Node(to).Kind == topology.KindSwitch {
 			out = append(out, to)
 		}
 	}
@@ -181,7 +254,7 @@ func (r *Route) SwitchPath() []topology.NodeID {
 
 // LinkPath returns the directed traversal of every link in order,
 // including the host links at the ends and around each ITB.
-func (r *Route) LinkPath() []Traversal {
+func (r Route) LinkPath() []Traversal {
 	out := make([]Traversal, 0, r.SwitchCrossings()+1+r.NumITBs())
 	w := r.walk()
 	for tr, _, ok := w.next(); ok; tr, _, ok = w.next() {
@@ -193,7 +266,7 @@ func (r *Route) LinkPath() []Traversal {
 // Lanes returns the virtual-channel lane of each LinkPath traversal,
 // or nil when the whole route rides lane 0 (every route of a lane-less
 // engine).
-func (r *Route) Lanes() []uint8 {
+func (r Route) Lanes() []uint8 {
 	var out []uint8
 	k := 0
 	w := r.walk()
@@ -209,29 +282,40 @@ func (r *Route) Lanes() []uint8 {
 	return out
 }
 
-// EncodeHeader returns the wire route bytes for the packet header: the
-// first segment's port bytes, then for each further segment an ITB
-// tag, the remaining length, and the segment's bytes (Figure 3.b). A
-// header longer than packet.MaxRouteLen is reported as
-// packet.ErrRouteTooBig.
+// AppendHeader appends the wire route bytes for the packet header to
+// buf and returns the extended slice: the first segment's port bytes,
+// then for each further segment an ITB tag, the remaining length, and
+// the segment's bytes (Figure 3.b). It allocates nothing when buf has
+// room for packet.MaxRouteLen more bytes. A header longer than
+// packet.MaxRouteLen is reported as packet.ErrRouteTooBig, with buf
+// returned unchanged.
 //
-// It returns the route's own header without allocating. The header is
-// shared by every caller and must be treated as read-only: copy it
-// into the packet (append(pkt.Route, hdr...)).
-func (r *Route) EncodeHeader() ([]byte, error) {
-	if len(r.hdr) > packet.MaxRouteLen {
+// The bytes are the caller's: a table keeps no header to share, so
+// whoever sends them owns them for as long as the send needs them.
+func (r Route) AppendHeader(buf []byte) ([]byte, error) {
+	if r.path().hdrLen > packet.MaxRouteLen {
+		return buf, packet.ErrRouteTooBig
+	}
+	return r.appendHeader(buf), nil
+}
+
+// EncodeHeader returns the wire route bytes (see AppendHeader) in a
+// new, exactly sized slice.
+func (r Route) EncodeHeader() ([]byte, error) {
+	n := int(r.path().hdrLen)
+	if n > packet.MaxRouteLen {
 		return nil, packet.ErrRouteTooBig
 	}
-	return r.hdr, nil
+	return r.appendHeader(make([]byte, 0, n)), nil
 }
 
 // String renders the route compactly for traces and the mapper tool.
-func (r *Route) String() string {
+func (r Route) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d->%d:", r.Src, r.Dst)
 	for i, seg := range r.Segments() {
 		if i > 0 {
-			fmt.Fprintf(&b, " |ITB@%d|", r.ITBHosts[i-1])
+			fmt.Fprintf(&b, " |ITB@%d|", r.itbHost(i-1))
 		}
 		fmt.Fprintf(&b, " %v", seg)
 	}
@@ -244,13 +328,13 @@ func (r *Route) String() string {
 // hosts along the link path, and every segment independently obeying
 // up*/down* under the supplied orientation (nil to skip the link-path
 // checks).
-func (r *Route) Validate(t *topology.Topology, ud *topology.UpDown) error {
+func (r Route) Validate(t *topology.Topology, ud *topology.UpDown) error {
 	segs := r.Segments()
 	if len(segs) == 0 {
 		return fmt.Errorf("routing: route %d->%d has no segments", r.Src, r.Dst)
 	}
-	if len(r.ITBHosts) != len(segs)-1 {
-		return fmt.Errorf("routing: %d segments but %d ITB hosts", len(segs), len(r.ITBHosts))
+	if r.NumITBs() != len(segs)-1 {
+		return fmt.Errorf("routing: %d segments but %d ITB hosts", len(segs), r.NumITBs())
 	}
 	for i, seg := range segs {
 		if len(seg) == 0 {
@@ -277,7 +361,7 @@ func (r *Route) Validate(t *topology.Topology, ud *topology.UpDown) error {
 		to := tr.To()
 		if t.Node(to).Kind == topology.KindHost && to != r.Dst {
 			// Ejection into an in-transit host.
-			if itbIdx >= len(r.ITBHosts) || r.ITBHosts[itbIdx] != to {
+			if itbIdx >= r.NumITBs() || r.itbHost(itbIdx) != to {
 				return fmt.Errorf("routing: unexpected ejection at host %d", to)
 			}
 			itbIdx++
@@ -295,8 +379,8 @@ func (r *Route) Validate(t *topology.Topology, ud *topology.UpDown) error {
 		d := dir
 		prev = &d
 	}
-	if itbIdx != len(r.ITBHosts) {
-		return fmt.Errorf("routing: link path visits %d ITBs, route declares %d", itbIdx, len(r.ITBHosts))
+	if itbIdx != r.NumITBs() {
+		return fmt.Errorf("routing: link path visits %d ITBs, route declares %d", itbIdx, r.NumITBs())
 	}
 	return nil
 }

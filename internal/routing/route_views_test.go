@@ -28,7 +28,7 @@ func routeViewsDigest(tbl *Table) string {
 
 // writeRouteViews writes one route's views into h (see
 // routeViewsDigest).
-func writeRouteViews(h hash.Hash, r *Route) {
+func writeRouteViews(h hash.Hash, r Route) {
 	var buf [8]byte
 	put := func(v int) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
@@ -45,8 +45,8 @@ func writeRouteViews(h hash.Hash, r *Route) {
 	} else {
 		putBytes(hdr)
 	}
-	put(len(r.ITBHosts))
-	for _, x := range r.ITBHosts {
+	put(len(r.ITBHosts()))
+	for _, x := range r.ITBHosts() {
 		put(int(x))
 	}
 	links, lanes := r.LinkPath(), r.Lanes()

@@ -155,8 +155,8 @@ func TestBuildTableITBFigure1(t *testing.T) {
 	if r.NumITBs() != 1 {
 		t.Fatalf("ITBs = %d, want 1: %s", r.NumITBs(), r)
 	}
-	if r.ITBHosts[0] != f.Hosts[6] {
-		t.Errorf("ITB host = %d, want host at switch 6 (%d)", r.ITBHosts[0], f.Hosts[6])
+	if r.ITBHosts()[0] != f.Hosts[6] {
+		t.Errorf("ITB host = %d, want host at switch 6 (%d)", r.ITBHosts()[0], f.Hosts[6])
 	}
 	if n := len(r.Segments()); n != 2 {
 		t.Fatalf("segments = %d, want 2", n)
@@ -262,7 +262,7 @@ func TestITBHostLoadBalancing(t *testing.T) {
 	perHost := map[topology.NodeID]int{}
 	total := 0
 	for _, r := range tbl.Routes() {
-		for _, h := range r.ITBHosts {
+		for _, h := range r.ITBHosts() {
 			perHost[h]++
 			total++
 		}
@@ -308,29 +308,38 @@ func TestRouteValidateCatchesIllegalPath(t *testing.T) {
 }
 
 // forgeRoute hand-builds the one-segment route src->dst over the
-// switch-switch traversals trav, bypassing every engine: its header is
-// a port byte per traversal and the delivery port.
-func forgeRoute(tp *topology.Topology, src, dst topology.NodeID, trav []Traversal) *Route {
-	cur, _ := tp.SwitchOf(src)
-	var hdr []byte
-	for _, tr := range trav {
-		hdr = append(hdr, byte(tr.Link.PortAt(tr.From)))
-		cur = tr.To()
-	}
-	hdr = append(hdr, byte(tp.LinkAt(dst, 0).PortAt(cur)))
-	return &Route{Src: src, Dst: dst, hdr: hdr, topo: tp}
+// switch-switch traversals trav, bypassing every engine: its path
+// record, a port byte per traversal and the delivery port, is stored
+// in a store of its own.
+func forgeRoute(tp *topology.Topology, src, dst topology.NodeID, trav []Traversal) Route {
+	srcSw, _ := tp.SwitchOf(src)
+	dstSw, _ := tp.SwitchOf(dst)
+	s := &pathStore{g: mustGraph(tp, topology.BuildUpDown(tp))}
+	i := s.add(srcSw, dstSw, trav, nil, nil)
+	return Route{Src: src, Dst: dst, store: s, rec: pair{path: i + 1}}
+}
+
+// forgePath returns a route src->dst over a hand-written path record,
+// malformed as the test needs: hdr is its header template and itbs its
+// in-transit boundaries.
+func forgePath(tp *topology.Topology, src, dst topology.NodeID, hdr []byte, itbs []itbSplit) Route {
+	s := &pathStore{g: mustGraph(tp, topology.BuildUpDown(tp)), hdrs: hdr, splits: itbs}
+	i := s.put(swPath{hdrLen: uint16(len(hdr)), nitbs: uint16(len(itbs))})
+	return Route{Src: src, Dst: dst, store: s, rec: pair{path: i + 1}}
 }
 
 func TestRouteValidateStructure(t *testing.T) {
-	r := &Route{}
+	tp, f := topology.Figure1()
+	src, dst := f.Hosts[4], f.Hosts[1]
+	r := Route{}
 	if err := r.Validate(nil, nil); err == nil {
 		t.Error("empty route validated")
 	}
-	r2 := &Route{hdr: []byte{1, packet.ITBTag, 1, 2}}
+	r2 := forgePath(tp, src, dst, []byte{1, packet.ITBTag, 1, 0}, nil)
 	if err := r2.Validate(nil, nil); err == nil {
 		t.Error("segment/ITB count mismatch validated")
 	}
-	r3 := &Route{hdr: []byte{packet.ITBTag, 1, 2}, ITBHosts: []topology.NodeID{0}}
+	r3 := forgePath(tp, src, dst, []byte{packet.ITBTag, 1, 0}, []itbSplit{{sw: int32(f.Switches[4]), at: 2}})
 	if err := r3.Validate(nil, nil); err == nil {
 		t.Error("empty segment validated")
 	}

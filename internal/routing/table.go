@@ -4,18 +4,25 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/packet"
 	"repro/internal/topology"
 )
 
 // Table holds the source routes between every ordered host pair, as
 // the mapper would store them in each NIC's SRAM.
 //
-// Routes live in per-source rows: a row is a []*Route indexed by
-// destination NodeID, allocated when the first route out of that
-// source is stored. A row spans the host NodeIDs only (index
-// dst-hostLo), since only hosts are routed to. A NIC only ever reads
-// its own host's row, and a table that one host reads (a gossip
+// A route is stored in two parts. Everything its switch pair fixes —
+// the header's port bytes, the in-transit split points and the lane
+// tags — is a path record in the path store, once per switch pair and
+// shared by every table rebuilt from this one. Each host pair holds an
+// eight-byte, pointer-free record (pair) in its source's row: whether
+// the pair is resolved and routed, which path it uses, and the
+// ejection port of each in-transit host. Lookup returns a Route view of
+// the two.
+//
+// A row is a []pair indexed by destination, allocated when the first
+// pair out of that source is stored. A row spans the host NodeIDs only
+// (index dst-hostLo), since only hosts are routed to. A NIC only ever
+// reads its own host's row, and a table that one host reads (a gossip
 // agent's lazily rebuilt table) holds that one row, so the row
 // directory starts as one inline slot for the first source stored and
 // becomes one slot per host when a second source stores.
@@ -30,30 +37,28 @@ type Table struct {
 	hostLo   topology.NodeID
 	hostSpan int
 	// rows is the row directory: rows[src-srcLo] is src's row, nil
-	// while no route out of src is stored. It is inline[:] (srcLo the
+	// while no pair out of src is stored. It is inline[:] (srcLo the
 	// first source stored) until a second source stores, and then has
 	// one slot per host (srcLo = hostLo).
 	srcLo  topology.NodeID
-	rows   [][]*Route
-	inline [1][]*Route
-	// n counts the routes stored (unroutable markers excluded).
+	rows   [][]pair
+	inline [1][]pair
+	// n counts the routes stored (unroutable pairs excluded).
 	n int
 	// itbLoad counts in-transit assignments per host (index
 	// h-hostLo), used to balance host selection at in-transit
-	// switches. It is the count of each host over the ITBHosts of the
-	// stored routes, so it stays nil until the first in-transit host
-	// choice needs it, and is then counted from the stored routes.
+	// switches. It is the count of each host over the in-transit hosts
+	// of the stored routes, so it stays nil until the first in-transit
+	// host choice needs it, and is then counted from the stored routes.
 	itbLoad []int32
-	// pathCache memoises switch-pair searches: all host pairs on the
-	// same switch pair share one search (ITB host choice still varies
-	// per route for balance). nil until the first search, and again
-	// once every pair is resolved.
-	pathCache map[[2]topology.NodeID]cachedPath
-	// routeChunk, hdrChunk and itbChunk back the routes the table
-	// assembles, their headers and their in-transit hosts.
-	routeChunk chunk[Route]
-	hdrChunk   chunk[byte]
-	itbChunk   chunk[topology.NodeID]
+	// paths is the path store the table's pair records index.
+	paths *pathStore
+	// pathCache maps each switch pair the table has searched to the
+	// index of the path its search gave: all host pairs on the same
+	// switch pair share one search (the in-transit host choice still
+	// varies per route for balance). nil until the first search, and
+	// again once every pair is resolved.
+	pathCache map[[2]topology.NodeID]uint32
 	// avoid is the exclusion set the table was built around (nil when
 	// built fault-free). It points at avoidSet, the table's own copy,
 	// so the caller's set need not escape to the heap with the table.
@@ -77,10 +82,6 @@ type Table struct {
 	reused *uint64
 }
 
-// unroutable fills the row slot of a pair a lazy table resolved to no
-// route, so a second Lookup of that pair runs no search.
-var unroutable = new(Route)
-
 // The resolver's failures are sentinels, so a lazy Lookup that misses
 // allocates nothing.
 var (
@@ -92,18 +93,20 @@ var (
 // over.
 func (tbl *Table) Orientation() *topology.UpDown { return tbl.graph.ud }
 
-type cachedPath struct {
-	trav      []Traversal
-	itbBefore []int
-	// lanes is the virtual-channel lane of each traversal (nil means
-	// everything rides lane 0; only lane-aware engines populate it).
-	lanes []uint8
-}
-
 // newTable returns an empty table of engine e over graph g, searching
-// under the exclusion set avoid.
-func newTable(g *engineGraph, e Engine, avoid *Avoid) *Table {
-	tbl := &Table{topo: g.t, hostLo: g.hostLo, hostSpan: g.hostSpan, engine: e, graph: g, search: e.search()}
+// under the exclusion set avoid and storing its paths in paths, the
+// store of the lineage it joins. With a nil paths the table starts a
+// lineage, and its new store is allocated with it.
+func newTable(g *engineGraph, e Engine, avoid *Avoid, paths *pathStore) *Table {
+	var tbl *Table
+	if paths == nil {
+		root := &rootTable{paths: pathStore{g: g}}
+		tbl, paths = &root.tbl, &root.paths
+	} else {
+		tbl = new(Table)
+		paths.shared = true
+	}
+	*tbl = Table{topo: g.t, hostLo: g.hostLo, hostSpan: g.hostSpan, engine: e, graph: g, search: e.search(), paths: paths}
 	if avoid != nil {
 		tbl.avoidSet = *avoid
 		tbl.avoid = &tbl.avoidSet
@@ -118,8 +121,8 @@ func (tbl *Table) Avoids(h topology.NodeID) bool {
 	return tbl.avoid.hostDead(tbl.topo, h)
 }
 
-// row returns src's row, or nil when no route out of src is stored.
-func (tbl *Table) row(src topology.NodeID) []*Route {
+// row returns src's row, or nil when no pair out of src is stored.
+func (tbl *Table) row(src topology.NodeID) []pair {
 	if i := uint(src - tbl.srcLo); i < uint(len(tbl.rows)) {
 		return tbl.rows[i]
 	}
@@ -131,15 +134,15 @@ func (tbl *Table) isHost(h topology.NodeID) bool {
 	return uint(h-tbl.hostLo) < uint(tbl.hostSpan)
 }
 
-// store sets the route (or the unroutable marker) of src->dst for src
-// and dst in the host span, allocating src's row on its first store.
-func (tbl *Table) store(src, dst topology.NodeID, r *Route) {
+// store sets the record of src->dst for src and dst in the host span,
+// allocating src's row on its first store.
+func (tbl *Table) store(src, dst topology.NodeID, p pair) {
 	row := tbl.row(src)
 	if row == nil {
 		row = tbl.addRow(src)
 	}
-	row[dst-tbl.hostLo] = r
-	if r != unroutable {
+	row[dst-tbl.hostLo] = p
+	if p.path != pairUnroutable {
 		tbl.n++
 	}
 }
@@ -147,15 +150,15 @@ func (tbl *Table) store(src, dst topology.NodeID, r *Route) {
 // addRow allocates src's row. The first row takes the inline slot; the
 // second promotes the directory to one slot per host, keeping the
 // first row where it is.
-func (tbl *Table) addRow(src topology.NodeID) []*Route {
-	row := make([]*Route, tbl.hostSpan)
+func (tbl *Table) addRow(src topology.NodeID) []pair {
+	row := make([]pair, tbl.hostSpan)
 	switch {
 	case tbl.rows == nil:
 		tbl.srcLo, tbl.inline[0] = src, row
 		tbl.rows = tbl.inline[:]
 		return row
 	case len(tbl.rows) < tbl.hostSpan:
-		dir := make([][]*Route, tbl.hostSpan)
+		dir := make([][]pair, tbl.hostSpan)
 		dir[tbl.srcLo-tbl.hostLo] = tbl.inline[0]
 		tbl.srcLo, tbl.rows, tbl.inline[0] = tbl.hostLo, dir, nil
 	}
@@ -163,15 +166,20 @@ func (tbl *Table) addRow(src topology.NodeID) []*Route {
 	return row
 }
 
-// adopt stores a route shared from a previous table. Its in-transit
-// hosts join the load if the load is in use; otherwise loads counts
-// them when it is first needed. (assemble counts the hosts of the
-// routes it builds itself.)
-func (tbl *Table) adopt(src, dst topology.NodeID, r *Route) {
-	tbl.store(src, dst, r)
+// view returns the Route of src->dst stored as the routed record p.
+func (tbl *Table) view(src, dst topology.NodeID, p pair) Route {
+	return Route{Src: src, Dst: dst, store: tbl.paths, rec: p}
+}
+
+// adopt stores a route shared from a previous table of the lineage: its
+// record means the same route here. Its in-transit hosts join the load
+// if the load is in use; otherwise loads counts them when it is first
+// needed. (buildRoute counts the hosts of the routes it builds itself.)
+func (tbl *Table) adopt(r Route) {
+	tbl.store(r.Src, r.Dst, r.rec)
 	if tbl.itbLoad != nil {
-		for _, h := range r.ITBHosts {
-			tbl.itbLoad[h-tbl.hostLo]++
+		for k := range r.NumITBs() {
+			tbl.itbLoad[r.itbHost(k)-tbl.hostLo]++
 		}
 	}
 }
@@ -184,11 +192,13 @@ func (tbl *Table) loads() []int32 {
 	}
 	tbl.itbLoad = make([]int32, tbl.hostSpan)
 	for _, row := range tbl.rows {
-		for _, r := range row {
-			if r != nil && r != unroutable {
-				for _, h := range r.ITBHosts {
-					tbl.itbLoad[h-tbl.hostLo]++
-				}
+		for _, p := range row {
+			if p.path == 0 || p.path == pairUnroutable {
+				continue
+			}
+			r := Route{store: tbl.paths, rec: p}
+			for k := range r.NumITBs() {
+				tbl.itbLoad[r.itbHost(k)-tbl.hostLo]++
 			}
 		}
 	}
@@ -198,13 +208,13 @@ func (tbl *Table) loads() []int32 {
 // resolve routes one pair and stores the outcome, so the pair is never
 // resolved again: a pair with a dead endpoint is marked unroutable
 // without a search, and a live pair goes to resolveLive.
-func (tbl *Table) resolve(src, dst topology.NodeID) (*Route, error) {
+func (tbl *Table) resolve(src, dst topology.NodeID) (Route, error) {
 	if !tbl.isHost(src) || !tbl.isHost(dst) {
-		return nil, errNotHost
+		return Route{}, errNotHost
 	}
 	if src == dst || tbl.avoid.hostDead(tbl.topo, src) || tbl.avoid.hostDead(tbl.topo, dst) {
-		tbl.store(src, dst, unroutable)
-		return nil, errDeadEndpoint
+		tbl.store(src, dst, pair{path: pairUnroutable})
+		return Route{}, errDeadEndpoint
 	}
 	return tbl.resolveLive(src, dst)
 }
@@ -213,23 +223,23 @@ func (tbl *Table) resolve(src, dst topology.NodeID) (*Route, error) {
 // is shared if it survives the exclusion set (routes are immutable
 // once built), and otherwise the pair is searched. A pair that does
 // not route is marked unroutable.
-func (tbl *Table) resolveLive(src, dst topology.NodeID) (*Route, error) {
+func (tbl *Table) resolveLive(src, dst topology.NodeID) (Route, error) {
 	if tbl.prev != nil {
-		if r, ok := tbl.prev.Lookup(src, dst); ok && routeValid(tbl.topo, r, tbl.avoid) {
-			tbl.adopt(src, dst, r)
+		if r, ok := tbl.prev.Lookup(src, dst); ok && routeValid(r, tbl.avoid) {
+			tbl.adopt(r)
 			if tbl.reused != nil {
 				*tbl.reused++
 			}
 			return r, nil
 		}
 	}
-	r, err := tbl.buildRoute(src, dst)
+	p, err := tbl.buildRoute(src, dst)
 	if err != nil {
-		tbl.store(src, dst, unroutable)
-		return nil, err
+		tbl.store(src, dst, pair{path: pairUnroutable})
+		return Route{}, err
 	}
-	tbl.store(src, dst, r)
-	return r, nil
+	tbl.store(src, dst, p)
+	return tbl.view(src, dst, p), nil
 }
 
 // fill resolves every unresolved pair of live hosts in host-major
@@ -248,7 +258,7 @@ func (tbl *Table) fill(strict bool) error {
 			if src == dst || tbl.avoid.hostDead(t, dst) {
 				continue
 			}
-			if row := tbl.row(src); row != nil && row[dst-tbl.hostLo] != nil {
+			if row := tbl.row(src); row != nil && row[dst-tbl.hostLo].path != 0 {
 				continue
 			}
 			if _, err := tbl.resolveLive(src, dst); err != nil && strict {
@@ -263,18 +273,18 @@ func (tbl *Table) fill(strict bool) error {
 
 // Lookup returns the route from src to dst. On a lazy table a miss
 // resolves (and memoizes) the pair on demand.
-func (tbl *Table) Lookup(src, dst topology.NodeID) (*Route, bool) {
+func (tbl *Table) Lookup(src, dst topology.NodeID) (Route, bool) {
 	if row := tbl.row(src); row != nil && tbl.isHost(dst) {
-		switch r := row[dst-tbl.hostLo]; r {
-		case nil:
-		case unroutable:
-			return nil, false
+		switch p := row[dst-tbl.hostLo]; p.path {
+		case 0:
+		case pairUnroutable:
+			return Route{}, false
 		default:
-			return r, true
+			return tbl.view(src, dst, p), true
 		}
 	}
 	if !tbl.lazy {
-		return nil, false
+		return Route{}, false
 	}
 	r, err := tbl.resolve(src, dst)
 	return r, err == nil
@@ -291,13 +301,13 @@ func (tbl *Table) materialize() {
 // Routes returns every route in the table in host-major order: by
 // source, then by destination, both in ascending NodeID order (the
 // order of Topology.Hosts).
-func (tbl *Table) Routes() []*Route {
+func (tbl *Table) Routes() []Route {
 	tbl.materialize()
-	out := make([]*Route, 0, tbl.n)
-	for _, row := range tbl.rows {
-		for _, r := range row {
-			if r != nil && r != unroutable {
-				out = append(out, r)
+	out := make([]Route, 0, tbl.n)
+	for i, row := range tbl.rows {
+		for j, p := range row {
+			if p.path != 0 && p.path != pairUnroutable {
+				out = append(out, tbl.view(tbl.srcLo+topology.NodeID(i), tbl.hostLo+topology.NodeID(j), p))
 			}
 		}
 	}
@@ -310,65 +320,58 @@ func (tbl *Table) Len() int {
 	return tbl.n
 }
 
-// buildRoute assembles a host-to-host Route from a switch path.
-func (tbl *Table) buildRoute(src, dst topology.NodeID) (*Route, error) {
+// buildRoute routes a host pair over its switch pair's path, searching
+// the switch pair on its first use, and returns the pair's record: the
+// path and, at each in-transit switch, the ejection into its
+// least-loaded live host (deterministic tie-break: the lowest id).
+func (tbl *Table) buildRoute(src, dst topology.NodeID) (pair, error) {
 	t := tbl.topo
 	srcSw, ok := t.SwitchOf(src)
 	if !ok {
-		return nil, fmt.Errorf("routing: host %d not cabled", src)
+		return pair{}, fmt.Errorf("routing: host %d not cabled", src)
 	}
 	dstSw, ok := t.SwitchOf(dst)
 	if !ok {
-		return nil, fmt.Errorf("routing: host %d not cabled", dst)
+		return pair{}, fmt.Errorf("routing: host %d not cabled", dst)
 	}
 	key := [2]topology.NodeID{srcSw, dstSw}
-	cp, cached := tbl.pathCache[key]
+	idx, cached := tbl.pathCache[key]
 	if !cached {
+		var trav []Traversal
+		var itbBefore []int
+		var lanes []uint8
 		var err error
 		if tbl.pathFn != nil {
-			cp.trav, cp.itbBefore, cp.lanes, err = tbl.pathFn(srcSw, dstSw)
+			trav, itbBefore, lanes, err = tbl.pathFn(srcSw, dstSw)
 		} else {
-			cp.trav, cp.itbBefore, cp.lanes, err = tbl.graph.path(tbl.search, tbl.avoid, srcSw, dstSw)
+			trav, itbBefore, lanes, err = tbl.graph.path(tbl.search, tbl.avoid, srcSw, dstSw)
 		}
 		if err != nil {
-			return nil, err
+			return pair{}, err
 		}
+		idx = tbl.paths.add(srcSw, dstSw, trav, itbBefore, lanes)
 		if tbl.pathCache == nil {
-			tbl.pathCache = make(map[[2]topology.NodeID]cachedPath)
+			tbl.pathCache = make(map[[2]topology.NodeID]uint32)
 		}
-		tbl.pathCache[key] = cp
+		tbl.pathCache[key] = idx
 	}
-	return tbl.assemble(src, dst, srcSw, cp.trav, cp.itbBefore, cp.lanes)
-}
-
-// assemble converts a switch traversal plus ITB reset positions (and,
-// for lane-aware engines, per-traversal lane assignments) into a
-// Route: its wire header, with the port bytes and in-transit host
-// choices. Lane changes embed as [VCTag][lane] pairs in the header,
-// emitted exactly where the wire lane (what the fabric infers while
-// consuming the route: lane 0 at every injection, then the last
-// selected lane) diverges from the lane the path wants for the next
-// hop.
-//
-// The header is written once, into an exactly sized slice; the route,
-// its header and its in-transit hosts are carved from the table's
-// chunks.
-func (tbl *Table) assemble(src, dst, srcSw topology.NodeID, trav []Traversal, itbBefore []int, lanes []uint8) (*Route, error) {
-	t := tbl.topo
-	var itbHosts []topology.NodeID
-	if len(itbBefore) > 0 {
-		itbHosts = tbl.itbChunk.take(len(itbBefore), 8, 2048)[:0]
+	p := pair{path: idx + 1}
+	itbs := tbl.paths.itbs(tbl.paths.at(idx))
+	if len(itbs) == 0 {
+		return p, nil
 	}
-	hdr := tbl.hdrChunk.take(headerLen(trav, itbBefore, lanes), 64, 16<<10)[:0]
-	wireLane := uint8(0)
-	// flushSegment ends the segment at itbSwitch with the ejection into
-	// its least-loaded live host (deterministic tie-break: the lowest
-	// id).
-	flushSegment := func(itbSwitch topology.NodeID) error {
-		load := tbl.loads()
+	var arena []byte
+	if len(itbs) > inlineEjects {
+		p.ejects = uint32(len(tbl.paths.ejects))
+		tbl.paths.ejects = append(tbl.paths.ejects, make([]byte, len(itbs))...)
+		arena = tbl.paths.ejects[p.ejects:]
+	}
+	load := tbl.loads()
+	for k, sp := range itbs {
+		sw := topology.NodeID(sp.sw)
 		best := topology.NodeID(-1)
-		for _, p := range tbl.graph.hostPorts[tbl.graph.sidx[itbSwitch]] {
-			h := t.LinkAt(itbSwitch, int(p)).Other(itbSwitch)
+		for _, port := range tbl.graph.hostPorts[tbl.graph.sidx[sw]] {
+			h := t.LinkAt(sw, int(port)).Other(sw)
 			if tbl.avoid.hostDead(t, h) {
 				continue
 			}
@@ -378,86 +381,15 @@ func (tbl *Table) assemble(src, dst, srcSw topology.NodeID, trav []Traversal, it
 			}
 		}
 		if best < 0 {
-			return fmt.Errorf("routing: ITB needed at switch %d which has no live hosts", itbSwitch)
+			return pair{}, fmt.Errorf("routing: ITB needed at switch %d which has no live hosts", sw)
 		}
 		load[best-tbl.hostLo]++
-		// The ejection port byte, then the next segment's ITB tag and
-		// the length of everything after the length byte (Figure 3.b).
-		// The re-injection is a fresh lane-0 entry.
-		hdr = append(hdr, byte(t.LinkAt(best, 0).PortAt(itbSwitch)), packet.ITBTag, byte(cap(hdr)-len(hdr)-3))
-		itbHosts = append(itbHosts, best)
-		wireLane = 0
-		return nil
-	}
-	// Split trav at the itbBefore indices.
-	nextITB := 0
-	curSw := srcSw
-	for i, tr := range trav {
-		for nextITB < len(itbBefore) && itbBefore[nextITB] == i {
-			if err := flushSegment(curSw); err != nil {
-				return nil, err
-			}
-			nextITB++
-		}
-		if lanes != nil && lanes[i] != wireLane {
-			hdr = append(hdr, packet.VCTag, lanes[i])
-			wireLane = lanes[i]
-		}
-		hdr = append(hdr, byte(tr.Link.PortAt(tr.From)))
-		curSw = tr.To()
-	}
-	// Trailing resets (ITB at the destination switch) would be
-	// pointless; the search never produces them, but guard anyway.
-	for nextITB < len(itbBefore) {
-		if err := flushSegment(curSw); err != nil {
-			return nil, err
-		}
-		nextITB++
-	}
-	// Deliver into dst. A header longer than packet.MaxRouteLen is
-	// stored too: EncodeHeader reports it.
-	hdr = append(hdr, byte(t.LinkAt(dst, 0).PortAt(curSw)))
-	r := &tbl.routeChunk.take(1, 4, 1024)[0]
-	*r = Route{Src: src, Dst: dst, ITBHosts: itbHosts, hdr: hdr, topo: t}
-	return r, nil
-}
-
-// chunk hands out exactly sized, capped slices of backing arrays that
-// grow geometrically: each new array is twice the last, from first up
-// to most elements (or the request, if larger). Small tables, such as
-// a lazily rebuilt table with one row, hold a few small arrays; a full
-// table holds one allocation per most elements.
-type chunk[T any] []T
-
-// take returns n fresh elements.
-func (c *chunk[T]) take(n, first, most int) []T {
-	if cap(*c)-len(*c) < n {
-		*c = make([]T, 0, max(n, first, min(2*cap(*c), most)))
-	}
-	k := len(*c)
-	*c = (*c)[:k+n]
-	return (*c)[k : k+n : k+n]
-}
-
-// headerLen is the wire header length assemble writes for a path: a
-// port byte per traversal and one for the delivery, an ejection port
-// byte plus an ITB tag and length byte per reset, and a VCTag/lane
-// pair wherever the wanted lane differs from the wire lane.
-func headerLen(trav []Traversal, itbBefore []int, lanes []uint8) int {
-	n := len(trav) + 1 + 3*len(itbBefore)
-	if lanes == nil {
-		return n
-	}
-	wireLane, nextITB := uint8(0), 0
-	for i := range trav {
-		for nextITB < len(itbBefore) && itbBefore[nextITB] == i {
-			wireLane = 0
-			nextITB++
-		}
-		if lanes[i] != wireLane {
-			n += 2
-			wireLane = lanes[i]
+		port := byte(t.LinkAt(best, 0).PortAt(sw))
+		if arena != nil {
+			arena[k] = port
+		} else {
+			p.ejects |= uint32(port) << (8 * k)
 		}
 	}
-	return n
+	return p, nil
 }
