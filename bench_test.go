@@ -106,14 +106,10 @@ func BenchmarkMCPCycleCosts(b *testing.B) {
 	b.ReportMetric(last.MeasuredPerITB.Nanoseconds(), "ns-per-ITB")
 }
 
-// benchSweep runs a reduced throughput sweep.
-func benchSweep(b *testing.B, alg *routing.UpDownEngine) core.SweepResult {
+// benchThroughput runs the throughput study on the 16-switch network.
+func benchThroughput(b *testing.B) core.ThroughputReport {
 	b.Helper()
-	cfg := core.DefaultSweepConfig(alg, 16, 5)
-	cfg.Loads = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-	cfg.Window = 500 * units.Microsecond
-	cfg.Warmup = 50 * units.Microsecond
-	res, err := core.RunSweep(cfg)
+	res, err := core.RunThroughput(16, 5, 500*units.Microsecond)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -123,47 +119,43 @@ func benchSweep(b *testing.B, alg *routing.UpDownEngine) core.SweepResult {
 // BenchmarkThroughputSweep_UpDown regenerates the up*/down* half of
 // the X-thr extension experiment (accepted traffic vs offered load).
 func BenchmarkThroughputSweep_UpDown(b *testing.B) {
-	var last core.SweepResult
+	var last core.ThroughputReport
 	for i := 0; i < b.N; i++ {
-		last = benchSweep(b, routing.UpDownRouting)
+		last = benchThroughput(b)
 	}
-	b.ReportMetric(last.Throughput, "accepted-peak")
+	b.ReportMetric(last.UD.Throughput, "accepted-peak")
 }
 
 // BenchmarkThroughputSweep_ITB regenerates the ITB half. Paper (via
 // the companion studies): throughput easily doubled on large nets.
 func BenchmarkThroughputSweep_ITB(b *testing.B) {
-	var last core.SweepResult
+	var last core.ThroughputReport
 	for i := 0; i < b.N; i++ {
-		last = benchSweep(b, routing.ITBRouting)
+		last = benchThroughput(b)
 	}
-	b.ReportMetric(last.Throughput, "accepted-peak")
-	b.ReportMetric(last.RouteStats.AvgITBs, "avg-ITBs/route")
+	b.ReportMetric(last.ITB.Throughput, "accepted-peak")
+	b.ReportMetric(last.ITB.RouteStats.AvgITBs, "avg-ITBs/route")
 }
 
 // BenchmarkLatencyUnderLoad regenerates X-lat-load: average message
-// latency below saturation for both routings. The paper argues the
+// latency at offered load 0.3 for both routings. The paper argues the
 // ITB detour stays negligible at load because blocked output ports
 // dominate.
 func BenchmarkLatencyUnderLoad(b *testing.B) {
-	var udLat, itbLat units.Time
+	var last core.ThroughputReport
 	for i := 0; i < b.N; i++ {
-		mk := func(alg *routing.UpDownEngine) units.Time {
-			cfg := core.DefaultSweepConfig(alg, 16, 5)
-			cfg.Loads = []float64{0.3}
-			cfg.Window = 500 * units.Microsecond
-			cfg.Warmup = 50 * units.Microsecond
-			res, err := core.RunSweep(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res.Points[0].AvgLatency()
-		}
-		udLat = mk(routing.UpDownRouting)
-		itbLat = mk(routing.ITBRouting)
+		last = benchThroughput(b)
 	}
-	b.ReportMetric(udLat.Microseconds(), "us-UD")
-	b.ReportMetric(itbLat.Microseconds(), "us-ITB")
+	for _, pair := range []struct {
+		unit string
+		res  core.SweepResult
+	}{{"us-UD", last.UD}, {"us-ITB", last.ITB}} {
+		for _, p := range pair.res.Points {
+			if p.Offered == 0.3 {
+				b.ReportMetric(p.AvgLatency().Microseconds(), pair.unit)
+			}
+		}
+	}
 }
 
 // BenchmarkBufferPool regenerates X-bufpool: drop/retransmission
@@ -352,13 +344,11 @@ func BenchmarkAppStudy(b *testing.B) {
 }
 
 // speedupSweep is the workload for the serial-vs-parallel comparison:
-// a full offered-load sweep whose points dispatch through the runner.
+// the throughput study, whose 22 load points dispatch through the
+// runner.
 func speedupSweep(b *testing.B) {
 	b.Helper()
-	cfg := core.DefaultSweepConfig(routing.ITBRouting, 16, 5)
-	cfg.Window = 400 * units.Microsecond
-	cfg.Warmup = 50 * units.Microsecond
-	if _, err := core.RunSweep(cfg); err != nil {
+	if _, err := core.RunThroughput(16, 5, 400*units.Microsecond); err != nil {
 		b.Fatal(err)
 	}
 }

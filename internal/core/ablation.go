@@ -274,37 +274,29 @@ type FidelityResult struct {
 // both release policies.
 func RunModelFidelity(switches int, seed int64, window units.Time) (FidelityResult, error) {
 	res := FidelityResult{Switches: switches}
-	var cfgs []SweepConfig
+	var curves []curve
 	for _, progressive := range []bool{false, true} {
-		for _, alg := range []*routing.UpDownEngine{routing.UpDownRouting, routing.ITBRouting} {
-			cfg := DefaultSweepConfig(alg, switches, seed)
-			cfg.Loads = []float64{0.2, 0.5, 0.8}
-			cfg.Window = window
-			cfg.ProgressiveRelease = progressive
-			cfgs = append(cfgs, cfg)
-		}
+		curves = append(curves, udAndITB(curve{switches: switches, progressive: progressive, loads: []float64{0.2, 0.5, 0.8}})...)
 	}
-	sweeps, err := runSweeps(cfgs, nil, nil)
+	sweeps, err := runCurves(curves, seed, window, nil, nil)
 	if err != nil {
 		return res, err
 	}
-	thr := map[[2]bool]float64{}
 	for i, sr := range sweeps {
-		c := cfgs[i]
 		policy := "conservative"
-		if c.ProgressiveRelease {
+		if curves[i].progressive {
 			policy = "progressive"
 		}
 		res.Rows = append(res.Rows, FidelityRow{
-			Policy: policy, Algorithm: c.Algorithm, Throughput: sr.Throughput,
+			Policy: policy, Algorithm: sr.Algorithm, Throughput: sr.Throughput,
 		})
-		thr[[2]bool{c.ProgressiveRelease, c.Algorithm.ITB}] = sr.Throughput
 	}
-	if ud := thr[[2]bool{false, false}]; ud > 0 {
-		res.RatioConservative = thr[[2]bool{false, true}] / ud
+	// Rows run UD, ITB per policy: conservative first, then progressive.
+	if ud := sweeps[0].Throughput; ud > 0 {
+		res.RatioConservative = sweeps[1].Throughput / ud
 	}
-	if ud := thr[[2]bool{true, false}]; ud > 0 {
-		res.RatioProgressive = thr[[2]bool{true, true}] / ud
+	if ud := sweeps[2].Throughput; ud > 0 {
+		res.RatioProgressive = sweeps[3].Throughput / ud
 	}
 	return res, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/gm"
-	"repro/internal/mcp"
 	"repro/internal/metrics"
 	"repro/internal/recovery"
 	"repro/internal/routing"
@@ -323,14 +322,6 @@ func runFaultCampaign(cfg FaultStudyConfig, mix *workload.Mix, idx int, topoText
 	}
 	obs.finish(cl)
 	return out, nil
-}
-
-// variantFor returns the firmware variant a routing needs.
-func variantFor(alg *routing.UpDownEngine) mcp.Variant {
-	if alg.ITB {
-		return mcp.ITB
-	}
-	return mcp.Original
 }
 
 // hostSlice lists the cluster's GM hosts in deterministic topology

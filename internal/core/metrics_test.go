@@ -102,11 +102,8 @@ func TestFig8MetricsDeterministic(t *testing.T) {
 func TestSweepMetricsDeterministic(t *testing.T) {
 	assertDeterministic(t, func() (string, error) {
 		reg := metrics.NewRegistry()
-		cfg := DefaultSweepConfig(routing.ITBRouting, 8, 5)
-		cfg.Loads = []float64{0.1, 0.3}
-		cfg.Window = 150 * units.Microsecond
-		cfg.Metrics = reg
-		if _, err := RunSweep(cfg); err != nil {
+		c := curve{switches: 8, alg: routing.ITBRouting, loads: []float64{0.1, 0.3}}
+		if _, err := runCurves([]curve{c}, 5, 150*units.Microsecond, reg, []string{""}); err != nil {
 			return "", err
 		}
 		return snapshotJSON(t, reg), nil

@@ -82,14 +82,12 @@ func TestFig8Deterministic(t *testing.T) {
 
 func TestSweepDeterministic(t *testing.T) {
 	assertDeterministic(t, func() (string, error) {
-		cfg := DefaultSweepConfig(routing.ITBRouting, 8, 5)
-		cfg.Loads = []float64{0.1, 0.3, 0.6}
-		cfg.Window = 200 * units.Microsecond
-		cfg.Warmup = 30 * units.Microsecond
-		res, err := RunSweep(cfg)
+		c := curve{switches: 8, alg: routing.ITBRouting, loads: []float64{0.1, 0.3, 0.6}}
+		sweeps, err := runCurves([]curve{c}, 5, 200*units.Microsecond, nil, nil)
 		if err != nil {
 			return "", err
 		}
+		res := sweeps[0]
 		var sb strings.Builder
 		res.WriteTable(&sb)
 		// The points at full precision, beyond the table's rounding.
@@ -262,18 +260,19 @@ func TestModelFidelityDeterministic(t *testing.T) {
 // TestSweepPanicIsolatedToOneRun certifies the per-run panic capture:
 // an impossible configuration must fail its own run with a captured
 // panic or error, identified by index, without tearing down the
-// process. (A sweep whose every point shares the bad config fails
-// them all — but through error returns, not a crash.)
+// process.
 func TestSweepPanicIsolatedToOneRun(t *testing.T) {
 	specs := []int{0, 1, 2}
 	results := runner.Collect(3, specs, func(i, s int) (SweepResult, error) {
-		cfg := DefaultSweepConfig(routing.ITBRouting, 8, 5)
-		cfg.Loads = []float64{0.1}
-		cfg.Window = 100 * units.Microsecond
 		if s == 1 {
 			panic("diverging configuration")
 		}
-		return RunSweep(cfg)
+		c := curve{switches: 8, alg: routing.ITBRouting, loads: []float64{0.1}}
+		res, err := runCurves([]curve{c}, 5, 100*units.Microsecond, nil, nil)
+		if err != nil {
+			return SweepResult{}, err
+		}
+		return res[0], nil
 	})
 	if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), "diverging configuration") {
 		t.Errorf("run 1: err = %v, want captured panic", results[1].Err)

@@ -47,17 +47,15 @@ func RunRootStudy(switches int, seed int64, window units.Time) (RootStudyResult,
 		{"best root", bestRoot},
 		{"worst root", worstRoot},
 	}
-	var cfgs []SweepConfig
+	var curves []curve
 	for _, c := range cases {
 		for _, itb := range []bool{false, true} {
 			root := c.root
-			cfg := DefaultSweepConfig(&routing.UpDownEngine{ITB: itb, Root: &root}, switches, seed)
-			cfg.Loads = []float64{0.2, 0.5, 0.8}
-			cfg.Window = window
-			cfgs = append(cfgs, cfg)
+			curves = append(curves, curve{switches: switches,
+				alg: &routing.UpDownEngine{ITB: itb, Root: &root}, loads: []float64{0.2, 0.5, 0.8}})
 		}
 	}
-	sweeps, err := runSweeps(cfgs, nil, nil)
+	sweeps, err := runCurves(curves, seed, window, nil, nil)
 	if err != nil {
 		return res, err
 	}

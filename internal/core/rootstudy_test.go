@@ -54,13 +54,7 @@ func TestSweepWithPinnedRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	root, _ := routing.WorstRoot(topo)
-	cfg := DefaultSweepConfig(&routing.UpDownEngine{Root: &root}, 8, 5)
-	cfg.Loads = []float64{0.2}
-	cfg.Window = 200 * units.Microsecond
-	base, err := RunSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runCurve(t, curve{switches: 8, alg: &routing.UpDownEngine{Root: &root}, loads: []float64{0.2}}, 200*units.Microsecond)
 	if base.Points[0].Delivered == 0 {
 		t.Fatal("nothing delivered")
 	}

@@ -28,21 +28,16 @@ type ScalingResult struct {
 	Rows []ScalingRow
 }
 
-// RunScaling sweeps network sizes. Every (size, algorithm) sweep runs
+// RunScaling sweeps network sizes. Every (size, algorithm) curve runs
 // in one batch of cells, and the rows assemble from the ordered
 // results.
 func RunScaling(sizes []int, seed int64, window units.Time) (ScalingResult, error) {
 	var res ScalingResult
-	var cfgs []SweepConfig
+	var curves []curve
 	for _, n := range sizes {
-		for _, alg := range []*routing.UpDownEngine{routing.UpDownRouting, routing.ITBRouting} {
-			cfg := DefaultSweepConfig(alg, n, seed)
-			cfg.Loads = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-			cfg.Window = window
-			cfgs = append(cfgs, cfg)
-		}
+		curves = append(curves, udAndITB(curve{switches: n, loads: []float64{0.2, 0.4, 0.6, 0.8, 1.0}})...)
 	}
-	sweeps, err := runSweeps(cfgs, nil, nil)
+	sweeps, err := runCurves(curves, seed, window, nil, nil)
 	if err != nil {
 		return res, err
 	}
@@ -94,26 +89,21 @@ type PatternResult struct {
 func RunPatternStudy(switches int, seed int64, window units.Time) (PatternResult, error) {
 	res := PatternResult{Switches: switches}
 	patterns := []workload.Pattern{workload.Uniform, workload.HotSpot, workload.BitReversal, workload.Permutation}
-	var cfgs []SweepConfig
+	var curves []curve
 	for _, p := range patterns {
-		for _, alg := range []*routing.UpDownEngine{routing.UpDownRouting, routing.ITBRouting} {
-			cfg := DefaultSweepConfig(alg, switches, seed)
-			cfg.Pattern = p
-			if p == workload.HotSpot {
-				cfg.HotFraction = 0.3
-			}
-			cfg.Loads = []float64{0.2, 0.5, 0.8}
-			cfg.Window = window
-			cfgs = append(cfgs, cfg)
+		c := curve{switches: switches, pattern: p, loads: []float64{0.2, 0.5, 0.8}}
+		if p == workload.HotSpot {
+			c.hot = 0.3
 		}
+		curves = append(curves, udAndITB(c)...)
 	}
-	sweeps, err := runSweeps(cfgs, nil, nil)
+	sweeps, err := runCurves(curves, seed, window, nil, nil)
 	if err != nil {
 		return res, err
 	}
 	for i := 0; i < len(sweeps); i += 2 {
 		row := PatternRow{
-			Pattern: cfgs[i].Pattern,
+			Pattern: curves[i].pattern,
 			UD:      sweeps[i].Throughput,
 			ITB:     sweeps[i+1].Throughput,
 		}

@@ -29,16 +29,14 @@ type SchemesResult struct {
 // RunSchemes evaluates the 2x2 of {BFS, DFS} x {UD, ITB}.
 func RunSchemes(switches int, seed int64, window units.Time) (SchemesResult, error) {
 	res := SchemesResult{Switches: switches}
-	var cfgs []SweepConfig
+	var curves []curve
 	for _, dfs := range []bool{false, true} {
 		for _, itb := range []bool{false, true} {
-			cfg := DefaultSweepConfig(&routing.UpDownEngine{ITB: itb, DFS: dfs}, switches, seed)
-			cfg.Loads = []float64{0.2, 0.5, 0.8}
-			cfg.Window = window
-			cfgs = append(cfgs, cfg)
+			curves = append(curves, curve{switches: switches,
+				alg: &routing.UpDownEngine{ITB: itb, DFS: dfs}, loads: []float64{0.2, 0.5, 0.8}})
 		}
 	}
-	sweeps, err := runSweeps(cfgs, nil, nil)
+	sweeps, err := runCurves(curves, seed, window, nil, nil)
 	if err != nil {
 		return res, err
 	}

@@ -49,13 +49,7 @@ func TestSchemesITBWinsOverBothOrderings(t *testing.T) {
 }
 
 func TestClusterWithDFSOrder(t *testing.T) {
-	cfg := DefaultSweepConfig(&routing.UpDownEngine{DFS: true}, 8, 5)
-	cfg.Loads = []float64{0.2}
-	cfg.Window = 200 * units.Microsecond
-	res, err := RunSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCurve(t, curve{switches: 8, alg: &routing.UpDownEngine{DFS: true}, loads: []float64{0.2}}, 200*units.Microsecond)
 	if res.Points[0].Delivered == 0 {
 		t.Error("nothing delivered under DFS orientation")
 	}

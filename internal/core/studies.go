@@ -91,7 +91,7 @@ func Studies() []Study {
 	sweepPair := func(p Params) (ThroughputReport, error) {
 		if !pair.ok || pair.p != p {
 			pair.p, pair.ok = p, true
-			pair.r, pair.err = runSweepPair(p)
+			pair.r, pair.err = runThroughput(p.Switches, p.Seed, p.Window, p.Metrics)
 		}
 		return pair.r, pair.err
 	}
@@ -206,63 +206,4 @@ func pick(def []string, name string) []string {
 		return def
 	}
 	return []string{name}
-}
-
-// ThroughputReport is the throughput study: the same uniform-traffic
-// sweep under up*/down* and under ITB routing.
-type ThroughputReport struct{ UD, ITB SweepResult }
-
-// runSweepPair runs the UD and ITB sweeps of the throughput and
-// latency studies as one batch; their metrics merge under "ud." and
-// "itb.".
-func runSweepPair(p Params) (ThroughputReport, error) {
-	var cfgs []SweepConfig
-	for _, alg := range []*routing.UpDownEngine{routing.UpDownRouting, routing.ITBRouting} {
-		cfg := DefaultSweepConfig(alg, p.Switches, p.Seed)
-		cfg.Window = p.Window
-		cfgs = append(cfgs, cfg)
-	}
-	res, err := runSweeps(cfgs, p.Metrics, []string{"ud.", "itb."})
-	if err != nil {
-		return ThroughputReport{}, err
-	}
-	return ThroughputReport{res[0], res[1]}, nil
-}
-
-// WriteTable renders both sweeps and their peak-throughput ratio.
-func (r ThroughputReport) WriteTable(w io.Writer) {
-	r.UD.WriteTable(w)
-	fmt.Fprintln(w)
-	r.ITB.WriteTable(w)
-	if r.UD.Throughput > 0 {
-		fmt.Fprintf(w, "\nITB/UD throughput ratio: %.2fx (paper: easily doubled, sometimes tripled on large nets)\n",
-			r.ITB.Throughput/r.UD.Throughput)
-	}
-}
-
-// LatencyReport is the latency study: the throughput study's sweep
-// pair read as average latency against offered load, with the latency
-// distributions at offered load 0.3.
-type LatencyReport ThroughputReport
-
-// WriteTable renders the latency curves and distributions.
-func (r LatencyReport) WriteTable(w io.Writer) {
-	fmt.Fprintln(w, "Average latency vs offered load (uniform traffic)")
-	fmt.Fprintf(w, "%10s %16s %16s\n", "offered", "UD latency", "ITB latency")
-	for i, p := range r.UD.Points {
-		fmt.Fprintf(w, "%10.3f %16s %16s\n", p.Offered, p.AvgLatency(), r.ITB.Points[i].AvgLatency())
-	}
-	for _, pair := range []struct {
-		name string
-		res  SweepResult
-	}{{"UD", r.UD}, {"ITB", r.ITB}} {
-		for _, p := range pair.res.Points {
-			if p.Offered != 0.3 || p.Latencies == nil || p.Latencies.N() == 0 {
-				continue
-			}
-			us := p.Latencies.Scaled(1.0 / float64(units.Microsecond))
-			fmt.Fprintf(w, "\n%s latency distribution at offered load 0.3 (us):\n", pair.name)
-			_ = us.WriteHistogram(w, 10, 40) // fixed shape: only write errors, dropped as above
-		}
-	}
 }

@@ -12,21 +12,20 @@ import (
 	"repro/internal/workload"
 )
 
-// smallSweep keeps unit-test runtime low; the full-size sweeps live in
-// the benchmark harness.
-func smallSweep(alg *routing.UpDownEngine, loads []float64) SweepConfig {
-	cfg := DefaultSweepConfig(alg, 8, 5)
-	cfg.Loads = loads
-	cfg.Window = 400 * units.Microsecond
-	cfg.Warmup = 50 * units.Microsecond
-	return cfg
-}
-
-func TestSweepLowLoadDeliversOffered(t *testing.T) {
-	res, err := RunSweep(smallSweep(routing.UpDownRouting, []float64{0.05}))
+// runCurve runs one offered-load curve on the seed-5 irregular
+// network. The unit tests keep their networks and windows small; the
+// full-size studies live in the benchmark harness.
+func runCurve(t *testing.T, c curve, window units.Time) SweepResult {
+	t.Helper()
+	res, err := runCurves([]curve{c}, 5, window, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res[0]
+}
+
+func TestSweepLowLoadDeliversOffered(t *testing.T) {
+	res := runCurve(t, curve{switches: 8, alg: routing.UpDownRouting, loads: []float64{0.05}}, 400*units.Microsecond)
 	p := res.Points[0]
 	if p.Delivered == 0 {
 		t.Fatal("nothing delivered at low load")
@@ -51,10 +50,7 @@ func TestLoadPointLatencyWithoutSamples(t *testing.T) {
 }
 
 func TestSweepSaturates(t *testing.T) {
-	res, err := RunSweep(smallSweep(routing.UpDownRouting, []float64{0.1, 1.0}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCurve(t, curve{switches: 8, alg: routing.UpDownRouting, loads: []float64{0.1, 1.0}}, 400*units.Microsecond)
 	low, high := res.Points[0], res.Points[1]
 	// At full offered load the network cannot accept everything:
 	// accepted plateaus below offered, and latency explodes.
@@ -72,21 +68,11 @@ func TestITBBeatsUpDownThroughput(t *testing.T) {
 	// and longer windows (see the benchmark harness); here we demand
 	// a strict win on a 16-switch instance, where the gap is wide
 	// enough (~1.6x at full windows) to survive a short test window.
-	mk := func(alg *routing.UpDownEngine) SweepConfig {
-		cfg := DefaultSweepConfig(alg, 16, 5)
-		cfg.Loads = []float64{0.4, 0.8}
-		cfg.Window = 500 * units.Microsecond
-		cfg.Warmup = 50 * units.Microsecond
-		return cfg
-	}
-	ud, err := RunSweep(mk(routing.UpDownRouting))
+	res, err := runCurves(udAndITB(curve{switches: 16, loads: []float64{0.4, 0.8}}), 5, 500*units.Microsecond, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	itb, err := RunSweep(mk(routing.ITBRouting))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ud, itb := res[0], res[1]
 	if itb.Throughput <= ud.Throughput {
 		t.Errorf("ITB throughput %.3f <= up*/down* %.3f", itb.Throughput, ud.Throughput)
 	}
@@ -100,20 +86,14 @@ func TestITBBeatsUpDownThroughput(t *testing.T) {
 }
 
 // TestOpenLoopMessageSizeFloor checks that every open-loop study
-// rejects a message below workload.MinFlowBytes up front, with an
-// error that names the bound, rather than running or failing inside
-// a cell.
+// with a configurable message size rejects a message below
+// workload.MinFlowBytes up front, with an error that names the bound,
+// rather than running or failing inside a cell.
 func TestOpenLoopMessageSizeFloor(t *testing.T) {
 	studies := []struct {
 		name string
 		run  func(size int) error
 	}{
-		{"sweep", func(size int) error {
-			cfg := smallSweep(routing.UpDownRouting, []float64{0.1})
-			cfg.MessageSize = size
-			_, err := RunSweep(cfg)
-			return err
-		}},
 		{"bufpool", func(size int) error {
 			cfg := DefaultBufPoolConfig()
 			cfg.MessageSize = size
@@ -144,16 +124,25 @@ func TestOpenLoopMessageSizeFloor(t *testing.T) {
 	}
 }
 
+// TestSweepErrors checks that every sweep study rejects a window that
+// is not positive before any cell runs (a zero window would divide the
+// accepted traffic by zero), and that the studies taking a routing
+// reject a nil one.
 func TestSweepErrors(t *testing.T) {
-	cfg := smallSweep(routing.UpDownRouting, []float64{0.1})
-	cfg.MessageSize = 0
-	if _, err := RunSweep(cfg); err == nil {
-		t.Error("zero message size accepted")
+	studies := map[string]func(units.Time) error{
+		"throughput": func(w units.Time) error { _, err := RunThroughput(8, 5, w); return err },
+		"scaling":    func(w units.Time) error { _, err := RunScaling([]int{8}, 5, w); return err },
+		"patterns":   func(w units.Time) error { _, err := RunPatternStudy(8, 5, w); return err },
+		"fidelity":   func(w units.Time) error { _, err := RunModelFidelity(8, 5, w); return err },
+		"schemes":    func(w units.Time) error { _, err := RunSchemes(8, 5, w); return err },
+		"roots":      func(w units.Time) error { _, err := RunRootStudy(8, 5, w); return err },
 	}
-	// A zero-valued Algorithm names no routing.
-	cfg = smallSweep(nil, []float64{0.1})
-	if _, err := RunSweep(cfg); err == nil {
-		t.Error("nil routing accepted by the sweep")
+	for name, run := range studies {
+		for _, w := range []units.Time{0, -units.Microsecond} {
+			if err := run(w); err == nil || !strings.Contains(err.Error(), "window") {
+				t.Errorf("%s with window %v: error %v, want one naming the window", name, w, err)
+			}
+		}
 	}
 	fcfg := DefaultFaultStudyConfig(nil, 8, 3)
 	if _, err := RunFaultStudy(fcfg); err == nil {
@@ -166,10 +155,7 @@ func TestSweepErrors(t *testing.T) {
 }
 
 func TestSweepWriteTable(t *testing.T) {
-	res, err := RunSweep(smallSweep(routing.ITBRouting, []float64{0.2}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCurve(t, curve{switches: 8, alg: routing.ITBRouting, loads: []float64{0.2}}, 400*units.Microsecond)
 	var sb strings.Builder
 	res.WriteTable(&sb)
 	out := sb.String()
@@ -181,13 +167,8 @@ func TestSweepWriteTable(t *testing.T) {
 }
 
 func TestSweepHotspotPattern(t *testing.T) {
-	cfg := smallSweep(routing.ITBRouting, []float64{0.3})
-	cfg.Pattern = workload.HotSpot
-	cfg.HotFraction = 0.5
-	res, err := RunSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCurve(t, curve{switches: 8, alg: routing.ITBRouting, pattern: workload.HotSpot, hot: 0.5,
+		loads: []float64{0.3}}, 400*units.Microsecond)
 	if res.Points[0].Delivered == 0 {
 		t.Error("hotspot sweep delivered nothing")
 	}
@@ -285,7 +266,8 @@ func TestBadLoadIsAnError(t *testing.T) {
 		run  func(load float64) error
 	}{
 		{"sweep", func(load float64) error {
-			_, err := RunSweep(smallSweep(routing.ITBRouting, []float64{0.2, load}))
+			c := curve{switches: 8, alg: routing.ITBRouting, loads: []float64{0.2, load}}
+			_, err := runCurves([]curve{c}, 5, 400*units.Microsecond, nil, nil)
 			return err
 		}},
 		{"bufpool", func(load float64) error {

@@ -186,21 +186,19 @@ func tableITBs(tbl *routing.Table) int {
 	return n
 }
 
-// runVCCell runs one cell through the load study's open-loop cell,
-// with the cell's constructed engine and pinned fabric lane count.
-// The "itb" arm runs on a fabric that carries the extra lanes but
-// never selects them, which is exactly the comparison the ablation
-// wants. The certificate and the ITB count are taken before the run.
+// runVCCell runs one cell through the windowed open-loop cell, with
+// the cell's constructed engine and pinned fabric lane count. The
+// "itb" arm runs on a fabric that carries the extra lanes but never
+// selects them, which is exactly the comparison the ablation wants.
+// The certificate and the ITB count read the cell's route table.
 func runVCCell(cfg VCStudyConfig, mix *workload.Mix, s vcCellSpec, obs runObs) (VCRow, error) {
-	topo, err := readTopo(s.topoText)
-	if err != nil {
-		return VCRow{}, err
-	}
 	eng, err := vcArmEngine(s.arm, s.lanes)
 	if err != nil {
 		return VCRow{}, err
 	}
-	cl, err := loadCluster(topo, eng, s.lanes, false, obs)
+	c, cl, err := openCell{topoText: s.topoText, eng: eng, lanes: s.lanes, plan: workload.PlanConfig{
+		Scenario: workload.ScenarioUniform, Load: cfg.Load, Sizes: mix, Seed: cfg.Seed + 1,
+	}, warmup: cfg.Warmup, window: cfg.Window}.run(obs)
 	if err != nil {
 		return VCRow{}, err
 	}
@@ -208,20 +206,10 @@ func runVCCell(cfg VCStudyConfig, mix *workload.Mix, s vcCellSpec, obs runObs) (
 		return VCRow{}, fmt.Errorf("core: %s/%s/lanes%d failed deadlock certification: %w", s.preset, s.arm, s.lanes, err)
 	}
 	row := VCRow{Preset: s.preset, Arm: s.arm, Lanes: s.lanes,
-		Hosts: len(topo.Hosts()), Offered: cfg.Load,
+		Hosts: len(cl.Topo.Hosts()), Offered: cfg.Load,
+		Delivered: c.delivered, FlowsSent: c.sent, FlowsDone: c.done,
 		ITBs: tableITBs(cl.Table), DeadlockFree: true}
-	c, err := measureOpenLoop(cl, workload.PlanConfig{
-		Scenario: workload.ScenarioUniform,
-		Load:     cfg.Load,
-		Sizes:    mix,
-		Seed:     cfg.Seed + 1,
-	}, cfg.Warmup, cfg.Window)
-	if err != nil {
-		return VCRow{}, err
-	}
-	row.Delivered, row.FlowsSent, row.FlowsDone = c.delivered, c.sent, c.done
 	row.P50, row.P99, _ = fctPercentiles(c.fct)
-	obs.finish(cl)
 	return row, nil
 }
 
