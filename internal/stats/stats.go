@@ -209,18 +209,3 @@ func Saturation(points []Point, tol float64) Point {
 	}
 	return best
 }
-
-// MaxY returns the point with the highest Y (peak accepted traffic),
-// the conventional "network throughput" of the evaluation papers.
-func MaxY(points []Point) Point {
-	if len(points) == 0 {
-		return Point{}
-	}
-	best := points[0]
-	for _, p := range points[1:] {
-		if p.Y > best.Y {
-			best = p
-		}
-	}
-	return best
-}

@@ -127,14 +127,8 @@ func TestSaturation(t *testing.T) {
 	if sat.X != 0.6 {
 		t.Errorf("saturation at X=%v, want 0.6", sat.X)
 	}
-	if MaxY(pts).Y != 0.62 {
-		t.Errorf("MaxY = %v", MaxY(pts))
-	}
 	if got := Saturation(nil, 0.05); got != (Point{}) {
 		t.Error("empty saturation")
-	}
-	if got := MaxY(nil); got != (Point{}) {
-		t.Error("empty MaxY")
 	}
 	// First point already diverged.
 	div := []Point{{1, 0.1}, {2, 0.05}}
