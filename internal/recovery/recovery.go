@@ -290,7 +290,7 @@ type hostState struct {
 }
 
 type probeInfo struct {
-	idx    int // index into Manager.targets
+	hs     *hostState // the probed target
 	verify bool
 }
 
@@ -546,14 +546,7 @@ func (m *Manager) sendProbe(hs *hostState, verify bool, fwd, ret []byte) {
 	}
 	m.nonce++
 	n := m.nonce
-	idx := -1
-	for i, t := range m.targets {
-		if t == hs {
-			idx = i
-			break
-		}
-	}
-	m.outstanding[n] = probeInfo{idx: idx, verify: verify}
+	m.outstanding[n] = probeInfo{hs: hs, verify: verify}
 	m.stats.ProbesSent++
 	probe := &packet.Packet{
 		Route: append([]byte(nil), fwd...),
@@ -590,7 +583,7 @@ func (m *Manager) handleMapping(pm packet.Mapping) bool {
 	}
 	delete(m.outstanding, pm.Nonce)
 	m.stats.ProbeReplies++
-	hs := m.targets[pi.idx]
+	hs := pi.hs
 	if pi.verify {
 		hs.verifying = false
 		if hs.state == Confirmed {
