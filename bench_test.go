@@ -235,40 +235,38 @@ func BenchmarkScaling(b *testing.B) {
 	b.ReportMetric(last.Rows[len(last.Rows)-1].Ratio, "ratio-16sw")
 }
 
-// BenchmarkPatternStudy regenerates the traffic-pattern sensitivity
-// comparison.
-func BenchmarkPatternStudy(b *testing.B) {
-	var last core.PatternResult
+// BenchmarkSensitivity regenerates the sensitivity study: the ITB/UD
+// ratio under each traffic pattern and both channel release policies,
+// up*/down* route length under the best and worst root (the ITB
+// mechanism makes routing insensitive to the root), and the
+// companion-paper [3] comparison of {BFS, DFS} orderings x {UD, ITB}.
+func BenchmarkSensitivity(b *testing.B) {
+	var last core.SensitivityResult
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunPatternStudy(8, 7, 300*units.Microsecond)
+		res, err := core.RunSensitivity(16, 5, 300*units.Microsecond)
 		if err != nil {
 			b.Fatal(err)
 		}
 		last = res
 	}
 	for _, row := range last.Rows {
-		b.ReportMetric(row.Ratio, "ratio-"+row.Pattern.String())
-	}
-}
-
-// BenchmarkRootStudy regenerates the root-sensitivity comparison: the
-// ITB mechanism makes routing insensitive to the spanning-tree root.
-func BenchmarkRootStudy(b *testing.B) {
-	var last core.RootStudyResult
-	for i := 0; i < b.N; i++ {
-		res, err := core.RunRootStudy(16, 13, 300*units.Microsecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	for _, row := range last.Rows {
-		if !row.Algorithm.ITB {
-			name := "UD-hops-best-root"
-			if row.Label == "worst root" {
-				name = "UD-hops-worst-root"
-			}
-			b.ReportMetric(row.AvgHops, name)
+		switch row.Factor {
+		case "stock":
+			b.ReportMetric(row.Ratio(), "ratio-uniform")
+			b.ReportMetric(row.Ratio(), "ratio-conservative")
+			b.ReportMetric(row.UD.Throughput, "thr-BFS-UD")
+			b.ReportMetric(row.ITB.Throughput, "thr-BFS-ITB")
+		case "hotspot", "bit-reversal", "permutation":
+			b.ReportMetric(row.Ratio(), "ratio-"+row.Factor)
+		case "progressive release":
+			b.ReportMetric(row.Ratio(), "ratio-progressive")
+		case "DFS order":
+			b.ReportMetric(row.UD.Throughput, "thr-DFS-UD")
+			b.ReportMetric(row.ITB.Throughput, "thr-DFS-ITB")
+		case "best root":
+			b.ReportMetric(row.UD.RouteStats.AvgLinkHops, "UD-hops-best-root")
+		case "worst root":
+			b.ReportMetric(row.UD.RouteStats.AvgLinkHops, "UD-hops-worst-root")
 		}
 	}
 }
@@ -286,42 +284,6 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 	}
 	b.ReportMetric(last.Rows[0].Latency.Microseconds(), "us-whole")
 	b.ReportMetric(last.Rows[len(last.Rows)-1].Latency.Microseconds(), "us-1KB-chunks")
-}
-
-// BenchmarkModelFidelity regenerates the channel-release-policy
-// ablation: the ITB/UD conclusion must hold under both the
-// conservative and the progressive wormhole models.
-func BenchmarkModelFidelity(b *testing.B) {
-	var last core.FidelityResult
-	for i := 0; i < b.N; i++ {
-		res, err := core.RunModelFidelity(16, 5, 300*units.Microsecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.RatioConservative, "ratio-conservative")
-	b.ReportMetric(last.RatioProgressive, "ratio-progressive")
-}
-
-// BenchmarkSchemes regenerates the companion-paper [3] comparison:
-// {BFS, DFS} orderings x {UD, ITB} routings.
-func BenchmarkSchemes(b *testing.B) {
-	var last core.SchemesResult
-	for i := 0; i < b.N; i++ {
-		res, err := core.RunSchemes(16, 5, 300*units.Microsecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	for _, row := range last.Rows {
-		alg := "UD"
-		if row.Algorithm.ITB {
-			alg = "ITB"
-		}
-		b.ReportMetric(row.Throughput, "thr-"+row.Orientation+"-"+alg)
-	}
 }
 
 // BenchmarkAppStudy regenerates the distributed-application study

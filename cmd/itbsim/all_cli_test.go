@@ -17,8 +17,8 @@ import (
 //
 // Its stdout must match all.golden, and the -metrics JSON and -trace
 // JSONL their sha256 goldens (the files are ~8 MB and ~1 MB), at
-// -workers 1 and -workers 4. It is the only CLI golden for latload,
-// scaling, itbcount, ablation, chunks, trace, fig7 and fig8. A
+// -workers 1 and -workers 4. It is the only CLI golden for scaling,
+// itbcount, ablation, chunks, trace, fig7 and fig8. A
 // deliberate model change regenerates the three with:
 //
 //	REGEN_GOLDEN=1 go test ./cmd/itbsim/ -run TestAllStudiesGolden

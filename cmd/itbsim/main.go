@@ -1,19 +1,18 @@
 // Command itbsim runs the paper's experiments and prints their tables.
 // The experiments are the entries of core.Studies, run in table order
-// by -exp all; the throughput and latload studies share one sweep run.
+// by -exp all.
 //
 // Usage:
 //
 //	itbsim -exp fig7                 # Figure 7: MCP code overhead
 //	itbsim -exp fig8                 # Figure 8: per-ITB latency cost
 //	itbsim -exp costs                # Section 5 cost breakdown
-//	itbsim -exp throughput -switches 16
-//	itbsim -exp latload    -switches 16
+//	itbsim -exp throughput -switches 16   # accepted traffic and latency vs load
 //	itbsim -exp bufpool
 //	itbsim -exp itbcount
 //	itbsim -exp ablation
 //	itbsim -exp scaling              # ITB/UD ratio vs network size
-//	itbsim -exp patterns             # by traffic pattern
+//	itbsim -exp sensitivity          # ITB gain vs pattern, release, ordering, root
 //	itbsim -exp chunks               # SDMA chunk-size ablation
 //	itbsim -exp faults               # fault campaigns: delivery + recovery
 //	itbsim -exp recovery             # self-healing study: heartbeat period x churn
@@ -76,14 +75,14 @@ func main() {
 	}
 	var p core.Params
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, ", ")+", all")
-	flag.IntVar(&p.Switches, "switches", 16, "switches in the irregular network (throughput, latload, patterns, fidelity, schemes, app, roots, faults, recovery)")
+	flag.IntVar(&p.Switches, "switches", 16, "switches in the irregular network (throughput, sensitivity, app, faults, recovery)")
 	flag.StringVar(&p.Engine, "engine", "all", "routing engine for the engines and load studies; \"all\" runs every registered engine")
 	flag.IntVar(&p.Hosts, "hosts", 0, "single nominal host count for the engines study (0 = the default 64/256/1024 grid)")
 	flag.StringVar(&p.TopoFile, "topofile", "", "serialized topology file routed by the engines study instead of the generated grid")
 	flag.StringVar(&p.Pattern, "pattern", "all", "single workload pattern for the load study (uniform, incast, outcast, alltoall, allreduce, rpc); \"all\" runs the default set")
 	flag.Int64Var(&p.Seed, "seed", 5, "random seed for topology and traffic")
 	flag.IntVar(&p.Iters, "iters", 100, "gm_allsize iterations per message size (fig7, fig8)")
-	windowUs := flag.Int("window", 1000, "measurement window in microseconds (throughput, latload, scaling, patterns, fidelity, schemes, roots)")
+	windowUs := flag.Int("window", 1000, "measurement window in microseconds (throughput, scaling, sensitivity)")
 	csvOut := flag.Bool("csv", false, "emit CSV data series instead of tables ("+strings.Join(csvNames, ", ")+")")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines sharding independent simulation runs (output is identical at any value >= 1)")
 	detectorName := flag.String("detector", "", "failure detector for the faults/recovery studies: monitor (centralized, the default) or gossip (decentralized SWIM)")

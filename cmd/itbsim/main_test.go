@@ -308,7 +308,7 @@ func TestWorkersFlagValidation(t *testing.T) {
 		{[]string{"-exp", "engines", "-hosts", "-3"}, "-hosts/-period/-churn/-campaigns must be >= 0"},
 		{[]string{"-exp", "fig7", "-iters", "0"}, "-iters 0 is invalid"},
 		{[]string{"-exp", "scaling", "-window", "0"}, "-window 0 is invalid"},
-		{[]string{"-exp", "schemes", "-switches", "0"}, "-switches 0 is invalid"},
+		{[]string{"-exp", "sensitivity", "-switches", "0"}, "-switches 0 is invalid"},
 		{[]string{"-exp", "throughput", "-switches", "-2"}, "-switches -2 is invalid"},
 	}
 	for _, c := range cases {

@@ -3,8 +3,9 @@
 // through the network. Ejecting packets into in-transit buffers frees
 // those channels.
 //
-// The example runs the pattern study on a 16-switch irregular network:
-// uniform, hotspot, bit-reversal and permutation traffic, each under
+// The example runs the sensitivity study on a 16-switch irregular
+// network and prints its traffic-pattern rows: uniform (the stock
+// row), hotspot, bit-reversal and permutation traffic, each under
 // up*/down* and ITB routing. It then shows why the routings differ:
 // the share of routes that cross the spanning-tree root and the
 // channel-load imbalance of each route table.
@@ -23,10 +24,12 @@ import (
 
 func main() {
 	const switches, seed = 16, 11
-	res, err := core.RunPatternStudy(switches, seed, 500*units.Microsecond)
+	res, err := core.RunSensitivity(switches, seed, 500*units.Microsecond)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The stock (uniform) row and the three other patterns come first.
+	res.Rows = res.Rows[:4]
 	res.WriteTable(os.Stdout)
 	fmt.Println()
 

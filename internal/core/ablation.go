@@ -249,69 +249,6 @@ func fig8ITBLatency(size, iterations int, tweak func(*mcp.Config), obs runObs) (
 	return res[0].HalfRoundTrip, nil
 }
 
-// FidelityRow is one cell of the model-fidelity ablation.
-type FidelityRow struct {
-	Policy     string
-	Algorithm  *routing.UpDownEngine
-	Throughput float64
-}
-
-// FidelityResult quantifies the fabric's channel-release modelling
-// choice: the default conservatively holds every channel until
-// delivery completes; progressive release frees each channel as the
-// tail passes it (closer to real wormhole behaviour, slightly more
-// optimistic under load). The headline comparisons must not depend on
-// this choice.
-type FidelityResult struct {
-	Switches int
-	Rows     []FidelityRow
-	// RatioConservative and RatioProgressive are the ITB/UD
-	// throughput ratios under each policy.
-	RatioConservative, RatioProgressive float64
-}
-
-// RunModelFidelity runs the UD-vs-ITB throughput comparison under
-// both release policies.
-func RunModelFidelity(switches int, seed int64, window units.Time) (FidelityResult, error) {
-	res := FidelityResult{Switches: switches}
-	var curves []curve
-	for _, progressive := range []bool{false, true} {
-		curves = append(curves, udAndITB(curve{switches: switches, progressive: progressive, loads: []float64{0.2, 0.5, 0.8}})...)
-	}
-	sweeps, err := runCurves(curves, seed, window, nil, nil)
-	if err != nil {
-		return res, err
-	}
-	for i, sr := range sweeps {
-		policy := "conservative"
-		if curves[i].progressive {
-			policy = "progressive"
-		}
-		res.Rows = append(res.Rows, FidelityRow{
-			Policy: policy, Algorithm: sr.Algorithm, Throughput: sr.Throughput,
-		})
-	}
-	// Rows run UD, ITB per policy: conservative first, then progressive.
-	if ud := sweeps[0].Throughput; ud > 0 {
-		res.RatioConservative = sweeps[1].Throughput / ud
-	}
-	if ud := sweeps[2].Throughput; ud > 0 {
-		res.RatioProgressive = sweeps[3].Throughput / ud
-	}
-	return res, nil
-}
-
-// WriteTable renders the fidelity ablation.
-func (r FidelityResult) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "Model-fidelity ablation: channel release policy (%d switches)\n", r.Switches)
-	fmt.Fprintf(w, "%-14s %-18s %12s\n", "release", "routing", "throughput")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-14s %-18s %12.3f\n", row.Policy, row.Algorithm.String(), row.Throughput)
-	}
-	fmt.Fprintf(w, "ITB/UD ratio: %.2fx conservative, %.2fx progressive\n",
-		r.RatioConservative, r.RatioProgressive)
-}
-
 // WriteTable renders the ablations.
 func (r AblationResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "Firmware design-choice ablations (ITB path half round trip)\n")

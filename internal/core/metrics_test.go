@@ -103,7 +103,7 @@ func TestSweepMetricsDeterministic(t *testing.T) {
 	assertDeterministic(t, func() (string, error) {
 		reg := metrics.NewRegistry()
 		c := curve{switches: 8, alg: routing.ITBRouting, loads: []float64{0.1, 0.3}}
-		if _, err := runCurves([]curve{c}, 5, 150*units.Microsecond, reg, []string{""}); err != nil {
+		if _, err := runCurves([]curve{c}, nil, 5, 150*units.Microsecond, reg, []string{""}); err != nil {
 			return "", err
 		}
 		return snapshotJSON(t, reg), nil

@@ -9,7 +9,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // ScalingRow compares the two routings at one network size.
@@ -37,7 +36,7 @@ func RunScaling(sizes []int, seed int64, window units.Time) (ScalingResult, erro
 	for _, n := range sizes {
 		curves = append(curves, udAndITB(curve{switches: n, loads: []float64{0.2, 0.4, 0.6, 0.8, 1.0}})...)
 	}
-	sweeps, err := runCurves(curves, seed, window, nil, nil)
+	sweeps, err := runCurves(curves, nil, seed, window, nil, nil)
 	if err != nil {
 		return res, err
 	}
@@ -69,59 +68,6 @@ func (r ScalingResult) WriteTable(w io.Writer) {
 			row.Switches, row.UD, row.ITB, row.Ratio, row.UDHops, row.IHops, row.AvgITBs)
 	}
 	fmt.Fprintf(w, "paper (via companion studies): ratio grows with size, reaching ~2-3x\n")
-}
-
-// PatternRow compares the routings under one traffic pattern.
-type PatternRow struct {
-	Pattern workload.Pattern
-	UD, ITB float64
-	Ratio   float64
-}
-
-// PatternResult is the traffic-pattern sensitivity study.
-type PatternResult struct {
-	Switches int
-	Rows     []PatternRow
-}
-
-// RunPatternStudy compares the routings under uniform, hotspot,
-// bit-reversal and permutation traffic on one network.
-func RunPatternStudy(switches int, seed int64, window units.Time) (PatternResult, error) {
-	res := PatternResult{Switches: switches}
-	patterns := []workload.Pattern{workload.Uniform, workload.HotSpot, workload.BitReversal, workload.Permutation}
-	var curves []curve
-	for _, p := range patterns {
-		c := curve{switches: switches, pattern: p, loads: []float64{0.2, 0.5, 0.8}}
-		if p == workload.HotSpot {
-			c.hot = 0.3
-		}
-		curves = append(curves, udAndITB(c)...)
-	}
-	sweeps, err := runCurves(curves, seed, window, nil, nil)
-	if err != nil {
-		return res, err
-	}
-	for i := 0; i < len(sweeps); i += 2 {
-		row := PatternRow{
-			Pattern: curves[i].pattern,
-			UD:      sweeps[i].Throughput,
-			ITB:     sweeps[i+1].Throughput,
-		}
-		if row.UD > 0 {
-			row.Ratio = row.ITB / row.UD
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// WriteTable renders the study.
-func (r PatternResult) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "Throughput by traffic pattern (%d switches, peak accepted per host)\n", r.Switches)
-	fmt.Fprintf(w, "%-14s %10s %10s %8s\n", "pattern", "UD", "ITB", "ratio")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-14s %10.3f %10.3f %7.2fx\n", row.Pattern, row.UD, row.ITB, row.Ratio)
-	}
 }
 
 // ChunkRow is one chunk size of the SDMA pipeline ablation.

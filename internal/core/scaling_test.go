@@ -34,28 +34,6 @@ func TestScalingRatioGrows(t *testing.T) {
 	}
 }
 
-func TestPatternStudy(t *testing.T) {
-	res, err := RunPatternStudy(8, 7, 300*units.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.UD <= 0 || row.ITB <= 0 {
-			t.Errorf("%v: zero throughput (UD %.3f, ITB %.3f)", row.Pattern, row.UD, row.ITB)
-		}
-	}
-	var sb strings.Builder
-	res.WriteTable(&sb)
-	for _, want := range []string{"uniform", "hotspot", "bit-reversal", "permutation"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("table missing %q", want)
-		}
-	}
-}
-
 func TestChunkAblation(t *testing.T) {
 	res, err := RunChunkAblation(8192, []int{0, 32, 256, 1024}, 5)
 	if err != nil {

@@ -76,25 +76,8 @@ func study[R Report](name string, run func(Params) (R, error)) Study {
 	}}
 }
 
-// Studies returns the itbsim experiments in `-exp all` order. The
-// throughput and latload studies are two readings of one sweep pair:
-// the returned table runs the pair once per Params and renders both
-// reports from that run, so `-exp all` neither simulates it twice nor
-// merges its metrics twice.
+// Studies returns the itbsim experiments in `-exp all` order.
 func Studies() []Study {
-	var pair struct {
-		p   Params
-		ok  bool
-		r   ThroughputReport
-		err error
-	}
-	sweepPair := func(p Params) (ThroughputReport, error) {
-		if !pair.ok || pair.p != p {
-			pair.p, pair.ok = p, true
-			pair.r, pair.err = runThroughput(p.Switches, p.Seed, p.Window, p.Metrics)
-		}
-		return pair.r, pair.err
-	}
 	return []Study{
 		study("fig7", func(p Params) (Fig7Result, error) {
 			cfg := DefaultFig7Config()
@@ -107,10 +90,8 @@ func Studies() []Study {
 			return RunFig8(cfg)
 		}),
 		study("costs", func(Params) (CostReport, error) { return RunCostReport() }),
-		study("throughput", sweepPair),
-		study("latload", func(p Params) (LatencyReport, error) {
-			r, err := sweepPair(p)
-			return LatencyReport(r), err
+		study("throughput", func(p Params) (ThroughputReport, error) {
+			return runThroughput(p.Switches, p.Seed, p.Window, p.Metrics)
 		}),
 		study("bufpool", func(Params) (BufPoolResult, error) { return RunBufPool(DefaultBufPoolConfig()) }),
 		study("itbcount", func(p Params) (ITBCountResult, error) { return RunITBCount(4, 64, 30, p.Metrics) }),
@@ -118,7 +99,7 @@ func Studies() []Study {
 			return RunAblations([]int{64, 1024, 4096}, 20, p.Metrics)
 		}),
 		study("scaling", func(p Params) (ScalingResult, error) { return RunScaling([]int{8, 16, 32}, p.Seed, p.Window) }),
-		study("patterns", func(p Params) (PatternResult, error) { return RunPatternStudy(p.Switches, p.Seed, p.Window) }),
+		study("sensitivity", func(p Params) (SensitivityResult, error) { return RunSensitivity(p.Switches, p.Seed, p.Window) }),
 		study("trace", func(p Params) (TraceDemo, error) {
 			d, err := RunTraceDemo()
 			if err == nil && p.Trace != nil {
@@ -128,14 +109,11 @@ func Studies() []Study {
 			}
 			return d, err
 		}),
-		study("fidelity", func(p Params) (FidelityResult, error) { return RunModelFidelity(p.Switches, p.Seed, p.Window) }),
-		study("schemes", func(p Params) (SchemesResult, error) { return RunSchemes(p.Switches, p.Seed, p.Window) }),
 		study("app", func(p Params) (AppStudyResult, error) {
 			cfg := DefaultAppStudyConfig()
 			cfg.Switches, cfg.Seed = p.Switches, p.Seed
 			return RunAppStudy(cfg)
 		}),
-		study("roots", func(p Params) (RootStudyResult, error) { return RunRootStudy(p.Switches, p.Seed, p.Window) }),
 		study("chunks", func(Params) (ChunkResult, error) {
 			return RunChunkAblation(8192, []int{0, 32, 64, 256, 1024, 4096}, 20)
 		}),

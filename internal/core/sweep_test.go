@@ -17,7 +17,7 @@ import (
 // full-size studies live in the benchmark harness.
 func runCurve(t *testing.T, c curve, window units.Time) SweepResult {
 	t.Helper()
-	res, err := runCurves([]curve{c}, 5, window, nil, nil)
+	res, err := runCurves([]curve{c}, nil, 5, window, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestITBBeatsUpDownThroughput(t *testing.T) {
 	// and longer windows (see the benchmark harness); here we demand
 	// a strict win on a 16-switch instance, where the gap is wide
 	// enough (~1.6x at full windows) to survive a short test window.
-	res, err := runCurves(udAndITB(curve{switches: 16, loads: []float64{0.4, 0.8}}), 5, 500*units.Microsecond, nil, nil)
+	res, err := runCurves(udAndITB(curve{switches: 16, loads: []float64{0.4, 0.8}}), nil, 5, 500*units.Microsecond, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +130,9 @@ func TestOpenLoopMessageSizeFloor(t *testing.T) {
 // reject a nil one.
 func TestSweepErrors(t *testing.T) {
 	studies := map[string]func(units.Time) error{
-		"throughput": func(w units.Time) error { _, err := RunThroughput(8, 5, w); return err },
-		"scaling":    func(w units.Time) error { _, err := RunScaling([]int{8}, 5, w); return err },
-		"patterns":   func(w units.Time) error { _, err := RunPatternStudy(8, 5, w); return err },
-		"fidelity":   func(w units.Time) error { _, err := RunModelFidelity(8, 5, w); return err },
-		"schemes":    func(w units.Time) error { _, err := RunSchemes(8, 5, w); return err },
-		"roots":      func(w units.Time) error { _, err := RunRootStudy(8, 5, w); return err },
+		"throughput":  func(w units.Time) error { _, err := RunThroughput(8, 5, w); return err },
+		"scaling":     func(w units.Time) error { _, err := RunScaling([]int{8}, 5, w); return err },
+		"sensitivity": func(w units.Time) error { _, err := RunSensitivity(8, 5, w); return err },
 	}
 	for name, run := range studies {
 		for _, w := range []units.Time{0, -units.Microsecond} {
@@ -267,7 +264,7 @@ func TestBadLoadIsAnError(t *testing.T) {
 	}{
 		{"sweep", func(load float64) error {
 			c := curve{switches: 8, alg: routing.ITBRouting, loads: []float64{0.2, load}}
-			_, err := runCurves([]curve{c}, 5, 400*units.Microsecond, nil, nil)
+			_, err := runCurves([]curve{c}, nil, 5, 400*units.Microsecond, nil, nil)
 			return err
 		}},
 		{"bufpool", func(load float64) error {
