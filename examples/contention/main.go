@@ -4,11 +4,13 @@
 // those channels.
 //
 // The example runs the sensitivity study on a 16-switch irregular
-// network and prints its traffic-pattern rows: uniform (the stock
-// row), hotspot, bit-reversal and permutation traffic, each under
-// up*/down* and ITB routing. It then shows why the routings differ:
-// the share of routes that cross the spanning-tree root and the
-// channel-load imbalance of each route table.
+// network and prints every row it simulated, each under up*/down* and
+// ITB routing: uniform traffic (the stock row), hotspot, bit-reversal
+// and permutation traffic, the progressive channel release policy, the
+// DFS ordering, and the best and worst spanning-tree roots. It then
+// shows why the routings differ: the share of routes that cross the
+// spanning-tree root and the channel-load imbalance of each route
+// table.
 package main
 
 import (
@@ -28,8 +30,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The stock (uniform) row and the three other patterns come first.
-	res.Rows = res.Rows[:4]
 	res.WriteTable(os.Stdout)
 	fmt.Println()
 

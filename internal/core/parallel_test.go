@@ -148,29 +148,27 @@ func renderSensitivityRows(seed int64, factors ...string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	labels, curves, err := sensitivityGrid(switches, text)
+	specs, err := sensitivityGrid(switches, text)
 	if err != nil {
 		return "", err
 	}
-	var picked []string
-	var sel []curve
-	for i, label := range labels {
-		if slices.Contains(factors, label) {
-			picked = append(picked, label)
-			sel = append(sel, curves[2*i:2*i+2]...)
+	var picked []sensitivitySpec
+	for _, s := range specs {
+		if slices.Contains(factors, s.label) {
+			if s.pair == nil {
+				s.pair = specs[0].pair
+			}
+			picked = append(picked, s)
 		}
 	}
 	if len(picked) != len(factors) {
-		return "", fmt.Errorf("rows %v, want %v", picked, factors)
+		return "", fmt.Errorf("%d rows match %v", len(picked), factors)
 	}
-	sweeps, err := runCurves(sel, map[int][]byte{switches: text}, seed, 150*units.Microsecond, nil, nil)
+	rows, err := runSensitivityRows(picked, switches, text, seed, 150*units.Microsecond)
 	if err != nil {
 		return "", err
 	}
-	res := SensitivityResult{Switches: switches}
-	for i, label := range picked {
-		res.Rows = append(res.Rows, SensitivityRow{Factor: label, UD: sweeps[2*i], ITB: sweeps[2*i+1]})
-	}
+	res := SensitivityResult{Switches: switches, Rows: rows}
 	var sb strings.Builder
 	res.WriteTable(&sb)
 	return sb.String(), nil

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/routing"
+	"repro/internal/topology"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -39,17 +40,27 @@ type SensitivityResult struct {
 // sensitivityLoads are the offered loads of every sensitivity curve.
 var sensitivityLoads = []float64{0.2, 0.5, 0.8}
 
-// sensitivityGrid returns the sensitivity study's row labels and
-// their UD/ITB curve pairs, two curves per label, on the irregular
-// network text of switches switches: the stock pair (BFS ordering,
-// lowest-id root, conservative release, uniform traffic) first, then
-// one pair per changed factor. The best and worst roots are read off
-// text itself, the network every curve runs on.
-func sensitivityGrid(switches int, text []byte) ([]string, []curve, error) {
+// sensitivitySpec is one row of the sensitivity grid: its label and
+// its UD/ITB curve pair, or a nil pair when the row's curves would be
+// the stock pair's.
+type sensitivitySpec struct {
+	label string
+	pair  []curve
+}
+
+// sensitivityGrid returns the sensitivity study's rows on the
+// irregular network text of switches switches: the stock pair (BFS
+// ordering, lowest-id root, conservative release, uniform traffic)
+// first, then one pair per changed factor. The best and worst roots
+// are read off text itself, the network every curve runs on; a root
+// row whose root is the one the stock orientation elects anyway has a
+// nil pair and takes the stock pair's results.
+func sensitivityGrid(switches int, text []byte) ([]sensitivitySpec, error) {
 	topo, err := readTopo(text)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	stockRoot := topology.BuildUpDown(topo).Root
 	best, _ := routing.BestRoot(topo)
 	worst, _ := routing.WorstRoot(topo)
 	stock := curve{switches: switches, loads: sensitivityLoads}
@@ -69,26 +80,46 @@ func sensitivityGrid(switches int, text []byte) ([]string, []curve, error) {
 		pair[0].alg, pair[1].alg = &ud, &itb
 		return pair
 	}
-	rows := []struct {
-		label string
-		pair  []curve
-	}{
+	rooted := func(root topology.NodeID) []curve {
+		if root == stockRoot {
+			return nil
+		}
+		return oriented(routing.UpDownEngine{Root: &root})
+	}
+	return []sensitivitySpec{
 		{"stock", udAndITB(stock)},
 		{workload.HotSpot.String(), traffic(workload.HotSpot, 0.3)},
 		{workload.BitReversal.String(), traffic(workload.BitReversal, 0)},
 		{workload.Permutation.String(), traffic(workload.Permutation, 0)},
 		{"progressive release", udAndITB(progressive)},
 		{"DFS order", oriented(routing.UpDownEngine{DFS: true})},
-		{"best root", oriented(routing.UpDownEngine{Root: &best})},
-		{"worst root", oriented(routing.UpDownEngine{Root: &worst})},
-	}
-	var labels []string
+		{"best root", rooted(best)},
+		{"worst root", rooted(worst)},
+	}, nil
+}
+
+// runSensitivityRows runs the curves of specs as one batch and returns
+// their rows in order; a spec with a nil pair takes the stock row's
+// results, so specs holding one must start with the stock row.
+func runSensitivityRows(specs []sensitivitySpec, switches int, text []byte, seed int64, window units.Time) ([]SensitivityRow, error) {
 	var curves []curve
-	for _, r := range rows {
-		labels = append(labels, r.label)
-		curves = append(curves, r.pair...)
+	for _, s := range specs {
+		curves = append(curves, s.pair...)
 	}
-	return labels, curves, nil
+	sweeps, err := runCurves(curves, map[int][]byte{switches: text}, seed, window, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]SensitivityRow, len(specs))
+	for i, s := range specs {
+		if s.pair == nil {
+			rows[i] = SensitivityRow{Factor: s.label, UD: rows[0].UD, ITB: rows[0].ITB}
+			continue
+		}
+		rows[i] = SensitivityRow{Factor: s.label, UD: sweeps[0], ITB: sweeps[1]}
+		sweeps = sweeps[2:]
+	}
+	return rows, nil
 }
 
 // RunSensitivity runs every curve of the sensitivity study as one
@@ -99,18 +130,12 @@ func RunSensitivity(switches int, seed int64, window units.Time) (SensitivityRes
 	if err != nil {
 		return res, err
 	}
-	labels, curves, err := sensitivityGrid(switches, text)
+	specs, err := sensitivityGrid(switches, text)
 	if err != nil {
 		return res, err
 	}
-	sweeps, err := runCurves(curves, map[int][]byte{switches: text}, seed, window, nil, nil)
-	if err != nil {
-		return res, err
-	}
-	for i, label := range labels {
-		res.Rows = append(res.Rows, SensitivityRow{Factor: label, UD: sweeps[2*i], ITB: sweeps[2*i+1]})
-	}
-	return res, nil
+	res.Rows, err = runSensitivityRows(specs, switches, text, seed, window)
+	return res, err
 }
 
 // WriteTable renders the study.

@@ -69,17 +69,21 @@ func TestSensitivityOneFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, curves, err := sensitivityGrid(switches, text)
+	specs, err := sensitivityGrid(switches, text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(curves) != 2*len(labels) || labels[0] != "stock" {
-		t.Fatalf("grid: %d labels %v, %d curves", len(labels), labels, len(curves))
+	if specs[0].label != "stock" || len(specs[0].pair) != 2 {
+		t.Fatalf("grid starts with %q and %d curves, want the stock pair", specs[0].label, len(specs[0].pair))
 	}
-	for i := 1; i < len(labels); i++ {
+	for _, s := range specs[1:] {
+		if s.pair == nil {
+			// Checked by TestSensitivityStockRootRowReusesStock.
+			continue
+		}
 		for k, name := range []string{"UD", "ITB"} {
-			if got := factorsChanged(curves[2*i+k], curves[k]); len(got) != 1 {
-				t.Errorf("%s %s curve changes %v, want exactly one factor", labels[i], name, got)
+			if got := factorsChanged(s.pair[k], specs[0].pair[k]); len(got) != 1 {
+				t.Errorf("%s %s curve changes %v, want exactly one factor", s.label, name, got)
 			}
 		}
 	}
@@ -95,6 +99,64 @@ func TestSensitivityOneFactor(t *testing.T) {
 	if !reflect.DeepEqual(stock.UD, plain[0]) || !reflect.DeepEqual(stock.ITB, plain[1]) {
 		t.Errorf("stock row (peaks UD %v, ITB %v) differs from the plain pair (peaks UD %v, ITB %v)",
 			stock.UD.Throughput, stock.ITB.Throughput, plain[0].Throughput, plain[1].Throughput)
+	}
+}
+
+// TestSensitivityStockRootRowReusesStock covers a root row whose root
+// is the one the stock BFS orientation elects: on the 8-switch network
+// of seed 3 the worst root is the lowest-id switch. That row runs no
+// cells of its own (the grid holds 7 pairs of 3 loads, 42 cells, not
+// 48) and reads the stock row; simulating its pinned-root pair anyway
+// gives the same points and route statistics.
+func TestSensitivityStockRootRowReusesStock(t *testing.T) {
+	const switches, seed, window = 8, 3, 150 * units.Microsecond
+	text, err := irregularText(switches, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := sensitivityGrid(switches, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	var reused []string
+	for _, s := range specs {
+		if s.pair == nil {
+			reused = append(reused, s.label)
+		}
+		for _, c := range s.pair {
+			cells += len(c.loads)
+		}
+	}
+	if cells != 42 || !slices.Equal(reused, []string{"worst root"}) {
+		t.Fatalf("grid holds %d cells and reuses %v, want 42 cells and the worst root row", cells, reused)
+	}
+
+	res, _ := runSensitivity(t, switches, seed, window)
+	stock, worst := sensitivityRow(t, res, "stock"), sensitivityRow(t, res, "worst root")
+	if !reflect.DeepEqual(worst.UD, stock.UD) || !reflect.DeepEqual(worst.ITB, stock.ITB) {
+		t.Errorf("worst root row (peaks UD %v, ITB %v) differs from the stock row (peaks UD %v, ITB %v)",
+			worst.UD.Throughput, worst.ITB.Throughput, stock.UD.Throughput, stock.ITB.Throughput)
+	}
+	topo, err := readTopo(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := topo.Switches()[0]
+	ud := routing.UpDownEngine{Root: &root}
+	itb := routing.UpDownEngine{Root: &root, ITB: true}
+	pinned := udAndITB(curve{switches: switches, loads: sensitivityLoads})
+	pinned[0].alg, pinned[1].alg = &ud, &itb
+	sims, err := runCurves(pinned, map[int][]byte{switches: text}, seed, window, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, got := range []SweepResult{stock.UD, stock.ITB} {
+		want := sims[k]
+		if !reflect.DeepEqual(got.Points, want.Points) || got.Throughput != want.Throughput || got.RouteStats != want.RouteStats {
+			t.Errorf("curve %d: stock row (peak %v) differs from the simulated pinned-root pair (peak %v)",
+				k, got.Throughput, want.Throughput)
+		}
 	}
 }
 

@@ -85,24 +85,20 @@ func (n *Network) SetScoutFault(dropEvery, dupEvery int) {
 
 func (n *Network) linkFaultOf(link int) *linkFault {
 	if n.linkFaults == nil {
-		n.linkFaults = make(map[int]*linkFault)
+		n.linkFaults = make([]linkFault, len(n.topo.Links()))
 	}
-	lf := n.linkFaults[link]
-	if lf == nil {
-		lf = &linkFault{}
-		n.linkFaults[link] = lf
-	}
-	return lf
+	return &n.linkFaults[link]
 }
 
 // crossFault applies per-link fault state to a header about to enter
 // the link. It reports true when the link is down and the flight must
-// be killed; otherwise it may corrupt the packet (error burst).
+// be killed; otherwise it may corrupt the packet (error burst). Until
+// a fault is installed it reads nothing but the nil slice.
 func (n *Network) crossFault(f *Flight, link int) bool {
-	lf := n.linkFaults[link]
-	if lf == nil {
+	if n.linkFaults == nil {
 		return false
 	}
+	lf := &n.linkFaults[link]
 	if lf.down {
 		return true
 	}

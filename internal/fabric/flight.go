@@ -211,7 +211,8 @@ func (f *Flight) arrive() {
 // atNode handles the header reaching a node's input.
 func (f *Flight) atNode(node topology.NodeID, via *topology.Link) {
 	n := f.net
-	if n.topo.Node(node).Kind == topology.KindHost {
+	info := n.nodes[node]
+	if info.host {
 		f.state = flightAtEndpoint
 		f.headerInAt = n.eng.Now()
 		f.waitStart = f.headerInAt
@@ -249,12 +250,15 @@ func (f *Flight) atNode(node topology.NodeID, via *topology.Link) {
 		return
 	}
 	port := int(f.pkt.ConsumeRouteByte())
-	if port >= n.topo.Node(node).Ports || n.topo.LinkAt(node, port) == nil {
+	var out *topology.Link
+	if port < info.ports {
+		out = n.topo.LinkAt(node, port)
+	}
+	if out == nil {
 		f.net.stats.Misrouted++
 		f.drainAndFinish(true)
 		return
 	}
-	out := n.topo.LinkAt(node, port)
 	if n.crossFault(f, out.ID) {
 		// The selected output cable is down: the switch kills the
 		// stream (CRC-kill on a dead cable), releasing held channels as

@@ -78,8 +78,13 @@ type Network struct {
 	// old map lookup on the per-hop path. With maxLanes == 1 the
 	// layout (and every index computed into it) is identical to the
 	// pre-VC chans[2*link+dir] form.
-	chans  []*channel
-	eps    map[topology.NodeID]Endpoint
+	chans []*channel
+	// nodes holds each node's kind and port count, indexed by node id,
+	// and eps each host's endpoint: the per-hop reads index these
+	// dense slices instead of copying a topology.Node record (name
+	// included) or hashing into a map.
+	nodes  []nodeInfo
+	eps    []Endpoint
 	next   uint64
 	stats  Counters
 	tracer *trace.Recorder
@@ -97,10 +102,17 @@ type Network struct {
 	hSegLat   *metrics.Histogram
 	hSegStall *metrics.Histogram
 
-	// Campaign fault state (see faults.go).
-	linkFaults    map[int]*linkFault
+	// Campaign fault state (see faults.go). linkFaults is indexed by
+	// link id and stays nil until the first fault is installed.
+	linkFaults    []linkFault
 	linkFaultRand *rand.Rand
 	scout         scoutFault
+}
+
+// nodeInfo is the part of a topology.Node the per-hop path reads.
+type nodeInfo struct {
+	host  bool
+	ports int
 }
 
 // New builds the fabric for a topology.
@@ -115,7 +127,12 @@ func New(eng *sim.Engine, topo *topology.Topology, par Params) *Network {
 		par:      par,
 		maxLanes: maxLanes,
 		chans:    make([]*channel, 2*len(topo.Links())*maxLanes),
-		eps:      make(map[topology.NodeID]Endpoint),
+		nodes:    make([]nodeInfo, topo.NumNodes()),
+		eps:      make([]Endpoint, topo.NumNodes()),
+	}
+	for i := range n.nodes {
+		nd := topo.Node(topology.NodeID(i))
+		n.nodes[i] = nodeInfo{host: nd.Kind == topology.KindHost, ports: nd.Ports}
 	}
 	mkRes := sim.NewResource
 	if par.RoundRobinArbitration {
@@ -160,7 +177,7 @@ func (n *Network) corrupts(wireLen int) bool {
 
 // Attach registers the NIC endpoint of a host node.
 func (n *Network) Attach(host topology.NodeID, ep Endpoint) {
-	if n.topo.Node(host).Kind != topology.KindHost {
+	if !n.nodes[host].host {
 		panic(fmt.Sprintf("fabric: attach to non-host node %d", host))
 	}
 	if n.eps[host] != nil {
@@ -373,8 +390,7 @@ func (n *Network) SwitchLoads() []SwitchLoad {
 	for _, c := range n.chans {
 		from := c.link.NodeAt(c.fromA)
 		to := c.link.NodeAt(!c.fromA)
-		if n.topo.Node(from).Kind != topology.KindSwitch ||
-			n.topo.Node(to).Kind != topology.KindSwitch {
+		if n.nodes[from].host || n.nodes[to].host {
 			continue
 		}
 		sl := bySwitch[from]
@@ -428,7 +444,7 @@ type InjectOpts struct {
 // (delivered or dropped) a later Inject may recycle the object, so
 // callers must not read it after a subsequent injection.
 func (n *Network) Inject(pkt *packet.Packet, src topology.NodeID, opts InjectOpts) *Flight {
-	if n.topo.Node(src).Kind != topology.KindHost {
+	if !n.nodes[src].host {
 		panic(fmt.Sprintf("fabric: inject from non-host node %d", src))
 	}
 	if opts.SourceByteTime < n.par.ByteTime() {

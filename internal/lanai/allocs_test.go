@@ -12,7 +12,9 @@ import (
 // allocate: tasks are heap values, the handler is a long-lived
 // function with a pointer argument (boxing a pointer into an any does
 // not allocate), the completion callback is the CPU's long-lived
-// doneFn, and the engine reuses event slots.
+// doneFn, and the engine reuses event slots. Both dispatch paths are
+// measured: a post to an idle core, which starts at once, and posts
+// queued behind a running handler, which go through the task heap.
 func TestCPUPostDispatchSteadyStateDoesNotAllocate(t *testing.T) {
 	eng := sim.NewEngine()
 	par := DefaultParams()
@@ -24,13 +26,27 @@ func TestCPUPostDispatchSteadyStateDoesNotAllocate(t *testing.T) {
 		c.PostArg(PrioRecv, 10, fn, arg)
 	}
 	eng.Run()
-	allocs := testing.AllocsPerRun(200, func() {
-		c.PostArg(PrioRecv, 10, fn, arg)
-		c.PostArg(PrioITB, 5, fn, arg) // preempts in the queue, not on the core
-		eng.Run()
-	})
-	if allocs != 0 {
-		t.Errorf("PostArg+dispatch allocates %.1f/op in steady state, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"idle", func() {
+			c.PostArg(PrioRecv, 10, fn, arg)
+			eng.Run()
+		}},
+		{"queued", func() {
+			c.PostArg(PrioRecv, 10, fn, arg)
+			c.PostArg(PrioSend, 80, fn, arg)
+			c.PostArg(PrioITB, 5, fn, arg) // preempts in the queue, not on the core
+			if c.QueueLen() != 2 {
+				t.Fatalf("%d queued behind the running handler, want 2", c.QueueLen())
+			}
+			eng.Run()
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(200, tc.run); allocs != 0 {
+			t.Errorf("%s post+dispatch allocates %.1f/op in steady state, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -105,10 +105,11 @@ type CPU struct {
 	// Executed counts completed tasks.
 	Executed uint64
 
-	// cur is the handler executing now; doneFn is the long-lived
-	// completion callback shared by every dispatch, so dispatching does
-	// not allocate a closure per task.
-	cur    task
+	// curFn(curArg) is the handler executing now; doneFn is the
+	// long-lived completion callback shared by every dispatch, so
+	// dispatching does not allocate a closure per task.
+	curFn  func(any)
+	curArg any
 	doneFn func()
 }
 
@@ -136,8 +137,15 @@ func (c *CPU) PostArg(prio, cycles int, fn func(any), arg any) {
 	if cycles < 0 {
 		panic("lanai: negative cycle cost")
 	}
-	c.pending.push(task{prio: prio, seq: c.seq, cycles: cycles, fn: fn, arg: arg})
+	seq := c.seq
 	c.seq++
+	if !c.busy && len(c.pending) == 0 {
+		// An idle core with nothing queued: pushing the task and
+		// popping the heap's top would hand this task straight back.
+		c.start(cycles, fn, arg)
+		return
+	}
+	c.pending.push(task{prio: prio, seq: seq, cycles: cycles, fn: fn, arg: arg})
 	c.dispatch()
 }
 
@@ -151,20 +159,26 @@ func (c *CPU) dispatch() {
 	if c.busy || len(c.pending) == 0 {
 		return
 	}
-	c.busy = true
 	t := c.pending.pop()
-	d := c.freq.Cycles(t.cycles + c.dispatchCycles)
+	c.start(t.cycles, t.fn, t.arg)
+}
+
+// start runs fn(arg) on the idle core: it completes after cycles plus
+// the dispatch overhead.
+func (c *CPU) start(cycles int, fn func(any), arg any) {
+	c.busy = true
+	d := c.freq.Cycles(cycles + c.dispatchCycles)
 	c.BusyTime += d
-	c.cur = t
+	c.curFn, c.curArg = fn, arg
 	c.eng.Schedule(d, c.doneFn)
 }
 
 // taskDone is the shared completion handler: it runs the current task
-// and dispatches the next.
+// and dispatches the next. Tasks the handler posts queue behind the
+// busy core, so curFn and curArg stay put until it returns.
 func (c *CPU) taskDone() {
-	t := c.cur
-	c.cur = task{}
-	t.fn(t.arg)
+	c.curFn(c.curArg)
+	c.curFn, c.curArg = nil, nil
 	c.busy = false
 	c.Executed++
 	c.dispatch()
