@@ -62,3 +62,25 @@ func TestInjectDeliverSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatal("no packets delivered during the pin run")
 	}
 }
+
+// Channels live in one dense slice and carry no names, so building a
+// fabric costs a fixed handful of allocations however many links the
+// topology has.
+func TestNewAllocsDoNotGrowWithLinks(t *testing.T) {
+	const limit = 16
+	for _, hosts := range []int{72, 342} {
+		topo, err := topology.Dragonfly(topology.DefaultDragonflyConfig(hosts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lanes := range []int{1, 2} {
+			par := DefaultParams()
+			par.Lanes = lanes
+			eng := sim.NewEngine()
+			allocs := testing.AllocsPerRun(5, func() { New(eng, topo, par) })
+			if allocs > limit {
+				t.Errorf("dragonfly-%d lanes=%d: New allocates %.0f times, want at most %d", hosts, lanes, allocs, limit)
+			}
+		}
+	}
+}

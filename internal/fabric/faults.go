@@ -52,11 +52,7 @@ func (n *Network) SetLinkDown(link int, down bool) {
 		// whatever is streaming on each of them.
 		for _, fromA := range []bool{true, false} {
 			for lane := 0; lane < n.maxLanes; lane++ {
-				c := n.chans[n.laneIdx(link, fromA, lane)]
-				if c == nil {
-					continue
-				}
-				if f, ok := c.res.Owner().(*Flight); ok && !f.Done() {
+				if f := n.chans[n.laneIdx(link, fromA, lane)].owner; f != nil && !f.Done() {
 					f.pkt.Corrupt = true
 				}
 			}

@@ -66,9 +66,8 @@ type Flight struct {
 	hopCh    *channel
 	hopFromA bool
 	hopLane  int
-	hopClass int
-	// hopGrantFresh is true when hopCh was granted through its
-	// resource (and the grant time must be stamped), false when the
+	// hopGrantFresh is true when hopCh was granted through its wait
+	// queue (and the grant time must be stamped), false when the
 	// flight revisited a channel it already held.
 	hopGrantFresh bool
 	dropped       bool
@@ -120,7 +119,6 @@ func (f *Flight) reset() {
 	f.hopCh = nil
 	f.hopFromA = false
 	f.hopLane = 0
-	f.hopClass = 0
 	f.hopGrantFresh = false
 	f.dropped = false
 	f.tailOutAt = 0
@@ -151,8 +149,7 @@ func (f *Flight) Done() bool { return f.state == flightDone }
 // bouncing back and forth over one cable): a real packet short enough
 // to fit in the intervening pipeline re-uses the channel its own tail
 // has already vacated, so the revisit proceeds without re-queueing.
-// class identifies the crossbar input (incoming link id).
-func (f *Flight) acquireChannel(c *channel, class int, fn func()) {
+func (f *Flight) acquireChannel(c *channel, fn func()) {
 	for _, held := range f.held {
 		if held == c {
 			f.hopGrantFresh = false
@@ -161,7 +158,7 @@ func (f *Flight) acquireChannel(c *channel, class int, fn func()) {
 		}
 	}
 	f.hopGrantFresh = true
-	c.acquire(f, class, fn)
+	c.acquire(f, fn)
 }
 
 // injected runs when the source host's channel is granted: the header
@@ -185,7 +182,7 @@ func (f *Flight) cross() {
 	n := f.net
 	f.waitStart = n.eng.Now()
 	f.hopCh = n.chanOf(f.hopLink, f.hopFromA, f.hopLane)
-	f.acquireChannel(f.hopCh, f.hopClass, f.fnGranted)
+	f.acquireChannel(f.hopCh, f.fnGranted)
 }
 
 // granted runs when the contended output channel is granted (or
@@ -273,7 +270,6 @@ func (f *Flight) atNode(node topology.NodeID, via *topology.Link) {
 	f.state = flightInFlight
 	f.hopLink = out
 	f.hopFromA = out.FromA(node, port)
-	f.hopClass = via.ID
 	// Pay the fall-through, then contend for the output channel.
 	n.eng.Schedule(cross, f.fnCross)
 }

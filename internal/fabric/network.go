@@ -30,18 +30,30 @@ type Endpoint interface {
 // channel is one virtual lane of one directed half of a physical
 // link. With Params.Lanes <= 1 a link direction has exactly one
 // channel (the faithful Myrinet configuration); with virtual channels
-// each lane is an independently granted resource with its own credit
-// accounting, so a packet blocked on lane 0 does not stall a sibling
-// on lane 1 of the same wire.
+// each lane is granted independently with its own credit accounting,
+// so a packet blocked on lane 0 does not stall a sibling on lane 1 of
+// the same wire.
+//
+// A channel is granted FIFO by header arrival: a free channel with no
+// waiters goes to its requester at once, and a release hands it to the
+// oldest waiter. Grant callbacks run synchronously, at the current
+// simulated time.
 type channel struct {
-	res       *sim.Resource
+	owner     *Flight
+	waiters   []waiter
 	link      *topology.Link
 	fromA     bool
-	lane      int
 	busy      units.Time // accumulated holding time
 	waited    units.Time // accumulated blocking time of requesters
 	grants    uint64     // packets that crossed this channel
 	lastGrant units.Time
+}
+
+// waiter is a flight queued for a channel and the callback its grant
+// runs.
+type waiter struct {
+	f  *Flight
+	fn func()
 }
 
 // Counters accumulates network-level totals.
@@ -74,11 +86,10 @@ type Network struct {
 	maxLanes int
 	// chans holds the lanes of the two directed channels of every
 	// link, indexed (2*linkID+dir)*maxLanes+lane with dir 0 for A->B
-	// and 1 for B->A; link ids are dense, so a flat slice replaces the
-	// old map lookup on the per-hop path. With maxLanes == 1 the
-	// layout (and every index computed into it) is identical to the
-	// pre-VC chans[2*link+dir] form.
-	chans []*channel
+	// and 1 for B->A. Channels are stored by value and never move, so
+	// a flight's held pointers stay valid and building the fabric
+	// costs the same few allocations at any link count.
+	chans []channel
 	// nodes holds each node's kind and port count, indexed by node id,
 	// and eps each host's endpoint: the per-hop reads index these
 	// dense slices instead of copying a topology.Node record (name
@@ -126,7 +137,7 @@ func New(eng *sim.Engine, topo *topology.Topology, par Params) *Network {
 		topo:     topo,
 		par:      par,
 		maxLanes: maxLanes,
-		chans:    make([]*channel, 2*len(topo.Links())*maxLanes),
+		chans:    make([]channel, 2*len(topo.Links())*maxLanes),
 		nodes:    make([]nodeInfo, topo.NumNodes()),
 		eps:      make([]Endpoint, topo.NumNodes()),
 	}
@@ -134,29 +145,9 @@ func New(eng *sim.Engine, topo *topology.Topology, par Params) *Network {
 		nd := topo.Node(topology.NodeID(i))
 		n.nodes[i] = nodeInfo{host: nd.Kind == topology.KindHost, ports: nd.Ports}
 	}
-	mkRes := sim.NewResource
-	if par.RoundRobinArbitration {
-		mkRes = sim.NewResourceRR
-	}
-	for i := range topo.Links() {
-		l := topo.Link(i)
-		for _, fromA := range []bool{true, false} {
-			for lane := 0; lane < maxLanes; lane++ {
-				// The single-lane resource name is kept exactly as
-				// before so traces and deadlock reports stay
-				// byte-identical when virtual channels are off.
-				name := fmt.Sprintf("link%d.fromA=%v", l.ID, fromA)
-				if maxLanes > 1 {
-					name = fmt.Sprintf("link%d.fromA=%v.lane%d", l.ID, fromA, lane)
-				}
-				n.chans[n.laneIdx(l.ID, fromA, lane)] = &channel{
-					res:   mkRes(name),
-					link:  l,
-					fromA: fromA,
-					lane:  lane,
-				}
-			}
-		}
+	for i := range n.chans {
+		dir := i / maxLanes
+		n.chans[i] = channel{link: topo.Link(dir / 2), fromA: dir%2 == 0}
 	}
 	if par.BitErrorRate > 0 {
 		n.faults = rand.New(rand.NewSource(par.FaultSeed + 1))
@@ -239,8 +230,8 @@ func (n *Network) PublishMetrics(r *metrics.Registry) {
 		l := n.topo.Link(i)
 		for _, fromA := range []bool{true, false} {
 			for lane := 0; lane < n.maxLanes; lane++ {
-				c := n.chans[n.laneIdx(l.ID, fromA, lane)]
-				if c == nil || c.grants == 0 && c.busy == 0 && c.waited == 0 {
+				c := &n.chans[n.laneIdx(l.ID, fromA, lane)]
+				if c.grants == 0 && c.busy == 0 && c.waited == 0 {
 					continue
 				}
 				dir := "a2b"
@@ -298,11 +289,7 @@ func (n *Network) LaneBusy(link int, fromA bool, lane int) units.Time {
 	if idx >= len(n.chans) {
 		return 0
 	}
-	c := n.chans[idx]
-	if c == nil {
-		return 0
-	}
-	return c.busy
+	return n.chans[idx].busy
 }
 
 // StuckFlight describes one packet wedged in the network when the
@@ -350,22 +337,18 @@ func (n *Network) DetectStuck() []StuckFlight {
 	}
 	// Waiters first: in a deadlock cycle every flight is both a waiter
 	// and a holder, and the waiter view carries the wait-for edge.
-	for _, c := range n.chans {
-		for _, w := range c.res.Waiters() {
-			if f, ok := w.(*Flight); ok {
-				holder, _ := c.res.Owner().(*Flight)
-				collect(f, c.link.ID, holder)
-			}
+	for i := range n.chans {
+		c := &n.chans[i]
+		for _, w := range c.waiters {
+			collect(w.f, c.link.ID, c.owner)
 		}
 	}
 	// Then holders of contended channels that are not themselves
 	// queued anywhere (e.g. wedged on an endpoint buffer).
-	for _, c := range n.chans {
-		if c.res.QueueLen() == 0 {
-			continue
-		}
-		if holder, ok := c.res.Owner().(*Flight); ok && !holder.Done() {
-			collect(holder, -1, nil)
+	for i := range n.chans {
+		c := &n.chans[i]
+		if len(c.waiters) > 0 && c.owner != nil && !c.owner.Done() {
+			collect(c.owner, -1, nil)
 		}
 	}
 	return out
@@ -387,7 +370,8 @@ type SwitchLoad struct {
 // near the root" claim.
 func (n *Network) SwitchLoads() []SwitchLoad {
 	bySwitch := make(map[topology.NodeID]*SwitchLoad)
-	for _, c := range n.chans {
+	for i := range n.chans {
+		c := &n.chans[i]
 		from := c.link.NodeAt(c.fromA)
 		to := c.link.NodeAt(!c.fromA)
 		if n.nodes[from].host || n.nodes[to].host {
@@ -495,7 +479,7 @@ func (n *Network) Inject(pkt *packet.Packet, src topology.NodeID, opts InjectOpt
 	// Accumulate the hop's propagation before acquiring, so the
 	// channel's heldProp marks the pipeline delay through its exit.
 	f.prop += n.par.WireLatency
-	f.hopCh.acquire(f, -1, f.fnInjected)
+	f.hopCh.acquire(f, f.fnInjected)
 	return f
 }
 
@@ -534,24 +518,45 @@ func (n *Network) laneIdx(link int, fromA bool, lane int) int {
 }
 
 func (n *Network) chanOf(l *topology.Link, fromA bool, lane int) *channel {
-	return n.chans[chanIdx(l.ID, fromA)*n.maxLanes+lane]
+	return &n.chans[n.laneIdx(l.ID, fromA, lane)]
 }
 
-// acquire queues the flight on the channel. class identifies the
-// crossbar input the request arrives on (the incoming link id), which
-// round-robin arbitration cycles over. The grant callback must stamp
-// c.lastGrant itself (the flight's persistent closures do); wrapping
-// fn here would cost one closure allocation per hop.
-func (c *channel) acquire(f *Flight, class int, fn func()) {
+// acquire records the channel as held by the flight and requests it:
+// fn runs now if the channel is free with no waiters, else from the
+// release that reaches the flight's turn. The grant callback must
+// stamp c.lastGrant itself (the flight's persistent closures do);
+// wrapping fn here would cost one closure allocation per hop.
+func (c *channel) acquire(f *Flight, fn func()) {
 	f.held = append(f.held, c)
 	f.heldProp = append(f.heldProp, f.prop)
-	c.res.AcquireClass(f, class, fn)
+	if c.owner == nil && len(c.waiters) == 0 {
+		c.owner = f
+		fn()
+		return
+	}
+	c.waiters = append(c.waiters, waiter{f: f, fn: fn})
 }
 
+// release frees the channel, which f must hold, and grants it to the
+// oldest waiter if any.
 func (c *channel) release(eng *sim.Engine, f *Flight) {
+	if c.owner != f {
+		panic(fmt.Sprintf("fabric: link %d channel released by a flight that does not hold it", c.link.ID))
+	}
 	c.busy += eng.Now() - c.lastGrant
 	c.grants++
-	c.res.Release(f)
+	c.owner = nil
+	if len(c.waiters) == 0 {
+		return
+	}
+	next := c.waiters[0]
+	// Shift rather than re-slice, so the slice keeps its capacity and
+	// the vacated slot drops its references.
+	copy(c.waiters, c.waiters[1:])
+	c.waiters[len(c.waiters)-1] = waiter{}
+	c.waiters = c.waiters[:len(c.waiters)-1]
+	c.owner = next.f
+	next.fn()
 }
 
 // portExtra returns the pipeline delay of one port of the given type.

@@ -48,14 +48,6 @@ type Params struct {
 	// option quantifies that modelling choice (see the model-fidelity
 	// ablation).
 	ProgressiveRelease bool
-	// RoundRobinArbitration makes every output channel arbitrate
-	// round-robin among its input links, as Myrinet crossbars do,
-	// instead of the default FIFO-by-arrival. At this model's packet
-	// granularity the two policies behave almost identically (each
-	// input presents at most one packet at a time, because wormhole
-	// streams serialise upstream); the option exists to demonstrate
-	// exactly that.
-	RoundRobinArbitration bool
 	// Lanes is the virtual-channel count per link direction: each
 	// physical link carries this many independent flit lanes, each
 	// with its own credit/grant accounting. 0 or 1 is the faithful

@@ -5,32 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzParse hardens the wire decoder against malformed buffers: it
-// must never panic, and whatever parses must re-encode consistently.
-func FuzzParse(f *testing.F) {
-	good, _ := Encode(&Packet{Route: []byte{1, 2}, Type: TypeGM, Payload: []byte("seed")})
-	f.Add(good, 2)
-	f.Add([]byte{}, 0)
-	f.Add([]byte{0xFE, 0x01, 0x00}, 1)
-	f.Fuzz(func(t *testing.T, buf []byte, routeLen int) {
-		p, err := Parse(buf, routeLen%64)
-		if err != nil {
-			return
-		}
-		re, err := Encode(p)
-		if err != nil {
-			t.Fatalf("re-encode of parsed packet failed: %v", err)
-		}
-		q, err := Parse(re, len(p.Route))
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if q.Type != p.Type || !bytes.Equal(q.Route, p.Route) || !bytes.Equal(q.Payload, p.Payload) {
-			t.Fatal("parse/encode not idempotent")
-		}
-	})
-}
-
 // FuzzDecodeMapping hardens the mapper payload decoder.
 func FuzzDecodeMapping(f *testing.F) {
 	f.Add(EncodeMapping(Mapping{Kind: MappingProbe, Nonce: 1, Origin: 2, ReturnRoute: []byte{3}}))

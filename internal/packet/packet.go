@@ -80,20 +80,18 @@ const VCTag byte = 0xFD
 // produce.
 const MaxRouteLen = 32
 
-// Errors returned by Parse and Validate.
+// Errors returned by route building, Validate and the ITB header
+// accessors.
 var (
-	ErrShort       = errors.New("packet: truncated packet")
-	ErrBadCRC      = errors.New("packet: payload CRC mismatch")
-	ErrBadHeadCRC  = errors.New("packet: header CRC mismatch")
 	ErrRouteTooBig = errors.New("packet: route exceeds MaxRouteLen")
 	ErrBadITB      = errors.New("packet: malformed ITB header")
 	ErrBadVC       = errors.New("packet: malformed VC lane marker")
 )
 
-// Packet is the parsed, in-memory form of a Myrinet packet. The
-// simulator moves *Packet values around instead of re-encoding bytes
-// at every hop, but Encode/Parse implement the real wire layout and
-// are exercised by the NIC model at injection and ejection points.
+// Packet is the in-memory form of a Myrinet packet. The simulator
+// moves *Packet values around instead of encoding bytes at every hop;
+// WireLen is the wire layout's one definition, the length every
+// timing charges.
 type Packet struct {
 	// Route holds the remaining route. For an ITB packet this is the
 	// concatenation of the remaining sub-paths with ITBTag+length

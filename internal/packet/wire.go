@@ -1,81 +1,8 @@
 package packet
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
+import "fmt"
 
-// crc8 computes the 8-bit CRC Myrinet appends to (and recomputes for)
-// the packet header at every hop, polynomial x^8+x^2+x+1 (CRC-8-ATM).
-func crc8(data []byte) byte {
-	var crc byte
-	for _, b := range data {
-		crc ^= b
-		for i := 0; i < 8; i++ {
-			if crc&0x80 != 0 {
-				crc = (crc << 1) ^ 0x07
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
-
-// Encode serialises the packet to its wire form:
-//
-//	[route][type:2][payload][crc32(payload):4][crc8(header):1]
-//
-// The trailing header CRC covers the route and type bytes; Myrinet
-// switches strip and recompute it per hop, so Parse tolerates (and
-// Validate checks) the value as-encoded.
-func Encode(p *Packet) ([]byte, error) {
-	if len(p.Route) > MaxRouteLen {
-		return nil, ErrRouteTooBig
-	}
-	n := len(p.Route) + 2 + len(p.Payload) + 4 + 1
-	buf := make([]byte, 0, n)
-	buf = append(buf, p.Route...)
-	var tb [2]byte
-	binary.BigEndian.PutUint16(tb[:], uint16(p.Type))
-	buf = append(buf, tb[:]...)
-	buf = append(buf, p.Payload...)
-	var cb [4]byte
-	binary.BigEndian.PutUint32(cb[:], crc32.ChecksumIEEE(p.Payload))
-	buf = append(buf, cb[:]...)
-	buf = append(buf, crc8(buf[:len(p.Route)+2]))
-	return buf, nil
-}
-
-// Parse decodes a wire buffer produced by Encode, given the number of
-// route bytes still in front of the type field. routeLen must be
-// supplied by the caller because on the real wire the route length is
-// implicit: switches consume leading bytes and a NIC knows the route
-// is empty by construction.
-func Parse(buf []byte, routeLen int) (*Packet, error) {
-	if routeLen < 0 || routeLen > MaxRouteLen {
-		return nil, ErrRouteTooBig
-	}
-	if len(buf) < routeLen+2+4+1 {
-		return nil, ErrShort
-	}
-	p := &Packet{}
-	p.Route = append([]byte(nil), buf[:routeLen]...)
-	p.Type = Type(binary.BigEndian.Uint16(buf[routeLen : routeLen+2]))
-	body := buf[routeLen+2 : len(buf)-5]
-	p.Payload = append([]byte(nil), body...)
-	wantCRC := binary.BigEndian.Uint32(buf[len(buf)-5 : len(buf)-1])
-	if crc32.ChecksumIEEE(p.Payload) != wantCRC {
-		return nil, ErrBadCRC
-	}
-	if crc8(buf[:routeLen+2]) != buf[len(buf)-1] {
-		return nil, ErrBadHeadCRC
-	}
-	return p, nil
-}
-
-// Validate checks the structural invariants of a parsed packet:
+// Validate checks the structural invariants of a packet's route:
 // route length bounds, well-formed ITB markers (every ITBTag is
 // followed by a length byte that matches the bytes that follow it,
 // counting nested segment markers), and well-formed virtual-channel
@@ -148,8 +75,8 @@ func BuildITBRoute(segments [][]byte) ([]byte, error) {
 }
 
 // SplitITBRoute is the inverse of BuildITBRoute: it splits a route
-// back into its sub-path segments. Used by tests and the mapper's
-// route printer. Virtual-channel [VCTag][lane] pairs embedded in a
+// back into its sub-path segments. Tests use it as an oracle for the
+// routes the routing engines build. Virtual-channel [VCTag][lane] pairs embedded in a
 // segment are copied through opaquely, so a lane byte can never be
 // mistaken for a segment boundary.
 func SplitITBRoute(route []byte) ([][]byte, error) {

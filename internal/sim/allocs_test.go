@@ -69,30 +69,3 @@ func TestCancelSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Errorf("Schedule+Cancel allocates %.1f/op in steady state, want 0", allocs)
 	}
 }
-
-// A resource's acquire/release cycle, including queued waiters, must
-// not allocate once the waiter slice is warm.
-func TestResourceSteadyStateDoesNotAllocate(t *testing.T) {
-	for _, rr := range []bool{false, true} {
-		mk := NewResource
-		if rr {
-			mk = NewResourceRR
-		}
-		r := mk("pin")
-		a, b := new(int), new(int)
-		fn := func() {}
-		r.Acquire(a, fn)
-		r.AcquireClass(b, 1, fn)
-		r.Release(a)
-		r.Release(b)
-		allocs := testing.AllocsPerRun(200, func() {
-			r.Acquire(a, fn)
-			r.AcquireClass(b, 1, fn) // queues behind a
-			r.Release(a)             // grants b
-			r.Release(b)
-		})
-		if allocs != 0 {
-			t.Errorf("rr=%v: acquire/release allocates %.1f/op in steady state, want 0", rr, allocs)
-		}
-	}
-}

@@ -142,9 +142,11 @@ func (l *Link) PortAtEnd(endA bool) int {
 type Topology struct {
 	nodes []Node
 	links []Link
-	// byPort[node][port] is the link plugged into that port, or nil.
-	// Node ids are dense, so it is indexed like nodes.
-	byPort [][]*Link
+	// byPort[node][port] is the id of the link plugged into that port,
+	// or -1. Node ids are dense, so it is indexed like nodes. Ids, not
+	// pointers: Connect grows links by append, which would leave
+	// earlier pointers aimed at an outgrown copy.
+	byPort [][]int
 	// switchNbrs caches, per node, its switch neighbours over
 	// non-loopback links sorted by (far node, link id) — the traversal
 	// order of the routing searches, which walk these lists once per
@@ -165,7 +167,7 @@ func (t *Topology) AddSwitch(ports int, name string) NodeID {
 	}
 	id := NodeID(len(t.nodes))
 	t.nodes = append(t.nodes, Node{ID: id, Kind: KindSwitch, Ports: ports, Name: name})
-	t.byPort = append(t.byPort, make([]*Link, ports))
+	t.byPort = append(t.byPort, emptyPorts(ports))
 	t.switchNbrs = nil
 	return id
 }
@@ -174,7 +176,7 @@ func (t *Topology) AddSwitch(ports int, name string) NodeID {
 func (t *Topology) AddHost(name string) NodeID {
 	id := NodeID(len(t.nodes))
 	t.nodes = append(t.nodes, Node{ID: id, Kind: KindHost, Ports: 1, Name: name})
-	t.byPort = append(t.byPort, make([]*Link, 1))
+	t.byPort = append(t.byPort, emptyPorts(1))
 	t.switchNbrs = nil
 	return id
 }
@@ -189,17 +191,16 @@ func (t *Topology) Connect(a NodeID, aPort int, b NodeID, bPort int, typ PortTyp
 	if a == b && (t.nodes[a].Kind != KindSwitch || aPort == bPort) {
 		panic("topology: self-link must join two distinct ports of one switch")
 	}
-	if t.byPort[a][aPort] != nil {
+	if t.byPort[a][aPort] >= 0 {
 		panic(fmt.Sprintf("topology: port %d of node %d already cabled", aPort, a))
 	}
-	if t.byPort[b][bPort] != nil {
+	if t.byPort[b][bPort] >= 0 {
 		panic(fmt.Sprintf("topology: port %d of node %d already cabled", bPort, b))
 	}
 	id := len(t.links)
 	t.links = append(t.links, Link{ID: id, A: a, APort: aPort, B: b, BPort: bPort, Type: typ})
-	l := &t.links[id]
-	t.byPort[a][aPort] = l
-	t.byPort[b][bPort] = l
+	t.byPort[a][aPort] = id
+	t.byPort[b][bPort] = id
 	t.switchNbrs = nil
 	return id
 }
@@ -220,8 +221,8 @@ func (t *Topology) ConnectAny(a, b NodeID, typ PortType) int {
 
 // FreePort returns the lowest uncabled port of node n.
 func (t *Topology) FreePort(n NodeID) (int, bool) {
-	for i, l := range t.byPort[n] {
-		if l == nil {
+	for i, id := range t.byPort[n] {
+		if id < 0 {
 			return i, true
 		}
 	}
@@ -237,6 +238,15 @@ func (t *Topology) checkPort(n NodeID, port int) {
 	}
 }
 
+// emptyPorts returns the byPort row of a node with no port cabled.
+func emptyPorts(ports int) []int {
+	row := make([]int, ports)
+	for i := range row {
+		row[i] = -1
+	}
+	return row
+}
+
 // Node returns the node record for id.
 func (t *Topology) Node(id NodeID) Node { return t.nodes[id] }
 
@@ -250,7 +260,12 @@ func (t *Topology) Links() []Link { return t.links }
 func (t *Topology) Link(id int) *Link { return &t.links[id] }
 
 // LinkAt returns the link cabled into the given port, or nil.
-func (t *Topology) LinkAt(n NodeID, port int) *Link { return t.byPort[n][port] }
+func (t *Topology) LinkAt(n NodeID, port int) *Link {
+	if id := t.byPort[n][port]; id >= 0 {
+		return &t.links[id]
+	}
+	return nil
+}
 
 // Switches returns the ids of all switches in increasing order.
 func (t *Topology) Switches() []NodeID {
@@ -277,7 +292,8 @@ func (t *Topology) Hosts() []NodeID {
 // HostsAt returns the hosts directly cabled to switch sw.
 func (t *Topology) HostsAt(sw NodeID) []NodeID {
 	var out []NodeID
-	for _, l := range t.byPort[sw] {
+	for port := range t.byPort[sw] {
+		l := t.LinkAt(sw, port)
 		if l == nil {
 			continue
 		}
@@ -295,7 +311,7 @@ func (t *Topology) SwitchOf(host NodeID) (NodeID, bool) {
 	if t.nodes[host].Kind != KindHost {
 		return 0, false
 	}
-	l := t.byPort[host][0]
+	l := t.LinkAt(host, 0)
 	if l == nil {
 		return 0, false
 	}
@@ -311,8 +327,8 @@ func (t *Topology) Neighbors(n NodeID) []Neighbor {
 // appendNeighbors appends Neighbors(n) to dst, so that a walk can
 // reuse one buffer.
 func (t *Topology) appendNeighbors(dst []Neighbor, n NodeID) []Neighbor {
-	for port, l := range t.byPort[n] {
-		if l != nil {
+	for port := range t.byPort[n] {
+		if l := t.LinkAt(n, port); l != nil {
 			dst = append(dst, Neighbor{Link: l, Node: l.Other(n), Port: port})
 		}
 	}
@@ -343,7 +359,8 @@ func (t *Topology) buildSwitchNbrs() {
 	t.switchNbrs = make([][]Neighbor, len(t.nodes))
 	for _, nd := range t.nodes {
 		var out []Neighbor
-		for port, l := range t.byPort[nd.ID] {
+		for port := range t.byPort[nd.ID] {
+			l := t.LinkAt(nd.ID, port)
 			if l == nil || l.IsLoopback() {
 				continue
 			}
@@ -375,7 +392,8 @@ func (t *Topology) Connected() bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, l := range t.byPort[n] {
+		for port := range t.byPort[n] {
+			l := t.LinkAt(n, port)
 			if l == nil {
 				continue
 			}
@@ -394,7 +412,7 @@ func (t *Topology) Connected() bool {
 func (t *Topology) Validate() error {
 	for _, n := range t.nodes {
 		if n.Kind == KindHost {
-			l := t.byPort[n.ID][0]
+			l := t.LinkAt(n.ID, 0)
 			if l == nil {
 				return fmt.Errorf("topology: host %d (%s) is not cabled", n.ID, n.Name)
 			}

@@ -157,3 +157,33 @@ func TestLinkOtherPanics(t *testing.T) {
 	}()
 	tp.Link(id).Other(c)
 }
+
+// Every cabled port leads to the link record itself, not to a copy
+// left behind when Connect grew the links slice: on generated
+// topologies most links are cabled after the slice has moved.
+func TestLinkAtIsTheLinkRecord(t *testing.T) {
+	irregular, err := Generate(DefaultGenConfig(8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fattree, err := FatTree(DefaultFatTreeConfig(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dragonfly, err := Dragonfly(DefaultDragonflyConfig(342))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tp := range map[string]*Topology{"irregular-8": irregular, "fattree-64": fattree, "dragonfly-342": dragonfly} {
+		stale := 0
+		for i := range tp.Links() {
+			l := tp.Link(i)
+			if tp.LinkAt(l.A, l.APort) != l || tp.LinkAt(l.B, l.BPort) != l {
+				stale++
+			}
+		}
+		if stale != 0 {
+			t.Errorf("%s: %d of %d links are not Link(id) when reached through a port", name, stale, len(tp.Links()))
+		}
+	}
+}

@@ -227,7 +227,8 @@ func buildUpDownDFS(t *Topology, root NodeID, deg []int) *UpDown {
 		ud.Level[sw] = index
 		index++
 		lo := len(nbs)
-		for port, l := range t.byPort[sw] {
+		for port := range t.byPort[sw] {
+			l := t.LinkAt(sw, port)
 			if l == nil || l.IsLoopback() {
 				continue
 			}
